@@ -7,20 +7,36 @@ data-independent layers and equals the critical-path total: the graph is
 re-weighted with edge weight (u -> v) = -latency(v), a virtual source feeds
 every producer-less node with weight -latency(node) and a virtual sink
 collects terminal nodes at weight zero, and a single shortest-path pass in
-topological order yields the path whose negated distance is the bound.
-Among equal-latency paths the lexicographically smallest node-id sequence
-wins, keeping report output stable.
+topological order yields the distance whose negation is the bound. Among
+equal-latency paths the lexicographically smallest node-id sequence wins,
+keeping report output stable. Distances are compared exactly as computed,
+so a path whose running sum rounds lower at some layer drops out there even
+if its total later rounds to the same value.
+
+The path is not carried through the forward pass. An edge (p -> v) is
+*tight* when dist[p] - latency(v) == dist[v]; a reverse pass marks the
+nodes with a tight path to a sink at the optimal distance, and the path is
+rebuilt from the smallest-id marked source by taking the smallest-id tight,
+marked successor at each step. All three steps are linear in the graph.
+
+An :class:`Annotator` holds one graph's annotations on one database. It
+computes the topological order once, one signature map per dtype and one
+annotation per (system, dtype, layout), each on first use; an annotation
+carries the order it walked for the totals, the critical path and the DOT
+export. One ``analyze`` or ``advise`` command builds one annotator and
+hands it to every analysis.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .benchgen import fusion_candidates
 from .dedup import LayerSignature, api_for_op, render_value, signature
 from .errors import ConfigError, CorrelationError, DomainError, MissError
-from .model_ir import ModelGraph, topo_order
+from .model_ir import LayerNode, ModelGraph, topo_order
 from .perfdb import ANY, PerfDb, PerfRecord, RecordKey
 from .profile_ingest import ApiCall, ExecutionProfile, detect_tensorcore
 
@@ -30,6 +46,7 @@ class LatencyAnnotatedGraph:
     graph: ModelGraph
     latencies: dict[str, float]
     chosen: dict[str, PerfRecord | None]
+    order: list[str]  # topological order of ``graph``
     missing: list[str] = field(default_factory=list)
 
 
@@ -47,80 +64,126 @@ class BenanzaRatio:
 
 
 def annotate(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
-             layout: str | None = None, allow_missing: bool = False) -> LatencyAnnotatedGraph:
+             signatures: dict[str, LayerSignature | None],
+             layout: str | None = None) -> LatencyAnnotatedGraph:
     """Attach the best database latency to every supported layer.
 
-    ``layout`` restricts convolution-family lookups; other layers always
-    take their lowest-latency record. Misses abort with the full miss list
-    unless ``allow_missing``, in which case missing layers contribute zero
-    and are reported.
+    ``signatures`` maps every layer, in topological order, to its signature,
+    or to None where no library API backs it. ``layout`` restricts
+    convolution-family lookups; other layers always take their
+    lowest-latency record. Missing layers contribute zero and are listed in
+    ``missing``.
     """
     latencies: dict[str, float] = {}
     chosen: dict[str, PerfRecord | None] = {}
     missing: list[str] = []
-    for nid in topo_order(graph):
-        node = graph.nodes[nid]
-        if api_for_op(node.op_type) is None:
-            latencies[nid] = 0.0
-            chosen[nid] = None
+    for nid, sig in signatures.items():
+        latencies[nid] = 0.0
+        chosen[nid] = None
+        if sig is None:
             continue
-        sig = signature(node, dtype)
-        want_layout = layout if (layout and node.op_type == "Conv") else ANY
+        want_layout = layout if (layout and graph.nodes[nid].op_type == "Conv") else ANY
         try:
             rec = db.best(system, dtype, sig, layout=want_layout, fused=None)
         except MissError as exc:
             missing.extend(exc.keys)
-            latencies[nid] = 0.0
-            chosen[nid] = None
             continue
         latencies[nid] = rec.latency_us
         chosen[nid] = rec
-    if missing and not allow_missing:
-        raise MissError(missing)
-    return LatencyAnnotatedGraph(graph, latencies, chosen, missing)
+    return LatencyAnnotatedGraph(graph, latencies, chosen, list(signatures), missing)
+
+
+class Annotator:
+    """One graph's annotations on one database, each built on first use."""
+
+    def __init__(self, graph: ModelGraph, db: PerfDb):
+        self.graph = graph
+        self.db = db
+        self.order = topo_order(graph)
+        self._signatures: dict[str, dict[str, LayerSignature | None]] = {}
+        self._annotations: dict[tuple, LatencyAnnotatedGraph] = {}
+
+    def signatures(self, dtype: str) -> dict[str, LayerSignature | None]:
+        """Every layer's signature in topological order; None where no API backs it."""
+        if dtype not in self._signatures:
+            nodes = self.graph.nodes
+            self._signatures[dtype] = {
+                nid: signature(nodes[nid], dtype)
+                if api_for_op(nodes[nid].op_type) is not None else None
+                for nid in self.order
+            }
+        return self._signatures[dtype]
+
+    def annotation(self, system: str, dtype: str, layout: str | None = None,
+                   allow_missing: bool = False) -> LatencyAnnotatedGraph:
+        """The annotation for (system, dtype, layout).
+
+        Misses abort with the full miss list unless ``allow_missing``, in
+        which case missing layers contribute zero and are reported.
+        """
+        key = (system, dtype, layout or None)
+        if key not in self._annotations:
+            self._annotations[key] = annotate(self.graph, self.db, system, dtype,
+                                              self.signatures(dtype), layout=layout)
+        ann = self._annotations[key]
+        if ann.missing and not allow_missing:
+            raise MissError(ann.missing)
+        return ann
 
 
 def sequential_total(ann: LatencyAnnotatedGraph) -> float:
-    return sum(ann.latencies[nid] for nid in topo_order(ann.graph))
-
-
-def lower_bound_sequential(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
-                           layout: str | None = None, allow_missing: bool = False,
-                           ) -> tuple[float, LatencyAnnotatedGraph]:
-    ann = annotate(graph, db, system, dtype, layout=layout, allow_missing=allow_missing)
-    return sequential_total(ann), ann
+    return sum(ann.latencies[nid] for nid in ann.order)
 
 
 def critical_path(ann: LatencyAnnotatedGraph) -> CriticalPath:
     """Highest-total source-to-sink simple path under per-node latencies."""
-    graph = ann.graph
-    order = topo_order(graph)
+    order = ann.order
     if not order:
         return CriticalPath([], 0.0)
+    nodes = ann.graph.nodes
     lat = ann.latencies
-    node_ids = set(graph.nodes)
     # dist[v]: shortest distance from the virtual source using weights
-    # -latency(v); path[v]: lexicographically smallest arg-min path.
+    # -latency(v); producers precede consumers, so ``p in dist`` tells
+    # graph nodes from graph inputs.
     dist: dict[str, float] = {}
-    path: dict[str, tuple[str, ...]] = {}
+    sources: list[str] = []
     for nid in order:
-        preds = [p for p in graph.nodes[nid].input_ids if p in node_ids]
-        if not preds:
-            cands = [(0.0 - lat[nid], (nid,))]
-        else:
-            cands = [(dist[p] - lat[nid], path[p] + (nid,)) for p in preds]
-        dist[nid], path[nid] = min(cands)
-    sinks = [nid for nid in order if not graph.nodes[nid].output_ids]
-    best_dist, best_path = min((dist[s], path[s]) for s in sinks)
-    return CriticalPath(list(best_path), -best_dist)
-
-
-def lower_bound_parallel(ann: LatencyAnnotatedGraph) -> float:
-    return critical_path(ann).total_latency_us
+        lv = lat[nid]
+        d = None
+        for p in nodes[nid].input_ids:
+            if p in dist:
+                cand = dist[p] - lv
+                if d is None or cand < d:
+                    d = cand
+        if d is None:
+            sources.append(nid)
+            d = 0.0 - lv
+        dist[nid] = d
+    best = min(dist[nid] for nid in order if not nodes[nid].output_ids)
+    # on: nodes with a tight path to a sink at distance ``best``.
+    on: set[str] = set()
+    for nid in reversed(order):
+        outs = nodes[nid].output_ids
+        if not outs:
+            if dist[nid] == best:
+                on.add(nid)
+            continue
+        d = dist[nid]
+        for c in outs:
+            if c in on and d - lat[c] == dist[c]:
+                on.add(nid)
+                break
+    nid = min(s for s in sources if s in on)
+    path = [nid]
+    while nodes[nid].output_ids:
+        d = dist[nid]
+        nid = min(c for c in nodes[nid].output_ids if c in on and d - lat[c] == dist[c])
+        path.append(nid)
+    return CriticalPath(path, -best)
 
 
 def _total(ann: LatencyAnnotatedGraph, latencies: dict[str, float], mode: str) -> float:
-    scoped = LatencyAnnotatedGraph(ann.graph, latencies, ann.chosen, ann.missing)
+    scoped = LatencyAnnotatedGraph(ann.graph, latencies, ann.chosen, ann.order, ann.missing)
     if mode == "parallel":
         return critical_path(scoped).total_latency_us
     if mode == "sequential":
@@ -130,11 +193,16 @@ def _total(ann: LatencyAnnotatedGraph, latencies: dict[str, float], mode: str) -
 
 def benanza_ratio(lower_bound_us: float, measured_us: float) -> BenanzaRatio:
     """br = lower bound / measured; 1/br is the potential speedup."""
-    if lower_bound_us <= 0 or measured_us <= 0:
+    if not (math.isfinite(lower_bound_us) and math.isfinite(measured_us)) \
+            or lower_bound_us <= 0 or measured_us <= 0:
         raise DomainError(
-            f"latencies must be positive, got lower bound {lower_bound_us} "
-            f"and measured {measured_us}")
+            f"latencies must be positive and finite, got lower bound "
+            f"{lower_bound_us} and measured {measured_us}")
     br = lower_bound_us / measured_us
+    if br == 0 or math.isinf(br):
+        raise DomainError(
+            f"Benanza ratio of lower bound {lower_bound_us} and measured "
+            f"{measured_us} is out of range")
     warning = None
     if br > 1.0:
         warning = ("lower bound exceeds measured latency; "
@@ -166,28 +234,35 @@ class AlgorithmAdvice:
     aggregate_speedup: float
 
 
-def algorithm_advice(profile: ExecutionProfile, graph: ModelGraph, db: PerfDb,
-                     system: str, dtype: str, layout: str = "NCHW") -> AlgorithmAdvice:
+def _logged_convs(anns: Annotator, profile: ExecutionProfile) -> list[tuple[LayerNode, ApiCall]]:
+    """Pair the i-th convolution in topological order with the i-th logged one."""
+    conv_nodes = [anns.graph.nodes[nid] for nid in anns.order
+                  if anns.graph.nodes[nid].op_type == "Conv"]
+    conv_calls = [c for c in profile.api_calls if c.api_name == "cudnnConvolutionForward"]
+    if len(conv_nodes) != len(conv_calls):
+        raise CorrelationError(
+            f"graph has {len(conv_nodes)} convolution layers but the log has "
+            f"{len(conv_calls)} convolution calls")
+    return list(zip(conv_nodes, conv_calls))
+
+
+def algorithm_advice(profile: ExecutionProfile, anns: Annotator, system: str,
+                     dtype: str, layout: str = "NCHW") -> AlgorithmAdvice:
     """Audit logged convolution algorithms against the measured optimum.
 
     The i-th logged convolution call corresponds to the i-th convolution in
     topological order; shape parameters in the log, when present, are
     cross-checked and mismatches downgrade to a warning.
     """
-    conv_nodes = [graph.nodes[nid] for nid in topo_order(graph)
-                  if graph.nodes[nid].op_type == "Conv"]
-    conv_calls = [c for c in profile.api_calls if c.api_name == "cudnnConvolutionForward"]
-    if len(conv_nodes) != len(conv_calls):
-        raise CorrelationError(
-            f"graph has {len(conv_nodes)} convolution layers but the log has "
-            f"{len(conv_calls)} convolution calls")
-    ann = annotate(graph, db, system, dtype, layout=layout)
+    convs = _logged_convs(anns, profile)
+    ann = anns.annotation(system, dtype, layout=layout)
+    sigs = anns.signatures(dtype)
     entries: list[AdviceEntry] = []
     unknown: list[str] = []
     warnings: list[str] = []
     lb_ideal = sequential_total(ann)
     lb_chosen = lb_ideal
-    for node, call in zip(conv_nodes, conv_calls):
+    for node, call in convs:
         x_logged = call.params.get("x")
         if x_logged and node.in_shapes and x_logged != node.in_shapes[0].render():
             warnings.append(
@@ -197,8 +272,8 @@ def algorithm_advice(profile: ExecutionProfile, graph: ModelGraph, db: PerfDb,
         if not logged:
             unknown.append(node.id)
             continue
-        sig = signature(node, dtype)
-        rec = db.record_for(RecordKey(
+        sig = sigs[node.id]
+        rec = anns.db.record_for(RecordKey(
             system, dtype, sig.hash64, sig.canonical_string, logged, layout, None))
         if rec is None or rec.status != "ok":
             unknown.append(node.id)
@@ -378,7 +453,7 @@ class FusionAnalysis:
     sites: list[FusionSiteResult]
 
 
-def fusion_analysis(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
+def fusion_analysis(anns: Annotator, system: str, dtype: str,
                     mode: str = "sequential", layout: str | None = None) -> FusionAnalysis:
     """Lower-bound profit of fusing registered patterns.
 
@@ -386,15 +461,15 @@ def fusion_analysis(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
     where it is absent the non-fused layer latencies are kept. Substitution
     applies even when the fused record is slower; the signed profit says so.
     """
-    ann = annotate(graph, db, system, dtype, layout=layout)
-    sites = fusion_candidates(graph, dtype)
+    ann = anns.annotation(system, dtype, layout=layout)
+    sites = fusion_candidates(anns.graph, dtype)
     latencies = dict(ann.latencies)
     results: list[FusionSiteResult] = []
     for site in sites:
         member_sum = sum(ann.latencies[m] for m in site.member_ids)
         try:
-            rec = db.best(system, dtype, site.head_signature,
-                          layout=layout if layout else ANY, fused=site.pattern_id)
+            rec = anns.db.best(system, dtype, site.head_signature,
+                               layout=layout if layout else ANY, fused=site.pattern_id)
         except MissError:
             results.append(FusionSiteResult(
                 site.pattern_id, site.member_ids, False, None, member_sum, 0.0))
@@ -426,12 +501,12 @@ class TensorCoreAnalysis:
     tc_used_in_profile: bool | None
 
 
-def tensorcore_analysis(graph: ModelGraph, db: PerfDb, system: str,
+def tensorcore_analysis(anns: Annotator, system: str,
                         mode: str = "sequential", layout: str = "NCHW",
                         profile: ExecutionProfile | None = None) -> TensorCoreAnalysis:
     """f32 vs f16 lower bound; kernel names reveal actual tensor-core use."""
-    ann32 = annotate(graph, db, system, "f32", layout="NCHW")
-    ann16 = annotate(graph, db, system, "f16", layout=layout)
+    ann32 = anns.annotation(system, "f32", layout="NCHW")
+    ann16 = anns.annotation(system, "f16", layout=layout)
     lb32 = _total(ann32, ann32.latencies, mode)
     lb16 = _total(ann16, ann16.latencies, mode)
     tc_used = None
@@ -462,7 +537,7 @@ class JointAnalysis:
     speedup: float | None  # vs measured, when a measurement is available
 
 
-def joint_analysis(graph: ModelGraph, db: PerfDb, system: str, scenario: Scenario,
+def joint_analysis(anns: Annotator, system: str, scenario: Scenario,
                    measured_us: float | None = None,
                    profile: ExecutionProfile | None = None) -> JointAnalysis:
     """Apply scenario toggles compositionally and report the what-if bound.
@@ -474,34 +549,27 @@ def joint_analysis(graph: ModelGraph, db: PerfDb, system: str, scenario: Scenari
     """
     dtype = "f16" if scenario.tensor_core else "f32"
     layout = scenario.layout if scenario.tensor_core else None
-    ann = annotate(graph, db, system, dtype, layout=layout)
+    ann = anns.annotation(system, dtype, layout=layout)
     latencies = dict(ann.latencies)
 
     if not scenario.ideal_algo and profile is not None:
-        conv_nodes = [graph.nodes[nid] for nid in topo_order(graph)
-                      if graph.nodes[nid].op_type == "Conv"]
-        conv_calls = [c for c in profile.api_calls
-                      if c.api_name == "cudnnConvolutionForward"]
-        if len(conv_nodes) != len(conv_calls):
-            raise CorrelationError(
-                f"graph has {len(conv_nodes)} convolution layers but the log has "
-                f"{len(conv_calls)} convolution calls")
-        for node, call in zip(conv_nodes, conv_calls):
+        sigs = anns.signatures(dtype)
+        for node, call in _logged_convs(anns, profile):
             logged = call.params.get("algo")
             if not logged:
                 continue
-            sig = signature(node, dtype)
-            rec = db.record_for(RecordKey(
+            sig = sigs[node.id]
+            rec = anns.db.record_for(RecordKey(
                 system, dtype, sig.hash64, sig.canonical_string, logged,
                 layout or "NCHW", None))
             if rec is not None and rec.status == "ok":
                 latencies[node.id] = rec.latency_us
 
     if scenario.fusion:
-        for site in fusion_candidates(graph, dtype):
+        for site in fusion_candidates(anns.graph, dtype):
             try:
-                rec = db.best(system, dtype, site.head_signature,
-                              layout=layout if layout else ANY, fused=site.pattern_id)
+                rec = anns.db.best(system, dtype, site.head_signature,
+                                   layout=layout if layout else ANY, fused=site.pattern_id)
             except MissError:
                 continue
             latencies[site.member_ids[0]] = rec.latency_us
@@ -526,7 +594,7 @@ class SystemAdvice:
     has_misses: bool
 
 
-def advise_systems(graph: ModelGraph, db: PerfDb, systems: list[str], dtype: str,
+def advise_systems(anns: Annotator, systems: list[str], dtype: str,
                    cost_per_hour: dict[str, float] | None = None,
                    rank_by: str = "latency") -> list[SystemAdvice]:
     """Rank systems by lower bound, or by lower bound x cost.
@@ -537,7 +605,8 @@ def advise_systems(graph: ModelGraph, db: PerfDb, systems: list[str], dtype: str
         raise ConfigError(f"unknown ranking key {rank_by!r}")
     rows: list[SystemAdvice] = []
     for system in systems:
-        lb, ann = lower_bound_sequential(graph, db, system, dtype, allow_missing=True)
+        ann = anns.annotation(system, dtype, allow_missing=True)
+        lb = sequential_total(ann)
         cost = (cost_per_hour or {}).get(system)
         score = lb * cost if cost is not None else None
         if rank_by == "cost" and score is None:
@@ -732,12 +801,12 @@ def export_dot(ann: LatencyAnnotatedGraph, path: CriticalPath | None = None) -> 
     lines = [f'digraph "{graph.name}" {{',
              "  rankdir=TB;",
              '  node [shape=box, fontname="Helvetica"];']
-    for nid in topo_order(graph):
+    for nid in ann.order:
         node = graph.nodes[nid]
         label = f"{nid}\\n{node.op_type}\\n{ann.latencies.get(nid, 0.0):.3f} us"
         style = ' color=red penwidth=2.0' if nid in on_path else ""
         lines.append(f'  "{nid}" [label="{label}"{style}];')
-    for nid in topo_order(graph):
+    for nid in ann.order:
         for src in graph.nodes[nid].input_ids:
             if src not in graph.nodes:
                 continue

@@ -346,14 +346,15 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
         measured_ms = measured_ms if measured_ms is not None else prof.measured_latency_ms
 
     with perfdb.PerfDb(_db_path(db_path)) as handle:
+        anns = analyzer.Annotator(graph, handle)
         try:
-            lb_seq, ann = analyzer.lower_bound_sequential(
-                graph, handle, sysid, dtype, allow_missing=allow_missing)
+            ann = anns.annotation(sysid, dtype, allow_missing=allow_missing)
         except MissError as exc:
             if miss_out:
                 with open(miss_out, "w", encoding="utf-8") as fh:
                     fh.write("\n".join(exc.keys) + "\n")
             raise
+        lb_seq = analyzer.sequential_total(ann)
         cp = analyzer.critical_path(ann)
         report = analyzer.AnalysisReport(
             model=graph.name, system=sysid, batch=batch, dtype=dtype,
@@ -365,20 +366,20 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
             report.br_sequential = analyzer.benanza_ratio(lb_seq, measured_us)
             report.br_parallel = analyzer.benanza_ratio(cp.total_latency_us, measured_us)
         if prof is not None:
-            report.algorithm = analyzer.algorithm_advice(prof, graph, handle, sysid, dtype)
+            report.algorithm = analyzer.algorithm_advice(prof, anns, sysid, dtype)
             expected = analyzer.expected_api_sequence(graph, dtype)
             report.deviations = analyzer.framework_diff(prof, expected)
         if fusion:
-            report.fusion = analyzer.fusion_analysis(graph, handle, sysid, dtype)
+            report.fusion = analyzer.fusion_analysis(anns, sysid, dtype)
         if tensor_core:
             report.tensorcore = analyzer.tensorcore_analysis(
-                graph, handle, sysid, layout=layout, profile=prof)
+                anns, sysid, layout=layout, profile=prof)
         if parallel or fusion or tensor_core or not ideal_algo:
             scenario = analyzer.Scenario(
                 parallel=parallel, ideal_algo=ideal_algo, fusion=fusion,
                 tensor_core=tensor_core, layout=layout)
             report.joint = analyzer.joint_analysis(
-                graph, handle, sysid, scenario,
+                anns, sysid, scenario,
                 measured_us=measured_ms * 1000.0 if measured_ms else None,
                 profile=prof)
 
@@ -427,8 +428,8 @@ def advise(model, db_path, systems, batch, dtype, costs, rank_by):
     if rank_by is None:
         rank_by = "cost" if cost_map else "latency"
     with perfdb.PerfDb(_db_path(db_path)) as handle:
-        rows = analyzer.advise_systems(graph, handle, system_list, dtype,
-                                       cost_per_hour=cost_map, rank_by=rank_by)
+        rows = analyzer.advise_systems(analyzer.Annotator(graph, handle), system_list,
+                                       dtype, cost_per_hour=cost_map, rank_by=rank_by)
     for i, row in enumerate(rows, start=1):
         cost = f", cost score {row.cost_score:.1f}" if row.cost_score is not None else ""
         flag = "  [incomplete: database misses]" if row.has_misses else ""

@@ -1,10 +1,25 @@
 """File-backed performance database.
 
-Storage is a single file of line-delimited JSON records plus an in-memory
-index built at open. Appending is the only write path; re-inserting a key
-replaces the live record while the superseded one stays on disk and in the
-audit trail until ``compact`` rewrites the file. Readers take a snapshot at
-open; a writer holds an advisory file lock for the lifetime of the handle.
+Storage is a single file of line-delimited JSON records plus two in-memory
+indexes built at open. The flat index maps each full record key to its live
+record; its insertion order is the order of ``records()`` and the order in
+which ``compact`` rewrites the file. The layer index maps (system, dtype,
+signature) to that layer's live records in the same relative order, so
+``query`` and ``best`` read only the records of one layer. Both are kept in
+step by one helper shared by ``_load`` and ``insert``. ``compact`` drops
+superseded records only: the live records, their order and therefore both
+indexes are the same after a reopen.
+
+Appending is the only write path; re-inserting a key replaces the live
+record while the superseded one stays on disk and in the audit trail until
+``compact`` rewrites the file. Readers take a snapshot at open; a writer
+holds an advisory file lock for the lifetime of the handle and loads the
+file under it.
+
+A crash in the middle of an append leaves a torn tail: a last line with no
+trailing newline that does not parse. A read-only open skips it; a writer
+truncates it so the next append starts on a fresh line. Any other bad line
+raises ``StorageError``.
 
 Record fields, in on-disk order: v, system, dtype, hash64, signature,
 algorithm, layout, fused, status, latency_us, source, timestamp, metadata.
@@ -111,9 +126,9 @@ def _record_to_json(rec: PerfRecord) -> str:
     }, separators=(",", ":"))
 
 
-def _record_from_json(line: str, lineno: int) -> PerfRecord:
+def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
     try:
-        obj = json.loads(line)
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
         key = RecordKey(
             system=obj["system"],
             dtype=obj["dtype"],
@@ -144,30 +159,43 @@ class PerfDb:
         self.path = str(path)
         self.mode = mode
         self._index: dict[tuple, PerfRecord] = {}
+        # (system, dtype, signature) -> {index key: live record}
+        self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
         self._audit: list[PerfRecord] = []
         self._fh = None
-        self._load()
         if mode == "rw":
             self._acquire_writer()
+        try:
+            self._load()
+        except StorageError:
+            self.close()
+            raise
 
     # -- lifecycle ----------------------------------------------------------
 
     def _load(self) -> None:
         if not os.path.exists(self.path):
-            if self.mode == "r":
-                return  # empty snapshot; analyzer reports misses
-            return
+            return  # empty snapshot; analyzer reports misses
+        end = 0  # byte offset just past the last line kept
+        raw = b""
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = _record_from_json(line, lineno)
-                    prev = self._index.get(rec.key.index_key())
-                    if prev is not None:
-                        self._audit.append(prev)
-                    self._index[rec.key.index_key()] = rec
+            with open(self.path, "rb") as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    line = raw.strip()
+                    if line:
+                        try:
+                            self._put(_record_from_json(line, lineno))
+                        except StorageError:
+                            if raw.endswith(b"\n"):
+                                raise
+                            break  # torn tail
+                    end += len(raw)
+            if self._fh is not None:  # a writer's next append must start a line
+                if end != os.path.getsize(self.path):
+                    os.truncate(self.path, end)
+                elif raw and not raw.endswith(b"\n"):
+                    self._fh.write("\n")
+                    self._fh.flush()
         except OSError as exc:
             raise StorageError(f"cannot read database {self.path}: {exc}") from exc
 
@@ -205,10 +233,18 @@ class PerfDb:
             self._fh.flush()
         except OSError as exc:
             raise StorageError(f"cannot append to database {self.path}: {exc}") from exc
-        prev = self._index.get(record.key.index_key())
+        self._put(record)
+
+    def _put(self, record: PerfRecord) -> None:
+        key = record.key.index_key()
+        prev = self._index.get(key)
         if prev is not None:
             self._audit.append(prev)
-        self._index[record.key.index_key()] = record
+        self._index[key] = record
+        layer = self._by_layer.get(key[:3])
+        if layer is None:
+            layer = self._by_layer[key[:3]] = {}
+        layer[key] = record
 
     def import_lines(self, text: str) -> int:
         """Insert records from an external result file (same line format)."""
@@ -260,12 +296,8 @@ class PerfDb:
     def query(self, system: str, dtype: str, signature: LayerSignature | str) -> QueryResult:
         """All records for a layer across algorithms, layouts, and fusion."""
         canonical = signature if isinstance(signature, str) else signature.canonical_string
-        hits = [
-            rec for rec in self._index.values()
-            if rec.key.system == system and rec.key.dtype == dtype
-            and rec.key.signature == canonical
-        ]
-        hits.sort(key=_hit_order)
+        hits = sorted(self._by_layer.get((system, dtype, canonical), {}).values(),
+                      key=_hit_order)
         if hits:
             return QueryResult(hits=hits, misses=[])
         h64 = signature.hash64 if isinstance(signature, LayerSignature) else ""
@@ -296,7 +328,7 @@ class PerfDb:
                 None, layout if layout is not ANY else "NCHW",
                 fused if fused is not ANY else None,
             ).render()])
-        return min(candidates, key=_hit_order)
+        return candidates[0]  # hits come in _hit_order
 
 
 def _hit_order(rec: PerfRecord) -> tuple:

@@ -1,0 +1,183 @@
+from __future__ import annotations
+
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import modelzoo as mz
+from lbound.errors import MissError, StorageError
+from lbound.perfdb import ANY, PerfDb, PerfRecord, RecordKey, _hit_order
+
+SYSTEMS = ("sysA", "sysB")
+DTYPES = ("f32", "f16")
+SIGNATURES = ("Conv|f32|in=1x8x4x4|k=3", "Relu|f32|in=1x8x4x4|", "Add|f16|in=1x8|")
+ALGOS = (None, "IGEMM", "GEMM", "FFT", "WINGNF")
+LAYOUTS = ("NCHW", "NHWC")
+FUSED = (None, "conv_bias", "conv_bias_act")
+
+
+@st.composite
+def records(draw):
+    key = RecordKey(
+        system=draw(st.sampled_from(SYSTEMS)),
+        dtype=draw(st.sampled_from(DTYPES)),
+        hash64="00",
+        signature=draw(st.sampled_from(SIGNATURES)),
+        algorithm=draw(st.sampled_from(ALGOS)),
+        layout=draw(st.sampled_from(LAYOUTS)),
+        fused=draw(st.sampled_from(FUSED)),
+    )
+    if draw(st.booleans()) and draw(st.booleans()):
+        return PerfRecord(key, None, status="unsupported", timestamp=1.0)
+    # A few latencies only, so ties in the hit order are common.
+    return PerfRecord(key, draw(st.sampled_from((1.0, 2.0, 2.5))), timestamp=2.0)
+
+
+def _scan(db: PerfDb, system: str, dtype: str, sig: str) -> list[PerfRecord]:
+    hits = [r for r in db.records()
+            if (r.key.system, r.key.dtype, r.key.signature) == (system, dtype, sig)]
+    return sorted(hits, key=_hit_order)
+
+
+def _miss_key(system, dtype, sig, layout, fused) -> str:
+    layout = "NCHW" if layout is ANY else layout
+    fused = None if fused is ANY else fused
+    return f"{system}/{dtype}/{layout}/-/{fused or '-'}/{sig}"
+
+
+def check_index(db: PerfDb, layers) -> None:
+    for system, dtype, sig in layers:
+        expected = _scan(db, system, dtype, sig)
+        got = db.query(system, dtype, sig)
+        assert [id(r) for r in got.hits] == [id(r) for r in expected]
+        assert bool(got.misses) == (not expected)
+        for layout in (ANY, *LAYOUTS):
+            for fused in (ANY, *FUSED):
+                cands = [r for r in expected if r.status == "ok"
+                         and (layout is ANY or r.key.layout == layout)
+                         and (fused is ANY or r.key.fused == fused)]
+                if cands:
+                    assert db.best(system, dtype, sig, layout=layout, fused=fused) \
+                        is min(cands, key=_hit_order)
+                else:
+                    with pytest.raises(MissError) as exc:
+                        db.best(system, dtype, sig, layout=layout, fused=fused)
+                    assert exc.value.keys == [_miss_key(system, dtype, sig, layout, fused)]
+
+
+ALL_LAYERS = [(s, d, g) for s in SYSTEMS for d in DTYPES for g in SIGNATURES]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(records(), max_size=60))
+def test_index_matches_linear_scan(recs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "perf.db")
+        with PerfDb(path, mode="rw") as db:
+            for rec in recs:
+                db.insert(rec)
+            live = len({r.key.index_key() for r in recs})
+            assert len(db) == live
+            assert len(db.audit_log) == len(recs) - live
+            check_index(db, ALL_LAYERS)
+            before = db.records()
+            with PerfDb(path) as snap:
+                assert snap.records() == before
+                check_index(snap, ALL_LAYERS)
+            assert db.compact() == len(recs) - live
+            assert db.records() == before
+            check_index(db, ALL_LAYERS)
+        with PerfDb(path) as snap:
+            assert snap.records() == before
+            assert snap.audit_log == []
+            check_index(snap, ALL_LAYERS)
+
+
+def test_resnet50_index_with_superseded_records(db_builder, v100):
+    graph = mz.load(mz.resnet_v1_text(50))
+    path = db_builder([graph], v100, fusion=True, jitter_seed=1)
+    db_builder([graph], v100, fusion=True, jitter_seed=2)  # supersedes every record
+    with PerfDb(path) as db:
+        assert len(db.audit_log) == len(db) > 0
+        layers = sorted({r.key.index_key()[:3] for r in db.records()})
+        layers.append(("Tesla_V100", "f32", "Relu|f32|in=9x9|"))
+        check_index(db, layers)
+
+
+# ---------------------------------------------------------------------------
+# Torn tails and corrupt lines
+# ---------------------------------------------------------------------------
+
+def _record(i: int) -> PerfRecord:
+    key = RecordKey("sysA", "f32", "00", f"Relu|f32|in=1x{i}|", None, "NCHW", None)
+    return PerfRecord(key, float(i + 1), timestamp=float(i))
+
+
+@pytest.fixture
+def db_file(tmp_path):
+    path = tmp_path / "perf.db"
+    with PerfDb(path, mode="rw") as db:
+        for i in range(5):
+            db.insert(_record(i))
+    return path
+
+
+def _cut(path, nbytes: int) -> bytes:
+    data = path.read_bytes()
+    path.write_bytes(data[:-nbytes])
+    return data
+
+
+def test_read_only_open_skips_torn_tail(db_file):
+    full = _cut(db_file, 40)
+    torn = db_file.read_bytes()
+    with PerfDb(db_file) as db:
+        assert [r.latency_us for r in db.records()] == [1.0, 2.0, 3.0, 4.0]
+    assert db_file.read_bytes() == torn
+    assert full.startswith(torn)
+
+
+def test_writer_truncates_torn_tail(db_file):
+    _cut(db_file, 40)
+    lines = db_file.read_bytes().split(b"\n")
+    with PerfDb(db_file, mode="rw") as db:
+        assert len(db) == 4
+        assert db_file.read_bytes() == b"\n".join(lines[:-1]) + b"\n"
+        db.insert(_record(9))
+    with PerfDb(db_file) as db:
+        assert [r.latency_us for r in db.records()] == [1.0, 2.0, 3.0, 4.0, 10.0]
+
+
+def test_writer_terminates_a_complete_unterminated_last_line(db_file):
+    _cut(db_file, 1)
+    with PerfDb(db_file, mode="rw") as db:
+        assert len(db) == 5
+        db.insert(_record(9))
+    with PerfDb(db_file) as db:
+        assert len(db) == 6
+
+
+@pytest.mark.parametrize("mode", ["r", "rw"])
+def test_corrupt_middle_line_still_fails(db_file, mode):
+    lines = db_file.read_bytes().split(b"\n")
+    lines[2] = lines[2][:25]
+    corrupt = b"\n".join(lines)
+    db_file.write_bytes(corrupt)
+    with pytest.raises(StorageError, match="line 3") as first:
+        PerfDb(db_file, mode=mode)
+    assert db_file.read_bytes() == corrupt
+    # The failed handle stays reachable from ``first``; its lock must be gone.
+    with pytest.raises(StorageError, match="line 3"):
+        PerfDb(db_file, mode=mode)
+    assert first.value
+
+
+@pytest.mark.parametrize("mode", ["r", "rw"])
+def test_corrupt_terminated_last_line_fails(db_file, mode):
+    data = db_file.read_bytes()
+    db_file.write_bytes(data[:-40] + b"\n")
+    with pytest.raises(StorageError, match="line 5"):
+        PerfDb(db_file, mode=mode)
