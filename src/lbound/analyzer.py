@@ -25,13 +25,20 @@ annotation per (system, dtype, layout), each on first use; an annotation
 carries the order it walked for the totals, the critical path and the DOT
 export. One ``analyze`` or ``advise`` command builds one annotator and
 hands it to every analysis.
+
+Every what-if is a view over :func:`apply`: on one (system, dtype, layout)
+annotation it swaps in the records of logged convolution algorithms, then
+fused records, and returns the scenario latencies. The joint analysis totals
+them sequentially or along the critical path, Q5 (fusion) compares fused and
+unfused totals, Q3 (algorithm choice) walks the same logged records, and Q6
+(Tensor Cores) compares the f32 and f16 annotations.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .benchgen import fusion_candidates
 from .dedup import LayerSignature, api_for_op, render_value, signature
@@ -182,13 +189,9 @@ def critical_path(ann: LatencyAnnotatedGraph) -> CriticalPath:
     return CriticalPath(path, -best)
 
 
-def _total(ann: LatencyAnnotatedGraph, latencies: dict[str, float], mode: str) -> float:
+def _total(ann: LatencyAnnotatedGraph, latencies: dict[str, float], parallel: bool) -> float:
     scoped = LatencyAnnotatedGraph(ann.graph, latencies, ann.chosen, ann.order, ann.missing)
-    if mode == "parallel":
-        return critical_path(scoped).total_latency_us
-    if mode == "sequential":
-        return sequential_total(scoped)
-    raise ConfigError(f"unknown mode {mode!r}")
+    return critical_path(scoped).total_latency_us if parallel else sequential_total(scoped)
 
 
 def benanza_ratio(lower_bound_us: float, measured_us: float) -> BenanzaRatio:
@@ -234,8 +237,10 @@ class AlgorithmAdvice:
     aggregate_speedup: float
 
 
-def _logged_convs(anns: Annotator, profile: ExecutionProfile) -> list[tuple[LayerNode, ApiCall]]:
-    """Pair the i-th convolution in topological order with the i-th logged one."""
+def _logged_convs(anns: Annotator, profile: ExecutionProfile, system: str, dtype: str,
+                  layout: str) -> list[tuple[LayerNode, ApiCall, PerfRecord | None]]:
+    """Pair the i-th convolution in topological order with the i-th logged one,
+    and with the ok record of the logged algorithm at ``layout`` (or None)."""
     conv_nodes = [anns.graph.nodes[nid] for nid in anns.order
                   if anns.graph.nodes[nid].op_type == "Conv"]
     conv_calls = [c for c in profile.api_calls if c.api_name == "cudnnConvolutionForward"]
@@ -243,49 +248,48 @@ def _logged_convs(anns: Annotator, profile: ExecutionProfile) -> list[tuple[Laye
         raise CorrelationError(
             f"graph has {len(conv_nodes)} convolution layers but the log has "
             f"{len(conv_calls)} convolution calls")
-    return list(zip(conv_nodes, conv_calls))
+    sigs = anns.signatures(dtype)
+    convs = []
+    for node, call in zip(conv_nodes, conv_calls):
+        sig, algo = sigs[node.id], call.params.get("algo")
+        rec = algo and anns.db.record_for(RecordKey(
+            system, dtype, sig.hash64, sig.canonical_string, algo, layout, None))
+        convs.append((node, call, rec if rec and rec.status == "ok" else None))
+    return convs
 
 
 def algorithm_advice(profile: ExecutionProfile, anns: Annotator, system: str,
-                     dtype: str, layout: str = "NCHW") -> AlgorithmAdvice:
+                     dtype: str) -> AlgorithmAdvice:
     """Audit logged convolution algorithms against the measured optimum.
 
     The i-th logged convolution call corresponds to the i-th convolution in
     topological order; shape parameters in the log, when present, are
     cross-checked and mismatches downgrade to a warning.
     """
-    convs = _logged_convs(anns, profile)
-    ann = anns.annotation(system, dtype, layout=layout)
-    sigs = anns.signatures(dtype)
+    convs = _logged_convs(anns, profile, system, dtype, "NCHW")
+    ann = anns.annotation(system, dtype, layout="NCHW")
     entries: list[AdviceEntry] = []
     unknown: list[str] = []
     warnings: list[str] = []
     lb_ideal = sequential_total(ann)
     lb_chosen = lb_ideal
-    for node, call in convs:
+    for node, call, rec in convs:
         x_logged = call.params.get("x")
         if x_logged and node.in_shapes and x_logged != node.in_shapes[0].render():
             warnings.append(
                 f"call seq {call.seq}: input dims {x_logged} differ from layer "
                 f"{node.id!r} ({node.in_shapes[0].render()})")
-        logged = call.params.get("algo")
-        if not logged:
-            unknown.append(node.id)
-            continue
-        sig = sigs[node.id]
-        rec = anns.db.record_for(RecordKey(
-            system, dtype, sig.hash64, sig.canonical_string, logged, layout, None))
-        if rec is None or rec.status != "ok":
+        if rec is None:
             unknown.append(node.id)
             continue
         ideal_us = ann.latencies[node.id]
+        # Adjusted in place rather than re-summed, which rounds differently.
         lb_chosen += rec.latency_us - ideal_us
         if rec.latency_us > ideal_us:
-            ideal_rec = ann.chosen[node.id]
             entries.append(AdviceEntry(
                 node_id=node.id,
-                chosen_algorithm=logged,
-                ideal_algorithm=ideal_rec.key.algorithm or "-",
+                chosen_algorithm=rec.key.algorithm,
+                ideal_algorithm=ann.chosen[node.id].key.algorithm or "-",
                 chosen_us=rec.latency_us,
                 ideal_us=ideal_us,
                 ratio=rec.latency_us / ideal_us,
@@ -314,11 +318,11 @@ class Deviation:
     backtrace: list[str] | None = None
 
 
-def expected_api_sequence(graph: ModelGraph, dtype: str) -> list[ExpectedCall]:
+def expected_api_sequence(anns: Annotator) -> list[ExpectedCall]:
     """Library calls a faithful execution of the graph would make, in order."""
     calls: list[ExpectedCall] = []
-    for nid in topo_order(graph):
-        node = graph.nodes[nid]
+    for nid in anns.order:
+        node = anns.graph.nodes[nid]
         row = api_for_op(node.op_type)
         if row is None:
             continue
@@ -453,39 +457,19 @@ class FusionAnalysis:
     sites: list[FusionSiteResult]
 
 
-def fusion_analysis(anns: Annotator, system: str, dtype: str,
-                    mode: str = "sequential", layout: str | None = None) -> FusionAnalysis:
-    """Lower-bound profit of fusing registered patterns.
+def fusion_analysis(anns: Annotator, system: str, dtype: str) -> FusionAnalysis:
+    """Sequential lower-bound profit of fusing registered patterns.
 
     Where a fused record exists its latency replaces the member latencies;
     where it is absent the non-fused layer latencies are kept. Substitution
     applies even when the fused record is slower; the signed profit says so.
     """
-    ann = anns.annotation(system, dtype, layout=layout)
-    sites = fusion_candidates(anns.graph, dtype)
-    latencies = dict(ann.latencies)
-    results: list[FusionSiteResult] = []
-    for site in sites:
-        member_sum = sum(ann.latencies[m] for m in site.member_ids)
-        try:
-            rec = anns.db.best(system, dtype, site.head_signature,
-                               layout=layout if layout else ANY, fused=site.pattern_id)
-        except MissError:
-            results.append(FusionSiteResult(
-                site.pattern_id, site.member_ids, False, None, member_sum, 0.0))
-            continue
-        head = site.member_ids[0]
-        latencies[head] = rec.latency_us
-        for mid in site.member_ids[1:]:
-            latencies[mid] = 0.0
-        results.append(FusionSiteResult(
-            site.pattern_id, site.member_ids, True, rec.latency_us, member_sum,
-            member_sum - rec.latency_us))
-    unfused_lb = _total(ann, ann.latencies, mode)
-    fused_lb = _total(ann, latencies, mode)
+    ann, latencies, sites = apply(anns, system, dtype, None, fusion=True)
+    unfused_lb = sequential_total(ann)
+    fused_lb = _total(ann, latencies, parallel=False)
     ratio = unfused_lb / fused_lb if fused_lb > 0 else 1.0
     fused_layer_count = sum(len(site.member_ids) for site in sites)
-    return FusionAnalysis(unfused_lb, fused_lb, ratio, fused_layer_count, results)
+    return FusionAnalysis(unfused_lb, fused_lb, ratio, fused_layer_count, sites)
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +485,11 @@ class TensorCoreAnalysis:
     tc_used_in_profile: bool | None
 
 
-def tensorcore_analysis(anns: Annotator, system: str,
-                        mode: str = "sequential", layout: str = "NCHW",
+def tensorcore_analysis(anns: Annotator, system: str, layout: str = "NCHW",
                         profile: ExecutionProfile | None = None) -> TensorCoreAnalysis:
-    """f32 vs f16 lower bound; kernel names reveal actual tensor-core use."""
-    ann32 = anns.annotation(system, "f32", layout="NCHW")
-    ann16 = anns.annotation(system, "f16", layout=layout)
-    lb32 = _total(ann32, ann32.latencies, mode)
-    lb16 = _total(ann16, ann16.latencies, mode)
+    """f32 (NCHW) vs f16 sequential bound; kernel names reveal tensor-core use."""
+    lb32 = sequential_total(anns.annotation(system, "f32", layout="NCHW"))
+    lb16 = sequential_total(anns.annotation(system, "f16", layout=layout))
     tc_used = None
     if profile is not None:
         tc_used = any(detect_tensorcore(k.name) for k in profile.kernels)
@@ -517,8 +498,44 @@ def tensorcore_analysis(anns: Annotator, system: str,
 
 
 # ---------------------------------------------------------------------------
-# Joint what-if analysis
+# Scenario engine and the joint what-if analysis
 # ---------------------------------------------------------------------------
+
+def apply(anns: Annotator, system: str, dtype: str, layout: str | None, *,
+          logged: ExecutionProfile | None = None, fusion: bool = False,
+          ) -> tuple[LatencyAnnotatedGraph, dict[str, float], list[FusionSiteResult]]:
+    """Per-layer latencies of one what-if on the (system, dtype, layout) annotation.
+
+    Convolutions of a ``logged`` profile take their logged algorithm's ok
+    record (at ``layout``, NCHW when None); with ``fusion``, each fusion site
+    with a fused record then takes its latency on the head layer and zero on
+    the other members. Returns the annotation, those latencies and one row
+    per fusion site.
+    """
+    ann = anns.annotation(system, dtype, layout=layout)
+    latencies = dict(ann.latencies)
+    if logged is not None:
+        for node, _call, rec in _logged_convs(anns, logged, system, dtype, layout or "NCHW"):
+            if rec is not None:
+                latencies[node.id] = rec.latency_us
+    sites: list[FusionSiteResult] = []
+    for site in fusion_candidates(anns.graph, dtype) if fusion else ():
+        member_sum = sum(latencies[m] for m in site.member_ids)
+        try:
+            rec = anns.db.best(system, dtype, site.head_signature,
+                               layout=layout or ANY, fused=site.pattern_id)
+        except MissError:
+            sites.append(FusionSiteResult(
+                site.pattern_id, site.member_ids, False, None, member_sum, 0.0))
+            continue
+        latencies[site.member_ids[0]] = rec.latency_us
+        for mid in site.member_ids[1:]:
+            latencies[mid] = 0.0
+        sites.append(FusionSiteResult(
+            site.pattern_id, site.member_ids, True, rec.latency_us, member_sum,
+            member_sum - rec.latency_us))
+    return ann, latencies, sites
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -540,44 +557,18 @@ class JointAnalysis:
 def joint_analysis(anns: Annotator, system: str, scenario: Scenario,
                    measured_us: float | None = None,
                    profile: ExecutionProfile | None = None) -> JointAnalysis:
-    """Apply scenario toggles compositionally and report the what-if bound.
+    """The what-if bound of :func:`apply` under the scenario's toggles.
 
-    dtype/layout selection runs first, then fusion substitution, then
-    per-layer algorithm choice (best, or the logged algorithms when
-    ``ideal_algo`` is off and a profile is supplied), then the sequential
-    sum or the critical path.
+    ``tensor_core`` selects f16 at ``scenario.layout``, else f32 at any
+    layout; with ``ideal_algo`` off, a supplied profile's logged algorithms
+    replace the best ones.
     """
     dtype = "f16" if scenario.tensor_core else "f32"
     layout = scenario.layout if scenario.tensor_core else None
-    ann = anns.annotation(system, dtype, layout=layout)
-    latencies = dict(ann.latencies)
-
-    if not scenario.ideal_algo and profile is not None:
-        sigs = anns.signatures(dtype)
-        for node, call in _logged_convs(anns, profile):
-            logged = call.params.get("algo")
-            if not logged:
-                continue
-            sig = sigs[node.id]
-            rec = anns.db.record_for(RecordKey(
-                system, dtype, sig.hash64, sig.canonical_string, logged,
-                layout or "NCHW", None))
-            if rec is not None and rec.status == "ok":
-                latencies[node.id] = rec.latency_us
-
-    if scenario.fusion:
-        for site in fusion_candidates(anns.graph, dtype):
-            try:
-                rec = anns.db.best(system, dtype, site.head_signature,
-                                   layout=layout if layout else ANY, fused=site.pattern_id)
-            except MissError:
-                continue
-            latencies[site.member_ids[0]] = rec.latency_us
-            for mid in site.member_ids[1:]:
-                latencies[mid] = 0.0
-
-    mode = "parallel" if scenario.parallel else "sequential"
-    lb = _total(ann, latencies, mode)
+    logged = profile if not scenario.ideal_algo else None
+    ann, latencies, _sites = apply(anns, system, dtype, layout,
+                                   logged=logged, fusion=scenario.fusion)
+    lb = _total(ann, latencies, scenario.parallel)
     speedup = (measured_us / lb) if (measured_us and lb > 0) else None
     return JointAnalysis(scenario, dtype, lb, speedup)
 
@@ -653,8 +644,8 @@ def report_to_json(report: AnalysisReport) -> str:
         "lb_parallel_us": report.lb_parallel_us,
         "critical_path": report.critical_path.node_ids,
         "measured_ms": report.measured_ms,
-        "br_sequential": _br_obj(report.br_sequential),
-        "br_parallel": _br_obj(report.br_parallel),
+        "br_sequential": asdict(report.br_sequential) if report.br_sequential else None,
+        "br_parallel": asdict(report.br_parallel) if report.br_parallel else None,
         "missing": report.missing,
     }
     if report.algorithm is not None:
@@ -695,34 +686,12 @@ def report_to_json(report: AnalysisReport) -> str:
                 "profit_us": s.profit_us,
             } for s in report.fusion.sites],
         }
+    # These dataclasses' field names and order are their JSON keys.
     if report.tensorcore is not None:
-        obj["tensorcore"] = {
-            "lb_f32_us": report.tensorcore.lb_f32_us,
-            "lb_f16_us": report.tensorcore.lb_f16_us,
-            "speedup": report.tensorcore.speedup,
-            "layout": report.tensorcore.layout,
-            "tc_used_in_profile": report.tensorcore.tc_used_in_profile,
-        }
+        obj["tensorcore"] = asdict(report.tensorcore)
     if report.joint is not None:
-        obj["joint"] = {
-            "scenario": {
-                "parallel": report.joint.scenario.parallel,
-                "ideal_algo": report.joint.scenario.ideal_algo,
-                "fusion": report.joint.scenario.fusion,
-                "tensor_core": report.joint.scenario.tensor_core,
-                "layout": report.joint.scenario.layout,
-            },
-            "dtype": report.joint.dtype,
-            "lb_us": report.joint.lb_us,
-            "speedup": report.joint.speedup,
-        }
+        obj["joint"] = asdict(report.joint)
     return json.dumps(obj, separators=(",", ":")) + "\n"
-
-
-def _br_obj(br: BenanzaRatio | None):
-    if br is None:
-        return None
-    return {"br": br.br, "speedup": br.speedup, "warning": br.warning}
 
 
 def _ms(us: float) -> str:

@@ -48,7 +48,6 @@ class FusionPattern:
     id: str
     ops: tuple[tuple[str, ...], ...]
     api_name: str
-    min_lib_version: str | None = None
 
 
 FUSION_PATTERNS: dict[str, FusionPattern] = {}
@@ -65,13 +64,11 @@ register_fusion_pattern(FusionPattern(
     ops=(("Conv",), ("Add",), ACTIVATION_OPS),
     api_name="cudnnConvolutionBiasActivationForward",
 ))
-# Bias-only fusion runs through the same API with an identity activation;
-# older library versions fall back to two unfused calls instead.
+# Bias-only fusion runs through the same API with an identity activation.
 register_fusion_pattern(FusionPattern(
     id="conv_bias",
     ops=(("Conv",), ("Add",)),
     api_name="cudnnConvolutionBiasActivationForward",
-    min_lib_version="7.1",
 ))
 
 

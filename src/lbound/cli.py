@@ -9,7 +9,7 @@ microseconds. ``LBOUND_DB`` sets the default database path.
 from __future__ import annotations
 
 import functools
-import json
+import math
 import os
 import sys
 
@@ -367,8 +367,8 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
             report.br_parallel = analyzer.benanza_ratio(cp.total_latency_us, measured_us)
         if prof is not None:
             report.algorithm = analyzer.algorithm_advice(prof, anns, sysid, dtype)
-            expected = analyzer.expected_api_sequence(graph, dtype)
-            report.deviations = analyzer.framework_diff(prof, expected)
+            report.deviations = analyzer.framework_diff(
+                prof, analyzer.expected_api_sequence(anns))
         if fusion:
             report.fusion = analyzer.fusion_analysis(anns, sysid, dtype)
         if tensor_core:
@@ -424,7 +424,14 @@ def advise(model, db_path, systems, batch, dtype, costs, rank_by):
             key, sep, value = pair.partition("=")
             if not sep:
                 raise ConfigError(f"bad cost entry {pair!r}; use system=value")
-            cost_map[key.strip()] = float(value)
+            try:
+                cost = float(value)
+            except ValueError:
+                cost = math.nan
+            if not 0 <= cost < math.inf:
+                raise ConfigError(f"bad cost {value.strip()!r} for {key.strip()!r}; "
+                                  "use a finite number >= 0")
+            cost_map[key.strip()] = cost
     if rank_by is None:
         rank_by = "cost" if cost_map else "latency"
     with perfdb.PerfDb(_db_path(db_path)) as handle:

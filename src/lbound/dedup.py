@@ -19,7 +19,7 @@ import urllib.parse
 from dataclasses import dataclass
 
 from .errors import ModelParseError, ShapeStateError
-from .model_ir import ACTIVATION_OPS, POOL_OPS, LayerNode, ModelGraph
+from .model_ir import ACTIVATION_OPS, POOL_OPS, LayerNode, ModelGraph, parse_attr_value
 
 # ---------------------------------------------------------------------------
 # Layer-type -> library API mapping
@@ -97,7 +97,8 @@ class LayerSignature:
         """Parsed value of one param (int, float, int tuple, or string)."""
         for k, v in self.params:
             if k == key:
-                return _parse_value(v)
+                value = parse_attr_value(v)
+                return urllib.parse.unquote(value) if isinstance(value, str) else value
         return default
 
     def param_dims(self, key: str) -> tuple[int, ...] | None:
@@ -117,24 +118,6 @@ def render_value(value) -> str:
     if isinstance(value, tuple):
         return "x".join(str(int(v)) for v in value)
     return urllib.parse.quote(str(value), safe="")
-
-
-def _parse_value(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    parts = text.split("x")
-    if len(parts) > 1:
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            pass
-    return urllib.parse.unquote(text)
 
 
 def _build(op_type: str, dtype: str, in_dims, params) -> LayerSignature:

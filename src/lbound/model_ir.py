@@ -21,6 +21,7 @@ given input slot, e.g. ``w1=64x3x7x7`` for a convolution filter.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -66,12 +67,6 @@ class TensorShape:
         if self.dtype not in DTYPES:
             raise ShapeInferenceError(f"unknown dtype {self.dtype!r}")
 
-    def numel(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
-
     def render(self) -> str:
         return "x".join(str(d) for d in self.dims)
 
@@ -100,12 +95,6 @@ class ModelGraph:
     nodes: dict[str, LayerNode]
     graph_inputs: list[tuple[str, TensorShape]]
     graph_outputs: list[str]
-
-    def input_shape(self, name: str) -> TensorShape | None:
-        for n, shape in self.graph_inputs:
-            if n == name:
-                return shape
-        return None
 
 
 def validate(graph: ModelGraph) -> None:
@@ -456,9 +445,7 @@ def output_dims(op_type: str, in_dims: list[tuple[int, ...]], params: dict,
 
     if op_type == "Reshape":
         target = list(params["shape"])
-        in_numel = 1
-        for d in in_dims[0]:
-            in_numel *= d
+        in_numel = math.prod(in_dims[0])
         out = []
         infer_at = None
         for i, d in enumerate(target):
@@ -471,9 +458,7 @@ def output_dims(op_type: str, in_dims: list[tuple[int, ...]], params: dict,
                 out.append(1)
             else:
                 out.append(d)
-        known = 1
-        for d in out:
-            known *= d
+        known = math.prod(out)
         if infer_at is not None:
             if in_numel % known:
                 raise err(f"cannot reshape {in_dims[0]} to {tuple(target)}")
@@ -627,7 +612,8 @@ def macs(graph: ModelGraph) -> tuple[dict[str, int], int]:
 # Text format
 # ---------------------------------------------------------------------------
 
-def _parse_attr_value(text: str):
+def parse_attr_value(text: str):
+    """An int, float or ``x``-joined int tuple when ``text`` reads as one, else ``text``."""
     try:
         return int(text)
     except ValueError:
@@ -682,7 +668,7 @@ def parse_text_model(text: str, name: str = "model") -> ModelGraph:
                             if not pair:
                                 continue
                             k, _, v = pair.partition("=")
-                            params[k] = _parse_attr_value(v)
+                            params[k] = parse_attr_value(v)
                     else:
                         raise ValueError(f"unknown token {tok!r}")
                 if nid in nodes:

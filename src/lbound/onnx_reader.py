@@ -248,9 +248,8 @@ def _convert_attrs(op_type: str, attrs: dict) -> dict:
             continue
         key = _ATTR_RENAMES.get(key, key)
         params[key] = value
-    if op_type == "Opaque" and "domain" in params:
-        pass  # retained for diagnostics
-    elif "domain" in params and not params["domain"]:
+    # An empty domain is dropped, except on Opaque layers, which keep it for diagnostics.
+    if op_type != "Opaque" and "domain" in params and not params["domain"]:
         del params["domain"]
     return params
 

@@ -30,11 +30,12 @@ guard; equality is always decided on the string.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
 
-from .benchgen import ALGO_RANK, BenchmarkSpec, ConvAlgorithm
+from .benchgen import ALGO_RANK, BenchmarkSpec
 from .dedup import LayerSignature
 from .errors import MissError, StorageError
 
@@ -47,6 +48,7 @@ class _Any:
 ANY = _Any()
 
 _LAYOUT_RANK = {"NCHW": 0, "NHWC": 1}
+_ALGO_RANK = {algo.name: rank for algo, rank in ALGO_RANK.items()}
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,12 @@ class PerfRecord:
     timestamp: float = 0.0
 
     def __post_init__(self):
+        if self.key.algorithm is not None and self.key.algorithm not in _ALGO_RANK:
+            raise StorageError(f"unknown algorithm {self.key.algorithm!r}")
         if self.status == "ok":
-            if self.latency_us is None or self.latency_us <= 0:
+            if self.latency_us is None or not 0 < self.latency_us < math.inf:
                 raise StorageError(
-                    f"ok record needs a positive latency, got {self.latency_us!r}")
+                    f"ok record needs a positive finite latency, got {self.latency_us!r}")
         elif self.status == "unsupported":
             if self.latency_us is not None:
                 raise StorageError("unsupported record must not carry a latency")
@@ -332,7 +336,7 @@ class PerfDb:
 
 
 def _hit_order(rec: PerfRecord) -> tuple:
-    algo_rank = ALGO_RANK[ConvAlgorithm[rec.key.algorithm]] if rec.key.algorithm else -1
+    algo_rank = _ALGO_RANK[rec.key.algorithm] if rec.key.algorithm else -1
     return (
         rec.latency_us if rec.latency_us is not None else float("inf"),
         algo_rank,

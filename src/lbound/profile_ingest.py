@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -58,9 +59,9 @@ class KernelRecord:
     seq_between: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.duration_us <= 0:
+        if not 0 < self.duration_us < math.inf:
             raise ProfileFormatError(
-                f"kernel {self.name!r} needs a positive duration, got {self.duration_us}")
+                f"kernel {self.name!r} needs a positive finite duration, got {self.duration_us}")
 
 
 @dataclass
@@ -71,10 +72,6 @@ class ExecutionProfile:
     measured_latency_ms: float
     api_calls: list[ApiCall] = field(default_factory=list)
     kernels: list[KernelRecord] = field(default_factory=list)
-
-    @property
-    def measured_latency_us(self) -> float:
-        return self.measured_latency_ms * 1000.0
 
 
 def detect_tensorcore(kernel_name: str) -> bool:
@@ -147,8 +144,9 @@ def parse_profile(text: str) -> ExecutionProfile:
         measured = float(meta["measured_latency_ms"])
     except (KeyError, ValueError) as exc:
         raise ProfileFormatError(f"bad or missing META field: {exc}") from exc
-    if measured <= 0:
-        raise ProfileFormatError(f"measured latency must be positive, got {measured}")
+    if not 0 < measured < math.inf:
+        raise ProfileFormatError(
+            f"measured latency must be positive and finite, got {measured}")
 
     api_calls: list[ApiCall] = []
     last_seq = 0
@@ -158,10 +156,10 @@ def parse_profile(text: str) -> ExecutionProfile:
             call = ApiCall(
                 seq=int(obj["seq"]),
                 api_name=obj["api"],
-                params=obj.get("params", {}),
+                params=dict(obj.get("params", {})),
                 backtrace=obj.get("backtrace"),
             )
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise ProfileFormatError(f"bad APICALLS line {line!r}: {exc}") from exc
         if call.seq <= last_seq:
             raise ProfileFormatError(
@@ -169,19 +167,7 @@ def parse_profile(text: str) -> ExecutionProfile:
         last_seq = call.seq
         api_calls.append(call)
 
-    kernels: list[KernelRecord] = []
-    for line in sections.get("KERNELS", []):
-        try:
-            obj = json.loads(line)
-            between = obj.get("between")
-            kernels.append(KernelRecord(
-                name=obj["name"],
-                duration_us=float(obj["duration_us"]),
-                seq_between=tuple(between) if between is not None else None,
-            ))
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise ProfileFormatError(f"bad KERNELS line {line!r}: {exc}") from exc
-
+    kernels = parse_kernel_lines("\n".join(sections.get("KERNELS", [])))
     return ExecutionProfile(model, system_id, batch, measured, api_calls, kernels)
 
 
@@ -223,12 +209,7 @@ def parse_cudnn_log(text: str, strict: bool = False) -> list[ApiCall]:
                     continue
             current.params[key] = value
             continue
-        if line.startswith("I!") or line[:1].isspace():
-            # Unknown logger chatter inside or between blocks.
-            if strict:
-                raise ProfileFormatError(f"unparseable logger line {lineno}: {line!r}")
-            logger.warning("skipping unparseable logger line %d: %r", lineno, line)
-            continue
+        # Unknown logger chatter inside or between blocks, or a foreign line.
         if strict:
             raise ProfileFormatError(f"unparseable logger line {lineno}: {line!r}")
         logger.warning("skipping unparseable logger line %d: %r", lineno, line)
@@ -236,7 +217,7 @@ def parse_cudnn_log(text: str, strict: bool = False) -> list[ApiCall]:
 
 
 def parse_kernel_lines(text: str) -> list[KernelRecord]:
-    """Kernel trace in the KERNELS line format (for the convert command)."""
+    """Kernel trace in the KERNELS line format, as in a profile's KERNELS section."""
     kernels = []
     for line in text.splitlines():
         if not line.strip():
@@ -249,7 +230,7 @@ def parse_kernel_lines(text: str) -> list[KernelRecord]:
                 duration_us=float(obj["duration_us"]),
                 seq_between=tuple(between) if between is not None else None,
             ))
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ProfileFormatError(f"bad kernel line {line!r}: {exc}") from exc
     return kernels
 
@@ -258,8 +239,8 @@ def build_profile(model: str, system_id: str, batch: int, measured_latency_ms: f
                   cudnn_log: str = "", kernel_lines: str = "",
                   strict: bool = False) -> ExecutionProfile:
     """Assemble a canonical profile from raw logger and trace inputs."""
-    if measured_latency_ms <= 0:
-        raise ProfileFormatError("measured latency must be positive")
+    if not 0 < measured_latency_ms < math.inf:
+        raise ProfileFormatError("measured latency must be positive and finite")
     return ExecutionProfile(
         model=model,
         system_id=system_id,

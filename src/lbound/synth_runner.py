@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -59,18 +60,20 @@ class SystemProfile:
     architecture: str = ""
 
     def __post_init__(self):
-        if self.fp32_tflops <= 0 or self.mem_bw_gbps <= 0:
-            raise ConfigError(f"system {self.system_id!r}: rates must be positive")
-        if self.kernel_overhead_us < 0:
-            raise ConfigError(f"system {self.system_id!r}: overhead must be >= 0")
+        if not (0 < self.fp32_tflops < math.inf and 0 < self.mem_bw_gbps < math.inf):
+            raise ConfigError(f"system {self.system_id!r}: rates must be positive and finite")
+        if not 0 <= self.kernel_overhead_us < math.inf:
+            raise ConfigError(f"system {self.system_id!r}: overhead must be finite and >= 0")
         if self.tensor_core != (self.tensor_tflops is not None):
             raise ConfigError(
                 f"system {self.system_id!r}: tensor_tflops must be present "
                 f"exactly when tensor_core is set")
-        if self.tensor_tflops is not None and self.tensor_tflops <= 0:
-            raise ConfigError(f"system {self.system_id!r}: tensor_tflops must be positive")
-        if any(v <= 0 for v in self.algo_factor.values()):
-            raise ConfigError(f"system {self.system_id!r}: algo factors must be positive")
+        if self.tensor_tflops is not None and not 0 < self.tensor_tflops < math.inf:
+            raise ConfigError(
+                f"system {self.system_id!r}: tensor_tflops must be positive and finite")
+        if not all(0 < v < math.inf for v in self.algo_factor.values()):
+            raise ConfigError(
+                f"system {self.system_id!r}: algo factors must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -90,16 +93,9 @@ def signature_cost(sig: LayerSignature) -> SpecCost:
     in_dims = [tuple(d) for d in sig.in_dims]
     out = output_dims(sig.op_type, in_dims, params, node_id=sig.hash64)
     macs = node_macs(sig.op_type, in_dims, out, params)
-    in_elems = sum(_prod(d) for d in in_dims)
-    out_elems = _prod(out)
+    in_elems = sum(math.prod(d) for d in in_dims)
+    out_elems = math.prod(out)
     return SpecCost(macs, in_elems, out_elems, weight_elems(params))
-
-
-def _prod(dims) -> int:
-    n = 1
-    for d in dims:
-        n *= d
-    return n
 
 
 def _is_3x3_stride1(sig: LayerSignature) -> bool:
@@ -194,12 +190,12 @@ def load_system_profile(name_or_path: str) -> SystemProfile:
     """Load a profile from a JSON file or from the bundled system set."""
     if os.path.exists(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as fh:
-            return _profile_from_json(json.load(fh))
+            return _profile_from_json(fh.read())
     try:
         from importlib import resources
 
         ref = resources.files("lbound").joinpath(f"data/systems/{name_or_path}.json")
-        return _profile_from_json(json.loads(ref.read_text(encoding="utf-8")))
+        return _profile_from_json(ref.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(
             f"unknown system profile {name_or_path!r}; "
@@ -216,8 +212,9 @@ def builtin_systems() -> list[str]:
     return sorted(names)
 
 
-def _profile_from_json(obj: dict) -> SystemProfile:
+def _profile_from_json(text: str) -> SystemProfile:
     try:
+        obj = json.loads(text)
         factors = dict(DEFAULT_ALGO_FACTOR)
         for k, v in (obj.get("algo_factor") or {}).items():
             factors[ConvAlgorithm[k]] = float(v)
@@ -234,5 +231,5 @@ def _profile_from_json(obj: dict) -> SystemProfile:
             gpu=obj.get("gpu", ""),
             architecture=obj.get("architecture", ""),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad system profile: {exc}") from exc

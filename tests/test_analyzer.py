@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from click.testing import CliRunner
+
 import modelzoo as mz
 from lbound import analyzer
+from lbound.benchgen import ConvAlgorithm
+from lbound.cli import main
 from lbound.errors import DomainError
 from lbound.model_ir import LayerNode, ModelGraph, TensorShape, topo_order, validate
+from lbound.perfdb import PerfDb
+from lbound.profile_ingest import ApiCall, ExecutionProfile
 
 
 def _ann(graph, latencies):
@@ -110,8 +118,6 @@ def test_empty_graph():
 
 
 def test_annotation_shares_signatures_and_order(db_builder, v100, monkeypatch):
-    from lbound.perfdb import PerfDb
-
     graph = mz.load(mz.resnet_v1_text(18))
     path = db_builder([graph], v100, fusion=True)
     calls = {"annotate": 0, "signature": 0, "topo_order": 0}
@@ -130,7 +136,7 @@ def test_annotation_shares_signatures_and_order(db_builder, v100, monkeypatch):
         assert anns.annotation("Tesla_V100", "f32") is ann
         analyzer.critical_path(ann)
         analyzer.export_dot(ann)
-        analyzer.fusion_analysis(anns, "Tesla_V100", "f32", mode="parallel")
+        analyzer.fusion_analysis(anns, "Tesla_V100", "f32")
         analyzer.tensorcore_analysis(anns, "Tesla_V100")
         analyzer.joint_analysis(anns, "Tesla_V100", analyzer.Scenario(
             parallel=True, fusion=True, tensor_core=True))
@@ -160,3 +166,92 @@ def test_benanza_ratio():
     br = analyzer.benanza_ratio(50.0, 200.0)
     assert (br.br, br.speedup, br.warning) == (0.25, 4.0, None)
     assert analyzer.benanza_ratio(300.0, 200.0).warning
+
+
+# ---------------------------------------------------------------------------
+# Scenario engine: every what-if view agrees with the joint analysis
+# ---------------------------------------------------------------------------
+
+def _logged_profile(anns, algos):
+    """A profile logging ``algos[i]`` (a ConvAlgorithm name, or "") for the i-th conv."""
+    convs = [nid for nid in anns.order if anns.graph.nodes[nid].op_type == "Conv"]
+    calls = []
+    for i in range(len(convs)):
+        algo = algos[i % len(algos)]
+        calls.append(ApiCall(i + 1, "cudnnConvolutionForward", {"algo": algo} if algo else {}))
+    return ExecutionProfile(anns.graph.name, "Tesla_V100", 1, 10.0, calls)
+
+
+def test_views_agree_with_the_joint_analysis(db_builder, v100):
+    r50 = mz.load(mz.resnet_v1_text(50))
+    tower = mz.load(mz.fusion_tower_text(6, 40))
+    path = db_builder([r50, tower], v100, fusion=True)
+    algos = [""] + [a.name for a in ConvAlgorithm]
+    with PerfDb(path) as db:
+        for graph in (r50, tower):
+            anns = analyzer.Annotator(graph, db)
+            fusion = analyzer.fusion_analysis(anns, "Tesla_V100", "f32")
+            joint = analyzer.joint_analysis(anns, "Tesla_V100", analyzer.Scenario(fusion=True))
+            assert joint.lb_us == fusion.fused_lb_us
+            tc = analyzer.tensorcore_analysis(anns, "Tesla_V100")
+            joint = analyzer.joint_analysis(anns, "Tesla_V100",
+                                            analyzer.Scenario(tensor_core=True))
+            assert joint.lb_us == tc.lb_f16_us
+            prof = _logged_profile(anns, algos)
+            q3 = analyzer.algorithm_advice(prof, anns, "Tesla_V100", "f32")
+            joint = analyzer.joint_analysis(anns, "Tesla_V100",
+                                            analyzer.Scenario(ideal_algo=False), profile=prof)
+            assert math.isclose(joint.lb_us, q3.lb_chosen_us, rel_tol=1e-12)
+            assert q3.lb_chosen_us >= q3.lb_ideal_us and q3.unknown
+    applied = [s for s in fusion.sites if s.applied]  # the tower's six Conv->Add pairs
+    assert len(applied) == 6 and fusion.fused_layer_count == 12
+    assert fusion.fused_lb_us == pytest.approx(
+        fusion.unfused_lb_us - sum(s.profit_us for s in applied))
+
+
+@pytest.fixture(scope="module")
+def scenario_db(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scenarios")
+    models = {"r18": mz.resnet_v1_text(18), "tower": mz.fusion_tower_text(6, 40)}
+    db = root / "perf.db"
+    for name, text in models.items():
+        (root / f"{name}.txt").write_text(text, "utf-8")
+        res = CliRunner().invoke(main, [
+            "bench", str(root / f"{name}.txt"), "--db", str(db), "--system", "Tesla_V100",
+            "--layouts", "NCHW,NHWC", "--fusion", "--simulate", "--jitter-seed", "3"])
+        assert res.exit_code == 0, res.output
+    return {name: mz.load(text) for name, text in models.items()}, db
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["r18", "tower"]), st.sampled_from(["NCHW", "NHWC"]),
+       st.lists(st.sampled_from([a.name for a in ConvAlgorithm] + [""]), min_size=1))
+def test_scenario_properties(scenario_db, model, layout, algos):
+    graphs, path = scenario_db
+    with PerfDb(path) as db:
+        anns = analyzer.Annotator(graphs[model], db)
+        prof = _logged_profile(anns, algos)
+        lb = {}
+        for parallel, ideal, fusion, tc in itertools.product((False, True), repeat=4):
+            scenario = analyzer.Scenario(parallel, ideal, fusion, tc, layout)
+            joint = analyzer.joint_analysis(anns, "Tesla_V100", scenario, profile=prof)
+            assert math.isfinite(joint.lb_us) and joint.lb_us > 0
+            lb[parallel, ideal, fusion, tc] = joint.lb_us
+            if fusion:
+                plain = analyzer.sequential_total(anns.annotation("Tesla_V100", joint.dtype))
+                assert analyzer.fusion_analysis(
+                    anns, "Tesla_V100", joint.dtype).unfused_lb_us == plain
+    for ideal, fusion, tc in itertools.product((False, True), repeat=3):
+        assert lb[True, ideal, fusion, tc] <= lb[False, ideal, fusion, tc]
+    plain = analyzer.sequential_total(anns.annotation("Tesla_V100", "f32"))
+    assert lb[False, True, False, False] == plain
+
+
+def test_apply_without_toggles_is_the_annotation(db_builder, v100):
+    graph = mz.load(mz.fusion_tower_text(6, 40))
+    with PerfDb(db_builder([graph], v100, fusion=True)) as db:
+        anns = analyzer.Annotator(graph, db)
+        ann, latencies, sites = analyzer.apply(anns, "Tesla_V100", "f16", "NCHW")
+        assert ann is anns.annotation("Tesla_V100", "f16", "NCHW")
+        assert latencies == ann.latencies and latencies is not ann.latencies
+        assert sites == []

@@ -1,8 +1,9 @@
-"""Exit codes of the CLI on bad numeric flags and damaged databases."""
+"""Exit codes of the CLI on bad numeric flags, bad outside files and damaged databases."""
 
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import pytest
 from click.testing import CliRunner
@@ -62,3 +63,84 @@ def test_torn_tail_is_tolerated_and_corrupt_middle_is_not(r18, tmp_path):
     corrupt.write_bytes(b"".join(lines))
     assert _analyze(model, corrupt).exit_code == 4
     assert CliRunner().invoke(main, ["db", "compact", str(corrupt)]).exit_code == 4
+
+
+def _no_traceback(res, code):
+    assert res.exit_code == code, res.output
+    assert "error:" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("changes", [{"latency_us": float("nan")},
+                                     {"latency_us": float("inf")},
+                                     {"algorithm": "BOGUS"}])
+def test_bad_record_is_refused_on_import_and_open(r18, tmp_path, changes):
+    model, db = r18
+    good = db.read_bytes()
+    line = next(ln for ln in good.decode().splitlines() if '"algorithm":"IPGEMM"' in ln)
+    rec = tmp_path / "rec.jsonl"
+    rec.write_text(json.dumps({**json.loads(line), **changes}) + "\n", "utf-8")
+    copy = tmp_path / "perf.db"
+    copy.write_bytes(good)
+    _no_traceback(CliRunner().invoke(main, ["db", "import", str(copy), str(rec)]), 4)
+    assert copy.read_bytes() == good
+    copy.write_bytes(good + rec.read_bytes())
+    _no_traceback(_analyze(model, copy), 4)
+
+
+@pytest.mark.parametrize("cost", ["abc", "nan", "inf", "-3"])
+def test_bad_cost_exits_2(r18, cost):
+    model, db = r18
+    res = CliRunner().invoke(main, [
+        "advise", str(model), "--db", str(db), "--systems", "Tesla_V100",
+        "--costs", f"Tesla_V100={cost}"])
+    _no_traceback(res, 2)
+    assert f"bad cost {cost!r}" in res.output
+
+
+@pytest.mark.parametrize("changes", [{"fp32_tflops": float("nan")},
+                                     {"mem_bw_gbps": float("inf")},
+                                     {"kernel_overhead_us": float("nan")},
+                                     {"tensor_tflops": float("nan")},
+                                     {"algo_factor": {"WING": float("nan")}}])
+def test_non_finite_system_profile_exits_2(r18, tmp_path, changes):
+    model, _db = r18
+    system = {**json.loads((resources.files("lbound") / "data/systems/Tesla_V100.json")
+                           .read_text("utf-8")), **changes}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system), "utf-8")
+    res = CliRunner().invoke(main, [
+        "bench", str(model), "--db", str(tmp_path / "perf.db"), "--system", str(path),
+        "--simulate"])
+    _no_traceback(res, 2)
+    assert "finite" in res.output
+
+
+def test_unparseable_system_profile_exits_2(r18, tmp_path):
+    model, db = r18
+    path = tmp_path / "system.json"
+    path.write_text("{", "utf-8")
+    _no_traceback(CliRunner().invoke(main, [
+        "analyze", str(model), "--db", str(db), "--system", str(path)]), 2)
+
+
+@pytest.mark.parametrize("meta, kernel, reason", [
+    ("nan", '{"name":"k","duration_us":1}', "measured latency"),
+    ("1", '{"name":"k","duration_us":NaN}', "duration"),
+    ("1", '{"name":"k","duration_us":1,"between":5}', "bad kernel line"),
+])
+def test_bad_profile_values_exit_2(r18, tmp_path, meta, kernel, reason):
+    model, db = r18
+    prof = tmp_path / "bad.prof"
+    prof.write_text("lbound-profile v1\n[META]\nmodel: m\nsystem: s\nbatch: 1\n"
+                    f"measured_latency_ms: {meta}\n[APICALLS]\n[KERNELS]\n{kernel}\n", "utf-8")
+    res = _analyze(model, db, "--profile", str(prof))
+    _no_traceback(res, 2)
+    assert reason in res.output
+    kernels = tmp_path / "kernels.txt"
+    kernels.write_text(kernel + "\n", "utf-8")
+    res = CliRunner().invoke(main, [
+        "profile", "convert", "--kernels", str(kernels), "--latency-ms", meta,
+        "--model", "m", "--system", "s", "-o", str(tmp_path / "out.prof")])
+    _no_traceback(res, 2)
+    assert reason in res.output

@@ -1,8 +1,10 @@
 """Byte-level pins on CLI output for a fixed simulated database.
 
 A 3-system database is simulated with a fixed jitter seed; the sha256 of
-three outputs for ResNet-50 at batch 2 must not move when the analyzer or
-the database change internally.
+the outputs for ResNet-50 at batch 2 must not move when the analyzer or the
+database change internally. A profile converted from a synthetic library
+log, whose convolutions cycle through the eight algorithms and one of which
+logs a wrong input shape, pins the logged-algorithm path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import pytest
 from click.testing import CliRunner
 
 import modelzoo as mz
+from lbound.benchgen import ConvAlgorithm
 from lbound.cli import main
+from lbound.model_ir import topo_order
 
 SYSTEMS = ("TITAN_V", "Tesla_T4", "Tesla_V100")
 
@@ -21,6 +25,11 @@ GOLDEN = {
     "analyze-json": "677a68d133e3d7e65869d1a30b7d8d1dbc0e5bb8f5cf8a13ebbfc543553e4161",
     "analyze-dot": "a4aa4026ba0b6050dde9f9ab852631530f7bf45eb51bd693f8a92fa5f80a80b4",
     "advise": "71f3d18af3b05602d963de0bf0f507872abbed881298ebabc31478301ac118d6",
+}
+
+GOLDEN_SCENARIOS = {
+    "analyze-logged-algo": "65b19b95ebe2a54e97eb6fbe922cdad2840a9b7b19a3819cdd7068256d4645ae",
+    "analyze-f16-fusion": "76b757b4a61d91f0ab2df50197e1601affc0600a9f69f8ee30350b76b50eead5",
 }
 
 
@@ -37,6 +46,36 @@ def r50_db(tmp_path_factory):
             "--fusion", "--simulate", "--jitter-seed", "11"])
         assert res.exit_code == 0, res.output
     return model, db
+
+
+def _cudnn_log(model_text: str) -> str:
+    graph = mz.load(model_text, batch=2)
+    algos = list(ConvAlgorithm)
+    lines = []
+    convs = [nid for nid in topo_order(graph) if graph.nodes[nid].op_type == "Conv"]
+    for i, nid in enumerate(convs):
+        x = graph.nodes[nid].in_shapes[0].render()
+        if i == 3:
+            x = "1x1x1x1"
+        lines += ["I! CuDNN (v7605) function cudnnConvolutionForward() called:",
+                  f"    x: type=dims; val={x};",
+                  "    algo: type=cudnnConvolutionFwdAlgo_t; "
+                  f"val={algos[i % len(algos)].token} (1);"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def r50_profile(r50_db, tmp_path_factory):
+    model, _db = r50_db
+    root = tmp_path_factory.mktemp("golden-profile")
+    log = root / "cudnn.log"
+    log.write_text(_cudnn_log(model.read_text("utf-8")), "utf-8")
+    prof = root / "r50.prof"
+    res = CliRunner().invoke(main, [
+        "profile", "convert", "--cudnn-log", str(log), "--latency-ms", "40",
+        "--model", "resnet50", "--system", "Tesla_V100", "--batch", "2", "-o", str(prof)])
+    assert res.exit_code == 0, res.output
+    return prof
 
 
 def _digest(args: list[str]) -> str:
@@ -57,3 +96,15 @@ def test_outputs_match_golden(r50_db):
         "advise": _digest(["advise", *common, "--systems", ",".join(SYSTEMS)]),
     }
     assert got == GOLDEN
+
+
+def test_scenario_outputs_match_golden(r50_db, r50_profile):
+    model, db = r50_db
+    common = [str(model), "--db", str(db), "--batch", "2", "--system", "Tesla_V100",
+              "--out", "json"]
+    got = {
+        "analyze-logged-algo": _digest(["analyze", *common, "--profile", str(r50_profile),
+                                        "--logged-algo"]),
+        "analyze-f16-fusion": _digest(["analyze", *common, "--dtype", "f16", "--fusion"]),
+    }
+    assert got == GOLDEN_SCENARIOS
