@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .benchgen import fusion_candidates
 from .dedup import LayerSignature, api_for_op, render_value, signature
 from .errors import ConfigError, CorrelationError, DomainError, MissError
 from .model_ir import LayerNode, ModelGraph, topo_order
-from .perfdb import ANY, PerfDb, PerfRecord, RecordKey
+from .perfdb import PerfDb, PerfRecord, RecordKey
 from .profile_ingest import ApiCall, ExecutionProfile, detect_tensorcore
 
 
@@ -89,9 +89,9 @@ def annotate(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
         chosen[nid] = None
         if sig is None:
             continue
-        want_layout = layout if (layout and graph.nodes[nid].op_type == "Conv") else ANY
+        want_layout = layout if graph.nodes[nid].op_type == "Conv" else None
         try:
-            rec = db.best(system, dtype, sig, layout=want_layout, fused=None)
+            rec = db.best(system, dtype, sig, layout=want_layout)
         except MissError as exc:
             missing.extend(exc.keys)
             continue
@@ -219,9 +219,9 @@ def benanza_ratio(lower_bound_us: float, measured_us: float) -> BenanzaRatio:
 
 @dataclass
 class AdviceEntry:
-    node_id: str
-    chosen_algorithm: str
-    ideal_algorithm: str
+    node: str
+    chosen: str
+    ideal: str
     chosen_us: float
     ideal_us: float
     ratio: float
@@ -287,9 +287,9 @@ def algorithm_advice(profile: ExecutionProfile, anns: Annotator, system: str,
         lb_chosen += rec.latency_us - ideal_us
         if rec.latency_us > ideal_us:
             entries.append(AdviceEntry(
-                node_id=node.id,
-                chosen_algorithm=rec.key.algorithm,
-                ideal_algorithm=ann.chosen[node.id].key.algorithm or "-",
+                node=node.id,
+                chosen=rec.key.algorithm,
+                ideal=ann.chosen[node.id].key.algorithm or "-",
                 chosen_us=rec.latency_us,
                 ideal_us=ideal_us,
                 ratio=rec.latency_us / ideal_us,
@@ -440,8 +440,8 @@ def framework_diff(profile: ExecutionProfile,
 
 @dataclass
 class FusionSiteResult:
-    pattern_id: str
-    member_ids: tuple[str, ...]
+    pattern: str
+    members: tuple[str, ...]
     applied: bool
     fused_us: float | None
     member_sum_us: float
@@ -458,7 +458,7 @@ class FusionAnalysis:
 
 
 def fusion_analysis(anns: Annotator, system: str, dtype: str) -> FusionAnalysis:
-    """Sequential lower-bound profit of fusing registered patterns.
+    """Sequential lower-bound profit of fusing the fusion patterns' sites.
 
     Where a fused record exists its latency replaces the member latencies;
     where it is absent the non-fused layer latencies are kept. Substitution
@@ -468,7 +468,7 @@ def fusion_analysis(anns: Annotator, system: str, dtype: str) -> FusionAnalysis:
     unfused_lb = sequential_total(ann)
     fused_lb = _total(ann, latencies, parallel=False)
     ratio = unfused_lb / fused_lb if fused_lb > 0 else 1.0
-    fused_layer_count = sum(len(site.member_ids) for site in sites)
+    fused_layer_count = sum(len(site.members) for site in sites)
     return FusionAnalysis(unfused_lb, fused_lb, ratio, fused_layer_count, sites)
 
 
@@ -523,7 +523,7 @@ def apply(anns: Annotator, system: str, dtype: str, layout: str | None, *,
         member_sum = sum(latencies[m] for m in site.member_ids)
         try:
             rec = anns.db.best(system, dtype, site.head_signature,
-                               layout=layout or ANY, fused=site.pattern_id)
+                               layout=layout, fused=site.pattern_id)
         except MissError:
             sites.append(FusionSiteResult(
                 site.pattern_id, site.member_ids, False, None, member_sum, 0.0))
@@ -621,77 +621,30 @@ class AnalysisReport:
     dtype: str
     lb_sequential_us: float
     lb_parallel_us: float
-    critical_path: CriticalPath
+    critical_path: list[str]
     measured_ms: float | None = None
     br_sequential: BenanzaRatio | None = None
     br_parallel: BenanzaRatio | None = None
     missing: list[str] = field(default_factory=list)
-    algorithm: AlgorithmAdvice | None = None
-    deviations: list[Deviation] | None = None
+    algorithm_advice: AlgorithmAdvice | None = None
+    framework_deviations: list[Deviation] | None = None
     fusion: FusionAnalysis | None = None
     tensorcore: TensorCoreAnalysis | None = None
     joint: JointAnalysis | None = None
 
 
+# Analyses that appear in the JSON report only when they ran.
+_OPTIONAL = ("algorithm_advice", "framework_deviations", "fusion", "tensorcore", "joint")
+
+
 def report_to_json(report: AnalysisReport) -> str:
-    """Deterministic structured rendering; latencies stay in microseconds."""
-    obj: dict = {
-        "model": report.model,
-        "system": report.system,
-        "batch": report.batch,
-        "dtype": report.dtype,
-        "lb_sequential_us": report.lb_sequential_us,
-        "lb_parallel_us": report.lb_parallel_us,
-        "critical_path": report.critical_path.node_ids,
-        "measured_ms": report.measured_ms,
-        "br_sequential": asdict(report.br_sequential) if report.br_sequential else None,
-        "br_parallel": asdict(report.br_parallel) if report.br_parallel else None,
-        "missing": report.missing,
-    }
-    if report.algorithm is not None:
-        obj["algorithm_advice"] = {
-            "entries": [{
-                "node": e.node_id,
-                "chosen": e.chosen_algorithm,
-                "ideal": e.ideal_algorithm,
-                "chosen_us": e.chosen_us,
-                "ideal_us": e.ideal_us,
-                "ratio": e.ratio,
-            } for e in report.algorithm.entries],
-            "unknown": report.algorithm.unknown,
-            "warnings": report.algorithm.warnings,
-            "lb_chosen_us": report.algorithm.lb_chosen_us,
-            "lb_ideal_us": report.algorithm.lb_ideal_us,
-            "aggregate_speedup": report.algorithm.aggregate_speedup,
-        }
-    if report.deviations is not None:
-        obj["framework_deviations"] = [{
-            "kind": d.kind,
-            "detail": d.detail,
-            "count": d.count,
-            "backtrace": d.backtrace,
-        } for d in report.deviations]
-    if report.fusion is not None:
-        obj["fusion"] = {
-            "unfused_lb_us": report.fusion.unfused_lb_us,
-            "fused_lb_us": report.fusion.fused_lb_us,
-            "profit_ratio": report.fusion.profit_ratio,
-            "fused_layer_count": report.fusion.fused_layer_count,
-            "sites": [{
-                "pattern": s.pattern_id,
-                "members": list(s.member_ids),
-                "applied": s.applied,
-                "fused_us": s.fused_us,
-                "member_sum_us": s.member_sum_us,
-                "profit_us": s.profit_us,
-            } for s in report.fusion.sites],
-        }
-    # These dataclasses' field names and order are their JSON keys.
-    if report.tensorcore is not None:
-        obj["tensorcore"] = asdict(report.tensorcore)
-    if report.joint is not None:
-        obj["joint"] = asdict(report.joint)
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    """Deterministic structured rendering; latencies stay in microseconds.
+
+    The report dataclasses' field names and order are the JSON keys; nested
+    dataclasses render through ``vars``, so nothing is copied first.
+    """
+    obj = {k: v for k, v in vars(report).items() if v is not None or k not in _OPTIONAL}
+    return json.dumps(obj, separators=(",", ":"), default=vars) + "\n"
 
 
 def _ms(us: float) -> str:
@@ -704,7 +657,7 @@ def report_to_text(report: AnalysisReport) -> str:
         f"dtype {report.dtype}",
         f"  lower bound (sequential): {_ms(report.lb_sequential_us)}",
         f"  lower bound (parallel):   {_ms(report.lb_parallel_us)}",
-        f"  critical path: {len(report.critical_path.node_ids)} layers",
+        f"  critical path: {len(report.critical_path)} layers",
     ]
     if report.measured_ms is not None:
         lines.append(f"  measured: {report.measured_ms:.3f} ms")
@@ -721,21 +674,21 @@ def report_to_text(report: AnalysisReport) -> str:
         lines.append(f"  missing benchmarks: {len(report.missing)}")
         for key in report.missing:
             lines.append(f"    - {key}")
-    if report.algorithm is not None:
-        adv = report.algorithm
+    if report.algorithm_advice is not None:
+        adv = report.algorithm_advice
         lines.append(f"  algorithm selection: {len(adv.entries)} sub-optimal layer(s), "
                      f"aggregate speedup {adv.aggregate_speedup:.3f}x")
         for e in adv.entries:
-            lines.append(f"    - {e.node_id}: {e.chosen_algorithm} "
-                         f"({_ms(e.chosen_us)}) vs {e.ideal_algorithm} "
+            lines.append(f"    - {e.node}: {e.chosen} "
+                         f"({_ms(e.chosen_us)}) vs {e.ideal} "
                          f"({_ms(e.ideal_us)}): {e.ratio:.2f}x")
         for nid in adv.unknown:
             lines.append(f"    - {nid}: logged algorithm missing from database")
         for w in adv.warnings:
             lines.append(f"    warning: {w}")
-    if report.deviations is not None:
-        lines.append(f"  framework deviations: {len(report.deviations)}")
-        for d in report.deviations:
+    if report.framework_deviations is not None:
+        lines.append(f"  framework deviations: {len(report.framework_deviations)}")
+        for d in report.framework_deviations:
             extra = f" x{d.count}" if d.count > 1 else ""
             lines.append(f"    - [{d.kind}]{extra} {d.detail}")
     if report.fusion is not None:

@@ -11,10 +11,10 @@ fused and unfused results coexist in the database.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .dedup import API_TABLE, LayerSignature, api_for_op, signature
+from .dedup import LayerSignature, api_for_op, signature
 from .errors import ConfigError, GenerationError, ModelParseError
 from .model_ir import ACTIVATION_OPS, DTYPES, LAYOUTS, ModelGraph, topo_order
 
@@ -50,26 +50,20 @@ class FusionPattern:
     api_name: str
 
 
-FUSION_PATTERNS: dict[str, FusionPattern] = {}
-
-
-def register_fusion_pattern(pattern: FusionPattern) -> None:
-    if not pattern.ops or pattern.ops[0] != ("Conv",):
-        raise ConfigError(f"fusion pattern {pattern.id!r} must start with Conv")
-    FUSION_PATTERNS[pattern.id] = pattern
-
-
-register_fusion_pattern(FusionPattern(
-    id="conv_bias_act",
-    ops=(("Conv",), ("Add",), ACTIVATION_OPS),
-    api_name="cudnnConvolutionBiasActivationForward",
-))
-# Bias-only fusion runs through the same API with an identity activation.
-register_fusion_pattern(FusionPattern(
-    id="conv_bias",
-    ops=(("Conv",), ("Add",)),
-    api_name="cudnnConvolutionBiasActivationForward",
-))
+# Longest pattern first, the order in which ``fusion_candidates`` tries them.
+FUSION_PATTERNS = (
+    FusionPattern(
+        id="conv_bias_act",
+        ops=(("Conv",), ("Add",), ACTIVATION_OPS),
+        api_name="cudnnConvolutionBiasActivationForward",
+    ),
+    # Bias-only fusion runs through the same API with an identity activation.
+    FusionPattern(
+        id="conv_bias",
+        ops=(("Conv",), ("Add",)),
+        api_name="cudnnConvolutionBiasActivationForward",
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -123,20 +117,19 @@ def _is_bias_add(node) -> bool:
 
 
 def fusion_candidates(graph: ModelGraph, dtype: str = "f32") -> list[FusionSite]:
-    """Scan topological order for registered fusion patterns.
+    """Scan topological order for the fusion patterns.
 
     Longer patterns win; occurrences never overlap. Every non-head member
     must be the sole consumer of its predecessor, otherwise fusing would
     change graph semantics.
     """
     order = topo_order(graph)
-    patterns = sorted(FUSION_PATTERNS.values(), key=lambda p: -len(p.ops))
     claimed: set[str] = set()
     sites: list[FusionSite] = []
     for nid in order:
         if nid in claimed:
             continue
-        for pattern in patterns:
+        for pattern in FUSION_PATTERNS:
             members = _match_pattern(graph, nid, pattern, claimed)
             if members:
                 sites.append(FusionSite(
@@ -192,7 +185,7 @@ def generate_specs(uniques: set[LayerSignature], config: BenchConfig,
                     sig.with_dtype(dtype), None, dtype, "NCHW", None, row.api_name))
     if config.enable_fusion and fusion_sites:
         seen: set[tuple[str, str]] = set()
-        fused_api = {p.id: p.api_name for p in FUSION_PATTERNS.values()}
+        fused_api = {p.id: p.api_name for p in FUSION_PATTERNS}
         for site in sorted(fusion_sites,
                            key=lambda s: (s.head_signature.canonical_string, s.pattern_id)):
             key = (site.head_signature.canonical_string, site.pattern_id)

@@ -337,6 +337,8 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
             parallel, fusion, ideal_algo, tensor_core, layout, allow_missing,
             fmt, out_file, miss_out):
     """Compute lower bounds, Benanza Ratios, and optimization advice."""
+    if not ideal_algo and not profile_path:
+        raise ConfigError("--logged-algo needs --profile to read the logged algorithms from")
     graph = _load_inferred(model, batch)
     sysid = _system_id(system_name)
     prof = None
@@ -359,15 +361,15 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
         report = analyzer.AnalysisReport(
             model=graph.name, system=sysid, batch=batch, dtype=dtype,
             lb_sequential_us=lb_seq, lb_parallel_us=cp.total_latency_us,
-            critical_path=cp, measured_ms=measured_ms, missing=ann.missing,
+            critical_path=cp.node_ids, measured_ms=measured_ms, missing=ann.missing,
         )
         if measured_ms is not None:
             measured_us = measured_ms * 1000.0
             report.br_sequential = analyzer.benanza_ratio(lb_seq, measured_us)
             report.br_parallel = analyzer.benanza_ratio(cp.total_latency_us, measured_us)
         if prof is not None:
-            report.algorithm = analyzer.algorithm_advice(prof, anns, sysid, dtype)
-            report.deviations = analyzer.framework_diff(
+            report.algorithm_advice = analyzer.algorithm_advice(prof, anns, sysid, dtype)
+            report.framework_deviations = analyzer.framework_diff(
                 prof, analyzer.expected_api_sequence(anns))
         if fusion:
             report.fusion = analyzer.fusion_analysis(anns, sysid, dtype)

@@ -27,10 +27,8 @@ _WIRE_64BIT = 1
 _WIRE_LEN = 2
 _WIRE_32BIT = 5
 
-# onnx TensorProto.DataType values we care about
-_DT_FLOAT = 1
+# onnx TensorProto.DataType of the int64 tensors read as literal values
 _DT_INT64 = 7
-_DT_FLOAT16 = 10
 
 
 def _varint(buf: bytes, pos: int, end: int) -> tuple[int, int]:

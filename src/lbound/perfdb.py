@@ -1,14 +1,14 @@
 """File-backed performance database.
 
-Storage is a single file of line-delimited JSON records plus two in-memory
-indexes built at open. The flat index maps each full record key to its live
-record; its insertion order is the order of ``records()`` and the order in
-which ``compact`` rewrites the file. The layer index maps (system, dtype,
-signature) to that layer's live records in the same relative order, so
-``query`` and ``best`` read only the records of one layer. Both are kept in
-step by one helper shared by ``_load`` and ``insert``. ``compact`` drops
-superseded records only: the live records, their order and therefore both
-indexes are the same after a reopen.
+Storage is a single file of line-delimited JSON records plus one in-memory
+index built at open: (system, dtype, signature) maps to that layer's live
+records, keyed by their full record key. ``query`` and ``best`` read only
+the records of one layer, and ``record_for``, ``has_spec``, ``records()``
+and ``compact`` read through the same index. ``records()`` and ``compact``
+therefore group records by layer, layers in the order they first appeared
+and records within a layer in insertion order. ``compact`` drops superseded
+records only: the live records, their order and therefore the index are the
+same after a reopen.
 
 Appending is the only write path; re-inserting a key replaces the live
 record while the superseded one stays on disk and in the audit trail until
@@ -19,7 +19,8 @@ file under it.
 A crash in the middle of an append leaves a torn tail: a last line with no
 trailing newline that does not parse. A read-only open skips it; a writer
 truncates it so the next append starts on a fresh line. Any other bad line
-raises ``StorageError``.
+raises ``StorageError``, and so does a record with a bool or non-finite
+latency or an unknown algorithm, dtype, layout or fusion pattern.
 
 Record fields, in on-disk order: v, system, dtype, hash64, signature,
 algorithm, layout, fused, status, latency_us, source, timestamp, metadata.
@@ -33,22 +34,16 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .benchgen import ALGO_RANK, BenchmarkSpec
+from .benchgen import ALGO_RANK, FUSION_PATTERNS, BenchmarkSpec
 from .dedup import LayerSignature
 from .errors import MissError, StorageError
+from .model_ir import DTYPES, LAYOUTS
 
-
-class _Any:
-    def __repr__(self):
-        return "ANY"
-
-
-ANY = _Any()
-
-_LAYOUT_RANK = {"NCHW": 0, "NHWC": 1}
+_LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
 _ALGO_RANK = {algo.name: rank for algo, rank in ALGO_RANK.items()}
+_FUSED_IDS = {p.id for p in FUSION_PATTERNS}
 
 
 @dataclass(frozen=True)
@@ -83,6 +78,14 @@ class PerfRecord:
     def __post_init__(self):
         if self.key.algorithm is not None and self.key.algorithm not in _ALGO_RANK:
             raise StorageError(f"unknown algorithm {self.key.algorithm!r}")
+        if self.key.dtype not in DTYPES:
+            raise StorageError(f"unknown dtype {self.key.dtype!r}")
+        if self.key.layout not in LAYOUTS:
+            raise StorageError(f"unknown layout {self.key.layout!r}")
+        if self.key.fused is not None and self.key.fused not in _FUSED_IDS:
+            raise StorageError(f"unknown fusion pattern {self.key.fused!r}")
+        if isinstance(self.latency_us, bool):
+            raise StorageError(f"latency must be a number, got {self.latency_us!r}")
         if self.status == "ok":
             if self.latency_us is None or not 0 < self.latency_us < math.inf:
                 raise StorageError(
@@ -92,12 +95,6 @@ class PerfRecord:
                 raise StorageError("unsupported record must not carry a latency")
         else:
             raise StorageError(f"unknown record status {self.status!r}")
-
-
-@dataclass
-class QueryResult:
-    hits: list[PerfRecord]
-    misses: list[RecordKey]
 
 
 def key_for_spec(system: str, spec: BenchmarkSpec) -> RecordKey:
@@ -162,7 +159,6 @@ class PerfDb:
             raise StorageError(f"unknown db mode {mode!r}")
         self.path = str(path)
         self.mode = mode
-        self._index: dict[tuple, PerfRecord] = {}
         # (system, dtype, signature) -> {index key: live record}
         self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
         self._audit: list[PerfRecord] = []
@@ -241,13 +237,10 @@ class PerfDb:
 
     def _put(self, record: PerfRecord) -> None:
         key = record.key.index_key()
-        prev = self._index.get(key)
+        layer = self._by_layer.setdefault(key[:3], {})
+        prev = layer.get(key)
         if prev is not None:
             self._audit.append(prev)
-        self._index[key] = record
-        layer = self._by_layer.get(key[:3])
-        if layer is None:
-            layer = self._by_layer[key[:3]] = {}
         layer[key] = record
 
     def import_lines(self, text: str) -> int:
@@ -268,7 +261,7 @@ class PerfDb:
         tmp = self.path + ".compact"
         try:
             with open(tmp, "w", encoding="utf-8") as out:
-                for rec in self._index.values():
+                for rec in self.records():
                     out.write(_record_to_json(rec) + "\n")
             os.replace(tmp, self.path)
         except OSError as exc:
@@ -282,57 +275,47 @@ class PerfDb:
     # -- reads --------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._index)
+        return sum(len(layer) for layer in self._by_layer.values())
 
     @property
     def audit_log(self) -> list[PerfRecord]:
         return list(self._audit)
 
     def records(self) -> list[PerfRecord]:
-        return list(self._index.values())
+        return [rec for layer in self._by_layer.values() for rec in layer.values()]
 
     def record_for(self, key: RecordKey) -> PerfRecord | None:
-        return self._index.get(key.index_key())
+        index_key = key.index_key()
+        return self._by_layer.get(index_key[:3], {}).get(index_key)
 
     def has_spec(self, system: str, spec: BenchmarkSpec) -> bool:
-        return key_for_spec(system, spec).index_key() in self._index
+        key = key_for_spec(system, spec).index_key()
+        return key in self._by_layer.get(key[:3], {})
 
-    def query(self, system: str, dtype: str, signature: LayerSignature | str) -> QueryResult:
-        """All records for a layer across algorithms, layouts, and fusion."""
+    def query(self, system: str, dtype: str,
+              signature: LayerSignature | str) -> list[PerfRecord]:
+        """All records for a layer across algorithms, layouts and fusion, in hit order."""
         canonical = signature if isinstance(signature, str) else signature.canonical_string
-        hits = sorted(self._by_layer.get((system, dtype, canonical), {}).values(),
+        return sorted(self._by_layer.get((system, dtype, canonical), {}).values(),
                       key=_hit_order)
-        if hits:
-            return QueryResult(hits=hits, misses=[])
-        h64 = signature.hash64 if isinstance(signature, LayerSignature) else ""
-        miss = RecordKey(system, dtype, h64, canonical, None, "NCHW", None)
-        return QueryResult(hits=[], misses=[miss])
 
     def best(self, system: str, dtype: str, signature: LayerSignature | str,
-             *, layout=ANY, fused=None) -> PerfRecord:
-        """Lowest-latency ok record matching the filter.
+             *, layout: str | None = None, fused: str | None = None) -> PerfRecord:
+        """Lowest-latency ok record of one layer, read from its entry in the index.
 
-        ``layout``/``fused`` accept a concrete value, None, or ANY. ``fused``
-        defaults to None: only unfused results compete unless a pattern id
-        (or ANY) is requested. Ties break by algorithm enum order, then NCHW
-        before NHWC.
+        A ``layout`` of None means any layout. ``fused`` must match exactly,
+        and None means unfused: only unfused results compete unless a pattern
+        id is requested. Ties break by algorithm enum order, then NCHW before
+        NHWC.
         """
-        result = self.query(system, dtype, signature)
-        candidates = [
-            rec for rec in result.hits
-            if rec.status == "ok"
-            and (layout is ANY or rec.key.layout == layout)
-            and (fused is ANY or rec.key.fused == fused)
-        ]
-        if not candidates:
-            canonical = signature if isinstance(signature, str) else signature.canonical_string
-            h64 = signature.hash64 if isinstance(signature, LayerSignature) else ""
-            raise MissError([RecordKey(
-                system, dtype, h64, canonical,
-                None, layout if layout is not ANY else "NCHW",
-                fused if fused is not ANY else None,
-            ).render()])
-        return candidates[0]  # hits come in _hit_order
+        for rec in self.query(system, dtype, signature):
+            if rec.status == "ok" and rec.key.fused == fused \
+                    and (layout is None or rec.key.layout == layout):
+                return rec
+        canonical = signature if isinstance(signature, str) else signature.canonical_string
+        h64 = signature.hash64 if isinstance(signature, LayerSignature) else ""
+        raise MissError([RecordKey(system, dtype, h64, canonical, None,
+                                   layout or "NCHW", fused).render()])
 
 
 def _hit_order(rec: PerfRecord) -> tuple:
@@ -340,7 +323,7 @@ def _hit_order(rec: PerfRecord) -> tuple:
     return (
         rec.latency_us if rec.latency_us is not None else float("inf"),
         algo_rank,
-        _LAYOUT_RANK.get(rec.key.layout, 9),
+        _LAYOUT_RANK[rec.key.layout],
         rec.key.fused or "",
     )
 

@@ -73,6 +73,11 @@ class ExecutionProfile:
     api_calls: list[ApiCall] = field(default_factory=list)
     kernels: list[KernelRecord] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not 0 < self.measured_latency_ms < math.inf:
+            raise ProfileFormatError(
+                f"measured latency must be positive and finite, got {self.measured_latency_ms}")
+
 
 def detect_tensorcore(kernel_name: str) -> bool:
     """True iff the name contains an underscore, one of i/s/h, then digits."""
@@ -144,9 +149,6 @@ def parse_profile(text: str) -> ExecutionProfile:
         measured = float(meta["measured_latency_ms"])
     except (KeyError, ValueError) as exc:
         raise ProfileFormatError(f"bad or missing META field: {exc}") from exc
-    if not 0 < measured < math.inf:
-        raise ProfileFormatError(
-            f"measured latency must be positive and finite, got {measured}")
 
     api_calls: list[ApiCall] = []
     last_seq = 0
@@ -239,8 +241,6 @@ def build_profile(model: str, system_id: str, batch: int, measured_latency_ms: f
                   cudnn_log: str = "", kernel_lines: str = "",
                   strict: bool = False) -> ExecutionProfile:
     """Assemble a canonical profile from raw logger and trace inputs."""
-    if not 0 < measured_latency_ms < math.inf:
-        raise ProfileFormatError("measured latency must be positive and finite")
     return ExecutionProfile(
         model=model,
         system_id=system_id,

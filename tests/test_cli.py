@@ -37,6 +37,12 @@ def test_bad_measured_latency_exits_2(r18, value):
     assert not isinstance(res.exception, ZeroDivisionError)
 
 
+def test_logged_algo_without_profile_exits_2(r18):
+    res = _analyze(*r18, "--logged-algo")
+    _no_traceback(res, 2)
+    assert "--profile" in res.output
+
+
 def test_measured_latency_gives_ratios(r18):
     res = _analyze(*r18, "--measured-ms", "5")
     assert res.exit_code == 0, res.output
@@ -73,7 +79,11 @@ def _no_traceback(res, code):
 
 @pytest.mark.parametrize("changes", [{"latency_us": float("nan")},
                                      {"latency_us": float("inf")},
-                                     {"algorithm": "BOGUS"}])
+                                     {"algorithm": "BOGUS"},
+                                     {"latency_us": True},
+                                     {"dtype": "f99"},
+                                     {"layout": "XYZ"},
+                                     {"fused": "bogus"}])
 def test_bad_record_is_refused_on_import_and_open(r18, tmp_path, changes):
     model, db = r18
     good = db.read_bytes()

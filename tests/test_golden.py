@@ -32,6 +32,10 @@ GOLDEN_SCENARIOS = {
     "analyze-f16-fusion": "76b757b4a61d91f0ab2df50197e1601affc0600a9f69f8ee30350b76b50eead5",
 }
 
+GOLDEN_TEXT = {
+    "analyze-text": "93e96135507cc970b89e6115450872455d2cce4ec5ab79d34b6084d9b9a68ccc",
+}
+
 
 @pytest.fixture(scope="module")
 def r50_db(tmp_path_factory):
@@ -108,3 +112,13 @@ def test_scenario_outputs_match_golden(r50_db, r50_profile):
         "analyze-f16-fusion": _digest(["analyze", *common, "--dtype", "f16", "--fusion"]),
     }
     assert got == GOLDEN_SCENARIOS
+
+
+def test_text_report_matches_golden(r50_db, r50_profile):
+    model, db = r50_db
+    got = {
+        "analyze-text": _digest(["analyze", str(model), "--db", str(db), "--batch", "2",
+                                 "--system", "Tesla_V100", "--profile", str(r50_profile),
+                                 "--fusion", "--tensor-core", "--parallel", "--out", "text"]),
+    }
+    assert got == GOLDEN_TEXT

@@ -1,8 +1,8 @@
-"""Every module-level private function in the package has a caller.
+"""Every module-level private function, class and constant in the package is used.
 
-A function whose name starts with one underscore is private to the package,
-so a name that nothing in ``src/lbound`` refers to, apart from the function
-itself, is dead code.
+A name that starts with one underscore is private to the package, so a
+module-level function, class or assigned name that nothing in
+``src/lbound`` refers to, apart from its own definition, is dead code.
 """
 
 from __future__ import annotations
@@ -22,14 +22,27 @@ def _names(tree: ast.AST) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def _defined(stmt: ast.stmt) -> list[str]:
+    """Names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_every_private_function_is_referenced():
     trees = {path.name: ast.parse(path.read_text("utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     used = sum((_names(tree) for tree in trees.values()), Counter())
-    dead = [f"{module}:{fn.name}"
+    dead = [f"{module}:{name}"
             for module, tree in trees.items()
-            for fn in tree.body
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and fn.name.startswith("_") and not fn.name.startswith("__")
-            and used[fn.name] - _names(fn)[fn.name] <= 0]
+            for stmt in tree.body
+            for name in _defined(stmt)
+            if _private(name) and used[name] - _names(stmt)[name] <= 0]
     assert dead == []

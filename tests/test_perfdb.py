@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import modelzoo as mz
 from lbound.errors import MissError, StorageError
-from lbound.perfdb import ANY, PerfDb, PerfRecord, RecordKey, _hit_order
+from lbound.perfdb import PerfDb, PerfRecord, RecordKey, _hit_order
 
 SYSTEMS = ("sysA", "sysB")
 DTYPES = ("f32", "f16")
@@ -43,22 +43,19 @@ def _scan(db: PerfDb, system: str, dtype: str, sig: str) -> list[PerfRecord]:
 
 
 def _miss_key(system, dtype, sig, layout, fused) -> str:
-    layout = "NCHW" if layout is ANY else layout
-    fused = None if fused is ANY else fused
-    return f"{system}/{dtype}/{layout}/-/{fused or '-'}/{sig}"
+    return f"{system}/{dtype}/{layout or 'NCHW'}/-/{fused or '-'}/{sig}"
 
 
 def check_index(db: PerfDb, layers) -> None:
     for system, dtype, sig in layers:
         expected = _scan(db, system, dtype, sig)
         got = db.query(system, dtype, sig)
-        assert [id(r) for r in got.hits] == [id(r) for r in expected]
-        assert bool(got.misses) == (not expected)
-        for layout in (ANY, *LAYOUTS):
-            for fused in (ANY, *FUSED):
+        assert [id(r) for r in got] == [id(r) for r in expected]
+        for layout in (None, *LAYOUTS):
+            for fused in FUSED:
                 cands = [r for r in expected if r.status == "ok"
-                         and (layout is ANY or r.key.layout == layout)
-                         and (fused is ANY or r.key.fused == fused)]
+                         and (layout is None or r.key.layout == layout)
+                         and r.key.fused == fused]
                 if cands:
                     assert db.best(system, dtype, sig, layout=layout, fused=fused) \
                         is min(cands, key=_hit_order)
@@ -105,6 +102,24 @@ def test_resnet50_index_with_superseded_records(db_builder, v100):
         layers = sorted({r.key.index_key()[:3] for r in db.records()})
         layers.append(("Tesla_V100", "f32", "Relu|f32|in=9x9|"))
         check_index(db, layers)
+
+
+def test_records_group_by_layer(tmp_path):
+    def rec(sig, algo, latency):
+        return PerfRecord(RecordKey("sysA", "f32", "00", sig, algo, "NCHW", None), latency)
+
+    conv, relu = SIGNATURES[0], SIGNATURES[1]
+    path = tmp_path / "perf.db"
+    with PerfDb(path, mode="rw") as db:
+        for r in (rec(conv, "GEMM", 1.0), rec(relu, None, 2.0), rec(conv, "FFT", 3.0),
+                  rec(conv, "GEMM", 4.0)):
+            db.insert(r)
+        # Layers in order of first appearance; a superseding record keeps its slot.
+        order = [(r.key.signature, r.latency_us) for r in db.records()]
+        assert order == [(conv, 4.0), (conv, 3.0), (relu, 2.0)]
+        db.compact()
+    with PerfDb(path) as db:
+        assert [(r.key.signature, r.latency_us) for r in db.records()] == order
 
 
 # ---------------------------------------------------------------------------
