@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .dedup import LayerSignature, api_for_op, signature
-from .errors import ConfigError, GenerationError, ModelParseError
-from .model_ir import ACTIVATION_OPS, DTYPES, LAYOUTS, ModelGraph, topo_order
+from .dedup import LayerSignature, api_for_op, parse_signature, render_value, signature
+from .errors import ConfigError, GenerationError, LboundError, ModelParseError
+from .model_ir import ACTIVATION_OPS, DTYPES, LAYOUTS, ModelGraph, is_weight_key, topo_order
 
 
 class ConvAlgorithm(Enum):
@@ -64,6 +64,7 @@ FUSION_PATTERNS = (
         api_name="cudnnConvolutionBiasActivationForward",
     ),
 )
+_FUSED_API = {p.id: p.api_name for p in FUSION_PATTERNS}
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,18 @@ class BenchmarkSpec:
             raise ConfigError(f"unknown dtype {self.dtype!r}")
         if self.layout not in LAYOUTS:
             raise ConfigError(f"unknown layout {self.layout!r}")
+        if self.fused is not None and self.fused not in _FUSED_API:
+            raise ConfigError(f"unknown fusion pattern {self.fused!r}")
+        if (self.algorithm is not None) + (self.fused is not None) \
+                != (self.signature.op_type == "Conv"):
+            raise ConfigError(f"{self.signature.op_type} spec: Conv takes one algorithm "
+                              "or fused pattern, other ops neither")
 
 
 @dataclass(frozen=True)
 class BenchConfig:
     dtypes: tuple[str, ...] = ("f32", "f16")
     layouts: tuple[str, ...] = ("NCHW",)
-    enable_fusion: bool = False
     algorithms: tuple[ConvAlgorithm, ...] = tuple(ConvAlgorithm)
 
     def __post_init__(self):
@@ -112,7 +118,7 @@ class FusionSite:
 def _is_bias_add(node) -> bool:
     # A bias add consumes exactly one data edge; the bias vector arrives as
     # a recorded weight operand.
-    has_weight = any(k.startswith("w") and k[1:].isdigit() for k in node.params)
+    has_weight = any(is_weight_key(k) for k in node.params)
     return len(node.input_ids) == 1 and has_weight
 
 
@@ -183,9 +189,8 @@ def generate_specs(uniques: set[LayerSignature], config: BenchConfig,
             for dtype in config.dtypes:
                 specs.append(BenchmarkSpec(
                     sig.with_dtype(dtype), None, dtype, "NCHW", None, row.api_name))
-    if config.enable_fusion and fusion_sites:
+    if fusion_sites:
         seen: set[tuple[str, str]] = set()
-        fused_api = {p.id: p.api_name for p in FUSION_PATTERNS}
         for site in sorted(fusion_sites,
                            key=lambda s: (s.head_signature.canonical_string, s.pattern_id)):
             key = (site.head_signature.canonical_string, site.pattern_id)
@@ -196,7 +201,7 @@ def generate_specs(uniques: set[LayerSignature], config: BenchConfig,
                 for layout in _applicable_layouts(config.layouts, dtype):
                     specs.append(BenchmarkSpec(
                         site.head_signature.with_dtype(dtype), None, dtype, layout,
-                        site.pattern_id, fused_api[site.pattern_id]))
+                        site.pattern_id, _FUSED_API[site.pattern_id]))
     return specs
 
 
@@ -230,24 +235,29 @@ def manifest_lines(specs: list[BenchmarkSpec]) -> str:
 
 
 def parse_manifest(text: str) -> list[BenchmarkSpec]:
-    from .dedup import parse_signature
-
+    # A layer repeats once per algorithm, dtype and layout; parse each once.
+    signatures: dict[str, LayerSignature] = {}
     specs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
+            if not isinstance(rec, dict) or not isinstance(rec.get("signature"), str):
+                raise ValueError("expected a JSON object with a string signature")
+            canonical = rec["signature"]
+            if canonical not in signatures:
+                signatures[canonical] = parse_signature(canonical)
             algo = ConvAlgorithm[rec["algorithm"]] if rec["algorithm"] else None
             specs.append(BenchmarkSpec(
-                signature=parse_signature(rec["signature"]),
+                signature=signatures[canonical],
                 algorithm=algo,
                 dtype=rec["dtype"],
                 layout=rec["layout"],
                 fused=rec["fused_pattern"],
                 api_name=rec["api"],
             ))
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, LboundError) as exc:
             raise ModelParseError(f"bad manifest line: {exc}", offset=lineno) from exc
     return specs
 
@@ -288,24 +298,22 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
     include = "#include <cublas_v2.h>" if spec.api_name.startswith("cublas") \
         else "#include <cudnn.h>"
     lines = header + [include, '#include "bench_runtime.h"', ""]
-    params = dict(sig.params)
-    in_dims = ", ".join("{" + ",".join(str(d) for d in dims) + "}" for dims in sig.in_dims)
-    lines.append(f"// inputs: {in_dims or 'none'}")
-    for key, value in sorted(params.items()):
+    params = [(key, render_value(value)) for key, value in sig.params]
+    in_dims = ", ".join("{" + _csv(dims) + "}" for dims in sig.in_dims)
+    lines.append(f"// inputs: {in_dims}")
+    for key, value in params:
         lines.append(f"// {key}: {value}")
     fn = f"bench_{sig.hash64}_{spec.fused or (spec.algorithm.name if spec.algorithm else 'base')}_{spec.dtype}"
     lines.append(f"BENCH({fn}) {{")
     lines.append(f"  const cudnnDataType_t data_type = {_DTYPE_TOKEN[spec.dtype]};")
     if sig.op_type == "Conv" or spec.fused:
         lines.append(f"  const cudnnTensorFormat_t layout = {_LAYOUT_TOKEN[spec.layout]};")
-        x = "{" + ",".join(str(d) for d in sig.in_dims[0]) + "}"
-        w = "{" + ",".join(str(d) for d in (sig.param_dims("w1") or ())) + "}"
-        lines.append(f"  const int x_dims[4] = {x};")
-        lines.append(f"  const int w_dims[4] = {w};")
-        lines.append(f"  const int pads[4] = {{{_csv(params.get('pads'))}}};")
-        lines.append(f"  const int strides[2] = {{{_csv(params.get('strides'))}}};")
-        lines.append(f"  const int dilations[2] = {{{_csv(params.get('dilations'))}}};")
-        lines.append(f"  const int group = {params.get('group', 1)};")
+        lines.append(f"  const int x_dims[4] = {{{_csv(sig.in_dims[0])}}};")
+        lines.append(f"  const int w_dims[4] = {{{_csv(sig.param('w1'))}}};")
+        lines.append(f"  const int pads[4] = {{{_csv(sig.param('pads'))}}};")
+        lines.append(f"  const int strides[2] = {{{_csv(sig.param('strides'))}}};")
+        lines.append(f"  const int dilations[2] = {{{_csv(sig.param('dilations'))}}};")
+        lines.append(f"  const int group = {sig.param('group')};")
         if spec.fused:
             lines.append("  // bias and activation applied by the fused call")
             lines.append(f"  CUDNN_CALL({spec.api_name}(handle, &alpha1, x_desc, x, w_desc, w,")
@@ -317,7 +325,7 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
             lines.append("      conv_desc, algo, workspace, workspace_size, &beta, y_desc, y));")
     elif spec.api_name.startswith("cublas"):
         dims = sig.in_dims[0]
-        b = sig.param_dims("w1") or (sig.in_dims[1] if len(sig.in_dims) > 1 else ())
+        b = sig.param("w1") or (sig.in_dims[1] if len(sig.in_dims) > 1 else ())
         trans_b = sig.param("transB", 0)
         m = dims[0] if not sig.param("transA", 0) else dims[-1]
         k = dims[-1] if not sig.param("transA", 0) else dims[0]
@@ -326,9 +334,8 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
         lines.append(f"  CUBLAS_CALL({spec.api_name}(handle, transa, transb, m, n, k,")
         lines.append("      &alpha, a, lda, b, ldb, &beta, c, ldc));")
     else:
-        x = "{" + ",".join(str(d) for d in sig.in_dims[0]) + "}"
-        lines.append(f"  const int x_dims[] = {x};")
-        for key, value in sorted(params.items()):
+        lines.append(f"  const int x_dims[] = {{{_csv(sig.in_dims[0])}}};")
+        for key, value in params:
             lines.append(f"  // param {key} = {value}")
         lines.append(f"  CUDNN_CALL({spec.api_name}(handle, /* descriptors from dims above */")
         lines.append("      &alpha, x_desc, x, &beta, y_desc, y));")
@@ -336,12 +343,5 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv(value) -> str:
-    if value is None:
-        return "0"
-    parsed = value
-    if isinstance(value, str):
-        parsed = tuple(value.split("x")) if "x" in value else (value,)
-    if isinstance(parsed, (tuple, list)):
-        return ",".join(str(v) for v in parsed)
-    return str(parsed)
+def _csv(dims: tuple[int, ...]) -> str:
+    return ",".join(str(d) for d in dims)

@@ -16,24 +16,8 @@ import sys
 import click
 
 from . import analyzer, benchgen, dedup, perfdb, profile_ingest, synth_runner
-from .errors import (
-    ConfigError,
-    CorrelationError,
-    DomainError,
-    GenerationError,
-    GraphStructureError,
-    MissError,
-    ModelParseError,
-    ProfileFormatError,
-    ShapeInferenceError,
-    ShapeStateError,
-    StorageError,
-)
+from .errors import ConfigError, LboundError, MissError
 from .model_ir import infer_shapes, load_model_file
-
-_INPUT_ERRORS = (ModelParseError, GraphStructureError, ShapeInferenceError,
-                 ShapeStateError, ConfigError, GenerationError,
-                 ProfileFormatError, CorrelationError, DomainError)
 
 
 def _exit_codes(fn):
@@ -41,19 +25,14 @@ def _exit_codes(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _INPUT_ERRORS as exc:
+        except LboundError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except MissError as exc:
-            click.echo(f"error: {exc}", err=True)
-            for key in exc.keys:
-                click.echo(f"  missing: {key}", err=True)
-            click.echo("hint: run `lbound bench --delta --simulate` to fill the gaps "
-                       "or pass --allow-missing", err=True)
-            sys.exit(3)
-        except StorageError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
+            if isinstance(exc, MissError):
+                for key in exc.keys:
+                    click.echo(f"  missing: {key}", err=True)
+                click.echo("hint: run `lbound bench --delta --simulate` to fill the gaps "
+                           "or pass --allow-missing", err=True)
+            sys.exit(exc.exit_code)
     return wrapper
 
 
@@ -151,7 +130,6 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
     config = benchgen.BenchConfig(
         dtypes=tuple(d.strip() for d in dtypes.split(",") if d.strip()),
         layouts=tuple(l.strip() for l in layouts.split(",") if l.strip()),
-        enable_fusion=fusion,
         algorithms=algos,
     )
 

@@ -9,6 +9,12 @@ string is the authoritative identity::
 with keys sorted lexicographically, integers in decimal, floats in shortest
 round-trip decimal, and integer tuples joined with ``x``. The 64-bit hash is
 an index accelerator only; equality is always decided on the string.
+
+A signature keeps its params as canonical values (ints, floats, int tuples,
+strings), not as rendered text, so consumers read them without parsing.
+``parse_signature`` accepts only a layer a graph could produce: it runs the
+parsed values through :func:`lbound.model_ir.infer_layer`, the same shape
+rules a graph layer passes.
 """
 
 from __future__ import annotations
@@ -16,10 +22,18 @@ from __future__ import annotations
 import hashlib
 import json
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import ModelParseError, ShapeStateError
-from .model_ir import ACTIVATION_OPS, POOL_OPS, LayerNode, ModelGraph, parse_attr_value
+from .errors import ModelParseError, ShapeInferenceError, ShapeStateError
+from .model_ir import (
+    ACTIVATION_OPS,
+    POOL_OPS,
+    LayerNode,
+    ModelGraph,
+    TensorShape,
+    infer_layer,
+    parse_attr_value,
+)
 
 # ---------------------------------------------------------------------------
 # Layer-type -> library API mapping
@@ -81,12 +95,20 @@ def is_supported(op_type: str) -> bool:
 
 @dataclass(frozen=True)
 class LayerSignature:
-    op_type: str
-    dtype: str
-    in_dims: tuple[tuple[int, ...], ...]
-    params: tuple[tuple[str, str], ...]  # (key, rendered value), key-sorted
+    """The unique-layer key shared by spec generation, the database and the analyzer.
+
+    ``params`` holds key-sorted (key, canonical value) pairs, the values that
+    ``model_ir.infer_layer`` produces, and ``parse_signature`` validates a
+    string through that same function. Equality and hashing use only
+    ``canonical_string``.
+    """
+
+    op_type: str = field(compare=False)
+    dtype: str = field(compare=False)
+    in_dims: tuple[tuple[int, ...], ...] = field(compare=False)
+    params: tuple[tuple[str, object], ...] = field(compare=False)
     canonical_string: str
-    hash64: str
+    hash64: str = field(compare=False)
 
     def with_dtype(self, dtype: str) -> "LayerSignature":
         if dtype == self.dtype:
@@ -94,18 +116,8 @@ class LayerSignature:
         return _build(self.op_type, dtype, self.in_dims, self.params)
 
     def param(self, key: str, default=None):
-        """Parsed value of one param (int, float, int tuple, or string)."""
-        for k, v in self.params:
-            if k == key:
-                value = parse_attr_value(v)
-                return urllib.parse.unquote(value) if isinstance(value, str) else value
-        return default
-
-    def param_dims(self, key: str) -> tuple[int, ...] | None:
-        v = self.param(key)
-        if v is None:
-            return None
-        return (v,) if isinstance(v, int) else tuple(v)
+        """Canonical value of one param (int, float, int tuple or string)."""
+        return next((v for k, v in self.params if k == key), default)
 
 
 def render_value(value) -> str:
@@ -122,7 +134,7 @@ def render_value(value) -> str:
 
 def _build(op_type: str, dtype: str, in_dims, params) -> LayerSignature:
     in_part = ",".join("x".join(str(d) for d in dims) for dims in in_dims)
-    param_part = ",".join(f"{k}={v}" for k, v in params)
+    param_part = ",".join(f"{k}={render_value(v)}" for k, v in params)
     canonical = f"{op_type}|{dtype}|in={in_part}|{param_part}"
     h = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
     return LayerSignature(op_type, dtype, tuple(tuple(d) for d in in_dims),
@@ -139,34 +151,36 @@ def signature(layer: LayerNode, dtype: str) -> LayerSignature:
             f"node {layer.id!r} has no inferred shapes; run infer_shapes first"
         )
     in_dims = tuple(s.dims for s in layer.in_shapes)
-    params = tuple((k, render_value(layer.params[k])) for k in sorted(layer.params))
+    params = tuple((k, layer.params[k]) for k in sorted(layer.params))
     return _build(layer.op_type, dtype, in_dims, params)
 
 
 def parse_signature(canonical: str) -> LayerSignature:
-    """Inverse of ``LayerSignature.canonical_string`` (byte-faithful)."""
+    """Inverse of ``LayerSignature.canonical_string`` (byte-faithful).
+
+    Accepts only a layer a graph could produce: the params must be what
+    ``model_ir.infer_layer`` makes of them for these input dims, rendered in
+    key order. Anything else raises ``ModelParseError``.
+    """
     parts = canonical.split("|")
     if len(parts) != 4 or not parts[2].startswith("in="):
         raise ModelParseError(f"bad signature string {canonical!r}")
     op_type, dtype = parts[0], parts[1]
-    in_part = parts[2][3:]
-    in_dims: list[tuple[int, ...]] = []
-    if in_part:
-        for chunk in in_part.split(","):
-            try:
-                in_dims.append(tuple(int(d) for d in chunk.split("x")))
-            except ValueError as exc:
-                raise ModelParseError(f"bad dims {chunk!r} in signature") from exc
-    params: list[tuple[str, str]] = []
-    if parts[3]:
-        for pair in parts[3].split(","):
+    params: dict = {}
+    try:
+        in_dims = [TensorShape(tuple(int(d) for d in chunk.split("x")), dtype).dims
+                   for chunk in parts[2][3:].split(",")]
+        for pair in parts[3].split(",") if parts[3] else ():
             k, sep, v = pair.partition("=")
             if not sep:
-                raise ModelParseError(f"bad param {pair!r} in signature")
-            params.append((k, v))
-    if [k for k, _ in params] != sorted(k for k, _ in params):
-        raise ModelParseError(f"signature params not key-sorted in {canonical!r}")
-    sig = _build(op_type, dtype, in_dims, params)
+                raise ValueError(f"bad param {pair!r}")
+            value = parse_attr_value(v)
+            params[k] = urllib.parse.unquote(value) if isinstance(value, str) else value
+        params, out_dims, _macs = infer_layer(op_type, params, in_dims, "signature")
+        TensorShape(out_dims)
+    except (ValueError, ShapeInferenceError) as exc:
+        raise ModelParseError(f"bad signature {canonical!r}: {exc}") from exc
+    sig = _build(op_type, dtype, in_dims, sorted(params.items()))
     if sig.canonical_string != canonical:
         raise ModelParseError(f"signature string {canonical!r} is not canonical")
     return sig

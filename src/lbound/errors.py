@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all lbound modules.
 
-The CLI maps these onto stable exit codes: input/parse problems exit 2,
-performance-database misses exit 3, storage failures exit 4.
+Each class carries the stable CLI exit code for its failures in
+``exit_code``: input/parse problems exit 2 (the base class default),
+performance-database misses exit 3, storage failures exit 4. A new subclass
+inherits its parent's code.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 
 class LboundError(Exception):
     """Base class for all lbound errors."""
+
+    exit_code = 2
 
 
 class ModelParseError(LboundError):
@@ -44,6 +48,8 @@ class ConfigError(LboundError):
 class StorageError(LboundError):
     """The performance database could not be read or written."""
 
+    exit_code = 4
+
 
 class GenerationError(LboundError):
     """A benchmark source could not be emitted for a spec."""
@@ -66,6 +72,8 @@ class MissError(LboundError):
 
     ``keys`` holds one human-readable string per missing key.
     """
+
+    exit_code = 3
 
     def __init__(self, keys: list[str]):
         self.keys = list(keys)

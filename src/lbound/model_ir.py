@@ -193,6 +193,11 @@ def _resolve_auto_pad(mode: str, in_dim: int, k: int, stride: int, dil: int) -> 
     return (begin, end)
 
 
+def is_weight_key(key: str) -> bool:
+    """True for a ``w<slot>`` param, which records a weight operand by its dims."""
+    return key.startswith("w") and key[1:].isdigit()
+
+
 def canonicalize_params(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
                         node_id: str) -> dict:
     """Normalize op params so identical layers render identical signatures.
@@ -204,16 +209,13 @@ def canonicalize_params(op_type: str, params: dict, in_dims: list[tuple[int, ...
     """
     p = dict(params)
     for k, v in list(p.items()):
-        if k.startswith("w") and k[1:].isdigit():
+        if is_weight_key(k):
             p[k] = _as_dims(v)
     for k in ("momentum", "spatial", "is_test", "consumed_inputs"):
         p.pop(k, None)
 
     def keep_weights(out: dict) -> dict:
-        for k in sorted(p):
-            if k.startswith("w") and k[1:].isdigit():
-                out[k] = p[k]
-        return out
+        return {**out, **{k: p[k] for k in sorted(p) if is_weight_key(k)}}
 
     if op_type == "Conv":
         strides = _as_pair(p.get("strides", 1), "strides", node_id)
@@ -247,11 +249,10 @@ def canonicalize_params(op_type: str, params: dict, in_dims: list[tuple[int, ...
         return out
 
     if op_type in ("MaxPool", "AveragePool"):
-        kernel = _as_pair(p["kernel"], "kernel", node_id) if "kernel" in p else None
-        if kernel is None:
+        if "kernel" not in p:
             raise ShapeInferenceError(f"node {node_id!r}: {op_type} needs kernel dims")
         out = {
-            "kernel": kernel,
+            "kernel": _as_pair(p["kernel"], "kernel", node_id),
             "pads": _as_pads(p.get("pads", 0), node_id),
             "strides": _as_pair(p.get("strides", 1), "strides", node_id),
         }
@@ -415,10 +416,7 @@ def output_dims(op_type: str, in_dims: list[tuple[int, ...]], params: dict,
         return tuple(batch) + (a[-2], b[-1])
 
     if op_type in ("Add", "Mul"):
-        dims = list(in_dims)
-        for k in sorted(params):
-            if k.startswith("w") and k[1:].isdigit():
-                dims.append(tuple(params[k]))
+        dims = list(in_dims) + [params[k] for k in sorted(params) if is_weight_key(k)]
         if not dims:
             raise err("no operands")
         out = dims[0]
@@ -472,13 +470,7 @@ def output_dims(op_type: str, in_dims: list[tuple[int, ...]], params: dict,
         axis = params["axis"]
         d = in_dims[0]
         axis = axis if axis >= 0 else axis + len(d)
-        lead = 1
-        for v in d[:axis]:
-            lead *= v
-        tail = 1
-        for v in d[axis:]:
-            tail *= v
-        return (lead, tail)
+        return (math.prod(d[:axis]), math.prod(d[axis:]))
 
     if op_type == "Unsqueeze":
         out = list(in_dims[0])
@@ -520,33 +512,37 @@ def node_macs(op_type: str, in_dims: list[tuple[int, ...]], out_dims: tuple[int,
               params: dict) -> int:
     """Multiply-accumulate count; zero for non-MAC ops."""
     if op_type == "Conv":
-        w1 = params["w1"]  # (K, C/g, R, S)
-        out_elems = 1
-        for d in out_dims:
-            out_elems *= d
-        return out_elems * w1[1] * w1[2] * w1[3]
+        return math.prod(out_dims) * math.prod(params["w1"][1:])  # w1 is (K, C/g, R, S)
     if op_type == "Gemm":
         a = in_dims[0]
         k = a[0] if params["transA"] else a[1]
         return out_dims[0] * out_dims[1] * k
     if op_type == "MatMul":
-        a = in_dims[0]
-        out_elems = 1
-        for d in out_dims:
-            out_elems *= d
-        return out_elems * a[-1]
+        return math.prod(out_dims) * in_dims[0][-1]
     return 0
 
 
 def weight_elems(params: dict) -> int:
-    total = 0
-    for k, v in params.items():
-        if k.startswith("w") and k[1:].isdigit():
-            n = 1
-            for d in v:
-                n *= d
-            total += n
-    return total
+    return sum(math.prod(v) for k, v in params.items() if is_weight_key(k))
+
+
+def infer_layer(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
+                node_id: str) -> tuple[dict, tuple[int, ...], int]:
+    """Canonical params, output dims and MAC count of one layer.
+
+    The one path from recorded params to a canonical layer, shared by graph
+    shape inference, signature parsing and the simulator. Params or input
+    ranks that the shape rules cannot read raise ``ShapeInferenceError``
+    naming the node and op.
+    """
+    try:
+        canonical = canonicalize_params(op_type, params, in_dims, node_id)
+        dims = output_dims(op_type, in_dims, canonical, node_id)
+        return canonical, dims, node_macs(op_type, in_dims, dims, canonical)
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ShapeInferenceError(
+            f"node {node_id!r} ({op_type}): params or input ranks do not fit: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +576,11 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
             else:
                 raise GraphStructureError(f"node {nid!r} references unknown input {src!r}")
         in_dims = [s.dims for s in in_shapes]
-        params = canonicalize_params(node.op_type, node.params, in_dims, nid)
-        dims = output_dims(node.op_type, in_dims, params, nid)
-        new = LayerNode(
-            id=nid,
-            op_type=node.op_type,
-            params=params,
-            input_ids=list(node.input_ids),
-            output_ids=list(node.output_ids),
-            in_shapes=in_shapes,
-            out_shapes=[TensorShape(dims)],
-        )
-        new.macs = node_macs(node.op_type, in_dims, dims, params)
-        nodes[nid] = new
+        params, dims, n_macs = infer_layer(node.op_type, node.params, in_dims, nid)
+        nodes[nid] = LayerNode(
+            id=nid, op_type=node.op_type, params=params, input_ids=list(node.input_ids),
+            output_ids=list(node.output_ids), in_shapes=in_shapes,
+            out_shapes=[TensorShape(dims)], macs=n_macs)
     return out
 
 

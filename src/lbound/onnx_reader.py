@@ -10,6 +10,7 @@ the absolute byte offset at which decoding failed.
 
 from __future__ import annotations
 
+import math
 import struct
 
 from .errors import ModelParseError
@@ -126,9 +127,7 @@ def _parse_tensor(buf: bytes, span: tuple[int, int]):
         elif field_no == 9 and wire == _WIRE_LEN:  # raw_data
             raw = buf[value[0]:value[1]]
     values = None
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     if data_type == _DT_INT64 and count <= 64:
         if int_values:
             values = int_values

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .benchgen import BenchmarkSpec, ConvAlgorithm
 from .dedup import LayerSignature, api_for_op
 from .errors import ConfigError
-from .model_ir import DTYPE_BYTES, node_macs, output_dims, weight_elems
+from .model_ir import DTYPE_BYTES, infer_layer, weight_elems
 from .perfdb import PerfRecord, make_record
 
 DEFAULT_ALGO_FACTOR = {
@@ -86,37 +86,22 @@ class SpecCost:
 
 def signature_cost(sig: LayerSignature) -> SpecCost:
     """MACs and element counts derived from a signature alone."""
-    params = {k: sig.param(k) for k, _ in sig.params}
-    for k in list(params):
-        if k.startswith("w") and k[1:].isdigit() and isinstance(params[k], int):
-            params[k] = (params[k],)
-    in_dims = [tuple(d) for d in sig.in_dims]
-    out = output_dims(sig.op_type, in_dims, params, node_id=sig.hash64)
-    macs = node_macs(sig.op_type, in_dims, out, params)
-    in_elems = sum(math.prod(d) for d in in_dims)
-    out_elems = math.prod(out)
-    return SpecCost(macs, in_elems, out_elems, weight_elems(params))
-
-
-def _is_3x3_stride1(sig: LayerSignature) -> bool:
-    return sig.param("kernel") == (3, 3) and sig.param("strides") in ((1, 1), None)
-
-
-def _stride_above_one(sig: LayerSignature) -> bool:
-    strides = sig.param("strides")
-    return strides is not None and (not isinstance(strides, tuple) or max(strides) > 1) \
-        and strides != 1
+    in_dims = list(sig.in_dims)
+    params, out, macs = infer_layer(sig.op_type, dict(sig.params), in_dims, sig.hash64)
+    return SpecCost(macs, sum(math.prod(d) for d in in_dims), math.prod(out),
+                    weight_elems(params))
 
 
 def effective_factor(sig: LayerSignature, algo: ConvAlgorithm,
                      factors: dict[ConvAlgorithm, float]) -> float | None:
     """Algorithm factor for this shape; None when the algorithm refuses it."""
-    if algo in (ConvAlgorithm.FFT, ConvAlgorithm.TFFT) and _stride_above_one(sig):
+    kernel, strides = sig.param("kernel"), sig.param("strides")  # pairs on every Conv
+    if algo in (ConvAlgorithm.FFT, ConvAlgorithm.TFFT) and max(strides) > 1:
         return None
-    f = factors[algo]
-    if algo in (ConvAlgorithm.WING, ConvAlgorithm.WINGNF) and not _is_3x3_stride1(sig):
+    if algo in (ConvAlgorithm.WING, ConvAlgorithm.WINGNF) \
+            and (kernel, strides) != ((3, 3), (1, 1)):
         return _WINOGRAD_PENALTY
-    return f
+    return factors[algo]
 
 
 def _ideal_factor(sig: LayerSignature, factors: dict[ConvAlgorithm, float]) -> float:

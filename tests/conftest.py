@@ -26,7 +26,7 @@ def db_builder(tmp_path):
 
     def build(graphs, profile, config=None, fusion=False, name="perf.db",
               jitter_seed=None):
-        config = config or benchgen.BenchConfig(enable_fusion=fusion)
+        config = config or benchgen.BenchConfig()
         uniques = set()
         sites = []
         for graph in graphs:

@@ -154,3 +154,55 @@ def test_bad_profile_values_exit_2(r18, tmp_path, meta, kernel, reason):
         "--model", "m", "--system", "s", "-o", str(tmp_path / "out.prof")])
     _no_traceback(res, 2)
     assert reason in res.output
+
+
+_CONV = "Conv|f32|in=1x3x8x8|dilations=1x1,group=1,kernel=3x3,pads=1x1x1x1"
+_CONV_API = "cudnnConvolutionForward"
+
+
+def _spec_line(signature, algorithm="FFT", fused=None, api=_CONV_API):
+    return json.dumps({"signature": signature, "api": api, "algorithm": algorithm,
+                       "dtype": "f32", "layout": "NCHW", "fused_pattern": fused})
+
+
+def _one_error(res):
+    _no_traceback(res, 2)
+    assert res.output.count("error:") == 1
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("line", [
+    _spec_line(_CONV + ",strides=2,w1=4x3x3x3"),
+    _spec_line(_CONV + ",strides=1x1"),
+    _spec_line("Relu|f32|in=|", None, api="cudnnActivationForward"),
+    "[]",
+    _spec_line(5),
+    _spec_line(_CONV + ",strides=1x1,w1=4x3x3x3", None, "bogus"),
+    _spec_line(_CONV + ",strides=1x1,w1=4x3x3x3", None),
+    _spec_line("Relu|f32|in=1x3x8x8|", "FFT", api="cudnnActivationForward"),
+], ids=["scalar-strides", "no-w1", "no-input", "list", "int-signature", "bogus-fused",
+        "conv-without-algorithm", "relu-with-algorithm"])
+def test_bad_manifest_line_exits_2(tmp_path, line):
+    good = _spec_line(_CONV + ",strides=1x1,w1=4x3x3x3")
+    manifest = tmp_path / "specs.jsonl"
+    manifest.write_text(f"{good}\n{line}\n", "utf-8")
+    out = tmp_path / "src"
+    res = CliRunner().invoke(main, [
+        "bench", "--from-manifest", str(manifest), "--db", str(tmp_path / "perf.db"),
+        "--system", "Tesla_V100", "--simulate", "--emit-src", str(out)])
+    _one_error(res)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims, node", [
+    ("1x3", "Conv attrs=kernel=3x3;w1=4x3x3x3"),
+    ("1x3", "Squeeze attrs=axes=5"),
+    ("1x3", "Reshape attrs=shape=0x0x0"),
+    ("1x3x8x8", "Conv attrs=kernel=3x3;w1=abc"),
+    ("1x3x8x8", "Conv attrs=kernel=1x1;strides=0x0;w1=4x3x1x1"),
+])
+def test_bad_text_model_layer_exits_2(tmp_path, dims, node):
+    op, attrs = node.split(" ")
+    model = tmp_path / "bad.txt"
+    model.write_text(f"graph t\ninput d {dims}\nnode n {op} inputs=d {attrs}\n", "utf-8")
+    _one_error(CliRunner().invoke(main, ["process", str(model)]))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import modelzoo as mz
-from lbound import dedup
+from lbound import dedup, synth_runner
 from lbound.errors import ModelParseError, ShapeStateError
 from lbound.model_ir import parse_text_model
 
@@ -68,7 +68,7 @@ class TestSignature:
         again = dedup.parse_signature(sig.canonical_string)
         assert again == sig
         assert again.param("group") == 1
-        assert again.param_dims("w1") == (4, 3, 3, 3)
+        assert again.param("w1") == (4, 3, 3, 3)
 
     def test_parse_rejects_non_canonical(self):
         sig = dedup.signature(_conv_graph().nodes["c"], "f32")
@@ -100,6 +100,25 @@ class TestSignature:
         sig = dedup.signature(g.nodes["x"], "f32")
         assert sig.canonical_string.count("|") == 3
         assert dedup.parse_signature(sig.canonical_string) == sig
+
+
+_FAMILY = dict(mz.thirty_model_family())
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY))
+def test_every_unique_layer_round_trips(name):
+    """Parsed signatures equal the graph's, values and all, and cost its MACs.
+
+    The family holds ResNet-18/50/152, the fusion tower and the coverage
+    fixture; ``node.macs`` is pinned to hand counts in ``test_model_ir``.
+    """
+    graph = mz.load(_FAMILY[name])
+    nodes = {dedup.signature(node, "f32"): node for node in graph.nodes.values()}
+    for sig, node in nodes.items():
+        again = dedup.parse_signature(sig.canonical_string)
+        assert again == sig
+        assert dict(again.params) == dict(sig.params)
+        assert synth_runner.signature_cost(sig).macs == node.macs
 
 
 class TestApiTable:
