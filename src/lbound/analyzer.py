@@ -19,12 +19,13 @@ nodes with a tight path to a sink at the optimal distance, and the path is
 rebuilt from the smallest-id marked source by taking the smallest-id tight,
 marked successor at each step. All three steps are linear in the graph.
 
-An :class:`Annotator` holds one graph's annotations on one database. It
-computes the topological order once, one signature map per dtype and one
-annotation per (system, dtype, layout), each on first use; an annotation
-carries the order it walked for the totals, the critical path and the DOT
-export. One ``analyze`` or ``advise`` command builds one annotator and
-hands it to every analysis.
+Every walk over a graph, from annotation to the totals, the critical path
+and the DOT export, follows the topological order the graph carries
+(``ModelGraph.order``, set once by ``model_ir.validate``). An
+:class:`Annotator` holds one graph's annotations on one database: one
+signature map per dtype and one annotation per (system, dtype, layout),
+each on first use. One ``analyze`` or ``advise`` command builds one
+annotator and hands it to every analysis.
 
 Every what-if is a view over :func:`apply`: on one (system, dtype, layout)
 annotation it swaps in the records of logged convolution algorithms, then
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from .benchgen import fusion_candidates
 from .dedup import LayerSignature, api_for_op, render_value, signature
 from .errors import ConfigError, CorrelationError, DomainError, MissError
-from .model_ir import LayerNode, ModelGraph, topo_order
+from .model_ir import LayerNode, ModelGraph
 from .perfdb import PerfDb, PerfRecord, RecordKey
 from .profile_ingest import ApiCall, ExecutionProfile, detect_tensorcore
 
@@ -53,7 +54,6 @@ class LatencyAnnotatedGraph:
     graph: ModelGraph
     latencies: dict[str, float]
     chosen: dict[str, PerfRecord | None]
-    order: list[str]  # topological order of ``graph``
     missing: list[str] = field(default_factory=list)
 
 
@@ -97,7 +97,7 @@ def annotate(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
             continue
         latencies[nid] = rec.latency_us
         chosen[nid] = rec
-    return LatencyAnnotatedGraph(graph, latencies, chosen, list(signatures), missing)
+    return LatencyAnnotatedGraph(graph, latencies, chosen, missing)
 
 
 class Annotator:
@@ -106,7 +106,6 @@ class Annotator:
     def __init__(self, graph: ModelGraph, db: PerfDb):
         self.graph = graph
         self.db = db
-        self.order = topo_order(graph)
         self._signatures: dict[str, dict[str, LayerSignature | None]] = {}
         self._annotations: dict[tuple, LatencyAnnotatedGraph] = {}
 
@@ -117,7 +116,7 @@ class Annotator:
             self._signatures[dtype] = {
                 nid: signature(nodes[nid], dtype)
                 if api_for_op(nodes[nid].op_type) is not None else None
-                for nid in self.order
+                for nid in self.graph.order
             }
         return self._signatures[dtype]
 
@@ -138,17 +137,16 @@ class Annotator:
         return ann
 
 
-def sequential_total(ann: LatencyAnnotatedGraph) -> float:
-    return sum(ann.latencies[nid] for nid in ann.order)
+def sequential_total(graph: ModelGraph, latencies: dict[str, float]) -> float:
+    return sum(latencies[nid] for nid in graph.order)
 
 
-def critical_path(ann: LatencyAnnotatedGraph) -> CriticalPath:
+def critical_path(graph: ModelGraph, latencies: dict[str, float]) -> CriticalPath:
     """Highest-total source-to-sink simple path under per-node latencies."""
-    order = ann.order
+    order = graph.order
     if not order:
         return CriticalPath([], 0.0)
-    nodes = ann.graph.nodes
-    lat = ann.latencies
+    nodes, lat = graph.nodes, latencies
     # dist[v]: shortest distance from the virtual source using weights
     # -latency(v); producers precede consumers, so ``p in dist`` tells
     # graph nodes from graph inputs.
@@ -187,11 +185,6 @@ def critical_path(ann: LatencyAnnotatedGraph) -> CriticalPath:
         nid = min(c for c in nodes[nid].output_ids if c in on and d - lat[c] == dist[c])
         path.append(nid)
     return CriticalPath(path, -best)
-
-
-def _total(ann: LatencyAnnotatedGraph, latencies: dict[str, float], parallel: bool) -> float:
-    scoped = LatencyAnnotatedGraph(ann.graph, latencies, ann.chosen, ann.order, ann.missing)
-    return critical_path(scoped).total_latency_us if parallel else sequential_total(scoped)
 
 
 def benanza_ratio(lower_bound_us: float, measured_us: float) -> BenanzaRatio:
@@ -241,7 +234,7 @@ def _logged_convs(anns: Annotator, profile: ExecutionProfile, system: str, dtype
                   layout: str) -> list[tuple[LayerNode, ApiCall, PerfRecord | None]]:
     """Pair the i-th convolution in topological order with the i-th logged one,
     and with the ok record of the logged algorithm at ``layout`` (or None)."""
-    conv_nodes = [anns.graph.nodes[nid] for nid in anns.order
+    conv_nodes = [anns.graph.nodes[nid] for nid in anns.graph.order
                   if anns.graph.nodes[nid].op_type == "Conv"]
     conv_calls = [c for c in profile.api_calls if c.api_name == "cudnnConvolutionForward"]
     if len(conv_nodes) != len(conv_calls):
@@ -271,7 +264,7 @@ def algorithm_advice(profile: ExecutionProfile, anns: Annotator, system: str,
     entries: list[AdviceEntry] = []
     unknown: list[str] = []
     warnings: list[str] = []
-    lb_ideal = sequential_total(ann)
+    lb_ideal = sequential_total(anns.graph, ann.latencies)
     lb_chosen = lb_ideal
     for node, call, rec in convs:
         x_logged = call.params.get("x")
@@ -318,11 +311,11 @@ class Deviation:
     backtrace: list[str] | None = None
 
 
-def expected_api_sequence(anns: Annotator) -> list[ExpectedCall]:
+def expected_api_sequence(graph: ModelGraph) -> list[ExpectedCall]:
     """Library calls a faithful execution of the graph would make, in order."""
     calls: list[ExpectedCall] = []
-    for nid in anns.order:
-        node = anns.graph.nodes[nid]
+    for nid in graph.order:
+        node = graph.nodes[nid]
         row = api_for_op(node.op_type)
         if row is None:
             continue
@@ -465,8 +458,8 @@ def fusion_analysis(anns: Annotator, system: str, dtype: str) -> FusionAnalysis:
     applies even when the fused record is slower; the signed profit says so.
     """
     ann, latencies, sites = apply(anns, system, dtype, None, fusion=True)
-    unfused_lb = sequential_total(ann)
-    fused_lb = _total(ann, latencies, parallel=False)
+    unfused_lb = sequential_total(anns.graph, ann.latencies)
+    fused_lb = sequential_total(anns.graph, latencies)
     ratio = unfused_lb / fused_lb if fused_lb > 0 else 1.0
     fused_layer_count = sum(len(site.members) for site in sites)
     return FusionAnalysis(unfused_lb, fused_lb, ratio, fused_layer_count, sites)
@@ -488,8 +481,8 @@ class TensorCoreAnalysis:
 def tensorcore_analysis(anns: Annotator, system: str, layout: str = "NCHW",
                         profile: ExecutionProfile | None = None) -> TensorCoreAnalysis:
     """f32 (NCHW) vs f16 sequential bound; kernel names reveal tensor-core use."""
-    lb32 = sequential_total(anns.annotation(system, "f32", layout="NCHW"))
-    lb16 = sequential_total(anns.annotation(system, "f16", layout=layout))
+    lb32 = sequential_total(anns.graph, anns.annotation(system, "f32", "NCHW").latencies)
+    lb16 = sequential_total(anns.graph, anns.annotation(system, "f16", layout).latencies)
     tc_used = None
     if profile is not None:
         tc_used = any(detect_tensorcore(k.name) for k in profile.kernels)
@@ -566,9 +559,12 @@ def joint_analysis(anns: Annotator, system: str, scenario: Scenario,
     dtype = "f16" if scenario.tensor_core else "f32"
     layout = scenario.layout if scenario.tensor_core else None
     logged = profile if not scenario.ideal_algo else None
-    ann, latencies, _sites = apply(anns, system, dtype, layout,
-                                   logged=logged, fusion=scenario.fusion)
-    lb = _total(ann, latencies, scenario.parallel)
+    _ann, latencies, _sites = apply(anns, system, dtype, layout,
+                                    logged=logged, fusion=scenario.fusion)
+    if scenario.parallel:
+        lb = critical_path(anns.graph, latencies).total_latency_us
+    else:
+        lb = sequential_total(anns.graph, latencies)
     speedup = (measured_us / lb) if (measured_us and lb > 0) else None
     return JointAnalysis(scenario, dtype, lb, speedup)
 
@@ -597,7 +593,7 @@ def advise_systems(anns: Annotator, systems: list[str], dtype: str,
     rows: list[SystemAdvice] = []
     for system in systems:
         ann = anns.annotation(system, dtype, allow_missing=True)
-        lb = sequential_total(ann)
+        lb = sequential_total(anns.graph, ann.latencies)
         cost = (cost_per_hour or {}).get(system)
         score = lb * cost if cost is not None else None
         if rank_by == "cost" and score is None:
@@ -723,12 +719,12 @@ def export_dot(ann: LatencyAnnotatedGraph, path: CriticalPath | None = None) -> 
     lines = [f'digraph "{graph.name}" {{',
              "  rankdir=TB;",
              '  node [shape=box, fontname="Helvetica"];']
-    for nid in ann.order:
+    for nid in graph.order:
         node = graph.nodes[nid]
         label = f"{nid}\\n{node.op_type}\\n{ann.latencies.get(nid, 0.0):.3f} us"
         style = ' color=red penwidth=2.0' if nid in on_path else ""
         lines.append(f'  "{nid}" [label="{label}"{style}];')
-    for nid in ann.order:
+    for nid in graph.order:
         for src in graph.nodes[nid].input_ids:
             if src not in graph.nodes:
                 continue

@@ -6,17 +6,23 @@ applicability is a result rather than a generation-time filter. NHWC layout
 applies only to f16 convolution-family specs. Fused specs carry the
 signature of the pattern head (the convolution) plus the pattern id, so
 fused and unfused results coexist in the database.
+
+A spec's identity is its signature, its algorithm or fusion pattern, and
+its layout; the signature fixes its dtype and the pattern, else the op, its
+library API. The manifest's ``dtype`` and ``api`` fields are derived on
+write and checked on read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
 
 from .dedup import LayerSignature, api_for_op, parse_signature, render_value, signature
-from .errors import ConfigError, GenerationError, LboundError, ModelParseError
-from .model_ir import ACTIVATION_OPS, DTYPES, LAYOUTS, ModelGraph, is_weight_key, topo_order
+from .errors import ConfigError, LboundError, ModelParseError
+from .model_ir import ACTIVATION_OPS, DTYPES, LAYOUTS, ModelGraph, is_weight_key
 
 
 class ConvAlgorithm(Enum):
@@ -69,24 +75,33 @@ _FUSED_API = {p.id: p.api_name for p in FUSION_PATTERNS}
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
+    """One benchmark of a layer; ``dtype`` and ``api_name`` derive from the rest."""
+
     signature: LayerSignature
     algorithm: ConvAlgorithm | None
-    dtype: str
     layout: str
     fused: str | None
-    api_name: str
 
     def __post_init__(self):
-        if self.dtype not in DTYPES:
-            raise ConfigError(f"unknown dtype {self.dtype!r}")
         if self.layout not in LAYOUTS:
             raise ConfigError(f"unknown layout {self.layout!r}")
         if self.fused is not None and self.fused not in _FUSED_API:
             raise ConfigError(f"unknown fusion pattern {self.fused!r}")
+        if api_for_op(self.signature.op_type) is None:
+            raise ConfigError(f"no library API for {self.signature.op_type} layer "
+                              f"{self.signature.canonical_string!r}")
         if (self.algorithm is not None) + (self.fused is not None) \
                 != (self.signature.op_type == "Conv"):
             raise ConfigError(f"{self.signature.op_type} spec: Conv takes one algorithm "
                               "or fused pattern, other ops neither")
+
+    @property
+    def dtype(self) -> str:
+        return self.signature.dtype
+
+    @property
+    def api_name(self) -> str:
+        return _FUSED_API[self.fused] if self.fused else api_for_op(self.signature.op_type).api_name
 
 
 @dataclass(frozen=True)
@@ -129,10 +144,9 @@ def fusion_candidates(graph: ModelGraph, dtype: str = "f32") -> list[FusionSite]
     must be the sole consumer of its predecessor, otherwise fusing would
     change graph semantics.
     """
-    order = topo_order(graph)
     claimed: set[str] = set()
     sites: list[FusionSite] = []
-    for nid in order:
+    for nid in graph.order:
         if nid in claimed:
             continue
         for pattern in FUSION_PATTERNS:
@@ -176,32 +190,20 @@ def generate_specs(uniques: set[LayerSignature], config: BenchConfig,
         raise ConfigError("no unique layers to generate benchmarks for")
     specs: list[BenchmarkSpec] = []
     for sig in sorted(uniques, key=lambda s: s.canonical_string):
-        row = api_for_op(sig.op_type)
-        if row is None:
+        if api_for_op(sig.op_type) is None:
             continue
-        if sig.op_type == "Conv":
-            for dtype in config.dtypes:
-                for layout in _applicable_layouts(config.layouts, dtype):
-                    for algo in config.algorithms:
-                        specs.append(BenchmarkSpec(
-                            sig.with_dtype(dtype), algo, dtype, layout, None, row.api_name))
-        else:
-            for dtype in config.dtypes:
-                specs.append(BenchmarkSpec(
-                    sig.with_dtype(dtype), None, dtype, "NCHW", None, row.api_name))
-    if fusion_sites:
-        seen: set[tuple[str, str]] = set()
-        for site in sorted(fusion_sites,
-                           key=lambda s: (s.head_signature.canonical_string, s.pattern_id)):
-            key = (site.head_signature.canonical_string, site.pattern_id)
-            if key in seen:
-                continue
-            seen.add(key)
-            for dtype in config.dtypes:
-                for layout in _applicable_layouts(config.layouts, dtype):
-                    specs.append(BenchmarkSpec(
-                        site.head_signature.with_dtype(dtype), None, dtype, layout,
-                        site.pattern_id, _FUSED_API[site.pattern_id]))
+        conv = sig.op_type == "Conv"
+        for dtype in config.dtypes:
+            for layout in _applicable_layouts(config.layouts, dtype) if conv else ["NCHW"]:
+                for algo in config.algorithms if conv else (None,):
+                    specs.append(BenchmarkSpec(sig.with_dtype(dtype), algo, layout, None))
+    # Sites with the same head layer and pattern share their specs.
+    heads = {(s.head_signature.canonical_string, s.pattern_id): s.head_signature
+             for s in fusion_sites or ()}
+    for (_canonical, pattern_id), head in sorted(heads.items()):
+        for dtype in config.dtypes:
+            for layout in _applicable_layouts(config.layouts, dtype):
+                specs.append(BenchmarkSpec(head.with_dtype(dtype), None, layout, pattern_id))
     return specs
 
 
@@ -235,8 +237,13 @@ def manifest_lines(specs: list[BenchmarkSpec]) -> str:
 
 
 def parse_manifest(text: str) -> list[BenchmarkSpec]:
+    """Inverse of :func:`manifest_lines`.
+
+    A bad line raises ``ModelParseError`` with its line number, and so does
+    a ``dtype`` or ``api`` other than the one the spec implies.
+    """
     # A layer repeats once per algorithm, dtype and layout; parse each once.
-    signatures: dict[str, LayerSignature] = {}
+    parse = functools.cache(parse_signature)
     specs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -245,18 +252,14 @@ def parse_manifest(text: str) -> list[BenchmarkSpec]:
             rec = json.loads(line)
             if not isinstance(rec, dict) or not isinstance(rec.get("signature"), str):
                 raise ValueError("expected a JSON object with a string signature")
-            canonical = rec["signature"]
-            if canonical not in signatures:
-                signatures[canonical] = parse_signature(canonical)
             algo = ConvAlgorithm[rec["algorithm"]] if rec["algorithm"] else None
-            specs.append(BenchmarkSpec(
-                signature=signatures[canonical],
-                algorithm=algo,
-                dtype=rec["dtype"],
-                layout=rec["layout"],
-                fused=rec["fused_pattern"],
-                api_name=rec["api"],
-            ))
+            spec = BenchmarkSpec(parse(rec["signature"]), algo, rec["layout"],
+                                 rec["fused_pattern"])
+            for name, implied in (("dtype", spec.dtype), ("api", spec.api_name)):
+                if rec[name] != implied:
+                    raise ValueError(f"{name} {rec[name]!r} disagrees with the signature "
+                                     f"and pattern, which imply {implied!r}")
+            specs.append(spec)
         except (KeyError, TypeError, ValueError, LboundError) as exc:
             raise ModelParseError(f"bad manifest line: {exc}", offset=lineno) from exc
     return specs
@@ -283,11 +286,6 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
     compiled here. The canonical signature string is embedded in the header
     comment so results can always be traced to their layer.
     """
-    if not spec.api_name:
-        raise GenerationError(
-            f"no library API for {spec.signature.op_type} layer "
-            f"{spec.signature.canonical_string!r}"
-        )
     sig = spec.signature
     header = [
         "// auto-generated micro-benchmark, do not edit",

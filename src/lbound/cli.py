@@ -239,7 +239,7 @@ def db_stats(database):
     with perfdb.PerfDb(database) as handle:
         recs = handle.records()
         systems = sorted({r.key.system for r in recs})
-        click.echo(f"{len(recs)} live record(s), {len(handle.audit_log)} superseded")
+        click.echo(f"{len(recs)} live record(s), {handle.superseded} superseded")
         for system in systems:
             n = sum(1 for r in recs if r.key.system == system)
             click.echo(f"  {system}: {n}")
@@ -334,8 +334,8 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
                 with open(miss_out, "w", encoding="utf-8") as fh:
                     fh.write("\n".join(exc.keys) + "\n")
             raise
-        lb_seq = analyzer.sequential_total(ann)
-        cp = analyzer.critical_path(ann)
+        lb_seq = analyzer.sequential_total(graph, ann.latencies)
+        cp = analyzer.critical_path(graph, ann.latencies)
         report = analyzer.AnalysisReport(
             model=graph.name, system=sysid, batch=batch, dtype=dtype,
             lb_sequential_us=lb_seq, lb_parallel_us=cp.total_latency_us,
@@ -348,7 +348,7 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
         if prof is not None:
             report.algorithm_advice = analyzer.algorithm_advice(prof, anns, sysid, dtype)
             report.framework_deviations = analyzer.framework_diff(
-                prof, analyzer.expected_api_sequence(anns))
+                prof, analyzer.expected_api_sequence(graph))
         if fusion:
             report.fusion = analyzer.fusion_analysis(anns, sysid, dtype)
         if tensor_core:

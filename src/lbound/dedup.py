@@ -162,7 +162,7 @@ def parse_signature(canonical: str) -> LayerSignature:
     ``model_ir.infer_layer`` makes of them for these input dims, rendered in
     key order. Anything else raises ``ModelParseError``.
     """
-    parts = canonical.split("|")
+    parts = canonical.split("|") if isinstance(canonical, str) else ()
     if len(parts) != 4 or not parts[2].startswith("in="):
         raise ModelParseError(f"bad signature string {canonical!r}")
     op_type, dtype = parts[0], parts[1]
@@ -176,8 +176,7 @@ def parse_signature(canonical: str) -> LayerSignature:
                 raise ValueError(f"bad param {pair!r}")
             value = parse_attr_value(v)
             params[k] = urllib.parse.unquote(value) if isinstance(value, str) else value
-        params, out_dims, _macs = infer_layer(op_type, params, in_dims, "signature")
-        TensorShape(out_dims)
+        params, _dims, _macs = infer_layer(op_type, params, in_dims, "signature")
     except (ValueError, ShapeInferenceError) as exc:
         raise ModelParseError(f"bad signature {canonical!r}: {exc}") from exc
     sig = _build(op_type, dtype, in_dims, sorted(params.items()))

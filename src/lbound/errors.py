@@ -51,10 +51,6 @@ class StorageError(LboundError):
     exit_code = 4
 
 
-class GenerationError(LboundError):
-    """A benchmark source could not be emitted for a spec."""
-
-
 class ProfileFormatError(LboundError):
     """An execution profile or log file violates its grammar."""
 

@@ -5,6 +5,9 @@ ONNX-format reader (see :mod:`lbound.onnx_reader`) and a line-based text
 format used for fixtures and small experiments. Weight tensors are recorded
 by shape only; their values are discarded at load time. Graphs are treated
 as immutable after construction: ``infer_shapes`` returns a new graph.
+Both loaders end in :func:`validate`, which owns the topological order: it
+stores its one :func:`topo_order` result as ``ModelGraph.order``, which
+``infer_shapes`` carries over and every walk over the graph reads.
 
 Text model grammar (one directive per line, ``#`` starts a comment)::
 
@@ -95,10 +98,11 @@ class ModelGraph:
     nodes: dict[str, LayerNode]
     graph_inputs: list[tuple[str, TensorShape]]
     graph_outputs: list[str]
+    order: tuple[str, ...] = ()  # topological order of ``nodes``, set by ``validate``
 
 
 def validate(graph: ModelGraph) -> None:
-    """Check edge integrity and acyclicity; fill consumer lists."""
+    """Check edge integrity and acyclicity; fill consumer lists and ``order``."""
     input_names = {n for n, _ in graph.graph_inputs}
     for node in graph.nodes.values():
         node.output_ids = []
@@ -115,28 +119,23 @@ def validate(graph: ModelGraph) -> None:
     for out in graph.graph_outputs:
         if out not in graph.nodes:
             raise GraphStructureError(f"graph output {out!r} is not a node")
-    topo_order(graph)  # raises on cycles
+    graph.order = tuple(topo_order(graph))  # raises on cycles
 
 
 def topo_order(graph: ModelGraph) -> list[str]:
-    """Topological order of node ids; ties broken by node id, ascending."""
-    indeg = {nid: 0 for nid in graph.nodes}
-    for node in graph.nodes.values():
-        for src in node.input_ids:
-            if src in graph.nodes:
-                indeg[node.id] += 1
+    """Topological order of node ids; ties broken by node id, ascending.
+
+    Follows the consumer lists (``output_ids``) that ``validate`` fills.
+    """
+    indeg = {node.id: sum(src in graph.nodes for src in node.input_ids)
+             for node in graph.nodes.values()}
     ready = [nid for nid, d in sorted(indeg.items()) if d == 0]
     heapq.heapify(ready)
-    consumers: dict[str, list[str]] = {nid: [] for nid in graph.nodes}
-    for node in graph.nodes.values():
-        for src in node.input_ids:
-            if src in graph.nodes:
-                consumers[src].append(node.id)
     order: list[str] = []
     while ready:
         nid = heapq.heappop(ready)
         order.append(nid)
-        for consumer in consumers[nid]:
+        for consumer in graph.nodes[nid].output_ids:
             indeg[consumer] -= 1
             if indeg[consumer] == 0:
                 heapq.heappush(ready, consumer)
@@ -532,12 +531,15 @@ def infer_layer(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
 
     The one path from recorded params to a canonical layer, shared by graph
     shape inference, signature parsing and the simulator. Params or input
-    ranks that the shape rules cannot read raise ``ShapeInferenceError``
-    naming the node and op.
+    ranks that the shape rules cannot read, and params that yield an empty
+    or non-positive output dim, raise ``ShapeInferenceError`` naming the
+    node and op.
     """
     try:
         canonical = canonicalize_params(op_type, params, in_dims, node_id)
         dims = output_dims(op_type, in_dims, canonical, node_id)
+        if not dims or min(dims) < 1:
+            raise ValueError(f"output dims {dims} are not all positive")
         return canonical, dims, node_macs(op_type, in_dims, dims, canonical)
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise ShapeInferenceError(
@@ -553,28 +555,26 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
     """Return a copy of ``graph`` with all shapes populated at ``batch``.
 
     The leading dim of every graph input is the batch dim and is replaced
-    by ``batch``. Propagation follows topological order; idempotent.
+    by ``batch``. Propagation follows ``graph.order``, which the copy keeps;
+    idempotent.
     """
     if batch < 1:
         raise ShapeInferenceError(f"batch must be >= 1, got {batch}")
+    if len(graph.order) != len(graph.nodes):
+        raise GraphStructureError(f"graph {graph.name!r} has no order; run validate first")
     inputs = [
         (name, TensorShape((batch,) + s.dims[1:], s.dtype))
         for name, s in graph.graph_inputs
     ]
     by_name = dict(inputs)
     nodes: dict[str, LayerNode] = {}
-    out = ModelGraph(graph.name, nodes, inputs, list(graph.graph_outputs))
+    out = ModelGraph(graph.name, nodes, inputs, list(graph.graph_outputs), graph.order)
 
-    for nid in topo_order(graph):
+    for nid in graph.order:
         node = graph.nodes[nid]
-        in_shapes: list[TensorShape] = []
-        for src in node.input_ids:
-            if src in nodes:
-                in_shapes.append(nodes[src].out_shapes[0])
-            elif src in by_name:
-                in_shapes.append(by_name[src])
-            else:
-                raise GraphStructureError(f"node {nid!r} references unknown input {src!r}")
+        # validate checked every edge, and producers precede consumers in order.
+        in_shapes = [nodes[src].out_shapes[0] if src in nodes else by_name[src]
+                     for src in node.input_ids]
         in_dims = [s.dims for s in in_shapes]
         params, dims, n_macs = infer_layer(node.op_type, node.params, in_dims, nid)
         nodes[nid] = LayerNode(

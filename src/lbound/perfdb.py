@@ -11,10 +11,11 @@ records only: the live records, their order and therefore the index are the
 same after a reopen.
 
 Appending is the only write path; re-inserting a key replaces the live
-record while the superseded one stays on disk and in the audit trail until
-``compact`` rewrites the file. Readers take a snapshot at open; a writer
-holds an advisory file lock for the lifetime of the handle and loads the
-file under it.
+record while the superseded one stays on disk until ``compact`` rewrites
+the file. The handle keeps only their number, ``superseded``, which is
+what ``db stats`` and ``compact`` report. Readers take a snapshot at open;
+a writer holds an advisory file lock for the lifetime of the handle and
+loads the file under it.
 
 A crash in the middle of an append leaves a torn tail: a last line with no
 trailing newline that does not parse. A read-only open skips it; a writer
@@ -26,10 +27,15 @@ Record fields, in on-disk order: v, system, dtype, hash64, signature,
 algorithm, layout, fused, status, latency_us, source, timestamp, metadata.
 The canonical signature string is stored alongside its hash as a collision
 guard; equality is always decided on the string.
+
+``import_lines`` also parses each record's signature and requires its
+``dtype`` and ``hash64`` to be the signature's. An open does not, since it
+would add to every read, and such a record can never match a query.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -37,8 +43,8 @@ import time
 from dataclasses import dataclass, field
 
 from .benchgen import ALGO_RANK, FUSION_PATTERNS, BenchmarkSpec
-from .dedup import LayerSignature
-from .errors import MissError, StorageError
+from .dedup import LayerSignature, parse_signature
+from .errors import MissError, ModelParseError, StorageError
 from .model_ir import DTYPES, LAYOUTS
 
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
@@ -161,7 +167,7 @@ class PerfDb:
         self.mode = mode
         # (system, dtype, signature) -> {index key: live record}
         self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
-        self._audit: list[PerfRecord] = []
+        self.superseded = 0  # replaced records still in the file
         self._fh = None
         if mode == "rw":
             self._acquire_writer()
@@ -238,26 +244,34 @@ class PerfDb:
     def _put(self, record: PerfRecord) -> None:
         key = record.key.index_key()
         layer = self._by_layer.setdefault(key[:3], {})
-        prev = layer.get(key)
-        if prev is not None:
-            self._audit.append(prev)
+        self.superseded += key in layer
         layer[key] = record
 
     def import_lines(self, text: str) -> int:
-        """Insert records from an external result file (same line format)."""
+        """Insert records from an external result file, each checked against its signature."""
+        parse = functools.cache(parse_signature)  # one parse per distinct signature
         n = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            self.insert(_record_from_json(line, lineno))
+            rec = _record_from_json(line, lineno)
+            key = rec.key
+            try:
+                sig = parse(key.signature)
+            except (ModelParseError, TypeError) as exc:  # TypeError: unhashable signature
+                raise StorageError(f"bad database record at line {lineno}: {exc}") from exc
+            if (key.dtype, key.hash64) != (sig.dtype, sig.hash64):
+                raise StorageError(f"bad database record at line {lineno}: dtype and hash64 "
+                                   f"must be {sig.dtype!r} and {sig.hash64!r}")
+            self.insert(rec)
             n += 1
         return n
 
     def compact(self) -> int:
-        """Rewrite the file with live records only; clears the audit trail."""
+        """Rewrite the file with live records only; returns the superseded count."""
         if self.mode != "rw" or self._fh is None:
             raise StorageError("database opened read-only")
-        dropped = len(self._audit)
+        dropped = self.superseded
         tmp = self.path + ".compact"
         try:
             with open(tmp, "w", encoding="utf-8") as out:
@@ -268,7 +282,7 @@ class PerfDb:
             raise StorageError(f"cannot compact database {self.path}: {exc}") from exc
         # Reacquire the append handle on the new inode.
         self.close()
-        self._audit = []
+        self.superseded = 0
         self._acquire_writer()
         return dropped
 
@@ -276,10 +290,6 @@ class PerfDb:
 
     def __len__(self) -> int:
         return sum(len(layer) for layer in self._by_layer.values())
-
-    @property
-    def audit_log(self) -> list[PerfRecord]:
-        return list(self._audit)
 
     def records(self) -> list[PerfRecord]:
         return [rec for layer in self._by_layer.values() for rec in layer.values()]
@@ -289,8 +299,7 @@ class PerfDb:
         return self._by_layer.get(index_key[:3], {}).get(index_key)
 
     def has_spec(self, system: str, spec: BenchmarkSpec) -> bool:
-        key = key_for_spec(system, spec).index_key()
-        return key in self._by_layer.get(key[:3], {})
+        return self.record_for(key_for_spec(system, spec)) is not None
 
     def query(self, system: str, dtype: str,
               signature: LayerSignature | str) -> list[PerfRecord]:

@@ -15,13 +15,10 @@ from lbound import analyzer
 from lbound.benchgen import ConvAlgorithm
 from lbound.cli import main
 from lbound.errors import DomainError
-from lbound.model_ir import LayerNode, ModelGraph, TensorShape, topo_order, validate
+from lbound import model_ir
+from lbound.model_ir import LayerNode, ModelGraph, TensorShape, validate
 from lbound.perfdb import PerfDb
 from lbound.profile_ingest import ApiCall, ExecutionProfile
-
-
-def _ann(graph, latencies):
-    return analyzer.LatencyAnnotatedGraph(graph, latencies, {}, topo_order(graph))
 
 
 def oracle_critical_path(graph, latencies):
@@ -66,7 +63,7 @@ def test_critical_path_matches_enumeration(seed, kind):
         latencies = {nid: float(rng.randint(0, 4)) for nid in graph.nodes}
     else:  # non-integral values whose sums tie or miss by rounding
         latencies = {nid: rng.choice((0.1, 0.2, 0.3, 0.7)) for nid in graph.nodes}
-    cp = analyzer.critical_path(_ann(graph, latencies))
+    cp = analyzer.critical_path(graph, latencies)
     total, smallest_tied, smallest_kept = oracle_critical_path(graph, latencies)
     assert cp.total_latency_us == total
     assert cp.total_latency_us == mz.brute_force_critical_total(graph, latencies)
@@ -86,7 +83,7 @@ def test_rounding_tie_keeps_the_larger_prefix():
     validate(graph)
     lat = {"n00": 0.3, "n01": 0.2, "n03": 0.1, "n04": 0.3, "n05": 0.2}
     assert 0.3 + 0.3 + 0.2 == 0.2 + 0.1 + 0.3 + 0.2
-    cp = analyzer.critical_path(_ann(graph, lat))
+    cp = analyzer.critical_path(graph, lat)
     assert cp.node_ids == ["n01", "n03", "n04", "n05"]
     assert cp.total_latency_us == 0.8
 
@@ -95,7 +92,7 @@ def test_critical_path_on_random_dag_latencies():
     rng = random.Random(5)
     for _ in range(200):
         graph, latencies = mz.random_dag(rng)
-        cp = analyzer.critical_path(_ann(graph, latencies))
+        cp = analyzer.critical_path(graph, latencies)
         assert cp.total_latency_us == mz.brute_force_critical_total(graph, latencies)
         assert sum(latencies[n] for n in cp.node_ids) == pytest.approx(cp.total_latency_us)
 
@@ -107,14 +104,14 @@ def test_long_chain_returns_whole_chain():
              for i, nid in enumerate(ids)}
     graph = ModelGraph("chain", nodes, [("in", TensorShape((1,)))], [ids[-1]])
     validate(graph)
-    cp = analyzer.critical_path(_ann(graph, {nid: 0.5 for nid in ids}))
+    cp = analyzer.critical_path(graph, {nid: 0.5 for nid in ids})
     assert cp.node_ids == ids
     assert cp.total_latency_us == n * 0.5
 
 
 def test_empty_graph():
     graph = ModelGraph("empty", {}, [], [])
-    assert analyzer.critical_path(_ann(graph, {})) == analyzer.CriticalPath([], 0.0)
+    assert analyzer.critical_path(graph, {}) == analyzer.CriticalPath([], 0.0)
 
 
 def test_annotation_shares_signatures_and_order(db_builder, v100, monkeypatch):
@@ -129,23 +126,25 @@ def test_annotation_shares_signatures_and_order(db_builder, v100, monkeypatch):
         return wrapped
 
     for name in calls:
-        monkeypatch.setattr(analyzer, name, counting(name, getattr(analyzer, name)))
+        module = model_ir if name == "topo_order" else analyzer
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     with PerfDb(path) as db:
         anns = analyzer.Annotator(graph, db)
         ann = anns.annotation("Tesla_V100", "f32")
         assert anns.annotation("Tesla_V100", "f32") is ann
-        analyzer.critical_path(ann)
+        analyzer.critical_path(graph, ann.latencies)
         analyzer.export_dot(ann)
         analyzer.fusion_analysis(anns, "Tesla_V100", "f32")
         analyzer.tensorcore_analysis(anns, "Tesla_V100")
         analyzer.joint_analysis(anns, "Tesla_V100", analyzer.Scenario(
             parallel=True, fusion=True, tensor_core=True))
         rows = analyzer.advise_systems(anns, ["Tesla_V100", "TITAN_V"], "f32")
-    supported = sum(1 for sig in ann.order if analyzer.api_for_op(graph.nodes[sig].op_type))
+    supported = sum(1 for node in graph.nodes.values() if analyzer.api_for_op(node.op_type))
     # (f32, any), (f32, NCHW), (f16, NCHW) on V100, then (f32, any) on TITAN_V
     assert calls["annotate"] == 4
     assert calls["signature"] == 2 * supported
-    assert calls["topo_order"] == 1
+    # The graph carries the order validate computed; no analysis sorts again.
+    assert calls["topo_order"] == 0
     assert [r.system for r in rows] == ["Tesla_V100", "TITAN_V"]
     assert rows[1].has_misses and not rows[0].has_misses
 
@@ -174,7 +173,7 @@ def test_benanza_ratio():
 
 def _logged_profile(anns, algos):
     """A profile logging ``algos[i]`` (a ConvAlgorithm name, or "") for the i-th conv."""
-    convs = [nid for nid in anns.order if anns.graph.nodes[nid].op_type == "Conv"]
+    convs = [nid for nid in anns.graph.order if anns.graph.nodes[nid].op_type == "Conv"]
     calls = []
     for i in range(len(convs)):
         algo = algos[i % len(algos)]
@@ -238,12 +237,13 @@ def test_scenario_properties(scenario_db, model, layout, algos):
             assert math.isfinite(joint.lb_us) and joint.lb_us > 0
             lb[parallel, ideal, fusion, tc] = joint.lb_us
             if fusion:
-                plain = analyzer.sequential_total(anns.annotation("Tesla_V100", joint.dtype))
+                plain = analyzer.sequential_total(
+                    anns.graph, anns.annotation("Tesla_V100", joint.dtype).latencies)
                 assert analyzer.fusion_analysis(
                     anns, "Tesla_V100", joint.dtype).unfused_lb_us == plain
     for ideal, fusion, tc in itertools.product((False, True), repeat=3):
         assert lb[True, ideal, fusion, tc] <= lb[False, ideal, fusion, tc]
-    plain = analyzer.sequential_total(anns.annotation("Tesla_V100", "f32"))
+    plain = analyzer.sequential_total(anns.graph, anns.annotation("Tesla_V100", "f32").latencies)
     assert lb[False, True, False, False] == plain
 
 

@@ -98,6 +98,25 @@ def test_bad_record_is_refused_on_import_and_open(r18, tmp_path, changes):
     _no_traceback(_analyze(model, copy), 4)
 
 
+@pytest.mark.parametrize("changes", [{"signature": "garbage", "hash64": "zz"},
+                                     {"dtype": "f16"},
+                                     {"hash64": "zz"},
+                                     {"signature": ["x"]}],
+                         ids=["garbage-signature", "dtype", "hash64", "list-signature"])
+def test_record_that_disagrees_with_its_signature_is_refused_on_import(r18, tmp_path, changes):
+    model, db = r18
+    good = db.read_bytes()
+    line = next(ln for ln in good.decode().splitlines() if '"algorithm":"IPGEMM"' in ln)
+    rec = tmp_path / "rec.jsonl"
+    rec.write_text(json.dumps({**json.loads(line), **changes}) + "\n", "utf-8")
+    copy = tmp_path / "perf.db"
+    copy.write_bytes(good)
+    res = CliRunner().invoke(main, ["db", "import", str(copy), str(rec)])
+    _no_traceback(res, 4)
+    assert res.output.count("error:") == 1 and "line 1" in res.output
+    assert copy.read_bytes() == good
+
+
 @pytest.mark.parametrize("cost", ["abc", "nan", "inf", "-3"])
 def test_bad_cost_exits_2(r18, cost):
     model, db = r18
@@ -160,9 +179,9 @@ _CONV = "Conv|f32|in=1x3x8x8|dilations=1x1,group=1,kernel=3x3,pads=1x1x1x1"
 _CONV_API = "cudnnConvolutionForward"
 
 
-def _spec_line(signature, algorithm="FFT", fused=None, api=_CONV_API):
+def _spec_line(signature, algorithm="FFT", fused=None, api=_CONV_API, dtype="f32"):
     return json.dumps({"signature": signature, "api": api, "algorithm": algorithm,
-                       "dtype": "f32", "layout": "NCHW", "fused_pattern": fused})
+                       "dtype": dtype, "layout": "NCHW", "fused_pattern": fused})
 
 
 def _one_error(res):
@@ -180,8 +199,13 @@ def _one_error(res):
     _spec_line(_CONV + ",strides=1x1,w1=4x3x3x3", None, "bogus"),
     _spec_line(_CONV + ",strides=1x1,w1=4x3x3x3", None),
     _spec_line("Relu|f32|in=1x3x8x8|", "FFT", api="cudnnActivationForward"),
+    _spec_line(_CONV + ",strides=1x1,w1=4x3x3x3", dtype="f16"),
+    _spec_line("Relu|f32|in=1x3x8x8|", None, api="cublasGemmEx"),
+    _spec_line(_CONV + ",strides=1x1,w1=4x3x3x3", api=5),
+    _spec_line("Reshape|f32|in=1x3x8x8|shape=1x192", None, api="cudnnOpTensor"),
 ], ids=["scalar-strides", "no-w1", "no-input", "list", "int-signature", "bogus-fused",
-        "conv-without-algorithm", "relu-with-algorithm"])
+        "conv-without-algorithm", "relu-with-algorithm", "dtype-mismatch", "api-mismatch",
+        "int-api", "no-library-api"])
 def test_bad_manifest_line_exits_2(tmp_path, line):
     good = _spec_line(_CONV + ",strides=1x1,w1=4x3x3x3")
     manifest = tmp_path / "specs.jsonl"
@@ -200,9 +224,12 @@ def test_bad_manifest_line_exits_2(tmp_path, line):
     ("1x3", "Reshape attrs=shape=0x0x0"),
     ("1x3x8x8", "Conv attrs=kernel=3x3;w1=abc"),
     ("1x3x8x8", "Conv attrs=kernel=1x1;strides=0x0;w1=4x3x1x1"),
+    ("1x3x8x8", "Conv attrs=kernel=1x1;strides=-1x-1;w1=4x3x1x1"),
 ])
 def test_bad_text_model_layer_exits_2(tmp_path, dims, node):
     op, attrs = node.split(" ")
     model = tmp_path / "bad.txt"
     model.write_text(f"graph t\ninput d {dims}\nnode n {op} inputs=d {attrs}\n", "utf-8")
-    _one_error(CliRunner().invoke(main, ["process", str(model)]))
+    res = CliRunner().invoke(main, ["process", str(model)])
+    _one_error(res)
+    assert f"node 'n' ({op})" in res.output

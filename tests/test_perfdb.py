@@ -78,7 +78,7 @@ def test_index_matches_linear_scan(recs):
                 db.insert(rec)
             live = len({r.key.index_key() for r in recs})
             assert len(db) == live
-            assert len(db.audit_log) == len(recs) - live
+            assert db.superseded == len(recs) - live
             check_index(db, ALL_LAYERS)
             before = db.records()
             with PerfDb(path) as snap:
@@ -89,7 +89,7 @@ def test_index_matches_linear_scan(recs):
             check_index(db, ALL_LAYERS)
         with PerfDb(path) as snap:
             assert snap.records() == before
-            assert snap.audit_log == []
+            assert snap.superseded == 0
             check_index(snap, ALL_LAYERS)
 
 
@@ -98,7 +98,7 @@ def test_resnet50_index_with_superseded_records(db_builder, v100):
     path = db_builder([graph], v100, fusion=True, jitter_seed=1)
     db_builder([graph], v100, fusion=True, jitter_seed=2)  # supersedes every record
     with PerfDb(path) as db:
-        assert len(db.audit_log) == len(db) > 0
+        assert db.superseded == len(db) > 0
         layers = sorted({r.key.index_key()[:3] for r in db.records()})
         layers.append(("Tesla_V100", "f32", "Relu|f32|in=9x9|"))
         check_index(db, layers)

@@ -1,0 +1,43 @@
+"""Profile container: serialization and parsing round-trip byte for byte."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lbound.profile_ingest import (
+    ApiCall,
+    ExecutionProfile,
+    KernelRecord,
+    parse_profile,
+    serialize_profile,
+)
+
+# One META value: no line breaks, and no whitespace at either end, which
+# the parser strips.
+_value = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                 max_size=12).map(str.strip)
+_latency = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def profiles(draw):
+    seqs = sorted(draw(st.sets(st.integers(1, 10_000), max_size=8)))
+    calls = [ApiCall(seq, draw(st.text(max_size=10)),
+                     draw(st.dictionaries(st.text(max_size=4), st.text(max_size=6), max_size=3)),
+                     draw(st.none() | st.lists(st.text(max_size=8), max_size=3)))
+             for seq in seqs]
+    kernels = draw(st.lists(st.builds(
+        KernelRecord, st.text(max_size=10), _latency,
+        st.none() | st.tuples(st.integers(0, 10_000), st.integers(0, 10_000))), max_size=5))
+    return ExecutionProfile(draw(_value), draw(_value), draw(st.integers(1, 1024)),
+                            draw(_latency), calls, kernels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles())
+def test_profile_round_trips_byte_for_byte(profile):
+    text = serialize_profile(profile)
+    parsed = parse_profile(text)
+    assert parsed == profile
+    assert serialize_profile(parsed) == text
