@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from .errors import ModelParseError, ShapeInferenceError, ShapeStateError
 from .model_ir import (
     ACTIVATION_OPS,
+    DTYPES,
     POOL_OPS,
     LayerNode,
     ModelGraph,
@@ -168,7 +169,9 @@ def parse_signature(canonical: str) -> LayerSignature:
     op_type, dtype = parts[0], parts[1]
     params: dict = {}
     try:
-        in_dims = [TensorShape(tuple(int(d) for d in chunk.split("x")), dtype).dims
+        if dtype not in DTYPES:
+            raise ValueError(f"unknown dtype {dtype!r}")
+        in_dims = [TensorShape(tuple(int(d) for d in chunk.split("x"))).dims
                    for chunk in parts[2][3:].split(",")]
         for pair in parts[3].split(",") if parts[3] else ():
             k, sep, v = pair.partition("=")

@@ -9,6 +9,14 @@ Both loaders end in :func:`validate`, which owns the topological order: it
 stores its one :func:`topo_order` result as ``ModelGraph.order``, which
 ``infer_shapes`` carries over and every walk over the graph reads.
 
+Each operator has one rule in the ``_RULES`` table. A rule takes the
+recorded params, the data-input dims and the node id, and returns the
+canonical params, the output dims and the MAC count, so everything the
+package knows about an op sits in one function. :func:`infer_layer` looks
+the op up there once. ``SUPPORTED_OPS`` is the table's key set; a loader
+turns any other op into ``Opaque``, which is kept for connectivity and
+excluded from lower-bound latency.
+
 Text model grammar (one directive per line, ``#`` starts a comment)::
 
     graph <name>
@@ -23,8 +31,10 @@ given input slot, e.g. ``w1=64x3x7x7`` for a convolution filter.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -38,18 +48,10 @@ DTYPES = ("f32", "f16")
 DTYPE_BYTES = {"f32": 4, "f16": 2}
 LAYOUTS = ("NCHW", "NHWC")
 
-# Operator vocabulary. Anything else becomes Opaque: kept for connectivity,
-# excluded from lower-bound latency.
+# Op groups that spec generation and the API mapping treat alike. The full
+# vocabulary is ``SUPPORTED_OPS``, the keys of the rule table below.
 ACTIVATION_OPS = ("Relu", "Sigmoid", "Tanh")
 POOL_OPS = ("MaxPool", "AveragePool", "GlobalAveragePool")
-RESHAPE_OPS = ("Reshape", "Flatten", "Unsqueeze", "Squeeze", "Transpose")
-SUPPORTED_OPS = frozenset(
-    ("Conv", "Gemm", "MatMul", "BatchNorm", "Softmax", "Add", "Mul", "Concat",
-     "Dropout", "Identity", "Opaque")
-    + ACTIVATION_OPS
-    + POOL_OPS
-    + RESHAPE_OPS
-)
 
 # Accepted spellings from other toolchains, normalized at load time.
 OP_ALIASES = {"BatchNormalization": "BatchNorm"}
@@ -60,15 +62,12 @@ class TensorShape:
     """Shape of one activation tensor, NCHW order for 4-D tensors."""
 
     dims: tuple[int, ...]
-    dtype: str = "f32"
 
     def __post_init__(self):
         if len(self.dims) < 1:
             raise ShapeInferenceError(f"rank must be >= 1, got {self.dims!r}")
         if any(not isinstance(d, int) or d < 1 for d in self.dims):
             raise ShapeInferenceError(f"all dims must be positive integers, got {self.dims!r}")
-        if self.dtype not in DTYPES:
-            raise ShapeInferenceError(f"unknown dtype {self.dtype!r}")
 
     def render(self) -> str:
         return "x".join(str(d) for d in self.dims)
@@ -150,7 +149,7 @@ def topo_order(graph: ModelGraph) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Parameter canonicalization
+# Operator rules
 # ---------------------------------------------------------------------------
 
 def _as_pair(value, name: str, node_id: str) -> tuple[int, int]:
@@ -192,134 +191,6 @@ def _resolve_auto_pad(mode: str, in_dim: int, k: int, stride: int, dil: int) -> 
     return (begin, end)
 
 
-def is_weight_key(key: str) -> bool:
-    """True for a ``w<slot>`` param, which records a weight operand by its dims."""
-    return key.startswith("w") and key[1:].isdigit()
-
-
-def canonicalize_params(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
-                        node_id: str) -> dict:
-    """Normalize op params so identical layers render identical signatures.
-
-    Fills documented defaults (pads=0, strides=1, dilations=1, group=1),
-    expands scalars to tuples, resolves auto_pad into explicit pads, and
-    derives the convolution weight shape from ``filters`` when no ``w1``
-    was recorded. Inference-irrelevant attributes are dropped.
-    """
-    p = dict(params)
-    for k, v in list(p.items()):
-        if is_weight_key(k):
-            p[k] = _as_dims(v)
-    for k in ("momentum", "spatial", "is_test", "consumed_inputs"):
-        p.pop(k, None)
-
-    def keep_weights(out: dict) -> dict:
-        return {**out, **{k: p[k] for k in sorted(p) if is_weight_key(k)}}
-
-    if op_type == "Conv":
-        strides = _as_pair(p.get("strides", 1), "strides", node_id)
-        dilations = _as_pair(p.get("dilations", 1), "dilations", node_id)
-        group = int(p.get("group", 1))
-        if "w1" in p:
-            w1 = p["w1"]
-            kernel = _as_pair(p.get("kernel", tuple(w1[2:4])), "kernel", node_id)
-        elif "kernel" in p and "filters" in p:
-            kernel = _as_pair(p["kernel"], "kernel", node_id)
-            if not in_dims:
-                raise ShapeInferenceError(f"node {node_id!r}: Conv has no data input")
-            cin = in_dims[0][1]
-            w1 = (int(p["filters"]), cin // group, kernel[0], kernel[1])
-        else:
-            raise ShapeInferenceError(
-                f"node {node_id!r}: Conv needs w1 dims or kernel+filters attrs"
-            )
-        if "auto_pad" in p and p["auto_pad"] not in ("NOTSET", ""):
-            hb, he = _resolve_auto_pad(str(p["auto_pad"]), in_dims[0][2], kernel[0],
-                                       strides[0], dilations[0])
-            wb, we = _resolve_auto_pad(str(p["auto_pad"]), in_dims[0][3], kernel[1],
-                                       strides[1], dilations[1])
-            pads = (hb, wb, he, we)
-        else:
-            pads = _as_pads(p.get("pads", 0), node_id)
-        out = {"dilations": dilations, "group": group, "kernel": kernel,
-               "pads": pads, "strides": strides, "w1": _as_dims(w1)}
-        if "w2" in p:
-            out["w2"] = p["w2"]
-        return out
-
-    if op_type in ("MaxPool", "AveragePool"):
-        if "kernel" not in p:
-            raise ShapeInferenceError(f"node {node_id!r}: {op_type} needs kernel dims")
-        out = {
-            "kernel": _as_pair(p["kernel"], "kernel", node_id),
-            "pads": _as_pads(p.get("pads", 0), node_id),
-            "strides": _as_pair(p.get("strides", 1), "strides", node_id),
-        }
-        if p.get("ceil_mode"):
-            out["ceil_mode"] = 1
-        return out
-
-    if op_type == "GlobalAveragePool":
-        return {}
-
-    if op_type == "Gemm":
-        out = {"transA": int(p.get("transA", 0)), "transB": int(p.get("transB", 0))}
-        for k in ("alpha", "beta"):
-            if k in p and float(p[k]) != 1.0:
-                out[k] = float(p[k])
-        return keep_weights(out)
-
-    if op_type == "BatchNorm":
-        return keep_weights({"epsilon": float(p.get("epsilon", 1e-5))})
-
-    if op_type == "Softmax":
-        return {"axis": int(p.get("axis", -1))}
-
-    if op_type == "Concat":
-        if "axis" not in p:
-            raise ShapeInferenceError(f"node {node_id!r}: Concat needs axis")
-        return {"axis": int(p["axis"])}
-
-    if op_type == "Flatten":
-        return {"axis": int(p.get("axis", 1))}
-
-    if op_type == "Reshape":
-        if "shape" not in p:
-            raise ShapeInferenceError(f"node {node_id!r}: Reshape needs target shape")
-        return {"shape": tuple(int(v) for v in _as_dims(p["shape"]))}
-
-    if op_type == "Unsqueeze":
-        if "axes" not in p:
-            raise ShapeInferenceError(f"node {node_id!r}: Unsqueeze needs axes")
-        return {"axes": _as_dims(p["axes"])}
-
-    if op_type == "Squeeze":
-        return {"axes": _as_dims(p["axes"])} if "axes" in p else {}
-
-    if op_type == "Transpose":
-        if "perm" in p:
-            return {"perm": _as_dims(p["perm"])}
-        if in_dims:
-            return {"perm": tuple(reversed(range(len(in_dims[0]))))}
-        return {}
-
-    if op_type == "Dropout":
-        return {"ratio": float(p["ratio"])} if "ratio" in p else {}
-
-    if op_type in ("Add", "Mul"):
-        return keep_weights({})
-
-    if op_type in ACTIVATION_OPS or op_type == "Identity":
-        return {}
-
-    # Opaque: keep whatever was recorded, normalized enough to render.
-    return {k: p[k] for k in sorted(p)}
-
-
-# ---------------------------------------------------------------------------
-# Shape rules
-# ---------------------------------------------------------------------------
-
 def _conv_axis(in_dim: int, k: int, stride: int, pad_b: int, pad_e: int, dil: int,
                ceil_mode: bool = False) -> int:
     eff = dil * (k - 1) + 1
@@ -346,179 +217,260 @@ def _broadcast(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None
     return tuple(reversed(out))
 
 
-def output_dims(op_type: str, in_dims: list[tuple[int, ...]], params: dict,
-                node_id: str = "?") -> tuple[int, ...]:
-    """Output dims of one node given canonicalized params and input dims.
+def _err(node_id: str, op_type: str, msg: str) -> ShapeInferenceError:
+    return ShapeInferenceError(f"node {node_id!r} ({op_type}): {msg}")
 
-    ``in_dims`` holds the data-input dims in slot order; weight operands
-    live in ``params`` as ``w<slot>`` entries.
-    """
 
-    def err(msg: str) -> ShapeInferenceError:
-        return ShapeInferenceError(f"node {node_id!r} ({op_type}): {msg}")
+def is_weight_key(key: str) -> bool:
+    """True for a ``w<slot>`` param, which records a weight operand by its dims."""
+    return key.startswith("w") and key[1:].isdigit()
 
-    if op_type == "Conv":
-        (n, c, h, w) = in_dims[0]
-        w1 = params["w1"]
-        group = params["group"]
-        if len(w1) != 4:
-            raise err(f"weight must be rank 4, got {w1}")
-        if w1[1] * group != c:
-            raise err(f"input channels {c} do not match weight {w1} with group {group}")
-        kh, kw = params["kernel"]
-        sh, sw = params["strides"]
-        dh, dw = params["dilations"]
-        pt, pl, pb, pr = params["pads"]
-        return (n, w1[0],
-                _conv_axis(h, kh, sh, pt, pb, dh),
-                _conv_axis(w, kw, sw, pl, pr, dw))
 
-    if op_type in ("MaxPool", "AveragePool"):
-        (n, c, h, w) = in_dims[0]
-        kh, kw = params["kernel"]
-        sh, sw = params["strides"]
-        pt, pl, pb, pr = params["pads"]
-        ceil = bool(params.get("ceil_mode"))
-        return (n, c,
-                _conv_axis(h, kh, sh, pt, pb, 1, ceil),
-                _conv_axis(w, kw, sw, pl, pr, 1, ceil))
+def _with_weights(canonical: dict, p: dict) -> dict:
+    return {**canonical, **{k: p[k] for k in sorted(p) if is_weight_key(k)}}
 
-    if op_type == "GlobalAveragePool":
-        (n, c, *_rest) = in_dims[0]
-        return (n, c, 1, 1)
 
-    if op_type == "Gemm":
-        a = in_dims[0]
-        if len(a) != 2:
-            raise err(f"expects a rank-2 input, got {a}")
-        b = tuple(params["w1"]) if "w1" in params else (in_dims[1] if len(in_dims) > 1 else None)
-        if b is None or len(b) != 2:
-            raise err(f"no rank-2 B operand (got {b})")
-        m, k = (a[1], a[0]) if params["transA"] else a
-        kb, n_out = (b[1], b[0]) if params["transB"] else b
-        if k != kb:
-            raise err(f"inner dims differ: A gives {k}, B gives {kb} ({a} vs {b})")
-        return (m, n_out)
+def _conv(p, in_dims, node_id):
+    strides = _as_pair(p.get("strides", 1), "strides", node_id)
+    dilations = _as_pair(p.get("dilations", 1), "dilations", node_id)
+    group = int(p.get("group", 1))
+    if "w1" in p:
+        w1 = p["w1"]
+        kernel = _as_pair(p.get("kernel", tuple(w1[2:4])), "kernel", node_id)
+    elif "kernel" in p and "filters" in p:
+        kernel = _as_pair(p["kernel"], "kernel", node_id)
+        cin = in_dims[0][1]
+        w1 = (int(p["filters"]), cin // group, kernel[0], kernel[1])
+    else:
+        raise ShapeInferenceError(
+            f"node {node_id!r}: Conv needs w1 dims or kernel+filters attrs"
+        )
+    if p.get("auto_pad", "") not in ("NOTSET", ""):
+        mode = str(p["auto_pad"])
+        hb, he = _resolve_auto_pad(mode, in_dims[0][2], kernel[0], strides[0], dilations[0])
+        wb, we = _resolve_auto_pad(mode, in_dims[0][3], kernel[1], strides[1], dilations[1])
+        pads = (hb, wb, he, we)
+    else:
+        pads = _as_pads(p.get("pads", 0), node_id)
+    w1 = _as_dims(w1)
+    canonical = {"dilations": dilations, "group": group, "kernel": kernel,
+                 "pads": pads, "strides": strides, "w1": w1}
+    if "w2" in p:
+        canonical["w2"] = p["w2"]
 
-    if op_type == "MatMul":
-        a = in_dims[0]
-        b = tuple(params["w1"]) if "w1" in params else (in_dims[1] if len(in_dims) > 1 else None)
-        if b is None:
-            raise err("no B operand")
-        if len(a) < 2 or len(b) < 2:
-            raise err(f"operands must be rank >= 2, got {a} and {b}")
-        if a[-1] != b[-2]:
-            raise err(f"inner dims differ: {a} vs {b}")
-        batch = _broadcast(a[:-2], b[:-2]) if (len(a) > 2 or len(b) > 2) else ()
-        if batch is None:
-            raise err(f"batch dims do not broadcast: {a} vs {b}")
-        return tuple(batch) + (a[-2], b[-1])
+    (n, c, h, w) = in_dims[0]
+    if len(w1) != 4:
+        raise _err(node_id, "Conv", f"weight must be rank 4, got {w1}")
+    if w1[1] * group != c:
+        raise _err(node_id, "Conv",
+                   f"input channels {c} do not match weight {w1} with group {group}")
+    pt, pl, pb, pr = pads
+    out = (n, w1[0],
+           _conv_axis(h, kernel[0], strides[0], pt, pb, dilations[0]),
+           _conv_axis(w, kernel[1], strides[1], pl, pr, dilations[1]))
+    return canonical, out, math.prod(out) * math.prod(w1[1:])  # w1 is (K, C/g, R, S)
 
-    if op_type in ("Add", "Mul"):
-        dims = list(in_dims) + [params[k] for k in sorted(params) if is_weight_key(k)]
-        if not dims:
-            raise err("no operands")
-        out = dims[0]
-        for d in dims[1:]:
-            merged = _broadcast(out, d)
-            if merged is None:
-                raise err(f"shapes {out} and {d} do not broadcast")
-            out = merged
-        return out
 
-    if op_type == "Concat":
-        axis = params["axis"]
-        base = list(in_dims[0])
-        axis = axis if axis >= 0 else axis + len(base)
-        if not 0 <= axis < len(base):
-            raise err(f"axis {params['axis']} out of range for rank {len(base)}")
-        for d in in_dims[1:]:
-            if len(d) != len(base) or any(
-                i != axis and d[i] != base[i] for i in range(len(base))
-            ):
-                raise err(f"shapes {tuple(base)} and {d} differ off-axis")
-            base[axis] += d[axis]
-        return tuple(base)
+def _pool(op_type, p, in_dims, node_id):
+    if "kernel" not in p:
+        raise ShapeInferenceError(f"node {node_id!r}: {op_type} needs kernel dims")
+    kernel = _as_pair(p["kernel"], "kernel", node_id)
+    pads = _as_pads(p.get("pads", 0), node_id)
+    strides = _as_pair(p.get("strides", 1), "strides", node_id)
+    canonical = {"kernel": kernel, "pads": pads, "strides": strides}
+    ceil = bool(p.get("ceil_mode"))
+    if ceil:
+        canonical["ceil_mode"] = 1
 
-    if op_type == "Reshape":
-        target = list(params["shape"])
-        in_numel = math.prod(in_dims[0])
-        out = []
-        infer_at = None
-        for i, d in enumerate(target):
-            if d == 0:
-                out.append(in_dims[0][i])
-            elif d == -1:
-                if infer_at is not None:
-                    raise err("more than one -1 in reshape target")
-                infer_at = i
-                out.append(1)
-            else:
-                out.append(d)
-        known = math.prod(out)
-        if infer_at is not None:
-            if in_numel % known:
-                raise err(f"cannot reshape {in_dims[0]} to {tuple(target)}")
-            out[infer_at] = in_numel // known
-            known *= out[infer_at]
-        if known != in_numel:
-            raise err(f"cannot reshape {in_dims[0]} ({in_numel} elems) to {tuple(target)}")
-        return tuple(out)
+    (n, c, h, w) = in_dims[0]
+    pt, pl, pb, pr = pads
+    return canonical, (n, c,
+                       _conv_axis(h, kernel[0], strides[0], pt, pb, 1, ceil),
+                       _conv_axis(w, kernel[1], strides[1], pl, pr, 1, ceil)), 0
 
-    if op_type == "Flatten":
-        axis = params["axis"]
-        d = in_dims[0]
-        axis = axis if axis >= 0 else axis + len(d)
-        return (math.prod(d[:axis]), math.prod(d[axis:]))
 
-    if op_type == "Unsqueeze":
-        out = list(in_dims[0])
-        rank = len(out) + len(params["axes"])
-        for ax in sorted(a if a >= 0 else a + rank for a in params["axes"]):
-            out.insert(ax, 1)
-        return tuple(out)
+def _global_average_pool(p, in_dims, node_id):
+    (n, c, *_rest) = in_dims[0]
+    return {}, (n, c, 1, 1), 0
 
-    if op_type == "Squeeze":
-        d = in_dims[0]
-        axes = params.get("axes")
-        if axes is None:
-            out = tuple(v for v in d if v != 1)
+
+def _b_operand(p: dict, in_dims) -> tuple[int, ...] | None:
+    """The second matrix operand: a recorded weight, else the second data input."""
+    return tuple(p["w1"]) if "w1" in p else (in_dims[1] if len(in_dims) > 1 else None)
+
+
+def _gemm(p, in_dims, node_id):
+    canonical = {"transA": int(p.get("transA", 0)), "transB": int(p.get("transB", 0))}
+    for k in ("alpha", "beta"):
+        if k in p and float(p[k]) != 1.0:
+            canonical[k] = float(p[k])
+    canonical = _with_weights(canonical, p)
+
+    a = in_dims[0]
+    if len(a) != 2:
+        raise _err(node_id, "Gemm", f"expects a rank-2 input, got {a}")
+    b = _b_operand(canonical, in_dims)
+    if b is None or len(b) != 2:
+        raise _err(node_id, "Gemm", f"no rank-2 B operand (got {b})")
+    m, k = (a[1], a[0]) if canonical["transA"] else a
+    kb, n_out = (b[1], b[0]) if canonical["transB"] else b
+    if k != kb:
+        raise _err(node_id, "Gemm", f"inner dims differ: A gives {k}, B gives {kb} ({a} vs {b})")
+    return canonical, (m, n_out), m * n_out * k
+
+
+def _matmul(p, in_dims, node_id):
+    # MatMul keeps every recorded param, as an Opaque layer does.
+    canonical = {k: p[k] for k in sorted(p)}
+    a = in_dims[0]
+    b = _b_operand(canonical, in_dims)
+    if b is None:
+        raise _err(node_id, "MatMul", "no B operand")
+    if len(a) < 2 or len(b) < 2:
+        raise _err(node_id, "MatMul", f"operands must be rank >= 2, got {a} and {b}")
+    if a[-1] != b[-2]:
+        raise _err(node_id, "MatMul", f"inner dims differ: {a} vs {b}")
+    batch = _broadcast(a[:-2], b[:-2]) if (len(a) > 2 or len(b) > 2) else ()
+    if batch is None:
+        raise _err(node_id, "MatMul", f"batch dims do not broadcast: {a} vs {b}")
+    out = tuple(batch) + (a[-2], b[-1])
+    return canonical, out, math.prod(out) * a[-1]
+
+
+def _elementwise(op_type, p, in_dims, node_id):
+    canonical = _with_weights({}, p)
+    out, *rest = [*in_dims, *canonical.values()]
+    for d in rest:
+        merged = _broadcast(out, d)
+        if merged is None:
+            raise _err(node_id, op_type, f"shapes {out} and {d} do not broadcast")
+        out = merged
+    return canonical, out, 0
+
+
+def _concat(p, in_dims, node_id):
+    if "axis" not in p:
+        raise ShapeInferenceError(f"node {node_id!r}: Concat needs axis")
+    canonical = {"axis": int(p["axis"])}
+    base = list(in_dims[0])
+    axis = canonical["axis"]
+    axis = axis if axis >= 0 else axis + len(base)
+    if not 0 <= axis < len(base):
+        raise _err(node_id, "Concat",
+                   f"axis {canonical['axis']} out of range for rank {len(base)}")
+    for d in in_dims[1:]:
+        if len(d) != len(base) or any(
+            i != axis and d[i] != base[i] for i in range(len(base))
+        ):
+            raise _err(node_id, "Concat", f"shapes {tuple(base)} and {d} differ off-axis")
+        base[axis] += d[axis]
+    return canonical, tuple(base), 0
+
+
+def _reshape(p, in_dims, node_id):
+    if "shape" not in p:
+        raise ShapeInferenceError(f"node {node_id!r}: Reshape needs target shape")
+    target = _as_dims(p["shape"])
+    in_numel = math.prod(in_dims[0])
+    out = []
+    infer_at = None
+    for i, d in enumerate(target):
+        if d == 0:
+            out.append(in_dims[0][i])
+        elif d == -1:
+            if infer_at is not None:
+                raise _err(node_id, "Reshape", "more than one -1 in reshape target")
+            infer_at = i
+            out.append(1)
         else:
-            norm = {a if a >= 0 else a + len(d) for a in axes}
-            for a in norm:
-                if d[a] != 1:
-                    raise err(f"cannot squeeze non-1 dim {a} of {d}")
-            out = tuple(v for i, v in enumerate(d) if i not in norm)
-        return out if out else (1,)
-
-    if op_type == "Transpose":
-        d = in_dims[0]
-        perm = params.get("perm", tuple(reversed(range(len(d)))))
-        if sorted(perm) != list(range(len(d))):
-            raise err(f"bad perm {perm} for rank {len(d)}")
-        return tuple(d[p] for p in perm)
-
-    if op_type in ACTIVATION_OPS or op_type in ("BatchNorm", "Softmax", "Dropout",
-                                                "Identity", "Opaque"):
-        # Opaque layers pass their first input through so downstream shapes
-        # stay defined; they carry no compute.
-        return in_dims[0]
-
-    raise err("no shape rule")
+            out.append(d)
+    known = math.prod(out)
+    if infer_at is not None:
+        if in_numel % known:
+            raise _err(node_id, "Reshape", f"cannot reshape {in_dims[0]} to {target}")
+        out[infer_at] = in_numel // known
+        known *= out[infer_at]
+    if known != in_numel:
+        raise _err(node_id, "Reshape",
+                   f"cannot reshape {in_dims[0]} ({in_numel} elems) to {target}")
+    return {"shape": target}, tuple(out), 0
 
 
-def node_macs(op_type: str, in_dims: list[tuple[int, ...]], out_dims: tuple[int, ...],
-              params: dict) -> int:
-    """Multiply-accumulate count; zero for non-MAC ops."""
-    if op_type == "Conv":
-        return math.prod(out_dims) * math.prod(params["w1"][1:])  # w1 is (K, C/g, R, S)
-    if op_type == "Gemm":
-        a = in_dims[0]
-        k = a[0] if params["transA"] else a[1]
-        return out_dims[0] * out_dims[1] * k
-    if op_type == "MatMul":
-        return math.prod(out_dims) * in_dims[0][-1]
-    return 0
+def _flatten(p, in_dims, node_id):
+    canonical = {"axis": int(p.get("axis", 1))}
+    d = in_dims[0]
+    axis = canonical["axis"]
+    axis = axis if axis >= 0 else axis + len(d)
+    return canonical, (math.prod(d[:axis]), math.prod(d[axis:])), 0
+
+
+def _unsqueeze(p, in_dims, node_id):
+    if "axes" not in p:
+        raise ShapeInferenceError(f"node {node_id!r}: Unsqueeze needs axes")
+    axes = _as_dims(p["axes"])
+    out = list(in_dims[0])
+    rank = len(out) + len(axes)
+    for ax in sorted(a if a >= 0 else a + rank for a in axes):
+        out.insert(ax, 1)
+    return {"axes": axes}, tuple(out), 0
+
+
+def _squeeze(p, in_dims, node_id):
+    d = in_dims[0]
+    if "axes" not in p:
+        return {}, tuple(v for v in d if v != 1) or (1,), 0
+    axes = _as_dims(p["axes"])
+    norm = {a if a >= 0 else a + len(d) for a in axes}
+    for a in norm:
+        if d[a] != 1:
+            raise _err(node_id, "Squeeze", f"cannot squeeze non-1 dim {a} of {d}")
+    return {"axes": axes}, tuple(v for i, v in enumerate(d) if i not in norm) or (1,), 0
+
+
+def _transpose(p, in_dims, node_id):
+    d = in_dims[0]
+    perm = _as_dims(p["perm"]) if "perm" in p else tuple(reversed(range(len(d))))
+    if sorted(perm) != list(range(len(d))):
+        raise _err(node_id, "Transpose", f"bad perm {perm} for rank {len(d)}")
+    return {"perm": perm}, tuple(d[i] for i in perm), 0
+
+
+def _passthrough(canonicalize):
+    """Rule for an op whose output has its first input's dims and that counts no MACs."""
+    return lambda p, in_dims, node_id: (canonicalize(p), in_dims[0], 0)
+
+
+# op type -> rule: (recorded params, data-input dims, node id) ->
+# (canonical params, output dims, MAC count).
+_RULES: dict[str, Callable[[dict, list[tuple[int, ...]], str],
+                           tuple[dict, tuple[int, ...], int]]] = {
+    "Conv": _conv,
+    "MaxPool": functools.partial(_pool, "MaxPool"),
+    "AveragePool": functools.partial(_pool, "AveragePool"),
+    "GlobalAveragePool": _global_average_pool,
+    "Gemm": _gemm,
+    "MatMul": _matmul,
+    "Add": functools.partial(_elementwise, "Add"),
+    "Mul": functools.partial(_elementwise, "Mul"),
+    "Concat": _concat,
+    "Reshape": _reshape,
+    "Flatten": _flatten,
+    "Unsqueeze": _unsqueeze,
+    "Squeeze": _squeeze,
+    "Transpose": _transpose,
+    "BatchNorm": _passthrough(
+        lambda p: _with_weights({"epsilon": float(p.get("epsilon", 1e-5))}, p)),
+    "Softmax": _passthrough(lambda p: {"axis": int(p.get("axis", -1))}),
+    "Dropout": _passthrough(lambda p: {"ratio": float(p["ratio"])} if "ratio" in p else {}),
+    # Opaque layers keep whatever was recorded and pass their first input
+    # through, so downstream shapes stay defined; they carry no compute.
+    "Opaque": _passthrough(lambda p: {k: p[k] for k in sorted(p)}),
+    **{op: _passthrough(lambda p: {}) for op in ("Identity", *ACTIVATION_OPS)},
+}
+SUPPORTED_OPS = frozenset(_RULES)
+
+# Attributes that do not change a layer's inference-time result.
+_DROPPED_PARAMS = ("momentum", "spatial", "is_test", "consumed_inputs")
 
 
 def weight_elems(params: dict) -> int:
@@ -530,17 +482,21 @@ def infer_layer(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
     """Canonical params, output dims and MAC count of one layer.
 
     The one path from recorded params to a canonical layer, shared by graph
-    shape inference, signature parsing and the simulator. Params or input
-    ranks that the shape rules cannot read, and params that yield an empty
-    or non-positive output dim, raise ``ShapeInferenceError`` naming the
-    node and op.
+    shape inference, signature parsing and the simulator. ``in_dims`` holds
+    the data-input dims in slot order, at least one; weight operands arrive
+    in ``params`` as ``w<slot>`` entries. Params or input ranks that the op's
+    rule cannot read, and params that yield an empty or non-positive output
+    dim, raise ``ShapeInferenceError`` naming the node and op.
     """
     try:
-        canonical = canonicalize_params(op_type, params, in_dims, node_id)
-        dims = output_dims(op_type, in_dims, canonical, node_id)
+        p = {k: _as_dims(v) if is_weight_key(k) else v
+             for k, v in params.items() if k not in _DROPPED_PARAMS}
+        if op_type not in _RULES:
+            raise _err(node_id, op_type, "no shape rule")
+        canonical, dims, n_macs = _RULES[op_type](p, in_dims, node_id)
         if not dims or min(dims) < 1:
             raise ValueError(f"output dims {dims} are not all positive")
-        return canonical, dims, node_macs(op_type, in_dims, dims, canonical)
+        return canonical, dims, n_macs
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise ShapeInferenceError(
             f"node {node_id!r} ({op_type}): params or input ranks do not fit: {exc}"
@@ -563,7 +519,7 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
     if len(graph.order) != len(graph.nodes):
         raise GraphStructureError(f"graph {graph.name!r} has no order; run validate first")
     inputs = [
-        (name, TensorShape((batch,) + s.dims[1:], s.dtype))
+        (name, TensorShape((batch,) + s.dims[1:]))
         for name, s in graph.graph_inputs
     ]
     by_name = dict(inputs)

@@ -4,14 +4,17 @@ Decodes the Protocol-Buffers wire format directly for the message subset a
 layer-graph needs (graph, nodes, attributes, initializers, value infos).
 Weight initializers are recorded by shape only; the sole exception is small
 integer tensors feeding shape-metadata inputs (Reshape targets, Squeeze and
-Unsqueeze axes), whose values are required for shape inference. Errors carry
-the absolute byte offset at which decoding failed.
+Unsqueeze axes), whose values are required for shape inference. A
+tensor-valued attribute is likewise recorded by its dims, except on a
+Constant node, whose tensor stands in for an initializer. Errors carry the
+absolute byte offset at which decoding failed.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from typing import NamedTuple
 
 from .errors import ModelParseError
 from .model_ir import (
@@ -105,8 +108,19 @@ def _packed_varints(buf: bytes, span: tuple[int, int]) -> list[int]:
     return out
 
 
-def _parse_tensor(buf: bytes, span: tuple[int, int]):
-    """TensorProto -> (dims, data_type, int_values_or_None)."""
+class _Tensor(NamedTuple):
+    dims: tuple[int, ...]
+    data_type: int
+    values: list[int] | None  # small int64 tensors only
+
+
+def _shape_param(tensor: _Tensor) -> tuple[int, ...]:
+    """How a weight or tensor attribute is recorded: by its dims alone."""
+    return tensor.dims or (1,)
+
+
+def _parse_tensor(buf: bytes, span: tuple[int, int]) -> _Tensor:
+    """TensorProto -> its dims, data type and, for a small int64 tensor, its values."""
     dims: list[int] = []
     data_type = 0
     int_values: list[int] = []
@@ -133,7 +147,7 @@ def _parse_tensor(buf: bytes, span: tuple[int, int]):
             values = int_values
         elif raw is not None and len(raw) == 8 * count:
             values = [v[0] for v in struct.iter_unpack("<q", raw)]
-    return tuple(dims), data_type, values
+    return _Tensor(tuple(dims), data_type, values)
 
 
 def _parse_value_info(buf: bytes, span: tuple[int, int]):
@@ -244,7 +258,7 @@ def _convert_attrs(op_type: str, attrs: dict) -> dict:
         if key in _ATTR_DROP or value is None:
             continue
         key = _ATTR_RENAMES.get(key, key)
-        params[key] = value
+        params[key] = _shape_param(value) if isinstance(value, _Tensor) else value
     # An empty domain is dropped, except on Opaque layers, which keep it for diagnostics.
     if op_type != "Opaque" and "domain" in params and not params["domain"]:
         del params["domain"]
@@ -262,7 +276,7 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
     if graph_span is None:
         raise ModelParseError("no graph message found in model", offset=len(data))
 
-    initializers: dict[str, tuple[tuple[int, ...], int, list[int] | None]] = {}
+    initializers: dict[str, _Tensor] = {}
     raw_nodes = []
     inputs_vi = []
     outputs_vi = []
@@ -275,10 +289,9 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
         elif field_no == 2:
             graph_name = _span_str(data, value) or name
         elif field_no == 5:
-            dims, dtype, values = _parse_tensor(data, value)
             tname = _tensor_name(data, value)
             if tname:
-                initializers[tname] = (dims, dtype, values)
+                initializers[tname] = _parse_tensor(data, value)
         elif field_no == 11:
             inputs_vi.append(_parse_value_info(data, value))
         elif field_no == 12:
@@ -286,15 +299,12 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
 
     # Constant nodes act as initializers: record their value tensor and drop
     # the node, so only declared graph inputs lack producers.
-    constants: dict[str, tuple[tuple[int, ...], int, list[int] | None]] = {}
+    constants: dict[str, _Tensor] = {}
     node_protos = []
     for nname, op, n_in, n_out, attrs in raw_nodes:
         if op == "Constant" and n_out:
             t = attrs.get("value")
-            if isinstance(t, tuple) and len(t) == 3:
-                constants[n_out[0]] = t  # (dims, data_type, values)
-            else:
-                constants[n_out[0]] = ((1,), 0, None)
+            constants[n_out[0]] = t if isinstance(t, _Tensor) else _Tensor((1,), 0, None)
             continue
         node_protos.append((nname, op, n_in, n_out, attrs))
 
@@ -335,15 +345,14 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
                 continue
             init = initializers.get(tname) or constants.get(tname)
             if init is not None:
-                dims, _dtype, values = init
                 if op == "Reshape" and slot == 1:
-                    if values is not None:
-                        params["shape"] = tuple(values)
+                    if init.values is not None:
+                        params["shape"] = tuple(init.values)
                 elif op in ("Unsqueeze", "Squeeze") and slot == 1:
-                    if values is not None:
-                        params["axes"] = tuple(values)
+                    if init.values is not None:
+                        params["axes"] = tuple(init.values)
                 else:
-                    params[f"w{slot}"] = tuple(dims) if dims else (1,)
+                    params[f"w{slot}"] = _shape_param(init)
             elif tname in producer:
                 input_ids.append(producer[tname])
             elif tname in input_names:

@@ -20,17 +20,20 @@ loads the file under it.
 A crash in the middle of an append leaves a torn tail: a last line with no
 trailing newline that does not parse. A read-only open skips it; a writer
 truncates it so the next append starts on a fresh line. Any other bad line
-raises ``StorageError``, and so does a record with a bool or non-finite
-latency or an unknown algorithm, dtype, layout or fusion pattern.
+raises ``StorageError``, and so does a record with a non-string system,
+hash64 or signature, a bool or non-finite latency, or an unknown algorithm,
+dtype, layout or fusion pattern.
 
 Record fields, in on-disk order: v, system, dtype, hash64, signature,
 algorithm, layout, fused, status, latency_us, source, timestamp, metadata.
 The canonical signature string is stored alongside its hash as a collision
 guard; equality is always decided on the string.
 
-``import_lines`` also parses each record's signature and requires its
-``dtype`` and ``hash64`` to be the signature's. An open does not, since it
-would add to every read, and such a record can never match a query.
+``import_lines`` also rebuilds each record's benchmark spec from its parsed
+signature, algorithm, layout and fusion pattern, and requires the record's
+key to be that spec's key, so a record that no spec could produce is
+refused. An open does not, since it would add to every read, and such a
+record can never match a query.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .benchgen import ALGO_RANK, FUSION_PATTERNS, BenchmarkSpec
+from .benchgen import ALGO_RANK, FUSION_PATTERNS, BenchmarkSpec, ConvAlgorithm
 from .dedup import LayerSignature, parse_signature
-from .errors import MissError, ModelParseError, StorageError
+from .errors import ConfigError, MissError, ModelParseError, StorageError
 from .model_ir import DTYPES, LAYOUTS
 
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
@@ -136,6 +139,9 @@ def _record_to_json(rec: PerfRecord) -> str:
 def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
     try:
         obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+        for name in ("system", "hash64", "signature"):
+            if not isinstance(obj[name], str):
+                raise TypeError(f"{name} must be a string, got {obj[name]!r}")
         key = RecordKey(
             system=obj["system"],
             dtype=obj["dtype"],
@@ -248,7 +254,7 @@ class PerfDb:
         layer[key] = record
 
     def import_lines(self, text: str) -> int:
-        """Insert records from an external result file, each checked against its signature."""
+        """Insert records from an external result file, each checked against its spec."""
         parse = functools.cache(parse_signature)  # one parse per distinct signature
         n = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -258,9 +264,11 @@ class PerfDb:
             key = rec.key
             try:
                 sig = parse(key.signature)
-            except (ModelParseError, TypeError) as exc:  # TypeError: unhashable signature
+                algo = ConvAlgorithm[key.algorithm] if key.algorithm else None
+                spec = BenchmarkSpec(sig, algo, key.layout, key.fused)
+            except (ModelParseError, ConfigError) as exc:
                 raise StorageError(f"bad database record at line {lineno}: {exc}") from exc
-            if (key.dtype, key.hash64) != (sig.dtype, sig.hash64):
+            if key_for_spec(key.system, spec) != key:  # the other fields built the spec
                 raise StorageError(f"bad database record at line {lineno}: dtype and hash64 "
                                    f"must be {sig.dtype!r} and {sig.hash64!r}")
             self.insert(rec)

@@ -83,7 +83,10 @@ def _no_traceback(res, code):
                                      {"latency_us": True},
                                      {"dtype": "f99"},
                                      {"layout": "XYZ"},
-                                     {"fused": "bogus"}])
+                                     {"fused": "bogus"},
+                                     {"system": ["x"]},
+                                     {"hash64": ["x"]},
+                                     {"signature": ["x"]}])
 def test_bad_record_is_refused_on_import_and_open(r18, tmp_path, changes):
     model, db = r18
     good = db.read_bytes()
@@ -98,15 +101,22 @@ def test_bad_record_is_refused_on_import_and_open(r18, tmp_path, changes):
     _no_traceback(_analyze(model, copy), 4)
 
 
-@pytest.mark.parametrize("changes", [{"signature": "garbage", "hash64": "zz"},
-                                     {"dtype": "f16"},
-                                     {"hash64": "zz"},
-                                     {"signature": ["x"]}],
-                         ids=["garbage-signature", "dtype", "hash64", "list-signature"])
-def test_record_that_disagrees_with_its_signature_is_refused_on_import(r18, tmp_path, changes):
+@pytest.mark.parametrize("op, changes", [("Conv", {"signature": "garbage", "hash64": "zz"}),
+                                         ("Conv", {"dtype": "f16"}),
+                                         ("Conv", {"hash64": "zz"}),
+                                         ("Conv", {"signature": ["x"]}),
+                                         ("Conv", {"algorithm": None}),
+                                         ("Conv", {"fused": "conv_bias"}),
+                                         ("Relu", {"algorithm": "FFT"}),
+                                         ("Relu", {"algorithm": "FFT", "fused": "conv_bias"})],
+                         ids=["garbage-signature", "dtype", "hash64", "list-signature",
+                              "conv-neither", "conv-both", "relu-algo", "relu-algo-fused"])
+def test_record_that_disagrees_with_its_signature_is_refused_on_import(r18, tmp_path, op, changes):
     model, db = r18
     good = db.read_bytes()
-    line = next(ln for ln in good.decode().splitlines() if '"algorithm":"IPGEMM"' in ln)
+    line = next(ln for ln in good.decode().splitlines()
+                if f'"signature":"{op}|' in ln and '"fused":null' in ln
+                and '"algorithm":' + ('"IPGEMM"' if op == "Conv" else "null") in ln)
     rec = tmp_path / "rec.jsonl"
     rec.write_text(json.dumps({**json.loads(line), **changes}) + "\n", "utf-8")
     copy = tmp_path / "perf.db"

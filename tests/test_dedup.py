@@ -76,6 +76,8 @@ class TestSignature:
                                                 "group=1,dilations=1x1")
         with pytest.raises(ModelParseError):
             dedup.parse_signature(shuffled)
+        with pytest.raises(ModelParseError, match="unknown dtype 'f64'"):
+            dedup.parse_signature(sig.canonical_string.replace("|f32|", "|f64|"))
 
     def test_with_dtype(self):
         sig = dedup.signature(_conv_graph().nodes["c"], "f32")

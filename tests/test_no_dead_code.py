@@ -1,9 +1,12 @@
-"""Every module-level private function, class and constant in the package is used.
+"""Every module-level function, class and private constant in the package is used.
 
 A name that starts with one underscore is private to the package, so a
 module-level function, class or assigned name that nothing in
 ``src/lbound`` refers to, apart from its own definition, is dead code.
-Likewise an error class that no ``raise`` in the package names.
+A public function or class is dead when nothing in ``src/lbound``,
+``tests/`` or ``bench/`` names it; Click commands are exempt, since the
+command line reaches them. Likewise an error class that no ``raise`` in
+the package names.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from collections import Counter
 import lbound
 
 PACKAGE = pathlib.Path(lbound.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
 
 
 def _names(tree: ast.AST) -> Counter:
@@ -50,6 +54,25 @@ def test_every_private_function_is_referenced():
             for stmt in tree.body
             for name in _defined(stmt)
             if _private(name) and used[name] - _names(stmt)[name] <= 0]
+    assert dead == []
+
+
+def _is_click_command(stmt: ast.stmt) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in stmt.decorator_list)
+
+
+def test_every_public_function_and_class_is_referenced():
+    trees = _trees()
+    outside = [ast.parse(path.read_text("utf-8"))
+               for folder in ("tests", "bench") for path in sorted((ROOT / folder).rglob("*.py"))]
+    used = sum(map(_names, [*trees.values(), *outside]), Counter())
+    dead = [f"{module}:{stmt.name}"
+            for module, tree in trees.items()
+            for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not _private(stmt.name) and not _is_click_command(stmt)
+            and used[stmt.name] - _names(stmt)[stmt.name] <= 0]
     assert dead == []
 
 

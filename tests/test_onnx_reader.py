@@ -4,9 +4,11 @@ import os
 import struct
 
 import pytest
+from click.testing import CliRunner
 
 import onnx_wire as wire
 from lbound import dedup
+from lbound.cli import main
 from lbound.errors import GraphStructureError, ModelParseError
 from lbound.model_ir import TensorShape, infer_shapes, load_model_file, macs, parse_text_model
 from lbound.onnx_reader import load_model
@@ -69,6 +71,21 @@ class TestWireDecoding:
         assert loaded.nodes["x"].op_type == "Opaque"
         assert loaded.nodes["x"].params["op"] == "FancyCustomOp"
         assert loaded.nodes["r"].input_ids == ["x"]
+
+    def test_tensor_attribute_recorded_by_dims(self, tmp_path):
+        table = wire.tensor("table", (3, 5), data_type=1)
+        custom = wire.node("LookupOp", ["data"], ["mid"], name="x",
+                           attrs=wire.attrs(wire.attr_tensor("table", table)))
+        relu = wire.node("Relu", ["mid"], ["out"], name="r")
+        g = wire.graph([custom, relu], [wire.value_info("data", (1, 3, 4, 4))],
+                       [wire.value_info("out", (1, 3, 4, 4))])
+        path = tmp_path / "m.onnx"
+        path.write_bytes(wire.model(g))
+        assert load_model_file(path).nodes["x"].params["table"] == (3, 5)
+        for args in (["process", "--format", "jsonl"], ["bench", "--manifest",
+                                                        str(tmp_path / "man.jsonl")]):
+            res = CliRunner().invoke(main, args + [str(path)])
+            assert res.exit_code == 0, res.output
 
     def test_constant_feeds_reshape(self):
         shape_t = wire.tensor("shape_val", (2,), data_type=7, int64_values=[1, -1])

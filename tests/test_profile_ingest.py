@@ -1,14 +1,20 @@
-"""Profile container: serialization and parsing round-trip byte for byte."""
+"""Profile container: serialization and parsing round-trip byte for byte.
+
+Library logs: strict parsing refuses a foreign line, lenient parsing skips it.
+"""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lbound.errors import ProfileFormatError
 from lbound.profile_ingest import (
     ApiCall,
     ExecutionProfile,
     KernelRecord,
+    parse_cudnn_log,
     parse_profile,
     serialize_profile,
 )
@@ -41,3 +47,25 @@ def test_profile_round_trips_byte_for_byte(profile):
     parsed = parse_profile(text)
     assert parsed == profile
     assert serialize_profile(parsed) == text
+
+
+_LOG = "\n".join([
+    "I! CuDNN (v7605) function cudnnConvolutionForward() called:",
+    "    x: type=dims; val=1x3x8x8;",
+    "    algo: type=cudnnConvolutionFwdAlgo_t; val=CUDNN_CONVOLUTION_FWD_ALGO_WINOGRAD (6);",
+    "some foreign line from another logger",
+    "I! cuBLAS (v10.2) function cublasSgemm_v2() called:",
+    "    m: type=int; val=16;",
+]) + "\n"
+
+
+def test_strict_log_parse_refuses_a_foreign_line():
+    with pytest.raises(ProfileFormatError, match="line 4"):
+        parse_cudnn_log(_LOG, strict=True)
+
+
+def test_lenient_log_parse_skips_a_foreign_line_and_keeps_the_blocks():
+    assert parse_cudnn_log(_LOG) == [
+        ApiCall(1, "cudnnConvolutionForward", {"x": "1x3x8x8", "algo": "WING"}),
+        ApiCall(2, "cublasSgemm_v2", {"m": "16"}),
+    ]
