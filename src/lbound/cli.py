@@ -159,11 +159,12 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
 
     if delta or do_simulate:
         path = _db_path(db_path)
-        with perfdb.PerfDb(path, mode="rw" if do_simulate else "r") as db:
+        if delta and not system_name:
+            raise ConfigError("--delta needs --system to check existing results")
+        sysid = _system_id(system_name) if delta else None
+        scope = None if do_simulate else [sysid]  # a read-only delta reads one system
+        with perfdb.PerfDb(path, mode="rw" if do_simulate else "r", systems=scope) as db:
             if delta:
-                if not system_name:
-                    raise ConfigError("--delta needs --system to check existing results")
-                sysid = _system_id(system_name)
                 specs = benchgen.delta_specs(specs, db, sysid)
                 click.echo(f"delta: {len(specs)} spec(s) not yet in the database")
             if do_simulate:
@@ -325,7 +326,7 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
             prof = profile_ingest.parse_profile(fh.read())
         measured_ms = measured_ms if measured_ms is not None else prof.measured_latency_ms
 
-    with perfdb.PerfDb(_db_path(db_path)) as handle:
+    with perfdb.PerfDb(_db_path(db_path), systems=[sysid]) as handle:
         anns = analyzer.Annotator(graph, handle)
         try:
             ann = anns.annotation(sysid, dtype, allow_missing=allow_missing)
@@ -414,7 +415,7 @@ def advise(model, db_path, systems, batch, dtype, costs, rank_by):
             cost_map[key.strip()] = cost
     if rank_by is None:
         rank_by = "cost" if cost_map else "latency"
-    with perfdb.PerfDb(_db_path(db_path)) as handle:
+    with perfdb.PerfDb(_db_path(db_path), systems=system_list) as handle:
         rows = analyzer.advise_systems(analyzer.Annotator(graph, handle), system_list,
                                        dtype, cost_per_hour=cost_map, rank_by=rank_by)
     for i, row in enumerate(rows, start=1):

@@ -221,6 +221,17 @@ def _err(node_id: str, op_type: str, msg: str) -> ShapeInferenceError:
     return ShapeInferenceError(f"node {node_id!r} ({op_type}): {msg}")
 
 
+def _axis(node_id: str, op_type: str, axis: int, rank: int, *, past_end: bool = False) -> int:
+    """``axis`` counted from the front, in ONNX's range [-rank, rank - 1].
+
+    ``past_end`` widens the range to [-rank, rank], for Flatten's split point.
+    """
+    norm = axis + rank if axis < 0 else axis
+    if not 0 <= norm < rank + past_end:
+        raise _err(node_id, op_type, f"axis {axis} out of range for rank {rank}")
+    return norm
+
+
 def is_weight_key(key: str) -> bool:
     """True for a ``w<slot>`` param, which records a weight operand by its dims."""
     return key.startswith("w") and key[1:].isdigit()
@@ -353,11 +364,7 @@ def _concat(p, in_dims, node_id):
         raise ShapeInferenceError(f"node {node_id!r}: Concat needs axis")
     canonical = {"axis": int(p["axis"])}
     base = list(in_dims[0])
-    axis = canonical["axis"]
-    axis = axis if axis >= 0 else axis + len(base)
-    if not 0 <= axis < len(base):
-        raise _err(node_id, "Concat",
-                   f"axis {canonical['axis']} out of range for rank {len(base)}")
+    axis = _axis(node_id, "Concat", canonical["axis"], len(base))
     for d in in_dims[1:]:
         if len(d) != len(base) or any(
             i != axis and d[i] != base[i] for i in range(len(base))
@@ -399,8 +406,7 @@ def _reshape(p, in_dims, node_id):
 def _flatten(p, in_dims, node_id):
     canonical = {"axis": int(p.get("axis", 1))}
     d = in_dims[0]
-    axis = canonical["axis"]
-    axis = axis if axis >= 0 else axis + len(d)
+    axis = _axis(node_id, "Flatten", canonical["axis"], len(d), past_end=True)
     return canonical, (math.prod(d[:axis]), math.prod(d[axis:])), 0
 
 
@@ -409,8 +415,11 @@ def _unsqueeze(p, in_dims, node_id):
         raise ShapeInferenceError(f"node {node_id!r}: Unsqueeze needs axes")
     axes = _as_dims(p["axes"])
     out = list(in_dims[0])
-    rank = len(out) + len(axes)
-    for ax in sorted(a if a >= 0 else a + rank for a in axes):
+    rank = len(out) + len(axes)  # axes index the output
+    norm = sorted(_axis(node_id, "Unsqueeze", a, rank) for a in axes)
+    if len(set(norm)) < len(norm):
+        raise _err(node_id, "Unsqueeze", f"duplicate axes in {axes}")
+    for ax in norm:
         out.insert(ax, 1)
     return {"axes": axes}, tuple(out), 0
 
@@ -420,7 +429,7 @@ def _squeeze(p, in_dims, node_id):
     if "axes" not in p:
         return {}, tuple(v for v in d if v != 1) or (1,), 0
     axes = _as_dims(p["axes"])
-    norm = {a if a >= 0 else a + len(d) for a in axes}
+    norm = {_axis(node_id, "Squeeze", a, len(d)) for a in axes}
     for a in norm:
         if d[a] != 1:
             raise _err(node_id, "Squeeze", f"cannot squeeze non-1 dim {a} of {d}")
@@ -433,6 +442,12 @@ def _transpose(p, in_dims, node_id):
     if sorted(perm) != list(range(len(d))):
         raise _err(node_id, "Transpose", f"bad perm {perm} for rank {len(d)}")
     return {"perm": perm}, tuple(d[i] for i in perm), 0
+
+
+def _softmax(p, in_dims, node_id):
+    canonical = {"axis": int(p.get("axis", -1))}
+    _axis(node_id, "Softmax", canonical["axis"], len(in_dims[0]))
+    return canonical, in_dims[0], 0
 
 
 def _passthrough(canonicalize):
@@ -460,7 +475,7 @@ _RULES: dict[str, Callable[[dict, list[tuple[int, ...]], str],
     "Transpose": _transpose,
     "BatchNorm": _passthrough(
         lambda p: _with_weights({"epsilon": float(p.get("epsilon", 1e-5))}, p)),
-    "Softmax": _passthrough(lambda p: {"axis": int(p.get("axis", -1))}),
+    "Softmax": _softmax,
     "Dropout": _passthrough(lambda p: {"ratio": float(p["ratio"])} if "ratio" in p else {}),
     # Opaque layers keep whatever was recorded and pass their first input
     # through, so downstream shapes stay defined; they carry no compute.

@@ -29,6 +29,24 @@ algorithm, layout, fused, status, latency_us, source, timestamp, metadata.
 The canonical signature string is stored alongside its hash as a collision
 guard; equality is always decided on the string.
 
+A read-only open can be scoped to some systems: ``PerfDb(path,
+systems=...)`` keeps only their records, so ``len()``, ``records()``,
+``superseded`` and every query see only the scope. Every line the writer
+produces starts ``{"v":1,"system":`` and then the JSON-encoded system,
+because ``_record_to_json`` fixes the key order and ``import_lines``
+re-serializes. A scoped open decodes a line that starts with the writer's
+prefix for an in-scope system. For any other line that starts
+``{"v":1,"system":"``, the string that follows is the system itself when
+it holds no backslash, and the line is skipped undecoded when that system
+is out of scope. Every remaining line is decoded in full and kept only if
+its system is in scope. A line is assumed to name its system once.
+
+The trade-off: a scoped open validates only the lines it decodes, so a bad
+line of another system goes unnoticed. Unscoped opens, and therefore ``rw``
+opens, ``db stats`` and ``db compact``, decode every line and raise on any
+bad one; a scope on an ``rw`` open raises ``StorageError``. The torn-tail
+rules are the same for a scoped open.
+
 ``import_lines`` also rebuilds each record's benchmark spec from its parsed
 signature, algorithm, layout and fusion pattern, and requires the record's
 key to be that spec's key, so a record that no spec could produce is
@@ -43,6 +61,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .benchgen import ALGO_RANK, FUSION_PATTERNS, BenchmarkSpec, ConvAlgorithm
@@ -53,6 +72,8 @@ from .model_ir import DTYPES, LAYOUTS
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
 _ALGO_RANK = {algo.name: rank for algo, rank in ALGO_RANK.items()}
 _FUSED_IDS = {p.id for p in FUSION_PATTERNS}
+# How every writer line starts, up to the first byte of its system string.
+_SYSTEM_AT = b'{"v":1,"system":"'
 
 
 @dataclass(frozen=True)
@@ -136,6 +157,11 @@ def _record_to_json(rec: PerfRecord) -> str:
     }, separators=(",", ":"))
 
 
+def _line_prefix(system: str) -> bytes:
+    """How ``_record_to_json`` starts a line of ``system``."""
+    return _SYSTEM_AT[:-1] + json.dumps(system).encode() + b","
+
+
 def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
     try:
         obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
@@ -164,13 +190,19 @@ def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
 
 
 class PerfDb:
-    """Open with mode "r" for a read-only snapshot or "rw" to insert."""
+    """Open with mode "r" for a read-only snapshot or "rw" to insert.
 
-    def __init__(self, path, mode: str = "r"):
+    ``systems`` scopes a read-only snapshot to those systems' records.
+    """
+
+    def __init__(self, path, mode: str = "r", systems: Iterable[str] | None = None):
         if mode not in ("r", "rw"):
             raise StorageError(f"unknown db mode {mode!r}")
+        if systems is not None and mode != "r":
+            raise StorageError("a scoped database open is read-only")
         self.path = str(path)
         self.mode = mode
+        self.systems = None if systems is None else frozenset(systems)
         # (system, dtype, signature) -> {index key: live record}
         self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
         self.superseded = 0  # replaced records still in the file
@@ -188,19 +220,33 @@ class PerfDb:
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return  # empty snapshot; analyzer reports misses
+        scope = self.systems
+        prefixes = tuple(_line_prefix(s) for s in scope or ())
+        names = {s.encode("utf-8", "surrogatepass") for s in scope or ()}
+        at = len(_SYSTEM_AT)
         end = 0  # byte offset just past the last line kept
         raw = b""
         try:
             with open(self.path, "rb") as fh:
                 for lineno, raw in enumerate(fh, start=1):
+                    if scope is not None and not raw.startswith(prefixes) \
+                            and raw.startswith(_SYSTEM_AT):
+                        # Not an in-scope writer line; a system string with no
+                        # escape is the system itself.
+                        system = raw[at:raw.find(b'"', at)]
+                        if system not in names and b"\\" not in system:
+                            end += len(raw)
+                            continue  # another system's line
                     line = raw.strip()
                     if line:
                         try:
-                            self._put(_record_from_json(line, lineno))
+                            rec = _record_from_json(line, lineno)
                         except StorageError:
                             if raw.endswith(b"\n"):
                                 raise
                             break  # torn tail
+                        if scope is None or rec.key.system in scope:
+                            self._put(rec)
                     end += len(raw)
             if self._fh is not None:  # a writer's next append must start a line
                 if end != os.path.getsize(self.path):

@@ -1,6 +1,8 @@
-"""Manifest round trip over the thirty-model family."""
+"""Manifest round trip over the thirty-model family, and emitted benchmark source."""
 
 from __future__ import annotations
+
+import pytest
 
 import modelzoo as mz
 from lbound import benchgen, dedup
@@ -18,3 +20,43 @@ def test_manifest_round_trips_for_the_family():
     assert parsed == specs
     assert [(s.dtype, s.api_name) for s in parsed] == [(s.dtype, s.api_name) for s in specs]
     assert benchgen.manifest_lines(parsed) == text
+
+
+_CONV = ("Conv|f16|in=2x3x8x8|dilations=1x1,group=1,kernel=3x3,pads=1x1x1x1,"
+         "strides=1x1,w1=4x3x3x3")
+
+
+@pytest.mark.parametrize("canonical, algorithm, layout, fused, expected", [
+    (_CONV, benchgen.ConvAlgorithm.WING, "NHWC", None,
+     ["#include <cudnn.h>", "api: cudnnConvolutionForward  dtype: f16  layout: NHWC",
+      "CUDNN_DATA_HALF", "CUDNN_TENSOR_NHWC", "x_dims[4] = {2,3,8,8}",
+      "w_dims[4] = {4,3,3,3}", "algo = CUDNN_CONVOLUTION_FWD_ALGO_WINOGRAD;",
+      "CUDNN_CALL(cudnnConvolutionForward(", "BENCH(bench_{hash}_WING_f16) {"]),
+    (_CONV, None, "NCHW", "conv_bias_act",
+     ["#include <cudnn.h>",
+      "api: cudnnConvolutionBiasActivationForward  dtype: f16  layout: NCHW  "
+      "fused: conv_bias_act",
+      "CUDNN_DATA_HALF", "CUDNN_TENSOR_NCHW", "x_dims[4] = {2,3,8,8}",
+      "CUDNN_CALL(cudnnConvolutionBiasActivationForward(",
+      "BENCH(bench_{hash}_conv_bias_act_f16) {"]),
+    ("Relu|f32|in=2x16x7x7|", None, "NCHW", None,
+     ["#include <cudnn.h>", "api: cudnnActivationForward  dtype: f32  layout: NCHW",
+      "CUDNN_DATA_FLOAT", "x_dims[] = {2,16,7,7}", "CUDNN_CALL(cudnnActivationForward(",
+      "BENCH(bench_{hash}_base_f32) {"]),
+    ("Gemm|f32|in=2x64|transA=0,transB=0,w1=64x10", None, "NCHW", None,
+     ["#include <cublas_v2.h>", "api: cublasGemmEx  dtype: f32  layout: NCHW",
+      "CUDNN_DATA_FLOAT", "m = 2, n = 10, k = 64", "CUBLAS_CALL(cublasGemmEx(",
+      "BENCH(bench_{hash}_base_f32) {"]),
+], ids=["conv", "fused", "relu", "gemm"])
+def test_emitted_source_names_the_spec(canonical, algorithm, layout, fused, expected):
+    sig = dedup.parse_signature(canonical)
+    spec = benchgen.BenchmarkSpec(sig, algorithm, layout, fused)
+    src = benchgen.emit_benchmark_source(spec)
+    assert f"// signature: {canonical}\n" in src
+    assert "// inputs: " + ", ".join(
+        "{" + ",".join(map(str, dims)) + "}" for dims in sig.in_dims) + "\n" in src
+    for token in expected:
+        assert token.replace("{hash}", sig.hash64) in src, token
+    if sig.op_type != "Conv":
+        assert "cudnnTensorFormat_t" not in src and "algo" not in src
+    assert src.count("BENCH(") == 1 and src.endswith("}\n")

@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 import modelzoo as mz
 from lbound.cli import main
+from lbound.errors import StorageError
+from lbound.perfdb import PerfDb
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,29 @@ def test_torn_tail_is_tolerated_and_corrupt_middle_is_not(r18, tmp_path):
     corrupt.write_bytes(b"".join(lines))
     assert _analyze(model, corrupt).exit_code == 4
     assert CliRunner().invoke(main, ["db", "compact", str(corrupt)]).exit_code == 4
+
+
+def test_scoped_reads_skip_a_corrupt_line_of_another_system(r18, tmp_path):
+    model, db = r18
+    good = db.read_bytes()
+    lines = good.splitlines(keepends=True)
+    other = lines[0].replace(b'"Tesla_V100"', b'"Tesla_T4"')[:-40] + b"\n"
+    copy = tmp_path / "perf.db"
+    copy.write_bytes(b"".join(lines[:1] + [other] + lines[1:]))
+    res = _analyze(model, copy)
+    assert res.exit_code == 0 and res.output == _analyze(model, db).output
+    res = CliRunner().invoke(main, ["bench", str(model), "--delta", "--system", "Tesla_V100",
+                                    "--db", str(copy)])
+    assert res.exit_code == 0 and "delta: 0 spec(s)" in res.output
+    for args in (["db", "stats", str(copy)],
+                 ["advise", str(model), "--db", str(copy), "--systems", "Tesla_V100,Tesla_T4"]):
+        _no_traceback(CliRunner().invoke(main, args), 4)
+    with pytest.raises(StorageError, match="line 2"):
+        PerfDb(copy)
+    with pytest.raises(StorageError, match="read-only"):
+        PerfDb(copy, mode="rw", systems=["Tesla_V100"])
+    with PerfDb(copy, systems=["Tesla_V100"]) as handle:
+        assert len(handle) == len(lines)
 
 
 def _no_traceback(res, code):
@@ -231,6 +256,11 @@ def test_bad_manifest_line_exits_2(tmp_path, line):
 @pytest.mark.parametrize("dims, node", [
     ("1x3", "Conv attrs=kernel=3x3;w1=4x3x3x3"),
     ("1x3", "Squeeze attrs=axes=5"),
+    ("1x3x4x4", "Flatten attrs=axis=7"),
+    ("1x3x4x4", "Flatten attrs=axis=-9"),
+    ("1x3", "Unsqueeze attrs=axes=9"),
+    ("1x3", "Unsqueeze attrs=axes=0x0"),
+    ("1x3", "Softmax attrs=axis=9"),
     ("1x3", "Reshape attrs=shape=0x0x0"),
     ("1x3x8x8", "Conv attrs=kernel=3x3;w1=abc"),
     ("1x3x8x8", "Conv attrs=kernel=1x1;strides=0x0;w1=4x3x1x1"),

@@ -12,6 +12,7 @@ from lbound.model_ir import (
     LayerNode,
     ModelGraph,
     TensorShape,
+    infer_layer,
     infer_shapes,
     macs,
     parse_text_model,
@@ -122,6 +123,44 @@ class TestShapeRules:
         assert g.nodes["n0"].out_shapes[0].dims == (2, 3)
         g = _single("Transpose", "perm=0x2x1", in_dims="1x3x5")
         assert g.nodes["n0"].out_shapes[0].dims == (1, 5, 3)
+
+    # ONNX ranges for rank r: Flatten [-r, r], Softmax and Squeeze [-r, r-1],
+    # Unsqueeze [-(r+k), r+k-1] for k axes.
+    @pytest.mark.parametrize("op, params, dims", [
+        ("Flatten", {"axis": 4}, (48, 1)),
+        ("Flatten", {"axis": -4}, (1, 48)),
+        ("Softmax", {"axis": 3}, (1, 3, 4, 4)),
+        ("Softmax", {"axis": -4}, (1, 3, 4, 4)),
+        ("Unsqueeze", {"axes": (5, -6)}, (1, 1, 3, 4, 4, 1)),
+        ("Squeeze", {"axes": (-4,)}, (3, 4, 4)),
+    ])
+    def test_axis_at_the_edge_of_its_range(self, op, params, dims):
+        assert infer_layer(op, params, [(1, 3, 4, 4)], "n")[1] == dims
+
+    @pytest.mark.parametrize("op, params, axis, rank", [
+        ("Flatten", {"axis": 7}, 7, 4),
+        ("Flatten", {"axis": 5}, 5, 4),
+        ("Flatten", {"axis": -9}, -9, 4),
+        ("Flatten", {"axis": -5}, -5, 4),
+        ("Softmax", {"axis": 9}, 9, 4),
+        ("Softmax", {"axis": 4}, 4, 4),
+        ("Softmax", {"axis": -5}, -5, 4),
+        ("Unsqueeze", {"axes": (9,)}, 9, 5),
+        ("Unsqueeze", {"axes": (5,)}, 5, 5),
+        ("Unsqueeze", {"axes": (0, -7)}, -7, 6),
+        ("Squeeze", {"axes": (9,)}, 9, 4),
+        ("Squeeze", {"axes": (-5,)}, -5, 4),
+        ("Concat", {"axis": 4}, 4, 4),
+    ])
+    def test_axis_out_of_range_names_node_and_op(self, op, params, axis, rank):
+        with pytest.raises(ShapeInferenceError) as exc:
+            infer_layer(op, params, [(1, 3, 4, 4)], "n")
+        assert str(exc.value) == f"node 'n' ({op}): axis {axis} out of range for rank {rank}"
+
+    def test_unsqueeze_rejects_duplicate_axes(self):
+        for axes in ((1, 1), (0, -5)):
+            with pytest.raises(ShapeInferenceError, match=r"node 'n' \(Unsqueeze\): duplicate"):
+                infer_layer("Unsqueeze", {"axes": axes}, [(1, 3, 4)], "n")
 
     def test_shape_preserving_ops(self):
         for op, attrs in (("Relu", ""), ("Sigmoid", ""), ("Tanh", ""),

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import json
 import os
 import tempfile
 
@@ -9,7 +12,14 @@ from hypothesis import strategies as st
 
 import modelzoo as mz
 from lbound.errors import MissError, StorageError
-from lbound.perfdb import PerfDb, PerfRecord, RecordKey, _hit_order
+from lbound.perfdb import (
+    PerfDb,
+    PerfRecord,
+    RecordKey,
+    _hit_order,
+    _line_prefix,
+    _record_to_json,
+)
 
 SYSTEMS = ("sysA", "sysB")
 DTYPES = ("f32", "f16")
@@ -20,9 +30,9 @@ FUSED = (None, "conv_bias", "conv_bias_act")
 
 
 @st.composite
-def records(draw):
+def records(draw, systems=SYSTEMS):
     key = RecordKey(
-        system=draw(st.sampled_from(SYSTEMS)),
+        system=draw(st.sampled_from(systems)),
         dtype=draw(st.sampled_from(DTYPES)),
         hash64="00",
         signature=draw(st.sampled_from(SIGNATURES)),
@@ -196,3 +206,88 @@ def test_corrupt_terminated_last_line_fails(db_file, mode):
     db_file.write_bytes(data[:-40] + b"\n")
     with pytest.raises(StorageError, match="line 5"):
         PerfDb(db_file, mode=mode)
+
+
+# ---------------------------------------------------------------------------
+# Scoped opens
+# ---------------------------------------------------------------------------
+
+# Names that are prefixes of each other, need JSON escapes, or are not ASCII.
+SCOPE_SYSTEMS = ("sysA", "sysAB", "", 'q"x', "b\\s", "Tésla", "\U0001f680")
+
+
+def _with_system(rec: PerfRecord, system: str) -> PerfRecord:
+    return dataclasses.replace(rec, key=dataclasses.replace(rec.key, system=system))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), st.sampled_from(SCOPE_SYSTEMS)), records())
+def test_writer_line_starts_with_its_scope_prefix(system, rec):
+    line = _record_to_json(_with_system(rec, system)).encode()
+    assert line.startswith(_line_prefix(system))
+    assert _line_prefix(system) == b'{"v":1,"system":' + json.dumps(system).encode() + b","
+
+
+def _hand_written(rec: PerfRecord, form: str) -> str:
+    """One record as a line that the writer would not produce."""
+    line = _record_to_json(rec)
+    obj = json.loads(line)
+    if form == "spaced":
+        return json.dumps(obj)
+    if form == "reordered":
+        return json.dumps(dict(reversed(obj.items())), separators=(",", ":"))
+    if form == "raw-utf8":
+        return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    if form == "escaped":  # every BMP character of the system as a \u escape
+        name = "".join(f"\\u{ord(c):04x}" if ord(c) < 0x10000 else c for c in rec.key.system)
+        return line.replace(json.dumps(rec.key.system), f'"{name}"', 1)
+    if form == "space-before-comma":
+        at = len('{"v":1,"system":') + len(json.dumps(rec.key.system))
+        return line[:at] + " " + line[at:]
+    return "  " + line  # indented
+
+
+FORMS = ("writer", "spaced", "reordered", "raw-utf8", "escaped", "space-before-comma",
+         "indented")
+
+
+@st.composite
+def db_texts(draw):
+    lines = []
+    for rec in draw(st.lists(records(SCOPE_SYSTEMS), max_size=40)):
+        form = draw(st.sampled_from(FORMS))
+        lines.append(_record_to_json(rec) if form == "writer" else _hand_written(rec, form))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    text = "".join(line + "\n" for line in lines)
+    tail = draw(st.one_of(st.none(), records(SCOPE_SYSTEMS)))
+    if tail is not None:  # torn, or complete but unterminated
+        tail = _record_to_json(tail)
+        text += tail[:draw(st.integers(1, len(tail)))]
+    return text
+
+
+def _best_or_miss(db: PerfDb, system, dtype, sig, **kw):
+    try:
+        return db.best(system, dtype, sig, **kw)
+    except MissError as exc:
+        return exc.keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(db_texts(), st.lists(st.sets(st.sampled_from(SCOPE_SYSTEMS)), max_size=3))
+def test_scoped_open_equals_the_full_open_restricted_to_its_scope(text, drawn):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "perf.db")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        full = PerfDb(path)
+        for scope in [(), SCOPE_SYSTEMS, *((s,) for s in SCOPE_SYSTEMS), *drawn]:
+            db = PerfDb(path, systems=scope)
+            assert db.records() == [r for r in full.records() if r.key.system in scope]
+            assert len(db) == len(db.records())
+            for system, dtype, sig in itertools.product(scope, DTYPES, SIGNATURES):
+                assert db.query(system, dtype, sig) == full.query(system, dtype, sig)
+                for layout, fused in itertools.product((None, *LAYOUTS), FUSED):
+                    assert _best_or_miss(db, system, dtype, sig, layout=layout, fused=fused) \
+                        == _best_or_miss(full, system, dtype, sig, layout=layout, fused=fused)
