@@ -8,21 +8,24 @@ signature of the pattern head (the convolution) plus the pattern id, so
 fused and unfused results coexist in the database.
 
 A spec's identity is its signature, its algorithm or fusion pattern, and
-its layout; the signature fixes its dtype and the pattern, else the op, its
-library API. The manifest's ``dtype`` and ``api`` fields are derived on
-write and checked on read.
+its layout. The signature fixes its dtype, and its API row comes from
+``dedup.API_TABLE``: ``ConvBiasActivation`` for a fused spec, else the op's
+row. The manifest's ``dtype`` and ``api`` fields are derived on write and
+checked on read.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dedup import LayerSignature, api_for_op, parse_signature, render_value, signature
+from .dedup import (API_TABLE, ApiMapping, LayerSignature, api_for_op, parse_signature,
+                    render_value, signature)
 from .errors import ConfigError, LboundError, ModelParseError
-from .model_ir import ACTIVATION_OPS, DTYPES, LAYOUTS, ModelGraph, is_weight_key
+from .model_ir import ACTIVATION_OPS, DTYPES, LAYOUTS, ModelGraph, infer_layer, is_weight_key
 
 
 class ConvAlgorithm(Enum):
@@ -43,7 +46,6 @@ class ConvAlgorithm(Enum):
         return f"CUDNN_CONVOLUTION_FWD_ALGO_{self.value}"
 
 
-ALGO_RANK = {algo: i for i, algo in enumerate(ConvAlgorithm)}
 ALGO_BY_TOKEN = {algo.token: algo for algo in ConvAlgorithm}
 
 
@@ -53,29 +55,20 @@ class FusionPattern:
 
     id: str
     ops: tuple[tuple[str, ...], ...]
-    api_name: str
 
 
 # Longest pattern first, the order in which ``fusion_candidates`` tries them.
+# Both run through the ConvBiasActivation API, bias-only fusion with an
+# identity activation.
 FUSION_PATTERNS = (
-    FusionPattern(
-        id="conv_bias_act",
-        ops=(("Conv",), ("Add",), ACTIVATION_OPS),
-        api_name="cudnnConvolutionBiasActivationForward",
-    ),
-    # Bias-only fusion runs through the same API with an identity activation.
-    FusionPattern(
-        id="conv_bias",
-        ops=(("Conv",), ("Add",)),
-        api_name="cudnnConvolutionBiasActivationForward",
-    ),
+    FusionPattern(id="conv_bias_act", ops=(("Conv",), ("Add",), ACTIVATION_OPS)),
+    FusionPattern(id="conv_bias", ops=(("Conv",), ("Add",))),
 )
-_FUSED_API = {p.id: p.api_name for p in FUSION_PATTERNS}
 
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """One benchmark of a layer; ``dtype`` and ``api_name`` derive from the rest."""
+    """One benchmark of a layer; ``dtype`` and ``api`` derive from the rest."""
 
     signature: LayerSignature
     algorithm: ConvAlgorithm | None
@@ -85,7 +78,7 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.layout not in LAYOUTS:
             raise ConfigError(f"unknown layout {self.layout!r}")
-        if self.fused is not None and self.fused not in _FUSED_API:
+        if self.fused is not None and self.fused not in (p.id for p in FUSION_PATTERNS):
             raise ConfigError(f"unknown fusion pattern {self.fused!r}")
         if api_for_op(self.signature.op_type) is None:
             raise ConfigError(f"no library API for {self.signature.op_type} layer "
@@ -100,8 +93,13 @@ class BenchmarkSpec:
         return self.signature.dtype
 
     @property
+    def api(self) -> ApiMapping:
+        """The API table row of the call that runs this spec."""
+        return API_TABLE["ConvBiasActivation"] if self.fused else api_for_op(self.signature.op_type)
+
+    @property
     def api_name(self) -> str:
-        return _FUSED_API[self.fused] if self.fused else api_for_op(self.signature.op_type).api_name
+        return self.api.api_name
 
 
 @dataclass(frozen=True)
@@ -293,7 +291,7 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
         f"// api: {spec.api_name}  dtype: {spec.dtype}  layout: {spec.layout}"
         + (f"  fused: {spec.fused}" if spec.fused else ""),
     ]
-    include = "#include <cublas_v2.h>" if spec.api_name.startswith("cublas") \
+    include = "#include <cublas_v2.h>" if spec.api.library == "cublas" \
         else "#include <cudnn.h>"
     lines = header + [include, '#include "bench_runtime.h"', ""]
     params = [(key, render_value(value)) for key, value in sig.params]
@@ -313,6 +311,9 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
         lines.append(f"  const int dilations[2] = {{{_csv(sig.param('dilations'))}}};")
         lines.append(f"  const int group = {sig.param('group')};")
         if spec.fused:
+            # cuDNN documents IMPLICIT_PRECOMP_GEMM as the one algorithm it
+            # enables with an identity activation, which conv_bias uses.
+            lines.append(f"  const cudnnConvolutionFwdAlgo_t algo = {ConvAlgorithm.IPGEMM.token};")
             lines.append("  // bias and activation applied by the fused call")
             lines.append(f"  CUDNN_CALL({spec.api_name}(handle, &alpha1, x_desc, x, w_desc, w,")
             lines.append("      conv_desc, algo, workspace, workspace_size, &alpha2,")
@@ -321,14 +322,13 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
             lines.append(f"  const cudnnConvolutionFwdAlgo_t algo = {spec.algorithm.token};")
             lines.append(f"  CUDNN_CALL({spec.api_name}(handle, &alpha, x_desc, x, w_desc, w,")
             lines.append("      conv_desc, algo, workspace, workspace_size, &beta, y_desc, y));")
-    elif spec.api_name.startswith("cublas"):
-        dims = sig.in_dims[0]
-        b = sig.param("w1") or (sig.in_dims[1] if len(sig.in_dims) > 1 else ())
-        trans_b = sig.param("transB", 0)
-        m = dims[0] if not sig.param("transA", 0) else dims[-1]
-        k = dims[-1] if not sig.param("transA", 0) else dims[0]
-        n = (b[0] if trans_b else b[-1]) if b else 0
-        lines.append(f"  const int m = {m}, n = {n}, k = {k};")
+    elif spec.api.library == "cublas":
+        # C is m x n with every leading output dim folded into m; k follows
+        # from the op rule's MAC count.
+        _params, out, macs = infer_layer(sig.op_type, dict(sig.params), list(sig.in_dims),
+                                         sig.hash64)
+        m, n = math.prod(out[:-1]), out[-1]
+        lines.append(f"  const int m = {m}, n = {n}, k = {macs // (m * n)};")
         lines.append(f"  CUBLAS_CALL({spec.api_name}(handle, transa, transb, m, n, k,")
         lines.append("      &alpha, a, lda, b, ldb, &beta, c, ldc));")
     else:

@@ -17,7 +17,7 @@ import click
 
 from . import analyzer, benchgen, dedup, perfdb, profile_ingest, synth_runner
 from .errors import ConfigError, LboundError, MissError
-from .model_ir import infer_shapes, load_model_file
+from .model_ir import DTYPES, LAYOUTS, infer_shapes, load_model_file
 
 
 def _exit_codes(fn):
@@ -61,7 +61,7 @@ def main():
 @click.argument("models", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--batch", default=1, show_default=True, type=int)
 @click.option("--dtype", default="f32", show_default=True,
-              type=click.Choice(["f32", "f16"]))
+              type=click.Choice(DTYPES))
 @click.option("--coverage", is_flag=True, help="Also print per-op API coverage.")
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["text", "jsonl"]))
@@ -159,19 +159,18 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
 
     if delta or do_simulate:
         path = _db_path(db_path)
-        if delta and not system_name:
-            raise ConfigError("--delta needs --system to check existing results")
-        sysid = _system_id(system_name) if delta else None
-        scope = None if do_simulate else [sysid]  # a read-only delta reads one system
+        if not system_name:
+            raise ConfigError("--delta needs --system to check existing results" if delta
+                              else "--simulate needs --system")
+        # Resolved before the open, so a bad --system leaves no database behind.
+        system = synth_runner.load_system_profile(system_name)
+        scope = None if do_simulate else [system.system_id]  # a read-only delta reads one system
         with perfdb.PerfDb(path, mode="rw" if do_simulate else "r", systems=scope) as db:
             if delta:
-                specs = benchgen.delta_specs(specs, db, sysid)
+                specs = benchgen.delta_specs(specs, db, system.system_id)
                 click.echo(f"delta: {len(specs)} spec(s) not yet in the database")
             if do_simulate:
-                if not system_name:
-                    raise ConfigError("--simulate needs --system")
-                profile = synth_runner.load_system_profile(system_name)
-                n = synth_runner.run_specs(specs, profile, db, jitter_seed=jitter_seed)
+                n = synth_runner.run_specs(specs, system, db, jitter_seed=jitter_seed)
                 click.echo(f"simulated {n} record(s) into {path}")
 
     if emit_src:
@@ -293,7 +292,7 @@ def profile_convert(cudnn_log, kernels, latency_ms, model, system, batch, strict
 @click.option("--system", "system_name", required=True)
 @click.option("--batch", default=1, show_default=True, type=int)
 @click.option("--dtype", default="f32", show_default=True,
-              type=click.Choice(["f32", "f16"]))
+              type=click.Choice(DTYPES))
 @click.option("--profile", "profile_path", type=click.Path(exists=True), default=None)
 @click.option("--measured-ms", type=float, default=None,
               help="Measured latency when no profile is available.")
@@ -303,7 +302,7 @@ def profile_convert(cudnn_log, kernels, latency_ms, model, system, batch, strict
               help="Joint scenario: ideal vs logged algorithm selection.")
 @click.option("--tensor-core", is_flag=True, help="Run the tensor-core analysis.")
 @click.option("--layout", default="NCHW", show_default=True,
-              type=click.Choice(["NCHW", "NHWC"]))
+              type=click.Choice(LAYOUTS))
 @click.option("--allow-missing", is_flag=True,
               help="Treat database misses as zero-latency layers.")
 @click.option("--out", "fmt", default="text", show_default=True,
@@ -388,7 +387,7 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
 @click.option("--systems", required=True, help="Comma-separated system ids.")
 @click.option("--batch", default=1, show_default=True, type=int)
 @click.option("--dtype", default="f32", show_default=True,
-              type=click.Choice(["f32", "f16"]))
+              type=click.Choice(DTYPES))
 @click.option("--costs", default=None,
               help="Comma-separated system=dollars_per_hour pairs.")
 @click.option("--rank-by", default=None, type=click.Choice(["latency", "cost"]),

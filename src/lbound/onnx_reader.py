@@ -110,7 +110,6 @@ def _packed_varints(buf: bytes, span: tuple[int, int]) -> list[int]:
 
 class _Tensor(NamedTuple):
     dims: tuple[int, ...]
-    data_type: int
     values: list[int] | None  # small int64 tensors only
 
 
@@ -120,7 +119,7 @@ def _shape_param(tensor: _Tensor) -> tuple[int, ...]:
 
 
 def _parse_tensor(buf: bytes, span: tuple[int, int]) -> _Tensor:
-    """TensorProto -> its dims, data type and, for a small int64 tensor, its values."""
+    """TensorProto -> its dims and, for a small int64 tensor, its values."""
     dims: list[int] = []
     data_type = 0
     int_values: list[int] = []
@@ -147,7 +146,7 @@ def _parse_tensor(buf: bytes, span: tuple[int, int]) -> _Tensor:
             values = int_values
         elif raw is not None and len(raw) == 8 * count:
             values = [v[0] for v in struct.iter_unpack("<q", raw)]
-    return _Tensor(tuple(dims), data_type, values)
+    return _Tensor(tuple(dims), values)
 
 
 def _parse_value_info(buf: bytes, span: tuple[int, int]):
@@ -304,7 +303,7 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
     for nname, op, n_in, n_out, attrs in raw_nodes:
         if op == "Constant" and n_out:
             t = attrs.get("value")
-            constants[n_out[0]] = t if isinstance(t, _Tensor) else _Tensor((1,), 0, None)
+            constants[n_out[0]] = t if isinstance(t, _Tensor) else _Tensor((1,), None)
             continue
         node_protos.append((nname, op, n_in, n_out, attrs))
 

@@ -64,13 +64,13 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .benchgen import ALGO_RANK, FUSION_PATTERNS, BenchmarkSpec, ConvAlgorithm
+from .benchgen import FUSION_PATTERNS, BenchmarkSpec, ConvAlgorithm
 from .dedup import LayerSignature, parse_signature
 from .errors import ConfigError, MissError, ModelParseError, StorageError
 from .model_ir import DTYPES, LAYOUTS
 
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
-_ALGO_RANK = {algo.name: rank for algo, rank in ALGO_RANK.items()}
+_ALGO_RANK = {algo.name: rank for rank, algo in enumerate(ConvAlgorithm)}
 _FUSED_IDS = {p.id for p in FUSION_PATTERNS}
 # How every writer line starts, up to the first byte of its system string.
 _SYSTEM_AT = b'{"v":1,"system":"'

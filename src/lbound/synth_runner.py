@@ -7,7 +7,8 @@ and is testable at desk scale. Latency follows a roofline shape::
     compute_us = 2 * MACs / (peak_tflops * 1e6)
     memory_us  = bytes_touched / (mem_bw_gbps * 1e3)
 
-where peak is the tensor-core rate for f16 on capable systems and APIs,
+where peak is the tensor rate for an f16 spec whose API row is Tensor-Core
+capable, on a system that has a tensor rate, and the fp32 rate otherwise;
 bytes_touched covers input, output, and weight elements at the dtype width,
 and f is a per-algorithm factor (1.0 for non-convolutions). The factor
 table is synthetic; it exists to create a nontrivial, shape-dependent
@@ -26,7 +27,7 @@ import os
 from dataclasses import dataclass, field
 
 from .benchgen import BenchmarkSpec, ConvAlgorithm
-from .dedup import LayerSignature, api_for_op
+from .dedup import LayerSignature
 from .errors import ConfigError
 from .model_ir import DTYPE_BYTES, infer_layer, weight_elems
 from .perfdb import PerfRecord, make_record
@@ -47,27 +48,21 @@ _WINOGRAD_PENALTY = 10.0
 
 @dataclass
 class SystemProfile:
+    """A system's rates; it has Tensor Cores exactly when it has a tensor rate."""
+
     system_id: str
     fp32_tflops: float
     mem_bw_gbps: float
     tensor_tflops: float | None = None
-    tensor_core: bool = False
     kernel_overhead_us: float = 2.0
     algo_factor: dict[ConvAlgorithm, float] = field(
         default_factory=lambda: dict(DEFAULT_ALGO_FACTOR))
-    mem_gb: float | None = None
-    gpu: str = ""
-    architecture: str = ""
 
     def __post_init__(self):
         if not (0 < self.fp32_tflops < math.inf and 0 < self.mem_bw_gbps < math.inf):
             raise ConfigError(f"system {self.system_id!r}: rates must be positive and finite")
         if not 0 <= self.kernel_overhead_us < math.inf:
             raise ConfigError(f"system {self.system_id!r}: overhead must be finite and >= 0")
-        if self.tensor_core != (self.tensor_tflops is not None):
-            raise ConfigError(
-                f"system {self.system_id!r}: tensor_tflops must be present "
-                f"exactly when tensor_core is set")
         if self.tensor_tflops is not None and not 0 < self.tensor_tflops < math.inf:
             raise ConfigError(
                 f"system {self.system_id!r}: tensor_tflops must be positive and finite")
@@ -126,9 +121,7 @@ def simulate(spec: BenchmarkSpec, sys: SystemProfile,
     else:
         f = 1.0
 
-    row = api_for_op(sig.op_type)
-    tc_capable = (row.tensor_core if row else False) or bool(spec.fused)
-    if spec.dtype == "f16" and sys.tensor_core and tc_capable:
+    if spec.dtype == "f16" and sys.tensor_tflops is not None and spec.api.tensor_core:
         peak = sys.tensor_tflops
     else:
         peak = sys.fp32_tflops
@@ -198,23 +191,24 @@ def builtin_systems() -> list[str]:
 
 
 def _profile_from_json(text: str) -> SystemProfile:
+    """Profile from its JSON; an optional ``tensor_core`` must agree with ``tensor_tflops``."""
     try:
         obj = json.loads(text)
         factors = dict(DEFAULT_ALGO_FACTOR)
         for k, v in (obj.get("algo_factor") or {}).items():
             factors[ConvAlgorithm[k]] = float(v)
+        has_rate = obj.get("tensor_tflops") is not None
+        if bool(obj.get("tensor_core", has_rate)) != has_rate:
+            raise ConfigError(
+                f"system {obj['system_id']!r}: tensor_tflops must be present "
+                f"exactly when tensor_core is set")
         return SystemProfile(
             system_id=obj["system_id"],
             fp32_tflops=float(obj["fp32_tflops"]),
             mem_bw_gbps=float(obj["mem_bw_gbps"]),
-            tensor_tflops=(float(obj["tensor_tflops"])
-                           if obj.get("tensor_tflops") is not None else None),
-            tensor_core=bool(obj.get("tensor_core", obj.get("tensor_tflops") is not None)),
+            tensor_tflops=float(obj["tensor_tflops"]) if has_rate else None,
             kernel_overhead_us=float(obj.get("kernel_overhead_us", 2.0)),
             algo_factor=factors,
-            mem_gb=obj.get("mem_gb"),
-            gpu=obj.get("gpu", ""),
-            architecture=obj.get("architecture", ""),
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad system profile: {exc}") from exc

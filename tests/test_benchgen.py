@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import pytest
 
 import modelzoo as mz
-from lbound import benchgen, dedup
+from lbound import benchgen, dedup, synth_runner
 
 
 def test_manifest_round_trips_for_the_family():
@@ -15,6 +18,9 @@ def test_manifest_round_trips_for_the_family():
     config = benchgen.BenchConfig(layouts=("NCHW", "NHWC"))
     specs = benchgen.generate_specs(uniques, config, fusion_sites=sites)
     assert {s.fused for s in specs} > {None} and {s.layout for s in specs} == {"NCHW", "NHWC"}
+    fused_row = dedup.API_TABLE["ConvBiasActivation"]
+    assert all(s.api is (fused_row if s.fused else dedup.api_for_op(s.signature.op_type))
+               for s in specs)
     text = benchgen.manifest_lines(specs)
     parsed = benchgen.parse_manifest(text)
     assert parsed == specs
@@ -39,6 +45,13 @@ _CONV = ("Conv|f16|in=2x3x8x8|dilations=1x1,group=1,kernel=3x3,pads=1x1x1x1,"
       "CUDNN_DATA_HALF", "CUDNN_TENSOR_NCHW", "x_dims[4] = {2,3,8,8}",
       "CUDNN_CALL(cudnnConvolutionBiasActivationForward(",
       "BENCH(bench_{hash}_conv_bias_act_f16) {"]),
+    (_CONV.replace("f16", "f32"), None, "NHWC", "conv_bias",
+     ["#include <cudnn.h>",
+      "api: cudnnConvolutionBiasActivationForward  dtype: f32  layout: NHWC  fused: conv_bias",
+      "CUDNN_DATA_FLOAT", "CUDNN_TENSOR_NHWC",
+      "algo = CUDNN_CONVOLUTION_FWD_ALGO_IMPLICIT_PRECOMP_GEMM;",
+      "CUDNN_CALL(cudnnConvolutionBiasActivationForward(",
+      "BENCH(bench_{hash}_conv_bias_f32) {"]),
     ("Relu|f32|in=2x16x7x7|", None, "NCHW", None,
      ["#include <cudnn.h>", "api: cudnnActivationForward  dtype: f32  layout: NCHW",
       "CUDNN_DATA_FLOAT", "x_dims[] = {2,16,7,7}", "CUDNN_CALL(cudnnActivationForward(",
@@ -47,7 +60,7 @@ _CONV = ("Conv|f16|in=2x3x8x8|dilations=1x1,group=1,kernel=3x3,pads=1x1x1x1,"
      ["#include <cublas_v2.h>", "api: cublasGemmEx  dtype: f32  layout: NCHW",
       "CUDNN_DATA_FLOAT", "m = 2, n = 10, k = 64", "CUBLAS_CALL(cublasGemmEx(",
       "BENCH(bench_{hash}_base_f32) {"]),
-], ids=["conv", "fused", "relu", "gemm"])
+], ids=["conv", "fused", "bias-only", "relu", "gemm"])
 def test_emitted_source_names_the_spec(canonical, algorithm, layout, fused, expected):
     sig = dedup.parse_signature(canonical)
     spec = benchgen.BenchmarkSpec(sig, algorithm, layout, fused)
@@ -59,4 +72,23 @@ def test_emitted_source_names_the_spec(canonical, algorithm, layout, fused, expe
         assert token.replace("{hash}", sig.hash64) in src, token
     if sig.op_type != "Conv":
         assert "cudnnTensorFormat_t" not in src and "algo" not in src
+    if "conv_desc, algo," in src:
+        assert src.count("const cudnnConvolutionFwdAlgo_t algo = ") == 1
     assert src.count("BENCH(") == 1 and src.endswith("}\n")
+
+
+@pytest.mark.parametrize("canonical", [
+    "Gemm|f32|in=2x64|transA=0,transB=0,w1=64x10",
+    "Gemm|f32|in=64x2|transA=1,transB=0,w1=64x10",
+    "Gemm|f32|in=2x64|transA=0,transB=1,w1=10x64",
+    "Gemm|f32|in=64x2|transA=1,transB=1,w1=10x64",
+    "Gemm|f32|in=2x64,10x64|transA=0,transB=1",
+    "MatMul|f16|in=5x6|w1=6x7",
+    "MatMul|f32|in=4x5x6|w1=6x7",
+    "MatMul|f32|in=4x5x6,4x6x7|",
+])
+def test_emitted_gemm_shape_does_the_layers_macs(canonical):
+    sig = dedup.parse_signature(canonical)
+    src = benchgen.emit_benchmark_source(benchgen.BenchmarkSpec(sig, None, "NCHW", None))
+    m, n, k = map(int, re.search(r"const int m = (\d+), n = (\d+), k = (\d+);", src).groups())
+    assert math.prod((m, n, k)) == synth_runner.signature_cost(sig).macs

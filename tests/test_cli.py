@@ -188,6 +188,34 @@ def test_unparseable_system_profile_exits_2(r18, tmp_path):
         "analyze", str(model), "--db", str(db), "--system", str(path)]), 2)
 
 
+_TC_MISMATCH = "tensor_tflops must be present exactly when tensor_core is set"
+
+
+@pytest.mark.parametrize("extra, system, reason", [
+    ([], None, "--simulate needs --system"),
+    (["--delta"], None, "--delta needs --system to check existing results"),
+    (["--system", "Nope"], None, "unknown system profile 'Nope'"),
+    ([], ("Tesla_V100", {"tensor_core": False}), _TC_MISMATCH),
+    ([], ("Tesla_K80", {"tensor_core": True}), _TC_MISMATCH),
+], ids=["no-system", "delta-no-system", "unknown-system", "rate-without-flag",
+        "flag-without-rate"])
+def test_bad_system_exits_2_before_the_db_opens(r18, tmp_path, extra, system, reason):
+    model, _db = r18
+    if system is not None:
+        name, changes = system
+        obj = {**json.loads((resources.files("lbound") / f"data/systems/{name}.json")
+                            .read_text("utf-8")), **changes}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(obj), "utf-8")
+        extra = [*extra, "--system", str(path)]
+    db = tmp_path / "x.db"
+    res = CliRunner().invoke(main, ["bench", str(model), "--simulate", "--db", str(db),
+                                    *extra])
+    _one_error(res)
+    assert reason in res.output
+    assert not db.exists()
+
+
 @pytest.mark.parametrize("meta, kernel, reason", [
     ("nan", '{"name":"k","duration_us":1}', "measured latency"),
     ("1", '{"name":"k","duration_us":NaN}', "duration"),

@@ -6,7 +6,8 @@ module-level function, class or assigned name that nothing in
 A public function or class is dead when nothing in ``src/lbound``,
 ``tests/`` or ``bench/`` names it; Click commands are exempt, since the
 command line reaches them. Likewise an error class that no ``raise`` in
-the package names.
+the package names, and a dataclass or NamedTuple field that nothing in
+``src/lbound``, ``tests/`` or ``bench/`` reads as an attribute.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ def _trees() -> dict[str, ast.Module]:
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _outside_trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text("utf-8"))
+            for folder in ("tests", "bench") for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
 def test_every_private_function_is_referenced():
     trees = _trees()
     used = sum((_names(tree) for tree in trees.values()), Counter())
@@ -64,9 +70,7 @@ def _is_click_command(stmt: ast.stmt) -> bool:
 
 def test_every_public_function_and_class_is_referenced():
     trees = _trees()
-    outside = [ast.parse(path.read_text("utf-8"))
-               for folder in ("tests", "bench") for path in sorted((ROOT / folder).rglob("*.py"))]
-    used = sum(map(_names, [*trees.values(), *outside]), Counter())
+    used = sum(map(_names, [*trees.values(), *_outside_trees()]), Counter())
     dead = [f"{module}:{stmt.name}"
             for module, tree in trees.items()
             for stmt in tree.body
@@ -74,6 +78,54 @@ def test_every_public_function_and_class_is_referenced():
             and not _private(stmt.name) and not _is_click_command(stmt)
             and used[stmt.name] - _names(stmt)[stmt.name] <= 0]
     assert dead == []
+
+
+def _record_classes(tree: ast.Module) -> dict[str, ast.ClassDef]:
+    """Module-level dataclasses and NamedTuples, by name."""
+    def is_record(stmt: ast.ClassDef) -> bool:
+        marks = [d.func if isinstance(d, ast.Call) else d for d in stmt.decorator_list]
+        marks += stmt.bases
+        return any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple")
+                   for m in marks)
+    return {stmt.name: stmt for stmt in tree.body
+            if isinstance(stmt, ast.ClassDef) and is_record(stmt)}
+
+
+def _fields(cls: ast.ClassDef) -> list[str]:
+    return [stmt.target.id for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _rendered_by_vars(classes: dict[str, ast.ClassDef], root: str) -> set[str]:
+    """``root`` and every record class its field annotations reach."""
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        todo += [node.id for stmt in classes[name].body if isinstance(stmt, ast.AnnAssign)
+                 for node in ast.walk(stmt.annotation)
+                 if isinstance(node, ast.Name) and node.id in classes]
+    return seen
+
+
+def test_every_record_field_is_read():
+    """A dataclass or NamedTuple field that nothing reads as an attribute is dead.
+
+    ``report_to_json`` renders the analysis report and the records it holds
+    through ``vars``, so the JSON reads their fields; they are exempt.
+    """
+    trees = _trees()
+    read = Counter(node.attr for tree in [*trees.values(), *_outside_trees()]
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    exempt = _rendered_by_vars(_record_classes(trees["analyzer.py"]), "AnalysisReport")
+    unread = [f"{module}:{name}.{field}"
+              for module, tree in trees.items()
+              for name, cls in _record_classes(tree).items() if name not in exempt
+              for field in _fields(cls) if not read[field]]
+    assert unread == []
 
 
 def _raised(tree: ast.AST) -> set[str]:
