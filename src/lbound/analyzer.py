@@ -21,11 +21,16 @@ marked successor at each step. All three steps are linear in the graph.
 
 Every walk over a graph, from annotation to the totals, the critical path
 and the DOT export, follows the topological order the graph carries
-(``ModelGraph.order``, set once by ``model_ir.validate``). An
-:class:`Annotator` holds one graph's annotations on one database: one
-signature map per dtype and one annotation per (system, dtype, layout),
-each on first use. One ``analyze`` or ``advise`` command builds one
-annotator and hands it to every analysis.
+(``ModelGraph.order``, set once by ``model_ir.validate``). Per-layer facts
+come from the graph's canonical-layer table: ``model_ir.infer_shapes``
+interns each unique layer once, and ``dedup.layer_signatures`` keeps one
+signature per unique layer and dtype on the graph, which annotation, Q3
+and the fusion scan all read. :func:`annotate` looks each (signature,
+layout) up in the database once and shares the record, or the miss, with
+every node of that signature. An :class:`Annotator` holds one graph's
+annotations on one database, one per (system, dtype, layout), each on
+first use. One ``analyze`` or ``advise`` command builds one annotator and
+hands it to every analysis.
 
 Every what-if is a view over :func:`apply`: on one (system, dtype, layout)
 annotation it swaps in the records of logged convolution algorithms, then
@@ -42,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 
 from .benchgen import fusion_candidates
-from .dedup import LayerSignature, api_for_op, render_value, signature
+from .dedup import api_for_op, layer_signatures, render_value
 from .errors import ConfigError, CorrelationError, DomainError, MissError
 from .model_ir import LayerNode, ModelGraph
 from .perfdb import PerfDb, PerfRecord, RecordKey
@@ -71,29 +76,37 @@ class BenanzaRatio:
 
 
 def annotate(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
-             signatures: dict[str, LayerSignature | None],
              layout: str | None = None) -> LatencyAnnotatedGraph:
     """Attach the best database latency to every supported layer.
 
-    ``signatures`` maps every layer, in topological order, to its signature,
-    or to None where no library API backs it. ``layout`` restricts
-    convolution-family lookups; other layers always take their
-    lowest-latency record. Missing layers contribute zero and are listed in
-    ``missing``.
+    Signatures come from the graph's table at ``dtype``, and ``db.best``
+    runs once per (signature, layout); its record, or its miss, is shared
+    by every node of that signature. ``layout`` restricts convolution-family
+    lookups; other layers always take their lowest-latency record. Missing
+    layers contribute zero and are listed in ``missing``, once per node.
     """
+    sigs = layer_signatures(graph, dtype)
     latencies: dict[str, float] = {}
     chosen: dict[str, PerfRecord | None] = {}
     missing: list[str] = []
-    for nid, sig in signatures.items():
+    found: dict[tuple[str, str | None], PerfRecord | list[str]] = {}
+    for nid in graph.order:
+        node = graph.nodes[nid]
         latencies[nid] = 0.0
         chosen[nid] = None
-        if sig is None:
+        if api_for_op(node.op_type) is None:
             continue
-        want_layout = layout if graph.nodes[nid].op_type == "Conv" else None
-        try:
-            rec = db.best(system, dtype, sig, layout=want_layout)
-        except MissError as exc:
-            missing.extend(exc.keys)
+        sig = sigs[node.layer]
+        want_layout = layout if node.op_type == "Conv" else None
+        key = (sig.canonical_string, want_layout)
+        if key not in found:
+            try:
+                found[key] = db.best(system, dtype, sig, layout=want_layout)
+            except MissError as exc:
+                found[key] = exc.keys
+        rec = found[key]
+        if isinstance(rec, list):
+            missing.extend(rec)
             continue
         latencies[nid] = rec.latency_us
         chosen[nid] = rec
@@ -106,19 +119,7 @@ class Annotator:
     def __init__(self, graph: ModelGraph, db: PerfDb):
         self.graph = graph
         self.db = db
-        self._signatures: dict[str, dict[str, LayerSignature | None]] = {}
         self._annotations: dict[tuple, LatencyAnnotatedGraph] = {}
-
-    def signatures(self, dtype: str) -> dict[str, LayerSignature | None]:
-        """Every layer's signature in topological order; None where no API backs it."""
-        if dtype not in self._signatures:
-            nodes = self.graph.nodes
-            self._signatures[dtype] = {
-                nid: signature(nodes[nid], dtype)
-                if api_for_op(nodes[nid].op_type) is not None else None
-                for nid in self.graph.order
-            }
-        return self._signatures[dtype]
 
     def annotation(self, system: str, dtype: str, layout: str | None = None,
                    allow_missing: bool = False) -> LatencyAnnotatedGraph:
@@ -130,7 +131,7 @@ class Annotator:
         key = (system, dtype, layout or None)
         if key not in self._annotations:
             self._annotations[key] = annotate(self.graph, self.db, system, dtype,
-                                              self.signatures(dtype), layout=layout)
+                                              layout=layout)
         ann = self._annotations[key]
         if ann.missing and not allow_missing:
             raise MissError(ann.missing)
@@ -241,10 +242,10 @@ def _logged_convs(anns: Annotator, profile: ExecutionProfile, system: str, dtype
         raise CorrelationError(
             f"graph has {len(conv_nodes)} convolution layers but the log has "
             f"{len(conv_calls)} convolution calls")
-    sigs = anns.signatures(dtype)
+    sigs = layer_signatures(anns.graph, dtype)
     convs = []
     for node, call in zip(conv_nodes, conv_calls):
-        sig, algo = sigs[node.id], call.params.get("algo")
+        sig, algo = sigs[node.layer], call.params.get("algo")
         rec = algo and anns.db.record_for(RecordKey(
             system, dtype, sig.hash64, sig.canonical_string, algo, layout, None))
         convs.append((node, call, rec if rec and rec.status == "ok" else None))
@@ -332,22 +333,58 @@ def expected_api_sequence(graph: ModelGraph) -> list[ExpectedCall]:
 
 
 def _lcs_pairs(expected: list[str], actual: list[str]) -> list[tuple[int, int]]:
+    """Index pairs of one longest common subsequence, in order, in O((n+m)·D).
+
+    The walk goes from the front: equal calls pair up; otherwise the expected
+    call is dropped when that keeps the LCS length, else the logged one. It
+    reads dist[i][j], the insert/delete distance between the suffixes from
+    (i, j), kept only on the diagonals k = j - i with |k| + |k - (m - n)| <=
+    ``bound``. A path through any other diagonal costs more than ``bound``,
+    so when dist[0][0] <= ``bound`` every shortest path lies in the band, and
+    so does every cell the walk visits or compares: it takes the same steps
+    as over the full table. Otherwise the band widens and is filled again.
+    The slack doubles, so the final ``bound`` is at most 2·D, where
+    D = n + m - 2·LCS, and the band's widths sum to O(D).
+    """
     n, m = len(expected), len(actual)
-    table = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            if expected[i] == actual[j]:
-                table[i][j] = table[i + 1][j + 1] + 1
-            else:
-                table[i][j] = max(table[i + 1][j], table[i][j + 1])
+    delta = m - n
+    far = n + m + 1  # more than any distance; stands for "outside the band"
+    slack = 0
+    while True:
+        bound = abs(delta) + 2 * slack
+        lo, hi = min(0, delta) - slack, max(0, delta) + slack
+        width = hi - lo + 1
+        # rows[i][k - lo] is dist[i][i + k]
+        rows: list[list[int]] = [[]] * (n + 1)
+        below: list[int] = []
+        for i in range(n, -1, -1):
+            row = [far] * width
+            for k in range(min(hi, m - i), max(lo, -i) - 1, -1):
+                j, at = i + k, k - lo
+                if i == n:
+                    row[at] = m - j
+                elif j == m:
+                    row[at] = n - i
+                elif expected[i] == actual[j]:
+                    row[at] = below[at]
+                else:
+                    down = below[at - 1] if at else far
+                    right = row[at + 1] if at + 1 < width else far
+                    row[at] = 1 + min(down, right)
+            rows[i] = below = row
+        if rows[0][-lo] <= bound:
+            break
+        slack = 2 * slack or 1
     pairs: list[tuple[int, int]] = []
     i = j = 0
     while i < n and j < m:
+        at = j - i - lo
         if expected[i] == actual[j]:
             pairs.append((i, j))
             i += 1
             j += 1
-        elif table[i + 1][j] >= table[i][j + 1]:
+        elif (rows[i + 1][at - 1] if at else far) <= \
+                (rows[i][at + 1] if at + 1 < width else far):
             i += 1
         else:
             j += 1

@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dedup import (API_TABLE, ApiMapping, LayerSignature, api_for_op, parse_signature,
-                    render_value, signature)
+from .dedup import (API_TABLE, ApiMapping, LayerSignature, api_for_op, layer_signatures,
+                    parse_signature, render_value)
 from .errors import ConfigError, LboundError, ModelParseError
 from .model_ir import ACTIVATION_OPS, DTYPES, LAYOUTS, ModelGraph, infer_layer, is_weight_key
 
@@ -144,6 +144,7 @@ def fusion_candidates(graph: ModelGraph, dtype: str = "f32") -> list[FusionSite]
     """
     claimed: set[str] = set()
     sites: list[FusionSite] = []
+    sigs = layer_signatures(graph, dtype)
     for nid in graph.order:
         if nid in claimed:
             continue
@@ -151,7 +152,7 @@ def fusion_candidates(graph: ModelGraph, dtype: str = "f32") -> list[FusionSite]
             members = _match_pattern(graph, nid, pattern, claimed)
             if members:
                 sites.append(FusionSite(
-                    head_signature=signature(graph.nodes[nid], dtype),
+                    head_signature=sigs[graph.nodes[nid].layer],
                     pattern_id=pattern.id,
                     member_ids=tuple(members),
                 ))

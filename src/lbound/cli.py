@@ -12,6 +12,7 @@ import functools
 import math
 import os
 import sys
+from collections import Counter
 
 import click
 
@@ -28,8 +29,8 @@ def _exit_codes(fn):
         except LboundError as exc:
             click.echo(f"error: {exc}", err=True)
             if isinstance(exc, MissError):
-                for key in exc.keys:
-                    click.echo(f"  missing: {key}", err=True)
+                for key, nodes in Counter(exc.keys).items():  # in first-seen order
+                    click.echo(f"  missing: {key} ({nodes} node(s))", err=True)
                 click.echo("hint: run `lbound bench --delta --simulate` to fill the gaps "
                            "or pass --allow-missing", err=True)
             sys.exit(exc.exit_code)
@@ -332,7 +333,7 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
         except MissError as exc:
             if miss_out:
                 with open(miss_out, "w", encoding="utf-8") as fh:
-                    fh.write("\n".join(exc.keys) + "\n")
+                    fh.write("\n".join(dict.fromkeys(exc.keys)) + "\n")
             raise
         lb_seq = analyzer.sequential_total(graph, ann.latencies)
         cp = analyzer.critical_path(graph, ann.latencies)

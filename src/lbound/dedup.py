@@ -156,6 +156,23 @@ def signature(layer: LayerNode, dtype: str) -> LayerSignature:
     return _build(layer.op_type, dtype, in_dims, params)
 
 
+def layer_signatures(graph: ModelGraph, dtype: str) -> list[LayerSignature]:
+    """The graph's signature table at ``dtype``: one signature per unique layer.
+
+    Indexed by ``LayerNode.layer``, so every node of a layer reads the same
+    signature object. Built with one :func:`signature` call per layer on
+    first use and kept on the graph, so each (graph, dtype) builds it once.
+    """
+    table = graph.signatures.get(dtype)
+    if table is None:
+        if graph.nodes and not graph.layers:
+            raise ShapeStateError(
+                f"graph {graph.name!r} has no layer table; run infer_shapes first")
+        table = graph.signatures[dtype] = [signature(graph.nodes[nid], dtype)
+                                           for nid in graph.layers]
+    return table
+
+
 def parse_signature(canonical: str) -> LayerSignature:
     """Inverse of ``LayerSignature.canonical_string`` (byte-faithful).
 
@@ -216,7 +233,7 @@ def unique_layers(models: list[ModelGraph], dtype: str = "f32") -> UniqueLayerRe
     per_model: list[ModelLayerStats] = []
     total = 0
     for model in models:
-        sigs = {signature(node, dtype) for node in model.nodes.values()}
+        sigs = set(layer_signatures(model, dtype))
         n = len(model.nodes)
         per_model.append(ModelLayerStats(model.name, n, len(sigs)))
         pooled |= sigs

@@ -66,13 +66,16 @@ class DomainError(LboundError):
 class MissError(LboundError):
     """Requested performance-database keys are absent.
 
-    ``keys`` holds one human-readable string per missing key.
+    ``keys`` holds one human-readable string per missing lookup, so a key
+    repeats once per layer node that needs it; the message counts each
+    distinct key once.
     """
 
     exit_code = 3
 
     def __init__(self, keys: list[str]):
         self.keys = list(keys)
-        preview = "; ".join(self.keys[:4])
-        more = f" (+{len(self.keys) - 4} more)" if len(self.keys) > 4 else ""
-        super().__init__(f"{len(self.keys)} benchmark result(s) missing: {preview}{more}")
+        distinct = list(dict.fromkeys(self.keys))
+        preview = "; ".join(distinct[:4])
+        more = f" (+{len(distinct) - 4} more)" if len(distinct) > 4 else ""
+        super().__init__(f"{len(distinct)} benchmark result(s) missing: {preview}{more}")

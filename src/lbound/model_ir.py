@@ -4,7 +4,9 @@ A model is a DAG of layer nodes. Two loaders produce the same IR: a binary
 ONNX-format reader (see :mod:`lbound.onnx_reader`) and a line-based text
 format used for fixtures and small experiments. Weight tensors are recorded
 by shape only; their values are discarded at load time. Graphs are treated
-as immutable after construction: ``infer_shapes`` returns a new graph.
+as immutable after construction: ``infer_shapes`` returns a new graph, with
+its canonical-layer table (``ModelGraph.layers``); only the per-dtype
+signature cache that ``dedup.layer_signatures`` keeps on it fills later.
 Both loaders end in :func:`validate`, which owns the topological order: it
 stores its one :func:`topo_order` result as ``ModelGraph.order``, which
 ``infer_shapes`` carries over and every walk over the graph reads.
@@ -89,6 +91,7 @@ class LayerNode:
     in_shapes: list[TensorShape] | None = None
     out_shapes: list[TensorShape] | None = None
     macs: int = 0
+    layer: int | None = None  # index into ``ModelGraph.layers``, set by ``infer_shapes``
 
 
 @dataclass
@@ -98,6 +101,11 @@ class ModelGraph:
     graph_inputs: list[tuple[str, TensorShape]]
     graph_outputs: list[str]
     order: tuple[str, ...] = ()  # topological order of ``nodes``, set by ``validate``
+    # The canonical-layer table, set by ``infer_shapes``: the first node, in
+    # ``order``, of each unique layer. ``dedup.layer_signatures`` keeps its
+    # per-dtype signatures of those layers in ``signatures``.
+    layers: tuple[str, ...] = ()
+    signatures: dict[str, list] = field(default_factory=dict, repr=False, compare=False)
 
 
 def validate(graph: ModelGraph) -> None:
@@ -522,12 +530,31 @@ def infer_layer(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
 # Shape inference over a graph
 # ---------------------------------------------------------------------------
 
+def _exact(value):
+    """A hashable stand-in for a recorded value that equals another only for
+    the same type and the same rendering; raises ``TypeError`` when unhashable."""
+    if isinstance(value, tuple):
+        return (tuple, tuple(map(_exact, value)))
+    if isinstance(value, float):
+        return (float, repr(value))
+    return (type(value), value)
+
+
 def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
     """Return a copy of ``graph`` with all shapes populated at ``batch``.
 
     The leading dim of every graph input is the batch dim and is replaced
     by ``batch``. Propagation follows ``graph.order``, which the copy keeps;
     idempotent.
+
+    Layers are interned: ``infer_layer`` runs once per layer key, which is
+    (op, recorded params, input dims), and every node with that key shares
+    its canonical params dict, output ``TensorShape``, MAC count and layer
+    index (``LayerNode.layer``, into the copy's ``layers``). The key is
+    type-exact, because Python has ``1 == 1.0 == True`` and ``0.0 == -0.0``
+    while a signature renders each of them differently: an Opaque node with
+    ``foo=1`` must not take the layer of one with ``foo=1.0``. A node with a
+    recorded value that cannot be hashed is a layer of its own.
     """
     if batch < 1:
         raise ShapeInferenceError(f"batch must be >= 1, got {batch}")
@@ -539,20 +566,34 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
     ]
     by_name = dict(inputs)
     nodes: dict[str, LayerNode] = {}
-    out = ModelGraph(graph.name, nodes, inputs, list(graph.graph_outputs), graph.order)
-
+    layers: list[str] = []
+    # layer key -> (canonical params, output shape, MACs, layer index)
+    interned: dict[tuple, tuple[dict, TensorShape, int, int]] = {}
     for nid in graph.order:
         node = graph.nodes[nid]
         # validate checked every edge, and producers precede consumers in order.
         in_shapes = [nodes[src].out_shapes[0] if src in nodes else by_name[src]
                      for src in node.input_ids]
         in_dims = [s.dims for s in in_shapes]
-        params, dims, n_macs = infer_layer(node.op_type, node.params, in_dims, nid)
+        try:
+            key = (node.op_type, tuple((k, _exact(v)) for k, v in node.params.items()),
+                   tuple(in_dims))
+            layer = interned.get(key)
+        except TypeError:
+            key = layer = None
+        if layer is None:
+            params, dims, n_macs = infer_layer(node.op_type, node.params, in_dims, nid)
+            layer = (params, TensorShape(dims), n_macs, len(layers))
+            layers.append(nid)
+            if key is not None:
+                interned[key] = layer
+        params, shape, n_macs, index = layer
         nodes[nid] = LayerNode(
             id=nid, op_type=node.op_type, params=params, input_ids=list(node.input_ids),
             output_ids=list(node.output_ids), in_shapes=in_shapes,
-            out_shapes=[TensorShape(dims)], macs=n_macs)
-    return out
+            out_shapes=[shape], macs=n_macs, layer=index)
+    return ModelGraph(graph.name, nodes, inputs, list(graph.graph_outputs), graph.order,
+                      tuple(layers))
 
 
 def macs(graph: ModelGraph) -> tuple[dict[str, int], int]:

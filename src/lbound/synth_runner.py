@@ -191,23 +191,43 @@ def builtin_systems() -> list[str]:
 
 
 def _profile_from_json(text: str) -> SystemProfile:
-    """Profile from its JSON; an optional ``tensor_core`` must agree with ``tensor_tflops``."""
+    """Profile from its JSON.
+
+    The rates, ``kernel_overhead_us`` and each ``algo_factor`` value must be
+    JSON numbers, not bools or strings; an optional ``tensor_core`` must be a
+    JSON bool that agrees with ``tensor_tflops``.
+    """
     try:
         obj = json.loads(text)
+        system_id = obj["system_id"]
+
+        def number(name: str, value) -> float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"system {system_id!r}: {name} must be a JSON number, "
+                                  f"got {value!r}")
+            try:
+                return float(value)
+            except OverflowError:  # an integer beyond the float range
+                return math.inf
+
         factors = dict(DEFAULT_ALGO_FACTOR)
         for k, v in (obj.get("algo_factor") or {}).items():
-            factors[ConvAlgorithm[k]] = float(v)
+            factors[ConvAlgorithm[k]] = number(f"algo_factor {k}", v)
         has_rate = obj.get("tensor_tflops") is not None
-        if bool(obj.get("tensor_core", has_rate)) != has_rate:
+        tensor_core = obj.get("tensor_core", has_rate)
+        if not isinstance(tensor_core, bool):
+            raise ConfigError(f"system {system_id!r}: tensor_core must be a JSON bool, "
+                              f"got {tensor_core!r}")
+        if tensor_core != has_rate:
             raise ConfigError(
-                f"system {obj['system_id']!r}: tensor_tflops must be present "
+                f"system {system_id!r}: tensor_tflops must be present "
                 f"exactly when tensor_core is set")
         return SystemProfile(
-            system_id=obj["system_id"],
-            fp32_tflops=float(obj["fp32_tflops"]),
-            mem_bw_gbps=float(obj["mem_bw_gbps"]),
-            tensor_tflops=float(obj["tensor_tflops"]) if has_rate else None,
-            kernel_overhead_us=float(obj.get("kernel_overhead_us", 2.0)),
+            system_id=system_id,
+            fp32_tflops=number("fp32_tflops", obj["fp32_tflops"]),
+            mem_bw_gbps=number("mem_bw_gbps", obj["mem_bw_gbps"]),
+            tensor_tflops=number("tensor_tflops", obj["tensor_tflops"]) if has_rate else None,
+            kernel_overhead_us=number("kernel_overhead_us", obj.get("kernel_overhead_us", 2.0)),
             algo_factor=factors,
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:

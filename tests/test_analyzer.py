@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from click.testing import CliRunner
 
 import modelzoo as mz
-from lbound import analyzer
+from lbound import analyzer, dedup
 from lbound.benchgen import ConvAlgorithm
 from lbound.cli import main
 from lbound.errors import DomainError
 from lbound import model_ir
 from lbound.model_ir import LayerNode, ModelGraph, TensorShape, validate
 from lbound.perfdb import PerfDb
-from lbound.profile_ingest import ApiCall, ExecutionProfile
+from lbound.profile_ingest import ApiCall, ExecutionProfile, KernelRecord
 
 
 def oracle_critical_path(graph, latencies):
@@ -115,8 +115,8 @@ def test_empty_graph():
 
 
 def test_annotation_shares_signatures_and_order(db_builder, v100, monkeypatch):
-    graph = mz.load(mz.resnet_v1_text(18))
-    path = db_builder([graph], v100, fusion=True)
+    path = db_builder([mz.load(mz.resnet_v1_text(18))], v100, fusion=True)
+    graph = mz.load(mz.resnet_v1_text(18))  # a fresh graph, with no signature table yet
     calls = {"annotate": 0, "signature": 0, "topo_order": 0}
 
     def counting(name, fn):
@@ -125,8 +125,8 @@ def test_annotation_shares_signatures_and_order(db_builder, v100, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in calls:
-        module = model_ir if name == "topo_order" else analyzer
+    modules = {"annotate": analyzer, "signature": dedup, "topo_order": model_ir}
+    for name, module in modules.items():
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     with PerfDb(path) as db:
         anns = analyzer.Annotator(graph, db)
@@ -139,10 +139,11 @@ def test_annotation_shares_signatures_and_order(db_builder, v100, monkeypatch):
         analyzer.joint_analysis(anns, "Tesla_V100", analyzer.Scenario(
             parallel=True, fusion=True, tensor_core=True))
         rows = analyzer.advise_systems(anns, ["Tesla_V100", "TITAN_V"], "f32")
-    supported = sum(1 for node in graph.nodes.values() if analyzer.api_for_op(node.op_type))
     # (f32, any), (f32, NCHW), (f16, NCHW) on V100, then (f32, any) on TITAN_V
     assert calls["annotate"] == 4
-    assert calls["signature"] == 2 * supported
+    # One signature table per dtype, one signature per unique layer in each.
+    assert len(graph.layers) < len(graph.nodes)
+    assert calls["signature"] == 2 * len(graph.layers)
     # The graph carries the order validate computed; no analysis sorts again.
     assert calls["topo_order"] == 0
     assert [r.system for r in rows] == ["Tesla_V100", "TITAN_V"]
@@ -255,3 +256,128 @@ def test_apply_without_toggles_is_the_annotation(db_builder, v100):
         assert ann is anns.annotation("Tesla_V100", "f16", "NCHW")
         assert latencies == ann.latencies and latencies is not ann.latencies
         assert sites == []
+
+
+# ---------------------------------------------------------------------------
+# Q4: framework inefficiency inspection
+# ---------------------------------------------------------------------------
+
+_Q4_MODEL = """graph q4
+input in 1x3x8x8
+node c1 Conv inputs=in attrs=w1=4x3x3x3;pads=1
+node r1 Relu inputs=c1
+node p MaxPool inputs=r1 attrs=kernel=2x2;strides=2x2
+node c2 Conv inputs=p attrs=w1=4x4x3x3;pads=1
+"""
+
+
+def test_framework_diff_reports_every_kind_of_deviation():
+    graph = mz.load(_Q4_MODEL)
+    expected = analyzer.expected_api_sequence(graph)
+    assert [(e.node_id, e.api_name) for e in expected] == [
+        ("c1", "cudnnConvolutionForward"), ("r1", "cudnnActivationForward"),
+        ("p", "cudnnPoolingForward"), ("c2", "cudnnConvolutionForward")]
+    assert expected[0].params == {"x": "1x3x8x8", "w": "4x3x3x3", "strides": "1x1",
+                                  "pads": "1x1x1x1", "dilations": "1x1", "group": "1"}
+    calls = [
+        ApiCall(1, "cudnnConvolutionForward", {"x": "1x3x8x8", "w": "4x3x3x3"}),
+        ApiCall(2, "cudnnActivationForward", {"mode": "RELU"}),
+        ApiCall(3, "cudaStreamWaitEvent"),
+        ApiCall(4, "cudnnAddTensor", backtrace=["frame_a", "frame_b"]),
+        # the pooling call never happens
+        ApiCall(5, "cudnnConvolutionForward", {"x": "1x4x4x4", "w": "9x4x3x3"}),
+        ApiCall(6, "cudaMemcpyAsync", backtrace=["copy"]),
+    ]
+    kernels = [KernelRecord("volta_scudnn_128x64", 20.0),
+               KernelRecord("memcpy_kernel", 3.5, (1, 2))]
+    profile = ExecutionProfile("q4", "Tesla_V100", 1, 1.0, calls, kernels)
+    got = [(d.kind, d.detail, d.count, d.backtrace)
+           for d in analyzer.framework_diff(profile, expected)]
+    assert got == [
+        ("param_mismatch", "cudnnConvolutionForward (seq 5, layer 'c2'): "
+                           "w expected 4x4x3x3, logged 9x4x3x3", 1, None),
+        ("missing_call", "expected cudnnPoolingForward for layer 'p' never appeared", 1, None),
+        ("extra_call", "unexpected cudnnAddTensor at seq 4", 1, ["frame_a", "frame_b"]),
+        ("foreign_api", "cudaMemcpyAsync at seq 6", 1, ["copy"]),
+        ("excessive_sync", "cudaStreamWaitEvent between consecutive library calls", 1, None),
+        ("unexpected_kernel", "kernel memcpy_kernel (3.5 us) between calls 1 and 2", 1, None),
+    ]
+
+
+def test_framework_diff_of_a_faithful_profile_is_empty():
+    graph = mz.load(_Q4_MODEL)
+    expected = analyzer.expected_api_sequence(graph)
+    calls = [ApiCall(i + 1, e.api_name, dict(e.params)) for i, e in enumerate(expected)]
+    profile = ExecutionProfile("q4", "Tesla_V100", 1, 1.0, calls)
+    assert analyzer.framework_diff(profile, expected) == []
+
+
+def test_framework_diff_breaks_ties_by_dropping_the_expected_call():
+    # Expected (A, B) against logged (B, A): either call could pair up. The
+    # walk drops the expected A, so B pairs and A is both missing and extra.
+    expected = [analyzer.ExpectedCall("a", "cudnnAddTensor", {}),
+                analyzer.ExpectedCall("b", "cudnnOpTensor", {})]
+    calls = [ApiCall(1, "cudnnOpTensor"), ApiCall(2, "cudnnAddTensor")]
+    profile = ExecutionProfile("tie", "Tesla_V100", 1, 1.0, calls)
+    assert [(d.kind, d.detail) for d in analyzer.framework_diff(profile, expected)] == [
+        ("missing_call", "expected cudnnAddTensor for layer 'a' never appeared"),
+        ("extra_call", "unexpected cudnnAddTensor at seq 2"),
+    ]
+
+
+def quadratic_lcs_pairs(expected, actual):
+    """The full-table LCS walk that ``_lcs_pairs`` must reproduce pair for pair."""
+    n, m = len(expected), len(actual)
+    table = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            if expected[i] == actual[j]:
+                table[i][j] = table[i + 1][j + 1] + 1
+            else:
+                table[i][j] = max(table[i + 1][j], table[i][j + 1])
+    pairs = []
+    i = j = 0
+    while i < n and j < m:
+        if expected[i] == actual[j]:
+            pairs.append((i, j))
+            i += 1
+            j += 1
+        elif table[i + 1][j] >= table[i][j + 1]:
+            i += 1
+        else:
+            j += 1
+    return pairs
+
+
+def _edited(rng, calls, alphabet, edits):
+    out = list(calls)
+    for _ in range(edits):
+        pick = rng.random()
+        if pick < 0.4 and out:
+            del out[rng.randrange(len(out))]
+        elif pick < 0.8:
+            out.insert(rng.randint(0, len(out)), rng.choice(alphabet))
+        elif out:
+            out[rng.randrange(len(out))] = rng.choice(alphabet)
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from("abc"), max_size=12), st.lists(st.sampled_from("abcd"),
+       max_size=12), st.integers(0, 2**32 - 1), st.booleans())
+def test_lcs_pairs_match_the_full_table(expected, actual, seed, related):
+    if related:  # a few edits away, as a faithful profile is
+        actual = _edited(random.Random(seed), expected, "abcd", seed % 5)
+    assert analyzer._lcs_pairs(expected, actual) == quadratic_lcs_pairs(expected, actual)
+
+
+@pytest.mark.parametrize("name, text", mz.thirty_model_family(),
+                         ids=[name for name, _ in mz.thirty_model_family()])
+def test_lcs_pairs_match_the_full_table_on_zoo_profiles(name, text):
+    """Each model's expected calls against logs that skip, add and swap a few."""
+    expected = [e.api_name for e in analyzer.expected_api_sequence(mz.load(text))]
+    alphabet = sorted(set(expected)) + ["cudnnAddTensor", "cublasSgemv"]
+    rng = random.Random(name)
+    for edits in (0, 1, 3, 10, 40):
+        actual = _edited(rng, expected, alphabet, edits)
+        assert analyzer._lcs_pairs(expected, actual) == quadratic_lcs_pairs(expected, actual)

@@ -166,7 +166,8 @@ def test_bad_cost_exits_2(r18, cost):
                                      {"mem_bw_gbps": float("inf")},
                                      {"kernel_overhead_us": float("nan")},
                                      {"tensor_tflops": float("nan")},
-                                     {"algo_factor": {"WING": float("nan")}}])
+                                     {"algo_factor": {"WING": float("nan")}},
+                                     {"fp32_tflops": 10**400}])
 def test_non_finite_system_profile_exits_2(r18, tmp_path, changes):
     model, _db = r18
     system = {**json.loads((resources.files("lbound") / "data/systems/Tesla_V100.json")
@@ -178,6 +179,28 @@ def test_non_finite_system_profile_exits_2(r18, tmp_path, changes):
         "--simulate"])
     _no_traceback(res, 2)
     assert "finite" in res.output
+
+
+@pytest.mark.parametrize("changes, reason", [
+    ({"tensor_core": "no"}, "tensor_core must be a JSON bool, got 'no'"),
+    ({"fp32_tflops": True}, "fp32_tflops must be a JSON number, got True"),
+    ({"fp32_tflops": "15.7"}, "fp32_tflops must be a JSON number, got '15.7'"),
+    ({"mem_bw_gbps": "900"}, "mem_bw_gbps must be a JSON number, got '900'"),
+    ({"tensor_tflops": True}, "tensor_tflops must be a JSON number, got True"),
+    ({"kernel_overhead_us": False}, "kernel_overhead_us must be a JSON number, got False"),
+    ({"algo_factor": {"WING": "0.8"}}, "algo_factor WING must be a JSON number, got '0.8'"),
+], ids=["tensor_core", "fp32-bool", "fp32-string", "mem_bw", "tensor_tflops",
+        "kernel_overhead", "algo_factor"])
+def test_system_profile_takes_only_json_types(r18, tmp_path, changes, reason):
+    model, db = r18
+    system = {**json.loads((resources.files("lbound") / "data/systems/Tesla_V100.json")
+                           .read_text("utf-8")), **changes}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system), "utf-8")
+    res = CliRunner().invoke(main, ["analyze", str(model), "--db", str(db), "--system",
+                                    str(path)])
+    _no_traceback(res, 2)
+    assert f"system 'Tesla_V100': {reason}" in res.output
 
 
 def test_unparseable_system_profile_exits_2(r18, tmp_path):
@@ -301,3 +324,32 @@ def test_bad_text_model_layer_exits_2(tmp_path, dims, node):
     res = CliRunner().invoke(main, ["process", str(model)])
     _one_error(res)
     assert f"node 'n' ({op})" in res.output
+
+
+def test_misses_group_by_key_and_fill_from_the_miss_file(r18, tmp_path):
+    """ResNet-50 on the ResNet-18 database: only the stem's layers are there."""
+    _model, r18_db = r18
+    model = tmp_path / "resnet50.txt"
+    model.write_text(mz.resnet_v1_text(50), "utf-8")
+    db = tmp_path / "perf.db"
+    db.write_bytes(r18_db.read_bytes())
+    misses = tmp_path / "misses.txt"
+    res = CliRunner().invoke(main, ["analyze", str(model), "--db", str(db), "--system",
+                                    "Tesla_V100", "--miss-out", str(misses)])
+    _no_traceback(res, 3)
+    keys = misses.read_text("utf-8").splitlines()
+    assert keys and len(keys) == len(set(keys))
+    counts = [line.rsplit(" (", 1) for line in res.output.splitlines()
+              if line.startswith("  missing: ")]
+    assert [key[len("  missing: "):] for key, _n in counts] == keys
+    nodes = sum(int(n.split()[0]) for _key, n in counts)
+    assert nodes > len(keys)  # ResNet-50 repeats its missing layers
+    assert f"error: {len(keys)} benchmark result(s) missing" in res.output
+    allowed = _analyze(model, db, "--allow-missing")
+    assert allowed.exit_code == 0 and len(json.loads(allowed.output)["missing"]) == nodes
+    res = CliRunner().invoke(main, ["bench", "--from-misses", str(misses), "--db", str(db),
+                                    "--system", "Tesla_V100", "--simulate"])
+    assert res.exit_code == 0, res.output
+    res = _analyze(model, db)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["missing"] == []

@@ -5,9 +5,11 @@ import json
 import pytest
 
 import modelzoo as mz
-from lbound import dedup, synth_runner
+from lbound import analyzer, benchgen, dedup, synth_runner
 from lbound.errors import ModelParseError, ShapeStateError
-from lbound.model_ir import parse_text_model
+from lbound.model_ir import (LayerNode, ModelGraph, TensorShape, infer_shapes,
+                             parse_text_model, validate)
+from lbound.perfdb import PerfDb
 
 
 def oracle_unique(graphs, dtype="f32"):
@@ -90,6 +92,8 @@ class TestSignature:
         g = parse_text_model("graph t\ninput d 1x3x4x4\nnode a Relu inputs=d")
         with pytest.raises(ShapeStateError):
             dedup.signature(g.nodes["a"], "f32")
+        with pytest.raises(ShapeStateError):
+            dedup.unique_layers([g])
 
     def test_float_params_render_shortest_round_trip(self):
         g = mz.load("graph t\ninput d 1x3x4x4\nnode b BatchNorm inputs=d "
@@ -239,3 +243,66 @@ class TestStatsExport:
         assert recs[0]["model"] == "resnet18-v1"
         assert recs[-1]["model"] == "pooled"
         assert recs[-1]["total"] == 69 + 11
+
+
+# ---------------------------------------------------------------------------
+# The signature table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(set(_FAMILY) - {"mnist-cnn"}))
+def test_table_gives_each_node_its_own_signature(name):
+    graph = mz.load(_FAMILY[name], batch=2)  # mnist-cnn does not re-batch its Reshape
+    for dtype in ("f32", "f16"):
+        table = dedup.layer_signatures(graph, dtype)
+        assert dedup.layer_signatures(graph, dtype) is table
+        by_key: dict = {}
+        for node in graph.nodes.values():
+            sig = table[node.layer]
+            assert sig == dedup.signature(node, dtype)
+            key = (node.op_type, tuple(s.dims for s in node.in_shapes),
+                   tuple((k, type(v), repr(v)) for k, v in node.params.items()))
+            assert by_key.setdefault(key, sig) is sig  # equal keys, one object
+
+
+def test_opaque_values_that_compare_equal_keep_their_layers():
+    """1 == 1.0 == True and 0.0 == -0.0, but each renders its own way."""
+    values = [1, 1.0, True, 0.0, -0.0, (1, 2), (1.0, 2), "1", [1], [1], 1]
+    ids = [f"n{i:02d}" for i in range(len(values))]
+    nodes = {nid: LayerNode(id=nid, op_type="Opaque", params={"foo": v},
+                            input_ids=[ids[i - 1] if i else "in"])
+             for i, (nid, v) in enumerate(zip(ids, values))}
+    raw = ModelGraph("exact", nodes, [("in", TensorShape((1, 4)))], [ids[-1]])
+    validate(raw)
+    graph = infer_shapes(raw, 1)
+    # Only the last 1 shares a layer; each unhashable list is a layer of its own.
+    assert [graph.nodes[nid].layer for nid in ids] == list(range(len(values) - 1)) + [0]
+    table = dedup.layer_signatures(graph, "f32")
+    rendered = []
+    for nid, v in zip(ids, values):
+        node = graph.nodes[nid]
+        assert type(node.params["foo"]) is type(v) and repr(node.params["foo"]) == repr(v)
+        assert table[node.layer] == dedup.signature(node, "f32")
+        rendered.append(table[node.layer].canonical_string.rsplit("|", 1)[1])
+    assert rendered[:5] == ["foo=1", "foo=1.0", "foo=1", "foo=0.0", "foo=-0.0"]
+
+
+def test_signature_runs_once_per_dtype_on_a_relu_chain(db_builder, v100, monkeypatch):
+    text = "graph chain\ninput d 1x16x8x8\n" + "".join(
+        f"node r{i:04d} Relu inputs={'d' if i == 0 else f'r{i - 1:04d}'}\n"
+        for i in range(2000))
+    graph = mz.load(text)
+    calls = []
+    real = dedup.signature
+    monkeypatch.setattr(dedup, "signature", lambda *a: calls.append(a) or real(*a))
+    path = db_builder([graph], v100, config=benchgen.BenchConfig(dtypes=("f32",)),
+                      fusion=True)
+    assert len(calls) == 1
+    with PerfDb(path) as db:
+        anns = analyzer.Annotator(graph, db)
+        assert analyzer.sequential_total(graph, anns.annotation("Tesla_V100", "f32")
+                                         .latencies) > 0
+        assert benchgen.fusion_candidates(graph, "f32") == []
+        assert dedup.unique_layers([graph], "f32").pooled.unique == 1
+        f16 = anns.annotation("Tesla_V100", "f16", allow_missing=True)
+        assert len(f16.missing) == 2000
+    assert [dtype for _node, dtype in calls] == ["f32", "f16"]

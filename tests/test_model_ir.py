@@ -341,3 +341,55 @@ class TestResnetFamily:
         g = mz.load(mz.resnet_v1_text(depth))
         total = macs(g)[1]
         assert abs(total - giga * 1e9) <= 0.02 * giga * 1e9
+
+
+# ---------------------------------------------------------------------------
+# Interned layers
+# ---------------------------------------------------------------------------
+
+def _typed(params: dict) -> list:
+    """Params with each value's type, so 1, 1.0 and True compare unequal."""
+    def exact(v):
+        return (type(v), tuple(map(exact, v)) if isinstance(v, tuple) else repr(v))
+    return [(k, exact(v)) for k, v in params.items()]
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("name, text", mz.thirty_model_family(),
+                         ids=[name for name, _ in mz.thirty_model_family()])
+def test_interned_inference_matches_per_node_inference(name, text, batch):
+    """Every node gets what ``infer_layer`` gives for that node alone.
+
+    Where a node cannot be inferred (mnist-cnn's literal Reshape at batch
+    2), graph inference fails with the same message.
+    """
+    parsed = parse_text_model(text)
+    dims = {in_name: (batch,) + shape.dims[1:] for in_name, shape in parsed.graph_inputs}
+    alone = {}
+    try:
+        for nid in parsed.order:
+            raw = parsed.nodes[nid]
+            in_dims = [dims[src] for src in raw.input_ids]
+            params, dims[nid], n_macs = infer_layer(raw.op_type, raw.params, in_dims, nid)
+            alone[nid] = (params, in_dims, n_macs)
+    except ShapeInferenceError as exc:
+        with pytest.raises(ShapeInferenceError) as got:
+            infer_shapes(parsed, batch)
+        assert str(got.value) == str(exc)
+        return
+    graph = infer_shapes(parsed, batch)
+    for nid, (params, in_dims, n_macs) in alone.items():
+        node = graph.nodes[nid]
+        assert _typed(node.params) == _typed(params)
+        assert [s.dims for s in node.in_shapes] == in_dims
+        assert node.out_shapes[0].dims == dims[nid]
+        assert node.macs == n_macs
+    # Nodes of one layer share its params dict and output shape; the table
+    # names the first node of each layer in order.
+    first: dict[int, LayerNode] = {}
+    for nid in graph.order:
+        node = graph.nodes[nid]
+        head = first.setdefault(node.layer, node)
+        assert node.params is head.params and node.out_shapes[0] is head.out_shapes[0]
+    assert graph.layers == tuple(node.id for node in first.values())
+
