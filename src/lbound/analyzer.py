@@ -28,8 +28,8 @@ signature per unique layer and dtype on the graph, which annotation, Q3
 and the fusion scan all read. :func:`annotate` looks each (signature,
 layout) up in the database once and shares the record, or the miss, with
 every node of that signature. An :class:`Annotator` holds one graph's
-annotations on one database, one per (system, dtype, layout), each on
-first use. One ``analyze`` or ``advise`` command builds one annotator and
+annotations on one database, one per (system, dtype, layout), and the
+critical path under each, all built on first use. One ``analyze`` or ``advise`` command builds one annotator and
 hands it to every analysis.
 
 Every what-if is a view over :func:`apply`: on one (system, dtype, layout)
@@ -114,12 +114,16 @@ def annotate(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
 
 
 class Annotator:
-    """One graph's annotations on one database, each built on first use."""
+    """One graph's annotations on one database and their critical paths.
+
+    Each is built on first use.
+    """
 
     def __init__(self, graph: ModelGraph, db: PerfDb):
         self.graph = graph
         self.db = db
         self._annotations: dict[tuple, LatencyAnnotatedGraph] = {}
+        self._paths: dict[tuple, CriticalPath] = {}
 
     def annotation(self, system: str, dtype: str, layout: str | None = None,
                    allow_missing: bool = False) -> LatencyAnnotatedGraph:
@@ -136,6 +140,15 @@ class Annotator:
         if ann.missing and not allow_missing:
             raise MissError(ann.missing)
         return ann
+
+    def critical_path(self, system: str, dtype: str,
+                      layout: str | None = None) -> CriticalPath:
+        """The critical path under the (system, dtype, layout) annotation's latencies."""
+        key = (system, dtype, layout or None)
+        if key not in self._paths:
+            ann = self.annotation(system, dtype, layout, allow_missing=True)
+            self._paths[key] = critical_path(self.graph, ann.latencies)
+        return self._paths[key]
 
 
 def sequential_total(graph: ModelGraph, latencies: dict[str, float]) -> float:
@@ -591,14 +604,17 @@ def joint_analysis(anns: Annotator, system: str, scenario: Scenario,
 
     ``tensor_core`` selects f16 at ``scenario.layout``, else f32 at any
     layout; with ``ideal_algo`` off, a supplied profile's logged algorithms
-    replace the best ones.
+    replace the best ones. A parallel bound on latencies that the scenario
+    left as the annotation's reads the annotator's critical path.
     """
     dtype = "f16" if scenario.tensor_core else "f32"
     layout = scenario.layout if scenario.tensor_core else None
     logged = profile if not scenario.ideal_algo else None
-    _ann, latencies, _sites = apply(anns, system, dtype, layout,
-                                    logged=logged, fusion=scenario.fusion)
-    if scenario.parallel:
+    ann, latencies, _sites = apply(anns, system, dtype, layout,
+                                   logged=logged, fusion=scenario.fusion)
+    if scenario.parallel and latencies == ann.latencies:  # the scenario swapped nothing
+        lb = anns.critical_path(system, dtype, layout).total_latency_us
+    elif scenario.parallel:
         lb = critical_path(anns.graph, latencies).total_latency_us
     else:
         lb = sequential_total(anns.graph, latencies)

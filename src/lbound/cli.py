@@ -238,12 +238,10 @@ def db_compact(database):
 @_exit_codes
 def db_stats(database):
     with perfdb.PerfDb(database) as handle:
-        recs = handle.records()
-        systems = sorted({r.key.system for r in recs})
-        click.echo(f"{len(recs)} live record(s), {handle.superseded} superseded")
-        for system in systems:
-            n = sum(1 for r in recs if r.key.system == system)
-            click.echo(f"  {system}: {n}")
+        counts = Counter(r.key.system for r in handle.records())
+        click.echo(f"{len(handle)} live record(s), {handle.superseded} superseded")
+        for system in sorted(counts):
+            click.echo(f"  {system}: {counts[system]}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,7 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
                     fh.write("\n".join(dict.fromkeys(exc.keys)) + "\n")
             raise
         lb_seq = analyzer.sequential_total(graph, ann.latencies)
-        cp = analyzer.critical_path(graph, ann.latencies)
+        cp = anns.critical_path(sysid, dtype)
         report = analyzer.AnalysisReport(
             model=graph.name, system=sysid, batch=batch, dtype=dtype,
             lb_sequential_us=lb_seq, lb_parallel_us=cp.total_latency_us,

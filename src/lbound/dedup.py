@@ -86,10 +86,6 @@ def api_for_op(op_type: str) -> ApiMapping | None:
     return API_TABLE[row] if row else None
 
 
-def is_supported(op_type: str) -> bool:
-    return api_for_op(op_type) is not None
-
-
 # ---------------------------------------------------------------------------
 # Signatures
 # ---------------------------------------------------------------------------
@@ -270,11 +266,11 @@ def support_coverage(model: ModelGraph) -> CoverageReport:
             op = f"Opaque({node.params['op']})"
         counts[op] = counts.get(op, 0) + 1
     total = len(model.nodes)
-    supported = sum(n for op, n in counts.items() if is_supported(op))
     by_op = [
-        OpCoverage(op, n, is_supported(op), 100.0 * n / total if total else 0.0)
+        OpCoverage(op, n, api_for_op(op) is not None, 100.0 * n / total if total else 0.0)
         for op, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
+    supported = sum(row.count for row in by_op if row.supported)
     return CoverageReport(model.name, total, supported, by_op)
 
 

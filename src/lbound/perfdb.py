@@ -2,8 +2,9 @@
 
 Storage is a single file of line-delimited JSON records plus one in-memory
 index built at open: (system, dtype, signature) maps to that layer's live
-records, keyed by their full record key. ``query`` and ``best`` read only
-the records of one layer, and ``record_for``, ``has_spec``, ``records()``
+records, keyed by their full record key; a scoped open (below) decodes a
+layer's records on its first read. ``query`` and ``best`` read only the
+records of one layer, and ``record_for``, ``has_spec``, ``records()``
 and ``compact`` read through the same index. ``records()`` and ``compact``
 therefore group records by layer, layers in the order they first appeared
 and records within a layer in insertion order. ``compact`` drops superseded
@@ -31,21 +32,42 @@ guard; equality is always decided on the string.
 
 A read-only open can be scoped to some systems: ``PerfDb(path,
 systems=...)`` keeps only their records, so ``len()``, ``records()``,
-``superseded`` and every query see only the scope. Every line the writer
-produces starts ``{"v":1,"system":`` and then the JSON-encoded system,
-because ``_record_to_json`` fixes the key order and ``import_lines``
-re-serializes. A scoped open decodes a line that starts with the writer's
-prefix for an in-scope system. For any other line that starts
-``{"v":1,"system":"``, the string that follows is the system itself when
-it holds no backslash, and the line is skipped undecoded when that system
-is out of scope. Every remaining line is decoded in full and kept only if
-its system is in scope. A line is assumed to name its system once.
+``superseded`` and every query see only the scope. ``_record_to_json``
+fixes the key order and ``import_lines`` re-serializes, so every line the
+writer produces reads ``{"v":1,"system":"S","dtype":"D","hash64":"H",
+"signature":"G","algorithm":...,"layout":...,"fused":...,"status":...``
+with nothing between the fields, and a scoped open cuts such a line at
+these markers rather than decoding it. Any line that starts
+``{"v":1,"system":"`` is skipped undecoded when the string that follows
+holds no backslash and names a system out of scope. For an in-scope writer
+line, the raw layer key is (S, D, G) and the raw record key is the bytes
+from ``"algorithm":`` up to ``,"status":``, so hash64 is part of neither.
+The open stores the raw line and its line number under its layer, and
+resolves supersession from the raw record key, which names one of the
+writer's (algorithm, layout, fused) triples. A layer's lines are decoded
+and validated the first time ``query``, ``best``, ``record_for`` or
+``has_spec`` reads that layer, in file order, so the last line still wins.
 
-The trade-off: a scoped open validates only the lines it decodes, so a bad
-line of another system goes unnoticed. Unscoped opens, and therefore ``rw``
-opens, ``db stats`` and ``db compact``, decode every line and raise on any
-bad one; a scope on an ``rw`` open raises ``StorageError``. The torn-tail
-rules are the same for a scoped open.
+Some lines are decoded at open, exactly as an unscoped open decodes them:
+a line that does not start ``{"v":1,"system":"``, a line with a backslash
+anywhere, an in-scope line where a marker is missing or the raw record key
+is not one the writer produces, and an unterminated last line. If such a
+line's layer already has undecoded lines, those are decoded first, so file
+order holds. A line is assumed to name each field once: a deferred line
+whose decoded fields differ from its raw keys raises ``StorageError`` when
+it is decoded.
+
+``len()`` and ``superseded`` come from the raw keys counted at open and
+decode nothing. ``records()`` decodes every deferred line.
+
+The trade-off: a scoped open validates only the lines it decodes. A bad
+line of another system goes unnoticed, and so does a bad line in an
+in-scope layer that is never read; a bad line in a layer that is read
+raises ``StorageError`` (exit 4) at that read, naming its line number.
+Unscoped opens, and therefore ``rw`` opens, ``db stats``, ``db compact``
+and ``db import``, decode every line and raise on any bad one; a scope on
+an ``rw`` open raises ``StorageError``. The torn-tail rules are the same
+for a scoped open.
 
 ``import_lines`` also rebuilds each record's benchmark spec from its parsed
 signature, algorithm, layout and fusion pattern, and requires the record's
@@ -60,6 +82,7 @@ import functools
 import json
 import math
 import os
+import re
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -74,6 +97,17 @@ _ALGO_RANK = {algo.name: rank for rank, algo in enumerate(ConvAlgorithm)}
 _FUSED_IDS = {p.id for p in FUSION_PATTERNS}
 # How every writer line starts, up to the first byte of its system string.
 _SYSTEM_AT = b'{"v":1,"system":"'
+_BACKSLASH, _NEWLINE = ord("\\"), ord("\n")  # ints, so ``in`` looks for one byte
+# A writer line from the closing quote of its system string to the closing
+# quote of its signature.
+_LAYER_PART = re.compile(rb'","dtype":"([^"]*)","hash64":"[^"]*","signature":"([^"]*)"')
+# Each record key the writer produces, as the bytes from "algorithm": up to
+# ,"status":, and the (algorithm, layout, fused) it stands for.
+_WRITER_KEYS = {
+    json.dumps({"algorithm": a, "layout": lay, "fused": f},
+               separators=(",", ":"))[1:-1].encode(): (a, lay, f)
+    for a in (None, *_ALGO_RANK) for lay in LAYOUTS for f in (None, *_FUSED_IDS)
+}
 
 
 @dataclass(frozen=True)
@@ -157,11 +191,6 @@ def _record_to_json(rec: PerfRecord) -> str:
     }, separators=(",", ":"))
 
 
-def _line_prefix(system: str) -> bytes:
-    """How ``_record_to_json`` starts a line of ``system``."""
-    return _SYSTEM_AT[:-1] + json.dumps(system).encode() + b","
-
-
 def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
     try:
         obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
@@ -185,7 +214,7 @@ def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
             source=obj.get("source", "imported"),
             timestamp=obj.get("timestamp", 0.0),
         )
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, StorageError) as exc:
         raise StorageError(f"bad database record at line {lineno}: {exc}") from exc
 
 
@@ -203,8 +232,12 @@ class PerfDb:
         self.path = str(path)
         self.mode = mode
         self.systems = None if systems is None else frozenset(systems)
-        # (system, dtype, signature) -> {index key: live record}
+        # (system, dtype, signature) -> {index key: live record, or None until
+        # the layer's deferred lines are decoded}
         self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
+        # (system, dtype, signature) -> [(line number, raw line, index key)] of
+        # a scoped open's writer lines, decoded on the layer's first read
+        self._deferred: dict[tuple, list[tuple]] = {}
         self.superseded = 0  # replaced records still in the file
         self._fh = None
         if mode == "rw":
@@ -221,22 +254,37 @@ class PerfDb:
         if not os.path.exists(self.path):
             return  # empty snapshot; analyzer reports misses
         scope = self.systems
-        prefixes = tuple(_line_prefix(s) for s in scope or ())
-        names = {s.encode("utf-8", "surrogatepass") for s in scope or ()}
+        names = {s.encode("utf-8", "surrogatepass"): s for s in scope or ()}
         at = len(_SYSTEM_AT)
-        end = 0  # byte offset just past the last line kept
+        groups: dict[bytes, tuple] = {}  # raw system and layer part -> its layer
+        end = 0  # byte offset just past the last line kept; a scoped open never writes
         raw = b""
         try:
             with open(self.path, "rb") as fh:
                 for lineno, raw in enumerate(fh, start=1):
-                    if scope is not None and not raw.startswith(prefixes) \
-                            and raw.startswith(_SYSTEM_AT):
-                        # Not an in-scope writer line; a system string with no
-                        # escape is the system itself.
-                        system = raw[at:raw.find(b'"', at)]
-                        if system not in names and b"\\" not in system:
-                            end += len(raw)
-                            continue  # another system's line
+                    if scope is not None and raw.startswith(_SYSTEM_AT):
+                        q = raw.find(b'"', at)
+                        system = names.get(raw[at:q])
+                        if system is None:
+                            if _BACKSLASH not in raw[at:q]:
+                                continue  # another system's line
+                        elif _BACKSLASH not in raw and raw[-1] == _NEWLINE:
+                            # An in-scope line: cut it at the writer's markers, and
+                            # defer it if it is in the writer's form.
+                            a = raw.find(b',"algorithm":', q)
+                            fields = _WRITER_KEYS.get(raw[a + 1:raw.find(b',"status":', a)])
+                            group = groups.get(raw[at:a]) if fields else None
+                            if group is None and fields:
+                                group = groups[raw[at:a]] = self._group(system, raw[q:a])
+                            if group:
+                                lkey, layer, lines = group
+                                key = lkey + fields
+                                if key in layer:
+                                    self.superseded += 1
+                                else:
+                                    layer[key] = None  # decoded on the layer's first read
+                                lines.append((lineno, raw, key))
+                                continue
                     line = raw.strip()
                     if line:
                         try:
@@ -256,6 +304,35 @@ class PerfDb:
                     self._fh.flush()
         except OSError as exc:
             raise StorageError(f"cannot read database {self.path}: {exc}") from exc
+
+    def _group(self, system: str, part: bytes) -> tuple | None:
+        """The layer, and its deferred lines, that a writer line's layer part names.
+
+        ``part`` runs from the closing quote of the system string to the
+        record key. None when it is not in the writer's form.
+        """
+        m = _LAYER_PART.fullmatch(part)
+        if m is None:
+            return None
+        try:
+            lkey = (system, m[1].decode(), m[2].decode())
+        except UnicodeDecodeError:
+            return None
+        return lkey, self._by_layer.setdefault(lkey, {}), self._deferred.setdefault(lkey, [])
+
+    def _layer(self, lkey: tuple) -> dict[tuple, PerfRecord]:
+        """One layer's live records by index key, its deferred lines decoded first."""
+        lines = self._deferred.get(lkey)
+        if lines:
+            layer = self._by_layer[lkey]
+            for lineno, raw, key in lines:
+                rec = _record_from_json(raw, lineno)
+                if rec.key.index_key() != key:
+                    raise StorageError(f"bad database record at line {lineno}: "
+                                       "it names a field twice")
+                layer[key] = rec
+            lines.clear()
+        return self._by_layer.get(lkey, {})
 
     def _acquire_writer(self) -> None:
         import fcntl
@@ -295,6 +372,8 @@ class PerfDb:
 
     def _put(self, record: PerfRecord) -> None:
         key = record.key.index_key()
+        if self._deferred:
+            self._layer(key[:3])  # earlier lines of its layer come first
         layer = self._by_layer.setdefault(key[:3], {})
         self.superseded += key in layer
         layer[key] = record
@@ -346,11 +425,13 @@ class PerfDb:
         return sum(len(layer) for layer in self._by_layer.values())
 
     def records(self) -> list[PerfRecord]:
+        for lkey in self._deferred:
+            self._layer(lkey)
         return [rec for layer in self._by_layer.values() for rec in layer.values()]
 
     def record_for(self, key: RecordKey) -> PerfRecord | None:
         index_key = key.index_key()
-        return self._by_layer.get(index_key[:3], {}).get(index_key)
+        return self._layer(index_key[:3]).get(index_key)
 
     def has_spec(self, system: str, spec: BenchmarkSpec) -> bool:
         return self.record_for(key_for_spec(system, spec)) is not None
@@ -359,7 +440,7 @@ class PerfDb:
               signature: LayerSignature | str) -> list[PerfRecord]:
         """All records for a layer across algorithms, layouts and fusion, in hit order."""
         canonical = signature if isinstance(signature, str) else signature.canonical_string
-        return sorted(self._by_layer.get((system, dtype, canonical), {}).values(),
+        return sorted(self._layer((system, dtype, canonical)).values(),
                       key=_hit_order)
 
     def best(self, system: str, dtype: str, signature: LayerSignature | str,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -94,6 +95,27 @@ def test_scoped_reads_skip_a_corrupt_line_of_another_system(r18, tmp_path):
         PerfDb(copy, mode="rw", systems=["Tesla_V100"])
     with PerfDb(copy, systems=["Tesla_V100"]) as handle:
         assert len(handle) == len(lines)
+
+
+@pytest.mark.parametrize("dtype, read", [("f32", True), ("f16", False)])
+def test_a_bad_writer_line_fails_the_reads_of_its_layer_only(r18, tmp_path, dtype, read):
+    """A scoped open decodes a layer on first read: `analyze` at f32 never reads f16."""
+    model, db = r18
+    lines = db.read_bytes().splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines)
+              if f'"dtype":"{dtype}"'.encode() in ln and b'"signature":"Conv|' in ln)
+    lines[at] = re.sub(rb'"latency_us":[^,]*,', b'"latency_us":-1,', lines[at])
+    copy = tmp_path / "perf.db"
+    copy.write_bytes(b"".join(lines))
+    res = _analyze(model, copy)
+    if read:
+        _no_traceback(res, 4)
+        assert f"line {at + 1}:" in res.output
+    else:
+        assert res.exit_code == 0 and res.output == _analyze(model, db).output
+    res = CliRunner().invoke(main, ["db", "stats", str(copy)])
+    _no_traceback(res, 4)
+    assert f"line {at + 1}:" in res.output
 
 
 def _no_traceback(res, code):

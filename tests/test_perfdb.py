@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 import modelzoo as mz
 from lbound.errors import MissError, StorageError
 from lbound.perfdb import (
+    _LAYER_PART,
+    _WRITER_KEYS,
     PerfDb,
     PerfRecord,
     RecordKey,
     _hit_order,
-    _line_prefix,
     _record_to_json,
 )
 
@@ -30,12 +31,12 @@ FUSED = (None, "conv_bias", "conv_bias_act")
 
 
 @st.composite
-def records(draw, systems=SYSTEMS):
+def records(draw, systems=SYSTEMS, signatures=SIGNATURES):
     key = RecordKey(
         system=draw(st.sampled_from(systems)),
         dtype=draw(st.sampled_from(DTYPES)),
         hash64="00",
-        signature=draw(st.sampled_from(SIGNATURES)),
+        signature=draw(st.sampled_from(signatures)),
         algorithm=draw(st.sampled_from(ALGOS)),
         layout=draw(st.sampled_from(LAYOUTS)),
         fused=draw(st.sampled_from(FUSED)),
@@ -223,9 +224,17 @@ def _with_system(rec: PerfRecord, system: str) -> PerfRecord:
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.text(), st.sampled_from(SCOPE_SYSTEMS)), records())
 def test_writer_line_starts_with_its_scope_prefix(system, rec):
-    line = _record_to_json(_with_system(rec, system)).encode()
-    assert line.startswith(_line_prefix(system))
-    assert _line_prefix(system) == b'{"v":1,"system":' + json.dumps(system).encode() + b","
+    """The fixed field order that a scoped open cuts writer lines at."""
+    rec = _with_system(rec, system)
+    line = _record_to_json(rec).encode()
+    prefix = b'{"v":1,"system":' + json.dumps(system).encode() + b","
+    assert line.startswith(prefix)
+    key_at = line.index(b',"algorithm":', len(prefix)) + 1
+    status_at = line.index(b',"status":', key_at)
+    layer = _LAYER_PART.fullmatch(line, len(prefix) - 2, key_at - 1)
+    assert (layer[1].decode(), layer[2].decode()) == (rec.key.dtype, rec.key.signature)
+    assert _WRITER_KEYS[line[key_at:status_at]] == \
+        (rec.key.algorithm, rec.key.layout, rec.key.fused)
 
 
 def _hand_written(rec: PerfRecord, form: str) -> str:
@@ -252,19 +261,28 @@ FORMS = ("writer", "spaced", "reordered", "raw-utf8", "escaped", "space-before-c
 
 
 @st.composite
-def db_texts(draw):
+def few_keys(draw):
+    """Records of at most three keys of two systems' layers of one signature.
+
+    Keys are then superseded often, and a layer often mixes deferred writer
+    lines with hand-written ones.
+    """
+    pool = draw(st.lists(records(("sysA", "sysAB"), SIGNATURES[:1]), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+@st.composite
+def db_texts(draw, recs=st.lists(records(SCOPE_SYSTEMS), max_size=40)):
     lines = []
-    for rec in draw(st.lists(records(SCOPE_SYSTEMS), max_size=40)):
+    for i, rec in enumerate(draw(recs) + [draw(records(SCOPE_SYSTEMS))]):
+        rec = dataclasses.replace(rec, timestamp=float(i))  # a superseded record differs
         form = draw(st.sampled_from(FORMS))
         lines.append(_record_to_json(rec) if form == "writer" else _hand_written(rec, form))
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
-    text = "".join(line + "\n" for line in lines)
-    tail = draw(st.one_of(st.none(), records(SCOPE_SYSTEMS)))
-    if tail is not None:  # torn, or complete but unterminated
-        tail = _record_to_json(tail)
-        text += tail[:draw(st.integers(1, len(tail)))]
-    return text
+    # The last line is torn, complete but unterminated, or whole.
+    lines[-1] = lines[-1][:draw(st.integers(1, len(lines[-1]) + 1))]
+    return "\n".join(lines)
 
 
 def _best_or_miss(db: PerfDb, system, dtype, sig, **kw):
@@ -274,20 +292,78 @@ def _best_or_miss(db: PerfDb, system, dtype, sig, **kw):
         return exc.keys
 
 
-@settings(max_examples=60, deadline=None)
-@given(db_texts(), st.lists(st.sets(st.sampled_from(SCOPE_SYSTEMS)), max_size=3))
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(db_texts(), db_texts(few_keys())),
+       st.lists(st.sets(st.sampled_from(SCOPE_SYSTEMS)), max_size=3))
 def test_scoped_open_equals_the_full_open_restricted_to_its_scope(text, drawn):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "perf.db")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         full = PerfDb(path)
+        live = full.records()
         for scope in [(), SCOPE_SYSTEMS, *((s,) for s in SCOPE_SYSTEMS), *drawn]:
+            mine = [r for r in live if r.key.system in scope]
+            superseded = _superseded(text, scope)
             db = PerfDb(path, systems=scope)
-            assert db.records() == [r for r in full.records() if r.key.system in scope]
-            assert len(db) == len(db.records())
+            assert (len(db), db.superseded) == (len(mine), superseded)  # before any read
+            for rec in mine:
+                assert db.record_for(rec.key) == full.record_for(rec.key) == rec
             for system, dtype, sig in itertools.product(scope, DTYPES, SIGNATURES):
                 assert db.query(system, dtype, sig) == full.query(system, dtype, sig)
                 for layout, fused in itertools.product((None, *LAYOUTS), FUSED):
                     assert _best_or_miss(db, system, dtype, sig, layout=layout, fused=fused) \
                         == _best_or_miss(full, system, dtype, sig, layout=layout, fused=fused)
+            assert db.records() == mine
+            assert (len(db), db.superseded) == (len(mine), superseded)
+            # A fresh scoped open read through records() alone decodes the same.
+            assert PerfDb(path, systems=scope).records() == mine
+
+
+def _superseded(text: str, scope) -> int:
+    """Lines of ``scope`` whose index key an earlier line already had."""
+    seen, n = set(), 0
+    for line in text.splitlines(keepends=True):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            continue  # blank line or torn tail
+        key = (obj["system"], obj["dtype"], obj["signature"], obj["algorithm"],
+               obj["layout"], obj["fused"])
+        if key[0] in scope:
+            n += key in seen
+            seen.add(key)
+    return n
+
+
+def _replace_line(path, lineno: int, old: bytes, new: bytes) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+    path.write_bytes(b"".join(lines))
+
+
+def test_a_bad_deferred_line_raises_when_its_layer_is_read(db_file):
+    # Each line of db_file is its own layer; line 3 holds latency 3.0.
+    _replace_line(db_file, 3, b'"latency_us":3.0,', b'"latency_us":-1,')
+    with pytest.raises(StorageError, match="line 3"):
+        PerfDb(db_file)
+    db = PerfDb(db_file, systems=["sysA"])
+    assert (len(db), db.superseded) == (5, 0)
+    assert db.best("sysA", "f32", "Relu|f32|in=1x1|").latency_us == 2.0
+    for read in (lambda: db.query("sysA", "f32", "Relu|f32|in=1x2|"),
+                 lambda: db.record_for(_record(2).key),
+                 db.records):
+        with pytest.raises(StorageError, match="line 3: ok record needs a positive"):
+            read()
+    assert PerfDb(db_file, systems=["sysB"]).records() == []
+
+
+def test_a_deferred_line_that_names_a_field_twice_raises_when_read(db_file):
+    _replace_line(db_file, 2, b"}}\n", b'},"dtype":"f16"}\n')
+    with PerfDb(db_file) as db:  # a full decode takes the last name
+        assert db.records()[1].key.dtype == "f16"
+    db = PerfDb(db_file, systems=["sysA"])
+    assert len(db) == 5
+    with pytest.raises(StorageError, match="line 2: it names a field twice"):
+        db.query("sysA", "f32", "Relu|f32|in=1x1|")
