@@ -29,8 +29,14 @@ and the fusion scan all read. :func:`annotate` looks each (signature,
 layout) up in the database once and shares the record, or the miss, with
 every node of that signature. An :class:`Annotator` holds one graph's
 annotations on one database, one per (system, dtype, layout), and the
-critical path under each, all built on first use. One ``analyze`` or ``advise`` command builds one annotator and
-hands it to every analysis.
+critical path under each, all built on first use. One ``analyze`` or
+``advise`` command builds one annotator and hands it to every analysis.
+
+An annotation never raises on a miss: a missing layer contributes zero and
+is listed. :func:`build_report` decides which analyses an ``analyze`` runs,
+then makes the one miss check over every annotation they built
+(:meth:`Annotator.missing`), and raises a single :class:`MissError` unless
+misses are allowed; ``advise`` flags a system with misses instead.
 
 Every what-if is a view over :func:`apply`: on one (system, dtype, layout)
 annotation it swaps in the records of logged convolution algorithms, then
@@ -116,7 +122,10 @@ def annotate(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
 class Annotator:
     """One graph's annotations on one database and their critical paths.
 
-    Each is built on first use.
+    Each is built on first use. Annotations never raise: a missing layer
+    contributes zero and is listed in the annotation's ``missing``, and
+    :meth:`missing` gathers the misses of every annotation built, for the
+    one check :func:`build_report` makes.
     """
 
     def __init__(self, graph: ModelGraph, db: PerfDb):
@@ -125,30 +134,36 @@ class Annotator:
         self._annotations: dict[tuple, LatencyAnnotatedGraph] = {}
         self._paths: dict[tuple, CriticalPath] = {}
 
-    def annotation(self, system: str, dtype: str, layout: str | None = None,
-                   allow_missing: bool = False) -> LatencyAnnotatedGraph:
-        """The annotation for (system, dtype, layout).
-
-        Misses abort with the full miss list unless ``allow_missing``, in
-        which case missing layers contribute zero and are reported.
-        """
+    def annotation(self, system: str, dtype: str,
+                   layout: str | None = None) -> LatencyAnnotatedGraph:
+        """The annotation for (system, dtype, layout)."""
         key = (system, dtype, layout or None)
         if key not in self._annotations:
             self._annotations[key] = annotate(self.graph, self.db, system, dtype,
                                               layout=layout)
-        ann = self._annotations[key]
-        if ann.missing and not allow_missing:
-            raise MissError(ann.missing)
-        return ann
+        return self._annotations[key]
 
     def critical_path(self, system: str, dtype: str,
                       layout: str | None = None) -> CriticalPath:
         """The critical path under the (system, dtype, layout) annotation's latencies."""
         key = (system, dtype, layout or None)
         if key not in self._paths:
-            ann = self.annotation(system, dtype, layout, allow_missing=True)
+            ann = self.annotation(system, dtype, layout)
             self._paths[key] = critical_path(self.graph, ann.latencies)
         return self._paths[key]
+
+    def missing(self) -> list[str]:
+        """The misses of every annotation built, once per node, in build order.
+
+        A key that an earlier annotation already listed is skipped.
+        """
+        listed: set[str] = set()
+        out: list[str] = []
+        for ann in self._annotations.values():
+            new = [key for key in ann.missing if key not in listed]
+            listed.update(new)
+            out.extend(new)
+        return out
 
 
 def sequential_total(graph: ModelGraph, latencies: dict[str, float]) -> float:
@@ -645,7 +660,7 @@ def advise_systems(anns: Annotator, systems: list[str], dtype: str,
         raise ConfigError(f"unknown ranking key {rank_by!r}")
     rows: list[SystemAdvice] = []
     for system in systems:
-        ann = anns.annotation(system, dtype, allow_missing=True)
+        ann = anns.annotation(system, dtype)
         lb = sequential_total(anns.graph, ann.latencies)
         cost = (cost_per_hour or {}).get(system)
         score = lb * cost if cost is not None else None
@@ -680,6 +695,50 @@ class AnalysisReport:
     fusion: FusionAnalysis | None = None
     tensorcore: TensorCoreAnalysis | None = None
     joint: JointAnalysis | None = None
+
+
+def build_report(anns: Annotator, system: str, dtype: str, batch: int, scenario: Scenario,
+                 *, profile: ExecutionProfile | None = None, measured_ms: float | None = None,
+                 allow_missing: bool = False) -> AnalysisReport:
+    """Every analysis one ``analyze`` asks for, on one annotator.
+
+    A profile adds Q3, Q4 and, unless ``measured_ms`` is given, the measured
+    latency; the scenario's ``fusion`` adds Q5, ``tensor_core`` Q6, and any
+    toggle off its default the joint row. The misses of every annotation
+    built are then checked once: they raise one :class:`MissError` unless
+    ``allow_missing``, which lists them in the report instead.
+    """
+    if not scenario.ideal_algo and profile is None:
+        raise ConfigError("--logged-algo needs --profile to read the logged algorithms from")
+    graph = anns.graph
+    lb_seq = sequential_total(graph, anns.annotation(system, dtype).latencies)
+    cp = anns.critical_path(system, dtype)
+    if measured_ms is None and profile is not None:
+        measured_ms = profile.measured_latency_ms
+    report = AnalysisReport(
+        model=graph.name, system=system, batch=batch, dtype=dtype,
+        lb_sequential_us=lb_seq, lb_parallel_us=cp.total_latency_us,
+        critical_path=cp.node_ids, measured_ms=measured_ms)
+    if profile is not None:
+        report.algorithm_advice = algorithm_advice(profile, anns, system, dtype)
+        report.framework_deviations = framework_diff(profile, expected_api_sequence(graph))
+    if scenario.fusion:
+        report.fusion = fusion_analysis(anns, system, dtype)
+    if scenario.tensor_core:
+        report.tensorcore = tensorcore_analysis(anns, system, layout=scenario.layout,
+                                                profile=profile)
+    if scenario != Scenario(layout=scenario.layout):
+        report.joint = joint_analysis(
+            anns, system, scenario,
+            measured_us=measured_ms * 1000.0 if measured_ms else None, profile=profile)
+    report.missing = anns.missing()
+    if report.missing and not allow_missing:
+        raise MissError(report.missing)
+    if measured_ms is not None:
+        measured_us = measured_ms * 1000.0
+        report.br_sequential = benanza_ratio(lb_seq, measured_us)
+        report.br_parallel = benanza_ratio(cp.total_latency_us, measured_us)
+    return report
 
 
 # Analyses that appear in the JSON report only when they ran.

@@ -183,10 +183,6 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
         click.echo(f"emitted {len(specs)} source file(s) to {emit_src}")
 
 
-def _system_id(name_or_path: str) -> str:
-    return synth_runner.load_system_profile(name_or_path).system_id
-
-
 def _specs_from_misses(path: str, config: benchgen.BenchConfig):
     """Rebuild specs for the signatures named in a miss-key file."""
     uniques: set[dedup.LayerSignature] = set()
@@ -303,7 +299,7 @@ def profile_convert(cudnn_log, kernels, latency_ms, model, system, batch, strict
 @click.option("--layout", default="NCHW", show_default=True,
               type=click.Choice(LAYOUTS))
 @click.option("--allow-missing", is_flag=True,
-              help="Treat database misses as zero-latency layers.")
+              help="Treat database misses as zero-latency layers in every analysis.")
 @click.option("--out", "fmt", default="text", show_default=True,
               type=click.Choice(["text", "json", "dot"]))
 @click.option("--out-file", type=click.Path(), default=None)
@@ -314,56 +310,30 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
             parallel, fusion, ideal_algo, tensor_core, layout, allow_missing,
             fmt, out_file, miss_out):
     """Compute lower bounds, Benanza Ratios, and optimization advice."""
-    if not ideal_algo and not profile_path:
-        raise ConfigError("--logged-algo needs --profile to read the logged algorithms from")
     graph = _load_inferred(model, batch)
-    sysid = _system_id(system_name)
+    sysid = synth_runner.load_system_profile(system_name).system_id
     prof = None
     if profile_path:
         with open(profile_path, "r", encoding="utf-8") as fh:
             prof = profile_ingest.parse_profile(fh.read())
-        measured_ms = measured_ms if measured_ms is not None else prof.measured_latency_ms
-
+        prof_sysid = synth_runner.load_system_profile(prof.system_id).system_id
+        if (prof_sysid, prof.batch) != (sysid, batch):
+            raise ConfigError(f"profile {profile_path} is of system {prof_sysid!r} at batch "
+                              f"{prof.batch}, but the command analyzes {sysid!r} at batch {batch}")
+    scenario = analyzer.Scenario(parallel, ideal_algo, fusion, tensor_core, layout)
     with perfdb.PerfDb(_db_path(db_path), systems=[sysid]) as handle:
         anns = analyzer.Annotator(graph, handle)
         try:
-            ann = anns.annotation(sysid, dtype, allow_missing=allow_missing)
+            report = analyzer.build_report(anns, sysid, dtype, batch, scenario, profile=prof,
+                                           measured_ms=measured_ms, allow_missing=allow_missing)
         except MissError as exc:
             if miss_out:
                 with open(miss_out, "w", encoding="utf-8") as fh:
                     fh.write("\n".join(dict.fromkeys(exc.keys)) + "\n")
             raise
-        lb_seq = analyzer.sequential_total(graph, ann.latencies)
-        cp = anns.critical_path(sysid, dtype)
-        report = analyzer.AnalysisReport(
-            model=graph.name, system=sysid, batch=batch, dtype=dtype,
-            lb_sequential_us=lb_seq, lb_parallel_us=cp.total_latency_us,
-            critical_path=cp.node_ids, measured_ms=measured_ms, missing=ann.missing,
-        )
-        if measured_ms is not None:
-            measured_us = measured_ms * 1000.0
-            report.br_sequential = analyzer.benanza_ratio(lb_seq, measured_us)
-            report.br_parallel = analyzer.benanza_ratio(cp.total_latency_us, measured_us)
-        if prof is not None:
-            report.algorithm_advice = analyzer.algorithm_advice(prof, anns, sysid, dtype)
-            report.framework_deviations = analyzer.framework_diff(
-                prof, analyzer.expected_api_sequence(graph))
-        if fusion:
-            report.fusion = analyzer.fusion_analysis(anns, sysid, dtype)
-        if tensor_core:
-            report.tensorcore = analyzer.tensorcore_analysis(
-                anns, sysid, layout=layout, profile=prof)
-        if parallel or fusion or tensor_core or not ideal_algo:
-            scenario = analyzer.Scenario(
-                parallel=parallel, ideal_algo=ideal_algo, fusion=fusion,
-                tensor_core=tensor_core, layout=layout)
-            report.joint = analyzer.joint_analysis(
-                anns, sysid, scenario,
-                measured_us=measured_ms * 1000.0 if measured_ms else None,
-                profile=prof)
 
     if fmt == "dot":
-        text = analyzer.export_dot(ann, cp)
+        text = analyzer.export_dot(anns.annotation(sysid, dtype), anns.critical_path(sysid, dtype))
     elif fmt == "json":
         text = analyzer.report_to_json(report)
     else:

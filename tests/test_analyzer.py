@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 
@@ -12,9 +13,9 @@ from click.testing import CliRunner
 
 import modelzoo as mz
 from lbound import analyzer, dedup
-from lbound.benchgen import ConvAlgorithm
+from lbound.benchgen import BenchConfig, ConvAlgorithm
 from lbound.cli import main
-from lbound.errors import DomainError
+from lbound.errors import ConfigError, DomainError
 from lbound import model_ir
 from lbound.model_ir import LayerNode, ModelGraph, TensorShape, validate
 from lbound.perfdb import PerfDb
@@ -246,6 +247,43 @@ def test_scenario_properties(scenario_db, model, layout, algos):
         assert lb[True, ideal, fusion, tc] <= lb[False, ideal, fusion, tc]
     plain = analyzer.sequential_total(anns.graph, anns.annotation("Tesla_V100", "f32").latencies)
     assert lb[False, True, False, False] == plain
+
+
+def test_report_sections_follow_the_scenario_and_the_profile(scenario_db):
+    graphs, path = scenario_db
+    with PerfDb(path) as db:
+        anns = analyzer.Annotator(graphs["r18"], db)
+        prof = _logged_profile(anns, [a.name for a in ConvAlgorithm])
+        for toggles in itertools.product((False, True), repeat=4):
+            scenario = analyzer.Scenario(*toggles)
+            parallel, ideal, fusion, tc = toggles
+            for profile in (prof, None):
+                if profile is None and not ideal:
+                    with pytest.raises(ConfigError, match="--profile"):
+                        analyzer.build_report(anns, "Tesla_V100", "f32", 1, scenario)
+                    continue
+                report = analyzer.build_report(anns, "Tesla_V100", "f32", 1, scenario,
+                                               profile=profile)
+                sections = json.loads(analyzer.report_to_json(report)).keys()
+                assert ("fusion" in sections) == fusion
+                assert ("tensorcore" in sections) == tc
+                assert ("joint" in sections) == (parallel or not ideal or fusion or tc)
+                assert ("algorithm_advice" in sections) == (profile is not None)
+                assert ("framework_deviations" in sections) == (profile is not None)
+
+
+def test_missing_lists_each_key_once_over_the_annotations_built(db_builder, v100):
+    """ResNet-50 on an f32 ResNet-18 database; a layout of None renders as NCHW."""
+    path = db_builder([mz.load(mz.resnet_v1_text(18))], v100,
+                      config=BenchConfig(dtypes=("f32",)))
+    with PerfDb(path) as db:
+        anns = analyzer.Annotator(mz.load(mz.resnet_v1_text(50)), db)
+        assert anns.missing() == []
+        f32 = anns.annotation("Tesla_V100", "f32")
+        assert f32.missing and anns.annotation("Tesla_V100", "f32", "NCHW").missing == f32.missing
+        f16 = anns.annotation("Tesla_V100", "f16", "NCHW")
+        assert len(f16.missing) > len(f32.missing)
+        assert anns.missing() == f32.missing + f16.missing
 
 
 def test_apply_without_toggles_is_the_annotation(db_builder, v100):

@@ -10,6 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 import modelzoo as mz
+from lbound import dedup
+from lbound.benchgen import ConvAlgorithm
 from lbound.cli import main
 from lbound.errors import StorageError
 from lbound.perfdb import PerfDb
@@ -348,16 +350,41 @@ def test_bad_text_model_layer_exits_2(tmp_path, dims, node):
     assert f"node 'n' ({op})" in res.output
 
 
-def test_misses_group_by_key_and_fill_from_the_miss_file(r18, tmp_path):
-    """ResNet-50 on the ResNet-18 database: only the stem's layers are there."""
+def _conv_profile(tmp_path, model, system="Tesla_V100", batch=1):
+    """A profile whose library log runs every convolution of ``model`` with FFT."""
+    graph = mz.load(model.read_text("utf-8"), batch=batch)
+    convs = sum(node.op_type == "Conv" for node in graph.nodes.values())
+    log = tmp_path / "cudnn.log"
+    log.write_text(convs * ("I! CuDNN (v7605) function cudnnConvolutionForward() called:\n"
+                            "    algo: type=cudnnConvolutionFwdAlgo_t; "
+                            f"val={ConvAlgorithm.FFT.token} (1);\n"), "utf-8")
+    prof = tmp_path / "conv.prof"
+    res = CliRunner().invoke(main, [
+        "profile", "convert", "--cudnn-log", str(log), "--latency-ms", "40", "--model",
+        graph.name, "--system", system, "--batch", str(batch), "-o", str(prof)])
+    assert res.exit_code == 0, res.output
+    return prof
+
+
+@pytest.mark.parametrize("extra", [[], ["--parallel"], ["--fusion"], ["--tensor-core"],
+                                   ["--logged-algo"]],
+                         ids=["plain", "parallel", "fusion", "tensor-core", "logged-algo"])
+def test_misses_group_by_key_and_fill_from_the_miss_file(r18, tmp_path, extra):
+    """ResNet-50 on the ResNet-18 database: only the stem's layers are there.
+
+    Each analysis reads some of the missing layers, so each exits 3, is let
+    through by --allow-missing, and is filled from its miss file.
+    """
     _model, r18_db = r18
     model = tmp_path / "resnet50.txt"
     model.write_text(mz.resnet_v1_text(50), "utf-8")
+    if extra == ["--logged-algo"]:
+        extra = ["--profile", str(_conv_profile(tmp_path, model)), *extra]
     db = tmp_path / "perf.db"
     db.write_bytes(r18_db.read_bytes())
     misses = tmp_path / "misses.txt"
     res = CliRunner().invoke(main, ["analyze", str(model), "--db", str(db), "--system",
-                                    "Tesla_V100", "--miss-out", str(misses)])
+                                    "Tesla_V100", "--miss-out", str(misses), *extra])
     _no_traceback(res, 3)
     keys = misses.read_text("utf-8").splitlines()
     assert keys and len(keys) == len(set(keys))
@@ -367,11 +394,44 @@ def test_misses_group_by_key_and_fill_from_the_miss_file(r18, tmp_path):
     nodes = sum(int(n.split()[0]) for _key, n in counts)
     assert nodes > len(keys)  # ResNet-50 repeats its missing layers
     assert f"error: {len(keys)} benchmark result(s) missing" in res.output
-    allowed = _analyze(model, db, "--allow-missing")
-    assert allowed.exit_code == 0 and len(json.loads(allowed.output)["missing"]) == nodes
+    allowed = _analyze(model, db, "--allow-missing", *extra)
+    assert allowed.exit_code == 0, allowed.output
+    assert len(json.loads(allowed.output)["missing"]) == nodes
     res = CliRunner().invoke(main, ["bench", "--from-misses", str(misses), "--db", str(db),
                                     "--system", "Tesla_V100", "--simulate"])
     assert res.exit_code == 0, res.output
-    res = _analyze(model, db)
+    res = _analyze(model, db, *extra)
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["missing"] == []
+
+
+def test_tensor_core_misses_of_an_f32_database_fill_from_the_miss_file(tmp_path):
+    model = tmp_path / "resnet50.txt"
+    model.write_text(mz.resnet_v1_text(50), "utf-8")
+    db = tmp_path / "perf.db"
+    res = CliRunner().invoke(main, ["bench", str(model), "--db", str(db), "--system",
+                                    "Tesla_V100", "--dtypes", "f32", "--simulate"])
+    assert res.exit_code == 0, res.output
+    misses = tmp_path / "m.txt"
+    args = ["analyze", str(model), "--db", str(db), "--system", "Tesla_V100", "--tensor-core"]
+    _no_traceback(CliRunner().invoke(main, [*args, "--miss-out", str(misses)]), 3)
+    keys = misses.read_text("utf-8").splitlines()
+    unique = dedup.unique_layers([mz.load(model.read_text("utf-8"))], "f16").signatures
+    assert len(keys) == sum(dedup.api_for_op(sig.op_type) is not None for sig in unique) == 45
+    assert all(key.startswith("Tesla_V100/f16/NCHW/") for key in keys)
+    res = CliRunner().invoke(main, ["bench", "--from-misses", str(misses), "--db", str(db),
+                                    "--system", "Tesla_V100", "--simulate"])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("system, batch", [("Tesla_T4", 64), ("Tesla_T4", 2),
+                                           ("Tesla_V100", 64)])
+def test_profile_of_another_system_or_batch_exits_2(r18, tmp_path, system, batch):
+    model, db = r18
+    prof = _conv_profile(tmp_path, model, system, batch)
+    res = _analyze(model, db, "--batch", "2", "--profile", str(prof))
+    _one_error(res)
+    assert (f"is of system {system!r} at batch {batch}, but the command analyzes "
+            "'Tesla_V100' at batch 2") in res.output

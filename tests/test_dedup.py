@@ -303,6 +303,6 @@ def test_signature_runs_once_per_dtype_on_a_relu_chain(db_builder, v100, monkeyp
                                          .latencies) > 0
         assert benchgen.fusion_candidates(graph, "f32") == []
         assert dedup.unique_layers([graph], "f32").pooled.unique == 1
-        f16 = anns.annotation("Tesla_V100", "f16", allow_missing=True)
+        f16 = anns.annotation("Tesla_V100", "f16")
         assert len(f16.missing) == 2000
     assert [dtype for _node, dtype in calls] == ["f32", "f16"]
