@@ -8,6 +8,7 @@ microseconds. ``LBOUND_DB`` sets the default database path.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -96,7 +97,8 @@ def process(models, batch, dtype, coverage, fmt):
 @click.option("--from-manifest", type=click.Path(exists=True),
               help="Generate from a spec manifest instead of models.")
 @click.option("--from-misses", type=click.Path(exists=True),
-              help="Generate only the keys listed in a miss file (from analyze --miss-out).")
+              help="Generate only the keys listed in a miss file (from analyze --miss-out), "
+                   "each at its own dtype; --dtypes does not apply.")
 @click.option("--db", "db_path", default=None, help="Database path (or LBOUND_DB).")
 @click.option("--system", "system_name", default=None,
               help="System profile name or JSON path (required to simulate).")
@@ -184,16 +186,21 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
 
 
 def _specs_from_misses(path: str, config: benchgen.BenchConfig):
-    """Rebuild specs for the signatures named in a miss-key file."""
-    uniques: set[dedup.LayerSignature] = set()
+    """Rebuild specs for the signatures named in a miss-key file, each at its own dtype."""
+    by_dtype: dict[str, set[dedup.LayerSignature]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             canonical = line.split("/", 5)[-1] if "/" in line else line
-            uniques.add(dedup.parse_signature(canonical))
-    return benchgen.generate_specs(uniques, config)
+            sig = dedup.parse_signature(canonical)
+            by_dtype.setdefault(sig.dtype, set()).add(sig)
+    if not by_dtype:
+        raise ConfigError(f"miss file {path} names no layer")
+    return [spec for dtype, sigs in sorted(by_dtype.items())
+            for spec in benchgen.generate_specs(sigs,
+                                                dataclasses.replace(config, dtypes=(dtype,)))]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,7 @@ def db_compact(database):
 @_exit_codes
 def db_stats(database):
     with perfdb.PerfDb(database) as handle:
-        counts = Counter(r.key.system for r in handle.records())
+        counts = handle.live_by_system()
         click.echo(f"{len(handle)} live record(s), {handle.superseded} superseded")
         for system in sorted(counts):
             click.echo(f"  {system}: {counts[system]}")
@@ -327,10 +334,9 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
             report = analyzer.build_report(anns, sysid, dtype, batch, scenario, profile=prof,
                                            measured_ms=measured_ms, allow_missing=allow_missing)
         except MissError as exc:
-            if miss_out:
-                with open(miss_out, "w", encoding="utf-8") as fh:
-                    fh.write("\n".join(dict.fromkeys(exc.keys)) + "\n")
+            _write_misses(miss_out, exc.keys)
             raise
+    _write_misses(miss_out, report.missing)  # the misses --allow-missing let through
 
     if fmt == "dot":
         text = analyzer.export_dot(anns.annotation(sysid, dtype), anns.critical_path(sysid, dtype))
@@ -344,6 +350,13 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
         click.echo(f"wrote {fmt} report to {out_file}")
     else:
         click.echo(text, nl=False)
+
+
+def _write_misses(path: str | None, keys: list[str]) -> None:
+    """Write each missing key once, in first-seen order, for ``bench --from-misses``."""
+    if path and keys:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(dict.fromkeys(keys)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Storage is a single file of line-delimited JSON records plus one in-memory
 index built at open: (system, dtype, signature) maps to that layer's live
-records, keyed by their full record key; a scoped open (below) decodes a
-layer's records on its first read. ``query`` and ``best`` read only the
-records of one layer, and ``record_for``, ``has_spec``, ``records()``
-and ``compact`` read through the same index. ``records()`` and ``compact``
+records, keyed by their full record key; most lines are decoded on their
+layer's first read (below). ``query`` and ``best`` read only the records
+of one layer, and ``record_for``, ``has_spec``, ``records()`` and
+``compact`` read through the same index. ``records()`` and ``compact``
 therefore group records by layer, layers in the order they first appeared
 and records within a layer in insertion order. ``compact`` drops superseded
 records only: the live records, their order and therefore the index are the
@@ -30,44 +30,60 @@ algorithm, layout, fused, status, latency_us, source, timestamp, metadata.
 The canonical signature string is stored alongside its hash as a collision
 guard; equality is always decided on the string.
 
+``_record_to_json`` fixes the key order and ``import_lines``
+re-serializes, so every line the writer produces reads
+``{"v":1,"system":"S","dtype":"D","hash64":"H","signature":"G",
+"algorithm":...,"layout":...,"fused":...,"status":...`` with nothing
+between the fields, and an open cuts such a line at these markers rather
+than decoding it. The raw layer key is (S, D, G) and the raw record key is
+the bytes from ``"algorithm":`` up to ``,"status":``, so hash64 is part of
+neither. The open stores the raw line and its line number under its layer
+and resolves supersession from the raw record key, which must name one of
+the writer's (algorithm, layout, fused) triples. A layer's lines are
+decoded the first time ``query``, ``best``, ``record_for`` or ``has_spec``
+reads that layer, in file order, so the last line still wins.
+
+An unscoped open, and therefore every ``rw`` open, ``db stats``,
+``db compact`` and ``db import``, defers a writer line only when one check
+proves that the decode accepts it: S, H and G are printable ASCII with no
+quote or backslash, D is a known dtype, and the bytes from ``,"status":``
+to the newline match ``_TAIL``: an ok status with a JSON number latency
+that is positive and finite as a float, or an unsupported one with null;
+a string source, a number timestamp and a flat metadata object of strings
+and numbers, integer parts at most 16 digits long. Every other line is
+decoded at open, so an unscoped open accepts exactly the files it accepted
+when it decoded every line and raises the same ``StorageError`` at the same
+line.
+
 A read-only open can be scoped to some systems: ``PerfDb(path,
 systems=...)`` keeps only their records, so ``len()``, ``records()``,
-``superseded`` and every query see only the scope. ``_record_to_json``
-fixes the key order and ``import_lines`` re-serializes, so every line the
-writer produces reads ``{"v":1,"system":"S","dtype":"D","hash64":"H",
-"signature":"G","algorithm":...,"layout":...,"fused":...,"status":...``
-with nothing between the fields, and a scoped open cuts such a line at
-these markers rather than decoding it. Any line that starts
+``superseded`` and every query see only the scope. Any line that starts
 ``{"v":1,"system":"`` is skipped undecoded when the string that follows
-holds no backslash and names a system out of scope. For an in-scope writer
-line, the raw layer key is (S, D, G) and the raw record key is the bytes
-from ``"algorithm":`` up to ``,"status":``, so hash64 is part of neither.
-The open stores the raw line and its line number under its layer, and
-resolves supersession from the raw record key, which names one of the
-writer's (algorithm, layout, fused) triples. A layer's lines are decoded
-and validated the first time ``query``, ``best``, ``record_for`` or
-``has_spec`` reads that layer, in file order, so the last line still wins.
+holds no backslash and names a system out of scope. An in-scope writer
+line is deferred without the check above, unless it holds a backslash; it
+is validated when its layer is read.
 
 Some lines are decoded at open, exactly as an unscoped open decodes them:
-a line that does not start ``{"v":1,"system":"``, a line with a backslash
-anywhere, an in-scope line where a marker is missing or the raw record key
-is not one the writer produces, and an unterminated last line. If such a
-line's layer already has undecoded lines, those are decoded first, so file
-order holds. A line is assumed to name each field once: a deferred line
-whose decoded fields differ from its raw keys raises ``StorageError`` when
-it is decoded.
+a line that does not start ``{"v":1,"system":"``, a line that is not
+deferred as above, and an unterminated last line. If such a line's layer
+already has undecoded lines, those are decoded first, so file order
+holds. A line is assumed to name each field once: a deferred line whose
+decoded fields differ from its raw keys raises ``StorageError`` when it is
+decoded.
 
-``len()`` and ``superseded`` come from the raw keys counted at open and
-decode nothing. ``records()`` decodes every deferred line.
+``len()``, ``superseded`` and ``live_by_system()``, which ``db stats``
+prints, come from the raw keys counted at open and decode nothing.
+``records()`` decodes every deferred line. ``compact`` writes a layer's
+undecoded live lines, the last line of each key, as the bytes read, and
+re-serializes only decoded records; for a file of writer lines the two
+are the same bytes.
 
 The trade-off: a scoped open validates only the lines it decodes. A bad
 line of another system goes unnoticed, and so does a bad line in an
 in-scope layer that is never read; a bad line in a layer that is read
 raises ``StorageError`` (exit 4) at that read, naming its line number.
-Unscoped opens, and therefore ``rw`` opens, ``db stats``, ``db compact``
-and ``db import``, decode every line and raise on any bad one; a scope on
-an ``rw`` open raises ``StorageError``. The torn-tail rules are the same
-for a scoped open.
+Unscoped opens raise on any bad line; a scope on an ``rw`` open raises
+``StorageError``. The torn-tail rules are the same for every open.
 
 ``import_lines`` also rebuilds each record's benchmark spec from its parsed
 signature, algorithm, layout and fusion pattern, and requires the record's
@@ -84,6 +100,7 @@ import math
 import os
 import re
 import time
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -101,6 +118,27 @@ _BACKSLASH, _NEWLINE = ord("\\"), ord("\n")  # ints, so ``in`` looks for one byt
 # A writer line from the closing quote of its system string to the closing
 # quote of its signature.
 _LAYER_PART = re.compile(rb'","dtype":"([^"]*)","hash64":"[^"]*","signature":"([^"]*)"')
+# A writer line's head, from the first byte of its system string to the
+# closing quote of its signature: the system, dtype and signature. A scoped
+# open takes any head; an unscoped one only a head the decode accepts, whose
+# strings are printable ASCII without quote or backslash. These two patterns
+# and _TAIL are compiled on first use, so a command that never opens the
+# database unscoped does not pay for them.
+_SCOPED_HEAD = rb'([^"]*)' + _LAYER_PART.pattern
+_PLAIN = rb'[ !#-\[\]-~]*'  # printable ASCII but quote and backslash
+_HEAD = rb'(%s)","dtype":"(%s)","hash64":"%s","signature":"(%s)"' \
+    % (_PLAIN, "|".join(DTYPES).encode(), _PLAIN, _PLAIN)
+# A writer line from ,"status": to its newline, in a form the decode accepts:
+# an ok status with a number latency (group 1, still to be checked finite and
+# positive) or an unsupported one with null, string source, number timestamp
+# and a flat metadata object of strings and numbers. An integer part has at
+# most 16 digits, so the decoder's limit on integer digits never applies.
+_STR = rb'"%s(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})%s)*"' % (_PLAIN, _PLAIN)
+_NUM = rb'-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
+_ITEM = rb'%s:(?:%s|%s)' % (_STR, _STR, _NUM)
+_TAIL = (rb',"status":(?:"ok","latency_us":(%s)|"unsupported","latency_us":null),'
+         rb'"source":%s,"timestamp":%s,"metadata":\{(?:%s(?:,%s)*)?\}\}\n'
+         % (_NUM, _STR, _NUM, _ITEM, _ITEM))
 # Each record key the writer produces, as the bytes from "algorithm": up to
 # ,"status":, and the (algorithm, layout, fused) it stands for.
 _WRITER_KEYS = {
@@ -254,37 +292,22 @@ class PerfDb:
         if not os.path.exists(self.path):
             return  # empty snapshot; analyzer reports misses
         scope = self.systems
-        names = {s.encode("utf-8", "surrogatepass"): s for s in scope or ()}
+        names = {s.encode("utf-8", "surrogatepass") for s in scope or ()}
+        tail = re.compile(_TAIL) if scope is None else None
         at = len(_SYSTEM_AT)
-        groups: dict[bytes, tuple] = {}  # raw system and layer part -> its layer
-        end = 0  # byte offset just past the last line kept; a scoped open never writes
+        groups: dict[bytes, tuple | None] = {}  # raw head -> its layer, None if not deferred
+        torn = False
         raw = b""
         try:
             with open(self.path, "rb") as fh:
                 for lineno, raw in enumerate(fh, start=1):
-                    if scope is not None and raw.startswith(_SYSTEM_AT):
-                        q = raw.find(b'"', at)
-                        system = names.get(raw[at:q])
-                        if system is None:
-                            if _BACKSLASH not in raw[at:q]:
+                    if raw.startswith(_SYSTEM_AT):
+                        if scope is not None:
+                            name = raw[at:raw.find(b'"', at)]
+                            if name not in names and _BACKSLASH not in name:
                                 continue  # another system's line
-                        elif _BACKSLASH not in raw and raw[-1] == _NEWLINE:
-                            # An in-scope line: cut it at the writer's markers, and
-                            # defer it if it is in the writer's form.
-                            a = raw.find(b',"algorithm":', q)
-                            fields = _WRITER_KEYS.get(raw[a + 1:raw.find(b',"status":', a)])
-                            group = groups.get(raw[at:a]) if fields else None
-                            if group is None and fields:
-                                group = groups[raw[at:a]] = self._group(system, raw[q:a])
-                            if group:
-                                lkey, layer, lines = group
-                                key = lkey + fields
-                                if key in layer:
-                                    self.superseded += 1
-                                else:
-                                    layer[key] = None  # decoded on the layer's first read
-                                lines.append((lineno, raw, key))
-                                continue
+                        if raw[-1] == _NEWLINE and self._defer(raw, lineno, groups, tail):
+                            continue
                     line = raw.strip()
                     if line:
                         try:
@@ -292,30 +315,68 @@ class PerfDb:
                         except StorageError:
                             if raw.endswith(b"\n"):
                                 raise
-                            break  # torn tail
+                            torn = True  # only the last line can lack its newline
+                            break
                         if scope is None or rec.key.system in scope:
                             self._put(rec)
-                    end += len(raw)
             if self._fh is not None:  # a writer's next append must start a line
-                if end != os.path.getsize(self.path):
-                    os.truncate(self.path, end)
+                if torn:
+                    os.truncate(self.path, os.path.getsize(self.path) - len(raw))
                 elif raw and not raw.endswith(b"\n"):
                     self._fh.write("\n")
                     self._fh.flush()
         except OSError as exc:
             raise StorageError(f"cannot read database {self.path}: {exc}") from exc
 
-    def _group(self, system: str, part: bytes) -> tuple | None:
-        """The layer, and its deferred lines, that a writer line's layer part names.
+    def _defer(self, raw: bytes, lineno: int, groups: dict, tail: re.Pattern | None) -> bool:
+        """Store a terminated writer line undecoded under its layer.
 
-        ``part`` runs from the closing quote of the system string to the
-        record key. None when it is not in the writer's form.
+        ``tail`` is the compiled ``_TAIL`` of an unscoped open and None for a
+        scoped one. False when the line must be decoded now: it is not in the
+        writer's form, or, for an unscoped open, the check cannot vouch that
+        the decode accepts it.
         """
-        m = _LAYER_PART.fullmatch(part)
+        a = raw.find(b',"algorithm":', len(_SYSTEM_AT))
+        s = raw.find(b',"status":', a)
+        fields = _WRITER_KEYS.get(raw[a + 1:s])
+        if fields is None:
+            return False
+        if tail is None:
+            if _BACKSLASH in raw:
+                return False
+        else:
+            m = tail.fullmatch(raw, s)
+            if m is None or m[1] and not 0 < float(m[1]) < math.inf:
+                return False
+        head = raw[len(_SYSTEM_AT):a]
+        if head not in groups:
+            groups[head] = self._group(head, _SCOPED_HEAD if tail is None else _HEAD)
+        group = groups[head]
+        if group is None:
+            return False
+        lkey, layer, lines = group
+        key = lkey + fields
+        if key in layer:
+            self.superseded += 1
+        else:
+            layer[key] = None  # decoded on the layer's first read
+        lines.append((lineno, raw, key))
+        return True
+
+    def _group(self, head: bytes, form: bytes) -> tuple | None:
+        """The layer, and its deferred lines, that a writer line's head names.
+
+        ``head`` runs from the first byte of the system string to the record
+        key, and ``form`` is _HEAD for an unscoped open and _SCOPED_HEAD for a
+        scoped one; None when the head does not match it. Decoded with
+        surrogatepass, a scoped open's system bytes give back the name of its
+        scope that ``_load`` encoded that way.
+        """
+        m = re.fullmatch(form, head)
         if m is None:
             return None
         try:
-            lkey = (system, m[1].decode(), m[2].decode())
+            lkey = (m[1].decode("utf-8", "surrogatepass"), m[2].decode(), m[3].decode())
         except UnicodeDecodeError:
             return None
         return lkey, self._by_layer.setdefault(lkey, {}), self._deferred.setdefault(lkey, [])
@@ -407,9 +468,13 @@ class PerfDb:
         dropped = self.superseded
         tmp = self.path + ".compact"
         try:
-            with open(tmp, "w", encoding="utf-8") as out:
-                for rec in self.records():
-                    out.write(_record_to_json(rec) + "\n")
+            with open(tmp, "wb") as out:
+                for lkey, layer in self._by_layer.items():
+                    # An undecoded key's live line is its last; it is written as read.
+                    lines = {key: raw for _lineno, raw, key in self._deferred.get(lkey, ())}
+                    for key, rec in layer.items():
+                        out.write(lines[key] if key in lines
+                                  else _record_to_json(rec).encode() + b"\n")
             os.replace(tmp, self.path)
         except OSError as exc:
             raise StorageError(f"cannot compact database {self.path}: {exc}") from exc
@@ -423,6 +488,13 @@ class PerfDb:
 
     def __len__(self) -> int:
         return sum(len(layer) for layer in self._by_layer.values())
+
+    def live_by_system(self) -> Counter:
+        """Live records per system, counted from the index; decodes nothing."""
+        counts: Counter = Counter()
+        for (system, _dtype, _signature), layer in self._by_layer.items():
+            counts[system] += len(layer)
+        return counts
 
     def records(self) -> list[PerfRecord]:
         for lkey in self._deferred:

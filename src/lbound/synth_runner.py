@@ -105,11 +105,15 @@ def _ideal_factor(sig: LayerSignature, factors: dict[ConvAlgorithm, float]) -> f
     return min(usable) if usable else 1.0
 
 
-def simulate(spec: BenchmarkSpec, sys: SystemProfile,
-             jitter_seed: int | None = None) -> PerfRecord:
-    """Produce one benchmark record; same inputs, identical output."""
+def simulate(spec: BenchmarkSpec, sys: SystemProfile, jitter_seed: int | None = None,
+             cost: SpecCost | None = None) -> PerfRecord:
+    """Produce one benchmark record; same inputs, identical output.
+
+    ``cost`` is the spec signature's :func:`signature_cost`, computed here
+    when not given.
+    """
     sig = spec.signature
-    cost = signature_cost(sig)
+    cost = cost or signature_cost(sig)
 
     if spec.algorithm is not None:
         f = effective_factor(sig, spec.algorithm, sys.algo_factor)
@@ -155,8 +159,11 @@ def _jitter(seed: int, system_id: str, spec: BenchmarkSpec) -> float:
 def run_specs(specs: list[BenchmarkSpec], sys: SystemProfile, db,
               jitter_seed: int | None = None) -> int:
     """Simulate every spec and insert the records; returns the count."""
+    costs: dict[LayerSignature, SpecCost] = {}  # one per distinct signature
     for spec in specs:
-        db.insert(simulate(spec, sys, jitter_seed=jitter_seed))
+        if spec.signature not in costs:
+            costs[spec.signature] = signature_cost(spec.signature)
+        db.insert(simulate(spec, sys, jitter_seed=jitter_seed, cost=costs[spec.signature]))
     return len(specs)
 
 

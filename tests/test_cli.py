@@ -422,8 +422,33 @@ def test_tensor_core_misses_of_an_f32_database_fill_from_the_miss_file(tmp_path)
     res = CliRunner().invoke(main, ["bench", "--from-misses", str(misses), "--db", str(db),
                                     "--system", "Tesla_V100", "--simulate"])
     assert res.exit_code == 0, res.output
+    # Each key at its own dtype only: no f32 layer is simulated again.
+    assert "generated 185 benchmark spec(s)" in res.output
+    res = CliRunner().invoke(main, ["db", "stats", str(db)])
+    assert res.exit_code == 0, res.output
+    assert ", 0 superseded" in res.output
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 0, res.output
+
+
+def test_allow_missing_still_writes_the_miss_file(r18, tmp_path):
+    """A partial report and the keys that fill it come from one command."""
+    _model, r18_db = r18
+    model = tmp_path / "resnet50.txt"
+    model.write_text(mz.resnet_v1_text(50), "utf-8")
+    db = tmp_path / "perf.db"
+    db.write_bytes(r18_db.read_bytes())
+    misses = tmp_path / "m.txt"
+    res = _analyze(model, db, "--allow-missing", "--miss-out", str(misses))
+    assert res.exit_code == 0, res.output
+    keys = misses.read_text("utf-8").splitlines()
+    assert keys == list(dict.fromkeys(json.loads(res.output)["missing"]))
+    res = CliRunner().invoke(main, ["bench", "--from-misses", str(misses), "--db", str(db),
+                                    "--system", "Tesla_V100", "--simulate"])
+    assert res.exit_code == 0, res.output
+    res = _analyze(model, db)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["missing"] == []
 
 
 @pytest.mark.parametrize("system, batch", [("Tesla_T4", 64), ("Tesla_T4", 2),

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -19,6 +21,7 @@ from lbound.perfdb import (
     PerfRecord,
     RecordKey,
     _hit_order,
+    _record_from_json,
     _record_to_json,
 )
 
@@ -367,3 +370,200 @@ def test_a_deferred_line_that_names_a_field_twice_raises_when_read(db_file):
     assert len(db) == 5
     with pytest.raises(StorageError, match="line 2: it names a field twice"):
         db.query("sysA", "f32", "Relu|f32|in=1x1|")
+
+
+# ---------------------------------------------------------------------------
+# Unscoped opens against decoding every line
+# ---------------------------------------------------------------------------
+
+METADATA = ({}, {"macs": 25690112, "bytes": 1500160, "model": "roofline-synthetic"},
+            {"reason": "algorithm unsupported for shape"}, {"note": "Tésla"},
+            {"k": 'q"\\/', "n": -2.5e-7})
+
+
+@st.composite
+def writer_lines(draw):
+    """Writer lines of at most four keys, so keys are superseded often."""
+    pool = draw(st.lists(records(), min_size=1, max_size=4))
+    lines = []
+    for rec in draw(st.lists(st.sampled_from(pool), max_size=25)):
+        latency = rec.latency_us and draw(st.one_of(
+            st.floats(1e-300, 1e300), st.integers(1, 10**15)))
+        rec = dataclasses.replace(
+            rec, latency_us=latency, metadata=draw(st.sampled_from(METADATA)),
+            source=draw(st.sampled_from(("simulated", "imported", ""))),
+            timestamp=draw(st.one_of(st.floats(0, 2e9), st.integers(0, 2 * 10**9))))
+        lines.append(_record_to_json(rec).encode() + b"\n")
+    return lines
+
+
+# What a mutation puts into a line: quotes, backslashes, control bytes,
+# non-ASCII (valid and invalid UTF-8) and JSON punctuation.
+BYTES = (b'"', b"\\", b"\\u00e9", b"\\x", b"\x00", b"\x1f", b"\x7f", "é".encode(),
+         b"\xff", b",", b"}", b"{", b"1", b" ", b"e", b"\r")
+# What replaces a field's value: odd numbers, odd strings and other JSON types.
+VALUES = (b"NaN", b"Infinity", b"-Infinity", b"1e999", b"1e-999", b"0", b"-0.0", b"-1", b"7",
+          b"1.5E3", b"2.", b"01", b"1" * 16, b"1" * 17, b"1" * 400, b"9" * 5000,
+          b'"f16"', b'"f64"', '"Tésla"'.encode(), b'"\\u00e9"', b'"\\ud800"', b'"a\\"b"',
+          b'"\\x"', b'"\x01"', b'"\x7f"', b'""', b"true", b"null", b"{}", b'{"a":1}', b"[1]")
+# The fields whose values a mutation damages.
+NAMES = (b'"system":', b'"dtype":', b'"hash64":', b'"signature":', b'"latency_us":',
+         b'"source":', b'"timestamp":', b'"macs":', b'"model":', b'"note":', b'"k":')
+# A JSON string or any other value, from its first byte.
+VALUE = re.compile(rb'"(?:[^"\\]|\\.)*"|[^,}]*')
+# Fields inserted before a closing brace: duplicates and nested metadata.
+FIELDS = (b',"dtype":"f16"', b',"latency_us":2.0', b',"status":"unsupported"',
+          b',"model":1', b',"m":{"a":1}', b',"m":[1]', b',"metadata":{}')
+
+
+@st.composite
+def mutated(draw, line: bytes) -> bytes:
+    """One line with a byte put into a value, a value replaced, a field added or a cut."""
+    body = line[:-1]
+    kind = draw(st.sampled_from(("byte", "byte", "value", "value", "field", "cut")))
+    names = [name for name in NAMES if name in body]
+    if kind in ("byte", "value") and names:
+        name = draw(st.sampled_from(names))
+        at = body.index(name) + len(name)
+        end = VALUE.match(body, at).end()
+        if kind == "value":
+            body = body[:at] + draw(st.sampled_from(VALUES)) + body[end:]
+        else:  # put in, or overwrite one byte
+            i = draw(st.sampled_from(range(at, end + 1)))  # uniform, where integers() is not
+            body = body[:i] + draw(st.sampled_from(BYTES)) + body[i + draw(st.booleans()):]
+    elif kind == "field":
+        at = draw(st.sampled_from((len(body) - 1, len(body) - 2)))  # the line or metadata
+        body = body[:at] + draw(st.sampled_from(FIELDS)) + body[at:]
+    else:
+        body = body[:draw(st.sampled_from(range(len(body) + 1)))]
+    return body + b"\n"
+
+
+@st.composite
+def damaged_files(draw):
+    """Writer lines, up to three mutated, with blank lines and a torn or whole last line."""
+    lines = draw(writer_lines())
+    for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=3)) if lines else ():
+        lines[i] = draw(mutated(lines[i]))
+    for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)) if lines else ():
+        lines[i] = b"\n" + lines[i]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1][:draw(st.integers(0, len(lines[-1]) - 1))]
+    return b"".join(lines)
+
+
+def _decode_every_line(path) -> tuple[str | None, list[str], int, bytes]:
+    """The oracle: decode every line in file order.
+
+    Returns the error of the first bad line, or else the live records as
+    JSON lines, grouped by layer as ``records()`` groups them, and the
+    superseded count; last, the file as a writer leaves it. An unterminated
+    last line that does not parse is a torn tail: it is skipped, and a
+    writer cuts it off.
+    """
+    layers: dict[tuple, dict[tuple, PerfRecord]] = {}
+    superseded = 0
+    with open(path, "rb") as fh:
+        data = fh.read()
+    kept = data + b"\n" if data and not data.endswith(b"\n") else data
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):  # lines end at \n only
+        if not raw.strip():
+            continue
+        try:
+            rec = _record_from_json(raw.strip(), lineno)
+        except StorageError as exc:
+            if raw.endswith(b"\n"):
+                return str(exc), [], 0, data
+            kept = data[:-len(raw)]
+            break
+        key = rec.key.index_key()
+        layer = layers.setdefault(key[:3], {})
+        superseded += key in layer
+        layer[key] = rec
+    live = [_record_to_json(r) for layer in layers.values() for r in layer.values()]
+    return None, live, superseded, kept
+
+
+def _lines(db: PerfDb) -> list[str]:
+    return [_record_to_json(r) for r in db.records()]  # NaN timestamps compare equal here
+
+
+def _check_unscoped_opens(path) -> None:
+    """An ``r`` and an ``rw`` open, then compact and a reopen, against the oracle."""
+    error, live, superseded, kept = _decode_every_line(path)
+    for mode in ("r", "rw"):
+        try:
+            db = PerfDb(path, mode=mode)
+        except StorageError as exc:
+            assert str(exc) == error
+            continue
+        assert error is None
+        with db:
+            assert (len(db), db.superseded) == (len(live), superseded)  # before any read
+            if mode == "r":
+                assert _lines(db) == live
+                continue
+            with open(path, "rb") as fh:
+                assert fh.read() == kept
+            assert db.compact() == superseded
+            assert _lines(db) == live
+        with PerfDb(path) as db:
+            assert (_lines(db), db.superseded) == (live, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_files())
+def test_unscoped_opens_agree_with_decoding_every_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "perf.db")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        _check_unscoped_opens(path)
+
+
+def _damaged(line: bytes):
+    """Each value of ``line`` replaced by each of VALUES, or with each of BYTES put in."""
+    body = line[:-1]
+    for name in NAMES:
+        if name in body:
+            at = body.index(name) + len(name)
+            end = VALUE.match(body, at).end()
+            for value in VALUES:
+                yield body[:at] + value + body[end:] + b"\n"
+            for i in (at, at + 1, end - 1):
+                for byte in BYTES:
+                    yield body[:i] + byte + body[i:] + b"\n"
+    for at in (len(body) - 1, len(body) - 2):
+        for extra in FIELDS:
+            yield body[:at] + extra + body[at:] + b"\n"
+
+
+def test_unscoped_opens_agree_on_each_damaged_value(tmp_path):
+    """Every value of three writer lines, damaged in each way that the fuzz above draws."""
+    key = RecordKey("sysA", "f32", "00", SIGNATURES[0], "GEMM", "NCHW", None)
+    recs = [PerfRecord(key, 2.5, metadata=METADATA[1], timestamp=1.5),
+            PerfRecord(dataclasses.replace(key, algorithm="FFT"), None, status="unsupported",
+                       metadata=METADATA[2]),
+            PerfRecord(dataclasses.replace(key, layout="NHWC"), 3, metadata=METADATA[3]),
+            PerfRecord(dataclasses.replace(key, fused="conv_bias"), 4.0, metadata=METADATA[4])]
+    lines = [_record_to_json(r).encode() + b"\n" for r in recs]
+    path = tmp_path / "perf.db"
+    for i, line in enumerate(lines):
+        for bad in _damaged(line):
+            # The damaged line comes between two lines of one key.
+            path.write_bytes(b"".join(lines[:i] + [bad] + lines[i + 1:] + lines[:1]))
+            _check_unscoped_opens(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(writer_lines())
+def test_compact_writes_a_writer_files_live_lines_as_reserialized(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "perf.db")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines))
+        _error, live, superseded, _kept = _decode_every_line(path)
+        with PerfDb(path, mode="rw") as db:
+            assert db.compact() == superseded
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == "".join(line + "\n" for line in live)
