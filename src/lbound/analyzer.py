@@ -51,13 +51,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .benchgen import fusion_candidates
 from .dedup import api_for_op, layer_signatures, render_value
 from .errors import ConfigError, CorrelationError, DomainError, MissError
 from .model_ir import LayerNode, ModelGraph
 from .perfdb import PerfDb, PerfRecord, RecordKey
-from .profile_ingest import ApiCall, ExecutionProfile, detect_tensorcore
+
+if TYPE_CHECKING:  # a profile is parsed, and profile_ingest imported, only with --profile
+    from .profile_ingest import ApiCall, ExecutionProfile
 
 
 @dataclass
@@ -550,6 +553,8 @@ def tensorcore_analysis(anns: Annotator, system: str, layout: str = "NCHW",
     lb16 = sequential_total(anns.graph, anns.annotation(system, "f16", layout).latencies)
     tc_used = None
     if profile is not None:
+        from .profile_ingest import detect_tensorcore
+
         tc_used = any(detect_tensorcore(k.name) for k in profile.kernels)
     speedup = lb32 / lb16 if lb16 > 0 else 1.0
     return TensorCoreAnalysis(lb32, lb16, speedup, layout, tc_used)
@@ -646,7 +651,12 @@ class SystemAdvice:
     system: str
     lb_us: float
     cost_score: float | None
-    has_misses: bool
+    covered: int  # supported layers (nodes) with a database record
+    supported: int  # layers with a cuDNN/cuBLAS mapping
+
+    @property
+    def has_misses(self) -> bool:
+        return self.covered < self.supported
 
 
 def advise_systems(anns: Annotator, systems: list[str], dtype: str,
@@ -654,10 +664,13 @@ def advise_systems(anns: Annotator, systems: list[str], dtype: str,
                    rank_by: str = "latency") -> list[SystemAdvice]:
     """Rank systems by lower bound, or by lower bound x cost.
 
-    Systems with database misses rank last and are flagged.
+    Systems with database misses rank last; each row counts the supported
+    layers its database covers.
     """
     if rank_by not in ("latency", "cost"):
         raise ConfigError(f"unknown ranking key {rank_by!r}")
+    graph = anns.graph
+    supported = sum(api_for_op(graph.nodes[nid].op_type) is not None for nid in graph.order)
     rows: list[SystemAdvice] = []
     for system in systems:
         ann = anns.annotation(system, dtype)
@@ -666,7 +679,8 @@ def advise_systems(anns: Annotator, systems: list[str], dtype: str,
         score = lb * cost if cost is not None else None
         if rank_by == "cost" and score is None:
             raise ConfigError(f"no cost given for system {system!r}")
-        rows.append(SystemAdvice(system, lb, score, bool(ann.missing)))
+        covered = sum(rec is not None for rec in ann.chosen.values())
+        rows.append(SystemAdvice(system, lb, score, covered, supported))
     key = (lambda r: (r.has_misses, r.cost_score, r.system)) if rank_by == "cost" \
         else (lambda r: (r.has_misses, r.lb_us, r.system))
     rows.sort(key=key)

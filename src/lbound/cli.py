@@ -4,22 +4,34 @@ Exit codes are a stable contract: 0 success, 2 input or parse error,
 3 performance-database miss, 4 storage error. Human-readable latencies
 print in milliseconds with 3 decimals; structured output stays in
 microseconds. ``LBOUND_DB`` sets the default database path.
+
+Every command is one short process, so start-up is part of its latency.
+A command imports the layer modules it calls inside its own body, and
+nothing heavy runs at import: ``--help`` loads only this module, ``errors``
+and ``model_ir``. A lazily imported layer is called through its module
+(``perfdb.PerfDb``), so a function replaced on its module is the one a
+command runs. :func:`run` is the process entry point; ``main`` is the
+Click group that in-process callers invoke.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import math
 import os
 import sys
 from collections import Counter
+from typing import TYPE_CHECKING
 
 import click
 
-from . import analyzer, benchgen, dedup, perfdb, profile_ingest, synth_runner
 from .errors import ConfigError, LboundError, MissError
 from .model_ir import DTYPES, LAYOUTS, infer_shapes, load_model_file
+
+if TYPE_CHECKING:
+    from .benchgen import BenchConfig
 
 
 def _exit_codes(fn):
@@ -70,6 +82,8 @@ def main():
 @_exit_codes
 def process(models, batch, dtype, coverage, fmt):
     """Parse models, infer shapes, and report unique-layer statistics."""
+    from . import dedup
+
     graphs = [_load_inferred(p, batch) for p in models]
     report = dedup.unique_layers(graphs, dtype)
     if fmt == "jsonl":
@@ -123,6 +137,8 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
           layouts, algorithms, fusion, delta, do_simulate, emit_src, manifest_out,
           jitter_seed):
     """Generate benchmark specs; simulate them or emit source."""
+    from . import benchgen
+
     algos = tuple(benchgen.ConvAlgorithm)
     if algorithms:
         try:
@@ -142,6 +158,8 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
     elif from_misses:
         specs = _specs_from_misses(from_misses, config)
     elif models:
+        from . import dedup
+
         uniques: set[dedup.LayerSignature] = set()
         sites: list[benchgen.FusionSite] = []
         for path in models:
@@ -161,6 +179,8 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
         click.echo(f"wrote manifest to {manifest_out}")
 
     if delta or do_simulate:
+        from . import perfdb, synth_runner
+
         path = _db_path(db_path)
         if not system_name:
             raise ConfigError("--delta needs --system to check existing results" if delta
@@ -185,22 +205,29 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
         click.echo(f"emitted {len(specs)} source file(s) to {emit_src}")
 
 
-def _specs_from_misses(path: str, config: benchgen.BenchConfig):
-    """Rebuild specs for the signatures named in a miss-key file, each at its own dtype."""
-    by_dtype: dict[str, set[dedup.LayerSignature]] = {}
+def _specs_from_misses(path: str, config: BenchConfig):
+    """Rebuild specs for the layers named in a miss-key file.
+
+    A key (``system/dtype/layout/algo/fused/signature``) yields specs at its
+    own dtype and layout; a bare signature line at its dtype and ``--layouts``.
+    """
+    from . import benchgen, dedup
+
+    groups: dict[tuple[str, tuple[str, ...]], set[dedup.LayerSignature]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            canonical = line.split("/", 5)[-1] if "/" in line else line
-            sig = dedup.parse_signature(canonical)
-            by_dtype.setdefault(sig.dtype, set()).add(sig)
-    if not by_dtype:
+            parts = line.split("/", 5) if "/" in line else [line]
+            layouts = (parts[2],) if len(parts) == 6 else config.layouts
+            sig = dedup.parse_signature(parts[-1])
+            groups.setdefault((sig.dtype, layouts), set()).add(sig)
+    if not groups:
         raise ConfigError(f"miss file {path} names no layer")
-    return [spec for dtype, sigs in sorted(by_dtype.items())
-            for spec in benchgen.generate_specs(sigs,
-                                                dataclasses.replace(config, dtypes=(dtype,)))]
+    return [spec for (dtype, layouts), sigs in sorted(groups.items())
+            for spec in benchgen.generate_specs(
+                sigs, dataclasses.replace(config, dtypes=(dtype,), layouts=layouts))]
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +245,8 @@ def db():
 @_exit_codes
 def db_import(database, files):
     """Import external result files (same line format, e.g. real hardware)."""
+    from . import perfdb
+
     with perfdb.PerfDb(database, mode="rw") as handle:
         total = 0
         for path in files:
@@ -231,6 +260,8 @@ def db_import(database, files):
 @_exit_codes
 def db_compact(database):
     """Drop superseded records and rewrite the file."""
+    from . import perfdb
+
     with perfdb.PerfDb(database, mode="rw") as handle:
         dropped = handle.compact()
     click.echo(f"compacted {database}: dropped {dropped} superseded record(s)")
@@ -240,6 +271,8 @@ def db_compact(database):
 @click.argument("database", type=click.Path(exists=True))
 @_exit_codes
 def db_stats(database):
+    from . import perfdb
+
     with perfdb.PerfDb(database) as handle:
         counts = handle.live_by_system()
         click.echo(f"{len(handle)} live record(s), {handle.superseded} superseded")
@@ -268,6 +301,8 @@ def profile():
 @_exit_codes
 def profile_convert(cudnn_log, kernels, latency_ms, model, system, batch, strict, out):
     """Convert library logs and a kernel trace into the canonical profile."""
+    from . import profile_ingest
+
     log_text = ""
     if cudnn_log:
         with open(cudnn_log, "r", encoding="utf-8") as fh:
@@ -317,10 +352,14 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
             parallel, fusion, ideal_algo, tensor_core, layout, allow_missing,
             fmt, out_file, miss_out):
     """Compute lower bounds, Benanza Ratios, and optimization advice."""
+    from . import analyzer, perfdb, synth_runner
+
     graph = _load_inferred(model, batch)
     sysid = synth_runner.load_system_profile(system_name).system_id
     prof = None
     if profile_path:
+        from . import profile_ingest
+
         with open(profile_path, "r", encoding="utf-8") as fh:
             prof = profile_ingest.parse_profile(fh.read())
         prof_sysid = synth_runner.load_system_profile(prof.system_id).system_id
@@ -377,6 +416,8 @@ def _write_misses(path: str | None, keys: list[str]) -> None:
 @_exit_codes
 def advise(model, db_path, systems, batch, dtype, costs, rank_by):
     """Rank systems for a model by lower bound, optionally weighted by cost."""
+    from . import analyzer, perfdb
+
     graph = _load_inferred(model, batch)
     system_list = [s.strip() for s in systems.split(",") if s.strip()]
     cost_map = None
@@ -400,10 +441,25 @@ def advise(model, db_path, systems, batch, dtype, costs, rank_by):
         rows = analyzer.advise_systems(analyzer.Annotator(graph, handle), system_list,
                                        dtype, cost_per_hour=cost_map, rank_by=rank_by)
     for i, row in enumerate(rows, start=1):
+        if row.has_misses:  # a bound over part of the layers is no bound
+            click.echo(f"{i}. {row.system}: {row.covered} of {row.supported} layers covered"
+                       "  [incomplete: database misses]")
+            continue
         cost = f", cost score {row.cost_score:.1f}" if row.cost_score is not None else ""
-        flag = "  [incomplete: database misses]" if row.has_misses else ""
-        click.echo(f"{i}. {row.system}: {row.lb_us / 1000.0:.3f} ms{cost}{flag}")
+        click.echo(f"{i}. {row.system}: {row.lb_us / 1000.0:.3f} ms{cost}")
+
+
+def run() -> None:
+    """Process entry point of ``lbound`` and ``python -m lbound.cli``.
+
+    Once the command returns or exits, the collector is frozen, so the
+    interpreter's exit collections skip every object the imports built.
+    """
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    main()
+    run()

@@ -715,18 +715,19 @@ def render_text_model(graph: ModelGraph) -> str:
 
 
 def load_model_file(path) -> ModelGraph:
-    """Load a model from disk, sniffing binary ONNX format vs. text."""
-    from . import onnx_reader
+    """Load a model from disk, sniffing binary ONNX format vs. text.
 
+    The ONNX reader is imported only when the file is binary.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    head = data[:256]
     try:
-        text_head = head.decode("utf-8")
+        text_head = data[:256].decode("utf-8")
     except UnicodeDecodeError:
-        return onnx_reader.load_model(data, name=name)
-    stripped = text_head.lstrip()
-    if stripped.startswith(("graph", "input", "node", "#")):
+        text_head = ""
+    if text_head.lstrip().startswith(("graph", "input", "node", "#")):
         return parse_text_model(data.decode("utf-8"), name=name)
+    from . import onnx_reader
+
     return onnx_reader.load_model(data, name=name)

@@ -149,6 +149,8 @@ def test_annotation_shares_signatures_and_order(db_builder, v100, monkeypatch):
     assert calls["topo_order"] == 0
     assert [r.system for r in rows] == ["Tesla_V100", "TITAN_V"]
     assert rows[1].has_misses and not rows[0].has_misses
+    supported = sum(dedup.api_for_op(n.op_type) is not None for n in graph.nodes.values())
+    assert [(r.covered, r.supported) for r in rows] == [(supported, supported), (0, supported)]
 
 
 @pytest.mark.parametrize("measured", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])

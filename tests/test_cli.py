@@ -460,3 +460,42 @@ def test_profile_of_another_system_or_batch_exits_2(r18, tmp_path, system, batch
     _one_error(res)
     assert (f"is of system {system!r} at batch {batch}, but the command analyzes "
             "'Tesla_V100' at batch 2") in res.output
+
+
+def test_miss_keys_fill_at_their_own_layout(tmp_path):
+    """NHWC misses of the tensor-core analysis are benchmarked at NHWC, not at --layouts."""
+    model = tmp_path / "resnet50.txt"
+    model.write_text(mz.resnet_v1_text(50), "utf-8")
+    db = tmp_path / "perf.db"
+    res = CliRunner().invoke(main, ["bench", str(model), "--db", str(db), "--system",
+                                    "Tesla_V100", "--dtypes", "f32", "--simulate"])
+    assert res.exit_code == 0, res.output
+    misses = tmp_path / "m.txt"
+    args = ["analyze", str(model), "--db", str(db), "--system", "Tesla_V100",
+            "--tensor-core", "--layout", "NHWC"]
+    _no_traceback(CliRunner().invoke(main, [*args, "--miss-out", str(misses)]), 3)
+    keys = misses.read_text("utf-8").splitlines()
+    nhwc = [key for key in keys if key.startswith("Tesla_V100/f16/NHWC/")]
+    assert nhwc and all("/Conv|" in key for key in nhwc)
+    res = CliRunner().invoke(main, ["bench", "--from-misses", str(misses), "--db", str(db),
+                                    "--system", "Tesla_V100", "--simulate"])
+    assert res.exit_code == 0, res.output
+    with PerfDb(db) as handle:
+        simulated = [rec.key for rec in handle.records() if rec.key.dtype == "f16"]
+    assert {k.layout for k in simulated if k.signature.startswith("Conv|")} == {"NHWC"}
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+
+
+def test_advise_counts_the_covered_layers_of_an_incomplete_system(r18):
+    model, db = r18
+    res = CliRunner().invoke(main, ["advise", str(model), "--db", str(db),
+                                    "--systems", "Tesla_K80,Tesla_V100", "--costs",
+                                    "Tesla_K80=0.9,Tesla_V100=3.06"])
+    assert res.exit_code == 0, res.output
+    supported = sum(dedup.api_for_op(node.op_type) is not None
+                    for node in mz.load(model.read_text("utf-8")).nodes.values())
+    first, second = res.output.splitlines()
+    assert re.fullmatch(r"1\. Tesla_V100: \d+\.\d{3} ms, cost score \d+\.\d", first)
+    assert second == (f"2. Tesla_K80: 0 of {supported} layers covered"
+                      "  [incomplete: database misses]")
