@@ -245,13 +245,13 @@ def db():
 @_exit_codes
 def db_import(database, files):
     """Import external result files (same line format, e.g. real hardware)."""
-    from . import perfdb
+    from . import perfdb, perfdb_writer
 
     with perfdb.PerfDb(database, mode="rw") as handle:
         total = 0
         for path in files:
             with open(path, "r", encoding="utf-8") as fh:
-                total += handle.import_lines(fh.read())
+                total += perfdb_writer.import_lines(handle, fh.read())
     click.echo(f"imported {total} record(s) into {database}")
 
 
@@ -259,7 +259,7 @@ def db_import(database, files):
 @click.argument("database", type=click.Path(exists=True))
 @_exit_codes
 def db_compact(database):
-    """Drop superseded records and rewrite the file."""
+    """Drop superseded records, then rewrite the file and its layer index."""
     from . import perfdb
 
     with perfdb.PerfDb(database, mode="rw") as handle:

@@ -1,100 +1,121 @@
 """File-backed performance database.
 
-Storage is a single file of line-delimited JSON records plus one in-memory
-index built at open: (system, dtype, signature) maps to that layer's live
-records, keyed by their full record key; most lines are decoded on their
-layer's first read (below). ``query`` and ``best`` read only the records
-of one layer, and ``record_for``, ``has_spec``, ``records()`` and
-``compact`` read through the same index. ``records()`` and ``compact``
-therefore group records by layer, layers in the order they first appeared
-and records within a layer in insertion order. ``compact`` drops superseded
-records only: the live records, their order and therefore the index are the
-same after a reopen.
+Storage is a file of line-delimited JSON records, a layer index beside it
+(``<db>.idx``, below) and one in-memory index built at open: (system,
+dtype, signature) maps to that layer's live records, keyed by their full
+record key; most lines are decoded on their layer's first read. ``query``
+and ``best`` read only the records of one layer, and ``record_for``,
+``has_spec``, ``records()`` and ``compact`` read through the same index.
+``records()`` and ``compact`` therefore group records by layer, layers in
+the order they first appeared and records within a layer in insertion
+order. ``compact`` drops superseded records only: it copies each live
+line as it is on disk, so the live records, their order and therefore the
+index are the same after a reopen.
 
 Appending is the only write path; re-inserting a key replaces the live
 record while the superseded one stays on disk until ``compact`` rewrites
 the file. The handle keeps only their number, ``superseded``, which is
-what ``db stats`` and ``compact`` report. Readers take a snapshot at open;
-a writer holds an advisory file lock for the lifetime of the handle and
-loads the file under it.
+what ``db stats`` and ``compact`` report. Readers take a snapshot at open
+and keep the file open while index entries are left to read; a writer
+holds an advisory file lock for the lifetime of the handle and loads the
+file under it. ``compact`` locks the new file before it renames it over
+the old one, and a writer refuses a lock it got on a file that a compact
+has since replaced, so no two writers ever hold the file at one path.
 
 A crash in the middle of an append leaves a torn tail: a last line with no
 trailing newline that does not parse. A read-only open skips it; a writer
 truncates it so the next append starts on a fresh line. Any other bad line
 raises ``StorageError``, and so does a record with a non-string system,
 hash64 or signature, a bool or non-finite latency, or an unknown algorithm,
-dtype, layout or fusion pattern.
+dtype, layout or fusion pattern. After a failed append the handle refuses
+to write, since the file may end in part of a line.
 
 Record fields, in on-disk order: v, system, dtype, hash64, signature,
 algorithm, layout, fused, status, latency_us, source, timestamp, metadata.
 The canonical signature string is stored alongside its hash as a collision
 guard; equality is always decided on the string.
 
-``_record_to_json`` fixes the key order and ``import_lines``
-re-serializes, so every line the writer produces reads
-``{"v":1,"system":"S","dtype":"D","hash64":"H","signature":"G",
-"algorithm":...,"layout":...,"fused":...,"status":...`` with nothing
-between the fields, and an open cuts such a line at these markers rather
-than decoding it. The raw layer key is (S, D, G) and the raw record key is
-the bytes from ``"algorithm":`` up to ``,"status":``, so hash64 is part of
-neither. The open stores the raw line and its line number under its layer
-and resolves supersession from the raw record key, which must name one of
-the writer's (algorithm, layout, fused) triples. A layer's lines are
-decoded the first time ``query``, ``best``, ``record_for`` or ``has_spec``
-reads that layer, in file order, so the last line still wins.
+The layer index is a pure function of the first N bytes of the file, N
+being the end of a whole line. Its first line holds the format version,
+N, the line count of those bytes, their sha256 and their superseded
+count. Then comes one line per system, in name order: a JSON array of the
+system name, its live and superseded counts, and its layers, each as
+[rank, dtype, signature, [offset, length, line number, ...]]. The rank is
+the layer's place in first-appearance order, and the live lines are
+listed in the layer's order. The last line is the sha256 of all the
+others, so a damaged or cut index is never read as one.
+
+Every ``rw`` handle writes the index under its lock, through a temp file
+and ``os.replace``: when it closes, if the file grew since the index on
+disk, and after ``compact``. It covers whole lines up to the last
+successful append. A read-only open never writes, and a failed index write
+changes no result. The lock, ``compact``, ``db import`` and the index
+writer live in ``perfdb_writer``, which only a writer imports.
+
+An open trusts the index only when N is no larger than the file and the
+streamed sha256 of the file's first N bytes matches, so a stale index
+beside a deleted, rewritten or recreated file is ignored. A trusted index
+replaces reading those N bytes: the open keeps the raw index line of
+each system in its scope, counts included, and reads a system's line when
+it first touches that system (a read, a line past N, an insert). A
+layer's listed lines are read by offset and decoded on its first touch.
+Bytes past N go through the per-line scan below, line numbers continuing
+from the index's count; a line there of a listed layer first decodes that
+layer's listed lines. Lines that a writer checked are not checked again,
+but a listed line that does not decode into its layer raises
+``StorageError``.
 
 An unscoped open, and therefore every ``rw`` open, ``db stats``,
-``db compact`` and ``db import``, defers a writer line only when one check
-proves that the decode accepts it: S, H and G are printable ASCII with no
-quote or backslash, D is a known dtype, and the bytes from ``,"status":``
-to the newline match ``_TAIL``: an ok status with a JSON number latency
-that is positive and finite as a float, or an unsupported one with null;
-a string source, a number timestamp and a flat metadata object of strings
-and numbers, integer parts at most 16 digits long. Every other line is
-decoded at open, so an unscoped open accepts exactly the files it accepted
-when it decoded every line and raises the same ``StorageError`` at the same
-line.
+``db compact`` and ``db import``, decodes every line that no index covers
+at open, so it raises ``StorageError`` at the first bad one.
 
 A read-only open can be scoped to some systems: ``PerfDb(path,
 systems=...)`` keeps only their records, so ``len()``, ``records()``,
-``superseded`` and every query see only the scope. Any line that starts
+``superseded`` and every query see only the scope. ``_record_to_json``
+fixes the key order and ``db import`` re-serializes, so every line the
+writer produces reads ``{"v":1,"system":"S","dtype":"D","hash64":"H",
+"signature":"G","algorithm":...,"layout":...,"fused":...,"status":...``
+with nothing between the fields, and a scoped open cuts such a line at
+these markers rather than decoding it. Any line that starts
 ``{"v":1,"system":"`` is skipped undecoded when the string that follows
 holds no backslash and names a system out of scope. An in-scope writer
-line is deferred without the check above, unless it holds a backslash; it
-is validated when its layer is read.
+line with no backslash is deferred: the open stores the raw line and its
+line number under its layer (S, D, G) and resolves supersession from the
+raw record key, the bytes from ``"algorithm":`` up to ``,"status":``,
+which must name one of the writer's (algorithm, layout, fused) triples.
+A layer's deferred lines are decoded the first time ``query``, ``best``,
+``record_for`` or ``has_spec`` reads that layer, in file order, so the
+last line still wins.
 
-Some lines are decoded at open, exactly as an unscoped open decodes them:
-a line that does not start ``{"v":1,"system":"``, a line that is not
-deferred as above, and an unterminated last line. If such a line's layer
-already has undecoded lines, those are decoded first, so file order
-holds. A line is assumed to name each field once: a deferred line whose
-decoded fields differ from its raw keys raises ``StorageError`` when it is
-decoded.
+A scoped open decodes other lines at open, exactly as an unscoped open
+decodes them: a line that does not start ``{"v":1,"system":"``, a line
+that is not deferred as above, and an unterminated last line. If such a
+line's layer already has undecoded lines, those are decoded first, so file
+order holds. A line is assumed to name each field once: a deferred line
+whose decoded fields differ from its raw keys raises ``StorageError`` when
+it is decoded.
 
 ``len()``, ``superseded`` and ``live_by_system()``, which ``db stats``
-prints, come from the raw keys counted at open and decode nothing.
-``records()`` decodes every deferred line. ``compact`` writes a layer's
-undecoded live lines, the last line of each key, as the bytes read, and
-re-serializes only decoded records; for a file of writer lines the two
-are the same bytes.
+prints, come from the index's counts and the raw keys counted at open, and
+decode nothing. ``records()`` decodes every line still undecoded.
 
 The trade-off: a scoped open validates only the lines it decodes. A bad
 line of another system goes unnoticed, and so does a bad line in an
 in-scope layer that is never read; a bad line in a layer that is read
 raises ``StorageError`` (exit 4) at that read, naming its line number.
-Unscoped opens raise on any bad line; a scope on an ``rw`` open raises
-``StorageError``. The torn-tail rules are the same for every open.
+Unscoped opens raise on any bad line that no index covers; a scope on an
+``rw`` open raises ``StorageError``. The torn-tail rules are the same for
+every open.
 
-``import_lines`` also rebuilds each record's benchmark spec from its parsed
+``db import`` also rebuilds each record's benchmark spec from its parsed
 signature, algorithm, layout and fusion pattern, and requires the record's
 key to be that spec's key, so a record that no spec could produce is
 refused. An open does not, since it would add to every read, and such a
 record can never match a query.
 """
-
 from __future__ import annotations
 
-import functools
+import hashlib
 import json
 import math
 import os
@@ -105,8 +126,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .benchgen import FUSION_PATTERNS, BenchmarkSpec, ConvAlgorithm
-from .dedup import LayerSignature, parse_signature
-from .errors import ConfigError, MissError, ModelParseError, StorageError
+from .dedup import LayerSignature
+from .errors import MissError, StorageError
 from .model_ir import DTYPES, LAYOUTS
 
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
@@ -119,26 +140,14 @@ _BACKSLASH, _NEWLINE = ord("\\"), ord("\n")  # ints, so ``in`` looks for one byt
 # quote of its signature.
 _LAYER_PART = re.compile(rb'","dtype":"([^"]*)","hash64":"[^"]*","signature":"([^"]*)"')
 # A writer line's head, from the first byte of its system string to the
-# closing quote of its signature: the system, dtype and signature. A scoped
-# open takes any head; an unscoped one only a head the decode accepts, whose
-# strings are printable ASCII without quote or backslash. These two patterns
-# and _TAIL are compiled on first use, so a command that never opens the
-# database unscoped does not pay for them.
+# closing quote of its signature: the system, dtype and signature. Compiled
+# on first use, through re's cache, as _SYSTEM_LINE is.
 _SCOPED_HEAD = rb'([^"]*)' + _LAYER_PART.pattern
-_PLAIN = rb'[ !#-\[\]-~]*'  # printable ASCII but quote and backslash
-_HEAD = rb'(%s)","dtype":"(%s)","hash64":"%s","signature":"(%s)"' \
-    % (_PLAIN, "|".join(DTYPES).encode(), _PLAIN, _PLAIN)
-# A writer line from ,"status": to its newline, in a form the decode accepts:
-# an ok status with a number latency (group 1, still to be checked finite and
-# positive) or an unsupported one with null, string source, number timestamp
-# and a flat metadata object of strings and numbers. An integer part has at
-# most 16 digits, so the decoder's limit on integer digits never applies.
-_STR = rb'"%s(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})%s)*"' % (_PLAIN, _PLAIN)
-_NUM = rb'-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
-_ITEM = rb'%s:(?:%s|%s)' % (_STR, _STR, _NUM)
-_TAIL = (rb',"status":(?:"ok","latency_us":(%s)|"unsupported","latency_us":null),'
-         rb'"source":%s,"timestamp":%s,"metadata":\{(?:%s(?:,%s)*)?\}\}\n'
-         % (_NUM, _STR, _NUM, _ITEM, _ITEM))
+# How a system line of the layer index starts: the system name as a JSON
+# string, then its live and superseded counts.
+_SYSTEM_LINE = rb'\[("(?:[^"\\]|\\.)*"),(\d+),(\d+),'
+_INDEX_VERSION = 1
+_CHUNK = 1 << 18  # bytes per read while hashing the file
 # Each record key the writer produces, as the bytes from "algorithm": up to
 # ,"status":, and the (algorithm, layout, fused) it stands for.
 _WRITER_KEYS = {
@@ -271,15 +280,34 @@ class PerfDb:
         self.mode = mode
         self.systems = None if systems is None else frozenset(systems)
         # (system, dtype, signature) -> {index key: live record, or None until
-        # the layer's deferred lines are decoded}
+        # the layer's deferred lines are decoded}; empty while the layer's
+        # live lines are only entries of the layer index, in _covered
         self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
         # (system, dtype, signature) -> [(line number, raw line, index key)] of
         # a scoped open's writer lines, decoded on the layer's first read
         self._deferred: dict[tuple, list[tuple]] = {}
-        self.superseded = 0  # replaced records still in the file
-        self._fh = None
+        # (system, dtype, signature) -> [offset, length, line number, ...] of
+        # the live lines that the layer index lists, decoded on the layer's
+        # first read
+        self._covered: dict[tuple, list[int]] = {}
+        # system -> (live, superseded, raw line) of an index line not read yet
+        self._unread: dict[str, tuple[int, int, bytes]] = {}
+        self._rank: dict[tuple, int] = {}  # layer -> its place in first-appearance order
+        self._next_rank = 0
+        self._superseded: Counter = Counter()  # replaced records still in the file, per system
+        self._fh = None  # a writer's locked append handle
+        self._rd = None  # the file, open while index entries are left to read
+        # A writer's account of the bytes it checked, for its index: where
+        # each live line is, their end and line count, their sha256 (None
+        # after a failed append) and how far the index on disk reaches.
+        self._at: dict[tuple, tuple[int, int, int]] | None = {} if mode == "rw" else None
+        self._end = self._lines = 0
+        self._sha = None
+        self._indexed = -1
         if mode == "rw":
-            self._acquire_writer()
+            from . import perfdb_writer  # only a writer compiles the writer's code
+
+            self._fh = perfdb_writer.lock(self.path, self.path)
         try:
             self._load()
         except StorageError:
@@ -293,96 +321,195 @@ class PerfDb:
             return  # empty snapshot; analyzer reports misses
         scope = self.systems
         names = {s.encode("utf-8", "surrogatepass") for s in scope or ()}
-        tail = re.compile(_TAIL) if scope is None else None
+        writer = self._fh is not None
         at = len(_SYSTEM_AT)
         groups: dict[bytes, tuple | None] = {}  # raw head -> its layer, None if not deferred
         torn = False
         raw = b""
         try:
-            with open(self.path, "rb") as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    if raw.startswith(_SYSTEM_AT):
-                        if scope is not None:
-                            name = raw[at:raw.find(b'"', at)]
-                            if name not in names and _BACKSLASH not in name:
-                                continue  # another system's line
-                        if raw[-1] == _NEWLINE and self._defer(raw, lineno, groups, tail):
-                            continue
-                    line = raw.strip()
-                    if line:
-                        try:
-                            rec = _record_from_json(line, lineno)
-                        except StorageError:
-                            if raw.endswith(b"\n"):
-                                raise
-                            torn = True  # only the last line can lack its newline
-                            break
-                        if scope is None or rec.key.system in scope:
-                            self._put(rec)
-            if self._fh is not None:  # a writer's next append must start a line
+            self._rd = fh = open(self.path, "rb")
+            pos, lineno, sha = self._read_index(fh)
+            for lineno, raw in enumerate(fh, start=lineno + 1):
+                start, pos = pos, pos + len(raw)
+                if raw.startswith(_SYSTEM_AT) and scope is not None:
+                    name = raw[at:raw.find(b'"', at)]
+                    if name not in names and _BACKSLASH not in name:
+                        continue  # another system's line
+                    if raw[-1] == _NEWLINE and self._defer(raw, lineno, groups):
+                        continue
+                line = raw.strip()
+                if line:
+                    try:
+                        rec = _record_from_json(line, lineno)
+                    except StorageError:
+                        if raw.endswith(b"\n"):
+                            raise
+                        torn = True  # only the last line can lack its newline
+                        break
+                    if scope is None or rec.key.system in scope:
+                        self._put(rec, (start, len(raw) + (raw[-1] != _NEWLINE), lineno))
+                if writer:
+                    sha.update(raw)
+            if writer:  # the next append must start a line
                 if torn:
-                    os.truncate(self.path, os.path.getsize(self.path) - len(raw))
+                    os.truncate(self.path, start)
+                    pos, lineno = start, lineno - 1
                 elif raw and not raw.endswith(b"\n"):
-                    self._fh.write("\n")
+                    self._fh.write(b"\n")
                     self._fh.flush()
+                    sha.update(b"\n")
+                    pos += 1
+                self._end, self._lines, self._sha = pos, lineno, sha
         except OSError as exc:
             raise StorageError(f"cannot read database {self.path}: {exc}") from exc
+        if not (self._unread or self._covered):
+            self._rd = None
+            fh.close()
 
-    def _defer(self, raw: bytes, lineno: int, groups: dict, tail: re.Pattern | None) -> bool:
-        """Store a terminated writer line undecoded under its layer.
+    def _read_index(self, fh) -> tuple[int, int, object]:
+        """Trust ``<db>.idx`` if it describes a prefix of the file as it is now.
 
-        ``tail`` is the compiled ``_TAIL`` of an unscoped open and None for a
-        scoped one. False when the line must be decoded now: it is not in the
-        writer's form, or, for an unscoped open, the check cannot vouch that
-        the decode accepts it.
+        Returns the byte length and the line count of that prefix and its
+        sha256, with ``fh`` right after it, and keeps the counts and raw
+        lines of its in-scope systems in ``_unread``. Without an index to
+        trust: (0, 0, a fresh sha256), with ``fh`` at the start.
+        """
+        sha = hashlib.sha256()
+        try:
+            with open(self.path + ".idx", "rb") as idx:
+                data = idx.read()
+            data, digest = data[:-65], data[-65:]  # the last line: sha256 of the rest
+            if digest != hashlib.sha256(data).hexdigest().encode() + b"\n":
+                raise ValueError("a damaged index")
+            head, _, body = data.partition(b"\n")
+            meta = json.loads(head)
+            n, lines, layers = meta["bytes"], meta["lines"], meta["layers"]
+            if meta["v"] != _INDEX_VERSION or {type(n), type(lines), type(layers)} != {int} \
+                    or not 0 <= n <= os.fstat(fh.fileno()).st_size:
+                raise ValueError("not this file's index")
+            unread, superseded = {}, 0
+            for line in body.splitlines(keepends=True):
+                m = re.match(_SYSTEM_LINE, line)
+                name = json.loads(m[1])
+                superseded += int(m[3])
+                if self.systems is None or name in self.systems:
+                    unread[name] = (int(m[2]), int(m[3]), line)
+            buf = memoryview(bytearray(min(n, _CHUNK)))
+            left = n
+            while left:  # streamed: the file is never held whole
+                got = fh.readinto(buf[:min(left, _CHUNK)])
+                if not got:
+                    raise ValueError("the file shrank")
+                sha.update(buf[:got])
+                left -= got
+            if superseded != meta["superseded"] or sha.hexdigest() != meta["sha256"]:
+                raise ValueError("not this file's index")
+        except (OSError, ValueError, KeyError, TypeError):
+            fh.seek(0)
+            return 0, 0, hashlib.sha256()
+        self._unread, self._next_rank, self._indexed = unread, layers, n
+        return n, lines, sha
+
+    def _defer(self, raw: bytes, lineno: int, groups: dict) -> bool:
+        """Store a scoped open's terminated writer line undecoded under its layer.
+
+        False when the line must be decoded now: it is not in the writer's
+        form, or it holds a backslash.
         """
         a = raw.find(b',"algorithm":', len(_SYSTEM_AT))
         s = raw.find(b',"status":', a)
         fields = _WRITER_KEYS.get(raw[a + 1:s])
-        if fields is None:
+        if fields is None or _BACKSLASH in raw:
             return False
-        if tail is None:
-            if _BACKSLASH in raw:
-                return False
-        else:
-            m = tail.fullmatch(raw, s)
-            if m is None or m[1] and not 0 < float(m[1]) < math.inf:
-                return False
         head = raw[len(_SYSTEM_AT):a]
         if head not in groups:
-            groups[head] = self._group(head, _SCOPED_HEAD if tail is None else _HEAD)
+            groups[head] = self._group(head)
         group = groups[head]
         if group is None:
             return False
         lkey, layer, lines = group
         key = lkey + fields
         if key in layer:
-            self.superseded += 1
+            self._superseded[lkey[0]] += 1
         else:
             layer[key] = None  # decoded on the layer's first read
         lines.append((lineno, raw, key))
         return True
 
-    def _group(self, head: bytes, form: bytes) -> tuple | None:
+    def _group(self, head: bytes) -> tuple | None:
         """The layer, and its deferred lines, that a writer line's head names.
 
         ``head`` runs from the first byte of the system string to the record
-        key, and ``form`` is _HEAD for an unscoped open and _SCOPED_HEAD for a
-        scoped one; None when the head does not match it. Decoded with
-        surrogatepass, a scoped open's system bytes give back the name of its
-        scope that ``_load`` encoded that way.
+        key; None when it does not match _SCOPED_HEAD. Decoded with
+        surrogatepass, the system bytes give back the name of the scope that
+        ``_load`` encoded that way.
         """
-        m = re.fullmatch(form, head)
+        m = re.fullmatch(_SCOPED_HEAD, head)
         if m is None:
             return None
         try:
             lkey = (m[1].decode("utf-8", "surrogatepass"), m[2].decode(), m[3].decode())
         except UnicodeDecodeError:
             return None
-        return lkey, self._by_layer.setdefault(lkey, {}), self._deferred.setdefault(lkey, [])
+        return lkey, self._slot(lkey), self._deferred.setdefault(lkey, [])
+
+    def _reveal(self, lkey: tuple) -> None:
+        """Bring in what the layer index holds of a layer: its system's line, then its records."""
+        if lkey[0] in self._unread:
+            self._read_system(lkey[0])
+        if lkey in self._covered:
+            self._uncover(lkey)
+
+    def _read_system(self, name: str) -> None:
+        """Enter a system's layers from its index line; their records stay unread."""
+        _live, superseded, line = self._unread.pop(name)
+        try:
+            for rank, dtype, signature, where in json.loads(line)[3]:
+                lkey = (name, dtype, signature)
+                self._by_layer[lkey] = {}
+                self._covered[lkey] = where
+                self._rank[lkey] = rank
+        except (ValueError, TypeError) as exc:
+            raise StorageError(f"bad database index {self.path}.idx: {exc}") from exc
+        self._superseded[name] += superseded
+
+    def _read_all_systems(self) -> None:
+        for name in list(self._unread):
+            self._read_system(name)
+
+    def _uncover(self, lkey: tuple) -> None:
+        """Decode the live lines of a layer that the index lists, in the layer's order."""
+        if self._rd is None:
+            raise StorageError(f"database {self.path} is closed")
+        layer = self._by_layer[lkey]
+        it = iter(self._covered.pop(lkey))
+        for off, size, lineno in zip(it, it, it):
+            try:
+                raw = os.pread(self._rd.fileno(), size, off)
+            except OSError as exc:
+                raise StorageError(f"cannot read database {self.path}: {exc}") from exc
+            rec = _record_from_json(raw.strip(), lineno)
+            key = rec.key.index_key()
+            if key[:3] != lkey or key in layer:
+                raise StorageError(f"bad database index {self.path}.idx: "
+                                   f"line {lineno} is not in its place")
+            layer[key] = rec
+            if self._at is not None:
+                self._at[key] = (off, size, lineno)
+
+    def _slot(self, lkey: tuple) -> dict[tuple, PerfRecord]:
+        """A layer's live records by index key, for a new line; a new layer ranks last."""
+        self._reveal(lkey)
+        layer = self._by_layer.get(lkey)
+        if layer is None:
+            layer = self._by_layer[lkey] = {}
+            self._rank[lkey] = self._next_rank
+            self._next_rank += 1
+        return layer
 
     def _layer(self, lkey: tuple) -> dict[tuple, PerfRecord]:
-        """One layer's live records by index key, its deferred lines decoded first."""
+        """One layer's live records by index key, every line of it decoded first."""
+        self._reveal(lkey)
         lines = self._deferred.get(lkey)
         if lines:
             layer = self._by_layer[lkey]
@@ -395,23 +522,17 @@ class PerfDb:
             lines.clear()
         return self._by_layer.get(lkey, {})
 
-    def _acquire_writer(self) -> None:
-        import fcntl
-
-        try:
-            self._fh = open(self.path, "a", encoding="utf-8")
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError as exc:
-            self._fh.close()
-            self._fh = None
-            raise StorageError(f"database {self.path} is locked by another writer") from exc
-        except OSError as exc:
-            raise StorageError(f"cannot open database {self.path} for writing: {exc}") from exc
-
     def close(self) -> None:
         if self._fh is not None:
+            if self._sha is not None and self._end != self._indexed:
+                from . import perfdb_writer
+
+                perfdb_writer.write_index(self)  # under the lock
             self._fh.close()
             self._fh = None
+        if self._rd is not None:
+            self._rd.close()
+            self._rd = None
 
     def __enter__(self):
         return self
@@ -421,85 +542,70 @@ class PerfDb:
 
     # -- writes -------------------------------------------------------------
 
-    def insert(self, record: PerfRecord) -> None:
+    def _writable(self) -> None:
         if self.mode != "rw" or self._fh is None:
             raise StorageError("database opened read-only")
+        if self._sha is None:
+            raise StorageError(f"cannot write database {self.path}: an append failed")
+
+    def insert(self, record: PerfRecord) -> None:
+        self._writable()
+        line = _record_to_json(record).encode() + b"\n"
         try:
-            self._fh.write(_record_to_json(record) + "\n")
+            self._fh.write(line)
             self._fh.flush()
         except OSError as exc:
+            self._sha = None  # the file may now end in part of a line
             raise StorageError(f"cannot append to database {self.path}: {exc}") from exc
-        self._put(record)
+        self._lines += 1
+        self._put(record, (self._end, len(line), self._lines))
+        self._end += len(line)
+        self._sha.update(line)
 
-    def _put(self, record: PerfRecord) -> None:
+    def _put(self, record: PerfRecord, at: tuple[int, int, int]) -> None:
+        """Enter a decoded record, whose line is at ``at`` (offset, length, line number)."""
         key = record.key.index_key()
         if self._deferred:
             self._layer(key[:3])  # earlier lines of its layer come first
-        layer = self._by_layer.setdefault(key[:3], {})
-        self.superseded += key in layer
+        layer = self._slot(key[:3])
+        if key in layer:
+            self._superseded[key[0]] += 1
         layer[key] = record
-
-    def import_lines(self, text: str) -> int:
-        """Insert records from an external result file, each checked against its spec."""
-        parse = functools.cache(parse_signature)  # one parse per distinct signature
-        n = 0
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            rec = _record_from_json(line, lineno)
-            key = rec.key
-            try:
-                sig = parse(key.signature)
-                algo = ConvAlgorithm[key.algorithm] if key.algorithm else None
-                spec = BenchmarkSpec(sig, algo, key.layout, key.fused)
-            except (ModelParseError, ConfigError) as exc:
-                raise StorageError(f"bad database record at line {lineno}: {exc}") from exc
-            if key_for_spec(key.system, spec) != key:  # the other fields built the spec
-                raise StorageError(f"bad database record at line {lineno}: dtype and hash64 "
-                                   f"must be {sig.dtype!r} and {sig.hash64!r}")
-            self.insert(rec)
-            n += 1
-        return n
+        if self._at is not None:
+            self._at[key] = at
 
     def compact(self) -> int:
-        """Rewrite the file with live records only; returns the superseded count."""
-        if self.mode != "rw" or self._fh is None:
-            raise StorageError("database opened read-only")
-        dropped = self.superseded
-        tmp = self.path + ".compact"
-        try:
-            with open(tmp, "wb") as out:
-                for lkey, layer in self._by_layer.items():
-                    # An undecoded key's live line is its last; it is written as read.
-                    lines = {key: raw for _lineno, raw, key in self._deferred.get(lkey, ())}
-                    for key, rec in layer.items():
-                        out.write(lines[key] if key in lines
-                                  else _record_to_json(rec).encode() + b"\n")
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            raise StorageError(f"cannot compact database {self.path}: {exc}") from exc
-        # Reacquire the append handle on the new inode.
-        self.close()
-        self.superseded = 0
-        self._acquire_writer()
-        return dropped
+        """Rewrite the file with live records only; returns the superseded count.
+
+        Each live line is copied as it is on disk, grouped by layer. The new
+        file is locked before it replaces the old one, so no other writer can
+        take it in between, and the index is rewritten for it.
+        """
+        from . import perfdb_writer
+
+        return perfdb_writer.compact(self)
 
     # -- reads --------------------------------------------------------------
 
+    @property
+    def superseded(self) -> int:
+        """Replaced records still in the file."""
+        return sum(self._superseded.values()) + sum(s for _l, s, _line in self._unread.values())
+
     def __len__(self) -> int:
-        return sum(len(layer) for layer in self._by_layer.values())
+        return sum(self.live_by_system().values())
 
     def live_by_system(self) -> Counter:
         """Live records per system, counted from the index; decodes nothing."""
-        counts: Counter = Counter()
-        for (system, _dtype, _signature), layer in self._by_layer.items():
-            counts[system] += len(layer)
+        counts = Counter({name: live for name, (live, _s, _line) in self._unread.items()})
+        for lkey, layer in self._by_layer.items():
+            counts[lkey[0]] += len(layer) + len(self._covered.get(lkey, ())) // 3
         return counts
 
     def records(self) -> list[PerfRecord]:
-        for lkey in self._deferred:
-            self._layer(lkey)
-        return [rec for layer in self._by_layer.values() for rec in layer.values()]
+        self._read_all_systems()
+        order = sorted(self._by_layer, key=self._rank.__getitem__)
+        return [rec for lkey in order for rec in self._layer(lkey).values()]
 
     def record_for(self, key: RecordKey) -> PerfRecord | None:
         index_key = key.index_key()

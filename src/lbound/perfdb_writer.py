@@ -1,0 +1,169 @@
+"""The writer's side of the performance database: its lock, ``compact``,
+``db import`` and the layer index file.
+
+``perfdb`` describes the file and the index and holds a handle's state;
+the functions here work on the state of a ``PerfDb`` opened ``rw``.
+``perfdb`` imports this module only when it opens, compacts or closes a
+writer, so a read-only command never compiles it.
+"""
+from __future__ import annotations
+
+import functools
+import hashlib
+import json
+import os
+
+from .benchgen import BenchmarkSpec, ConvAlgorithm
+from .dedup import parse_signature
+from .errors import ConfigError, ModelParseError, StorageError
+from .perfdb import _CHUNK, _INDEX_VERSION, PerfDb, _record_from_json, key_for_spec
+
+
+def lock(path: str, name: str):
+    """An append handle on ``path``, locked while it is still the file at ``path``.
+
+    ``name`` is the database the error messages name.
+    """
+    import fcntl
+
+    try:
+        fh = open(path, "ab")
+    except OSError as exc:
+        raise StorageError(f"cannot open database {name} for writing: {exc}") from exc
+    try:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        replaced = not os.path.samestat(os.fstat(fh.fileno()), os.stat(path))
+    except BlockingIOError as exc:
+        fh.close()
+        raise StorageError(f"database {name} is locked by another writer") from exc
+    except OSError as exc:
+        fh.close()
+        raise StorageError(f"cannot open database {name} for writing: {exc}") from exc
+    if replaced:  # a writer's compact renamed a new file over it
+        fh.close()
+        raise StorageError(f"database {name} is locked by another writer")
+    return fh
+
+
+def _where(db: PerfDb, lkey: tuple) -> list[int]:
+    """[offset, length, line number, ...] of a writer's live lines of a layer."""
+    where = db._covered.get(lkey)
+    if where is None:
+        where = [n for key in db._by_layer[lkey] for n in db._at[key]]
+    return where
+
+
+def write_index(db: PerfDb) -> None:
+    """Write ``<db>.idx`` for the bytes the writer checked, through a temp file.
+
+    The index is a pure function of those bytes. A system line not read
+    since the open is copied as it was. A failed write leaves the old
+    index, which still describes a prefix of the file.
+    """
+    systems = {name: line for name, (_live, _sup, line) in db._unread.items()}
+    layers: dict[str, list] = {}
+    for lkey in sorted(db._by_layer, key=db._rank.__getitem__):
+        layers.setdefault(lkey[0], []).append(
+            [db._rank[lkey], lkey[1], lkey[2], _where(db, lkey)])
+    for name, entries in layers.items():
+        live = sum(len(entry[3]) for entry in entries) // 3
+        systems[name] = json.dumps([name, live, db._superseded[name], entries],
+                                   separators=(",", ":")).encode() + b"\n"
+    head = json.dumps({"v": _INDEX_VERSION, "bytes": db._end, "lines": db._lines,
+                       "sha256": db._sha.hexdigest(), "superseded": db.superseded,
+                       "layers": db._next_rank}, separators=(",", ":"))
+    data = b"".join([head.encode(), b"\n", *(systems[name] for name in sorted(systems))])
+    path = db.path + ".idx"
+    try:
+        with open(path + ".tmp", "wb") as out:
+            out.write(data + hashlib.sha256(data).hexdigest().encode() + b"\n")
+        os.replace(path + ".tmp", path)
+        db._indexed = db._end
+    except OSError:
+        try:
+            os.unlink(path + ".tmp")
+        except OSError:
+            pass
+
+
+def import_lines(db: PerfDb, text: str) -> int:
+    """Insert records from an external result file, each checked against its spec."""
+    parse = functools.cache(parse_signature)  # one parse per distinct signature
+    n = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        rec = _record_from_json(line, lineno)
+        key = rec.key
+        try:
+            sig = parse(key.signature)
+            algo = ConvAlgorithm[key.algorithm] if key.algorithm else None
+            spec = BenchmarkSpec(sig, algo, key.layout, key.fused)
+        except (ModelParseError, ConfigError) as exc:
+            raise StorageError(f"bad database record at line {lineno}: {exc}") from exc
+        if key_for_spec(key.system, spec) != key:  # the other fields built the spec
+            raise StorageError(f"bad database record at line {lineno}: dtype and hash64 "
+                               f"must be {sig.dtype!r} and {sig.hash64!r}")
+        db.insert(rec)
+        n += 1
+    return n
+
+
+def compact(db: PerfDb) -> int:
+    """``PerfDb.compact``: rewrite the file with live records only."""
+    db._writable()
+    dropped = db.superseded
+    db._read_all_systems()
+    order = sorted(db._by_layer, key=db._rank.__getitem__)
+    runs = []  # (offset, length) of the byte runs to copy, in order
+    moved = []  # per layer, [offset, length, line number, ...] in the new file
+    pos = n = 0
+    start = end = 0
+    for lkey in order:
+        new = _where(db, lkey)[:]
+        for i in range(0, len(new), 3):
+            if new[i] != end:
+                runs.append((start, end - start))
+                start = new[i]
+            end = new[i] + new[i + 1]
+            n += 1
+            new[i], new[i + 2] = pos, n
+            pos += new[i + 1]
+        moved.append(new)
+    runs.append((start, end - start))
+    sha = hashlib.sha256()
+    tmp = db.path + ".compact"
+    try:
+        with open(db.path, "rb") as src, open(tmp, "wb") as out:
+            for off, size in runs:
+                src.seek(off)
+                while size:
+                    chunk = src.read(min(size, _CHUNK))
+                    if not chunk:
+                        raise OSError("the file is shorter than its records")
+                    out.write(chunk)
+                    sha.update(chunk)
+                    size -= len(chunk)
+    except OSError as exc:
+        raise StorageError(f"cannot compact database {db.path}: {exc}") from exc
+    fh = lock(tmp, db.path)  # before the rename, so no other writer can lock the new file
+    try:
+        os.replace(tmp, db.path)
+        rd = open(db.path, "rb")
+    except OSError as exc:
+        fh.close()
+        raise StorageError(f"cannot compact database {db.path}: {exc}") from exc
+    db._fh.close()  # the old file's lock; the new file holds its own
+    if db._rd is not None:
+        db._rd.close()
+    db._fh, db._rd, db._sha = fh, rd, sha
+    db._end, db._lines = pos, n
+    db._superseded.clear()
+    for lkey, new in zip(order, moved):
+        if lkey in db._covered:
+            db._covered[lkey] = new
+        else:
+            it = iter(new)
+            db._at.update(zip(db._by_layer[lkey], zip(it, it, it)))
+    write_index(db)
+    return dropped

@@ -499,3 +499,47 @@ def test_advise_counts_the_covered_layers_of_an_incomplete_system(r18):
     assert re.fullmatch(r"1\. Tesla_V100: \d+\.\d{3} ms, cost score \d+\.\d", first)
     assert second == (f"2. Tesla_K80: 0 of {supported} layers covered"
                       "  [incomplete: database misses]")
+
+
+def _folder(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+@pytest.mark.parametrize("state", ["none", "valid", "stale"])
+def test_read_only_commands_write_nothing(r18, tmp_path, state):
+    """With no index, an index of part of the file, or one of another file."""
+    model, db = r18
+    lines = db.read_bytes().splitlines(keepends=True)
+    folder = tmp_path / "db"
+    folder.mkdir()
+    copy = folder / "perf.db"
+    if state != "none":
+        part = lines[:len(lines) // 2] if state == "valid" else lines[1:]
+        copy.write_bytes(b"".join(part))
+        PerfDb(copy, mode="rw").close()  # the index of those lines
+    copy.write_bytes(b"".join(lines))
+    before = _folder(folder)
+    assert sorted(before) == (["perf.db"] if state == "none" else ["perf.db", "perf.db.idx"])
+    commands = [["analyze", str(model), "--db", str(copy), "--system", "Tesla_V100"],
+                ["advise", str(model), "--db", str(copy), "--systems", "Tesla_V100,Tesla_T4"],
+                ["db", "stats", str(copy)],
+                ["bench", str(model), "--delta", "--system", "Tesla_V100", "--db", str(copy)]]
+    for args in commands:
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert res.output == CliRunner().invoke(main, [str(db) if a == str(copy) else a
+                                                       for a in args]).output
+        assert _folder(folder) == before, args
+
+
+def test_a_failed_index_write_keeps_the_exit_code(r18, tmp_path):
+    model, _db = r18
+    db = tmp_path / "perf.db"
+    (tmp_path / "perf.db.idx.tmp").mkdir()  # where the index is written first
+    res = CliRunner().invoke(main, ["bench", str(model), "--db", str(db),
+                                    "--system", "Tesla_V100", "--simulate"])
+    assert res.exit_code == 0, res.output
+    assert not (tmp_path / "perf.db.idx").exists()
+    res = CliRunner().invoke(main, ["db", "compact", str(db)])
+    assert res.exit_code == 0 and "dropped 0 superseded" in res.output
+    assert _analyze(model, db).exit_code == 0

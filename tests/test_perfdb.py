@@ -1,17 +1,24 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
+import functools
 import io
 import itertools
 import json
 import os
+import pathlib
 import re
+import signal
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lbound
 import modelzoo as mz
 from lbound.errors import MissError, StorageError
 from lbound.perfdb import (
@@ -213,6 +220,68 @@ def test_corrupt_terminated_last_line_fails(db_file, mode):
 
 
 # ---------------------------------------------------------------------------
+# Layer index states
+# ---------------------------------------------------------------------------
+
+OTHER_FILE = _record_to_json(PerfRecord(
+    RecordKey("sysB", "f16", "00", SIGNATURES[2], None, "NHWC", None), 9.0)).encode() + b"\n"
+
+
+def _accepted_ends(data: bytes) -> list[int]:
+    """0 and the end of each whole line of the longest prefix that a writer accepts."""
+    ends = [0]
+    for raw in io.BytesIO(data):
+        if not raw.endswith(b"\n"):
+            break
+        if raw.strip():
+            try:
+                _record_from_json(raw.strip(), 0)
+            except StorageError:
+                break
+        ends.append(ends[-1] + len(raw))
+    return ends
+
+
+@functools.lru_cache(maxsize=64)
+def _index_for(data: bytes, tmp) -> bytes:
+    """The layer index that a writer leaves beside a file of ``data`` it opened without one."""
+    path = os.path.join(tmp, "index-source.db")
+    for stale in (path, path + ".idx"):
+        if os.path.exists(stale):
+            os.unlink(stale)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    PerfDb(path, mode="rw").close()
+    with open(path + ".idx", "rb") as fh:
+        return fh.read()
+
+
+def _index_states(data: bytes, covered: int, tmp) -> dict[str, bytes | None]:
+    """The sidecar indexes to open a file of ``data`` with.
+
+    None; a writer's index of the first ``covered`` bytes, whole lines that
+    a writer accepts; the index of another file; that index cut short, so
+    it does not parse; and an index whose length exceeds the file's.
+    """
+    valid = _index_for(data[:covered], tmp)
+    return {"none": None, "valid": valid, "other": _index_for(OTHER_FILE, tmp),
+            "truncated": valid[:len(valid) // 2],
+            "longer": _index_for(data[:covered] + b"\n" * (len(data) + 1), tmp)}
+
+
+def _put_back(path, data: bytes, index: bytes | None) -> None:
+    """Write the database file and its sidecar index, or remove the index."""
+    with open(path, "wb") as fh:
+        fh.write(data)
+    if index is None:
+        if os.path.exists(f"{path}.idx"):
+            os.unlink(f"{path}.idx")
+    else:
+        with open(f"{path}.idx", "wb") as fh:
+            fh.write(index)
+
+
+# ---------------------------------------------------------------------------
 # Scoped opens
 # ---------------------------------------------------------------------------
 
@@ -297,30 +366,41 @@ def _best_or_miss(db: PerfDb, system, dtype, sig, **kw):
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(db_texts(), db_texts(few_keys())),
-       st.lists(st.sets(st.sampled_from(SCOPE_SYSTEMS)), max_size=3))
-def test_scoped_open_equals_the_full_open_restricted_to_its_scope(text, drawn):
+       st.lists(st.sets(st.sampled_from(SCOPE_SYSTEMS)), max_size=3), st.integers(0, 10**6))
+def test_scoped_open_equals_the_full_open_restricted_to_its_scope(text, drawn, cut):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "perf.db")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        full = PerfDb(path)
-        live = full.records()
-        for scope in [(), SCOPE_SYSTEMS, *((s,) for s in SCOPE_SYSTEMS), *drawn]:
-            mine = [r for r in live if r.key.system in scope]
-            superseded = _superseded(text, scope)
-            db = PerfDb(path, systems=scope)
-            assert (len(db), db.superseded) == (len(mine), superseded)  # before any read
-            for rec in mine:
-                assert db.record_for(rec.key) == full.record_for(rec.key) == rec
-            for system, dtype, sig in itertools.product(scope, DTYPES, SIGNATURES):
-                assert db.query(system, dtype, sig) == full.query(system, dtype, sig)
-                for layout, fused in itertools.product((None, *LAYOUTS), FUSED):
-                    assert _best_or_miss(db, system, dtype, sig, layout=layout, fused=fused) \
-                        == _best_or_miss(full, system, dtype, sig, layout=layout, fused=fused)
-            assert db.records() == mine
-            assert (len(db), db.superseded) == (len(mine), superseded)
-            # A fresh scoped open read through records() alone decodes the same.
-            assert PerfDb(path, systems=scope).records() == mine
+        data = text.encode("utf-8")
+        _put_back(path, data, None)
+        with PerfDb(path) as first:
+            counts, live = (len(first), first.superseded), first.records()
+        ends = _accepted_ends(data)
+        for state, index in _index_states(data, ends[cut % len(ends)], tmp).items():
+            _put_back(path, data, index)
+            with PerfDb(path) as full:
+                assert (len(full), full.superseded) == counts, state
+                assert full.records() == live, state
+                for scope in [(), SCOPE_SYSTEMS, *((s,) for s in SCOPE_SYSTEMS), *drawn]:
+                    _check_scope(path, full, scope, [r for r in live if r.key.system in scope],
+                                 _superseded(text, scope), state)
+
+
+def _check_scope(path, full: PerfDb, scope, mine: list[PerfRecord], superseded: int,
+                 state: str) -> None:
+    with PerfDb(path, systems=scope) as db:
+        assert (len(db), db.superseded) == (len(mine), superseded), state  # before any read
+        for rec in mine:
+            assert db.record_for(rec.key) == full.record_for(rec.key) == rec, state
+        for system, dtype, sig in itertools.product(scope, DTYPES, SIGNATURES):
+            assert db.query(system, dtype, sig) == full.query(system, dtype, sig), state
+            for layout, fused in itertools.product((None, *LAYOUTS), FUSED):
+                assert _best_or_miss(db, system, dtype, sig, layout=layout, fused=fused) \
+                    == _best_or_miss(full, system, dtype, sig, layout=layout, fused=fused)
+        assert db.records() == mine, state
+        assert (len(db), db.superseded) == (len(mine), superseded), state
+    # A fresh scoped open read through records() alone decodes the same.
+    with PerfDb(path, systems=scope) as db:
+        assert db.records() == mine, state
 
 
 def _superseded(text: str, scope) -> int:
@@ -488,37 +568,50 @@ def _lines(db: PerfDb) -> list[str]:
     return [_record_to_json(r) for r in db.records()]  # NaN timestamps compare equal here
 
 
-def _check_unscoped_opens(path) -> None:
-    """An ``r`` and an ``rw`` open, then compact and a reopen, against the oracle."""
+def _check_unscoped_opens(path, covered: int) -> None:
+    """An ``r`` and an ``rw`` open in each index state, against the oracle.
+
+    With no index and with a valid one, the writer then compacts and the
+    file is opened again; an index that is not trusted leaves the same
+    code to run as no index.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     error, live, superseded, kept = _decode_every_line(path)
-    for mode in ("r", "rw"):
-        try:
-            db = PerfDb(path, mode=mode)
-        except StorageError as exc:
-            assert str(exc) == error
-            continue
-        assert error is None
-        with db:
-            assert (len(db), db.superseded) == (len(live), superseded)  # before any read
-            if mode == "r":
-                assert _lines(db) == live
+    for state, index in _index_states(data, covered, os.path.dirname(path)).items():
+        _put_back(path, data, index)
+        for mode in ("r", "rw"):
+            try:
+                db = PerfDb(path, mode=mode)
+            except StorageError as exc:
+                assert str(exc) == error, state
                 continue
-            with open(path, "rb") as fh:
-                assert fh.read() == kept
-            assert db.compact() == superseded
-            assert _lines(db) == live
-        with PerfDb(path) as db:
-            assert (_lines(db), db.superseded) == (live, 0)
+            assert error is None, state
+            with db:
+                assert (len(db), db.superseded) == (len(live), superseded), state  # before any read
+                if mode == "r":
+                    assert _lines(db) == live, state
+                    continue
+                with open(path, "rb") as fh:
+                    assert fh.read() == kept, state
+                if state not in ("none", "valid"):
+                    assert _lines(db) == live, state
+                    continue
+                assert db.compact() == superseded, state
+                assert _lines(db) == live, state
+            with PerfDb(path) as db:  # through the index that compact wrote
+                assert (_lines(db), db.superseded) == (live, 0), state
 
 
 @settings(max_examples=300, deadline=None)
-@given(damaged_files())
-def test_unscoped_opens_agree_with_decoding_every_line(data):
+@given(damaged_files(), st.integers(0, 10**6))
+def test_unscoped_opens_agree_with_decoding_every_line(data, cut):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "perf.db")
         with open(path, "wb") as fh:
             fh.write(data)
-        _check_unscoped_opens(path)
+        ends = _accepted_ends(data)
+        _check_unscoped_opens(path, ends[cut % len(ends)])
 
 
 def _damaged(line: bytes):
@@ -550,9 +643,11 @@ def test_unscoped_opens_agree_on_each_damaged_value(tmp_path):
     path = tmp_path / "perf.db"
     for i, line in enumerate(lines):
         for bad in _damaged(line):
-            # The damaged line comes between two lines of one key.
-            path.write_bytes(b"".join(lines[:i] + [bad] + lines[i + 1:] + lines[:1]))
-            _check_unscoped_opens(path)
+            # The damaged line comes between two lines of one key; the valid
+            # index covers every line before it, or the whole file.
+            data = b"".join(lines[:i] + [bad] + lines[i + 1:] + lines[:1])
+            path.write_bytes(data)
+            _check_unscoped_opens(path, _accepted_ends(data)[-1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -567,3 +662,215 @@ def test_compact_writes_a_writer_files_live_lines_as_reserialized(lines):
             assert db.compact() == superseded
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == "".join(line + "\n" for line in live)
+
+
+# ---------------------------------------------------------------------------
+# The layer index beside the file
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.lists(records(), max_size=8), st.booleans(), st.booleans()),
+                min_size=1, max_size=4))
+def test_a_writers_index_is_the_index_of_the_bytes_it_covers(batches):
+    """However a file came about, its index is the one a writer of those bytes alone leaves."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "perf.db")
+        for batch, read_all, compact in batches:
+            with PerfDb(path, mode="rw") as db:
+                if read_all:  # every system's index line read, not copied
+                    db.records()
+                for rec in batch:
+                    db.insert(rec)
+                if compact:
+                    db.compact()
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path + ".idx", "rb") as fh:
+                assert fh.read() == _index_for(data, tmp)
+
+
+def test_an_open_through_the_index_decodes_only_the_layers_it_reads(db_file, monkeypatch):
+    from lbound import perfdb
+
+    index = (db_file.parent / "perf.db.idx").read_bytes()  # covers lines 1-5
+    with PerfDb(db_file, mode="rw") as db:
+        db.insert(_record(5))  # line 6: a new layer
+        db.insert(dataclasses.replace(_record(0), latency_us=9.0))  # line 7 supersedes line 1
+    (db_file.parent / "perf.db.idx").write_bytes(index)
+    decoded = []
+    real = perfdb._record_from_json
+    monkeypatch.setattr(perfdb, "_record_from_json",
+                        lambda line, lineno: decoded.append(lineno) or real(line, lineno))
+    db = PerfDb(db_file)
+    # The lines past the index are decoded at open; line 1 is decoded only
+    # because line 7 has its key.
+    assert decoded == [6, 7, 1]
+    assert (len(db), db.superseded, db.live_by_system()) == (6, 1, {"sysA": 6})
+    assert db.best("sysA", "f32", "Relu|f32|in=1x3|").latency_us == 4.0
+    assert decoded == [6, 7, 1, 4]
+    assert [r.latency_us for r in db.records()] == [9.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    db.close()
+    closed = PerfDb(db_file)
+    closed.close()
+    with pytest.raises(StorageError, match="closed"):
+        closed.query("sysA", "f32", "Relu|f32|in=1x1|")
+
+
+def test_a_failed_index_write_changes_no_result(tmp_path):
+    path = tmp_path / "perf.db"
+    (tmp_path / "perf.db.idx.tmp").mkdir()  # where the index is written first
+    with PerfDb(path, mode="rw") as db:
+        for i in range(3):
+            db.insert(_record(i))
+        assert db.compact() == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["perf.db", "perf.db.idx.tmp"]
+    with PerfDb(path) as db:
+        assert [r.latency_us for r in db.records()] == [1.0, 2.0, 3.0]
+
+
+class _FullDisk:
+    """A writer's append handle on a disk that has no room left."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_a_failed_append_stops_the_writer_and_keeps_the_old_index(db_file):
+    index = (db_file.parent / "perf.db.idx").read_bytes()
+    db = PerfDb(db_file, mode="rw")
+    db.insert(_record(5))
+    fh, db._fh = db._fh, _FullDisk(db._fh)
+    with pytest.raises(StorageError, match="No space left"):
+        db.insert(_record(6))
+    db._fh = fh
+    for write in (lambda: db.insert(_record(7)), db.compact):
+        with pytest.raises(StorageError, match="an append failed"):
+            write()
+    db.close()
+    assert (db_file.parent / "perf.db.idx").read_bytes() == index
+    with PerfDb(db_file) as db:
+        assert [r.latency_us for r in db.records()] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+# ---------------------------------------------------------------------------
+# The writer's lock
+# ---------------------------------------------------------------------------
+
+def test_compact_locks_the_new_file_before_it_replaces_the_old(db_file, monkeypatch):
+    real = os.replace
+    raced = []
+
+    def replace(src, dst):
+        real(src, dst)
+        if os.fspath(dst) == os.fspath(db_file):  # a second writer comes right after the rename
+            with pytest.raises(StorageError, match="locked"):
+                PerfDb(db_file, mode="rw")
+            raced.append(dst)
+
+    with PerfDb(db_file, mode="rw") as db:
+        db.insert(_record(0))
+        monkeypatch.setattr(os, "replace", replace)
+        assert db.compact() == 1
+        monkeypatch.setattr(os, "replace", real)
+        db.insert(_record(7))
+    assert raced
+    with PerfDb(db_file) as db:
+        assert [r.latency_us for r in db.records()] == [1.0, 2.0, 3.0, 4.0, 5.0, 8.0]
+
+
+def test_a_writer_does_not_lock_a_file_that_a_compact_replaced(db_file, monkeypatch):
+    import fcntl
+
+    real = fcntl.flock
+    first = PerfDb(db_file, mode="rw")
+    first.insert(_record(0))
+    calls = []
+
+    def flock(fd, op):
+        if not calls:  # the second writer has opened the old file; the first compacts now
+            calls.append(fd)
+            first.compact()
+        return real(fd, op)
+
+    monkeypatch.setattr(fcntl, "flock", flock)
+    with pytest.raises(StorageError, match="locked by another writer"):
+        PerfDb(db_file, mode="rw")
+    first.insert(_record(7))
+    first.close()
+    with PerfDb(db_file) as db:
+        assert [r.latency_us for r in db.records()] == [1.0, 2.0, 3.0, 4.0, 5.0, 8.0]
+
+
+def test_a_lock_that_fails_closes_its_file(db_file, monkeypatch):
+    import fcntl
+
+    from lbound import perfdb_writer
+
+    def flock(fd, op):
+        raise OSError(errno.ENOLCK, "no locks available")
+
+    files = []
+
+    def spy(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(fcntl, "flock", flock)
+    monkeypatch.setattr(perfdb_writer, "open", spy, raising=False)
+    with pytest.raises(StorageError, match="cannot open database .* for writing"):
+        PerfDb(db_file, mode="rw")
+    assert files and all(fh.closed for fh in files)
+
+
+# ---------------------------------------------------------------------------
+# A writer killed in the middle of its appends
+# ---------------------------------------------------------------------------
+
+_KILLED_WRITER = """
+import os, signal, sys
+from lbound.perfdb import PerfDb, PerfRecord, RecordKey
+
+path, torn = sys.argv[1], sys.argv[2] == "torn"
+db = PerfDb(path, mode="rw")
+for i in range(7):
+    key = RecordKey("sys" + "AB"[i % 2], "f32", "00", f"Relu|f32|in=1x{i % 3}|", None, "NCHW", None)
+    db.insert(PerfRecord(key, 10.0 + i))
+if torn:  # part of the next line reaches the file
+    with open(path, "ab") as fh:
+        fh.write(b'{"v":1,"system":"sysA","dtype":"f32","hash64":"00","sig')
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.parametrize("tail", ["whole", "torn"])
+def test_a_killed_writer_leaves_a_file_that_opens_as_it_would_without_an_index(tmp_path, tail):
+    path, bare = tmp_path / "perf.db", tmp_path / "bare.db"
+    with PerfDb(path, mode="rw") as db:
+        for i in range(4):
+            db.insert(_record(i))
+            db.insert(_with_system(_record(i), "sysB"))
+    index = (tmp_path / "perf.db.idx").read_bytes()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(lbound.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _KILLED_WRITER, str(path), tail], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert (tmp_path / "perf.db.idx").read_bytes() == index  # it covers the first writer's lines
+    opens = [dict(), dict(systems=["sysA"]), dict(systems=["sysB", "sysC"]), dict(mode="rw")]
+    for kw in opens + opens[:1]:  # the last open goes through the index the rw open wrote
+        bare.write_bytes(path.read_bytes())
+        with PerfDb(path, **kw) as db, PerfDb(bare, **kw) as without:
+            counts = (len(db), db.superseded, db.live_by_system())
+            assert counts == (len(without), without.superseded, without.live_by_system()), kw
+            assert db.records() == without.records(), kw
+        assert path.read_bytes() == bare.read_bytes()
+        (tmp_path / "bare.db.idx").unlink(missing_ok=True)
+    # The rw open cut the torn tail and covered the rest in the index it wrote.
+    assert (tmp_path / "perf.db.idx").read_bytes() == _index_for(path.read_bytes(), tmp_path)
+    assert (len(db), db.superseded) == (8, 7)  # each of the killed writer's keys was there
