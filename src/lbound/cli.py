@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING
 
 import click
 
-from .errors import ConfigError, LboundError, MissError
+from .errors import (ConfigError, LboundError, MissError, ModelParseError, ProfileFormatError,
+                     StorageError)
 from .model_ir import DTYPES, LAYOUTS, infer_shapes, load_model_file
 
 if TYPE_CHECKING:
@@ -53,6 +54,19 @@ def _exit_codes(fn):
 def _load_inferred(path: str, batch: int):
     graph = load_model_file(path)
     return infer_shapes(graph, batch)
+
+
+def _read_text(path: str, error: type[LboundError]) -> str:
+    """The text of an outside file; an unreadable or non-UTF-8 file raises ``error``.
+
+    ``error`` is the class that the file's parser raises, so such a file
+    exits with the code of any other bad file of its kind.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def _db_path(value: str | None) -> str:
@@ -153,8 +167,7 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
     )
 
     if from_manifest:
-        with open(from_manifest, "r", encoding="utf-8") as fh:
-            specs = benchgen.parse_manifest(fh.read())
+        specs = benchgen.parse_manifest(_read_text(from_manifest, ModelParseError))
     elif from_misses:
         specs = _specs_from_misses(from_misses, config)
     elif models:
@@ -214,15 +227,14 @@ def _specs_from_misses(path: str, config: BenchConfig):
     from . import benchgen, dedup
 
     groups: dict[tuple[str, tuple[str, ...]], set[dedup.LayerSignature]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("/", 5) if "/" in line else [line]
-            layouts = (parts[2],) if len(parts) == 6 else config.layouts
-            sig = dedup.parse_signature(parts[-1])
-            groups.setdefault((sig.dtype, layouts), set()).add(sig)
+    for line in _read_text(path, ModelParseError).split("\n"):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("/", 5) if "/" in line else [line]
+        layouts = (parts[2],) if len(parts) == 6 else config.layouts
+        sig = dedup.parse_signature(parts[-1])
+        groups.setdefault((sig.dtype, layouts), set()).add(sig)
     if not groups:
         raise ConfigError(f"miss file {path} names no layer")
     return [spec for (dtype, layouts), sigs in sorted(groups.items())
@@ -250,8 +262,7 @@ def db_import(database, files):
     with perfdb.PerfDb(database, mode="rw") as handle:
         total = 0
         for path in files:
-            with open(path, "r", encoding="utf-8") as fh:
-                total += perfdb_writer.import_lines(handle, fh.read())
+            total += perfdb_writer.import_lines(handle, _read_text(path, StorageError))
     click.echo(f"imported {total} record(s) into {database}")
 
 
@@ -271,6 +282,11 @@ def db_compact(database):
 @click.argument("database", type=click.Path(exists=True))
 @_exit_codes
 def db_stats(database):
+    """Print live and superseded record counts.
+
+    Live records are also counted per system. The counts are read from the
+    layer index when one is trusted.
+    """
     from . import perfdb
 
     with perfdb.PerfDb(database) as handle:
@@ -303,14 +319,8 @@ def profile_convert(cudnn_log, kernels, latency_ms, model, system, batch, strict
     """Convert library logs and a kernel trace into the canonical profile."""
     from . import profile_ingest
 
-    log_text = ""
-    if cudnn_log:
-        with open(cudnn_log, "r", encoding="utf-8") as fh:
-            log_text = fh.read()
-    kern_text = ""
-    if kernels:
-        with open(kernels, "r", encoding="utf-8") as fh:
-            kern_text = fh.read()
+    log_text = _read_text(cudnn_log, ProfileFormatError) if cudnn_log else ""
+    kern_text = _read_text(kernels, ProfileFormatError) if kernels else ""
     prof = profile_ingest.build_profile(
         model, system, batch, latency_ms, log_text, kern_text, strict=strict)
     with open(out, "w", encoding="utf-8") as fh:
@@ -360,8 +370,7 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
     if profile_path:
         from . import profile_ingest
 
-        with open(profile_path, "r", encoding="utf-8") as fh:
-            prof = profile_ingest.parse_profile(fh.read())
+        prof = profile_ingest.parse_profile(_read_text(profile_path, ProfileFormatError))
         prof_sysid = synth_runner.load_system_profile(prof.system_id).system_id
         if (prof_sysid, prof.batch) != (sysid, batch):
             raise ConfigError(f"profile {profile_path} is of system {prof_sysid!r} at batch "

@@ -3,14 +3,15 @@
 Storage is a file of line-delimited JSON records, a layer index beside it
 (``<db>.idx``, below) and one in-memory index built at open: (system,
 dtype, signature) maps to that layer's live records, keyed by their full
-record key; most lines are decoded on their layer's first read. ``query``
-and ``best`` read only the records of one layer, and ``record_for``,
-``has_spec``, ``records()`` and ``compact`` read through the same index.
-``records()`` and ``compact`` therefore group records by layer, layers in
-the order they first appeared and records within a layer in insertion
-order. ``compact`` drops superseded records only: it copies each live
-line as it is on disk, so the live records, their order and therefore the
-index are the same after a reopen.
+record key. Lines that the layer index lists are decoded on their layer's
+first read, and every other line at open. ``query`` and ``best`` read
+only the records of one layer, and ``record_for``, ``has_spec``,
+``records()`` and ``compact`` read through the same index. ``records()``
+and ``compact`` therefore group records by layer, layers in the order
+they first appeared and records within a layer in insertion order.
+``compact`` drops superseded records only: it copies each live line as it
+is on disk, so the live records, their order and therefore the index are
+the same after a reopen.
 
 Appending is the only write path; re-inserting a key replaces the live
 record while the superseded one stays on disk until ``compact`` rewrites
@@ -65,47 +66,24 @@ layer's listed lines. Lines that a writer checked are not checked again,
 but a listed line that does not decode into its layer raises
 ``StorageError``.
 
-An unscoped open, and therefore every ``rw`` open, ``db stats``,
-``db compact`` and ``db import``, decodes every line that no index covers
-at open, so it raises ``StorageError`` at the first bad one.
+Every line that no index covers is decoded at open, by the same loop for
+every open, so the open raises ``StorageError`` at the first bad one and
+names its line number. The torn-tail rules are the same for every open.
 
 A read-only open can be scoped to some systems: ``PerfDb(path,
 systems=...)`` keeps only their records, so ``len()``, ``records()``,
-``superseded`` and every query see only the scope. ``_record_to_json``
-fixes the key order and ``db import`` re-serializes, so every line the
-writer produces reads ``{"v":1,"system":"S","dtype":"D","hash64":"H",
-"signature":"G","algorithm":...,"layout":...,"fused":...,"status":...``
-with nothing between the fields, and a scoped open cuts such a line at
-these markers rather than decoding it. Any line that starts
-``{"v":1,"system":"`` is skipped undecoded when the string that follows
-holds no backslash and names a system out of scope. An in-scope writer
-line with no backslash is deferred: the open stores the raw line and its
-line number under its layer (S, D, G) and resolves supersession from the
-raw record key, the bytes from ``"algorithm":`` up to ``,"status":``,
-which must name one of the writer's (algorithm, layout, fused) triples.
-A layer's deferred lines are decoded the first time ``query``, ``best``,
-``record_for`` or ``has_spec`` reads that layer, in file order, so the
-last line still wins.
-
-A scoped open decodes other lines at open, exactly as an unscoped open
-decodes them: a line that does not start ``{"v":1,"system":"``, a line
-that is not deferred as above, and an unterminated last line. If such a
-line's layer already has undecoded lines, those are decoded first, so file
-order holds. A line is assumed to name each field once: a deferred line
-whose decoded fields differ from its raw keys raises ``StorageError`` when
-it is decoded.
+``superseded`` and every query see only the scope; a scope on an ``rw``
+open raises ``StorageError``. ``_record_to_json`` fixes the key order and
+``db import`` re-serializes, so every line the writer produces starts
+``{"v":1,"system":"S",``. A scoped open skips a line that starts
+``{"v":1,"system":"`` undecoded when the string that follows holds no
+backslash and names a system out of scope. A line is assumed to name its
+system once, since the skip reads only the first name. The trade-off: a
+scoped open does not notice a bad line of another system.
 
 ``len()``, ``superseded`` and ``live_by_system()``, which ``db stats``
-prints, come from the index's counts and the raw keys counted at open, and
-decode nothing. ``records()`` decodes every line still undecoded.
-
-The trade-off: a scoped open validates only the lines it decodes. A bad
-line of another system goes unnoticed, and so does a bad line in an
-in-scope layer that is never read; a bad line in a layer that is read
-raises ``StorageError`` (exit 4) at that read, naming its line number.
-Unscoped opens raise on any bad line that no index covers; a scope on an
-``rw`` open raises ``StorageError``. The torn-tail rules are the same for
-every open.
+prints, come from the index's counts and the lines decoded at open, so
+they decode no line the index lists. ``records()`` decodes them all.
 
 ``db import`` also rebuilds each record's benchmark spec from its parsed
 signature, algorithm, layout and fusion pattern, and requires the record's
@@ -136,25 +114,12 @@ _FUSED_IDS = {p.id for p in FUSION_PATTERNS}
 # How every writer line starts, up to the first byte of its system string.
 _SYSTEM_AT = b'{"v":1,"system":"'
 _BACKSLASH, _NEWLINE = ord("\\"), ord("\n")  # ints, so ``in`` looks for one byte
-# A writer line from the closing quote of its system string to the closing
-# quote of its signature.
-_LAYER_PART = re.compile(rb'","dtype":"([^"]*)","hash64":"[^"]*","signature":"([^"]*)"')
-# A writer line's head, from the first byte of its system string to the
-# closing quote of its signature: the system, dtype and signature. Compiled
-# on first use, through re's cache, as _SYSTEM_LINE is.
-_SCOPED_HEAD = rb'([^"]*)' + _LAYER_PART.pattern
 # How a system line of the layer index starts: the system name as a JSON
-# string, then its live and superseded counts.
+# string, then its live and superseded counts. Compiled on first use,
+# through re's cache.
 _SYSTEM_LINE = rb'\[("(?:[^"\\]|\\.)*"),(\d+),(\d+),'
 _INDEX_VERSION = 1
 _CHUNK = 1 << 18  # bytes per read while hashing the file
-# Each record key the writer produces, as the bytes from "algorithm": up to
-# ,"status":, and the (algorithm, layout, fused) it stands for.
-_WRITER_KEYS = {
-    json.dumps({"algorithm": a, "layout": lay, "fused": f},
-               separators=(",", ":"))[1:-1].encode(): (a, lay, f)
-    for a in (None, *_ALGO_RANK) for lay in LAYOUTS for f in (None, *_FUSED_IDS)
-}
 
 
 @dataclass(frozen=True)
@@ -279,13 +244,9 @@ class PerfDb:
         self.path = str(path)
         self.mode = mode
         self.systems = None if systems is None else frozenset(systems)
-        # (system, dtype, signature) -> {index key: live record, or None until
-        # the layer's deferred lines are decoded}; empty while the layer's
-        # live lines are only entries of the layer index, in _covered
+        # (system, dtype, signature) -> {index key: live record}; empty while
+        # the layer's live lines are only entries of the layer index, in _covered
         self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
-        # (system, dtype, signature) -> [(line number, raw line, index key)] of
-        # a scoped open's writer lines, decoded on the layer's first read
-        self._deferred: dict[tuple, list[tuple]] = {}
         # (system, dtype, signature) -> [offset, length, line number, ...] of
         # the live lines that the layer index lists, decoded on the layer's
         # first read
@@ -323,7 +284,6 @@ class PerfDb:
         names = {s.encode("utf-8", "surrogatepass") for s in scope or ()}
         writer = self._fh is not None
         at = len(_SYSTEM_AT)
-        groups: dict[bytes, tuple | None] = {}  # raw head -> its layer, None if not deferred
         torn = False
         raw = b""
         try:
@@ -335,8 +295,6 @@ class PerfDb:
                     name = raw[at:raw.find(b'"', at)]
                     if name not in names and _BACKSLASH not in name:
                         continue  # another system's line
-                    if raw[-1] == _NEWLINE and self._defer(raw, lineno, groups):
-                        continue
                 line = raw.strip()
                 if line:
                     try:
@@ -410,49 +368,6 @@ class PerfDb:
         self._unread, self._next_rank, self._indexed = unread, layers, n
         return n, lines, sha
 
-    def _defer(self, raw: bytes, lineno: int, groups: dict) -> bool:
-        """Store a scoped open's terminated writer line undecoded under its layer.
-
-        False when the line must be decoded now: it is not in the writer's
-        form, or it holds a backslash.
-        """
-        a = raw.find(b',"algorithm":', len(_SYSTEM_AT))
-        s = raw.find(b',"status":', a)
-        fields = _WRITER_KEYS.get(raw[a + 1:s])
-        if fields is None or _BACKSLASH in raw:
-            return False
-        head = raw[len(_SYSTEM_AT):a]
-        if head not in groups:
-            groups[head] = self._group(head)
-        group = groups[head]
-        if group is None:
-            return False
-        lkey, layer, lines = group
-        key = lkey + fields
-        if key in layer:
-            self._superseded[lkey[0]] += 1
-        else:
-            layer[key] = None  # decoded on the layer's first read
-        lines.append((lineno, raw, key))
-        return True
-
-    def _group(self, head: bytes) -> tuple | None:
-        """The layer, and its deferred lines, that a writer line's head names.
-
-        ``head`` runs from the first byte of the system string to the record
-        key; None when it does not match _SCOPED_HEAD. Decoded with
-        surrogatepass, the system bytes give back the name of the scope that
-        ``_load`` encoded that way.
-        """
-        m = re.fullmatch(_SCOPED_HEAD, head)
-        if m is None:
-            return None
-        try:
-            lkey = (m[1].decode("utf-8", "surrogatepass"), m[2].decode(), m[3].decode())
-        except UnicodeDecodeError:
-            return None
-        return lkey, self._slot(lkey), self._deferred.setdefault(lkey, [])
-
     def _reveal(self, lkey: tuple) -> None:
         """Bring in what the layer index holds of a layer: its system's line, then its records."""
         if lkey[0] in self._unread:
@@ -497,29 +412,9 @@ class PerfDb:
             if self._at is not None:
                 self._at[key] = (off, size, lineno)
 
-    def _slot(self, lkey: tuple) -> dict[tuple, PerfRecord]:
-        """A layer's live records by index key, for a new line; a new layer ranks last."""
-        self._reveal(lkey)
-        layer = self._by_layer.get(lkey)
-        if layer is None:
-            layer = self._by_layer[lkey] = {}
-            self._rank[lkey] = self._next_rank
-            self._next_rank += 1
-        return layer
-
     def _layer(self, lkey: tuple) -> dict[tuple, PerfRecord]:
         """One layer's live records by index key, every line of it decoded first."""
         self._reveal(lkey)
-        lines = self._deferred.get(lkey)
-        if lines:
-            layer = self._by_layer[lkey]
-            for lineno, raw, key in lines:
-                rec = _record_from_json(raw, lineno)
-                if rec.key.index_key() != key:
-                    raise StorageError(f"bad database record at line {lineno}: "
-                                       "it names a field twice")
-                layer[key] = rec
-            lines.clear()
         return self._by_layer.get(lkey, {})
 
     def close(self) -> None:
@@ -565,9 +460,13 @@ class PerfDb:
     def _put(self, record: PerfRecord, at: tuple[int, int, int]) -> None:
         """Enter a decoded record, whose line is at ``at`` (offset, length, line number)."""
         key = record.key.index_key()
-        if self._deferred:
-            self._layer(key[:3])  # earlier lines of its layer come first
-        layer = self._slot(key[:3])
+        lkey = key[:3]
+        self._reveal(lkey)  # the lines the index lists of its layer come first
+        layer = self._by_layer.get(lkey)
+        if layer is None:  # a new layer ranks last
+            layer = self._by_layer[lkey] = {}
+            self._rank[lkey] = self._next_rank
+            self._next_rank += 1
         if key in layer:
             self._superseded[key[0]] += 1
         layer[key] = record

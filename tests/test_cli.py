@@ -99,9 +99,9 @@ def test_scoped_reads_skip_a_corrupt_line_of_another_system(r18, tmp_path):
         assert len(handle) == len(lines)
 
 
-@pytest.mark.parametrize("dtype, read", [("f32", True), ("f16", False)])
-def test_a_bad_writer_line_fails_the_reads_of_its_layer_only(r18, tmp_path, dtype, read):
-    """A scoped open decodes a layer on first read: `analyze` at f32 never reads f16."""
+@pytest.mark.parametrize("dtype", ["f32", "f16"])
+def test_a_bad_writer_line_fails_a_scoped_open(r18, tmp_path, dtype):
+    """A scoped open decodes each in-scope line no index covers: `analyze` at f32 fails on f16."""
     model, db = r18
     lines = db.read_bytes().splitlines(keepends=True)
     at = next(i for i, ln in enumerate(lines)
@@ -109,21 +109,41 @@ def test_a_bad_writer_line_fails_the_reads_of_its_layer_only(r18, tmp_path, dtyp
     lines[at] = re.sub(rb'"latency_us":[^,]*,', b'"latency_us":-1,', lines[at])
     copy = tmp_path / "perf.db"
     copy.write_bytes(b"".join(lines))
-    res = _analyze(model, copy)
-    if read:
+    for res in (_analyze(model, copy), CliRunner().invoke(main, ["db", "stats", str(copy)])):
         _no_traceback(res, 4)
         assert f"line {at + 1}:" in res.output
-    else:
-        assert res.exit_code == 0 and res.output == _analyze(model, db).output
-    res = CliRunner().invoke(main, ["db", "stats", str(copy)])
-    _no_traceback(res, 4)
-    assert f"line {at + 1}:" in res.output
 
 
 def _no_traceback(res, code):
     assert res.exit_code == code, res.output
     assert "error:" in res.output
     assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("bad", ["non-utf8", "directory"])
+@pytest.mark.parametrize("args, code", [
+    (["bench", "--from-manifest", "{f}"], 2),
+    (["bench", "--from-misses", "{f}"], 2),
+    (["db", "import", "{db}", "{f}"], 4),
+    (["profile", "convert", "--cudnn-log", "{f}", "--latency-ms", "1", "--model", "m",
+      "--system", "Tesla_V100", "-o", "{out}"], 2),
+    (["profile", "convert", "--kernels", "{f}", "--latency-ms", "1", "--model", "m",
+      "--system", "Tesla_V100", "-o", "{out}"], 2),
+    (["analyze", "{model}", "--db", "{db}", "--system", "Tesla_V100", "--profile", "{f}"], 2),
+], ids=["manifest", "misses", "import", "cudnn-log", "kernels", "profile"])
+def test_an_unreadable_outside_file_exits_with_its_code(r18, tmp_path, args, code, bad):
+    model, db = r18
+    path = tmp_path / "input"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    copy = tmp_path / "perf.db"
+    copy.write_bytes(db.read_bytes())
+    args = [a.format(f=path, db=copy, model=model, out=tmp_path / "out.prof") for a in args]
+    res = CliRunner().invoke(main, args)
+    _no_traceback(res, code)
+    assert f"cannot read {path}" in res.output
 
 
 @pytest.mark.parametrize("changes", [{"latency_us": float("nan")},

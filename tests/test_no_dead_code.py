@@ -2,7 +2,9 @@
 
 A name that starts with one underscore is private to the package, so a
 module-level function, class or assigned name that nothing in
-``src/lbound`` refers to, apart from its own definition, is dead code.
+``src/lbound`` refers to, apart from its own definition, is dead code,
+and so is such a name defined in the body of a module-level class, a
+private method among them.
 A public function or class is dead when nothing in ``src/lbound``,
 ``tests/`` or ``bench/`` names it; Click commands are exempt, since the
 command line reaches them. Likewise an error class that no ``raise`` in
@@ -29,7 +31,7 @@ def _names(tree: ast.AST) -> Counter:
 
 
 def _defined(stmt: ast.stmt) -> list[str]:
-    """Names a module-level statement defines."""
+    """Names a module-level or class-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
     targets = stmt.targets if isinstance(stmt, ast.Assign) else \
@@ -58,6 +60,18 @@ def test_every_private_function_is_referenced():
     dead = [f"{module}:{name}"
             for module, tree in trees.items()
             for stmt in tree.body
+            for name in _defined(stmt)
+            if _private(name) and used[name] - _names(stmt)[name] <= 0]
+    assert dead == []
+
+
+def test_every_private_class_member_is_referenced():
+    trees = _trees()
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    dead = [f"{module}:{cls.name}.{name}"
+            for module, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
             for name in _defined(stmt)
             if _private(name) and used[name] - _names(stmt)[name] <= 0]
     assert dead == []

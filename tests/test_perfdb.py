@@ -22,8 +22,6 @@ import lbound
 import modelzoo as mz
 from lbound.errors import MissError, StorageError
 from lbound.perfdb import (
-    _LAYER_PART,
-    _WRITER_KEYS,
     PerfDb,
     PerfRecord,
     RecordKey,
@@ -296,17 +294,11 @@ def _with_system(rec: PerfRecord, system: str) -> PerfRecord:
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.text(), st.sampled_from(SCOPE_SYSTEMS)), records())
 def test_writer_line_starts_with_its_scope_prefix(system, rec):
-    """The fixed field order that a scoped open cuts writer lines at."""
+    """The prefix that a scoped open reads to skip another system's line."""
     rec = _with_system(rec, system)
     line = _record_to_json(rec).encode()
     prefix = b'{"v":1,"system":' + json.dumps(system).encode() + b","
     assert line.startswith(prefix)
-    key_at = line.index(b',"algorithm":', len(prefix)) + 1
-    status_at = line.index(b',"status":', key_at)
-    layer = _LAYER_PART.fullmatch(line, len(prefix) - 2, key_at - 1)
-    assert (layer[1].decode(), layer[2].decode()) == (rec.key.dtype, rec.key.signature)
-    assert _WRITER_KEYS[line[key_at:status_at]] == \
-        (rec.key.algorithm, rec.key.layout, rec.key.fused)
 
 
 def _hand_written(rec: PerfRecord, form: str) -> str:
@@ -325,19 +317,22 @@ def _hand_written(rec: PerfRecord, form: str) -> str:
     if form == "space-before-comma":
         at = len('{"v":1,"system":') + len(json.dumps(rec.key.system))
         return line[:at] + " " + line[at:]
+    if form == "field-twice":  # a second dtype, which a full decode takes
+        other = "f16" if rec.key.dtype == "f32" else "f32"
+        return line[:-1] + f',"dtype":"{other}"}}'
     return "  " + line  # indented
 
 
 FORMS = ("writer", "spaced", "reordered", "raw-utf8", "escaped", "space-before-comma",
-         "indented")
+         "field-twice", "indented")
 
 
 @st.composite
 def few_keys(draw):
     """Records of at most three keys of two systems' layers of one signature.
 
-    Keys are then superseded often, and a layer often mixes deferred writer
-    lines with hand-written ones.
+    Keys are then superseded often, and a layer often mixes writer lines
+    with hand-written ones.
     """
     pool = draw(st.lists(records(("sysA", "sysAB"), SIGNATURES[:1]), min_size=1, max_size=3))
     return draw(st.lists(st.sampled_from(pool), max_size=30))
@@ -426,30 +421,13 @@ def _replace_line(path, lineno: int, old: bytes, new: bytes) -> None:
     path.write_bytes(b"".join(lines))
 
 
-def test_a_bad_deferred_line_raises_when_its_layer_is_read(db_file):
+def test_a_bad_in_scope_line_fails_a_scoped_open(db_file):
     # Each line of db_file is its own layer; line 3 holds latency 3.0.
     _replace_line(db_file, 3, b'"latency_us":3.0,', b'"latency_us":-1,')
-    with pytest.raises(StorageError, match="line 3"):
-        PerfDb(db_file)
-    db = PerfDb(db_file, systems=["sysA"])
-    assert (len(db), db.superseded) == (5, 0)
-    assert db.best("sysA", "f32", "Relu|f32|in=1x1|").latency_us == 2.0
-    for read in (lambda: db.query("sysA", "f32", "Relu|f32|in=1x2|"),
-                 lambda: db.record_for(_record(2).key),
-                 db.records):
+    for scope in (None, ["sysA"]):
         with pytest.raises(StorageError, match="line 3: ok record needs a positive"):
-            read()
+            PerfDb(db_file, systems=scope)
     assert PerfDb(db_file, systems=["sysB"]).records() == []
-
-
-def test_a_deferred_line_that_names_a_field_twice_raises_when_read(db_file):
-    _replace_line(db_file, 2, b"}}\n", b'},"dtype":"f16"}\n')
-    with PerfDb(db_file) as db:  # a full decode takes the last name
-        assert db.records()[1].key.dtype == "f16"
-    db = PerfDb(db_file, systems=["sysA"])
-    assert len(db) == 5
-    with pytest.raises(StorageError, match="line 2: it names a field twice"):
-        db.query("sysA", "f32", "Relu|f32|in=1x1|")
 
 
 # ---------------------------------------------------------------------------
