@@ -21,15 +21,16 @@ marked successor at each step. All three steps are linear in the graph.
 
 Every walk over a graph, from annotation to the totals, the critical path
 and the DOT export, follows the topological order the graph carries
-(``ModelGraph.order``, set once by ``model_ir.validate``). Per-layer facts
-come from the graph's canonical-layer table: ``model_ir.infer_shapes``
-interns each unique layer once, and ``dedup.layer_signatures`` keeps one
-signature per unique layer and dtype on the graph, which annotation, Q3
-and the fusion scan all read. :func:`annotate` looks each (signature,
-layout) up in the database once and shares the record, or the miss, with
-every node of that signature. An :class:`Annotator` holds one graph's
-annotations on one database, one per (system, dtype, layout), and the
-critical path under each, all built on first use. One ``analyze`` or
+(``ModelGraph.order``, set once by ``model_ir.validate``). Nodes hold what
+was loaded and layers hold what inference found, so per-layer facts come
+from the layer table that ``model_ir.infer_shapes`` fills
+(``graph.layers``, indexed through ``graph.layer_of``), and
+``dedup.layer_signatures`` keeps one signature per layer and dtype, which
+annotation, Q3 and the fusion scan all read. :func:`annotate` looks each
+(signature, layout) up in the database once and shares the record, or the
+miss, with every node of that signature. An :class:`Annotator` holds one
+graph's annotations on one database, one per (system, dtype, layout), and
+the critical path under each, all built on first use. One ``analyze`` or
 ``advise`` command builds one annotator and hands it to every analysis.
 
 An annotation never raises on a miss: a missing layer contributes zero and
@@ -105,7 +106,7 @@ def annotate(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
         chosen[nid] = None
         if api_for_op(node.op_type) is None:
             continue
-        sig = sigs[node.layer]
+        sig = sigs[graph.layer_of[nid]]
         want_layout = layout if node.op_type == "Conv" else None
         key = (sig.canonical_string, want_layout)
         if key not in found:
@@ -276,7 +277,7 @@ def _logged_convs(anns: Annotator, profile: ExecutionProfile, system: str, dtype
     sigs = layer_signatures(anns.graph, dtype)
     convs = []
     for node, call in zip(conv_nodes, conv_calls):
-        sig, algo = sigs[node.layer], call.params.get("algo")
+        sig, algo = sigs[anns.graph.layer_of[node.id]], call.params.get("algo")
         rec = algo and anns.db.record_for(RecordKey(
             system, dtype, sig.hash64, sig.canonical_string, algo, layout, None))
         convs.append((node, call, rec if rec and rec.status == "ok" else None))
@@ -300,10 +301,11 @@ def algorithm_advice(profile: ExecutionProfile, anns: Annotator, system: str,
     lb_chosen = lb_ideal
     for node, call, rec in convs:
         x_logged = call.params.get("x")
-        if x_logged and node.in_shapes and x_logged != node.in_shapes[0].render():
+        x_layer = render_value(anns.graph.layers[anns.graph.layer_of[node.id]].in_dims[0])
+        if x_logged and x_logged != x_layer:
             warnings.append(
                 f"call seq {call.seq}: input dims {x_logged} differ from layer "
-                f"{node.id!r} ({node.in_shapes[0].render()})")
+                f"{node.id!r} ({x_layer})")
         if rec is None:
             unknown.append(node.id)
             continue
@@ -351,14 +353,13 @@ def expected_api_sequence(graph: ModelGraph) -> list[ExpectedCall]:
         row = api_for_op(node.op_type)
         if row is None:
             continue
-        params: dict[str, str] = {}
-        if node.in_shapes:
-            params["x"] = node.in_shapes[0].render()
+        layer = graph.layers[graph.layer_of[nid]]
+        params = {"x": render_value(layer.in_dims[0])}
         if node.op_type == "Conv":
             for key in ("w1", "strides", "pads", "dilations", "group"):
-                if key in node.params:
+                if key in layer.params:
                     name = "w" if key == "w1" else key
-                    params[name] = render_value(node.params[key])
+                    params[name] = render_value(layer.params[key])
         calls.append(ExpectedCall(nid, row.api_name, params))
     return calls
 

@@ -128,10 +128,10 @@ class FusionSite:
     member_ids: tuple[str, ...]
 
 
-def _is_bias_add(node) -> bool:
+def _is_bias_add(graph: ModelGraph, node) -> bool:
     # A bias add consumes exactly one data edge; the bias vector arrives as
     # a recorded weight operand.
-    has_weight = any(is_weight_key(k) for k in node.params)
+    has_weight = any(is_weight_key(k) for k in graph.layers[graph.layer_of[node.id]].params)
     return len(node.input_ids) == 1 and has_weight
 
 
@@ -152,7 +152,7 @@ def fusion_candidates(graph: ModelGraph, dtype: str = "f32") -> list[FusionSite]
             members = _match_pattern(graph, nid, pattern, claimed)
             if members:
                 sites.append(FusionSite(
-                    head_signature=sigs[graph.nodes[nid].layer],
+                    head_signature=sigs[graph.layer_of[nid]],
                     pattern_id=pattern.id,
                     member_ids=tuple(members),
                 ))
@@ -173,7 +173,7 @@ def _match_pattern(graph: ModelGraph, head: str, pattern: FusionPattern,
         nxt = graph.nodes[current.output_ids[0]]
         if nxt.op_type not in accepted or nxt.id in claimed:
             return None
-        if nxt.op_type == "Add" and not _is_bias_add(nxt):
+        if nxt.op_type == "Add" and not _is_bias_add(graph, nxt):
             return None
         if len(nxt.input_ids) != 1:
             return None

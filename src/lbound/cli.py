@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import click
 
 from .errors import (ConfigError, LboundError, MissError, ModelParseError, ProfileFormatError,
-                     StorageError)
+                     StorageError, read_text)
 from .model_ir import DTYPES, LAYOUTS, infer_shapes, load_model_file
 
 if TYPE_CHECKING:
@@ -54,19 +54,6 @@ def _exit_codes(fn):
 def _load_inferred(path: str, batch: int):
     graph = load_model_file(path)
     return infer_shapes(graph, batch)
-
-
-def _read_text(path: str, error: type[LboundError]) -> str:
-    """The text of an outside file; an unreadable or non-UTF-8 file raises ``error``.
-
-    ``error`` is the class that the file's parser raises, so such a file
-    exits with the code of any other bad file of its kind.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def _db_path(value: str | None) -> str:
@@ -167,7 +154,7 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
     )
 
     if from_manifest:
-        specs = benchgen.parse_manifest(_read_text(from_manifest, ModelParseError))
+        specs = benchgen.parse_manifest(read_text(from_manifest, ModelParseError))
     elif from_misses:
         specs = _specs_from_misses(from_misses, config)
     elif models:
@@ -227,7 +214,7 @@ def _specs_from_misses(path: str, config: BenchConfig):
     from . import benchgen, dedup
 
     groups: dict[tuple[str, tuple[str, ...]], set[dedup.LayerSignature]] = {}
-    for line in _read_text(path, ModelParseError).split("\n"):
+    for line in read_text(path, ModelParseError).split("\n"):
         line = line.strip()
         if not line:
             continue
@@ -262,7 +249,7 @@ def db_import(database, files):
     with perfdb.PerfDb(database, mode="rw") as handle:
         total = 0
         for path in files:
-            total += perfdb_writer.import_lines(handle, _read_text(path, StorageError))
+            total += perfdb_writer.import_lines(handle, read_text(path, StorageError))
     click.echo(f"imported {total} record(s) into {database}")
 
 
@@ -319,8 +306,8 @@ def profile_convert(cudnn_log, kernels, latency_ms, model, system, batch, strict
     """Convert library logs and a kernel trace into the canonical profile."""
     from . import profile_ingest
 
-    log_text = _read_text(cudnn_log, ProfileFormatError) if cudnn_log else ""
-    kern_text = _read_text(kernels, ProfileFormatError) if kernels else ""
+    log_text = read_text(cudnn_log, ProfileFormatError) if cudnn_log else ""
+    kern_text = read_text(kernels, ProfileFormatError) if kernels else ""
     prof = profile_ingest.build_profile(
         model, system, batch, latency_ms, log_text, kern_text, strict=strict)
     with open(out, "w", encoding="utf-8") as fh:
@@ -370,7 +357,7 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
     if profile_path:
         from . import profile_ingest
 
-        prof = profile_ingest.parse_profile(_read_text(profile_path, ProfileFormatError))
+        prof = profile_ingest.parse_profile(read_text(profile_path, ProfileFormatError))
         prof_sysid = synth_runner.load_system_profile(prof.system_id).system_id
         if (prof_sysid, prof.batch) != (sysid, batch):
             raise ConfigError(f"profile {profile_path} is of system {prof_sysid!r} at batch "

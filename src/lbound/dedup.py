@@ -29,7 +29,7 @@ from .model_ir import (
     ACTIVATION_OPS,
     DTYPES,
     POOL_OPS,
-    LayerNode,
+    Layer,
     ModelGraph,
     TensorShape,
     infer_layer,
@@ -138,34 +138,30 @@ def _build(op_type: str, dtype: str, in_dims, params) -> LayerSignature:
                           tuple(params), canonical, h)
 
 
-def signature(layer: LayerNode, dtype: str) -> LayerSignature:
-    """Canonical signature of a shape-inferred layer.
+def signature(layer: Layer, dtype: str) -> LayerSignature:
+    """Canonical signature of one inferred layer.
 
     Independent of node id, graph position, and weight values.
     """
-    if layer.in_shapes is None or layer.out_shapes is None:
-        raise ShapeStateError(
-            f"node {layer.id!r} has no inferred shapes; run infer_shapes first"
-        )
-    in_dims = tuple(s.dims for s in layer.in_shapes)
     params = tuple((k, layer.params[k]) for k in sorted(layer.params))
-    return _build(layer.op_type, dtype, in_dims, params)
+    return _build(layer.op_type, dtype, layer.in_dims, params)
 
 
 def layer_signatures(graph: ModelGraph, dtype: str) -> list[LayerSignature]:
     """The graph's signature table at ``dtype``: one signature per unique layer.
 
-    Indexed by ``LayerNode.layer``, so every node of a layer reads the same
-    signature object. Built with one :func:`signature` call per layer on
-    first use and kept on the graph, so each (graph, dtype) builds it once.
+    Nodes hold what was loaded and layers hold what inference found, so the
+    table is indexed like ``graph.layers``: a node reads its signature at
+    ``graph.layer_of[node_id]``. Built with one :func:`signature` call per
+    layer on first use and kept on the graph, so each (graph, dtype) builds
+    it once; a graph without a layer table raises ``ShapeStateError``.
     """
     table = graph.signatures.get(dtype)
     if table is None:
         if graph.nodes and not graph.layers:
             raise ShapeStateError(
                 f"graph {graph.name!r} has no layer table; run infer_shapes first")
-        table = graph.signatures[dtype] = [signature(graph.nodes[nid], dtype)
-                                           for nid in graph.layers]
+        table = graph.signatures[dtype] = [signature(layer, dtype) for layer in graph.layers]
     return table
 
 

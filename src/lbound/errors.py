@@ -79,3 +79,16 @@ class MissError(LboundError):
         preview = "; ".join(distinct[:4])
         more = f" (+{len(distinct) - 4} more)" if len(distinct) > 4 else ""
         super().__init__(f"{len(distinct)} benchmark result(s) missing: {preview}{more}")
+
+
+def read_text(path, error: type[LboundError]) -> str:
+    """The text of an outside file; an unreadable or non-UTF-8 file raises ``error``.
+
+    ``error`` is the class that the file's parser raises, so such a file
+    exits with the code of any other bad file of its kind.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc

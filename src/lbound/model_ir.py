@@ -3,13 +3,16 @@
 A model is a DAG of layer nodes. Two loaders produce the same IR: a binary
 ONNX-format reader (see :mod:`lbound.onnx_reader`) and a line-based text
 format used for fixtures and small experiments. Weight tensors are recorded
-by shape only; their values are discarded at load time. Graphs are treated
-as immutable after construction: ``infer_shapes`` returns a new graph, with
-its canonical-layer table (``ModelGraph.layers``); only the per-dtype
-signature cache that ``dedup.layer_signatures`` keeps on it fills later.
-Both loaders end in :func:`validate`, which owns the topological order: it
-stores its one :func:`topo_order` result as ``ModelGraph.order``, which
-``infer_shapes`` carries over and every walk over the graph reads.
+by shape only; their values are discarded at load time. Both loaders end in
+:func:`validate`, which stores its one :func:`topo_order` result as
+``ModelGraph.order``, which every walk over the graph reads.
+
+Nodes hold the edges and what was loaded; layers hold what inference found.
+:func:`infer_shapes` leaves the loaded graph alone and returns one over the
+same node objects with a layer table: one :class:`Layer` per unique layer in
+``ModelGraph.layers``, and each node's index into it in ``layer_of``. Graphs
+are immutable after construction; only the per-dtype signature cache that
+``dedup.layer_signatures`` keeps on a graph fills later.
 
 Each operator has one rule in the ``_RULES`` table. A rule takes the
 recorded params, the data-input dims and the node id, and returns the
@@ -77,7 +80,7 @@ class TensorShape:
 
 @dataclass
 class LayerNode:
-    """One layer operator.
+    """One operator as loaded: its op, recorded params and edges.
 
     ``input_ids`` reference producing nodes or named graph inputs; weight
     tensors never appear as edges, only as ``w<slot>`` shape params.
@@ -88,10 +91,17 @@ class LayerNode:
     params: dict = field(default_factory=dict)
     input_ids: list[str] = field(default_factory=list)
     output_ids: list[str] = field(default_factory=list)
-    in_shapes: list[TensorShape] | None = None
-    out_shapes: list[TensorShape] | None = None
-    macs: int = 0
-    layer: int | None = None  # index into ``ModelGraph.layers``, set by ``infer_shapes``
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One unique layer, as :func:`infer_layer` found it for its nodes."""
+
+    op_type: str
+    params: dict  # canonical params
+    in_dims: tuple[tuple[int, ...], ...]  # data inputs, in slot order
+    out_dims: tuple[int, ...]
+    macs: int
 
 
 @dataclass
@@ -101,10 +111,10 @@ class ModelGraph:
     graph_inputs: list[tuple[str, TensorShape]]
     graph_outputs: list[str]
     order: tuple[str, ...] = ()  # topological order of ``nodes``, set by ``validate``
-    # The canonical-layer table, set by ``infer_shapes``: the first node, in
-    # ``order``, of each unique layer. ``dedup.layer_signatures`` keeps its
-    # per-dtype signatures of those layers in ``signatures``.
-    layers: tuple[str, ...] = ()
+    # The layer table and each node's index into it, set by ``infer_shapes``;
+    # ``dedup.layer_signatures`` keeps per-dtype signatures of ``layers``.
+    layers: tuple[Layer, ...] = ()
+    layer_of: dict[str, int] = field(default_factory=dict)
     signatures: dict[str, list] = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -541,20 +551,20 @@ def _exact(value):
 
 
 def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
-    """Return a copy of ``graph`` with all shapes populated at ``batch``.
+    """Return ``graph`` at ``batch`` with its layer table.
 
     The leading dim of every graph input is the batch dim and is replaced
-    by ``batch``. Propagation follows ``graph.order``, which the copy keeps;
-    idempotent.
+    by ``batch``. The result shares ``graph``'s node objects and order and
+    adds ``layers`` and ``layer_of``; ``graph`` itself is left as it was.
+    Propagation follows ``graph.order``; idempotent.
 
     Layers are interned: ``infer_layer`` runs once per layer key, which is
-    (op, recorded params, input dims), and every node with that key shares
-    its canonical params dict, output ``TensorShape``, MAC count and layer
-    index (``LayerNode.layer``, into the copy's ``layers``). The key is
-    type-exact, because Python has ``1 == 1.0 == True`` and ``0.0 == -0.0``
-    while a signature renders each of them differently: an Opaque node with
-    ``foo=1`` must not take the layer of one with ``foo=1.0``. A node with a
-    recorded value that cannot be hashed is a layer of its own.
+    (op, recorded params, input dims), and every node with that key maps to
+    the same :class:`Layer`. The key is type-exact, because Python has
+    ``1 == 1.0 == True`` and ``0.0 == -0.0`` while a signature renders each
+    of them differently: an Opaque node with ``foo=1`` must not take the
+    layer of one with ``foo=1.0``. A node with a recorded value that cannot
+    be hashed is a layer of its own.
     """
     if batch < 1:
         raise ShapeInferenceError(f"batch must be >= 1, got {batch}")
@@ -564,48 +574,38 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
         (name, TensorShape((batch,) + s.dims[1:]))
         for name, s in graph.graph_inputs
     ]
-    by_name = dict(inputs)
-    nodes: dict[str, LayerNode] = {}
-    layers: list[str] = []
-    # layer key -> (canonical params, output shape, MACs, layer index)
-    interned: dict[tuple, tuple[dict, TensorShape, int, int]] = {}
+    by_name = {name: s.dims for name, s in inputs}
+    layers: list[Layer] = []
+    layer_of: dict[str, int] = {}
+    interned: dict[tuple, int] = {}  # layer key -> layer index
     for nid in graph.order:
         node = graph.nodes[nid]
         # validate checked every edge, and producers precede consumers in order.
-        in_shapes = [nodes[src].out_shapes[0] if src in nodes else by_name[src]
-                     for src in node.input_ids]
-        in_dims = [s.dims for s in in_shapes]
+        in_dims = tuple(layers[layer_of[src]].out_dims if src in layer_of else by_name[src]
+                        for src in node.input_ids)
         try:
             key = (node.op_type, tuple((k, _exact(v)) for k, v in node.params.items()),
-                   tuple(in_dims))
-            layer = interned.get(key)
+                   in_dims)
+            index = interned.get(key)
         except TypeError:
-            key = layer = None
-        if layer is None:
-            params, dims, n_macs = infer_layer(node.op_type, node.params, in_dims, nid)
-            layer = (params, TensorShape(dims), n_macs, len(layers))
-            layers.append(nid)
+            key = index = None
+        if index is None:
+            index = len(layers)
+            params, dims, n_macs = infer_layer(node.op_type, node.params, list(in_dims), nid)
+            layers.append(Layer(node.op_type, params, in_dims, dims, n_macs))
             if key is not None:
-                interned[key] = layer
-        params, shape, n_macs, index = layer
-        nodes[nid] = LayerNode(
-            id=nid, op_type=node.op_type, params=params, input_ids=list(node.input_ids),
-            output_ids=list(node.output_ids), in_shapes=in_shapes,
-            out_shapes=[shape], macs=n_macs, layer=index)
-    return ModelGraph(graph.name, nodes, inputs, list(graph.graph_outputs), graph.order,
-                      tuple(layers))
+                interned[key] = index
+        layer_of[nid] = index
+    return ModelGraph(graph.name, graph.nodes, inputs, graph.graph_outputs, graph.order,
+                      tuple(layers), layer_of)
 
 
 def macs(graph: ModelGraph) -> tuple[dict[str, int], int]:
     """Per-node MAC counts and their total; requires inferred shapes."""
-    per_node: dict[str, int] = {}
-    total = 0
-    for nid, node in graph.nodes.items():
-        if node.out_shapes is None or node.in_shapes is None:
-            raise ShapeStateError(f"node {nid!r} has no inferred shapes; run infer_shapes first")
-        per_node[nid] = node.macs
-        total += node.macs
-    return per_node, total
+    if graph.nodes and not graph.layers:
+        raise ShapeStateError(f"graph {graph.name!r} has no layer table; run infer_shapes first")
+    per_node = {nid: graph.layers[index].macs for nid, index in graph.layer_of.items()}
+    return per_node, sum(per_node.values())
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +719,22 @@ def load_model_file(path) -> ModelGraph:
 
     The ONNX reader is imported only when the file is binary.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ModelParseError(f"cannot read {path}: {exc}") from exc
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     try:
         text_head = data[:256].decode("utf-8")
     except UnicodeDecodeError:
         text_head = ""
     if text_head.lstrip().startswith(("graph", "input", "node", "#")):
-        return parse_text_model(data.decode("utf-8"), name=name)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelParseError(f"cannot read {path}: {exc}") from exc
+        return parse_text_model(text, name=name)
     from . import onnx_reader
 
     return onnx_reader.load_model(data, name=name)

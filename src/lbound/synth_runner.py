@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .benchgen import BenchmarkSpec, ConvAlgorithm
 from .dedup import LayerSignature
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .model_ir import DTYPE_BYTES, infer_layer, weight_elems
 from .perfdb import PerfRecord, make_record
 
@@ -174,8 +174,7 @@ def run_specs(specs: list[BenchmarkSpec], sys: SystemProfile, db,
 def load_system_profile(name_or_path: str) -> SystemProfile:
     """Load a profile from a JSON file or from the bundled system set."""
     if os.path.exists(name_or_path):
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            return _profile_from_json(fh.read())
+        return _profile_from_json(read_text(name_or_path, ConfigError))
     try:
         from importlib import resources
 

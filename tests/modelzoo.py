@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from lbound.model_ir import (
+    Layer,
     LayerNode,
     ModelGraph,
     TensorShape,
@@ -229,6 +230,11 @@ def thirty_model_family() -> list[tuple[str, str]]:
 
 def load(text: str, batch: int = 1) -> ModelGraph:
     return infer_shapes(parse_text_model(text), batch)
+
+
+def layer(graph: ModelGraph, nid: str) -> Layer:
+    """The layer-table record of node ``nid`` in an inferred graph."""
+    return graph.layers[graph.layer_of[nid]]
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,10 @@ def _no_traceback(res, code):
     assert isinstance(res.exception, SystemExit)
 
 
-@pytest.mark.parametrize("bad", ["non-utf8", "directory"])
+@pytest.mark.parametrize("bad", ["non-utf8", "non-utf8-past-256-bytes", "directory"])
 @pytest.mark.parametrize("args, code", [
+    (["process", "{f}"], 2),
+    (["bench", "--from-manifest", "{empty}", "--db", "{db}", "--system", "{f}", "--simulate"], 2),
     (["bench", "--from-manifest", "{f}"], 2),
     (["bench", "--from-misses", "{f}"], 2),
     (["db", "import", "{db}", "{f}"], 4),
@@ -130,20 +132,29 @@ def _no_traceback(res, code):
     (["profile", "convert", "--kernels", "{f}", "--latency-ms", "1", "--model", "m",
       "--system", "Tesla_V100", "-o", "{out}"], 2),
     (["analyze", "{model}", "--db", "{db}", "--system", "Tesla_V100", "--profile", "{f}"], 2),
-], ids=["manifest", "misses", "import", "cudnn-log", "kernels", "profile"])
+], ids=["model", "system", "manifest", "misses", "import", "cudnn-log", "kernels", "profile"])
 def test_an_unreadable_outside_file_exits_with_its_code(r18, tmp_path, args, code, bad):
+    """A directory, bytes that are not UTF-8, or a text-model head whose
+    bytes stop being UTF-8 past the 256 that the model loader sniffs."""
     model, db = r18
     path = tmp_path / "input"
     if bad == "directory":
         path.mkdir()
-    else:
+    elif bad == "non-utf8":
         path.write_bytes(b"\xff\xfe")
+    else:
+        path.write_bytes(b"graph m\n" + b"#" * 300 + b"\n\xff\n")
     copy = tmp_path / "perf.db"
     copy.write_bytes(db.read_bytes())
-    args = [a.format(f=path, db=copy, model=model, out=tmp_path / "out.prof") for a in args]
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    args = [a.format(f=path, db=copy, model=model, out=tmp_path / "out.prof", empty=empty)
+            for a in args]
     res = CliRunner().invoke(main, args)
     _no_traceback(res, code)
-    assert f"cannot read {path}" in res.output
+    # A model that is not text from its first byte is read as binary ONNX.
+    if (args[0], bad) != ("process", "non-utf8"):
+        assert f"cannot read {path}" in res.output
 
 
 @pytest.mark.parametrize("changes", [{"latency_us": float("nan")},

@@ -19,9 +19,9 @@ def oracle_unique(graphs, dtype="f32"):
     for g in graphs:
         sigs = set()
         for node in g.nodes.values():
-            key = (node.op_type, dtype,
-                   tuple(s.dims for s in node.in_shapes),
-                   tuple(sorted((k, repr(v)) for k, v in node.params.items())))
+            layer = mz.layer(g, node.id)
+            key = (node.op_type, dtype, layer.in_dims,
+                   tuple(sorted((k, repr(v)) for k, v in layer.params.items())))
             sigs.add(key)
         per_model.append(len(sigs))
         pooled |= sigs
@@ -41,24 +41,25 @@ class TestSignature:
                     "attrs=kernel=3x3;w1=4x3x3x3")
         b = mz.load("graph t\ninput d 1x3x8x8\nnode right Conv inputs=d "
                     "attrs=kernel=3x3;w1=4x3x3x3")
-        assert dedup.signature(a.nodes["left"], "f32") == dedup.signature(b.nodes["right"], "f32")
+        assert dedup.signature(mz.layer(a, "left"), "f32") \
+            == dedup.signature(mz.layer(b, "right"), "f32")
 
     def test_stride_changes_signature(self):
-        s1 = dedup.signature(_conv_graph(1).nodes["c"], "f32")
-        s2 = dedup.signature(_conv_graph(2).nodes["c"], "f32")
+        s1 = dedup.signature(mz.layer(_conv_graph(1), "c"), "f32")
+        s2 = dedup.signature(mz.layer(_conv_graph(2), "c"), "f32")
         assert s1 != s2
 
     def test_batch_changes_signature(self):
-        s1 = dedup.signature(_conv_graph(batch=1).nodes["c"], "f32")
-        s32 = dedup.signature(_conv_graph(batch=32).nodes["c"], "f32")
+        s1 = dedup.signature(mz.layer(_conv_graph(batch=1), "c"), "f32")
+        s32 = dedup.signature(mz.layer(_conv_graph(batch=32), "c"), "f32")
         assert s1 != s32
 
     def test_dtype_changes_signature(self):
-        node = _conv_graph().nodes["c"]
-        assert dedup.signature(node, "f32") != dedup.signature(node, "f16")
+        layer = mz.layer(_conv_graph(), "c")
+        assert dedup.signature(layer, "f32") != dedup.signature(layer, "f16")
 
     def test_canonical_string_layout(self):
-        sig = dedup.signature(_conv_graph().nodes["c"], "f32")
+        sig = dedup.signature(mz.layer(_conv_graph(), "c"), "f32")
         assert sig.canonical_string == (
             "Conv|f32|in=1x3x8x8|dilations=1x1,group=1,kernel=3x3,"
             "pads=1x1x1x1,strides=1x1,w1=4x3x3x3")
@@ -66,14 +67,14 @@ class TestSignature:
         int(sig.hash64, 16)  # hex
 
     def test_round_trip_parse(self):
-        sig = dedup.signature(_conv_graph().nodes["c"], "f32")
+        sig = dedup.signature(mz.layer(_conv_graph(), "c"), "f32")
         again = dedup.parse_signature(sig.canonical_string)
         assert again == sig
         assert again.param("group") == 1
         assert again.param("w1") == (4, 3, 3, 3)
 
     def test_parse_rejects_non_canonical(self):
-        sig = dedup.signature(_conv_graph().nodes["c"], "f32")
+        sig = dedup.signature(mz.layer(_conv_graph(), "c"), "f32")
         shuffled = sig.canonical_string.replace("dilations=1x1,group=1",
                                                 "group=1,dilations=1x1")
         with pytest.raises(ModelParseError):
@@ -82,7 +83,7 @@ class TestSignature:
             dedup.parse_signature(sig.canonical_string.replace("|f32|", "|f64|"))
 
     def test_with_dtype(self):
-        sig = dedup.signature(_conv_graph().nodes["c"], "f32")
+        sig = dedup.signature(mz.layer(_conv_graph(), "c"), "f32")
         f16 = sig.with_dtype("f16")
         assert f16.dtype == "f16"
         assert f16.canonical_string == sig.canonical_string.replace("|f32|", "|f16|")
@@ -91,19 +92,17 @@ class TestSignature:
     def test_requires_inferred_shapes(self):
         g = parse_text_model("graph t\ninput d 1x3x4x4\nnode a Relu inputs=d")
         with pytest.raises(ShapeStateError):
-            dedup.signature(g.nodes["a"], "f32")
-        with pytest.raises(ShapeStateError):
             dedup.unique_layers([g])
 
     def test_float_params_render_shortest_round_trip(self):
         g = mz.load("graph t\ninput d 1x3x4x4\nnode b BatchNorm inputs=d "
                     "attrs=w1=3;w2=3;w3=3;w4=3")
-        sig = dedup.signature(g.nodes["b"], "f32")
+        sig = dedup.signature(mz.layer(g, "b"), "f32")
         assert "epsilon=1e-05" in sig.canonical_string
 
     def test_string_params_are_escaped(self):
         g = mz.load("graph t\ninput d 1x3x4x4\nnode x Weird|Op inputs=d")
-        sig = dedup.signature(g.nodes["x"], "f32")
+        sig = dedup.signature(mz.layer(g, "x"), "f32")
         assert sig.canonical_string.count("|") == 3
         assert dedup.parse_signature(sig.canonical_string) == sig
 
@@ -116,15 +115,14 @@ def test_every_unique_layer_round_trips(name):
     """Parsed signatures equal the graph's, values and all, and cost its MACs.
 
     The family holds ResNet-18/50/152, the fusion tower and the coverage
-    fixture; ``node.macs`` is pinned to hand counts in ``test_model_ir``.
+    fixture; a layer's MACs are pinned to hand counts in ``test_model_ir``.
     """
-    graph = mz.load(_FAMILY[name])
-    nodes = {dedup.signature(node, "f32"): node for node in graph.nodes.values()}
-    for sig, node in nodes.items():
+    for layer in mz.load(_FAMILY[name]).layers:
+        sig = dedup.signature(layer, "f32")
         again = dedup.parse_signature(sig.canonical_string)
         assert again == sig
         assert dict(again.params) == dict(sig.params)
-        assert synth_runner.signature_cost(sig).macs == node.macs
+        assert synth_runner.signature_cost(sig).macs == layer.macs
 
 
 class TestApiTable:
@@ -256,11 +254,12 @@ def test_table_gives_each_node_its_own_signature(name):
         table = dedup.layer_signatures(graph, dtype)
         assert dedup.layer_signatures(graph, dtype) is table
         by_key: dict = {}
-        for node in graph.nodes.values():
-            sig = table[node.layer]
-            assert sig == dedup.signature(node, dtype)
-            key = (node.op_type, tuple(s.dims for s in node.in_shapes),
-                   tuple((k, type(v), repr(v)) for k, v in node.params.items()))
+        for nid, index in graph.layer_of.items():
+            layer = graph.layers[index]
+            sig = table[index]
+            assert sig == dedup.signature(layer, dtype)
+            key = (graph.nodes[nid].op_type, layer.in_dims,
+                   tuple((k, type(v), repr(v)) for k, v in layer.params.items()))
             assert by_key.setdefault(key, sig) is sig  # equal keys, one object
 
 
@@ -275,14 +274,14 @@ def test_opaque_values_that_compare_equal_keep_their_layers():
     validate(raw)
     graph = infer_shapes(raw, 1)
     # Only the last 1 shares a layer; each unhashable list is a layer of its own.
-    assert [graph.nodes[nid].layer for nid in ids] == list(range(len(values) - 1)) + [0]
+    assert [graph.layer_of[nid] for nid in ids] == list(range(len(values) - 1)) + [0]
     table = dedup.layer_signatures(graph, "f32")
     rendered = []
     for nid, v in zip(ids, values):
-        node = graph.nodes[nid]
-        assert type(node.params["foo"]) is type(v) and repr(node.params["foo"]) == repr(v)
-        assert table[node.layer] == dedup.signature(node, "f32")
-        rendered.append(table[node.layer].canonical_string.rsplit("|", 1)[1])
+        layer = mz.layer(graph, nid)
+        assert type(layer.params["foo"]) is type(v) and repr(layer.params["foo"]) == repr(v)
+        assert table[graph.layer_of[nid]] == dedup.signature(layer, "f32")
+        rendered.append(table[graph.layer_of[nid]].canonical_string.rsplit("|", 1)[1])
     assert rendered[:5] == ["foo=1", "foo=1.0", "foo=1", "foo=0.0", "foo=-0.0"]
 
 

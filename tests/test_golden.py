@@ -58,7 +58,7 @@ def _cudnn_log(model_text: str) -> str:
     lines = []
     convs = [nid for nid in topo_order(graph) if graph.nodes[nid].op_type == "Conv"]
     for i, nid in enumerate(convs):
-        x = graph.nodes[nid].in_shapes[0].render()
+        x = "x".join(map(str, mz.layer(graph, nid).in_dims[0]))
         if i == 3:
             x = "1x1x1x1"
         lines += ["I! CuDNN (v7605) function cudnnConvolutionForward() called:",

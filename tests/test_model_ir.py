@@ -34,49 +34,49 @@ def _single(op, attrs="", in_dims="1x3x224x224", extra="", batch=1):
 class TestShapeRules:
     def test_conv_7x7_stride2(self):
         g = _single("Conv", "kernel=7x7;strides=2x2;pads=3x3x3x3;w1=64x3x7x7")
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 64, 112, 112)
+        assert mz.layer(g, "n0").out_dims == (1, 64, 112, 112)
 
     def test_maxpool_3x3_stride2(self):
         g = _single("MaxPool", "kernel=3x3;strides=2x2;pads=1x1x1x1",
                     in_dims="1x64x112x112")
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 64, 56, 56)
+        assert mz.layer(g, "n0").out_dims == (1, 64, 56, 56)
 
     def test_gemm(self):
         g = _single("Gemm", "w1=2048x1000", in_dims="1x2048")
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 1000)
+        assert mz.layer(g, "n0").out_dims == (1, 1000)
 
     def test_gemm_transb(self):
         g = _single("Gemm", "transB=1;w1=1000x2048", in_dims="1x2048")
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 1000)
+        assert mz.layer(g, "n0").out_dims == (1, 1000)
 
     def test_conv_asymmetric_padding(self):
         g = _single("Conv", "kernel=3x3;strides=1x1;pads=1x1x0x0;w1=8x3x3x3",
                     in_dims="1x3x10x10")
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 8, 9, 9)
+        assert mz.layer(g, "n0").out_dims == (1, 8, 9, 9)
 
     def test_conv_dilation(self):
         g = _single("Conv", "kernel=3x3;dilations=2x2;w1=8x3x3x3",
                     in_dims="1x3x9x9")
         # effective kernel 5 -> 9 - 5 + 1
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 8, 5, 5)
+        assert mz.layer(g, "n0").out_dims == (1, 8, 5, 5)
 
     def test_conv_grouped(self):
         g = _single("Conv", "kernel=3x3;pads=1x1x1x1;group=8;w1=16x2x3x3",
                     in_dims="1x16x8x8")
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 16, 8, 8)
+        assert mz.layer(g, "n0").out_dims == (1, 16, 8, 8)
 
     def test_conv_filters_shorthand_matches_w1(self):
         a = _single("Conv", "kernel=3x3;filters=8", in_dims="1x4x8x8")
         b = _single("Conv", "kernel=3x3;w1=8x4x3x3", in_dims="1x4x8x8")
-        assert a.nodes["n0"].params == b.nodes["n0"].params
+        assert mz.layer(a, "n0").params == mz.layer(b, "n0").params
 
     def test_global_average_pool(self):
         g = _single("GlobalAveragePool", in_dims="1x64x7x7")
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 64, 1, 1)
+        assert mz.layer(g, "n0").out_dims == (1, 64, 1, 1)
 
     def test_elementwise_broadcast_bias(self):
         g = _single("Add", "w1=1x8x1x1", in_dims="1x8x4x4")
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 8, 4, 4)
+        assert mz.layer(g, "n0").out_dims == (1, 8, 4, 4)
 
     def test_elementwise_two_inputs(self):
         text = ("graph t\ninput data 1x8x4x4\n"
@@ -84,7 +84,7 @@ class TestShapeRules:
                 "node b Sigmoid inputs=data\n"
                 "node c Mul inputs=a,b")
         g = infer_shapes(parse_text_model(text), 1)
-        assert g.nodes["c"].out_shapes[0].dims == (1, 8, 4, 4)
+        assert mz.layer(g, "c").out_dims == (1, 8, 4, 4)
 
     def test_elementwise_mismatch_names_node_and_shapes(self):
         text = ("graph t\ninput data 1x8x4x4\n"
@@ -102,11 +102,11 @@ class TestShapeRules:
                 "node b Relu inputs=data\n"
                 "node c Concat inputs=a,b attrs=axis=1")
         g = infer_shapes(parse_text_model(text), 1)
-        assert g.nodes["c"].out_shapes[0].dims == (1, 16, 4, 4)
+        assert mz.layer(g, "c").out_dims == (1, 16, 4, 4)
 
     def test_reshape_with_minus_one(self):
         g = _single("Reshape", "shape=1x-1", in_dims="1x8x4x4")
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 128)
+        assert mz.layer(g, "n0").out_dims == (1, 128)
 
     def test_reshape_bad_target(self):
         with pytest.raises(ShapeInferenceError):
@@ -114,15 +114,15 @@ class TestShapeRules:
 
     def test_flatten(self):
         g = _single("Flatten", "axis=1", in_dims="2x8x4x4", batch=2)
-        assert g.nodes["n0"].out_shapes[0].dims == (2, 128)
+        assert mz.layer(g, "n0").out_dims == (2, 128)
 
     def test_unsqueeze_squeeze_transpose(self):
         g = _single("Unsqueeze", "axes=0", in_dims="3x4", batch=3)
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 3, 4)
+        assert mz.layer(g, "n0").out_dims == (1, 3, 4)
         g = _single("Squeeze", "axes=2", in_dims="2x3x1", batch=2)
-        assert g.nodes["n0"].out_shapes[0].dims == (2, 3)
+        assert mz.layer(g, "n0").out_dims == (2, 3)
         g = _single("Transpose", "perm=0x2x1", in_dims="1x3x5")
-        assert g.nodes["n0"].out_shapes[0].dims == (1, 5, 3)
+        assert mz.layer(g, "n0").out_dims == (1, 5, 3)
 
     # ONNX ranges for rank r: Flatten [-r, r], Softmax and Squeeze [-r, r-1],
     # Unsqueeze [-(r+k), r+k-1] for k axes.
@@ -167,7 +167,7 @@ class TestShapeRules:
                           ("BatchNorm", "w1=3;w2=3;w3=3;w4=3"),
                           ("Softmax", "axis=1"), ("Dropout", ""), ("Identity", "")):
             g = _single(op, attrs, in_dims="1x3x5x5")
-            assert g.nodes["n0"].out_shapes[0].dims == (1, 3, 5, 5), op
+            assert mz.layer(g, "n0").out_dims == (1, 3, 5, 5), op
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ShapeInferenceError):
@@ -261,13 +261,12 @@ class TestInference:
 
     def test_producer_consumer_shapes_agree(self):
         g = mz.load(mz.resnet_v1_text(18), batch=2)
+        inputs = {name: shape.dims for name, shape in g.graph_inputs}
         for node in g.nodes.values():
-            data_inputs = [s for s in node.input_ids if s in g.nodes]
-            for i, src in enumerate(node.input_ids):
-                if src in g.nodes:
-                    idx = node.input_ids.index(src)
-                    assert g.nodes[src].out_shapes[0] == node.in_shapes[idx]
-            assert data_inputs or node.in_shapes
+            in_dims = mz.layer(g, node.id).in_dims
+            assert len(in_dims) == len(node.input_ids)
+            for src, dims in zip(node.input_ids, in_dims):
+                assert dims == (mz.layer(g, src).out_dims if src in g.nodes else inputs[src])
 
     def test_batch_scales_leading_dim_and_macs(self):
         base = parse_text_model(mz.resnet_v1_text(18))
@@ -276,7 +275,7 @@ class TestInference:
         m1, total1 = macs(g1)
         m8, total8 = macs(g8)
         for nid, node in g1.nodes.items():
-            assert g8.nodes[nid].out_shapes[0].dims[0] == 8 * node.out_shapes[0].dims[0]
+            assert mz.layer(g8, nid).out_dims[0] == 8 * mz.layer(g1, nid).out_dims[0]
             if node.op_type in ("Conv", "Gemm"):
                 assert m8[nid] == 8 * m1[nid]
         assert total8 == 8 * total1
@@ -354,42 +353,68 @@ def _typed(params: dict) -> list:
     return [(k, exact(v)) for k, v in params.items()]
 
 
+def _alone(parsed, batch: int) -> dict[str, tuple]:
+    """Each node's (op, canonical params, input dims, output dims, MACs), from
+    ``infer_layer`` on that node alone; raises where a node cannot be inferred."""
+    dims = {in_name: (batch,) + shape.dims[1:] for in_name, shape in parsed.graph_inputs}
+    alone = {}
+    for nid in parsed.order:
+        raw = parsed.nodes[nid]
+        in_dims = [dims[src] for src in raw.input_ids]
+        params, dims[nid], n_macs = infer_layer(raw.op_type, raw.params, in_dims, nid)
+        alone[nid] = (raw.op_type, _typed(params), tuple(in_dims), dims[nid], n_macs)
+    return alone
+
+
+def _table(graph) -> dict[str, tuple]:
+    """Each node's layer record, in the form ``_alone`` gives."""
+    records = [(layer.op_type, _typed(layer.params), layer.in_dims, layer.out_dims, layer.macs)
+               for layer in graph.layers]
+    return {nid: records[index] for nid, index in graph.layer_of.items()}
+
+
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("name, text", mz.thirty_model_family(),
                          ids=[name for name, _ in mz.thirty_model_family()])
 def test_interned_inference_matches_per_node_inference(name, text, batch):
-    """Every node gets what ``infer_layer`` gives for that node alone.
+    """Every node's layer is what ``infer_layer`` gives for that node alone.
 
     Where a node cannot be inferred (mnist-cnn's literal Reshape at batch
     2), graph inference fails with the same message.
     """
     parsed = parse_text_model(text)
-    dims = {in_name: (batch,) + shape.dims[1:] for in_name, shape in parsed.graph_inputs}
-    alone = {}
     try:
-        for nid in parsed.order:
-            raw = parsed.nodes[nid]
-            in_dims = [dims[src] for src in raw.input_ids]
-            params, dims[nid], n_macs = infer_layer(raw.op_type, raw.params, in_dims, nid)
-            alone[nid] = (params, in_dims, n_macs)
+        alone = _alone(parsed, batch)
     except ShapeInferenceError as exc:
         with pytest.raises(ShapeInferenceError) as got:
             infer_shapes(parsed, batch)
         assert str(got.value) == str(exc)
         return
     graph = infer_shapes(parsed, batch)
-    for nid, (params, in_dims, n_macs) in alone.items():
-        node = graph.nodes[nid]
-        assert _typed(node.params) == _typed(params)
-        assert [s.dims for s in node.in_shapes] == in_dims
-        assert node.out_shapes[0].dims == dims[nid]
-        assert node.macs == n_macs
-    # Nodes of one layer share its params dict and output shape; the table
-    # names the first node of each layer in order.
-    first: dict[int, LayerNode] = {}
+    assert _table(graph) == alone
+    # Two nodes share a layer exactly when their keys (op, type-exact
+    # recorded params, input dims) are equal; layers are numbered in order
+    # of first use.
+    index_of: dict[tuple, int] = {}
     for nid in graph.order:
-        node = graph.nodes[nid]
-        head = first.setdefault(node.layer, node)
-        assert node.params is head.params and node.out_shapes[0] is head.out_shapes[0]
-    assert graph.layers == tuple(node.id for node in first.values())
+        raw = parsed.nodes[nid]
+        key = (raw.op_type, tuple(_typed(raw.params)), alone[nid][2])
+        assert index_of.setdefault(key, len(index_of)) == graph.layer_of[nid]
+    assert len(index_of) == len(graph.layers)
 
+
+def test_inference_shares_the_loaded_nodes_and_leaves_the_graph_alone():
+    loaded = parse_text_model(mz.resnet_v1_text(18))
+    loaded_nodes = dict(loaded.nodes)
+    before = [(n.op_type, _typed(n.params), list(n.input_ids), list(n.output_ids))
+              for n in loaded.nodes.values()]
+    inputs = list(loaded.graph_inputs)
+    for batch in (1, 8):
+        graph = infer_shapes(loaded, batch)
+        assert graph.nodes.keys() == loaded_nodes.keys()
+        assert all(graph.nodes[nid] is node for nid, node in loaded_nodes.items())
+        assert loaded.layers == () and loaded.layer_of == {}
+        assert _table(graph) == _alone(loaded, batch)
+    assert [(n.op_type, _typed(n.params), n.input_ids, n.output_ids)
+            for n in loaded.nodes.values()] == before
+    assert loaded.graph_inputs == inputs

@@ -6,6 +6,7 @@ import struct
 import pytest
 from click.testing import CliRunner
 
+import modelzoo as mz
 import onnx_wire as wire
 from lbound import dedup
 from lbound.cli import main
@@ -32,7 +33,7 @@ class TestWireDecoding:
 
     def test_shapes_infer_after_load(self):
         g = infer_shapes(load_model(wire.conv_relu_model()), 1)
-        assert g.nodes["conv1"].out_shapes[0].dims == (1, 4, 8, 8)
+        assert mz.layer(g, "conv1").out_dims == (1, 4, 8, 8)
         assert macs(g)[1] == 4 * 3 * 3 * 3 * 8 * 8
 
     def test_signature_matches_text_route(self):
@@ -44,8 +45,8 @@ class TestWireDecoding:
                 "attrs=kernel=3x3;strides=1x1;pads=1x1x1x1;w1=4x3x3x3;w2=4\n"
                 "node r Relu inputs=c")
         text_graph = infer_shapes(parse_text_model(text), 1)
-        sig_a = dedup.signature(onnx_graph.nodes["conv1"], "f32")
-        sig_b = dedup.signature(text_graph.nodes["c"], "f32")
+        sig_a = dedup.signature(mz.layer(onnx_graph, "conv1"), "f32")
+        sig_b = dedup.signature(mz.layer(text_graph, "c"), "f32")
         assert sig_a.canonical_string == sig_b.canonical_string
 
     def test_weight_values_do_not_change_identity(self):
@@ -60,7 +61,8 @@ class TestWireDecoding:
 
         g1 = infer_shapes(load_model(build(1.0)), 1)
         g2 = infer_shapes(load_model(build(2.0)), 1)
-        assert dedup.signature(g1.nodes["c"], "f32") == dedup.signature(g2.nodes["c"], "f32")
+        assert dedup.signature(mz.layer(g1, "c"), "f32") \
+            == dedup.signature(mz.layer(g2, "c"), "f32")
 
     def test_unsupported_op_becomes_opaque_edges_intact(self):
         custom = wire.node("FancyCustomOp", ["data"], ["mid"], name="x")
@@ -100,7 +102,7 @@ class TestWireDecoding:
         assert set(loaded.nodes) == {"rs"}
         assert loaded.nodes["rs"].params["shape"] == (1, -1)
         inferred = infer_shapes(loaded, 1)
-        assert inferred.nodes["rs"].out_shapes[0].dims == (1, 48)
+        assert mz.layer(inferred, "rs").out_dims == (1, 48)
 
     def test_initializer_reshape_raw_data(self):
         shape_t = wire.tensor("s", (2,), data_type=7, int64_values=[1, 48],
@@ -119,11 +121,11 @@ class TestWireDecoding:
         g = wire.graph([bn], [wire.value_info("data", (1, 3, 4, 4))],
                        [wire.value_info("out", (1, 3, 4, 4))], inits)
         loaded = infer_shapes(load_model(wire.model(g)), 1)
-        node = loaded.nodes["bn"]
-        assert node.op_type == "BatchNorm"
-        assert node.params["epsilon"] == pytest.approx(2e-5)
-        assert "momentum" not in node.params  # irrelevant at inference
-        assert node.params["w1"] == (3,)
+        layer = mz.layer(loaded, "bn")
+        assert loaded.nodes["bn"].op_type == layer.op_type == "BatchNorm"
+        assert layer.params["epsilon"] == pytest.approx(2e-5)
+        assert "momentum" not in layer.params  # irrelevant at inference
+        assert layer.params["w1"] == (3,)
 
     def test_symbolic_batch_dim_reads_as_one(self):
         # dim_param (symbolic) dims encode as empty Dimension messages here
@@ -135,7 +137,7 @@ class TestWireDecoding:
         g = wire.graph([relu], [vi], [wire.value_info("out", (1, 3, 4, 4))])
         loaded = load_model(wire.model(g))
         assert loaded.graph_inputs[0][1].dims == (1, 3, 4, 4)
-        assert infer_shapes(loaded, 8).nodes["r"].out_shapes[0].dims == (8, 3, 4, 4)
+        assert mz.layer(infer_shapes(loaded, 8), "r").out_dims == (8, 3, 4, 4)
 
 
 class TestWireErrors:
