@@ -187,9 +187,8 @@ def bench(models, from_manifest, from_misses, db_path, system_name, batch, dtype
                               else "--simulate needs --system")
         # Resolved before the open, so a bad --system leaves no database behind.
         system = synth_runner.load_system_profile(system_name)
-        scope = None if do_simulate else [system.system_id]  # a read-only delta reads one system
-        with perfdb.PerfDb(path, mode="rw" if do_simulate else "r", systems=scope) as db:
-            if delta:
+        with perfdb.PerfDb(path, mode="rw" if do_simulate else "r") as db:
+            if delta:  # through the index, decodes only the layers it checks
                 specs = benchgen.delta_specs(specs, db, system.system_id)
                 click.echo(f"delta: {len(specs)} spec(s) not yet in the database")
             if do_simulate:
@@ -363,7 +362,7 @@ def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms
             raise ConfigError(f"profile {profile_path} is of system {prof_sysid!r} at batch "
                               f"{prof.batch}, but the command analyzes {sysid!r} at batch {batch}")
     scenario = analyzer.Scenario(parallel, ideal_algo, fusion, tensor_core, layout)
-    with perfdb.PerfDb(_db_path(db_path), systems=[sysid]) as handle:
+    with perfdb.PerfDb(_db_path(db_path)) as handle:
         anns = analyzer.Annotator(graph, handle)
         try:
             report = analyzer.build_report(anns, sysid, dtype, batch, scenario, profile=prof,
@@ -433,7 +432,7 @@ def advise(model, db_path, systems, batch, dtype, costs, rank_by):
             cost_map[key.strip()] = cost
     if rank_by is None:
         rank_by = "cost" if cost_map else "latency"
-    with perfdb.PerfDb(_db_path(db_path), systems=system_list) as handle:
+    with perfdb.PerfDb(_db_path(db_path)) as handle:
         rows = analyzer.advise_systems(analyzer.Annotator(graph, handle), system_list,
                                        dtype, cost_per_hour=cost_map, rank_by=rank_by)
     for i, row in enumerate(rows, start=1):

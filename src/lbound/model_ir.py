@@ -36,6 +36,7 @@ given input slot, e.g. ``w1=64x3x7x7`` for a convolution filter.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import heapq
 import math
@@ -725,8 +726,8 @@ def load_model_file(path) -> ModelGraph:
     except OSError as exc:
         raise ModelParseError(f"cannot read {path}: {exc}") from exc
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    try:
-        text_head = data[:256].decode("utf-8")
+    try:  # incremental, so a character cut at byte 256 waits for its next byte
+        text_head = codecs.getincrementaldecoder("utf-8")().decode(data[:256])
     except UnicodeDecodeError:
         text_head = ""
     if text_head.lstrip().startswith(("graph", "input", "node", "#")):

@@ -57,29 +57,19 @@ An open trusts the index only when N is no larger than the file and the
 streamed sha256 of the file's first N bytes matches, so a stale index
 beside a deleted, rewritten or recreated file is ignored. A trusted index
 replaces reading those N bytes: the open keeps the raw index line of
-each system in its scope, counts included, and reads a system's line when
-it first touches that system (a read, a line past N, an insert). A
-layer's listed lines are read by offset and decoded on its first touch.
-Bytes past N go through the per-line scan below, line numbers continuing
-from the index's count; a line there of a listed layer first decodes that
-layer's listed lines. Lines that a writer checked are not checked again,
-but a listed line that does not decode into its layer raises
-``StorageError``.
+each system, counts included, and reads a system's line when it first
+touches that system (a read, a line past N, an insert). A layer's listed
+lines are read by offset and decoded on its first touch, so a command
+reads only the systems and layers it queries. Bytes past N go through the
+per-line scan below, line numbers continuing from the index's count; a
+line there of a listed layer first decodes that layer's listed lines.
+Lines that a writer checked are not checked again, but a listed line that
+does not decode into its layer raises ``StorageError``.
 
 Every line that no index covers is decoded at open, by the same loop for
 every open, so the open raises ``StorageError`` at the first bad one and
-names its line number. The torn-tail rules are the same for every open.
-
-A read-only open can be scoped to some systems: ``PerfDb(path,
-systems=...)`` keeps only their records, so ``len()``, ``records()``,
-``superseded`` and every query see only the scope; a scope on an ``rw``
-open raises ``StorageError``. ``_record_to_json`` fixes the key order and
-``db import`` re-serializes, so every line the writer produces starts
-``{"v":1,"system":"S",``. A scoped open skips a line that starts
-``{"v":1,"system":"`` undecoded when the string that follows holds no
-backslash and names a system out of scope. A line is assumed to name its
-system once, since the skip reads only the first name. The trade-off: a
-scoped open does not notice a bad line of another system.
+names its line number, whichever system it holds. The torn-tail rules are
+the same for every open.
 
 ``len()``, ``superseded`` and ``live_by_system()``, which ``db stats``
 prints, come from the index's counts and the lines decoded at open, so
@@ -100,7 +90,6 @@ import os
 import re
 import time
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .benchgen import FUSION_PATTERNS, BenchmarkSpec, ConvAlgorithm
@@ -111,9 +100,6 @@ from .model_ir import DTYPES, LAYOUTS
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
 _ALGO_RANK = {algo.name: rank for rank, algo in enumerate(ConvAlgorithm)}
 _FUSED_IDS = {p.id for p in FUSION_PATTERNS}
-# How every writer line starts, up to the first byte of its system string.
-_SYSTEM_AT = b'{"v":1,"system":"'
-_BACKSLASH, _NEWLINE = ord("\\"), ord("\n")  # ints, so ``in`` looks for one byte
 # How a system line of the layer index starts: the system name as a JSON
 # string, then its live and superseded counts. Compiled on first use,
 # through re's cache.
@@ -233,17 +219,15 @@ def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
 class PerfDb:
     """Open with mode "r" for a read-only snapshot or "rw" to insert.
 
-    ``systems`` scopes a read-only snapshot to those systems' records.
+    Every open holds every system; through the layer index it decodes only
+    the layers it reads.
     """
 
-    def __init__(self, path, mode: str = "r", systems: Iterable[str] | None = None):
+    def __init__(self, path, mode: str = "r"):
         if mode not in ("r", "rw"):
             raise StorageError(f"unknown db mode {mode!r}")
-        if systems is not None and mode != "r":
-            raise StorageError("a scoped database open is read-only")
         self.path = str(path)
         self.mode = mode
-        self.systems = None if systems is None else frozenset(systems)
         # (system, dtype, signature) -> {index key: live record}; empty while
         # the layer's live lines are only entries of the layer index, in _covered
         self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
@@ -280,10 +264,7 @@ class PerfDb:
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return  # empty snapshot; analyzer reports misses
-        scope = self.systems
-        names = {s.encode("utf-8", "surrogatepass") for s in scope or ()}
         writer = self._fh is not None
-        at = len(_SYSTEM_AT)
         torn = False
         raw = b""
         try:
@@ -291,10 +272,6 @@ class PerfDb:
             pos, lineno, sha = self._read_index(fh)
             for lineno, raw in enumerate(fh, start=lineno + 1):
                 start, pos = pos, pos + len(raw)
-                if raw.startswith(_SYSTEM_AT) and scope is not None:
-                    name = raw[at:raw.find(b'"', at)]
-                    if name not in names and _BACKSLASH not in name:
-                        continue  # another system's line
                 line = raw.strip()
                 if line:
                     try:
@@ -304,8 +281,7 @@ class PerfDb:
                             raise
                         torn = True  # only the last line can lack its newline
                         break
-                    if scope is None or rec.key.system in scope:
-                        self._put(rec, (start, len(raw) + (raw[-1] != _NEWLINE), lineno))
+                    self._put(rec, (start, len(raw) + (not raw.endswith(b"\n")), lineno))
                 if writer:
                     sha.update(raw)
             if writer:  # the next append must start a line
@@ -328,9 +304,9 @@ class PerfDb:
         """Trust ``<db>.idx`` if it describes a prefix of the file as it is now.
 
         Returns the byte length and the line count of that prefix and its
-        sha256, with ``fh`` right after it, and keeps the counts and raw
-        lines of its in-scope systems in ``_unread``. Without an index to
-        trust: (0, 0, a fresh sha256), with ``fh`` at the start.
+        sha256, with ``fh`` right after it, and keeps each system's counts
+        and raw line in ``_unread``. Without an index to trust: (0, 0, a
+        fresh sha256), with ``fh`` at the start.
         """
         sha = hashlib.sha256()
         try:
@@ -348,10 +324,8 @@ class PerfDb:
             unread, superseded = {}, 0
             for line in body.splitlines(keepends=True):
                 m = re.match(_SYSTEM_LINE, line)
-                name = json.loads(m[1])
                 superseded += int(m[3])
-                if self.systems is None or name in self.systems:
-                    unread[name] = (int(m[2]), int(m[3]), line)
+                unread[json.loads(m[1])] = (int(m[2]), int(m[3]), line)
             buf = memoryview(bytearray(min(n, _CHUNK)))
             left = n
             while left:  # streamed: the file is never held whole

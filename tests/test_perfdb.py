@@ -280,7 +280,7 @@ def _put_back(path, data: bytes, index: bytes | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scoped opens
+# Each system's reads in every index state
 # ---------------------------------------------------------------------------
 
 # Names that are prefixes of each other, need JSON escapes, or are not ASCII.
@@ -289,16 +289,6 @@ SCOPE_SYSTEMS = ("sysA", "sysAB", "", 'q"x', "b\\s", "Tésla", "\U0001f680")
 
 def _with_system(rec: PerfRecord, system: str) -> PerfRecord:
     return dataclasses.replace(rec, key=dataclasses.replace(rec.key, system=system))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(st.text(), st.sampled_from(SCOPE_SYSTEMS)), records())
-def test_writer_line_starts_with_its_scope_prefix(system, rec):
-    """The prefix that a scoped open reads to skip another system's line."""
-    rec = _with_system(rec, system)
-    line = _record_to_json(rec).encode()
-    prefix = b'{"v":1,"system":' + json.dumps(system).encode() + b","
-    assert line.startswith(prefix)
 
 
 def _hand_written(rec: PerfRecord, form: str) -> str:
@@ -359,59 +349,37 @@ def _best_or_miss(db: PerfDb, system, dtype, sig, **kw):
         return exc.keys
 
 
+def _answers(db: PerfDb, system: str) -> list:
+    """Every query and best of one system's layers, a miss as its keys."""
+    return [(db.query(system, dtype, sig),
+             [_best_or_miss(db, system, dtype, sig, layout=layout, fused=fused)
+              for layout, fused in itertools.product((None, *LAYOUTS), FUSED)])
+            for dtype, sig in itertools.product(DTYPES, SIGNATURES)]
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(db_texts(), db_texts(few_keys())),
-       st.lists(st.sets(st.sampled_from(SCOPE_SYSTEMS)), max_size=3), st.integers(0, 10**6))
-def test_scoped_open_equals_the_full_open_restricted_to_its_scope(text, drawn, cut):
+@given(st.one_of(db_texts(), db_texts(few_keys())), st.integers(0, 10**6))
+def test_each_system_reads_in_every_index_state_as_without_an_index(text, cut):
+    """Writer and hand-written lines; a fresh open per system, so each one is
+    the first system that its open touches."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "perf.db")
         data = text.encode("utf-8")
         _put_back(path, data, None)
-        with PerfDb(path) as first:
-            counts, live = (len(first), first.superseded), first.records()
+        with PerfDb(path) as bare:
+            counts, live = (len(bare), bare.superseded), bare.records()
+            answers = {system: _answers(bare, system) for system in SCOPE_SYSTEMS}
         ends = _accepted_ends(data)
         for state, index in _index_states(data, ends[cut % len(ends)], tmp).items():
             _put_back(path, data, index)
-            with PerfDb(path) as full:
-                assert (len(full), full.superseded) == counts, state
-                assert full.records() == live, state
-                for scope in [(), SCOPE_SYSTEMS, *((s,) for s in SCOPE_SYSTEMS), *drawn]:
-                    _check_scope(path, full, scope, [r for r in live if r.key.system in scope],
-                                 _superseded(text, scope), state)
-
-
-def _check_scope(path, full: PerfDb, scope, mine: list[PerfRecord], superseded: int,
-                 state: str) -> None:
-    with PerfDb(path, systems=scope) as db:
-        assert (len(db), db.superseded) == (len(mine), superseded), state  # before any read
-        for rec in mine:
-            assert db.record_for(rec.key) == full.record_for(rec.key) == rec, state
-        for system, dtype, sig in itertools.product(scope, DTYPES, SIGNATURES):
-            assert db.query(system, dtype, sig) == full.query(system, dtype, sig), state
-            for layout, fused in itertools.product((None, *LAYOUTS), FUSED):
-                assert _best_or_miss(db, system, dtype, sig, layout=layout, fused=fused) \
-                    == _best_or_miss(full, system, dtype, sig, layout=layout, fused=fused)
-        assert db.records() == mine, state
-        assert (len(db), db.superseded) == (len(mine), superseded), state
-    # A fresh scoped open read through records() alone decodes the same.
-    with PerfDb(path, systems=scope) as db:
-        assert db.records() == mine, state
-
-
-def _superseded(text: str, scope) -> int:
-    """Lines of ``scope`` whose index key an earlier line already had."""
-    seen, n = set(), 0
-    for line in text.splitlines(keepends=True):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # blank line or torn tail
-        key = (obj["system"], obj["dtype"], obj["signature"], obj["algorithm"],
-               obj["layout"], obj["fused"])
-        if key[0] in scope:
-            n += key in seen
-            seen.add(key)
-    return n
+            for system in SCOPE_SYSTEMS:
+                with PerfDb(path) as db:
+                    assert (len(db), db.superseded) == counts, state  # before any read
+                    assert _answers(db, system) == answers[system], (state, system)
+                    assert (len(db), db.superseded) == counts, state
+            with PerfDb(path) as db:
+                assert [db.record_for(rec.key) for rec in live] == live, state
+                assert db.records() == live, state
 
 
 def _replace_line(path, lineno: int, old: bytes, new: bytes) -> None:
@@ -421,17 +389,23 @@ def _replace_line(path, lineno: int, old: bytes, new: bytes) -> None:
     path.write_bytes(b"".join(lines))
 
 
-def test_a_bad_in_scope_line_fails_a_scoped_open(db_file):
+def test_a_bad_line_fails_every_open(db_file):
+    """Whichever system the line holds, past the index or with no index to trust."""
+    bad = _record_to_json(_with_system(_record(5), "sysB"))
+    with open(db_file, "a", encoding="utf-8") as fh:  # line 6, past the index of lines 1-5
+        fh.write(bad.replace('"latency_us":6.0,', '"latency_us":-1,') + "\n")
+    for mode in ("r", "rw"):
+        with pytest.raises(StorageError, match="line 6: ok record needs a positive"):
+            PerfDb(db_file, mode=mode)
     # Each line of db_file is its own layer; line 3 holds latency 3.0.
     _replace_line(db_file, 3, b'"latency_us":3.0,', b'"latency_us":-1,')
-    for scope in (None, ["sysA"]):
+    for mode in ("r", "rw"):
         with pytest.raises(StorageError, match="line 3: ok record needs a positive"):
-            PerfDb(db_file, systems=scope)
-    assert PerfDb(db_file, systems=["sysB"]).records() == []
+            PerfDb(db_file, mode=mode)
 
 
 # ---------------------------------------------------------------------------
-# Unscoped opens against decoding every line
+# Opens against decoding every line
 # ---------------------------------------------------------------------------
 
 METADATA = ({}, {"macs": 25690112, "bytes": 1500160, "model": "roofline-synthetic"},
@@ -546,7 +520,7 @@ def _lines(db: PerfDb) -> list[str]:
     return [_record_to_json(r) for r in db.records()]  # NaN timestamps compare equal here
 
 
-def _check_unscoped_opens(path, covered: int) -> None:
+def _check_opens(path, covered: int) -> None:
     """An ``r`` and an ``rw`` open in each index state, against the oracle.
 
     With no index and with a valid one, the writer then compacts and the
@@ -589,7 +563,7 @@ def test_unscoped_opens_agree_with_decoding_every_line(data, cut):
         with open(path, "wb") as fh:
             fh.write(data)
         ends = _accepted_ends(data)
-        _check_unscoped_opens(path, ends[cut % len(ends)])
+        _check_opens(path, ends[cut % len(ends)])
 
 
 def _damaged(line: bytes):
@@ -625,7 +599,7 @@ def test_unscoped_opens_agree_on_each_damaged_value(tmp_path):
             # index covers every line before it, or the whole file.
             data = b"".join(lines[:i] + [bad] + lines[i + 1:] + lines[:1])
             path.write_bytes(data)
-            _check_unscoped_opens(path, _accepted_ends(data)[-1])
+            _check_opens(path, _accepted_ends(data)[-1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -670,23 +644,30 @@ def test_a_writers_index_is_the_index_of_the_bytes_it_covers(batches):
 def test_an_open_through_the_index_decodes_only_the_layers_it_reads(db_file, monkeypatch):
     from lbound import perfdb
 
-    index = (db_file.parent / "perf.db.idx").read_bytes()  # covers lines 1-5
     with PerfDb(db_file, mode="rw") as db:
-        db.insert(_record(5))  # line 6: a new layer
-        db.insert(dataclasses.replace(_record(0), latency_us=9.0))  # line 7 supersedes line 1
+        for i in range(2):
+            db.insert(_with_system(_record(i), "sysB"))  # lines 6-7
+    index = (db_file.parent / "perf.db.idx").read_bytes()  # covers lines 1-7
+    with PerfDb(db_file, mode="rw") as db:
+        db.insert(_record(5))  # line 8: a new layer
+        db.insert(dataclasses.replace(_record(0), latency_us=9.0))  # line 9 supersedes line 1
     (db_file.parent / "perf.db.idx").write_bytes(index)
-    decoded = []
-    real = perfdb._record_from_json
+    decoded, systems = [], []
+    real, read_system = perfdb._record_from_json, PerfDb._read_system
     monkeypatch.setattr(perfdb, "_record_from_json",
                         lambda line, lineno: decoded.append(lineno) or real(line, lineno))
+    monkeypatch.setattr(PerfDb, "_read_system",
+                        lambda db, name: systems.append(name) or read_system(db, name))
     db = PerfDb(db_file)
     # The lines past the index are decoded at open; line 1 is decoded only
-    # because line 7 has its key.
-    assert decoded == [6, 7, 1]
-    assert (len(db), db.superseded, db.live_by_system()) == (6, 1, {"sysA": 6})
+    # because line 9 has its key.
+    assert (decoded, systems) == ([8, 9, 1], ["sysA"])
+    assert (len(db), db.superseded, db.live_by_system()) == (8, 1, {"sysA": 6, "sysB": 2})
     assert db.best("sysA", "f32", "Relu|f32|in=1x3|").latency_us == 4.0
-    assert decoded == [6, 7, 1, 4]
-    assert [r.latency_us for r in db.records()] == [9.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    # sysB's index line is still raw, and none of its lines is decoded.
+    assert (decoded, systems) == ([8, 9, 1, 4], ["sysA"])
+    assert [r.latency_us for r in db.records()] == [9.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 6.0]
+    assert (decoded, systems) == ([8, 9, 1, 4, 2, 3, 5, 6, 7], ["sysA", "sysB"])
     db.close()
     closed = PerfDb(db_file)
     closed.close()
@@ -840,7 +821,7 @@ def test_a_killed_writer_leaves_a_file_that_opens_as_it_would_without_an_index(t
                           capture_output=True, timeout=60)
     assert proc.returncode == -signal.SIGKILL, proc.stderr
     assert (tmp_path / "perf.db.idx").read_bytes() == index  # it covers the first writer's lines
-    opens = [dict(), dict(systems=["sysA"]), dict(systems=["sysB", "sysC"]), dict(mode="rw")]
+    opens = [dict(), dict(mode="rw")]
     for kw in opens + opens[:1]:  # the last open goes through the index the rw open wrote
         bare.write_bytes(path.read_bytes())
         with PerfDb(path, **kw) as db, PerfDb(bare, **kw) as without:
