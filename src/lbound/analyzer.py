@@ -51,38 +51,38 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .benchgen import fusion_candidates
 from .dedup import api_for_op, layer_signatures, render_value
 from .errors import ConfigError, CorrelationError, DomainError, MissError
-from .model_ir import LayerNode, ModelGraph
+from .model_ir import Frozen, LayerNode, ModelGraph
 from .perfdb import PerfDb, PerfRecord, RecordKey
 
 if TYPE_CHECKING:  # a profile is parsed, and profile_ingest imported, only with --profile
     from .profile_ingest import ApiCall, ExecutionProfile
 
 
-@dataclass
 class LatencyAnnotatedGraph:
-    graph: ModelGraph
-    latencies: dict[str, float]
-    chosen: dict[str, PerfRecord | None]
-    missing: list[str] = field(default_factory=list)
+    def __init__(self, graph: ModelGraph, latencies: dict[str, float],
+                 chosen: dict[str, PerfRecord | None], missing: list[str] | None = None):
+        self.graph = graph
+        self.latencies = latencies
+        self.chosen = chosen
+        self.missing = [] if missing is None else missing
 
 
-@dataclass
 class CriticalPath:
-    node_ids: list[str]
-    total_latency_us: float
+    def __init__(self, node_ids: list[str], total_latency_us: float):
+        self.node_ids = node_ids
+        self.total_latency_us = total_latency_us
 
 
-@dataclass
 class BenanzaRatio:
-    br: float
-    speedup: float
-    warning: str | None = None
+    def __init__(self, br: float, speedup: float, warning: str | None = None):
+        self.br = br
+        self.speedup = speedup
+        self.warning = warning
 
 
 def annotate(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
@@ -243,24 +243,26 @@ def benanza_ratio(lower_bound_us: float, measured_us: float) -> BenanzaRatio:
 # Q3: convolution algorithm selection
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AdviceEntry:
-    node: str
-    chosen: str
-    ideal: str
-    chosen_us: float
-    ideal_us: float
-    ratio: float
+    def __init__(self, node: str, chosen: str, ideal: str, chosen_us: float, ideal_us: float,
+                 ratio: float):
+        self.node = node
+        self.chosen = chosen
+        self.ideal = ideal
+        self.chosen_us = chosen_us
+        self.ideal_us = ideal_us
+        self.ratio = ratio
 
 
-@dataclass
 class AlgorithmAdvice:
-    entries: list[AdviceEntry]
-    unknown: list[str]  # node ids whose logged algorithm has no DB record
-    warnings: list[str]
-    lb_chosen_us: float
-    lb_ideal_us: float
-    aggregate_speedup: float
+    def __init__(self, entries: list[AdviceEntry], unknown: list[str], warnings: list[str],
+                 lb_chosen_us: float, lb_ideal_us: float, aggregate_speedup: float):
+        self.entries = entries
+        self.unknown = unknown  # node ids whose logged algorithm has no DB record
+        self.warnings = warnings
+        self.lb_chosen_us = lb_chosen_us
+        self.lb_ideal_us = lb_ideal_us
+        self.aggregate_speedup = aggregate_speedup
 
 
 def _logged_convs(anns: Annotator, profile: ExecutionProfile, system: str, dtype: str,
@@ -329,20 +331,21 @@ def algorithm_advice(profile: ExecutionProfile, anns: Annotator, system: str,
 # Q4: framework inefficiency inspection
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ExpectedCall:
-    node_id: str
-    api_name: str
-    params: dict[str, str]
+    def __init__(self, node_id: str, api_name: str, params: dict[str, str]):
+        self.node_id = node_id
+        self.api_name = api_name
+        self.params = params
 
 
-@dataclass
 class Deviation:
-    kind: str  # missing_call | extra_call | param_mismatch | foreign_api
-    #          # excessive_sync | unexpected_kernel
-    detail: str
-    count: int = 1
-    backtrace: list[str] | None = None
+    def __init__(self, kind: str, detail: str, count: int = 1,
+                 backtrace: list[str] | None = None):
+        self.kind = kind  # missing_call | extra_call | param_mismatch | foreign_api
+        #                 # excessive_sync | unexpected_kernel
+        self.detail = detail
+        self.count = count
+        self.backtrace = backtrace
 
 
 def expected_api_sequence(graph: ModelGraph) -> list[ExpectedCall]:
@@ -500,23 +503,25 @@ def framework_diff(profile: ExecutionProfile,
 # Q5: layer fusion
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FusionSiteResult:
-    pattern: str
-    members: tuple[str, ...]
-    applied: bool
-    fused_us: float | None
-    member_sum_us: float
-    profit_us: float  # signed; negative when fusing is slower
+    def __init__(self, pattern: str, members: tuple[str, ...], applied: bool,
+                 fused_us: float | None, member_sum_us: float, profit_us: float):
+        self.pattern = pattern
+        self.members = members
+        self.applied = applied
+        self.fused_us = fused_us
+        self.member_sum_us = member_sum_us
+        self.profit_us = profit_us  # signed; negative when fusing is slower
 
 
-@dataclass
 class FusionAnalysis:
-    unfused_lb_us: float
-    fused_lb_us: float
-    profit_ratio: float
-    fused_layer_count: int
-    sites: list[FusionSiteResult]
+    def __init__(self, unfused_lb_us: float, fused_lb_us: float, profit_ratio: float,
+                 fused_layer_count: int, sites: list[FusionSiteResult]):
+        self.unfused_lb_us = unfused_lb_us
+        self.fused_lb_us = fused_lb_us
+        self.profit_ratio = profit_ratio
+        self.fused_layer_count = fused_layer_count
+        self.sites = sites
 
 
 def fusion_analysis(anns: Annotator, system: str, dtype: str) -> FusionAnalysis:
@@ -538,13 +543,14 @@ def fusion_analysis(anns: Annotator, system: str, dtype: str) -> FusionAnalysis:
 # Q6: Tensor Cores
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TensorCoreAnalysis:
-    lb_f32_us: float
-    lb_f16_us: float
-    speedup: float
-    layout: str
-    tc_used_in_profile: bool | None
+    def __init__(self, lb_f32_us: float, lb_f16_us: float, speedup: float, layout: str,
+                 tc_used_in_profile: bool | None):
+        self.lb_f32_us = lb_f32_us
+        self.lb_f16_us = lb_f16_us
+        self.speedup = speedup
+        self.layout = layout
+        self.tc_used_in_profile = tc_used_in_profile
 
 
 def tensorcore_analysis(anns: Annotator, system: str, layout: str = "NCHW",
@@ -601,21 +607,30 @@ def apply(anns: Annotator, system: str, dtype: str, layout: str | None, *,
     return ann, latencies, sites
 
 
-@dataclass(frozen=True)
-class Scenario:
-    parallel: bool = False
-    ideal_algo: bool = True
-    fusion: bool = False
-    tensor_core: bool = False
-    layout: str = "NCHW"
+class Scenario(Frozen):
+    def __init__(self, parallel: bool = False, ideal_algo: bool = True, fusion: bool = False,
+                 tensor_core: bool = False, layout: str = "NCHW"):
+        self._set("parallel", parallel)
+        self._set("ideal_algo", ideal_algo)
+        self._set("fusion", fusion)
+        self._set("tensor_core", tensor_core)
+        self._set("layout", layout)
+
+    def __eq__(self, other):
+        if not isinstance(other, Scenario):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
-@dataclass
 class JointAnalysis:
-    scenario: Scenario
-    dtype: str
-    lb_us: float
-    speedup: float | None  # vs measured, when a measurement is available
+    def __init__(self, scenario: Scenario, dtype: str, lb_us: float, speedup: float | None):
+        self.scenario = scenario
+        self.dtype = dtype
+        self.lb_us = lb_us
+        self.speedup = speedup  # vs measured, when a measurement is available
 
 
 def joint_analysis(anns: Annotator, system: str, scenario: Scenario,
@@ -647,13 +662,14 @@ def joint_analysis(anns: Annotator, system: str, scenario: Scenario,
 # Cross-system advising
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SystemAdvice:
-    system: str
-    lb_us: float
-    cost_score: float | None
-    covered: int  # supported layers (nodes) with a database record
-    supported: int  # layers with a cuDNN/cuBLAS mapping
+    def __init__(self, system: str, lb_us: float, cost_score: float | None, covered: int,
+                 supported: int):
+        self.system = system
+        self.lb_us = lb_us
+        self.cost_score = cost_score
+        self.covered = covered  # supported layers (nodes) with a database record
+        self.supported = supported  # layers with a cuDNN/cuBLAS mapping
 
     @property
     def has_misses(self) -> bool:
@@ -692,24 +708,32 @@ def advise_systems(anns: Annotator, systems: list[str], dtype: str,
 # Report assembly and rendering
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AnalysisReport:
-    model: str
-    system: str
-    batch: int
-    dtype: str
-    lb_sequential_us: float
-    lb_parallel_us: float
-    critical_path: list[str]
-    measured_ms: float | None = None
-    br_sequential: BenanzaRatio | None = None
-    br_parallel: BenanzaRatio | None = None
-    missing: list[str] = field(default_factory=list)
-    algorithm_advice: AlgorithmAdvice | None = None
-    framework_deviations: list[Deviation] | None = None
-    fusion: FusionAnalysis | None = None
-    tensorcore: TensorCoreAnalysis | None = None
-    joint: JointAnalysis | None = None
+    def __init__(self, model: str, system: str, batch: int, dtype: str,
+                 lb_sequential_us: float, lb_parallel_us: float, critical_path: list[str],
+                 measured_ms: float | None = None, br_sequential: BenanzaRatio | None = None,
+                 br_parallel: BenanzaRatio | None = None, missing: list[str] | None = None,
+                 algorithm_advice: AlgorithmAdvice | None = None,
+                 framework_deviations: list[Deviation] | None = None,
+                 fusion: FusionAnalysis | None = None,
+                 tensorcore: TensorCoreAnalysis | None = None,
+                 joint: JointAnalysis | None = None):
+        self.model = model
+        self.system = system
+        self.batch = batch
+        self.dtype = dtype
+        self.lb_sequential_us = lb_sequential_us
+        self.lb_parallel_us = lb_parallel_us
+        self.critical_path = critical_path
+        self.measured_ms = measured_ms
+        self.br_sequential = br_sequential
+        self.br_parallel = br_parallel
+        self.missing = [] if missing is None else missing
+        self.algorithm_advice = algorithm_advice
+        self.framework_deviations = framework_deviations
+        self.fusion = fusion
+        self.tensorcore = tensorcore
+        self.joint = joint
 
 
 def build_report(anns: Annotator, system: str, dtype: str, batch: int, scenario: Scenario,
@@ -763,8 +787,9 @@ _OPTIONAL = ("algorithm_advice", "framework_deviations", "fusion", "tensorcore",
 def report_to_json(report: AnalysisReport) -> str:
     """Deterministic structured rendering; latencies stay in microseconds.
 
-    The report dataclasses' field names and order are the JSON keys; nested
-    dataclasses render through ``vars``, so nothing is copied first.
+    Each report record's attributes, in the order its ``__init__`` stores
+    them, are the JSON keys; nested records render through ``vars``, so
+    nothing is copied first.
     """
     obj = {k: v for k, v in vars(report).items() if v is not None or k not in _OPTIONAL}
     return json.dumps(obj, separators=(",", ":"), default=vars) + "\n"

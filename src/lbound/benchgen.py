@@ -19,13 +19,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .dedup import (API_TABLE, ApiMapping, LayerSignature, api_for_op, layer_signatures,
                     parse_signature, render_value)
 from .errors import ConfigError, LboundError, ModelParseError
-from .model_ir import ACTIVATION_OPS, DTYPES, LAYOUTS, ModelGraph, infer_layer, is_weight_key
+from .model_ir import (ACTIVATION_OPS, DTYPES, LAYOUTS, Frozen, ModelGraph, infer_layer,
+                       is_weight_key)
 
 
 class ConvAlgorithm(Enum):
@@ -49,12 +49,12 @@ class ConvAlgorithm(Enum):
 ALGO_BY_TOKEN = {algo.token: algo for algo in ConvAlgorithm}
 
 
-@dataclass(frozen=True)
-class FusionPattern:
+class FusionPattern(Frozen):
     """A fusable layer sequence; each element lists acceptable op types."""
 
-    id: str
-    ops: tuple[tuple[str, ...], ...]
+    def __init__(self, id: str, ops: tuple[tuple[str, ...], ...]):
+        self._set("id", id)
+        self._set("ops", ops)
 
 
 # Longest pattern first, the order in which ``fusion_candidates`` tries them.
@@ -66,27 +66,25 @@ FUSION_PATTERNS = (
 )
 
 
-@dataclass(frozen=True)
-class BenchmarkSpec:
+class BenchmarkSpec(Frozen):
     """One benchmark of a layer; ``dtype`` and ``api`` derive from the rest."""
 
-    signature: LayerSignature
-    algorithm: ConvAlgorithm | None
-    layout: str
-    fused: str | None
-
-    def __post_init__(self):
-        if self.layout not in LAYOUTS:
-            raise ConfigError(f"unknown layout {self.layout!r}")
-        if self.fused is not None and self.fused not in (p.id for p in FUSION_PATTERNS):
-            raise ConfigError(f"unknown fusion pattern {self.fused!r}")
-        if api_for_op(self.signature.op_type) is None:
-            raise ConfigError(f"no library API for {self.signature.op_type} layer "
-                              f"{self.signature.canonical_string!r}")
-        if (self.algorithm is not None) + (self.fused is not None) \
-                != (self.signature.op_type == "Conv"):
-            raise ConfigError(f"{self.signature.op_type} spec: Conv takes one algorithm "
+    def __init__(self, signature: LayerSignature, algorithm: ConvAlgorithm | None,
+                 layout: str, fused: str | None):
+        if layout not in LAYOUTS:
+            raise ConfigError(f"unknown layout {layout!r}")
+        if fused is not None and fused not in (p.id for p in FUSION_PATTERNS):
+            raise ConfigError(f"unknown fusion pattern {fused!r}")
+        if api_for_op(signature.op_type) is None:
+            raise ConfigError(f"no library API for {signature.op_type} layer "
+                              f"{signature.canonical_string!r}")
+        if (algorithm is not None) + (fused is not None) != (signature.op_type == "Conv"):
+            raise ConfigError(f"{signature.op_type} spec: Conv takes one algorithm "
                               "or fused pattern, other ops neither")
+        self._set("signature", signature)
+        self._set("algorithm", algorithm)
+        self._set("layout", layout)
+        self._set("fused", fused)
 
     @property
     def dtype(self) -> str:
@@ -102,30 +100,31 @@ class BenchmarkSpec:
         return self.api.api_name
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    dtypes: tuple[str, ...] = ("f32", "f16")
-    layouts: tuple[str, ...] = ("NCHW",)
-    algorithms: tuple[ConvAlgorithm, ...] = tuple(ConvAlgorithm)
-
-    def __post_init__(self):
-        if not self.dtypes:
+class BenchConfig(Frozen):
+    def __init__(self, dtypes: tuple[str, ...] = ("f32", "f16"),
+                 layouts: tuple[str, ...] = ("NCHW",),
+                 algorithms: tuple[ConvAlgorithm, ...] = tuple(ConvAlgorithm)):
+        if not dtypes:
             raise ConfigError("config needs at least one dtype")
-        for d in self.dtypes:
+        for d in dtypes:
             if d not in DTYPES:
                 raise ConfigError(f"unknown dtype {d!r}")
-        for lay in self.layouts:
+        for lay in layouts:
             if lay not in LAYOUTS:
                 raise ConfigError(f"unknown layout {lay!r}")
+        self._set("dtypes", dtypes)
+        self._set("layouts", layouts)
+        self._set("algorithms", algorithms)
 
 
-@dataclass(frozen=True)
-class FusionSite:
+class FusionSite(Frozen):
     """One occurrence of a fusion pattern in a graph."""
 
-    head_signature: LayerSignature
-    pattern_id: str
-    member_ids: tuple[str, ...]
+    def __init__(self, head_signature: LayerSignature, pattern_id: str,
+                 member_ids: tuple[str, ...]):
+        self._set("head_signature", head_signature)
+        self._set("pattern_id", pattern_id)
+        self._set("member_ids", member_ids)
 
 
 def _is_bias_add(graph: ModelGraph, node) -> bool:

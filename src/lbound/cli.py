@@ -8,15 +8,15 @@ microseconds. ``LBOUND_DB`` sets the default database path.
 Every command is one short process, so start-up is part of its latency.
 A command imports the layer modules it calls inside its own body, and
 nothing heavy runs at import: ``--help`` loads only this module, ``errors``
-and ``model_ir``. A lazily imported layer is called through its module
-(``perfdb.PerfDb``), so a function replaced on its module is the one a
-command runs. :func:`run` is the process entry point; ``main`` is the
-Click group that in-process callers invoke.
+and ``model_ir``. No module builds a class from generated code at import:
+records are plain classes, not dataclasses. A lazily imported layer is
+called through its module (``perfdb.PerfDb``), so a function replaced on its
+module is the one a command runs. :func:`run` is the process entry point;
+``main`` is the Click group that in-process callers invoke.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import gc
 import math
@@ -225,7 +225,7 @@ def _specs_from_misses(path: str, config: BenchConfig):
         raise ConfigError(f"miss file {path} names no layer")
     return [spec for (dtype, layouts), sigs in sorted(groups.items())
             for spec in benchgen.generate_specs(
-                sigs, dataclasses.replace(config, dtypes=(dtype,), layouts=layouts))]
+                sigs, benchgen.BenchConfig((dtype,), layouts, config.algorithms))]
 
 
 # ---------------------------------------------------------------------------

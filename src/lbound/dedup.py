@@ -22,13 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 import urllib.parse
-from dataclasses import dataclass, field
 
 from .errors import ModelParseError, ShapeInferenceError, ShapeStateError
 from .model_ir import (
     ACTIVATION_OPS,
     DTYPES,
     POOL_OPS,
+    Frozen,
     Layer,
     ModelGraph,
     TensorShape,
@@ -40,12 +40,12 @@ from .model_ir import (
 # Layer-type -> library API mapping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApiMapping:
-    layer_type: str
-    api_name: str
-    library: str  # "cudnn" | "cublas" | "none"
-    tensor_core: bool
+class ApiMapping(Frozen):
+    def __init__(self, layer_type: str, api_name: str, library: str, tensor_core: bool):
+        self._set("layer_type", layer_type)
+        self._set("api_name", api_name)
+        self._set("library", library)  # "cudnn" | "cublas" | "none"
+        self._set("tensor_core", tensor_core)
 
 
 _ROWS = [
@@ -90,8 +90,7 @@ def api_for_op(op_type: str) -> ApiMapping | None:
 # Signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LayerSignature:
+class LayerSignature(Frozen):
     """The unique-layer key shared by spec generation, the database and the analyzer.
 
     ``params`` holds key-sorted (key, canonical value) pairs, the values that
@@ -100,12 +99,22 @@ class LayerSignature:
     ``canonical_string``.
     """
 
-    op_type: str = field(compare=False)
-    dtype: str = field(compare=False)
-    in_dims: tuple[tuple[int, ...], ...] = field(compare=False)
-    params: tuple[tuple[str, object], ...] = field(compare=False)
-    canonical_string: str
-    hash64: str = field(compare=False)
+    def __init__(self, op_type: str, dtype: str, in_dims: tuple[tuple[int, ...], ...],
+                 params: tuple[tuple[str, object], ...], canonical_string: str, hash64: str):
+        self._set("op_type", op_type)
+        self._set("dtype", dtype)
+        self._set("in_dims", in_dims)
+        self._set("params", params)
+        self._set("canonical_string", canonical_string)
+        self._set("hash64", hash64)
+
+    def __eq__(self, other):
+        if not isinstance(other, LayerSignature):
+            return NotImplemented
+        return self.canonical_string == other.canonical_string
+
+    def __hash__(self):
+        return hash(self.canonical_string)
 
     def with_dtype(self, dtype: str) -> "LayerSignature":
         if dtype == self.dtype:
@@ -201,22 +210,23 @@ def parse_signature(canonical: str) -> LayerSignature:
 # Unique-layer statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelLayerStats:
-    model: str
-    total: int
-    unique: int
+class ModelLayerStats(Frozen):
+    def __init__(self, model: str, total: int, unique: int):
+        self._set("model", model)
+        self._set("total", total)
+        self._set("unique", unique)
 
     @property
     def percent(self) -> float:
         return 100.0 * self.unique / self.total if self.total else 0.0
 
 
-@dataclass
 class UniqueLayerReport:
-    signatures: set[LayerSignature]
-    per_model: list[ModelLayerStats]
-    pooled: ModelLayerStats
+    def __init__(self, signatures: set[LayerSignature], per_model: list[ModelLayerStats],
+                 pooled: ModelLayerStats):
+        self.signatures = signatures
+        self.per_model = per_model
+        self.pooled = pooled
 
 
 def unique_layers(models: list[ModelGraph], dtype: str = "f32") -> UniqueLayerReport:
@@ -233,20 +243,20 @@ def unique_layers(models: list[ModelGraph], dtype: str = "f32") -> UniqueLayerRe
     return UniqueLayerReport(pooled, per_model, ModelLayerStats("pooled", total, len(pooled)))
 
 
-@dataclass(frozen=True)
-class OpCoverage:
-    op_type: str
-    count: int
-    supported: bool
-    share_percent: float
+class OpCoverage(Frozen):
+    def __init__(self, op_type: str, count: int, supported: bool, share_percent: float):
+        self._set("op_type", op_type)
+        self._set("count", count)
+        self._set("supported", supported)
+        self._set("share_percent", share_percent)
 
 
-@dataclass
 class CoverageReport:
-    model: str
-    total: int
-    supported: int
-    by_op: list[OpCoverage]
+    def __init__(self, model: str, total: int, supported: int, by_op: list[OpCoverage]):
+        self.model = model
+        self.total = total
+        self.supported = supported
+        self.by_op = by_op
 
     @property
     def percent(self) -> float:

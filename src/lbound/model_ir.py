@@ -41,7 +41,6 @@ import functools
 import heapq
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .errors import (
     GraphStructureError,
@@ -63,23 +62,38 @@ POOL_OPS = ("MaxPool", "AveragePool", "GlobalAveragePool")
 OP_ALIASES = {"BatchNormalization": "BatchNorm"}
 
 
-@dataclass(frozen=True)
-class TensorShape:
+class Frozen:
+    """Base of the immutable records: setting or deleting an attribute raises.
+
+    A subclass's ``__init__`` stores each field once, in declaration order,
+    through ``self._set``, which bypasses the refusal. Records are plain
+    classes rather than dataclasses, so defining one runs no generated code.
+    """
+
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class TensorShape(Frozen):
     """Shape of one activation tensor, NCHW order for 4-D tensors."""
 
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.dims) < 1:
-            raise ShapeInferenceError(f"rank must be >= 1, got {self.dims!r}")
-        if any(not isinstance(d, int) or d < 1 for d in self.dims):
-            raise ShapeInferenceError(f"all dims must be positive integers, got {self.dims!r}")
+    def __init__(self, dims: tuple[int, ...]):
+        if len(dims) < 1:
+            raise ShapeInferenceError(f"rank must be >= 1, got {dims!r}")
+        if any(not isinstance(d, int) or d < 1 for d in dims):
+            raise ShapeInferenceError(f"all dims must be positive integers, got {dims!r}")
+        self._set("dims", dims)
 
     def render(self) -> str:
         return "x".join(str(d) for d in self.dims)
 
 
-@dataclass
 class LayerNode:
     """One operator as loaded: its op, recorded params and edges.
 
@@ -87,36 +101,42 @@ class LayerNode:
     tensors never appear as edges, only as ``w<slot>`` shape params.
     """
 
-    id: str
-    op_type: str
-    params: dict = field(default_factory=dict)
-    input_ids: list[str] = field(default_factory=list)
-    output_ids: list[str] = field(default_factory=list)
+    def __init__(self, id: str, op_type: str, params: dict | None = None,
+                 input_ids: list[str] | None = None, output_ids: list[str] | None = None):
+        self.id = id
+        self.op_type = op_type
+        self.params = {} if params is None else params
+        self.input_ids = [] if input_ids is None else input_ids
+        self.output_ids = [] if output_ids is None else output_ids
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(Frozen):
     """One unique layer, as :func:`infer_layer` found it for its nodes."""
 
-    op_type: str
-    params: dict  # canonical params
-    in_dims: tuple[tuple[int, ...], ...]  # data inputs, in slot order
-    out_dims: tuple[int, ...]
-    macs: int
+    def __init__(self, op_type: str, params: dict, in_dims: tuple[tuple[int, ...], ...],
+                 out_dims: tuple[int, ...], macs: int):
+        self._set("op_type", op_type)
+        self._set("params", params)  # canonical params
+        self._set("in_dims", in_dims)  # data inputs, in slot order
+        self._set("out_dims", out_dims)
+        self._set("macs", macs)
 
 
-@dataclass
 class ModelGraph:
-    name: str
-    nodes: dict[str, LayerNode]
-    graph_inputs: list[tuple[str, TensorShape]]
-    graph_outputs: list[str]
-    order: tuple[str, ...] = ()  # topological order of ``nodes``, set by ``validate``
-    # The layer table and each node's index into it, set by ``infer_shapes``;
-    # ``dedup.layer_signatures`` keeps per-dtype signatures of ``layers``.
-    layers: tuple[Layer, ...] = ()
-    layer_of: dict[str, int] = field(default_factory=dict)
-    signatures: dict[str, list] = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, name: str, nodes: dict[str, LayerNode],
+                 graph_inputs: list[tuple[str, TensorShape]], graph_outputs: list[str],
+                 order: tuple[str, ...] = (), layers: tuple[Layer, ...] = (),
+                 layer_of: dict[str, int] | None = None):
+        self.name = name
+        self.nodes = nodes
+        self.graph_inputs = graph_inputs
+        self.graph_outputs = graph_outputs
+        self.order = order  # topological order of ``nodes``, set by ``validate``
+        # The layer table and each node's index into it, set by ``infer_shapes``;
+        # ``dedup.layer_signatures`` keeps per-dtype signatures of ``layers``.
+        self.layers = layers
+        self.layer_of = {} if layer_of is None else layer_of
+        self.signatures: dict[str, list] = {}
 
 
 def validate(graph: ModelGraph) -> None:

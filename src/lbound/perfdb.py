@@ -90,12 +90,11 @@ import os
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .benchgen import FUSION_PATTERNS, BenchmarkSpec, ConvAlgorithm
 from .dedup import LayerSignature
 from .errors import MissError, StorageError
-from .model_ir import DTYPES, LAYOUTS
+from .model_ir import DTYPES, LAYOUTS, Frozen
 
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
 _ALGO_RANK = {algo.name: rank for rank, algo in enumerate(ConvAlgorithm)}
@@ -108,15 +107,24 @@ _INDEX_VERSION = 1
 _CHUNK = 1 << 18  # bytes per read while hashing the file
 
 
-@dataclass(frozen=True)
-class RecordKey:
-    system: str
-    dtype: str
-    hash64: str
-    signature: str  # canonical string, authoritative
-    algorithm: str | None  # ConvAlgorithm name
-    layout: str
-    fused: str | None
+class RecordKey(Frozen):
+    def __init__(self, system: str, dtype: str, hash64: str, signature: str,
+                 algorithm: str | None, layout: str, fused: str | None):
+        self._set("system", system)
+        self._set("dtype", dtype)
+        self._set("hash64", hash64)
+        self._set("signature", signature)  # canonical string, authoritative
+        self._set("algorithm", algorithm)  # ConvAlgorithm name
+        self._set("layout", layout)
+        self._set("fused", fused)
+
+    def __eq__(self, other):
+        if not isinstance(other, RecordKey):
+            return NotImplemented
+        return self.hash64 == other.hash64 and self.index_key() == other.index_key()
+
+    def __hash__(self):
+        return hash(self.index_key())
 
     def index_key(self) -> tuple:
         return (self.system, self.dtype, self.signature, self.algorithm,
@@ -128,35 +136,35 @@ class RecordKey:
         return f"{self.system}/{self.dtype}/{self.layout}/{algo}/{fused}/{self.signature}"
 
 
-@dataclass
 class PerfRecord:
-    key: RecordKey
-    latency_us: float | None
-    status: str = "ok"  # "ok" | "unsupported"
-    metadata: dict = field(default_factory=dict)
-    source: str = "simulated"  # "simulated" | "imported"
-    timestamp: float = 0.0
-
-    def __post_init__(self):
-        if self.key.algorithm is not None and self.key.algorithm not in _ALGO_RANK:
-            raise StorageError(f"unknown algorithm {self.key.algorithm!r}")
-        if self.key.dtype not in DTYPES:
-            raise StorageError(f"unknown dtype {self.key.dtype!r}")
-        if self.key.layout not in LAYOUTS:
-            raise StorageError(f"unknown layout {self.key.layout!r}")
-        if self.key.fused is not None and self.key.fused not in _FUSED_IDS:
-            raise StorageError(f"unknown fusion pattern {self.key.fused!r}")
-        if isinstance(self.latency_us, bool):
-            raise StorageError(f"latency must be a number, got {self.latency_us!r}")
-        if self.status == "ok":
-            if self.latency_us is None or not 0 < self.latency_us < math.inf:
+    def __init__(self, key: RecordKey, latency_us: float | None, status: str = "ok",
+                 metadata: dict | None = None, source: str = "simulated",
+                 timestamp: float = 0.0):
+        if key.algorithm is not None and key.algorithm not in _ALGO_RANK:
+            raise StorageError(f"unknown algorithm {key.algorithm!r}")
+        if key.dtype not in DTYPES:
+            raise StorageError(f"unknown dtype {key.dtype!r}")
+        if key.layout not in LAYOUTS:
+            raise StorageError(f"unknown layout {key.layout!r}")
+        if key.fused is not None and key.fused not in _FUSED_IDS:
+            raise StorageError(f"unknown fusion pattern {key.fused!r}")
+        if isinstance(latency_us, bool):
+            raise StorageError(f"latency must be a number, got {latency_us!r}")
+        if status == "ok":
+            if latency_us is None or not 0 < latency_us < math.inf:
                 raise StorageError(
-                    f"ok record needs a positive finite latency, got {self.latency_us!r}")
-        elif self.status == "unsupported":
-            if self.latency_us is not None:
+                    f"ok record needs a positive finite latency, got {latency_us!r}")
+        elif status == "unsupported":
+            if latency_us is not None:
                 raise StorageError("unsupported record must not carry a latency")
         else:
-            raise StorageError(f"unknown record status {self.status!r}")
+            raise StorageError(f"unknown record status {status!r}")
+        self.key = key
+        self.latency_us = latency_us
+        self.status = status  # "ok" | "unsupported"
+        self.metadata = {} if metadata is None else metadata
+        self.source = source  # "simulated" | "imported"
+        self.timestamp = timestamp
 
 
 def key_for_spec(system: str, spec: BenchmarkSpec) -> RecordKey:

@@ -31,7 +31,6 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
 
 from .benchgen import ALGO_BY_TOKEN
 from .errors import ProfileFormatError
@@ -44,39 +43,39 @@ _HEADER = "lbound-profile v1"
 _TENSOR_CORE_RE = re.compile(r"_[ish][0-9]+")
 
 
-@dataclass
 class ApiCall:
-    seq: int
-    api_name: str
-    params: dict = field(default_factory=dict)
-    backtrace: list[str] | None = None
+    def __init__(self, seq: int, api_name: str, params: dict | None = None,
+                 backtrace: list[str] | None = None):
+        self.seq = seq
+        self.api_name = api_name
+        self.params = {} if params is None else params
+        self.backtrace = backtrace
 
 
-@dataclass
 class KernelRecord:
-    name: str
-    duration_us: float
-    seq_between: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if not 0 < self.duration_us < math.inf:
+    def __init__(self, name: str, duration_us: float,
+                 seq_between: tuple[int, int] | None = None):
+        if not 0 < duration_us < math.inf:
             raise ProfileFormatError(
-                f"kernel {self.name!r} needs a positive finite duration, got {self.duration_us}")
+                f"kernel {name!r} needs a positive finite duration, got {duration_us}")
+        self.name = name
+        self.duration_us = duration_us
+        self.seq_between = seq_between
 
 
-@dataclass
 class ExecutionProfile:
-    model: str
-    system_id: str
-    batch: int
-    measured_latency_ms: float
-    api_calls: list[ApiCall] = field(default_factory=list)
-    kernels: list[KernelRecord] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not 0 < self.measured_latency_ms < math.inf:
+    def __init__(self, model: str, system_id: str, batch: int, measured_latency_ms: float,
+                 api_calls: list[ApiCall] | None = None,
+                 kernels: list[KernelRecord] | None = None):
+        if not 0 < measured_latency_ms < math.inf:
             raise ProfileFormatError(
-                f"measured latency must be positive and finite, got {self.measured_latency_ms}")
+                f"measured latency must be positive and finite, got {measured_latency_ms}")
+        self.model = model
+        self.system_id = system_id
+        self.batch = batch
+        self.measured_latency_ms = measured_latency_ms
+        self.api_calls = [] if api_calls is None else api_calls
+        self.kernels = [] if kernels is None else kernels
 
 
 def detect_tensorcore(kernel_name: str) -> bool:

@@ -24,12 +24,11 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 from .benchgen import BenchmarkSpec, ConvAlgorithm
 from .dedup import LayerSignature
 from .errors import ConfigError, read_text
-from .model_ir import DTYPE_BYTES, infer_layer, weight_elems
+from .model_ir import DTYPE_BYTES, Frozen, infer_layer, weight_elems
 from .perfdb import PerfRecord, make_record
 
 DEFAULT_ALGO_FACTOR = {
@@ -46,37 +45,38 @@ DEFAULT_ALGO_FACTOR = {
 _WINOGRAD_PENALTY = 10.0
 
 
-@dataclass
 class SystemProfile:
     """A system's rates; it has Tensor Cores exactly when it has a tensor rate."""
 
-    system_id: str
-    fp32_tflops: float
-    mem_bw_gbps: float
-    tensor_tflops: float | None = None
-    kernel_overhead_us: float = 2.0
-    algo_factor: dict[ConvAlgorithm, float] = field(
-        default_factory=lambda: dict(DEFAULT_ALGO_FACTOR))
-
-    def __post_init__(self):
-        if not (0 < self.fp32_tflops < math.inf and 0 < self.mem_bw_gbps < math.inf):
-            raise ConfigError(f"system {self.system_id!r}: rates must be positive and finite")
-        if not 0 <= self.kernel_overhead_us < math.inf:
-            raise ConfigError(f"system {self.system_id!r}: overhead must be finite and >= 0")
-        if self.tensor_tflops is not None and not 0 < self.tensor_tflops < math.inf:
+    def __init__(self, system_id: str, fp32_tflops: float, mem_bw_gbps: float,
+                 tensor_tflops: float | None = None, kernel_overhead_us: float = 2.0,
+                 algo_factor: dict[ConvAlgorithm, float] | None = None):
+        if algo_factor is None:
+            algo_factor = dict(DEFAULT_ALGO_FACTOR)
+        if not (0 < fp32_tflops < math.inf and 0 < mem_bw_gbps < math.inf):
+            raise ConfigError(f"system {system_id!r}: rates must be positive and finite")
+        if not 0 <= kernel_overhead_us < math.inf:
+            raise ConfigError(f"system {system_id!r}: overhead must be finite and >= 0")
+        if tensor_tflops is not None and not 0 < tensor_tflops < math.inf:
             raise ConfigError(
-                f"system {self.system_id!r}: tensor_tflops must be positive and finite")
-        if not all(0 < v < math.inf for v in self.algo_factor.values()):
+                f"system {system_id!r}: tensor_tflops must be positive and finite")
+        if not all(0 < v < math.inf for v in algo_factor.values()):
             raise ConfigError(
-                f"system {self.system_id!r}: algo factors must be positive and finite")
+                f"system {system_id!r}: algo factors must be positive and finite")
+        self.system_id = system_id
+        self.fp32_tflops = fp32_tflops
+        self.mem_bw_gbps = mem_bw_gbps
+        self.tensor_tflops = tensor_tflops
+        self.kernel_overhead_us = kernel_overhead_us
+        self.algo_factor = algo_factor
 
 
-@dataclass(frozen=True)
-class SpecCost:
-    macs: int
-    in_elems: int
-    out_elems: int
-    weight_elems: int
+class SpecCost(Frozen):
+    def __init__(self, macs: int, in_elems: int, out_elems: int, weight_elems: int):
+        self._set("macs", macs)
+        self._set("in_elems", in_elems)
+        self._set("out_elems", out_elems)
+        self._set("weight_elems", weight_elems)
 
 
 def signature_cost(sig: LayerSignature) -> SpecCost:

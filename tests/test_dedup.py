@@ -58,6 +58,14 @@ class TestSignature:
         layer = mz.layer(_conv_graph(), "c")
         assert dedup.signature(layer, "f32") != dedup.signature(layer, "f16")
 
+    def test_equality_and_hash_read_only_the_canonical_string(self):
+        sig = dedup.signature(mz.layer(_conv_graph(), "c"), "f32")
+        same = dedup.LayerSignature("Relu", "f16", (), (), sig.canonical_string, "00")
+        other = dedup.LayerSignature(sig.op_type, sig.dtype, sig.in_dims, sig.params,
+                                     sig.canonical_string + ",x=1", sig.hash64)
+        assert same == sig and hash(same) == hash(sig) and len({sig, same}) == 1
+        assert other != sig and sig != sig.canonical_string
+
     def test_canonical_string_layout(self):
         sig = dedup.signature(mz.layer(_conv_graph(), "c"), "f32")
         assert sig.canonical_string == (

@@ -20,6 +20,7 @@ from lbound.model_ir import (
     topo_order,
     validate,
 )
+from records import fields
 
 
 def _single(op, attrs="", in_dims="1x3x224x224", extra="", batch=1):
@@ -257,7 +258,7 @@ class TestInference:
         g = parse_text_model(mz.resnet_v1_text(18))
         once = infer_shapes(g, 4)
         twice = infer_shapes(once, 4)
-        assert once == twice
+        assert fields(once) == fields(twice)
 
     def test_producer_consumer_shapes_agree(self):
         g = mz.load(mz.resnet_v1_text(18), batch=2)
@@ -290,7 +291,7 @@ class TestTextFormat:
     def test_round_trip(self):
         g = parse_text_model(mz.resnet_v1_text(50))
         again = parse_text_model(render_text_model(g))
-        assert again == g
+        assert fields(again) == fields(g)
 
     def test_bad_line_reports_line_number(self):
         with pytest.raises(ModelParseError) as exc:

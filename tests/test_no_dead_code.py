@@ -8,8 +8,10 @@ private method among them.
 A public function or class is dead when nothing in ``src/lbound``,
 ``tests/`` or ``bench/`` names it; Click commands are exempt, since the
 command line reaches them. Likewise an error class that no ``raise`` in
-the package names, and a dataclass or NamedTuple field that nothing in
-``src/lbound``, ``tests/`` or ``bench/`` reads as an attribute.
+the package names, and a record field that nothing in ``src/lbound``,
+``tests/`` or ``bench/`` reads as an attribute. A record is a NamedTuple or
+a class whose ``__init__`` stores each of its parameters; its fields are
+what that ``__init__`` stores.
 """
 
 from __future__ import annotations
@@ -94,20 +96,56 @@ def test_every_public_function_and_class_is_referenced():
     assert dead == []
 
 
+def _init(cls: ast.ClassDef) -> ast.FunctionDef | None:
+    return next((stmt for stmt in cls.body
+                 if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"), None)
+
+
+def _stored(init: ast.FunctionDef) -> set[str]:
+    """Attributes an ``__init__`` stores on ``self``: by assignment, or
+    through ``self._set("name", ...)`` in an immutable record."""
+    stored = set()
+    for node in ast.walk(init):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and isinstance(node.value, ast.Name) and node.value.id == "self":
+            stored.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "_set" and isinstance(node.args[0], ast.Constant):
+            stored.add(node.args[0].value)
+    return stored
+
+
+def _params(init: ast.FunctionDef) -> list[ast.arg]:
+    return init.args.args[1:] + init.args.kwonlyargs
+
+
 def _record_classes(tree: ast.Module) -> dict[str, ast.ClassDef]:
-    """Module-level dataclasses and NamedTuples, by name."""
+    """Module-level records by name: NamedTuples, and classes whose
+    ``__init__`` stores each of its parameters under its own name."""
     def is_record(stmt: ast.ClassDef) -> bool:
-        marks = [d.func if isinstance(d, ast.Call) else d for d in stmt.decorator_list]
-        marks += stmt.bases
-        return any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple")
-                   for m in marks)
+        if any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+               for base in stmt.bases):
+            return True
+        init = _init(stmt)
+        return init is not None and bool(_params(init)) \
+            and {arg.arg for arg in _params(init)} <= _stored(init)
     return {stmt.name: stmt for stmt in tree.body
             if isinstance(stmt, ast.ClassDef) and is_record(stmt)}
 
 
 def _fields(cls: ast.ClassDef) -> list[str]:
+    init = _init(cls)
+    if init is not None:
+        return sorted(_stored(init))
     return [stmt.target.id for stmt in cls.body
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _annotations(cls: ast.ClassDef) -> list[ast.expr]:
+    init = _init(cls)
+    if init is not None:
+        return [arg.annotation for arg in _params(init) if arg.annotation is not None]
+    return [stmt.annotation for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
 
 
 def _rendered_by_vars(classes: dict[str, ast.ClassDef], root: str) -> set[str]:
@@ -118,14 +156,14 @@ def _rendered_by_vars(classes: dict[str, ast.ClassDef], root: str) -> set[str]:
         if name in seen:
             continue
         seen.add(name)
-        todo += [node.id for stmt in classes[name].body if isinstance(stmt, ast.AnnAssign)
-                 for node in ast.walk(stmt.annotation)
+        todo += [node.id for annotation in _annotations(classes[name])
+                 for node in ast.walk(annotation)
                  if isinstance(node, ast.Name) and node.id in classes]
     return seen
 
 
 def test_every_record_field_is_read():
-    """A dataclass or NamedTuple field that nothing reads as an attribute is dead.
+    """A record field that nothing reads as an attribute is dead.
 
     ``report_to_json`` renders the analysis report and the records it holds
     through ``vars``, so the JSON reads their fields; they are exempt.

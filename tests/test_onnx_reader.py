@@ -11,7 +11,7 @@ import onnx_wire as wire
 from lbound import dedup
 from lbound.cli import main
 from lbound.errors import GraphStructureError, ModelParseError
-from lbound.model_ir import TensorShape, infer_shapes, load_model_file, macs, parse_text_model
+from lbound.model_ir import infer_shapes, load_model_file, macs, parse_text_model
 from lbound.onnx_reader import load_model
 
 
@@ -28,7 +28,7 @@ class TestWireDecoding:
         assert conv.params["kernel"] == (3, 3)
         relu = g.nodes["relu1"]
         assert relu.input_ids == ["conv1"]
-        assert g.graph_inputs == [("data", TensorShape((1, 3, 8, 8)))]
+        assert [(name, shape.dims) for name, shape in g.graph_inputs] == [("data", (1, 3, 8, 8))]
         assert g.graph_outputs == ["relu1"]
 
     def test_shapes_infer_after_load(self):

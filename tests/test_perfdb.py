@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import errno
 import functools
 import io
@@ -29,6 +28,7 @@ from lbound.perfdb import (
     _record_from_json,
     _record_to_json,
 )
+from records import fields
 
 SYSTEMS = ("sysA", "sysB")
 DTYPES = ("f32", "f16")
@@ -99,15 +99,15 @@ def test_index_matches_linear_scan(recs):
             assert len(db) == live
             assert db.superseded == len(recs) - live
             check_index(db, ALL_LAYERS)
-            before = db.records()
+            before = fields(db.records())
             with PerfDb(path) as snap:
-                assert snap.records() == before
+                assert fields(snap.records()) == before
                 check_index(snap, ALL_LAYERS)
             assert db.compact() == len(recs) - live
-            assert db.records() == before
+            assert fields(db.records()) == before
             check_index(db, ALL_LAYERS)
         with PerfDb(path) as snap:
-            assert snap.records() == before
+            assert fields(snap.records()) == before
             assert snap.superseded == 0
             check_index(snap, ALL_LAYERS)
 
@@ -287,8 +287,13 @@ def _put_back(path, data: bytes, index: bytes | None) -> None:
 SCOPE_SYSTEMS = ("sysA", "sysAB", "", 'q"x', "b\\s", "Tésla", "\U0001f680")
 
 
+def _changed(rec, **changes):
+    """A record or key like ``rec`` with ``changes``, built and checked anew."""
+    return type(rec)(**{**vars(rec), **changes})
+
+
 def _with_system(rec: PerfRecord, system: str) -> PerfRecord:
-    return dataclasses.replace(rec, key=dataclasses.replace(rec.key, system=system))
+    return _changed(rec, key=_changed(rec.key, system=system))
 
 
 def _hand_written(rec: PerfRecord, form: str) -> str:
@@ -332,7 +337,7 @@ def few_keys(draw):
 def db_texts(draw, recs=st.lists(records(SCOPE_SYSTEMS), max_size=40)):
     lines = []
     for i, rec in enumerate(draw(recs) + [draw(records(SCOPE_SYSTEMS))]):
-        rec = dataclasses.replace(rec, timestamp=float(i))  # a superseded record differs
+        rec = _changed(rec, timestamp=float(i))  # a superseded record differs
         form = draw(st.sampled_from(FORMS))
         lines.append(_record_to_json(rec) if form == "writer" else _hand_written(rec, form))
         if draw(st.integers(0, 9)) == 0:
@@ -368,18 +373,18 @@ def test_each_system_reads_in_every_index_state_as_without_an_index(text, cut):
         _put_back(path, data, None)
         with PerfDb(path) as bare:
             counts, live = (len(bare), bare.superseded), bare.records()
-            answers = {system: _answers(bare, system) for system in SCOPE_SYSTEMS}
+            answers = {system: fields(_answers(bare, system)) for system in SCOPE_SYSTEMS}
         ends = _accepted_ends(data)
         for state, index in _index_states(data, ends[cut % len(ends)], tmp).items():
             _put_back(path, data, index)
             for system in SCOPE_SYSTEMS:
                 with PerfDb(path) as db:
                     assert (len(db), db.superseded) == counts, state  # before any read
-                    assert _answers(db, system) == answers[system], (state, system)
+                    assert fields(_answers(db, system)) == answers[system], (state, system)
                     assert (len(db), db.superseded) == counts, state
             with PerfDb(path) as db:
-                assert [db.record_for(rec.key) for rec in live] == live, state
-                assert db.records() == live, state
+                assert fields([db.record_for(rec.key) for rec in live]) == fields(live), state
+                assert fields(db.records()) == fields(live), state
 
 
 def _replace_line(path, lineno: int, old: bytes, new: bytes) -> None:
@@ -421,7 +426,7 @@ def writer_lines(draw):
     for rec in draw(st.lists(st.sampled_from(pool), max_size=25)):
         latency = rec.latency_us and draw(st.one_of(
             st.floats(1e-300, 1e300), st.integers(1, 10**15)))
-        rec = dataclasses.replace(
+        rec = _changed(
             rec, latency_us=latency, metadata=draw(st.sampled_from(METADATA)),
             source=draw(st.sampled_from(("simulated", "imported", ""))),
             timestamp=draw(st.one_of(st.floats(0, 2e9), st.integers(0, 2 * 10**9))))
@@ -587,10 +592,10 @@ def test_unscoped_opens_agree_on_each_damaged_value(tmp_path):
     """Every value of three writer lines, damaged in each way that the fuzz above draws."""
     key = RecordKey("sysA", "f32", "00", SIGNATURES[0], "GEMM", "NCHW", None)
     recs = [PerfRecord(key, 2.5, metadata=METADATA[1], timestamp=1.5),
-            PerfRecord(dataclasses.replace(key, algorithm="FFT"), None, status="unsupported",
+            PerfRecord(_changed(key, algorithm="FFT"), None, status="unsupported",
                        metadata=METADATA[2]),
-            PerfRecord(dataclasses.replace(key, layout="NHWC"), 3, metadata=METADATA[3]),
-            PerfRecord(dataclasses.replace(key, fused="conv_bias"), 4.0, metadata=METADATA[4])]
+            PerfRecord(_changed(key, layout="NHWC"), 3, metadata=METADATA[3]),
+            PerfRecord(_changed(key, fused="conv_bias"), 4.0, metadata=METADATA[4])]
     lines = [_record_to_json(r).encode() + b"\n" for r in recs]
     path = tmp_path / "perf.db"
     for i, line in enumerate(lines):
@@ -650,7 +655,7 @@ def test_an_open_through_the_index_decodes_only_the_layers_it_reads(db_file, mon
     index = (db_file.parent / "perf.db.idx").read_bytes()  # covers lines 1-7
     with PerfDb(db_file, mode="rw") as db:
         db.insert(_record(5))  # line 8: a new layer
-        db.insert(dataclasses.replace(_record(0), latency_us=9.0))  # line 9 supersedes line 1
+        db.insert(_changed(_record(0), latency_us=9.0))  # line 9 supersedes line 1
     (db_file.parent / "perf.db.idx").write_bytes(index)
     decoded, systems = [], []
     real, read_system = perfdb._record_from_json, PerfDb._read_system
@@ -827,7 +832,7 @@ def test_a_killed_writer_leaves_a_file_that_opens_as_it_would_without_an_index(t
         with PerfDb(path, **kw) as db, PerfDb(bare, **kw) as without:
             counts = (len(db), db.superseded, db.live_by_system())
             assert counts == (len(without), without.superseded, without.live_by_system()), kw
-            assert db.records() == without.records(), kw
+            assert fields(db.records()) == fields(without.records()), kw
         assert path.read_bytes() == bare.read_bytes()
         (tmp_path / "bare.db.idx").unlink(missing_ok=True)
     # The rw open cut the torn tail and covered the rest in the index it wrote.

@@ -3,8 +3,10 @@
 Every command is one short process, so the layer modules it imports are
 part of its latency. Each command here runs through ``cli.run`` in a fresh
 interpreter, which then reports the ``lbound`` modules and whether
-``logging`` were loaded, and the collector's freeze count before and after
-``import lbound.cli`` and after the command. In-process callers invoke
+``logging`` and ``dataclasses`` were loaded, and the collector's freeze
+count before and after ``import lbound.cli`` and after the command. No
+command loads ``dataclasses``: records are plain classes, so defining one
+runs no generated code. In-process callers invoke
 ``main`` and never see a freeze.
 """
 
@@ -39,7 +41,7 @@ except SystemExit as exc:
 print(json.dumps({
     "code": code, "freeze": [before, imported, gc.get_freeze_count()],
     "modules": sorted(m for m in sys.modules if m.startswith("lbound.")),
-    "logging": "logging" in sys.modules}))
+    "logging": "logging" in sys.modules, "dataclasses": "dataclasses" in sys.modules}))
 """
 
 BASE = {"cli", "errors", "model_ir"}
@@ -104,6 +106,7 @@ def test_each_command_imports_only_the_layers_it_runs(files, case):
     got = _child([a.format(**files) for a in args], files["root"])
     assert got["modules"] == sorted(f"lbound.{m}" for m in layers)
     assert got["logging"] is logging
+    assert got["dataclasses"] is False
     # Importing the CLI freezes nothing; the process entry freezes on the way out.
     before, imported, after = got["freeze"]
     assert before == imported == 0 < after
