@@ -53,7 +53,6 @@ import json
 import math
 from typing import TYPE_CHECKING
 
-from .benchgen import fusion_candidates
 from .dedup import api_for_op, layer_signatures, render_value
 from .errors import ConfigError, CorrelationError, DomainError, MissError
 from .model_ir import Frozen, LayerNode, ModelGraph
@@ -589,7 +588,12 @@ def apply(anns: Annotator, system: str, dtype: str, layout: str | None, *,
             if rec is not None:
                 latencies[node.id] = rec.latency_us
     sites: list[FusionSiteResult] = []
-    for site in fusion_candidates(anns.graph, dtype) if fusion else ():
+    candidates = ()
+    if fusion:  # only a fusion scenario compiles spec generation
+        from . import benchgen
+
+        candidates = benchgen.fusion_candidates(anns.graph, dtype)
+    for site in candidates:
         member_sum = sum(latencies[m] for m in site.member_ids)
         try:
             rec = anns.db.best(system, dtype, site.head_signature,

@@ -19,51 +19,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-from enum import Enum
 
 from .dedup import (API_TABLE, ApiMapping, LayerSignature, api_for_op, layer_signatures,
                     parse_signature, render_value)
 from .errors import ConfigError, LboundError, ModelParseError
-from .model_ir import (ACTIVATION_OPS, DTYPES, LAYOUTS, Frozen, ModelGraph, infer_layer,
-                       is_weight_key)
-
-
-class ConvAlgorithm(Enum):
-    """The eight convolution algorithm choices, in library order."""
-
-    IGEMM = "IMPLICIT_GEMM"
-    IPGEMM = "IMPLICIT_PRECOMP_GEMM"
-    GEMM = "GEMM"
-    DRCT = "DIRECT"
-    FFT = "FFT"
-    TFFT = "FFT_TILING"
-    WING = "WINOGRAD"
-    WINGNF = "WINOGRAD_NONFUSED"
-
-    @property
-    def token(self) -> str:
-        """Full library constant, e.g. CUDNN_CONVOLUTION_FWD_ALGO_WINOGRAD."""
-        return f"CUDNN_CONVOLUTION_FWD_ALGO_{self.value}"
-
-
-ALGO_BY_TOKEN = {algo.token: algo for algo in ConvAlgorithm}
-
-
-class FusionPattern(Frozen):
-    """A fusable layer sequence; each element lists acceptable op types."""
-
-    def __init__(self, id: str, ops: tuple[tuple[str, ...], ...]):
-        self._set("id", id)
-        self._set("ops", ops)
-
-
-# Longest pattern first, the order in which ``fusion_candidates`` tries them.
-# Both run through the ConvBiasActivation API, bias-only fusion with an
-# identity activation.
-FUSION_PATTERNS = (
-    FusionPattern(id="conv_bias_act", ops=(("Conv",), ("Add",), ACTIVATION_OPS)),
-    FusionPattern(id="conv_bias", ops=(("Conv",), ("Add",))),
-)
+from .model_ir import (  # the vocabulary is re-bound here for spec callers
+    DTYPES, FUSION_PATTERNS, LAYOUTS, ConvAlgorithm, Frozen, FusionPattern, ModelGraph,
+    infer_layer, is_weight_key)
 
 
 class BenchmarkSpec(Frozen):

@@ -22,6 +22,11 @@ the op up there once. ``SUPPORTED_OPS`` is the table's key set; a loader
 turns any other op into ``Opaque``, which is kept for connectivity and
 excluded from lower-bound latency.
 
+The benchmark vocabulary lives here too, beside the dtypes, layouts and op
+groups: the convolution algorithms (``ConvAlgorithm``, ``ALGO_BY_TOKEN``) and
+the fusion patterns (``FUSION_PATTERNS``). The database and profile readers
+take it from this module, so reading never loads spec generation.
+
 Text model grammar (one directive per line, ``#`` starts a comment)::
 
     graph <name>
@@ -41,6 +46,7 @@ import functools
 import heapq
 import math
 from collections.abc import Callable
+from enum import Enum
 
 from .errors import (
     GraphStructureError,
@@ -78,6 +84,44 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ConvAlgorithm(Enum):
+    """The eight convolution algorithm choices, in library order."""
+
+    IGEMM = "IMPLICIT_GEMM"
+    IPGEMM = "IMPLICIT_PRECOMP_GEMM"
+    GEMM = "GEMM"
+    DRCT = "DIRECT"
+    FFT = "FFT"
+    TFFT = "FFT_TILING"
+    WING = "WINOGRAD"
+    WINGNF = "WINOGRAD_NONFUSED"
+
+    @property
+    def token(self) -> str:
+        """Full library constant, e.g. CUDNN_CONVOLUTION_FWD_ALGO_WINOGRAD."""
+        return f"CUDNN_CONVOLUTION_FWD_ALGO_{self.value}"
+
+
+ALGO_BY_TOKEN = {algo.token: algo for algo in ConvAlgorithm}
+
+
+class FusionPattern(Frozen):
+    """A fusable layer sequence; each element lists acceptable op types."""
+
+    def __init__(self, id: str, ops: tuple[tuple[str, ...], ...]):
+        self._set("id", id)
+        self._set("ops", ops)
+
+
+# Longest pattern first, the order in which ``benchgen.fusion_candidates``
+# tries them. Both run through the ConvBiasActivation API, bias-only fusion
+# with an identity activation.
+FUSION_PATTERNS = (
+    FusionPattern(id="conv_bias_act", ops=(("Conv",), ("Add",), ACTIVATION_OPS)),
+    FusionPattern(id="conv_bias", ops=(("Conv",), ("Add",))),
+)
 
 
 class TensorShape(Frozen):

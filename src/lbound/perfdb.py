@@ -56,15 +56,18 @@ writer live in ``perfdb_writer``, which only a writer imports.
 An open trusts the index only when N is no larger than the file and the
 streamed sha256 of the file's first N bytes matches, so a stale index
 beside a deleted, rewritten or recreated file is ignored. A trusted index
-replaces reading those N bytes: the open keeps the raw index line of
-each system, counts included, and reads a system's line when it first
-touches that system (a read, a line past N, an insert). A layer's listed
-lines are read by offset and decoded on its first touch, so a command
-reads only the systems and layers it queries. Bytes past N go through the
-per-line scan below, line numbers continuing from the index's count; a
-line there of a listed layer first decodes that layer's listed lines.
-Lines that a writer checked are not checked again, but a listed line that
-does not decode into its layer raises ``StorageError``.
+replaces reading those N bytes. The open checks and splits the index in
+one buffer and keeps, per system, its counts and where its line is. It
+reads a system's line from the index file when it first touches that
+system (a read, a line past N, an insert), and keeps that file open until
+every system line is read, so a writer's later index does not change what
+it reads. A layer's listed lines are read by offset and decoded on its
+first touch, so a command reads only the systems and layers it queries.
+Bytes past N go through the per-line scan below, line numbers continuing
+from the index's count; a line there of a listed layer first decodes
+that layer's listed lines. Lines that a writer checked are not checked
+again, but a listed line that does not decode into its layer raises
+``StorageError``.
 
 Every line that no index covers is decoded at open, by the same loop for
 every open, so the open raises ``StorageError`` at the first bad one and
@@ -90,11 +93,14 @@ import os
 import re
 import time
 from collections import Counter
+from typing import TYPE_CHECKING
 
-from .benchgen import FUSION_PATTERNS, BenchmarkSpec, ConvAlgorithm
-from .dedup import LayerSignature
 from .errors import MissError, StorageError
-from .model_ir import DTYPES, LAYOUTS, Frozen
+from .model_ir import DTYPES, FUSION_PATTERNS, LAYOUTS, ConvAlgorithm, Frozen
+
+if TYPE_CHECKING:  # a reader loads neither spec generation nor the signature code
+    from .benchgen import BenchmarkSpec
+    from .dedup import LayerSignature
 
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
 _ALGO_RANK = {algo.name: rank for rank, algo in enumerate(ConvAlgorithm)}
@@ -243,13 +249,14 @@ class PerfDb:
         # the live lines that the layer index lists, decoded on the layer's
         # first read
         self._covered: dict[tuple, list[int]] = {}
-        # system -> (live, superseded, raw line) of an index line not read yet
-        self._unread: dict[str, tuple[int, int, bytes]] = {}
+        # system -> (live, superseded, offset, length) of an index line not read yet
+        self._unread: dict[str, tuple[int, int, int, int]] = {}
         self._rank: dict[tuple, int] = {}  # layer -> its place in first-appearance order
         self._next_rank = 0
         self._superseded: Counter = Counter()  # replaced records still in the file, per system
         self._fh = None  # a writer's locked append handle
         self._rd = None  # the file, open while index entries are left to read
+        self._ix = None  # the layer index, open while system lines are left to read
         # A writer's account of the bytes it checked, for its index: where
         # each live line is, their end and line count, their sha256 (None
         # after a failed append) and how far the index on disk reaches.
@@ -313,27 +320,33 @@ class PerfDb:
 
         Returns the byte length and the line count of that prefix and its
         sha256, with ``fh`` right after it, and keeps each system's counts
-        and raw line in ``_unread``. Without an index to trust: (0, 0, a
-        fresh sha256), with ``fh`` at the start.
+        and the offset and length of its line in ``_unread``. Without an
+        index to trust: (0, 0, a fresh sha256), with ``fh`` at the start.
         """
         sha = hashlib.sha256()
+        ix = None
         try:
-            with open(self.path + ".idx", "rb") as idx:
-                data = idx.read()
-            data, digest = data[:-65], data[-65:]  # the last line: sha256 of the rest
-            if digest != hashlib.sha256(data).hexdigest().encode() + b"\n":
+            ix = open(self.path + ".idx", "rb")
+            data = ix.read()  # checked and split in place, never copied
+            end = len(data) - 65  # the last line: sha256 of the rest
+            if end < 0 or data[end:] != \
+                    hashlib.sha256(memoryview(data)[:end]).hexdigest().encode() + b"\n":
                 raise ValueError("a damaged index")
-            head, _, body = data.partition(b"\n")
-            meta = json.loads(head)
+            pos = data.index(b"\n", 0, end) + 1
+            meta = json.loads(data[:pos])
             n, lines, layers = meta["bytes"], meta["lines"], meta["layers"]
             if meta["v"] != _INDEX_VERSION or {type(n), type(lines), type(layers)} != {int} \
                     or not 0 <= n <= os.fstat(fh.fileno()).st_size:
                 raise ValueError("not this file's index")
             unread, superseded = {}, 0
-            for line in body.splitlines(keepends=True):
-                m = re.match(_SYSTEM_LINE, line)
+            system_line = re.compile(_SYSTEM_LINE)
+            while pos < end:
+                nl = data.index(b"\n", pos, end) + 1
+                m = system_line.match(data, pos, nl)
                 superseded += int(m[3])
-                unread[json.loads(m[1])] = (int(m[2]), int(m[3]), line)
+                unread[json.loads(m[1])] = (int(m[2]), int(m[3]), pos, nl - pos)
+                pos = nl
+            del data  # before the file's own buffer below
             buf = memoryview(bytearray(min(n, _CHUNK)))
             left = n
             while left:  # streamed: the file is never held whole
@@ -345,8 +358,14 @@ class PerfDb:
             if superseded != meta["superseded"] or sha.hexdigest() != meta["sha256"]:
                 raise ValueError("not this file's index")
         except (OSError, ValueError, KeyError, TypeError):
+            if ix is not None:
+                ix.close()
             fh.seek(0)
             return 0, 0, hashlib.sha256()
+        if unread:
+            self._ix = ix
+        else:
+            ix.close()
         self._unread, self._next_rank, self._indexed = unread, layers, n
         return n, lines, sha
 
@@ -359,7 +378,16 @@ class PerfDb:
 
     def _read_system(self, name: str) -> None:
         """Enter a system's layers from its index line; their records stay unread."""
-        _live, superseded, line = self._unread.pop(name)
+        if self._ix is None:
+            raise StorageError(f"database {self.path} is closed")
+        _live, superseded, off, size = self._unread.pop(name)
+        try:
+            line = os.pread(self._ix.fileno(), size, off)
+        except OSError as exc:
+            raise StorageError(f"cannot read database index {self.path}.idx: {exc}") from exc
+        if not self._unread:
+            self._ix.close()
+            self._ix = None
         try:
             for rank, dtype, signature, where in json.loads(line)[3]:
                 lkey = (name, dtype, signature)
@@ -410,6 +438,9 @@ class PerfDb:
         if self._rd is not None:
             self._rd.close()
             self._rd = None
+        if self._ix is not None:
+            self._ix.close()
+            self._ix = None
 
     def __enter__(self):
         return self
@@ -471,14 +502,14 @@ class PerfDb:
     @property
     def superseded(self) -> int:
         """Replaced records still in the file."""
-        return sum(self._superseded.values()) + sum(s for _l, s, _line in self._unread.values())
+        return sum(self._superseded.values()) + sum(entry[1] for entry in self._unread.values())
 
     def __len__(self) -> int:
         return sum(self.live_by_system().values())
 
     def live_by_system(self) -> Counter:
         """Live records per system, counted from the index; decodes nothing."""
-        counts = Counter({name: live for name, (live, _s, _line) in self._unread.items()})
+        counts = Counter({name: entry[0] for name, entry in self._unread.items()})
         for lkey, layer in self._by_layer.items():
             counts[lkey[0]] += len(layer) + len(self._covered.get(lkey, ())) // 3
         return counts
@@ -516,7 +547,7 @@ class PerfDb:
                     and (layout is None or rec.key.layout == layout):
                 return rec
         canonical = signature if isinstance(signature, str) else signature.canonical_string
-        h64 = signature.hash64 if isinstance(signature, LayerSignature) else ""
+        h64 = "" if isinstance(signature, str) else signature.hash64
         raise MissError([RecordKey(system, dtype, h64, canonical, None,
                                    layout or "NCHW", fused).render()])
 

@@ -13,9 +13,8 @@ import hashlib
 import json
 import os
 
-from .benchgen import BenchmarkSpec, ConvAlgorithm
-from .dedup import parse_signature
 from .errors import ConfigError, ModelParseError, StorageError
+from .model_ir import ConvAlgorithm
 from .perfdb import _CHUNK, _INDEX_VERSION, PerfDb, _record_from_json, key_for_spec
 
 
@@ -57,14 +56,15 @@ def write_index(db: PerfDb) -> None:
     """Write ``<db>.idx`` for the bytes the writer checked, through a temp file.
 
     The index is a pure function of those bytes. A system line not read
-    since the open is copied as it was. A failed write leaves the old
-    index, which still describes a prefix of the file.
+    since the open is copied byte for byte from the old index, which the
+    handle keeps open. A failed write leaves the old index, which still
+    describes a prefix of the file.
     """
-    systems = {name: line for name, (_live, _sup, line) in db._unread.items()}
     layers: dict[str, list] = {}
     for lkey in sorted(db._by_layer, key=db._rank.__getitem__):
         layers.setdefault(lkey[0], []).append(
             [db._rank[lkey], lkey[1], lkey[2], _where(db, lkey)])
+    systems = {}
     for name, entries in layers.items():
         live = sum(len(entry[3]) for entry in entries) // 3
         systems[name] = json.dumps([name, live, db._superseded[name], entries],
@@ -72,9 +72,11 @@ def write_index(db: PerfDb) -> None:
     head = json.dumps({"v": _INDEX_VERSION, "bytes": db._end, "lines": db._lines,
                        "sha256": db._sha.hexdigest(), "superseded": db.superseded,
                        "layers": db._next_rank}, separators=(",", ":"))
-    data = b"".join([head.encode(), b"\n", *(systems[name] for name in sorted(systems))])
     path = db.path + ".idx"
     try:
+        for name, (_live, _sup, off, size) in db._unread.items():  # read from the old index
+            systems[name] = os.pread(db._ix.fileno(), size, off)
+        data = b"".join([head.encode(), b"\n", *(systems[name] for name in sorted(systems))])
         with open(path + ".tmp", "wb") as out:
             out.write(data + hashlib.sha256(data).hexdigest().encode() + b"\n")
         os.replace(path + ".tmp", path)
@@ -88,6 +90,9 @@ def write_index(db: PerfDb) -> None:
 
 def import_lines(db: PerfDb, text: str) -> int:
     """Insert records from an external result file, each checked against its spec."""
+    from .benchgen import BenchmarkSpec  # only an import rebuilds specs
+    from .dedup import parse_signature
+
     parse = functools.cache(parse_signature)  # one parse per distinct signature
     n = 0
     for lineno, line in enumerate(text.splitlines(), start=1):

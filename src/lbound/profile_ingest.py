@@ -32,8 +32,8 @@ import logging
 import math
 import re
 
-from .benchgen import ALGO_BY_TOKEN
 from .errors import ProfileFormatError
+from .model_ir import ALGO_BY_TOKEN
 
 logger = logging.getLogger(__name__)
 

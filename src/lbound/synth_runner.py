@@ -24,12 +24,15 @@ import hashlib
 import json
 import math
 import os
+from typing import TYPE_CHECKING
 
-from .benchgen import BenchmarkSpec, ConvAlgorithm
-from .dedup import LayerSignature
 from .errors import ConfigError, read_text
-from .model_ir import DTYPE_BYTES, Frozen, infer_layer, weight_elems
+from .model_ir import DTYPE_BYTES, ConvAlgorithm, Frozen, infer_layer, weight_elems
 from .perfdb import PerfRecord, make_record
+
+if TYPE_CHECKING:
+    from .benchgen import BenchmarkSpec
+    from .dedup import LayerSignature
 
 DEFAULT_ALGO_FACTOR = {
     ConvAlgorithm.IPGEMM: 1.0,

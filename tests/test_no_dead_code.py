@@ -12,6 +12,10 @@ the package names, and a record field that nothing in ``src/lbound``,
 ``tests/`` or ``bench/`` reads as an attribute. A record is a NamedTuple or
 a class whose ``__init__`` stores each of its parameters; its fields are
 what that ``__init__`` stores.
+
+The benchmark's tracer (``bench/spans.py``) replaces each function it
+traces on its module and under every name bound to it in a module it
+lists, so no other module binds a traced function by name.
 """
 
 from __future__ import annotations
@@ -196,3 +200,37 @@ def test_every_error_class_is_raised():
     classes = [stmt.name for stmt in trees["errors.py"].body if isinstance(stmt, ast.ClassDef)]
     assert classes[0] == "LboundError"
     assert [name for name in classes[1:] if name not in raised] == []
+
+
+def _spans_table(name: str):
+    """A module-level literal of ``bench/spans.py``, read without importing it."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text("utf-8"))
+    return next(ast.literal_eval(stmt.value) for stmt in tree.body
+                if isinstance(stmt, ast.Assign) and _defined(stmt) == [name])
+
+
+def test_only_traced_layers_bind_a_traced_function_by_name():
+    """A name bound outside the tracer's ``LAYERS`` keeps the unpatched function.
+
+    Its calls would then drop out of the traced run without an error, so
+    every other module, the command modules among them, calls a traced
+    function through its module (``model_ir.load_model_file``).
+    """
+    layers, traced = _spans_table("LAYERS"), _spans_table("FUNCTIONS")
+    bound = []
+    for module, tree in _trees().items():
+        if module.removesuffix(".py") in layers:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source, names = node.module.removeprefix("lbound."), \
+                    [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                    and isinstance(node.value, ast.Attribute) \
+                    and isinstance(node.value.value, ast.Name):
+                source, names = node.value.value.id, [node.value.attr]
+            else:
+                continue
+            bound += [f"{module}:{source}.{name}" for name in names
+                      if name in traced.get(source, ())]
+    assert bound == []

@@ -680,6 +680,25 @@ def test_an_open_through_the_index_decodes_only_the_layers_it_reads(db_file, mon
         closed.query("sysA", "f32", "Relu|f32|in=1x1|")
 
 
+def test_a_reader_reads_system_lines_from_the_index_it_checked(db_file):
+    """A system line is read on first touch from the index file of the open,
+    even after a writer has replaced that file; the handle holds only where
+    each line is, and closes the index once every line is read."""
+    with PerfDb(db_file, mode="rw") as db:
+        db.insert(_with_system(_record(0), "sysB"))  # line 6
+    reader = PerfDb(db_file)
+    assert all(type(n) is int for entry in reader._unread.values() for n in entry)
+    with PerfDb(db_file, mode="rw") as db:  # its close writes a new index
+        db.insert(_with_system(_changed(_record(0), latency_us=9.0), "sysB"))
+        db.insert(_with_system(_record(1), "sysB"))
+    with reader:
+        assert [r.latency_us for r in reader.query("sysB", "f32", "Relu|f32|in=1x0|")] == [1.0]
+        assert reader._ix is not None  # sysA's line is left to read
+        assert [r.latency_us for r in reader.records()] == [1.0, 2.0, 3.0, 4.0, 5.0, 1.0]
+        assert reader._ix is None
+        assert (reader.superseded, reader.live_by_system()) == (0, {"sysA": 5, "sysB": 1})
+
+
 def test_a_failed_index_write_changes_no_result(tmp_path):
     path = tmp_path / "perf.db"
     (tmp_path / "perf.db.idx.tmp").mkdir()  # where the index is written first

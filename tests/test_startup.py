@@ -2,12 +2,16 @@
 
 Every command is one short process, so the layer modules it imports are
 part of its latency. Each command here runs through ``cli.run`` in a fresh
-interpreter, which then reports the ``lbound`` modules and whether
-``logging`` and ``dataclasses`` were loaded, and the collector's freeze
-count before and after ``import lbound.cli`` and after the command. No
-command loads ``dataclasses``: records are plain classes, so defining one
-runs no generated code. In-process callers invoke
-``main`` and never see a freeze.
+interpreter, which then reports the ``lbound`` modules and which of
+``logging``, ``dataclasses`` and ``hashlib`` were loaded, and the
+collector's freeze count before and after ``import lbound.cli`` and after
+the command. The group imports a command's module only when the command is
+dispatched, and a database or profile reader takes the algorithm and fusion
+vocabulary from ``model_ir``, so no reader loads ``benchgen``. No command
+loads ``dataclasses``: records are plain classes, so defining one runs no
+generated code. The same commands run as ``python -m lbound.cli`` load the
+same modules, and none of them imports ``lbound.cli``, so the entry module
+compiles once. In-process callers invoke ``main`` and never see a freeze.
 """
 
 from __future__ import annotations
@@ -41,11 +45,12 @@ except SystemExit as exc:
 print(json.dumps({
     "code": code, "freeze": [before, imported, gc.get_freeze_count()],
     "modules": sorted(m for m in sys.modules if m.startswith("lbound.")),
-    "logging": "logging" in sys.modules, "dataclasses": "dataclasses" in sys.modules}))
+    "stdlib": [m for m in ("logging", "dataclasses", "hashlib") if m in sys.modules]}))
 """
 
-BASE = {"cli", "errors", "model_ir"}
-DB_LAYERS = BASE | {"dedup", "benchgen", "perfdb"}
+BASE = {"cli", "cli_common", "errors", "model_ir"}
+COMMAND_MODULES = {"cli_analyze", "cli_bench", "cli_db", "cli_process", "cli_profile"}
+READERS = BASE | {"cli_analyze", "perfdb", "dedup", "analyzer"}
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +72,20 @@ def files(tmp_path_factory):
                                     "--latency-ms", "2", "--model", "resnet18-v1",
                                     "--system", "Tesla_V100", "-o", str(prof)])
     assert res.exit_code == 0, res.output
-    return {"model": str(model), "db": str(db), "prof": str(prof), "root": root}
+    copy = root / "compact.db"  # compacted by its case, so the others read ``db`` as built
+    copy.write_bytes(db.read_bytes())
+    return {"model": str(model), "db": str(db), "copy": str(copy), "prof": str(prof),
+            "root": root}
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def _child(args: list[str], cwd) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", _CHILD, *args], env=env, cwd=cwd,
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *args], env=_env(), cwd=cwd,
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
@@ -81,35 +93,55 @@ def _child(args: list[str], cwd) -> dict:
     return got
 
 
+# case: (arguments, lbound modules loaded, stdlib modules of note loaded)
 _CASES = {
-    "help": (["--help"], BASE, False),
-    "process": (["process", "{model}"], BASE | {"dedup"}, False),
+    "help": (["--help"], BASE | COMMAND_MODULES, []),
+    "process": (["process", "{model}"], BASE | {"cli_process", "dedup"}, ["hashlib"]),
     "bench-manifest": (["bench", "{model}", "--manifest", "specs.jsonl"],
-                       BASE | {"dedup", "benchgen"}, False),
+                       BASE | {"cli_bench", "dedup", "benchgen"}, ["hashlib"]),
     "profile-convert": (["profile", "convert", "--latency-ms", "2", "--model", "m",
                          "--system", "Tesla_V100", "-o", "out.prof"],
-                        BASE | {"dedup", "benchgen", "profile_ingest"}, True),
-    "db-stats": (["db", "stats", "{db}"], DB_LAYERS, False),
+                        BASE | {"cli_profile", "profile_ingest"}, ["logging"]),
+    "db-stats": (["db", "stats", "{db}"], BASE | {"cli_db", "perfdb"}, ["hashlib"]),
+    "db-compact": (["db", "compact", "{copy}"],
+                   BASE | {"cli_db", "perfdb", "perfdb_writer"}, ["hashlib"]),
     "advise": (["advise", "{model}", "--db", "{db}", "--systems", "Tesla_V100"],
-               DB_LAYERS | {"analyzer"}, False),
+               READERS, ["hashlib"]),
     "analyze": (["analyze", "{model}", "--db", "{db}", "--system", "Tesla_V100"],
-                DB_LAYERS | {"analyzer", "synth_runner"}, False),
+                READERS | {"synth_runner"}, ["hashlib"]),
+    "analyze-fusion": (["analyze", "{model}", "--db", "{db}", "--system", "Tesla_V100",
+                        "--fusion"],
+                       READERS | {"synth_runner", "benchgen"}, ["hashlib"]),
     "analyze-profile": (["analyze", "{model}", "--db", "{db}", "--system", "Tesla_V100",
                          "--profile", "{prof}"],
-                        DB_LAYERS | {"analyzer", "synth_runner", "profile_ingest"}, True),
+                        READERS | {"synth_runner", "profile_ingest"}, ["logging", "hashlib"]),
 }
 
 
 @pytest.mark.parametrize("case", list(_CASES))
 def test_each_command_imports_only_the_layers_it_runs(files, case):
-    args, layers, logging = _CASES[case]
+    args, layers, stdlib = _CASES[case]
     got = _child([a.format(**files) for a in args], files["root"])
     assert got["modules"] == sorted(f"lbound.{m}" for m in layers)
-    assert got["logging"] is logging
-    assert got["dataclasses"] is False
+    assert got["stdlib"] == stdlib
     # Importing the CLI freezes nothing; the process entry freezes on the way out.
     before, imported, after = got["freeze"]
     assert before == imported == 0 < after
+
+
+@pytest.mark.parametrize("case", ["analyze", "db-stats"])
+def test_the_entry_module_compiles_once(files, case):
+    """Run as ``python -m lbound.cli``, the file is ``__main__`` and nothing imports it again."""
+    args, layers, _stdlib = _CASES[case]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "lbound.cli",
+                           *(a.format(**files) for a in args)], env=_env(), cwd=files["root"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "lbound.cli" not in imported
+    assert sorted(m for m in imported if m.startswith("lbound.")) == \
+        sorted(f"lbound.{m}" for m in layers - {"cli"})
 
 
 def test_in_process_invocations_never_freeze(files):
