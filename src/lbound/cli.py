@@ -6,13 +6,14 @@ print in milliseconds with 3 decimals; structured output stays in
 microseconds. ``LBOUND_DB`` sets the default database path.
 
 Every command is one short process, so start-up is part of its latency,
-and a command compiles only the code it runs. This module holds the group
-and a table from each command name to the module that defines it; the
-group imports that module when the command is dispatched, as Click's
-lazily loaded subcommands do. A command therefore loads this module,
-``cli_common``, its own module and the layer modules its body imports,
-and ``--help``, which lists every command's summary, loads every command
-module, ``errors`` and ``model_ir``. The helpers the command modules
+and a command compiles only the code it runs. :func:`main` reads the first
+word and looks it up in ``_COMMANDS``, a table from each command name to
+the module that defines it and its one-line summary. Only that module is
+imported; its command function builds its own parser with the standard
+library's ``argparse``, and the package has no runtime dependency. A command
+therefore loads this module, ``cli_common``, its own module and the layer
+modules its body imports, and ``--help`` prints the summaries from the
+table, so it loads no command module. The helpers the command modules
 share live in ``cli_common``, since the process entry runs this file as
 ``__main__``: a command module importing ``lbound.cli`` would compile it a
 second time.
@@ -21,38 +22,47 @@ No module builds a class from generated code at import: records are plain
 classes, not dataclasses. A command module calls each layer function
 through its module (``model_ir.load_model_file``, ``perfdb.PerfDb``), so a
 function replaced on its module is the one a command runs. :func:`run` is
-the process entry point; ``main`` is the Click group that in-process
-callers invoke.
+the process entry point; in-process callers call :func:`main`.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 
-import click
+from .cli_common import _pick
 
-# Command name -> the module that defines it under that name.
-_COMMANDS = {"advise": "cli_analyze", "analyze": "cli_analyze", "bench": "cli_bench",
-             "db": "cli_db", "process": "cli_process", "profile": "cli_profile"}
+# Command name -> (the module that defines it under that name, its summary).
+_COMMANDS = {
+    "advise": ("cli_analyze", "Rank systems for a model by lower bound, optionally weighted "
+                              "by cost."),
+    "analyze": ("cli_analyze", "Compute lower bounds, Benanza Ratios, and optimization advice."),
+    "bench": ("cli_bench", "Generate benchmark specs; simulate them or emit source."),
+    "db": ("cli_db", "Inspect and maintain the performance database."),
+    "process": ("cli_process", "Parse models, infer shapes, and report unique-layer "
+                               "statistics."),
+    "profile": ("cli_profile", "Execution-profile utilities."),
+}
 
 
-class _LazyGroup(click.Group):
-    """A group whose commands are imported when they are looked up."""
+def main(argv: list[str] | None = None) -> None:
+    """Run the command that ``argv`` (default: ``sys.argv[1:]``) names.
 
-    def list_commands(self, ctx):
-        return sorted(_COMMANDS)
-
-    def get_command(self, ctx, cmd_name):
-        module = _COMMANDS.get(cmd_name)
-        if module is None:
-            return None  # Click reports "No such command"
+    A command that succeeds returns; one that fails raises ``SystemExit``
+    with its exit code, after writing its error to stderr.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = _pick("lbound", "Lower-bound latency benchmarking and analysis for DL model graphs.",
+                 {cmd: summary for cmd, (_module, summary) in _COMMANDS.items()}, argv)
+    if name is not None:
         # The import statement's own path, unlike importlib's, shows under -X importtime.
-        return getattr(__import__(f"{__package__}.{module}", fromlist=[cmd_name]), cmd_name)
+        module = __import__(f"{__package__}.{_COMMANDS[name][0]}", fromlist=[name])
+        getattr(module, name)(argv[1:])
 
 
-@click.group(cls=_LazyGroup)
-def main():
-    """Lower-bound latency benchmarking and analysis for DL model graphs."""
+# ``bench/harness.py`` calls ``main.main(args, prog_name=..., standalone_mode=False)``;
+# the keywords change nothing.
+main.main = lambda args, **_ignored: main(args)
 
 
 def run() -> None:

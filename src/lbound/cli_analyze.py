@@ -3,110 +3,115 @@
 from __future__ import annotations
 
 import math
+import sys
 
-import click
-
-from .cli_common import _db_path, _exit_codes, _load_inferred
-from .errors import ConfigError, MissError, ProfileFormatError, read_text
+from .cli_common import _DEFAULT, _db_path, _existing, _exit_codes, _load_inferred, _parser
+from .errors import ConfigError, MissError, ProfileFormatError, read_text, write_text
 from .model_ir import DTYPES, LAYOUTS
 
 
-@click.command()
-@click.argument("model", type=click.Path(exists=True))
-@click.option("--db", "db_path", default=None, help="Database path (or LBOUND_DB).")
-@click.option("--system", "system_name", required=True)
-@click.option("--batch", default=1, show_default=True, type=int)
-@click.option("--dtype", default="f32", show_default=True,
-              type=click.Choice(DTYPES))
-@click.option("--profile", "profile_path", type=click.Path(exists=True), default=None)
-@click.option("--measured-ms", type=float, default=None,
-              help="Measured latency when no profile is available.")
-@click.option("--parallel", is_flag=True, help="Joint scenario: parallel execution.")
-@click.option("--fusion", is_flag=True, help="Run the fusion analysis.")
-@click.option("--ideal-algo/--logged-algo", default=True, show_default=True,
-              help="Joint scenario: ideal vs logged algorithm selection.")
-@click.option("--tensor-core", is_flag=True, help="Run the tensor-core analysis.")
-@click.option("--layout", default="NCHW", show_default=True,
-              type=click.Choice(LAYOUTS))
-@click.option("--allow-missing", is_flag=True,
-              help="Treat database misses as zero-latency layers in every analysis.")
-@click.option("--out", "fmt", default="text", show_default=True,
-              type=click.Choice(["text", "json", "dot"]))
-@click.option("--out-file", type=click.Path(), default=None)
-@click.option("--miss-out", type=click.Path(), default=None,
-              help="Write missing keys to a file consumable by bench --from-misses.")
 @_exit_codes
-def analyze(model, db_path, system_name, batch, dtype, profile_path, measured_ms,
-            parallel, fusion, ideal_algo, tensor_core, layout, allow_missing,
-            fmt, out_file, miss_out):
+def analyze(argv: list[str]) -> None:
     """Compute lower bounds, Benanza Ratios, and optimization advice."""
+    p = _parser("analyze", analyze.__doc__)
+    p.add_argument("model", metavar="MODEL", type=_existing, help="Model file: text or ONNX.")
+    p.add_argument("--db", dest="db_path", metavar="PATH", help="Database path (or LBOUND_DB).")
+    p.add_argument("--system", dest="system_name", metavar="SYSTEM", required=True,
+                   help="System profile name or JSON path.")
+    p.add_argument("--batch", type=int, metavar="N", default=1, help=_DEFAULT)
+    p.add_argument("--dtype", choices=DTYPES, default="f32", help=_DEFAULT)
+    p.add_argument("--profile", dest="profile_path", metavar="PATH", type=_existing,
+                   help="Execution profile, from profile convert.")
+    p.add_argument("--measured-ms", type=float, metavar="MS",
+                   help="Measured latency when no profile is available.")
+    p.add_argument("--parallel", action="store_true", help="Joint scenario: parallel execution.")
+    p.add_argument("--fusion", action="store_true", help="Run the fusion analysis.")
+    p.add_argument("--ideal-algo", action="store_true", default=True,
+                   help="Joint scenario: ideal algorithm selection (the default).")
+    p.add_argument("--logged-algo", dest="ideal_algo", action="store_false",
+                   help="Joint scenario: the algorithms the profile logged.")
+    p.add_argument("--tensor-core", action="store_true", help="Run the tensor-core analysis.")
+    p.add_argument("--layout", choices=LAYOUTS, default="NCHW", help=_DEFAULT)
+    p.add_argument("--allow-missing", action="store_true",
+                   help="Treat database misses as zero-latency layers in every analysis.")
+    p.add_argument("--out", dest="fmt", choices=("text", "json", "dot"), default="text",
+                   help=_DEFAULT)
+    p.add_argument("--out-file", metavar="PATH", help="Write the report here, not to stdout.")
+    p.add_argument("--miss-out", metavar="PATH",
+                   help="Write missing keys to a file consumable by bench --from-misses.")
+    opts = p.parse_intermixed_args(argv)
+
     from . import analyzer, perfdb, synth_runner
 
-    graph = _load_inferred(model, batch)
-    sysid = synth_runner.load_system_profile(system_name).system_id
+    graph = _load_inferred(opts.model, opts.batch)
+    sysid = synth_runner.load_system_profile(opts.system_name).system_id
     prof = None
-    if profile_path:
+    if opts.profile_path:
         from . import profile_ingest
 
-        prof = profile_ingest.parse_profile(read_text(profile_path, ProfileFormatError))
+        prof = profile_ingest.parse_profile(read_text(opts.profile_path, ProfileFormatError))
         prof_sysid = synth_runner.load_system_profile(prof.system_id).system_id
-        if (prof_sysid, prof.batch) != (sysid, batch):
-            raise ConfigError(f"profile {profile_path} is of system {prof_sysid!r} at batch "
-                              f"{prof.batch}, but the command analyzes {sysid!r} at batch {batch}")
-    scenario = analyzer.Scenario(parallel, ideal_algo, fusion, tensor_core, layout)
-    with perfdb.PerfDb(_db_path(db_path)) as handle:
+        if (prof_sysid, prof.batch) != (sysid, opts.batch):
+            raise ConfigError(f"profile {opts.profile_path} is of system {prof_sysid!r} at batch "
+                              f"{prof.batch}, but the command analyzes {sysid!r} at batch "
+                              f"{opts.batch}")
+    scenario = analyzer.Scenario(opts.parallel, opts.ideal_algo, opts.fusion, opts.tensor_core,
+                                 opts.layout)
+    with perfdb.PerfDb(_db_path(opts.db_path)) as handle:
         anns = analyzer.Annotator(graph, handle)
         try:
-            report = analyzer.build_report(anns, sysid, dtype, batch, scenario, profile=prof,
-                                           measured_ms=measured_ms, allow_missing=allow_missing)
+            report = analyzer.build_report(anns, sysid, opts.dtype, opts.batch, scenario,
+                                           profile=prof, measured_ms=opts.measured_ms,
+                                           allow_missing=opts.allow_missing)
         except MissError as exc:
-            _write_misses(miss_out, exc.keys)
+            _write_misses(opts.miss_out, exc.keys)
             raise
-    _write_misses(miss_out, report.missing)  # the misses --allow-missing let through
+    _write_misses(opts.miss_out, report.missing)  # the misses --allow-missing let through
 
-    if fmt == "dot":
-        text = analyzer.export_dot(anns.annotation(sysid, dtype), anns.critical_path(sysid, dtype))
-    elif fmt == "json":
+    if opts.fmt == "dot":
+        text = analyzer.export_dot(anns.annotation(sysid, opts.dtype),
+                                   anns.critical_path(sysid, opts.dtype))
+    elif opts.fmt == "json":
         text = analyzer.report_to_json(report)
     else:
         text = analyzer.report_to_text(report)
-    if out_file:
-        with open(out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        click.echo(f"wrote {fmt} report to {out_file}")
+    if opts.out_file:
+        write_text(opts.out_file, text)
+        print(f"wrote {opts.fmt} report to {opts.out_file}")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _write_misses(path: str | None, keys: list[str]) -> None:
     """Write each missing key once, in first-seen order, for ``bench --from-misses``."""
     if path and keys:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(dict.fromkeys(keys)) + "\n")
+        write_text(path, "\n".join(dict.fromkeys(keys)) + "\n")
 
 
-@click.command()
-@click.argument("model", type=click.Path(exists=True))
-@click.option("--db", "db_path", default=None, help="Database path (or LBOUND_DB).")
-@click.option("--systems", required=True, help="Comma-separated system ids.")
-@click.option("--batch", default=1, show_default=True, type=int)
-@click.option("--dtype", default="f32", show_default=True,
-              type=click.Choice(DTYPES))
-@click.option("--costs", default=None,
-              help="Comma-separated system=dollars_per_hour pairs.")
-@click.option("--rank-by", default=None, type=click.Choice(["latency", "cost"]),
-              help="Default: cost when --costs given, else latency.")
 @_exit_codes
-def advise(model, db_path, systems, batch, dtype, costs, rank_by):
+def advise(argv: list[str]) -> None:
     """Rank systems for a model by lower bound, optionally weighted by cost."""
+    p = _parser("advise", advise.__doc__)
+    p.add_argument("model", metavar="MODEL", type=_existing, help="Model file: text or ONNX.")
+    p.add_argument("--db", dest="db_path", metavar="PATH", help="Database path (or LBOUND_DB).")
+    p.add_argument("--systems", required=True, help="Comma-separated system ids.")
+    p.add_argument("--batch", type=int, metavar="N", default=1, help=_DEFAULT)
+    p.add_argument("--dtype", choices=DTYPES, default="f32", help=_DEFAULT)
+    p.add_argument("--costs", help="Comma-separated system=dollars_per_hour pairs.")
+    p.add_argument("--rank-by", choices=("latency", "cost"),
+                   help="Default: cost when --costs given, else latency.")
+    opts = p.parse_intermixed_args(argv)
+
     from . import analyzer, perfdb
 
-    graph = _load_inferred(model, batch)
-    system_list = [s.strip() for s in systems.split(",") if s.strip()]
+    system_list = list(dict.fromkeys(s.strip() for s in opts.systems.split(",") if s.strip()))
+    if not system_list:
+        raise ConfigError(f"--systems {opts.systems!r} names no system")
+    graph = _load_inferred(opts.model, opts.batch)
     cost_map = None
-    if costs:
+    if opts.costs:
         cost_map = {}
-        for pair in costs.split(","):
+        for pair in opts.costs.split(","):
             key, sep, value = pair.partition("=")
             if not sep:
                 raise ConfigError(f"bad cost entry {pair!r}; use system=value")
@@ -118,15 +123,14 @@ def advise(model, db_path, systems, batch, dtype, costs, rank_by):
                 raise ConfigError(f"bad cost {value.strip()!r} for {key.strip()!r}; "
                                   "use a finite number >= 0")
             cost_map[key.strip()] = cost
-    if rank_by is None:
-        rank_by = "cost" if cost_map else "latency"
-    with perfdb.PerfDb(_db_path(db_path)) as handle:
+    rank_by = opts.rank_by or ("cost" if cost_map else "latency")
+    with perfdb.PerfDb(_db_path(opts.db_path)) as handle:
         rows = analyzer.advise_systems(analyzer.Annotator(graph, handle), system_list,
-                                       dtype, cost_per_hour=cost_map, rank_by=rank_by)
+                                       opts.dtype, cost_per_hour=cost_map, rank_by=rank_by)
     for i, row in enumerate(rows, start=1):
         if row.has_misses:  # a bound over part of the layers is no bound
-            click.echo(f"{i}. {row.system}: {row.covered} of {row.supported} layers covered"
-                       "  [incomplete: database misses]")
+            print(f"{i}. {row.system}: {row.covered} of {row.supported} layers covered"
+                  "  [incomplete: database misses]")
             continue
         cost = f", cost score {row.cost_score:.1f}" if row.cost_score is not None else ""
-        click.echo(f"{i}. {row.system}: {row.lb_us / 1000.0:.3f} ms{cost}")
+        print(f"{i}. {row.system}: {row.lb_us / 1000.0:.3f} ms{cost}")

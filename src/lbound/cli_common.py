@@ -1,21 +1,22 @@
-"""What the command modules share: exit codes, model loading, the database path.
+"""What the command modules share: parsers, exit codes, model loading, the database path.
 
 The process entry runs ``cli`` as its main module, so a command module
 imports these from here, never from ``cli``: importing ``lbound.cli`` would
-compile that file a second time and build the group again.
+compile that file a second time.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import os
 import sys
 from collections import Counter
 
-import click
-
 from . import model_ir
 from .errors import ConfigError, LboundError, MissError
+
+_DEFAULT = "(default: %(default)s)"
 
 
 def _exit_codes(fn):
@@ -24,14 +25,56 @@ def _exit_codes(fn):
         try:
             return fn(*args, **kwargs)
         except LboundError as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             if isinstance(exc, MissError):
                 for key, nodes in Counter(exc.keys).items():  # in first-seen order
-                    click.echo(f"  missing: {key} ({nodes} node(s))", err=True)
-                click.echo("hint: run `lbound bench --delta --simulate` to fill the gaps "
-                           "or pass --allow-missing", err=True)
+                    print(f"  missing: {key} ({nodes} node(s))", file=sys.stderr)
+                print("hint: run `lbound bench --delta --simulate` to fill the gaps "
+                      "or pass --allow-missing", file=sys.stderr)
             sys.exit(exc.exit_code)
     return wrapper
+
+
+def _parser(command: str, doc: str) -> argparse.ArgumentParser:
+    """The parser of ``lbound <command>``, described by the command's docstring.
+
+    An option is only taken spelled out in full: a prefix of one is an error.
+    """
+    return argparse.ArgumentParser(prog=f"lbound {command}", description=doc,
+                                   allow_abbrev=False)
+
+
+def _existing(path: str) -> str:
+    """An argument that names an input file; a path that does not exist is a usage error."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"Path '{path}' does not exist.")
+    return path
+
+
+def _pick(prog: str, doc: str, summaries: dict[str, str], argv: list[str]) -> str | None:
+    """The command that ``argv`` starts with, or None once ``--help`` listed them.
+
+    No command, or one not in ``summaries``, is a usage error: exit 2.
+    """
+    if argv and argv[0] in summaries:
+        return argv[0]
+    usage = f"usage: {prog} COMMAND [ARGS]...\n"
+    if argv and argv[0] in ("-h", "--help"):
+        width = max(map(len, summaries))
+        sys.stdout.write(f"{usage}\n{doc}\n\ncommands:\n" + "".join(
+            f"  {name:<{width}}  {summaries[name]}\n" for name in sorted(summaries)))
+        return None
+    problem = f"No such command '{argv[0]}'." if argv else "Missing command."
+    sys.stderr.write(f"{usage}Try '{prog} --help' for help.\n\nError: {problem}\n")
+    sys.exit(2)
+
+
+def _group(command: str, doc: str, subcommands: dict, argv: list[str]) -> None:
+    """Run the subcommand of ``lbound <command>`` that ``argv`` names."""
+    summaries = {name: fn.__doc__.split("\n", 1)[0] for name, fn in subcommands.items()}
+    name = _pick(f"lbound {command}", doc, summaries, argv)
+    if name is not None:
+        subcommands[name](argv[1:])
 
 
 def _load_inferred(path: str, batch: int):

@@ -2,57 +2,65 @@
 
 from __future__ import annotations
 
-import click
-
-from .cli_common import _exit_codes
+from .cli_common import _existing, _exit_codes, _group, _parser
 from .errors import StorageError, read_text
 
 
-@click.group()
-def db():
-    """Inspect and maintain the performance database."""
-
-
-@db.command("import")
-@click.argument("database", type=click.Path())
-@click.argument("files", nargs=-1, required=True, type=click.Path(exists=True))
 @_exit_codes
-def db_import(database, files):
+def db_import(argv: list[str]) -> None:
     """Import external result files (same line format, e.g. real hardware)."""
+    p = _parser("db import", db_import.__doc__)
+    p.add_argument("database", metavar="DATABASE", help="Database to import into.")
+    p.add_argument("files", metavar="FILES", nargs="+", type=_existing,
+                   help="Result files, one record per line.")
+    opts = p.parse_intermixed_args(argv)
+
     from . import perfdb, perfdb_writer
 
-    with perfdb.PerfDb(database, mode="rw") as handle:
+    with perfdb.PerfDb(opts.database, mode="rw") as handle:
         total = 0
-        for path in files:
+        for path in opts.files:
             total += perfdb_writer.import_lines(handle, read_text(path, StorageError))
-    click.echo(f"imported {total} record(s) into {database}")
+    print(f"imported {total} record(s) into {opts.database}")
 
 
-@db.command("compact")
-@click.argument("database", type=click.Path(exists=True))
 @_exit_codes
-def db_compact(database):
+def db_compact(argv: list[str]) -> None:
     """Drop superseded records, then rewrite the file and its layer index."""
+    p = _parser("db compact", db_compact.__doc__)
+    p.add_argument("database", metavar="DATABASE", type=_existing)
+    database = p.parse_intermixed_args(argv).database
+
     from . import perfdb
 
     with perfdb.PerfDb(database, mode="rw") as handle:
         dropped = handle.compact()
-    click.echo(f"compacted {database}: dropped {dropped} superseded record(s)")
+    print(f"compacted {database}: dropped {dropped} superseded record(s)")
 
 
-@db.command("stats")
-@click.argument("database", type=click.Path(exists=True))
 @_exit_codes
-def db_stats(database):
+def db_stats(argv: list[str]) -> None:
     """Print live and superseded record counts.
 
     Live records are also counted per system. The counts are read from the
     layer index when one is trusted.
     """
+    p = _parser("db stats", db_stats.__doc__)
+    p.add_argument("database", metavar="DATABASE", type=_existing)
+    database = p.parse_intermixed_args(argv).database
+
     from . import perfdb
 
     with perfdb.PerfDb(database) as handle:
         counts = handle.live_by_system()
-        click.echo(f"{len(handle)} live record(s), {handle.superseded} superseded")
+        print(f"{len(handle)} live record(s), {handle.superseded} superseded")
         for system in sorted(counts):
-            click.echo(f"  {system}: {counts[system]}")
+            print(f"  {system}: {counts[system]}")
+
+
+SUBCOMMANDS = {"compact": db_compact, "import": db_import, "stats": db_stats}
+
+
+def db(argv: list[str]) -> None:
+    """Inspect and maintain the performance database."""
+    _group("db", db.__doc__, SUBCOMMANDS, argv)

@@ -2,38 +2,38 @@
 
 from __future__ import annotations
 
-import click
+import sys
 
-from .cli_common import _exit_codes, _load_inferred
+from .cli_common import _DEFAULT, _existing, _exit_codes, _load_inferred, _parser
 from .model_ir import DTYPES
 
 
-@click.command()
-@click.argument("models", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--batch", default=1, show_default=True, type=int)
-@click.option("--dtype", default="f32", show_default=True,
-              type=click.Choice(DTYPES))
-@click.option("--coverage", is_flag=True, help="Also print per-op API coverage.")
-@click.option("--format", "fmt", default="text", show_default=True,
-              type=click.Choice(["text", "jsonl"]))
 @_exit_codes
-def process(models, batch, dtype, coverage, fmt):
+def process(argv: list[str]) -> None:
     """Parse models, infer shapes, and report unique-layer statistics."""
+    p = _parser("process", process.__doc__)
+    p.add_argument("models", metavar="MODELS", nargs="+", type=_existing,
+                   help="Model files: text or ONNX.")
+    p.add_argument("--batch", type=int, metavar="N", default=1, help=_DEFAULT)
+    p.add_argument("--dtype", choices=DTYPES, default="f32", help=_DEFAULT)
+    p.add_argument("--coverage", action="store_true", help="Also print per-op API coverage.")
+    p.add_argument("--format", dest="fmt", choices=("text", "jsonl"), default="text",
+                   help=_DEFAULT)
+    opts = p.parse_intermixed_args(argv)
+
     from . import dedup
 
-    graphs = [_load_inferred(p, batch) for p in models]
-    report = dedup.unique_layers(graphs, dtype)
-    if fmt == "jsonl":
-        click.echo(dedup.stats_jsonl(report), nl=False)
+    graphs = [_load_inferred(path, opts.batch) for path in opts.models]
+    report = dedup.unique_layers(graphs, opts.dtype)
+    if opts.fmt == "jsonl":
+        sys.stdout.write(dedup.stats_jsonl(report))
     else:
         for st in report.per_model + [report.pooled]:
-            click.echo(f"{st.model}: {st.total} layers, {st.unique} unique "
-                       f"({st.percent:.1f}%)")
-    if coverage:
+            print(f"{st.model}: {st.total} layers, {st.unique} unique ({st.percent:.1f}%)")
+    if opts.coverage:
         for graph in graphs:
             cov = dedup.support_coverage(graph)
-            click.echo(f"{cov.model}: {cov.percent:.2f}% of layers backed by "
-                       f"cuDNN/cuBLAS")
+            print(f"{cov.model}: {cov.percent:.2f}% of layers backed by cuDNN/cuBLAS")
             for row in cov.by_op:
                 mark = "supported" if row.supported else "unsupported"
-                click.echo(f"  {row.op_type}: {row.count} ({row.share_percent:.1f}%), {mark}")
+                print(f"  {row.op_type}: {row.count} ({row.share_percent:.1f}%), {mark}")

@@ -92,3 +92,12 @@ def read_text(path, error: type[LboundError]) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write an output file; a path that cannot be written raises ``ConfigError``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc

@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from click.testing import CliRunner
-
 import modelzoo as mz
+from cli_run import invoke
 from lbound import analyzer, dedup
 from lbound.benchgen import BenchConfig, ConvAlgorithm
-from lbound.cli import main
 from lbound.errors import ConfigError, DomainError
 from lbound import model_ir
 from lbound.model_ir import LayerNode, ModelGraph, TensorShape, validate
@@ -219,7 +217,7 @@ def scenario_db(tmp_path_factory):
     db = root / "perf.db"
     for name, text in models.items():
         (root / f"{name}.txt").write_text(text, "utf-8")
-        res = CliRunner().invoke(main, [
+        res = invoke([
             "bench", str(root / f"{name}.txt"), "--db", str(db), "--system", "Tesla_V100",
             "--layouts", "NCHW,NHWC", "--fusion", "--simulate", "--jitter-seed", "3"])
         assert res.exit_code == 0, res.output

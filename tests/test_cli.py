@@ -7,12 +7,11 @@ import re
 from importlib import resources
 
 import pytest
-from click.testing import CliRunner
 
 import modelzoo as mz
+from cli_run import invoke
 from lbound import dedup
 from lbound.benchgen import ConvAlgorithm
-from lbound.cli import main
 from lbound.perfdb import PerfDb
 
 
@@ -22,15 +21,15 @@ def r18(tmp_path_factory):
     model = root / "resnet18.txt"
     model.write_text(mz.resnet_v1_text(18), "utf-8")
     db = root / "perf.db"
-    res = CliRunner().invoke(main, ["bench", str(model), "--db", str(db),
-                                    "--system", "Tesla_V100", "--simulate"])
+    res = invoke(["bench", str(model), "--db", str(db),
+                  "--system", "Tesla_V100", "--simulate"])
     assert res.exit_code == 0, res.output
     return model, db
 
 
 def _analyze(model, db, *extra):
-    return CliRunner().invoke(main, ["analyze", str(model), "--db", str(db),
-                                     "--system", "Tesla_V100", "--out", "json", *extra])
+    return invoke(["analyze", str(model), "--db", str(db),
+                   "--system", "Tesla_V100", "--out", "json", *extra])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
@@ -61,9 +60,9 @@ def test_torn_tail_is_tolerated_and_corrupt_middle_is_not(r18, tmp_path):
     torn = tmp_path / "torn.db"
     torn.write_bytes(good + good.splitlines(keepends=True)[0][:-40])
     assert _analyze(model, torn).output == expected
-    res = CliRunner().invoke(main, ["db", "stats", str(torn)])
+    res = invoke(["db", "stats", str(torn)])
     assert res.exit_code == 0 and res.output.startswith(f"{len(good.splitlines())} live")
-    res = CliRunner().invoke(main, ["db", "compact", str(torn)])
+    res = invoke(["db", "compact", str(torn)])
     assert res.exit_code == 0, res.output
     assert torn.read_bytes() == good
 
@@ -72,7 +71,7 @@ def test_torn_tail_is_tolerated_and_corrupt_middle_is_not(r18, tmp_path):
     corrupt = tmp_path / "corrupt.db"
     corrupt.write_bytes(b"".join(lines))
     assert _analyze(model, corrupt).exit_code == 4
-    assert CliRunner().invoke(main, ["db", "compact", str(corrupt)]).exit_code == 4
+    assert invoke(["db", "compact", str(corrupt)]).exit_code == 4
 
 
 def test_a_corrupt_line_of_another_system_fails_every_read(r18, tmp_path):
@@ -85,7 +84,7 @@ def test_a_corrupt_line_of_another_system_fails_every_read(r18, tmp_path):
                  ["bench", str(model), "--delta", "--system", "Tesla_V100", "--db", str(copy)],
                  ["advise", str(model), "--db", str(copy), "--systems", "Tesla_V100"],
                  ["db", "stats", str(copy)]):
-        res = CliRunner().invoke(main, args)
+        res = invoke(args)
         _no_traceback(res, 4)
         assert "line 2:" in res.output, args
 
@@ -100,7 +99,7 @@ def test_a_bad_writer_line_fails_every_open(r18, tmp_path, dtype):
     lines[at] = re.sub(rb'"latency_us":[^,]*,', b'"latency_us":-1,', lines[at])
     copy = tmp_path / "perf.db"
     copy.write_bytes(b"".join(lines))
-    for res in (_analyze(model, copy), CliRunner().invoke(main, ["db", "stats", str(copy)])):
+    for res in (_analyze(model, copy), invoke(["db", "stats", str(copy)])):
         _no_traceback(res, 4)
         assert f"line {at + 1}:" in res.output
 
@@ -141,7 +140,7 @@ def test_an_unreadable_outside_file_exits_with_its_code(r18, tmp_path, args, cod
     empty.write_text("")
     args = [a.format(f=path, db=copy, model=model, out=tmp_path / "out.prof", empty=empty)
             for a in args]
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     _no_traceback(res, code)
     # A model that is not text from its first byte is read as binary ONNX.
     if (args[0], bad) != ("process", "non-utf8"):
@@ -157,9 +156,9 @@ def test_a_text_model_with_a_character_cut_at_the_sniffed_head_is_read_as_text(t
     commented.write_text(body + comment, "utf-8")
     data = commented.read_bytes()
     assert (len(data), data[255:257]) == (288, "é".encode())
-    expected = CliRunner().invoke(main, ["process", str(plain)])
+    expected = invoke(["process", str(plain)])
     assert expected.exit_code == 0, expected.output
-    res = CliRunner().invoke(main, ["process", str(commented)])
+    res = invoke(["process", str(commented)])
     assert (res.exit_code, res.output) == (0, expected.output)
 
 
@@ -181,7 +180,7 @@ def test_bad_record_is_refused_on_import_and_open(r18, tmp_path, changes):
     rec.write_text(json.dumps({**json.loads(line), **changes}) + "\n", "utf-8")
     copy = tmp_path / "perf.db"
     copy.write_bytes(good)
-    _no_traceback(CliRunner().invoke(main, ["db", "import", str(copy), str(rec)]), 4)
+    _no_traceback(invoke(["db", "import", str(copy), str(rec)]), 4)
     assert copy.read_bytes() == good
     copy.write_bytes(good + rec.read_bytes())
     _no_traceback(_analyze(model, copy), 4)
@@ -207,7 +206,7 @@ def test_record_that_disagrees_with_its_signature_is_refused_on_import(r18, tmp_
     rec.write_text(json.dumps({**json.loads(line), **changes}) + "\n", "utf-8")
     copy = tmp_path / "perf.db"
     copy.write_bytes(good)
-    res = CliRunner().invoke(main, ["db", "import", str(copy), str(rec)])
+    res = invoke(["db", "import", str(copy), str(rec)])
     _no_traceback(res, 4)
     assert res.output.count("error:") == 1 and "line 1" in res.output
     assert copy.read_bytes() == good
@@ -216,7 +215,7 @@ def test_record_that_disagrees_with_its_signature_is_refused_on_import(r18, tmp_
 @pytest.mark.parametrize("cost", ["abc", "nan", "inf", "-3"])
 def test_bad_cost_exits_2(r18, cost):
     model, db = r18
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "advise", str(model), "--db", str(db), "--systems", "Tesla_V100",
         "--costs", f"Tesla_V100={cost}"])
     _no_traceback(res, 2)
@@ -235,7 +234,7 @@ def test_non_finite_system_profile_exits_2(r18, tmp_path, changes):
                            .read_text("utf-8")), **changes}
     path = tmp_path / "system.json"
     path.write_text(json.dumps(system), "utf-8")
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "bench", str(model), "--db", str(tmp_path / "perf.db"), "--system", str(path),
         "--simulate"])
     _no_traceback(res, 2)
@@ -258,8 +257,8 @@ def test_system_profile_takes_only_json_types(r18, tmp_path, changes, reason):
                            .read_text("utf-8")), **changes}
     path = tmp_path / "system.json"
     path.write_text(json.dumps(system), "utf-8")
-    res = CliRunner().invoke(main, ["analyze", str(model), "--db", str(db), "--system",
-                                    str(path)])
+    res = invoke(["analyze", str(model), "--db", str(db), "--system",
+                  str(path)])
     _no_traceback(res, 2)
     assert f"system 'Tesla_V100': {reason}" in res.output
 
@@ -268,7 +267,7 @@ def test_unparseable_system_profile_exits_2(r18, tmp_path):
     model, db = r18
     path = tmp_path / "system.json"
     path.write_text("{", "utf-8")
-    _no_traceback(CliRunner().invoke(main, [
+    _no_traceback(invoke([
         "analyze", str(model), "--db", str(db), "--system", str(path)]), 2)
 
 
@@ -293,8 +292,8 @@ def test_bad_system_exits_2_before_the_db_opens(r18, tmp_path, extra, system, re
         path.write_text(json.dumps(obj), "utf-8")
         extra = [*extra, "--system", str(path)]
     db = tmp_path / "x.db"
-    res = CliRunner().invoke(main, ["bench", str(model), "--simulate", "--db", str(db),
-                                    *extra])
+    res = invoke(["bench", str(model), "--simulate", "--db", str(db),
+                  *extra])
     _one_error(res)
     assert reason in res.output
     assert not db.exists()
@@ -315,7 +314,7 @@ def test_bad_profile_values_exit_2(r18, tmp_path, meta, kernel, reason):
     assert reason in res.output
     kernels = tmp_path / "kernels.txt"
     kernels.write_text(kernel + "\n", "utf-8")
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "profile", "convert", "--kernels", str(kernels), "--latency-ms", meta,
         "--model", "m", "--system", "s", "-o", str(tmp_path / "out.prof")])
     _no_traceback(res, 2)
@@ -358,7 +357,7 @@ def test_bad_manifest_line_exits_2(tmp_path, line):
     manifest = tmp_path / "specs.jsonl"
     manifest.write_text(f"{good}\n{line}\n", "utf-8")
     out = tmp_path / "src"
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "bench", "--from-manifest", str(manifest), "--db", str(tmp_path / "perf.db"),
         "--system", "Tesla_V100", "--simulate", "--emit-src", str(out)])
     _one_error(res)
@@ -382,7 +381,7 @@ def test_bad_text_model_layer_exits_2(tmp_path, dims, node):
     op, attrs = node.split(" ")
     model = tmp_path / "bad.txt"
     model.write_text(f"graph t\ninput d {dims}\nnode n {op} inputs=d {attrs}\n", "utf-8")
-    res = CliRunner().invoke(main, ["process", str(model)])
+    res = invoke(["process", str(model)])
     _one_error(res)
     assert f"node 'n' ({op})" in res.output
 
@@ -396,7 +395,7 @@ def _conv_profile(tmp_path, model, system="Tesla_V100", batch=1):
                             "    algo: type=cudnnConvolutionFwdAlgo_t; "
                             f"val={ConvAlgorithm.FFT.token} (1);\n"), "utf-8")
     prof = tmp_path / "conv.prof"
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "profile", "convert", "--cudnn-log", str(log), "--latency-ms", "40", "--model",
         graph.name, "--system", system, "--batch", str(batch), "-o", str(prof)])
     assert res.exit_code == 0, res.output
@@ -420,8 +419,8 @@ def test_misses_group_by_key_and_fill_from_the_miss_file(r18, tmp_path, extra):
     db = tmp_path / "perf.db"
     db.write_bytes(r18_db.read_bytes())
     misses = tmp_path / "misses.txt"
-    res = CliRunner().invoke(main, ["analyze", str(model), "--db", str(db), "--system",
-                                    "Tesla_V100", "--miss-out", str(misses), *extra])
+    res = invoke(["analyze", str(model), "--db", str(db), "--system",
+                  "Tesla_V100", "--miss-out", str(misses), *extra])
     _no_traceback(res, 3)
     keys = misses.read_text("utf-8").splitlines()
     assert keys and len(keys) == len(set(keys))
@@ -434,8 +433,8 @@ def test_misses_group_by_key_and_fill_from_the_miss_file(r18, tmp_path, extra):
     allowed = _analyze(model, db, "--allow-missing", *extra)
     assert allowed.exit_code == 0, allowed.output
     assert len(json.loads(allowed.output)["missing"]) == nodes
-    res = CliRunner().invoke(main, ["bench", "--from-misses", str(misses), "--db", str(db),
-                                    "--system", "Tesla_V100", "--simulate"])
+    res = invoke(["bench", "--from-misses", str(misses), "--db", str(db),
+                  "--system", "Tesla_V100", "--simulate"])
     assert res.exit_code == 0, res.output
     res = _analyze(model, db, *extra)
     assert res.exit_code == 0, res.output
@@ -446,25 +445,25 @@ def test_tensor_core_misses_of_an_f32_database_fill_from_the_miss_file(tmp_path)
     model = tmp_path / "resnet50.txt"
     model.write_text(mz.resnet_v1_text(50), "utf-8")
     db = tmp_path / "perf.db"
-    res = CliRunner().invoke(main, ["bench", str(model), "--db", str(db), "--system",
-                                    "Tesla_V100", "--dtypes", "f32", "--simulate"])
+    res = invoke(["bench", str(model), "--db", str(db), "--system",
+                  "Tesla_V100", "--dtypes", "f32", "--simulate"])
     assert res.exit_code == 0, res.output
     misses = tmp_path / "m.txt"
     args = ["analyze", str(model), "--db", str(db), "--system", "Tesla_V100", "--tensor-core"]
-    _no_traceback(CliRunner().invoke(main, [*args, "--miss-out", str(misses)]), 3)
+    _no_traceback(invoke([*args, "--miss-out", str(misses)]), 3)
     keys = misses.read_text("utf-8").splitlines()
     unique = dedup.unique_layers([mz.load(model.read_text("utf-8"))], "f16").signatures
     assert len(keys) == sum(dedup.api_for_op(sig.op_type) is not None for sig in unique) == 45
     assert all(key.startswith("Tesla_V100/f16/NCHW/") for key in keys)
-    res = CliRunner().invoke(main, ["bench", "--from-misses", str(misses), "--db", str(db),
-                                    "--system", "Tesla_V100", "--simulate"])
+    res = invoke(["bench", "--from-misses", str(misses), "--db", str(db),
+                  "--system", "Tesla_V100", "--simulate"])
     assert res.exit_code == 0, res.output
     # Each key at its own dtype only: no f32 layer is simulated again.
     assert "generated 185 benchmark spec(s)" in res.output
-    res = CliRunner().invoke(main, ["db", "stats", str(db)])
+    res = invoke(["db", "stats", str(db)])
     assert res.exit_code == 0, res.output
     assert ", 0 superseded" in res.output
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     assert res.exit_code == 0, res.output
 
 
@@ -480,8 +479,8 @@ def test_allow_missing_still_writes_the_miss_file(r18, tmp_path):
     assert res.exit_code == 0, res.output
     keys = misses.read_text("utf-8").splitlines()
     assert keys == list(dict.fromkeys(json.loads(res.output)["missing"]))
-    res = CliRunner().invoke(main, ["bench", "--from-misses", str(misses), "--db", str(db),
-                                    "--system", "Tesla_V100", "--simulate"])
+    res = invoke(["bench", "--from-misses", str(misses), "--db", str(db),
+                  "--system", "Tesla_V100", "--simulate"])
     assert res.exit_code == 0, res.output
     res = _analyze(model, db)
     assert res.exit_code == 0, res.output
@@ -504,31 +503,31 @@ def test_miss_keys_fill_at_their_own_layout(tmp_path):
     model = tmp_path / "resnet50.txt"
     model.write_text(mz.resnet_v1_text(50), "utf-8")
     db = tmp_path / "perf.db"
-    res = CliRunner().invoke(main, ["bench", str(model), "--db", str(db), "--system",
-                                    "Tesla_V100", "--dtypes", "f32", "--simulate"])
+    res = invoke(["bench", str(model), "--db", str(db), "--system",
+                  "Tesla_V100", "--dtypes", "f32", "--simulate"])
     assert res.exit_code == 0, res.output
     misses = tmp_path / "m.txt"
     args = ["analyze", str(model), "--db", str(db), "--system", "Tesla_V100",
             "--tensor-core", "--layout", "NHWC"]
-    _no_traceback(CliRunner().invoke(main, [*args, "--miss-out", str(misses)]), 3)
+    _no_traceback(invoke([*args, "--miss-out", str(misses)]), 3)
     keys = misses.read_text("utf-8").splitlines()
     nhwc = [key for key in keys if key.startswith("Tesla_V100/f16/NHWC/")]
     assert nhwc and all("/Conv|" in key for key in nhwc)
-    res = CliRunner().invoke(main, ["bench", "--from-misses", str(misses), "--db", str(db),
-                                    "--system", "Tesla_V100", "--simulate"])
+    res = invoke(["bench", "--from-misses", str(misses), "--db", str(db),
+                  "--system", "Tesla_V100", "--simulate"])
     assert res.exit_code == 0, res.output
     with PerfDb(db) as handle:
         simulated = [rec.key for rec in handle.records() if rec.key.dtype == "f16"]
     assert {k.layout for k in simulated if k.signature.startswith("Conv|")} == {"NHWC"}
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     assert res.exit_code == 0, res.output
 
 
 def test_advise_counts_the_covered_layers_of_an_incomplete_system(r18):
     model, db = r18
-    res = CliRunner().invoke(main, ["advise", str(model), "--db", str(db),
-                                    "--systems", "Tesla_K80,Tesla_V100", "--costs",
-                                    "Tesla_K80=0.9,Tesla_V100=3.06"])
+    res = invoke(["advise", str(model), "--db", str(db),
+                  "--systems", "Tesla_K80,Tesla_V100", "--costs",
+                  "Tesla_K80=0.9,Tesla_V100=3.06"])
     assert res.exit_code == 0, res.output
     supported = sum(dedup.api_for_op(node.op_type) is not None
                     for node in mz.load(model.read_text("utf-8")).nodes.values())
@@ -536,6 +535,59 @@ def test_advise_counts_the_covered_layers_of_an_incomplete_system(r18):
     assert re.fullmatch(r"1\. Tesla_V100: \d+\.\d{3} ms, cost score \d+\.\d", first)
     assert second == (f"2. Tesla_K80: 0 of {supported} layers covered"
                       "  [incomplete: database misses]")
+
+
+@pytest.mark.parametrize("systems", [",", " ", " , "])
+def test_advise_with_no_system_named_exits_2(r18, systems):
+    model, db = r18
+    res = invoke(["advise", str(model), "--db", str(db), "--systems", systems])
+    _one_error(res)
+    assert "names no system" in res.output
+
+
+def test_advise_ranks_a_repeated_system_once(r18):
+    model, db = r18
+    args = ["advise", str(model), "--db", str(db), "--systems"]
+    res = invoke([*args, "Tesla_V100, Tesla_V100,Tesla_V100"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == invoke([*args, "Tesla_V100"]).stdout
+    assert res.stdout.startswith("1. Tesla_V100: ") and res.stdout.count("\n") == 1
+
+
+def test_repeated_list_entries_give_the_specs_without_repeats(r18, tmp_path):
+    model, _db = r18
+    manifests = []
+    for lists in (["f32,f16", "NCHW,NHWC", "FFT,GEMM"],
+                  ["f32,f16,f32", "NCHW,NHWC,NCHW", "FFT,GEMM,FFT,GEMM"]):
+        manifests.append(tmp_path / f"specs{len(manifests)}.jsonl")
+        res = invoke(["bench", str(model), "--dtypes", lists[0], "--layouts", lists[1],
+                      "--algorithms", lists[2], "--manifest", str(manifests[-1])])
+        assert res.exit_code == 0, res.output
+    once, repeated = (path.read_text("utf-8") for path in manifests)
+    assert once and repeated == once
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "{model}", "--db", "{db}", "--system", "Tesla_V100", "--out-file", "{bad}"],
+    ["analyze", "{model}", "--db", "{db}", "--system", "Tesla_T4", "--miss-out", "{bad}"],
+    ["analyze", "{model}", "--db", "{db}", "--system", "Tesla_T4", "--allow-missing",
+     "--miss-out", "{bad}"],
+    ["bench", "{model}", "--manifest", "{bad}"],
+    ["bench", "{model}", "--emit-src", "{bad}"],
+    ["bench", "{model}", "--emit-src", "{file}"],
+    ["profile", "convert", "--latency-ms", "1", "--model", "m", "--system", "s", "-o", "{bad}"],
+], ids=["out-file", "miss-out", "miss-out-allowed", "manifest", "emit-src", "emit-src-file",
+        "profile-out"])
+def test_an_unwritable_output_path_exits_2(r18, tmp_path, args):
+    """A path below a regular file, or a directory that is a file, cannot be written."""
+    model, db = r18
+    file = tmp_path / "file"
+    file.write_text("", "utf-8")
+    bad = file / "out"
+    args = [a.format(model=model, db=db, bad=bad, file=file) for a in args]
+    res = invoke(args)
+    _one_error(res)
+    assert f"cannot write {file if args[-1] == str(file) else bad}: " in res.output
 
 
 def _folder(path):
@@ -562,10 +614,10 @@ def test_read_only_commands_write_nothing(r18, tmp_path, state):
                 ["db", "stats", str(copy)],
                 ["bench", str(model), "--delta", "--system", "Tesla_V100", "--db", str(copy)]]
     for args in commands:
-        res = CliRunner().invoke(main, args)
+        res = invoke(args)
         assert res.exit_code == 0, res.output
-        assert res.output == CliRunner().invoke(main, [str(db) if a == str(copy) else a
-                                                       for a in args]).output
+        assert res.output == invoke([str(db) if a == str(copy) else a
+                                     for a in args]).output
         assert _folder(folder) == before, args
 
 
@@ -573,10 +625,10 @@ def test_a_failed_index_write_keeps_the_exit_code(r18, tmp_path):
     model, _db = r18
     db = tmp_path / "perf.db"
     (tmp_path / "perf.db.idx.tmp").mkdir()  # where the index is written first
-    res = CliRunner().invoke(main, ["bench", str(model), "--db", str(db),
-                                    "--system", "Tesla_V100", "--simulate"])
+    res = invoke(["bench", str(model), "--db", str(db),
+                  "--system", "Tesla_V100", "--simulate"])
     assert res.exit_code == 0, res.output
     assert not (tmp_path / "perf.db.idx").exists()
-    res = CliRunner().invoke(main, ["db", "compact", str(db)])
+    res = invoke(["db", "compact", str(db)])
     assert res.exit_code == 0 and "dropped 0 superseded" in res.output
     assert _analyze(model, db).exit_code == 0

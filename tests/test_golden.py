@@ -12,11 +12,10 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from click.testing import CliRunner
 
 import modelzoo as mz
+from cli_run import invoke
 from lbound.benchgen import ConvAlgorithm
-from lbound.cli import main
 from lbound.model_ir import topo_order
 
 SYSTEMS = ("TITAN_V", "Tesla_T4", "Tesla_V100")
@@ -43,9 +42,8 @@ def r50_db(tmp_path_factory):
     model = root / "resnet50.txt"
     model.write_text(mz.resnet_v1_text(50), "utf-8")
     db = root / "perf.db"
-    runner = CliRunner()
     for system in SYSTEMS:
-        res = runner.invoke(main, [
+        res = invoke([
             "bench", str(model), "--db", str(db), "--system", system, "--batch", "2",
             "--fusion", "--simulate", "--jitter-seed", "11"])
         assert res.exit_code == 0, res.output
@@ -75,7 +73,7 @@ def r50_profile(r50_db, tmp_path_factory):
     log = root / "cudnn.log"
     log.write_text(_cudnn_log(model.read_text("utf-8")), "utf-8")
     prof = root / "r50.prof"
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "profile", "convert", "--cudnn-log", str(log), "--latency-ms", "40",
         "--model", "resnet50", "--system", "Tesla_V100", "--batch", "2", "-o", str(prof)])
     assert res.exit_code == 0, res.output
@@ -83,7 +81,7 @@ def r50_profile(r50_db, tmp_path_factory):
 
 
 def _digest(args: list[str]) -> str:
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     assert res.exit_code == 0, res.output
     return hashlib.sha256(res.output.encode("utf-8")).hexdigest()
 

@@ -6,8 +6,9 @@ module-level function, class or assigned name that nothing in
 and so is such a name defined in the body of a module-level class, a
 private method among them.
 A public function or class is dead when nothing in ``src/lbound``,
-``tests/`` or ``bench/`` names it; Click commands are exempt, since the
-command line reaches them. Likewise an error class that no ``raise`` in
+``tests/`` or ``bench/`` names it, unless the entry's dispatch table
+``cli._COMMANDS`` names it as a command: the command line reaches it by
+name. Likewise an error class that no ``raise`` in
 the package names, and a record field that nothing in ``src/lbound``,
 ``tests/`` or ``bench/`` reads as an attribute. A record is a NamedTuple or
 a class whose ``__init__`` stores each of its parameters; its fields are
@@ -83,19 +84,22 @@ def test_every_private_class_member_is_referenced():
     assert dead == []
 
 
-def _is_click_command(stmt: ast.stmt) -> bool:
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group") for d in stmt.decorator_list)
+def _dispatched(trees: dict[str, ast.Module]) -> set[str]:
+    """``module:function`` of each command that ``cli._COMMANDS`` names."""
+    table = next(ast.literal_eval(stmt.value) for stmt in trees["cli.py"].body
+                 if isinstance(stmt, ast.Assign) and _defined(stmt) == ["_COMMANDS"])
+    return {f"{module}.py:{name}" for name, (module, _summary) in table.items()}
 
 
 def test_every_public_function_and_class_is_referenced():
     trees = _trees()
     used = sum(map(_names, [*trees.values(), *_outside_trees()]), Counter())
+    dispatched = _dispatched(trees)
     dead = [f"{module}:{stmt.name}"
             for module, tree in trees.items()
             for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not _private(stmt.name) and not _is_click_command(stmt)
+            and not _private(stmt.name) and f"{module}:{stmt.name}" not in dispatched
             and used[stmt.name] - _names(stmt)[stmt.name] <= 0]
     assert dead == []
 

@@ -4,12 +4,11 @@ import os
 import struct
 
 import pytest
-from click.testing import CliRunner
 
 import modelzoo as mz
+from cli_run import invoke
 import onnx_wire as wire
 from lbound import dedup
-from lbound.cli import main
 from lbound.errors import GraphStructureError, ModelParseError
 from lbound.model_ir import infer_shapes, load_model_file, macs, parse_text_model
 from lbound.onnx_reader import load_model
@@ -86,7 +85,7 @@ class TestWireDecoding:
         assert load_model_file(path).nodes["x"].params["table"] == (3, 5)
         for args in (["process", "--format", "jsonl"], ["bench", "--manifest",
                                                         str(tmp_path / "man.jsonl")]):
-            res = CliRunner().invoke(main, args + [str(path)])
+            res = invoke(args + [str(path)])
             assert res.exit_code == 0, res.output
 
     def test_constant_feeds_reshape(self):

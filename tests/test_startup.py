@@ -3,15 +3,18 @@
 Every command is one short process, so the layer modules it imports are
 part of its latency. Each command here runs through ``cli.run`` in a fresh
 interpreter, which then reports the ``lbound`` modules and which of
-``logging``, ``dataclasses`` and ``hashlib`` were loaded, and the
-collector's freeze count before and after ``import lbound.cli`` and after
-the command. The group imports a command's module only when the command is
-dispatched, and a database or profile reader takes the algorithm and fusion
-vocabulary from ``model_ir``, so no reader loads ``benchgen``. No command
-loads ``dataclasses``: records are plain classes, so defining one runs no
-generated code. The same commands run as ``python -m lbound.cli`` load the
-same modules, and none of them imports ``lbound.cli``, so the entry module
-compiles once. In-process callers invoke ``main`` and never see a freeze.
+``click``, ``logging``, ``dataclasses`` and ``hashlib`` were loaded, and
+the collector's freeze count before and after ``import lbound.cli`` and
+after the command. The entry imports a command's module only when the
+command is dispatched, and ``--help`` lists the summaries of its table, so
+it loads no command module. A database or profile reader takes the
+algorithm and fusion vocabulary from ``model_ir``, so no reader loads
+``benchgen``. No command loads ``click``: the standard library parses the
+command line. No command loads ``dataclasses``: records are plain classes,
+so defining one runs no generated code. The same commands run as
+``python -m lbound.cli`` load the same modules, and none of them imports
+``lbound.cli``, so the entry module compiles once. In-process callers call
+``main`` and never see a freeze.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 import lbound
 import modelzoo as mz
-from lbound.cli import main
+from cli_run import invoke
 
 SRC = str(pathlib.Path(lbound.__file__).resolve().parent.parent)
 
@@ -38,6 +40,7 @@ before = gc.get_freeze_count()
 from lbound import cli
 imported = gc.get_freeze_count()
 sys.argv = ["lbound", *sys.argv[1:]]
+code = 0
 try:
     cli.run()
 except SystemExit as exc:
@@ -45,11 +48,10 @@ except SystemExit as exc:
 print(json.dumps({
     "code": code, "freeze": [before, imported, gc.get_freeze_count()],
     "modules": sorted(m for m in sys.modules if m.startswith("lbound.")),
-    "stdlib": [m for m in ("logging", "dataclasses", "hashlib") if m in sys.modules]}))
+    "loaded": [m for m in ("click", "logging", "dataclasses", "hashlib") if m in sys.modules]}))
 """
 
 BASE = {"cli", "cli_common", "errors", "model_ir"}
-COMMAND_MODULES = {"cli_analyze", "cli_bench", "cli_db", "cli_process", "cli_profile"}
 READERS = BASE | {"cli_analyze", "perfdb", "dedup", "analyzer"}
 
 
@@ -59,8 +61,8 @@ def files(tmp_path_factory):
     model = root / "resnet18.txt"
     model.write_text(mz.resnet_v1_text(18), "utf-8")
     db = root / "perf.db"
-    res = CliRunner().invoke(main, ["bench", str(model), "--db", str(db), "--system",
-                                    "Tesla_V100", "--dtypes", "f32", "--simulate"])
+    res = invoke(["bench", str(model), "--db", str(db), "--system",
+                  "Tesla_V100", "--dtypes", "f32", "--simulate"])
     assert res.exit_code == 0, res.output
     convs = sum(n.op_type == "Conv" for n in mz.load(model.read_text("utf-8")).nodes.values())
     log = root / "cudnn.log"
@@ -68,9 +70,9 @@ def files(tmp_path_factory):
                             "    algo: type=cudnnConvolutionFwdAlgo_t; val=CUDNN_CONVOLUTION_FWD_"
                             "ALGO_IMPLICIT_GEMM (0);\n"), "utf-8")
     prof = root / "r18.prof"
-    res = CliRunner().invoke(main, ["profile", "convert", "--cudnn-log", str(log),
-                                    "--latency-ms", "2", "--model", "resnet18-v1",
-                                    "--system", "Tesla_V100", "-o", str(prof)])
+    res = invoke(["profile", "convert", "--cudnn-log", str(log),
+                  "--latency-ms", "2", "--model", "resnet18-v1",
+                  "--system", "Tesla_V100", "-o", str(prof)])
     assert res.exit_code == 0, res.output
     copy = root / "compact.db"  # compacted by its case, so the others read ``db`` as built
     copy.write_bytes(db.read_bytes())
@@ -93,9 +95,9 @@ def _child(args: list[str], cwd) -> dict:
     return got
 
 
-# case: (arguments, lbound modules loaded, stdlib modules of note loaded)
+# case: (arguments, lbound modules loaded, other modules of note loaded)
 _CASES = {
-    "help": (["--help"], BASE | COMMAND_MODULES, []),
+    "help": (["--help"], BASE, []),
     "process": (["process", "{model}"], BASE | {"cli_process", "dedup"}, ["hashlib"]),
     "bench-manifest": (["bench", "{model}", "--manifest", "specs.jsonl"],
                        BASE | {"cli_bench", "dedup", "benchgen"}, ["hashlib"]),
@@ -120,10 +122,10 @@ _CASES = {
 
 @pytest.mark.parametrize("case", list(_CASES))
 def test_each_command_imports_only_the_layers_it_runs(files, case):
-    args, layers, stdlib = _CASES[case]
+    args, layers, others = _CASES[case]
     got = _child([a.format(**files) for a in args], files["root"])
     assert got["modules"] == sorted(f"lbound.{m}" for m in layers)
-    assert got["stdlib"] == stdlib
+    assert got["loaded"] == others
     # Importing the CLI freezes nothing; the process entry freezes on the way out.
     before, imported, after = got["freeze"]
     assert before == imported == 0 < after
@@ -132,7 +134,7 @@ def test_each_command_imports_only_the_layers_it_runs(files, case):
 @pytest.mark.parametrize("case", ["analyze", "db-stats"])
 def test_the_entry_module_compiles_once(files, case):
     """Run as ``python -m lbound.cli``, the file is ``__main__`` and nothing imports it again."""
-    args, layers, _stdlib = _CASES[case]
+    args, layers, _others = _CASES[case]
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "lbound.cli",
                            *(a.format(**files) for a in args)], env=_env(), cwd=files["root"],
                           capture_output=True, text=True, timeout=60)
@@ -147,6 +149,6 @@ def test_the_entry_module_compiles_once(files, case):
 def test_in_process_invocations_never_freeze(files):
     before = gc.get_freeze_count()
     for args in (["--help"], ["db", "stats", files["db"]]):
-        res = CliRunner().invoke(main, args)
+        res = invoke(args)
         assert res.exit_code == 0, res.output
     assert gc.get_freeze_count() == before
