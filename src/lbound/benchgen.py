@@ -66,8 +66,9 @@ class BenchConfig(Frozen):
     def __init__(self, dtypes: tuple[str, ...] = ("f32", "f16"),
                  layouts: tuple[str, ...] = ("NCHW",),
                  algorithms: tuple[ConvAlgorithm, ...] = tuple(ConvAlgorithm)):
-        if not dtypes:
-            raise ConfigError("config needs at least one dtype")
+        for name, values in (("dtype", dtypes), ("layout", layouts), ("algorithm", algorithms)):
+            if not values:
+                raise ConfigError(f"config needs at least one {name}")
         for d in dtypes:
             if d not in DTYPES:
                 raise ConfigError(f"unknown dtype {d!r}")

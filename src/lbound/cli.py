@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import gc
 import sys
+from collections import Counter
 
 from .cli_common import _pick
+from .errors import LboundError, MissError
 
 # Command name -> (the module that defines it under that name, its summary).
 _COMMANDS = {
@@ -49,15 +51,26 @@ def main(argv: list[str] | None = None) -> None:
     """Run the command that ``argv`` (default: ``sys.argv[1:]``) names.
 
     A command that succeeds returns; one that fails raises ``SystemExit``
-    with its exit code, after writing its error to stderr.
+    with its exit code, after writing its error to stderr. The code of an
+    ``LboundError`` is its class's ``exit_code``.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     name = _pick("lbound", "Lower-bound latency benchmarking and analysis for DL model graphs.",
                  {cmd: summary for cmd, (_module, summary) in _COMMANDS.items()}, argv)
-    if name is not None:
-        # The import statement's own path, unlike importlib's, shows under -X importtime.
-        module = __import__(f"{__package__}.{_COMMANDS[name][0]}", fromlist=[name])
+    if name is None:
+        return
+    # The import statement's own path, unlike importlib's, shows under -X importtime.
+    module = __import__(f"{__package__}.{_COMMANDS[name][0]}", fromlist=[name])
+    try:
         getattr(module, name)(argv[1:])
+    except LboundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, MissError):
+            for key, nodes in Counter(exc.keys).items():  # in first-seen order
+                print(f"  missing: {key} ({nodes} node(s))", file=sys.stderr)
+            print("hint: run `lbound bench --delta --simulate` to fill the gaps "
+                  "or pass --allow-missing", file=sys.stderr)
+        sys.exit(exc.exit_code)
 
 
 # ``bench/harness.py`` calls ``main.main(args, prog_name=..., standalone_mode=False)``;

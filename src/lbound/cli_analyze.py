@@ -5,12 +5,11 @@ from __future__ import annotations
 import math
 import sys
 
-from .cli_common import _DEFAULT, _db_path, _existing, _exit_codes, _load_inferred, _parser
+from .cli_common import _DEFAULT, _db_path, _existing, _load_inferred, _parser
 from .errors import ConfigError, MissError, ProfileFormatError, read_text, write_text
 from .model_ir import DTYPES, LAYOUTS
 
 
-@_exit_codes
 def analyze(argv: list[str]) -> None:
     """Compute lower bounds, Benanza Ratios, and optimization advice."""
     p = _parser("analyze", analyze.__doc__)
@@ -88,7 +87,6 @@ def _write_misses(path: str | None, keys: list[str]) -> None:
         write_text(path, "\n".join(dict.fromkeys(keys)) + "\n")
 
 
-@_exit_codes
 def advise(argv: list[str]) -> None:
     """Rank systems for a model by lower bound, optionally weighted by cost."""
     p = _parser("advise", advise.__doc__)

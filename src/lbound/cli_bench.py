@@ -6,14 +6,13 @@ import argparse
 import os
 from typing import TYPE_CHECKING
 
-from .cli_common import _DEFAULT, _db_path, _existing, _exit_codes, _load_inferred, _parser
+from .cli_common import _DEFAULT, _db_path, _existing, _load_inferred, _parser
 from .errors import ConfigError, ModelParseError, read_text, write_text
 
 if TYPE_CHECKING:
     from .benchgen import BenchConfig
 
 
-@_exit_codes
 def bench(argv: list[str]) -> None:
     """Generate benchmark specs; simulate them or emit source."""
     p = _parser("bench", bench.__doc__)

@@ -1,4 +1,4 @@
-"""What the command modules share: parsers, exit codes, model loading, the database path.
+"""What the command modules share: parsers, model loading, the database path.
 
 The process entry runs ``cli`` as its main module, so a command module
 imports these from here, never from ``cli``: importing ``lbound.cli`` would
@@ -8,31 +8,13 @@ compile that file a second time.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
-from collections import Counter
 
 from . import model_ir
-from .errors import ConfigError, LboundError, MissError
+from .errors import ConfigError
 
 _DEFAULT = "(default: %(default)s)"
-
-
-def _exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except LboundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            if isinstance(exc, MissError):
-                for key, nodes in Counter(exc.keys).items():  # in first-seen order
-                    print(f"  missing: {key} ({nodes} node(s))", file=sys.stderr)
-                print("hint: run `lbound bench --delta --simulate` to fill the gaps "
-                      "or pass --allow-missing", file=sys.stderr)
-            sys.exit(exc.exit_code)
-    return wrapper
 
 
 def _parser(command: str, doc: str) -> argparse.ArgumentParser:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from .cli_common import _existing, _exit_codes, _group, _parser
+from .cli_common import _existing, _group, _parser
 from .errors import StorageError, read_text
 
 
-@_exit_codes
 def db_import(argv: list[str]) -> None:
     """Import external result files (same line format, e.g. real hardware)."""
     p = _parser("db import", db_import.__doc__)
@@ -24,7 +23,6 @@ def db_import(argv: list[str]) -> None:
     print(f"imported {total} record(s) into {opts.database}")
 
 
-@_exit_codes
 def db_compact(argv: list[str]) -> None:
     """Drop superseded records, then rewrite the file and its layer index."""
     p = _parser("db compact", db_compact.__doc__)
@@ -38,7 +36,6 @@ def db_compact(argv: list[str]) -> None:
     print(f"compacted {database}: dropped {dropped} superseded record(s)")
 
 
-@_exit_codes
 def db_stats(argv: list[str]) -> None:
     """Print live and superseded record counts.
 

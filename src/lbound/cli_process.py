@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import sys
 
-from .cli_common import _DEFAULT, _existing, _exit_codes, _load_inferred, _parser
+from .cli_common import _DEFAULT, _existing, _load_inferred, _parser
 from .model_ir import DTYPES
 
 
-@_exit_codes
 def process(argv: list[str]) -> None:
     """Parse models, infer shapes, and report unique-layer statistics."""
     p = _parser("process", process.__doc__)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from .cli_common import _DEFAULT, _existing, _exit_codes, _group, _parser
+from .cli_common import _DEFAULT, _existing, _group, _parser
 from .errors import ProfileFormatError, read_text, write_text
 
 
-@_exit_codes
 def profile_convert(argv: list[str]) -> None:
     """Convert library logs and a kernel trace into the canonical profile."""
     p = _parser("profile convert", profile_convert.__doc__)

@@ -57,7 +57,7 @@ def _signed(v: int) -> int:
 
 
 def _fields(buf: bytes, start: int, end: int):
-    """Yield (field_number, wire_type, value, offset) for one message span.
+    """Yield (field_number, wire_type, value) for one message span.
 
     Length-delimited values are (start, end) spans into ``buf``.
     """
@@ -89,7 +89,7 @@ def _fields(buf: bytes, start: int, end: int):
             pos += 4
         else:
             raise ModelParseError(f"unsupported wire type {wire}", offset=tag_offset)
-        yield field_no, wire, value, tag_offset
+        yield field_no, wire, value
 
 
 def _span_str(buf: bytes, span: tuple[int, int]) -> str:
@@ -124,7 +124,7 @@ def _parse_tensor(buf: bytes, span: tuple[int, int]) -> _Tensor:
     data_type = 0
     int_values: list[int] = []
     raw: bytes | None = None
-    for field_no, wire, value, offset in _fields(buf, *span):
+    for field_no, wire, value in _fields(buf, *span):
         if field_no == 1:  # dims
             if wire == _WIRE_VARINT:
                 dims.append(_signed(value))
@@ -153,19 +153,19 @@ def _parse_value_info(buf: bytes, span: tuple[int, int]):
     """ValueInfoProto -> (name, dims_or_None); symbolic dims read as 1."""
     name = ""
     dims: list[int] | None = None
-    for field_no, wire, value, _ in _fields(buf, *span):
+    for field_no, wire, value in _fields(buf, *span):
         if field_no == 1 and wire == _WIRE_LEN:
             name = _span_str(buf, value)
         elif field_no == 2 and wire == _WIRE_LEN:  # TypeProto
-            for f2, w2, v2, _ in _fields(buf, *value):
+            for f2, w2, v2 in _fields(buf, *value):
                 if f2 == 1 and w2 == _WIRE_LEN:  # tensor_type
-                    for f3, w3, v3, _ in _fields(buf, *v2):
+                    for f3, w3, v3 in _fields(buf, *v2):
                         if f3 == 2 and w3 == _WIRE_LEN:  # shape
                             dims = []
-                            for f4, w4, v4, _ in _fields(buf, *v3):
+                            for f4, w4, v4 in _fields(buf, *v3):
                                 if f4 == 1 and w4 == _WIRE_LEN:  # dim
                                     dim_val = None
-                                    for f5, w5, v5, _ in _fields(buf, *v4):
+                                    for f5, w5, v5 in _fields(buf, *v4):
                                         if f5 == 1 and w5 == _WIRE_VARINT:
                                             dim_val = _signed(v5)
                                     dims.append(dim_val if dim_val and dim_val > 0 else 1)
@@ -181,7 +181,7 @@ def _parse_attribute(buf: bytes, span: tuple[int, int]):
     t_val = None
     floats: list[float] = []
     ints: list[int] = []
-    for field_no, wire, value, _ in _fields(buf, *span):
+    for field_no, wire, value in _fields(buf, *span):
         if field_no == 1 and wire == _WIRE_LEN:
             name = _span_str(buf, value)
         elif field_no == 2 and wire == _WIRE_32BIT:
@@ -226,7 +226,7 @@ def _parse_node(buf: bytes, span: tuple[int, int]):
     name = ""
     op_type = ""
     attrs: dict = {}
-    for field_no, wire, value, _ in _fields(buf, *span):
+    for field_no, wire, value in _fields(buf, *span):
         if wire != _WIRE_LEN:
             continue
         if field_no == 1:
@@ -269,7 +269,7 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
     if not data:
         raise ModelParseError("empty model file", offset=0)
     graph_span = None
-    for field_no, wire, value, _ in _fields(data, 0, len(data)):
+    for field_no, wire, value in _fields(data, 0, len(data)):
         if field_no == 7 and wire == _WIRE_LEN:  # ModelProto.graph
             graph_span = value
     if graph_span is None:
@@ -280,7 +280,7 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
     inputs_vi = []
     outputs_vi = []
     graph_name = name
-    for field_no, wire, value, offset in _fields(data, *graph_span):
+    for field_no, wire, value in _fields(data, *graph_span):
         if wire != _WIRE_LEN:
             continue
         if field_no == 1:
@@ -369,7 +369,7 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
 
 
 def _tensor_name(buf: bytes, span: tuple[int, int]) -> str:
-    for field_no, wire, value, _ in _fields(buf, *span):
+    for field_no, wire, value in _fields(buf, *span):
         if field_no == 8 and wire == _WIRE_LEN:  # TensorProto.name
             return _span_str(buf, value)
     return ""

@@ -1,27 +1,28 @@
 """File-backed performance database.
 
 Storage is a file of line-delimited JSON records, a layer index beside it
-(``<db>.idx``, below) and one in-memory index built at open: (system,
-dtype, signature) maps to that layer's live records, keyed by their full
-record key. Lines that the layer index lists are decoded on their layer's
-first read, and every other line at open. ``query`` and ``best`` read
-only the records of one layer, and ``record_for``, ``has_spec``,
-``records()`` and ``compact`` read through the same index. ``records()``
-and ``compact`` therefore group records by layer, layers in the order
-they first appeared and records within a layer in insertion order.
-``compact`` drops superseded records only: it copies each live line as it
-is on disk, so the live records, their order and therefore the index are
-the same after a reopen.
+(``<db>.idx``, below) and one in-memory index built at open: each (system,
+dtype, signature) maps to where that layer's live lines are, and once
+decoded to its live records, keyed by their full record key. Lines that
+the layer index lists are decoded on their layer's first read, and every
+other line at open. ``query`` and ``best`` read only the records of one
+layer, and ``record_for``, ``has_spec``, ``records()`` and ``compact``
+read through the same index. ``records()`` and ``compact`` therefore group
+records by layer, layers in the order they first appeared and records
+within a layer in insertion order. ``compact`` drops superseded records
+only: it copies each live line as it is on disk, so the live records,
+their order and therefore the index are the same after a reopen.
 
 Appending is the only write path; re-inserting a key replaces the live
 record while the superseded one stays on disk until ``compact`` rewrites
-the file. The handle keeps only their number, ``superseded``, which is
-what ``db stats`` and ``compact`` report. Readers take a snapshot at open
-and keep the file open while index entries are left to read; a writer
-holds an advisory file lock for the lifetime of the handle and loads the
-file under it. ``compact`` locks the new file before it renames it over
-the old one, and a writer refuses a lock it got on a file that a compact
-has since replaced, so no two writers ever hold the file at one path.
+the file. The handle keeps only their number, ``superseded``: the index's
+count plus each line past it that replaces a key. ``db stats`` and
+``compact`` report it. Readers take a snapshot at open and keep the file
+open while index entries are left to read; a writer holds an advisory file
+lock for the lifetime of the handle and loads the file under it.
+``compact`` locks the new file before it renames it over the old one, and
+a writer refuses a lock it got on a file that a compact has since
+replaced, so no two writers ever hold the file at one path.
 
 A crash in the middle of an append leaves a torn tail: a last line with no
 trailing newline that does not parse. A read-only open skips it; a writer
@@ -37,14 +38,14 @@ The canonical signature string is stored alongside its hash as a collision
 guard; equality is always decided on the string.
 
 The layer index is a pure function of the first N bytes of the file, N
-being the end of a whole line. Its first line holds the format version,
-N, the line count of those bytes, their sha256 and their superseded
-count. Then comes one line per system, in name order: a JSON array of the
-system name, its live and superseded counts, and its layers, each as
+being the end of a whole line. Its first line holds the format version, N,
+the line count of those bytes, their sha256, their superseded count and
+their number of layers. Then comes one line per system, in name order: a
+JSON array of the system name, its live count and its layers, each as
 [rank, dtype, signature, [offset, length, line number, ...]]. The rank is
-the layer's place in first-appearance order, and the live lines are
-listed in the layer's order. The last line is the sha256 of all the
-others, so a damaged or cut index is never read as one.
+the layer's place in first-appearance order, and the live lines are listed
+in the layer's order. The last line is the sha256 of all the others, so a
+damaged or cut index is never read as one.
 
 Every ``rw`` handle writes the index under its lock, through a temp file
 and ``os.replace``: when it closes, if the file grew since the index on
@@ -53,20 +54,21 @@ successful append. A read-only open never writes, and a failed index write
 changes no result. The lock, ``compact``, ``db import`` and the index
 writer live in ``perfdb_writer``, which only a writer imports.
 
-An open trusts the index only when N is no larger than the file and the
-streamed sha256 of the file's first N bytes matches, so a stale index
-beside a deleted, rewritten or recreated file is ignored. A trusted index
-replaces reading those N bytes. The open checks and splits the index in
-one buffer and keeps, per system, its counts and where its line is. It
-reads a system's line from the index file when it first touches that
+An open trusts the index only when its version is this module's, N is no
+larger than the file and the streamed sha256 of the file's first N bytes
+matches, so an older index, or a stale one beside a deleted, rewritten or
+recreated file, is ignored, and the next writer replaces it. A trusted
+index replaces reading those N bytes. The open checks and splits the index
+in one buffer and keeps, per system, its live count and where its line is.
+It reads a system's line from the index file when it first touches that
 system (a read, a line past N, an insert), and keeps that file open until
 every system line is read, so a writer's later index does not change what
 it reads. A layer's listed lines are read by offset and decoded on its
 first touch, so a command reads only the systems and layers it queries.
 Bytes past N go through the per-line scan below, line numbers continuing
-from the index's count; a line there of a listed layer first decodes
-that layer's listed lines. Lines that a writer checked are not checked
-again, but a listed line that does not decode into its layer raises
+from the index's count; a line there of a listed layer first decodes that
+layer's listed lines. Lines that a writer checked are not checked again,
+but a listed line that does not decode into its layer raises
 ``StorageError``.
 
 Every line that no index covers is decoded at open, by the same loop for
@@ -106,10 +108,9 @@ _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
 _ALGO_RANK = {algo.name: rank for rank, algo in enumerate(ConvAlgorithm)}
 _FUSED_IDS = {p.id for p in FUSION_PATTERNS}
 # How a system line of the layer index starts: the system name as a JSON
-# string, then its live and superseded counts. Compiled on first use,
-# through re's cache.
-_SYSTEM_LINE = rb'\[("(?:[^"\\]|\\.)*"),(\d+),(\d+),'
-_INDEX_VERSION = 1
+# string, then its live count. Compiled on first use, through re's cache.
+_SYSTEM_LINE = rb'\[("(?:[^"\\]|\\.)*"),(\d+),'
+_INDEX_VERSION = 2
 _CHUNK = 1 << 18  # bytes per read while hashing the file
 
 
@@ -242,25 +243,23 @@ class PerfDb:
             raise StorageError(f"unknown db mode {mode!r}")
         self.path = str(path)
         self.mode = mode
-        # (system, dtype, signature) -> {index key: live record}; empty while
-        # the layer's live lines are only entries of the layer index, in _covered
-        self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
         # (system, dtype, signature) -> [offset, length, line number, ...] of
-        # the live lines that the layer index lists, decoded on the layer's
-        # first read
-        self._covered: dict[tuple, list[int]] = {}
-        # system -> (live, superseded, offset, length) of an index line not read yet
-        self._unread: dict[str, tuple[int, int, int, int]] = {}
+        # each live line of the layer, in the layer's order
+        self._where: dict[tuple, list[int]] = {}
+        # (system, dtype, signature) -> {index key: live record}, in the same
+        # order, for the layers decoded so far
+        self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
+        # system -> (live, offset, length) of an index line not read yet
+        self._unread: dict[str, tuple[int, int, int]] = {}
         self._rank: dict[tuple, int] = {}  # layer -> its place in first-appearance order
         self._next_rank = 0
-        self._superseded: Counter = Counter()  # replaced records still in the file, per system
+        self.superseded = 0  # replaced records still in the file
         self._fh = None  # a writer's locked append handle
         self._rd = None  # the file, open while index entries are left to read
         self._ix = None  # the layer index, open while system lines are left to read
-        # A writer's account of the bytes it checked, for its index: where
-        # each live line is, their end and line count, their sha256 (None
-        # after a failed append) and how far the index on disk reaches.
-        self._at: dict[tuple, tuple[int, int, int]] | None = {} if mode == "rw" else None
+        # A writer's account of the bytes it checked, for its index: their
+        # end and line count, their sha256 (None after a failed append) and
+        # how far the index on disk reaches.
         self._end = self._lines = 0
         self._sha = None
         self._indexed = -1
@@ -311,7 +310,7 @@ class PerfDb:
                 self._end, self._lines, self._sha = pos, lineno, sha
         except OSError as exc:
             raise StorageError(f"cannot read database {self.path}: {exc}") from exc
-        if not (self._unread or self._covered):
+        if not self._unread and len(self._by_layer) == len(self._where):
             self._rd = None
             fh.close()
 
@@ -319,9 +318,10 @@ class PerfDb:
         """Trust ``<db>.idx`` if it describes a prefix of the file as it is now.
 
         Returns the byte length and the line count of that prefix and its
-        sha256, with ``fh`` right after it, and keeps each system's counts
-        and the offset and length of its line in ``_unread``. Without an
-        index to trust: (0, 0, a fresh sha256), with ``fh`` at the start.
+        sha256, with ``fh`` right after it, takes its superseded count and
+        keeps each system's live count and the offset and length of its line
+        in ``_unread``. Without an index to trust: (0, 0, a fresh sha256),
+        with ``fh`` at the start.
         """
         sha = hashlib.sha256()
         ix = None
@@ -334,17 +334,18 @@ class PerfDb:
                 raise ValueError("a damaged index")
             pos = data.index(b"\n", 0, end) + 1
             meta = json.loads(data[:pos])
-            n, lines, layers = meta["bytes"], meta["lines"], meta["layers"]
-            if meta["v"] != _INDEX_VERSION or {type(n), type(lines), type(layers)} != {int} \
+            n, lines, layers, superseded = \
+                meta["bytes"], meta["lines"], meta["layers"], meta["superseded"]
+            if meta["v"] != _INDEX_VERSION \
+                    or {type(n), type(lines), type(layers), type(superseded)} != {int} \
                     or not 0 <= n <= os.fstat(fh.fileno()).st_size:
                 raise ValueError("not this file's index")
-            unread, superseded = {}, 0
+            unread = {}
             system_line = re.compile(_SYSTEM_LINE)
             while pos < end:
                 nl = data.index(b"\n", pos, end) + 1
                 m = system_line.match(data, pos, nl)
-                superseded += int(m[3])
-                unread[json.loads(m[1])] = (int(m[2]), int(m[3]), pos, nl - pos)
+                unread[json.loads(m[1])] = (int(m[2]), pos, nl - pos)
                 pos = nl
             del data  # before the file's own buffer below
             buf = memoryview(bytearray(min(n, _CHUNK)))
@@ -355,7 +356,7 @@ class PerfDb:
                     raise ValueError("the file shrank")
                 sha.update(buf[:got])
                 left -= got
-            if superseded != meta["superseded"] or sha.hexdigest() != meta["sha256"]:
+            if sha.hexdigest() != meta["sha256"]:
                 raise ValueError("not this file's index")
         except (OSError, ValueError, KeyError, TypeError):
             if ix is not None:
@@ -367,20 +368,14 @@ class PerfDb:
         else:
             ix.close()
         self._unread, self._next_rank, self._indexed = unread, layers, n
+        self.superseded = superseded
         return n, lines, sha
-
-    def _reveal(self, lkey: tuple) -> None:
-        """Bring in what the layer index holds of a layer: its system's line, then its records."""
-        if lkey[0] in self._unread:
-            self._read_system(lkey[0])
-        if lkey in self._covered:
-            self._uncover(lkey)
 
     def _read_system(self, name: str) -> None:
         """Enter a system's layers from its index line; their records stay unread."""
         if self._ix is None:
             raise StorageError(f"database {self.path} is closed")
-        _live, superseded, off, size = self._unread.pop(name)
+        _live, off, size = self._unread.pop(name)
         try:
             line = os.pread(self._ix.fileno(), size, off)
         except OSError as exc:
@@ -389,25 +384,23 @@ class PerfDb:
             self._ix.close()
             self._ix = None
         try:
-            for rank, dtype, signature, where in json.loads(line)[3]:
+            for rank, dtype, signature, where in json.loads(line)[2]:
                 lkey = (name, dtype, signature)
-                self._by_layer[lkey] = {}
-                self._covered[lkey] = where
+                self._where[lkey] = where
                 self._rank[lkey] = rank
         except (ValueError, TypeError) as exc:
             raise StorageError(f"bad database index {self.path}.idx: {exc}") from exc
-        self._superseded[name] += superseded
 
     def _read_all_systems(self) -> None:
         for name in list(self._unread):
             self._read_system(name)
 
-    def _uncover(self, lkey: tuple) -> None:
+    def _decode(self, lkey: tuple) -> None:
         """Decode the live lines of a layer that the index lists, in the layer's order."""
         if self._rd is None:
             raise StorageError(f"database {self.path} is closed")
-        layer = self._by_layer[lkey]
-        it = iter(self._covered.pop(lkey))
+        layer = {}  # entered whole, so a line that fails leaves the layer undecoded
+        it = iter(self._where[lkey])
         for off, size, lineno in zip(it, it, it):
             try:
                 raw = os.pread(self._rd.fileno(), size, off)
@@ -419,12 +412,15 @@ class PerfDb:
                 raise StorageError(f"bad database index {self.path}.idx: "
                                    f"line {lineno} is not in its place")
             layer[key] = rec
-            if self._at is not None:
-                self._at[key] = (off, size, lineno)
+        self._by_layer[lkey] = layer
 
     def _layer(self, lkey: tuple) -> dict[tuple, PerfRecord]:
-        """One layer's live records by index key, every line of it decoded first."""
-        self._reveal(lkey)
+        """One layer's live records by index key, after its system's index line
+        and then its listed lines are read."""
+        if lkey[0] in self._unread:
+            self._read_system(lkey[0])
+        if lkey not in self._by_layer and lkey in self._where:
+            self._decode(lkey)
         return self._by_layer.get(lkey, {})
 
     def close(self) -> None:
@@ -474,17 +470,20 @@ class PerfDb:
         """Enter a decoded record, whose line is at ``at`` (offset, length, line number)."""
         key = record.key.index_key()
         lkey = key[:3]
-        self._reveal(lkey)  # the lines the index lists of its layer come first
-        layer = self._by_layer.get(lkey)
-        if layer is None:  # a new layer ranks last
+        layer = self._layer(lkey)  # the lines the index lists of its layer come first
+        if not layer:  # a new layer ranks last
             layer = self._by_layer[lkey] = {}
+            self._where[lkey] = []
             self._rank[lkey] = self._next_rank
             self._next_rank += 1
-        if key in layer:
-            self._superseded[key[0]] += 1
+        where = self._where[lkey]
+        if key in layer:  # the key keeps its place, at its new line
+            self.superseded += 1
+            slot = 3 * list(layer).index(key)
+            where[slot:slot + 3] = at
+        else:
+            where += at
         layer[key] = record
-        if self._at is not None:
-            self._at[key] = at
 
     def compact(self) -> int:
         """Rewrite the file with live records only; returns the superseded count.
@@ -499,24 +498,19 @@ class PerfDb:
 
     # -- reads --------------------------------------------------------------
 
-    @property
-    def superseded(self) -> int:
-        """Replaced records still in the file."""
-        return sum(self._superseded.values()) + sum(entry[1] for entry in self._unread.values())
-
     def __len__(self) -> int:
         return sum(self.live_by_system().values())
 
     def live_by_system(self) -> Counter:
         """Live records per system, counted from the index; decodes nothing."""
         counts = Counter({name: entry[0] for name, entry in self._unread.items()})
-        for lkey, layer in self._by_layer.items():
-            counts[lkey[0]] += len(layer) + len(self._covered.get(lkey, ())) // 3
+        for lkey, where in self._where.items():
+            counts[lkey[0]] += len(where) // 3
         return counts
 
     def records(self) -> list[PerfRecord]:
         self._read_all_systems()
-        order = sorted(self._by_layer, key=self._rank.__getitem__)
+        order = sorted(self._where, key=self._rank.__getitem__)
         return [rec for lkey in order for rec in self._layer(lkey).values()]
 
     def record_for(self, key: RecordKey) -> PerfRecord | None:

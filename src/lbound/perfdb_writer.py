@@ -44,14 +44,6 @@ def lock(path: str, name: str):
     return fh
 
 
-def _where(db: PerfDb, lkey: tuple) -> list[int]:
-    """[offset, length, line number, ...] of a writer's live lines of a layer."""
-    where = db._covered.get(lkey)
-    if where is None:
-        where = [n for key in db._by_layer[lkey] for n in db._at[key]]
-    return where
-
-
 def write_index(db: PerfDb) -> None:
     """Write ``<db>.idx`` for the bytes the writer checked, through a temp file.
 
@@ -61,20 +53,18 @@ def write_index(db: PerfDb) -> None:
     describes a prefix of the file.
     """
     layers: dict[str, list] = {}
-    for lkey in sorted(db._by_layer, key=db._rank.__getitem__):
-        layers.setdefault(lkey[0], []).append(
-            [db._rank[lkey], lkey[1], lkey[2], _where(db, lkey)])
+    for lkey in sorted(db._where, key=db._rank.__getitem__):
+        layers.setdefault(lkey[0], []).append([db._rank[lkey], lkey[1], lkey[2], db._where[lkey]])
     systems = {}
     for name, entries in layers.items():
         live = sum(len(entry[3]) for entry in entries) // 3
-        systems[name] = json.dumps([name, live, db._superseded[name], entries],
-                                   separators=(",", ":")).encode() + b"\n"
+        systems[name] = json.dumps([name, live, entries], separators=(",", ":")).encode() + b"\n"
     head = json.dumps({"v": _INDEX_VERSION, "bytes": db._end, "lines": db._lines,
                        "sha256": db._sha.hexdigest(), "superseded": db.superseded,
                        "layers": db._next_rank}, separators=(",", ":"))
     path = db.path + ".idx"
     try:
-        for name, (_live, _sup, off, size) in db._unread.items():  # read from the old index
+        for name, (_live, off, size) in db._unread.items():  # read from the old index
             systems[name] = os.pread(db._ix.fileno(), size, off)
         data = b"".join([head.encode(), b"\n", *(systems[name] for name in sorted(systems))])
         with open(path + ".tmp", "wb") as out:
@@ -119,13 +109,13 @@ def compact(db: PerfDb) -> int:
     db._writable()
     dropped = db.superseded
     db._read_all_systems()
-    order = sorted(db._by_layer, key=db._rank.__getitem__)
+    order = sorted(db._where, key=db._rank.__getitem__)
     runs = []  # (offset, length) of the byte runs to copy, in order
     moved = []  # per layer, [offset, length, line number, ...] in the new file
     pos = n = 0
     start = end = 0
     for lkey in order:
-        new = _where(db, lkey)[:]
+        new = db._where[lkey][:]
         for i in range(0, len(new), 3):
             if new[i] != end:
                 runs.append((start, end - start))
@@ -163,12 +153,7 @@ def compact(db: PerfDb) -> int:
         db._rd.close()
     db._fh, db._rd, db._sha = fh, rd, sha
     db._end, db._lines = pos, n
-    db._superseded.clear()
-    for lkey, new in zip(order, moved):
-        if lkey in db._covered:
-            db._covered[lkey] = new
-        else:
-            it = iter(new)
-            db._at.update(zip(db._by_layer[lkey], zip(it, it, it)))
+    db.superseded = 0
+    db._where.update(zip(order, moved))
     write_index(db)
     return dropped

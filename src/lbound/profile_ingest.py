@@ -17,8 +17,11 @@ META and APICALLS are required; KERNELS may be absent (tensor-core
 detection is then unavailable). APICALLS and KERNELS hold one JSON object
 per line; ``params`` and ``backtrace`` are omitted when empty, ``between``
 names the API-call seq pair a foreign kernel ran between and is omitted
-for kernels attributed to an API call. Serialization and parsing round-trip
-byte-for-byte.
+for kernels attributed to an API call. ``seq`` and the ``between`` seqs are
+integers, ``api``, ``name`` and each backtrace frame strings, ``params`` an
+object and ``duration_us`` a number; a bool is none of these, and a value
+of another type raises ``ProfileFormatError``. Serialization and parsing
+round-trip byte-for-byte.
 
 A lenient parser for the cuDNN/cuBLAS logger style (blocks opened by
 ``I! CuDNN (v...) function <name>() called:`` with indented
@@ -113,6 +116,16 @@ def serialize_profile(profile: ExecutionProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check(ok: bool, field: str, kind: str, value) -> None:
+    """Refuse ``value``, a profile line's ``field``, unless ``ok``.
+
+    Callers test ``type(value)``, not ``isinstance``, so a bool is neither an
+    integer nor a number.
+    """
+    if not ok:
+        raise TypeError(f"{field} must be {kind}, got {value!r}")
+
+
 def parse_profile(text: str) -> ExecutionProfile:
     lines = text.splitlines()
     if not lines or lines[0].strip() != _HEADER:
@@ -154,12 +167,15 @@ def parse_profile(text: str) -> ExecutionProfile:
     for line in sections["APICALLS"]:
         try:
             obj = json.loads(line)
-            call = ApiCall(
-                seq=int(obj["seq"]),
-                api_name=obj["api"],
-                params=dict(obj.get("params", {})),
-                backtrace=obj.get("backtrace"),
-            )
+            seq, api = obj["seq"], obj["api"]
+            params, backtrace = obj.get("params", {}), obj.get("backtrace")
+            _check(type(seq) is int, "seq", "an integer", seq)
+            _check(type(api) is str, "api", "a string", api)
+            _check(type(params) is dict, "params", "an object", params)
+            _check(backtrace is None or type(backtrace) is list
+                   and all(type(frame) is str for frame in backtrace),
+                   "backtrace", "null or a list of strings", backtrace)
+            call = ApiCall(seq, api, params, backtrace)
         except (KeyError, ValueError, TypeError) as exc:
             raise ProfileFormatError(f"bad APICALLS line {line!r}: {exc}") from exc
         if call.seq <= last_seq:
@@ -225,13 +241,18 @@ def parse_kernel_lines(text: str) -> list[KernelRecord]:
             continue
         try:
             obj = json.loads(line)
-            between = obj.get("between")
+            name, duration, between = obj["name"], obj["duration_us"], obj.get("between")
+            _check(type(name) is str, "name", "a string", name)
+            _check(type(duration) in (int, float), "duration_us", "a number", duration)
+            _check(between is None or type(between) is list and len(between) == 2
+                   and all(type(seq) is int for seq in between),
+                   "between", "null or a list of two integers", between)
             kernels.append(KernelRecord(
-                name=obj["name"],
-                duration_us=float(obj["duration_us"]),
+                name=name,
+                duration_us=float(duration),
                 seq_between=tuple(between) if between is not None else None,
             ))
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ProfileFormatError(f"bad kernel line {line!r}: {exc}") from exc
     return kernels
 

@@ -302,7 +302,16 @@ def test_bad_system_exits_2_before_the_db_opens(r18, tmp_path, extra, system, re
 @pytest.mark.parametrize("meta, kernel, reason", [
     ("nan", '{"name":"k","duration_us":1}', "measured latency"),
     ("1", '{"name":"k","duration_us":NaN}', "duration"),
+    pytest.param("1", '{"name":"k","duration_us":1' + "0" * 400 + '}', "bad kernel line",
+                 id="duration-past-float"),
     ("1", '{"name":"k","duration_us":1,"between":5}', "bad kernel line"),
+    ("1", '{"name":5,"duration_us":1}', "name must be a string, got 5"),
+    ("1", '{"name":"k","duration_us":true}', "duration_us must be a number, got True"),
+    ("1", '{"name":"k","duration_us":"1"}', "duration_us must be a number, got '1'"),
+    ("1", '{"name":"k","duration_us":1,"between":[1]}', "between must be null or a list"),
+    ("1", '{"name":"k","duration_us":1,"between":"ab"}', "between must be null or a list"),
+    ("1", '{"name":"k","duration_us":1,"between":[1,true]}', "between must be null or a list"),
+    ("1", '{"name":"k","duration_us":1,"between":[1,2.0]}', "between must be null or a list"),
 ])
 def test_bad_profile_values_exit_2(r18, tmp_path, meta, kernel, reason):
     model, db = r18
@@ -319,6 +328,34 @@ def test_bad_profile_values_exit_2(r18, tmp_path, meta, kernel, reason):
         "--model", "m", "--system", "s", "-o", str(tmp_path / "out.prof")])
     _no_traceback(res, 2)
     assert reason in res.output
+
+
+@pytest.mark.parametrize("call, reason", [
+    ('{"seq":true,"api":"cudnnAddTensor"}', "seq must be an integer, got True"),
+    ('{"seq":1.0,"api":"cudnnAddTensor"}', "seq must be an integer, got 1.0"),
+    ('{"seq":"1","api":"cudnnAddTensor"}', "seq must be an integer, got '1'"),
+    ('{"seq":1,"api":5}', "api must be a string, got 5"),
+    ('{"seq":1,"api":"cudnnAddTensor","params":[["k","v"]]}', "params must be an object"),
+    ('{"seq":1,"api":"cudnnAddTensor","backtrace":"f"}', "backtrace must be null or a list"),
+    ('{"seq":1,"api":"cudnnAddTensor","backtrace":["f",1]}', "backtrace must be null or a list"),
+])
+def test_bad_api_call_values_exit_2(r18, tmp_path, call, reason):
+    model, db = r18
+    prof = tmp_path / "bad.prof"
+    prof.write_text("lbound-profile v1\n[META]\nmodel: m\nsystem: Tesla_V100\nbatch: 1\n"
+                    f"measured_latency_ms: 1\n[APICALLS]\n{call}\n", "utf-8")
+    res = _analyze(model, db, "--profile", str(prof))
+    _no_traceback(res, 2)
+    assert "bad APICALLS line" in res.output and reason in res.output
+
+
+@pytest.mark.parametrize("option, name", [
+    ("--dtypes", "dtype"), ("--layouts", "layout"), ("--algorithms", "algorithm")])
+def test_bench_with_an_empty_list_exits_2(r18, option, name):
+    model, _db = r18
+    res = invoke(["bench", str(model), "--dtypes", "f32", option, " , "])
+    _one_error(res)
+    assert f"config needs at least one {name}" in res.output
 
 
 _CONV = "Conv|f32|in=1x3x8x8|dilations=1x1,group=1,kernel=3x3,pads=1x1x1x1"

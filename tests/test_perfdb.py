@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -254,17 +255,33 @@ def _index_for(data: bytes, tmp) -> bytes:
         return fh.read()
 
 
+def _edited(index: bytes, edit) -> bytes:
+    """``index`` with ``edit`` applied to each of its lines, parsed as JSON,
+    and its sha256 line recomputed, so the index is read as one."""
+    lines = [json.dumps(edit(json.loads(line)), separators=(",", ":")).encode() + b"\n"
+             for line in index.splitlines()[:-1]]
+    body = b"".join(lines)
+    return body + hashlib.sha256(body).hexdigest().encode() + b"\n"
+
+
+def _older(index: bytes) -> bytes:
+    """``index`` as an older format version wrote it: only its version is wrong."""
+    return _edited(index, lambda obj: {**obj, "v": obj["v"] - 1} if "v" in obj else obj)
+
+
 def _index_states(data: bytes, covered: int, tmp) -> dict[str, bytes | None]:
     """The sidecar indexes to open a file of ``data`` with.
 
     None; a writer's index of the first ``covered`` bytes, whole lines that
     a writer accepts; the index of another file; that index cut short, so
-    it does not parse; and an index whose length exceeds the file's.
+    it does not parse; an index whose length exceeds the file's; and the
+    valid index of an older format version.
     """
     valid = _index_for(data[:covered], tmp)
     return {"none": None, "valid": valid, "other": _index_for(OTHER_FILE, tmp),
             "truncated": valid[:len(valid) // 2],
-            "longer": _index_for(data[:covered] + b"\n" * (len(data) + 1), tmp)}
+            "longer": _index_for(data[:covered] + b"\n" * (len(data) + 1), tmp),
+            "older": _older(valid)}
 
 
 def _put_back(path, data: bytes, index: bytes | None) -> None:
@@ -528,9 +545,10 @@ def _lines(db: PerfDb) -> list[str]:
 def _check_opens(path, covered: int) -> None:
     """An ``r`` and an ``rw`` open in each index state, against the oracle.
 
-    With no index and with a valid one, the writer then compacts and the
-    file is opened again; an index that is not trusted leaves the same
-    code to run as no index.
+    With no index and with a valid one, the writer then compacts; an index
+    that is not trusted leaves the same code to run as no index. Whatever
+    index it found, the writer leaves the index of the file as it is then,
+    and the file is opened again through it.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -551,13 +569,14 @@ def _check_opens(path, covered: int) -> None:
                     continue
                 with open(path, "rb") as fh:
                     assert fh.read() == kept, state
-                if state not in ("none", "valid"):
-                    assert _lines(db) == live, state
-                    continue
-                assert db.compact() == superseded, state
+                compacted = state in ("none", "valid")
+                if compacted:
+                    assert db.compact() == superseded, state
                 assert _lines(db) == live, state
-            with PerfDb(path) as db:  # through the index that compact wrote
-                assert (_lines(db), db.superseded) == (live, 0), state
+            with open(path, "rb") as fh, open(f"{path}.idx", "rb") as ix:
+                assert ix.read() == _index_for(fh.read(), os.path.dirname(path)), state
+            with PerfDb(path) as db:  # through the index that the writer wrote
+                assert (_lines(db), db.superseded) == (live, 0 if compacted else superseded), state
 
 
 @settings(max_examples=300, deadline=None)
@@ -697,6 +716,23 @@ def test_a_reader_reads_system_lines_from_the_index_it_checked(db_file):
         assert [r.latency_us for r in reader.records()] == [1.0, 2.0, 3.0, 4.0, 5.0, 1.0]
         assert reader._ix is None
         assert (reader.superseded, reader.live_by_system()) == (0, {"sysA": 5, "sysB": 1})
+
+
+def test_a_listed_line_out_of_its_place_fails_every_read_of_its_layer(db_file):
+    """An index whose own sha256 holds, but whose first layer also lists the
+    second layer's line: no read of that layer returns part of it."""
+    def misplace(obj):
+        if isinstance(obj, list):  # the system line; each line of db_file is its own layer
+            obj[-1][0][3] += obj[-1][1][3]
+        return obj
+
+    index = db_file.parent / "perf.db.idx"
+    index.write_bytes(_edited(index.read_bytes(), misplace))
+    with PerfDb(db_file) as db:
+        for _ in range(2):
+            with pytest.raises(StorageError, match="line 2 is not in its place"):
+                db.query("sysA", "f32", "Relu|f32|in=1x0|")
+        assert db.best("sysA", "f32", "Relu|f32|in=1x2|").latency_us == 3.0
 
 
 def test_a_failed_index_write_changes_no_result(tmp_path):
