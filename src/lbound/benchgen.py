@@ -25,7 +25,7 @@ from .dedup import (API_TABLE, ApiMapping, LayerSignature, api_for_op, layer_sig
 from .errors import ConfigError, LboundError, ModelParseError
 from .model_ir import (  # the vocabulary is re-bound here for spec callers
     DTYPES, FUSION_PATTERNS, LAYOUTS, ConvAlgorithm, Frozen, FusionPattern, ModelGraph,
-    infer_layer, is_weight_key)
+    is_weight_key)
 
 
 class BenchmarkSpec(Frozen):
@@ -37,11 +37,11 @@ class BenchmarkSpec(Frozen):
             raise ConfigError(f"unknown layout {layout!r}")
         if fused is not None and fused not in (p.id for p in FUSION_PATTERNS):
             raise ConfigError(f"unknown fusion pattern {fused!r}")
-        if api_for_op(signature.op_type) is None:
-            raise ConfigError(f"no library API for {signature.op_type} layer "
+        if api_for_op(signature.layer.op_type) is None:
+            raise ConfigError(f"no library API for {signature.layer.op_type} layer "
                               f"{signature.canonical_string!r}")
-        if (algorithm is not None) + (fused is not None) != (signature.op_type == "Conv"):
-            raise ConfigError(f"{signature.op_type} spec: Conv takes one algorithm "
+        if (algorithm is not None) + (fused is not None) != (signature.layer.op_type == "Conv"):
+            raise ConfigError(f"{signature.layer.op_type} spec: Conv takes one algorithm "
                               "or fused pattern, other ops neither")
         self._set("signature", signature)
         self._set("algorithm", algorithm)
@@ -55,7 +55,8 @@ class BenchmarkSpec(Frozen):
     @property
     def api(self) -> ApiMapping:
         """The API table row of the call that runs this spec."""
-        return API_TABLE["ConvBiasActivation"] if self.fused else api_for_op(self.signature.op_type)
+        return API_TABLE["ConvBiasActivation"] if self.fused \
+            else api_for_op(self.signature.layer.op_type)
 
     @property
     def api_name(self) -> str:
@@ -152,9 +153,9 @@ def generate_specs(uniques: set[LayerSignature], config: BenchConfig,
         raise ConfigError("no unique layers to generate benchmarks for")
     specs: list[BenchmarkSpec] = []
     for sig in sorted(uniques, key=lambda s: s.canonical_string):
-        if api_for_op(sig.op_type) is None:
+        if api_for_op(sig.layer.op_type) is None:
             continue
-        conv = sig.op_type == "Conv"
+        conv = sig.layer.op_type == "Conv"
         for dtype in config.dtypes:
             for layout in _applicable_layouts(config.layouts, dtype) if conv else ["NCHW"]:
                 for algo in config.algorithms if conv else (None,):
@@ -248,7 +249,7 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
     compiled here. The canonical signature string is embedded in the header
     comment so results can always be traced to their layer.
     """
-    sig = spec.signature
+    sig, layer = spec.signature, spec.signature.layer
     header = [
         "// auto-generated micro-benchmark, do not edit",
         f"// signature: {sig.canonical_string}",
@@ -258,22 +259,22 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
     include = "#include <cublas_v2.h>" if spec.api.library == "cublas" \
         else "#include <cudnn.h>"
     lines = header + [include, '#include "bench_runtime.h"', ""]
-    params = [(key, render_value(value)) for key, value in sig.params]
-    in_dims = ", ".join("{" + _csv(dims) + "}" for dims in sig.in_dims)
+    params = [(key, render_value(layer.params[key])) for key in sorted(layer.params)]
+    in_dims = ", ".join("{" + _csv(dims) + "}" for dims in layer.in_dims)
     lines.append(f"// inputs: {in_dims}")
     for key, value in params:
         lines.append(f"// {key}: {value}")
     fn = f"bench_{sig.hash64}_{spec.fused or (spec.algorithm.name if spec.algorithm else 'base')}_{spec.dtype}"
     lines.append(f"BENCH({fn}) {{")
     lines.append(f"  const cudnnDataType_t data_type = {_DTYPE_TOKEN[spec.dtype]};")
-    if sig.op_type == "Conv" or spec.fused:
+    if layer.op_type == "Conv" or spec.fused:
         lines.append(f"  const cudnnTensorFormat_t layout = {_LAYOUT_TOKEN[spec.layout]};")
-        lines.append(f"  const int x_dims[4] = {{{_csv(sig.in_dims[0])}}};")
-        lines.append(f"  const int w_dims[4] = {{{_csv(sig.param('w1'))}}};")
-        lines.append(f"  const int pads[4] = {{{_csv(sig.param('pads'))}}};")
-        lines.append(f"  const int strides[2] = {{{_csv(sig.param('strides'))}}};")
-        lines.append(f"  const int dilations[2] = {{{_csv(sig.param('dilations'))}}};")
-        lines.append(f"  const int group = {sig.param('group')};")
+        lines.append(f"  const int x_dims[4] = {{{_csv(layer.in_dims[0])}}};")
+        lines.append(f"  const int w_dims[4] = {{{_csv(layer.params['w1'])}}};")
+        lines.append(f"  const int pads[4] = {{{_csv(layer.params['pads'])}}};")
+        lines.append(f"  const int strides[2] = {{{_csv(layer.params['strides'])}}};")
+        lines.append(f"  const int dilations[2] = {{{_csv(layer.params['dilations'])}}};")
+        lines.append(f"  const int group = {layer.params['group']};")
         if spec.fused:
             # cuDNN documents IMPLICIT_PRECOMP_GEMM as the one algorithm it
             # enables with an identity activation, which conv_bias uses.
@@ -287,16 +288,14 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
             lines.append(f"  CUDNN_CALL({spec.api_name}(handle, &alpha, x_desc, x, w_desc, w,")
             lines.append("      conv_desc, algo, workspace, workspace_size, &beta, y_desc, y));")
     elif spec.api.library == "cublas":
-        # C is m x n with every leading output dim folded into m; k follows
-        # from the op rule's MAC count.
-        _params, out, macs = infer_layer(sig.op_type, dict(sig.params), list(sig.in_dims),
-                                         sig.hash64)
-        m, n = math.prod(out[:-1]), out[-1]
-        lines.append(f"  const int m = {m}, n = {n}, k = {macs // (m * n)};")
+        # C is m x n with every leading output dim folded into m, and k is
+        # the layer's MAC count over the m * n outputs.
+        m, n = math.prod(layer.out_dims[:-1]), layer.out_dims[-1]
+        lines.append(f"  const int m = {m}, n = {n}, k = {layer.macs // (m * n)};")
         lines.append(f"  CUBLAS_CALL({spec.api_name}(handle, transa, transb, m, n, k,")
         lines.append("      &alpha, a, lda, b, ldb, &beta, c, ldc));")
     else:
-        lines.append(f"  const int x_dims[] = {{{_csv(sig.in_dims[0])}}};")
+        lines.append(f"  const int x_dims[] = {{{_csv(layer.in_dims[0])}}};")
         for key, value in params:
             lines.append(f"  // param {key} = {value}")
         lines.append(f"  CUDNN_CALL({spec.api_name}(handle, /* descriptors from dims above */")

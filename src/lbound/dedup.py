@@ -10,11 +10,13 @@ with keys sorted lexicographically, integers in decimal, floats in shortest
 round-trip decimal, and integer tuples joined with ``x``. The 64-bit hash is
 an index accelerator only; equality is always decided on the string.
 
-A signature keeps its params as canonical values (ints, floats, int tuples,
-strings), not as rendered text, so consumers read them without parsing.
-``parse_signature`` accepts only a layer a graph could produce: it runs the
-parsed values through :func:`lbound.model_ir.infer_layer`, the same shape
-rules a graph layer passes.
+A signature is a layer at a dtype: it holds the :class:`lbound.model_ir.Layer`
+that inference found, so consumers read its op, input and output dims,
+canonical params and MAC count without parsing or inferring it again. A
+graph's signatures hold the graph's own layers. ``parse_signature`` accepts
+only a layer a graph could produce: it runs the parsed values through
+:func:`lbound.model_ir.infer_layer`, the same shape rules a graph layer
+passes, and its signature holds the layer that returns.
 """
 
 from __future__ import annotations
@@ -93,18 +95,14 @@ def api_for_op(op_type: str) -> ApiMapping | None:
 class LayerSignature(Frozen):
     """The unique-layer key shared by spec generation, the database and the analyzer.
 
-    ``params`` holds key-sorted (key, canonical value) pairs, the values that
-    ``model_ir.infer_layer`` produces, and ``parse_signature`` validates a
-    string through that same function. Equality and hashing use only
+    ``layer`` is the inferred layer and ``dtype`` the data type it runs at;
+    ``canonical_string`` renders both. Equality and hashing use only
     ``canonical_string``.
     """
 
-    def __init__(self, op_type: str, dtype: str, in_dims: tuple[tuple[int, ...], ...],
-                 params: tuple[tuple[str, object], ...], canonical_string: str, hash64: str):
-        self._set("op_type", op_type)
+    def __init__(self, layer: Layer, dtype: str, canonical_string: str, hash64: str):
+        self._set("layer", layer)
         self._set("dtype", dtype)
-        self._set("in_dims", in_dims)
-        self._set("params", params)
         self._set("canonical_string", canonical_string)
         self._set("hash64", hash64)
 
@@ -117,13 +115,7 @@ class LayerSignature(Frozen):
         return hash(self.canonical_string)
 
     def with_dtype(self, dtype: str) -> "LayerSignature":
-        if dtype == self.dtype:
-            return self
-        return _build(self.op_type, dtype, self.in_dims, self.params)
-
-    def param(self, key: str, default=None):
-        """Canonical value of one param (int, float, int tuple or string)."""
-        return next((v for k, v in self.params if k == key), default)
+        return self if dtype == self.dtype else signature(self.layer, dtype)
 
 
 def render_value(value) -> str:
@@ -138,22 +130,16 @@ def render_value(value) -> str:
     return urllib.parse.quote(str(value), safe="")
 
 
-def _build(op_type: str, dtype: str, in_dims, params) -> LayerSignature:
-    in_part = ",".join("x".join(str(d) for d in dims) for dims in in_dims)
-    param_part = ",".join(f"{k}={render_value(v)}" for k, v in params)
-    canonical = f"{op_type}|{dtype}|in={in_part}|{param_part}"
-    h = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
-    return LayerSignature(op_type, dtype, tuple(tuple(d) for d in in_dims),
-                          tuple(params), canonical, h)
-
-
 def signature(layer: Layer, dtype: str) -> LayerSignature:
-    """Canonical signature of one inferred layer.
+    """Canonical signature of one inferred layer at ``dtype``.
 
     Independent of node id, graph position, and weight values.
     """
-    params = tuple((k, layer.params[k]) for k in sorted(layer.params))
-    return _build(layer.op_type, dtype, layer.in_dims, params)
+    in_part = ",".join("x".join(str(d) for d in dims) for dims in layer.in_dims)
+    param_part = ",".join(f"{k}={render_value(layer.params[k])}" for k in sorted(layer.params))
+    canonical = f"{layer.op_type}|{dtype}|in={in_part}|{param_part}"
+    h = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
+    return LayerSignature(layer, dtype, canonical, h)
 
 
 def layer_signatures(graph: ModelGraph, dtype: str) -> list[LayerSignature]:
@@ -197,10 +183,10 @@ def parse_signature(canonical: str) -> LayerSignature:
                 raise ValueError(f"bad param {pair!r}")
             value = parse_attr_value(v)
             params[k] = urllib.parse.unquote(value) if isinstance(value, str) else value
-        params, _dims, _macs = infer_layer(op_type, params, in_dims, "signature")
+        params, dims, n_macs = infer_layer(op_type, params, in_dims, "signature")
     except (ValueError, ShapeInferenceError) as exc:
         raise ModelParseError(f"bad signature {canonical!r}: {exc}") from exc
-    sig = _build(op_type, dtype, in_dims, sorted(params.items()))
+    sig = signature(Layer(op_type, params, tuple(in_dims), dims, n_macs), dtype)
     if sig.canonical_string != canonical:
         raise ModelParseError(f"signature string {canonical!r} is not canonical")
     return sig

@@ -579,8 +579,9 @@ def infer_layer(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
                 node_id: str) -> tuple[dict, tuple[int, ...], int]:
     """Canonical params, output dims and MAC count of one layer.
 
-    The one path from recorded params to a canonical layer, shared by graph
-    shape inference, signature parsing and the simulator. ``in_dims`` holds
+    The one path from recorded params to a canonical layer, run by graph
+    shape inference and by signature parsing; the simulator and source
+    emission read the :class:`Layer` these build. ``in_dims`` holds
     the data-input dims in slot order, at least one; weight operands arrive
     in ``params`` as ``w<slot>`` entries. Params or input ranks that the op's
     rule cannot read, and params that yield an empty or non-positive output

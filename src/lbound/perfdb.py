@@ -69,7 +69,9 @@ Bytes past N go through the per-line scan below, line numbers continuing
 from the index's count; a line there of a listed layer first decodes that
 layer's listed lines. Lines that a writer checked are not checked again,
 but a listed line that does not decode into its layer raises
-``StorageError``.
+``StorageError``, and so does an entry no writer makes: a rank, dtype,
+signature or line positions of the wrong type, or a line past the file's
+end. It stays unread, so every read of its system or layer fails.
 
 Every line that no index covers is decoded at open, by the same loop for
 every open, so the open raises ``StorageError`` at the first bad one and
@@ -372,36 +374,57 @@ class PerfDb:
         return n, lines, sha
 
     def _read_system(self, name: str) -> None:
-        """Enter a system's layers from its index line; their records stay unread."""
+        """Enter a system's layers from its checked index line; their records stay unread."""
         if self._ix is None:
             raise StorageError(f"database {self.path} is closed")
-        _live, off, size = self._unread.pop(name)
+        _live, off, size = self._unread[name]
         try:
-            line = os.pread(self._ix.fileno(), size, off)
+            entries = json.loads(os.pread(self._ix.fileno(), size, off))[2]
+            for rank, dtype, signature, where in entries:
+                if type(rank) is not int or dtype not in DTYPES or type(signature) is not str \
+                        or type(where) is not list:
+                    raise TypeError(f"a layer of system {name!r} is listed as "
+                                    f"{[rank, dtype, signature]!r}")
         except OSError as exc:
             raise StorageError(f"cannot read database index {self.path}.idx: {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise StorageError(f"bad database index {self.path}.idx: {exc}") from exc
+        del self._unread[name]
         if not self._unread:
             self._ix.close()
             self._ix = None
-        try:
-            for rank, dtype, signature, where in json.loads(line)[2]:
-                lkey = (name, dtype, signature)
-                self._where[lkey] = where
-                self._rank[lkey] = rank
-        except (ValueError, TypeError) as exc:
-            raise StorageError(f"bad database index {self.path}.idx: {exc}") from exc
+        for rank, dtype, signature, where in entries:
+            lkey = (name, dtype, signature)
+            self._where[lkey] = where
+            self._rank[lkey] = rank
 
     def _read_all_systems(self) -> None:
         for name in list(self._unread):
             self._read_system(name)
+
+    def _listed(self, lkey: tuple) -> list[int]:
+        """A layer's ``_where`` entry, refused unless it is whole triples of
+        non-negative ints; an index entry is checked before it is used."""
+        where = self._where[lkey]
+        if len(where) % 3 or not all(type(v) is int and v >= 0 for v in where):
+            raise StorageError(f"bad database index {self.path}.idx: the line positions "
+                               f"of layer {lkey!r} are not (offset, length, line) triples")
+        return where
 
     def _decode(self, lkey: tuple) -> None:
         """Decode the live lines of a layer that the index lists, in the layer's order."""
         if self._rd is None:
             raise StorageError(f"database {self.path} is closed")
         layer = {}  # entered whole, so a line that fails leaves the layer undecoded
-        it = iter(self._where[lkey])
+        it = iter(self._listed(lkey))
+        try:
+            file_size = os.fstat(self._rd.fileno()).st_size
+        except OSError as exc:
+            raise StorageError(f"cannot read database {self.path}: {exc}") from exc
         for off, size, lineno in zip(it, it, it):
+            if off + size > file_size:
+                raise StorageError(f"bad database index {self.path}.idx: "
+                                   f"line {lineno} is past the end of the file")
             try:
                 raw = os.pread(self._rd.fileno(), size, off)
             except OSError as exc:

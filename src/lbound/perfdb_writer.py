@@ -115,7 +115,7 @@ def compact(db: PerfDb) -> int:
     pos = n = 0
     start = end = 0
     for lkey in order:
-        new = db._where[lkey][:]
+        new = db._listed(lkey)[:]
         for i in range(0, len(new), 3):
             if new[i] != end:
                 runs.append((start, end - start))
@@ -140,6 +140,10 @@ def compact(db: PerfDb) -> int:
                     sha.update(chunk)
                     size -= len(chunk)
     except OSError as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
         raise StorageError(f"cannot compact database {db.path}: {exc}") from exc
     fh = lock(tmp, db.path)  # before the rename, so no other writer can lock the new file
     try:

@@ -6,7 +6,7 @@ The canonical container is a text file with three sections::
     [META]
     model: <name>
     system: <id>
-    batch: <int>
+    batch: <int >= 1, in decimal digits with no leading zero>
     measured_latency_ms: <float>
     [APICALLS]
     {"seq":1,"api":"cudnnConvolutionForward","params":{...},"backtrace":[...]}
@@ -73,6 +73,8 @@ class ExecutionProfile:
         if not 0 < measured_latency_ms < math.inf:
             raise ProfileFormatError(
                 f"measured latency must be positive and finite, got {measured_latency_ms}")
+        if type(batch) is not int or batch < 1:
+            raise ProfileFormatError(f"batch must be an integer >= 1, got {batch!r}")
         self.model = model
         self.system_id = system_id
         self.batch = batch
@@ -157,6 +159,9 @@ def parse_profile(text: str) -> ExecutionProfile:
     try:
         model = meta["model"]
         system_id = meta["system"]
+        if not re.fullmatch(r"[1-9][0-9]*", meta["batch"]):  # as serialize_profile writes it
+            raise ProfileFormatError("batch must be an integer >= 1 in plain decimal "
+                                     f"digits, got {meta['batch']!r}")
         batch = int(meta["batch"])
         measured = float(meta["measured_latency_ms"])
     except (KeyError, ValueError) as exc:

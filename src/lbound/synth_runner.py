@@ -27,12 +27,12 @@ import os
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, read_text
-from .model_ir import DTYPE_BYTES, ConvAlgorithm, Frozen, infer_layer, weight_elems
+from .model_ir import DTYPE_BYTES, ConvAlgorithm, weight_elems
 from .perfdb import PerfRecord, make_record
 
 if TYPE_CHECKING:
     from .benchgen import BenchmarkSpec
-    from .dedup import LayerSignature
+    from .model_ir import Layer
 
 DEFAULT_ALGO_FACTOR = {
     ConvAlgorithm.IPGEMM: 1.0,
@@ -74,26 +74,10 @@ class SystemProfile:
         self.algo_factor = algo_factor
 
 
-class SpecCost(Frozen):
-    def __init__(self, macs: int, in_elems: int, out_elems: int, weight_elems: int):
-        self._set("macs", macs)
-        self._set("in_elems", in_elems)
-        self._set("out_elems", out_elems)
-        self._set("weight_elems", weight_elems)
-
-
-def signature_cost(sig: LayerSignature) -> SpecCost:
-    """MACs and element counts derived from a signature alone."""
-    in_dims = list(sig.in_dims)
-    params, out, macs = infer_layer(sig.op_type, dict(sig.params), in_dims, sig.hash64)
-    return SpecCost(macs, sum(math.prod(d) for d in in_dims), math.prod(out),
-                    weight_elems(params))
-
-
-def effective_factor(sig: LayerSignature, algo: ConvAlgorithm,
+def effective_factor(layer: Layer, algo: ConvAlgorithm,
                      factors: dict[ConvAlgorithm, float]) -> float | None:
-    """Algorithm factor for this shape; None when the algorithm refuses it."""
-    kernel, strides = sig.param("kernel"), sig.param("strides")  # pairs on every Conv
+    """Algorithm factor for this Conv layer; None when the algorithm refuses it."""
+    kernel, strides = layer.params["kernel"], layer.params["strides"]  # pairs on every Conv
     if algo in (ConvAlgorithm.FFT, ConvAlgorithm.TFFT) and max(strides) > 1:
         return None
     if algo in (ConvAlgorithm.WING, ConvAlgorithm.WINGNF) \
@@ -102,29 +86,23 @@ def effective_factor(sig: LayerSignature, algo: ConvAlgorithm,
     return factors[algo]
 
 
-def _ideal_factor(sig: LayerSignature, factors: dict[ConvAlgorithm, float]) -> float:
-    applicable = [effective_factor(sig, a, factors) for a in ConvAlgorithm]
+def _ideal_factor(layer: Layer, factors: dict[ConvAlgorithm, float]) -> float:
+    applicable = [effective_factor(layer, a, factors) for a in ConvAlgorithm]
     usable = [f for f in applicable if f is not None]
     return min(usable) if usable else 1.0
 
 
-def simulate(spec: BenchmarkSpec, sys: SystemProfile, jitter_seed: int | None = None,
-             cost: SpecCost | None = None) -> PerfRecord:
-    """Produce one benchmark record; same inputs, identical output.
-
-    ``cost`` is the spec signature's :func:`signature_cost`, computed here
-    when not given.
-    """
-    sig = spec.signature
-    cost = cost or signature_cost(sig)
+def simulate(spec: BenchmarkSpec, sys: SystemProfile, jitter_seed: int | None = None) -> PerfRecord:
+    """Produce one benchmark record; same inputs, identical output."""
+    layer = spec.signature.layer
 
     if spec.algorithm is not None:
-        f = effective_factor(sig, spec.algorithm, sys.algo_factor)
+        f = effective_factor(layer, spec.algorithm, sys.algo_factor)
         if f is None:
             return make_record(sys.system_id, spec, None, status="unsupported",
                                metadata={"reason": "algorithm unsupported for shape"})
     elif spec.fused:
-        f = _ideal_factor(sig, sys.algo_factor)
+        f = _ideal_factor(layer, sys.algo_factor)
     else:
         f = 1.0
 
@@ -132,9 +110,9 @@ def simulate(spec: BenchmarkSpec, sys: SystemProfile, jitter_seed: int | None = 
         peak = sys.tensor_tflops
     else:
         peak = sys.fp32_tflops
-    compute_us = 2.0 * cost.macs / (peak * 1e6)
-    dt_bytes = DTYPE_BYTES[spec.dtype]
-    touched = (cost.in_elems + cost.out_elems + cost.weight_elems) * dt_bytes
+    compute_us = 2.0 * layer.macs / (peak * 1e6)
+    touched = (sum(math.prod(d) for d in layer.in_dims) + math.prod(layer.out_dims)
+               + weight_elems(layer.params)) * DTYPE_BYTES[spec.dtype]
     memory_us = touched / (sys.mem_bw_gbps * 1e3)
     latency = max(compute_us, memory_us) * f + sys.kernel_overhead_us
 
@@ -143,7 +121,7 @@ def simulate(spec: BenchmarkSpec, sys: SystemProfile, jitter_seed: int | None = 
     if latency <= 0:
         latency = 1e-6  # zero-cost layers on zero-overhead systems still take time
     return make_record(sys.system_id, spec, latency, metadata={
-        "macs": cost.macs,
+        "macs": layer.macs,
         "bytes": touched,
         "model": "roofline-synthetic",
     })
@@ -162,11 +140,8 @@ def _jitter(seed: int, system_id: str, spec: BenchmarkSpec) -> float:
 def run_specs(specs: list[BenchmarkSpec], sys: SystemProfile, db,
               jitter_seed: int | None = None) -> int:
     """Simulate every spec and insert the records; returns the count."""
-    costs: dict[LayerSignature, SpecCost] = {}  # one per distinct signature
     for spec in specs:
-        if spec.signature not in costs:
-            costs[spec.signature] = signature_cost(spec.signature)
-        db.insert(simulate(spec, sys, jitter_seed=jitter_seed, cost=costs[spec.signature]))
+        db.insert(simulate(spec, sys, jitter_seed=jitter_seed))
     return len(specs)
 
 

@@ -8,7 +8,7 @@ import re
 import pytest
 
 import modelzoo as mz
-from lbound import benchgen, dedup, synth_runner
+from lbound import benchgen, dedup
 from records import fields
 
 
@@ -20,7 +20,7 @@ def test_manifest_round_trips_for_the_family():
     specs = benchgen.generate_specs(uniques, config, fusion_sites=sites)
     assert {s.fused for s in specs} > {None} and {s.layout for s in specs} == {"NCHW", "NHWC"}
     fused_row = dedup.API_TABLE["ConvBiasActivation"]
-    assert all(s.api is (fused_row if s.fused else dedup.api_for_op(s.signature.op_type))
+    assert all(s.api is (fused_row if s.fused else dedup.api_for_op(s.signature.layer.op_type))
                for s in specs)
     text = benchgen.manifest_lines(specs)
     parsed = benchgen.parse_manifest(text)
@@ -68,28 +68,34 @@ def test_emitted_source_names_the_spec(canonical, algorithm, layout, fused, expe
     src = benchgen.emit_benchmark_source(spec)
     assert f"// signature: {canonical}\n" in src
     assert "// inputs: " + ", ".join(
-        "{" + ",".join(map(str, dims)) + "}" for dims in sig.in_dims) + "\n" in src
+        "{" + ",".join(map(str, dims)) + "}" for dims in sig.layer.in_dims) + "\n" in src
     for token in expected:
         assert token.replace("{hash}", sig.hash64) in src, token
-    if sig.op_type != "Conv":
+    if sig.layer.op_type != "Conv":
         assert "cudnnTensorFormat_t" not in src and "algo" not in src
     if "conv_desc, algo," in src:
         assert src.count("const cudnnConvolutionFwdAlgo_t algo = ") == 1
     assert src.count("BENCH(") == 1 and src.endswith("}\n")
 
 
-@pytest.mark.parametrize("canonical", [
-    "Gemm|f32|in=2x64|transA=0,transB=0,w1=64x10",
-    "Gemm|f32|in=64x2|transA=1,transB=0,w1=64x10",
-    "Gemm|f32|in=2x64|transA=0,transB=1,w1=10x64",
-    "Gemm|f32|in=64x2|transA=1,transB=1,w1=10x64",
-    "Gemm|f32|in=2x64,10x64|transA=0,transB=1",
-    "MatMul|f16|in=5x6|w1=6x7",
-    "MatMul|f32|in=4x5x6|w1=6x7",
-    "MatMul|f32|in=4x5x6,4x6x7|",
-])
+# Each GEMM's MAC count by hand: C = A x B is M x N with a K-long dot
+# product per element, whichever operand is transposed, and a batched
+# MatMul does one such product per batch.
+HAND_MACS = {
+    "Gemm|f32|in=2x64|transA=0,transB=0,w1=64x10": 2 * 10 * 64,
+    "Gemm|f32|in=64x2|transA=1,transB=0,w1=64x10": 2 * 10 * 64,
+    "Gemm|f32|in=2x64|transA=0,transB=1,w1=10x64": 2 * 10 * 64,
+    "Gemm|f32|in=64x2|transA=1,transB=1,w1=10x64": 2 * 10 * 64,
+    "Gemm|f32|in=2x64,10x64|transA=0,transB=1": 2 * 10 * 64,
+    "MatMul|f16|in=5x6|w1=6x7": 5 * 7 * 6,
+    "MatMul|f32|in=4x5x6|w1=6x7": 4 * 5 * 7 * 6,
+    "MatMul|f32|in=4x5x6,4x6x7|": 4 * 5 * 7 * 6,
+}
+
+
+@pytest.mark.parametrize("canonical", list(HAND_MACS))
 def test_emitted_gemm_shape_does_the_layers_macs(canonical):
     sig = dedup.parse_signature(canonical)
     src = benchgen.emit_benchmark_source(benchgen.BenchmarkSpec(sig, None, "NCHW", None))
     m, n, k = map(int, re.search(r"const int m = (\d+), n = (\d+), k = (\d+);", src).groups())
-    assert math.prod((m, n, k)) == synth_runner.signature_cost(sig).macs
+    assert math.prod((m, n, k)) == HAND_MACS[canonical]

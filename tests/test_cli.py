@@ -330,6 +330,27 @@ def test_bad_profile_values_exit_2(r18, tmp_path, meta, kernel, reason):
     assert reason in res.output
 
 
+@pytest.mark.parametrize("batch", ["0", "-5", "+5", "1_0", "01", "1.0", "5x", "\uff15", ""])
+def test_bad_profile_batch_exits_2(r18, tmp_path, batch):
+    """A profile's batch is what ``serialize_profile`` writes for an int >= 1;
+    ``profile convert --batch`` refuses a number below 1 and writes no file."""
+    model, db = r18
+    prof = tmp_path / "bad.prof"
+    prof.write_text("lbound-profile v1\n[META]\nmodel: m\nsystem: s\n"
+                    f"batch: {batch}\nmeasured_latency_ms: 1\n[APICALLS]\n", "utf-8")
+    res = _analyze(model, db, "--profile", str(prof))
+    _one_error(res)
+    assert f"batch must be an integer >= 1 in plain decimal digits, got {batch!r}" \
+        in res.output
+    if batch in ("0", "-5"):
+        out = tmp_path / "out.prof"
+        res = invoke(["profile", "convert", "--latency-ms", "1", "--model", "m",
+                      "--system", "s", "--batch", batch, "-o", str(out)])
+        _one_error(res)
+        assert f"batch must be an integer >= 1, got {int(batch)}" in res.output
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("call, reason", [
     ('{"seq":true,"api":"cudnnAddTensor"}', "seq must be an integer, got True"),
     ('{"seq":1.0,"api":"cudnnAddTensor"}', "seq must be an integer, got 1.0"),
@@ -490,7 +511,7 @@ def test_tensor_core_misses_of_an_f32_database_fill_from_the_miss_file(tmp_path)
     _no_traceback(invoke([*args, "--miss-out", str(misses)]), 3)
     keys = misses.read_text("utf-8").splitlines()
     unique = dedup.unique_layers([mz.load(model.read_text("utf-8"))], "f16").signatures
-    assert len(keys) == sum(dedup.api_for_op(sig.op_type) is not None for sig in unique) == 45
+    assert len(keys) == sum(dedup.api_for_op(sig.layer.op_type) is not None for sig in unique) == 45
     assert all(key.startswith("Tesla_V100/f16/NCHW/") for key in keys)
     res = invoke(["bench", "--from-misses", str(misses), "--db", str(db),
                   "--system", "Tesla_V100", "--simulate"])

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import modelzoo as mz
-from lbound import analyzer, benchgen, dedup, synth_runner
+from lbound import analyzer, benchgen, dedup
 from lbound.errors import ModelParseError, ShapeStateError
 from lbound.model_ir import (LayerNode, ModelGraph, TensorShape, infer_shapes,
                              parse_text_model, validate)
@@ -60,9 +60,10 @@ class TestSignature:
 
     def test_equality_and_hash_read_only_the_canonical_string(self):
         sig = dedup.signature(mz.layer(_conv_graph(), "c"), "f32")
-        same = dedup.LayerSignature("Relu", "f16", (), (), sig.canonical_string, "00")
-        other = dedup.LayerSignature(sig.op_type, sig.dtype, sig.in_dims, sig.params,
-                                     sig.canonical_string + ",x=1", sig.hash64)
+        relu = dedup.parse_signature("Relu|f16|in=1x8|").layer
+        same = dedup.LayerSignature(relu, "f16", sig.canonical_string, "00")
+        other = dedup.LayerSignature(sig.layer, sig.dtype, sig.canonical_string + ",x=1",
+                                     sig.hash64)
         assert same == sig and hash(same) == hash(sig) and len({sig, same}) == 1
         assert other != sig and sig != sig.canonical_string
 
@@ -78,8 +79,8 @@ class TestSignature:
         sig = dedup.signature(mz.layer(_conv_graph(), "c"), "f32")
         again = dedup.parse_signature(sig.canonical_string)
         assert again == sig
-        assert again.param("group") == 1
-        assert again.param("w1") == (4, 3, 3, 3)
+        assert again.layer.params["group"] == 1
+        assert again.layer.params["w1"] == (4, 3, 3, 3)
 
     def test_parse_rejects_non_canonical(self):
         sig = dedup.signature(mz.layer(_conv_graph(), "c"), "f32")
@@ -120,17 +121,20 @@ _FAMILY = dict(mz.thirty_model_family())
 
 @pytest.mark.parametrize("name", sorted(_FAMILY))
 def test_every_unique_layer_round_trips(name):
-    """Parsed signatures equal the graph's, values and all, and cost its MACs.
+    """A parsed signature holds the graph's layer: op, dims, params, MACs and all.
 
-    The family holds ResNet-18/50/152, the fusion tower and the coverage
-    fixture; a layer's MACs are pinned to hand counts in ``test_model_ir``.
+    At each dtype and at batch 1 and 4; mnist-cnn's Reshape to 1x256 fixes
+    its batch at 1. The family holds ResNet-18/50/152, the fusion tower and
+    the coverage fixture; a layer's MACs are pinned to hand counts in
+    ``test_model_ir``.
     """
-    for layer in mz.load(_FAMILY[name]).layers:
-        sig = dedup.signature(layer, "f32")
-        again = dedup.parse_signature(sig.canonical_string)
-        assert again == sig
-        assert dict(again.params) == dict(sig.params)
-        assert synth_runner.signature_cost(sig).macs == layer.macs
+    for batch in (1,) if name == "mnist-cnn" else (1, 4):
+        for layer in mz.load(_FAMILY[name], batch=batch).layers:
+            for dtype in ("f32", "f16"):
+                sig = dedup.signature(layer, dtype)
+                again = dedup.parse_signature(sig.canonical_string)
+                assert again == sig and again.dtype == dtype
+                assert vars(again.layer) == vars(layer)
 
 
 class TestApiTable:

@@ -238,3 +238,24 @@ def test_only_traced_layers_bind_a_traced_function_by_name():
             bound += [f"{module}:{source}.{name}" for name in names
                       if name in traced.get(source, ())]
     assert bound == []
+
+
+def _users(tree: ast.Module, name: str) -> list[str]:
+    """The module-level function, class method or ``<module>`` statement
+    around each reference to ``name``; imports do not count."""
+    users = []
+    for stmt in tree.body:
+        for member in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+            users += [getattr(member, "name", "<module>") for node in ast.walk(member)
+                      if isinstance(node, ast.Name) and node.id == name
+                      or isinstance(node, ast.Attribute) and node.attr == name]
+    return users
+
+
+def test_a_layer_is_inferred_from_a_graph_or_a_string_only():
+    """``infer_layer`` runs in shape inference over a graph and in parsing a
+    signature string only; every other consumer reads the ``Layer`` that a
+    signature holds."""
+    callers = sorted(f"{module}:{user}" for module, tree in _trees().items()
+                     for user in _users(tree, "infer_layer"))
+    assert callers == ["dedup.py:parse_signature", "model_ir.py:infer_shapes"]

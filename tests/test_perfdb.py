@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
 import hashlib
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import lbound
 import modelzoo as mz
+from cli_run import invoke
 from lbound.errors import MissError, StorageError
 from lbound.perfdb import (
     PerfDb,
@@ -269,19 +271,62 @@ def _older(index: bytes) -> bytes:
     return _edited(index, lambda obj: {**obj, "v": obj["v"] - 1} if "v" in obj else obj)
 
 
+# The ways ``_forged`` malforms a layer entry [rank, dtype, signature, positions]:
+# an offset as a string, a length past any file, positions that are not
+# whole triples, and an int dtype.
+FORGERIES = (
+    lambda rank, dtype, sig, where: [rank, dtype, sig, [str(where[0]), *where[1:]]],
+    lambda rank, dtype, sig, where: [rank, dtype, sig, [where[0], 10**20, *where[2:]]],
+    lambda rank, dtype, sig, where: [rank, dtype, sig, where[:2]],
+    lambda rank, dtype, sig, where: [rank, 1, sig, where],
+)
+
+
+def _forged(index: bytes, forgeries=FORGERIES) -> bytes:
+    """``index`` with each layer entry malformed by the next of ``forgeries``,
+    in turn, and its sha256 line recomputed, so the index is read as one."""
+    forgeries = itertools.cycle(forgeries)
+
+    def edit(obj):
+        if isinstance(obj, dict):  # the head
+            return obj
+        name, live, layers = obj
+        return [name, live, [next(forgeries)(*entry) for entry in layers]]
+
+    return _edited(index, edit)
+
+
 def _index_states(data: bytes, covered: int, tmp) -> dict[str, bytes | None]:
     """The sidecar indexes to open a file of ``data`` with.
 
     None; a writer's index of the first ``covered`` bytes, whole lines that
     a writer accepts; the index of another file; that index cut short, so
-    it does not parse; an index whose length exceeds the file's; and the
-    valid index of an older format version.
+    it does not parse; an index whose length exceeds the file's; the valid
+    index of an older format version; and the valid index forged, so that
+    every layer it lists is malformed.
     """
     valid = _index_for(data[:covered], tmp)
     return {"none": None, "valid": valid, "other": _index_for(OTHER_FILE, tmp),
             "truncated": valid[:len(valid) // 2],
             "longer": _index_for(data[:covered] + b"\n" * (len(data) + 1), tmp),
-            "older": _older(valid)}
+            "older": _older(valid), "forged": _forged(valid)}
+
+
+def _lists_a_layer(index: bytes) -> bool:
+    return json.loads(index.splitlines()[0])["layers"] > 0
+
+
+@contextlib.contextmanager
+def _forgery_refused(state: str, listed: bool = False):
+    """Run the block; in the "forged" state it may raise the index's
+    ``StorageError`` instead of finishing, and must when ``listed``."""
+    try:
+        yield
+    except StorageError as exc:
+        if state != "forged" or "bad database index" not in str(exc):
+            raise
+    else:
+        assert state != "forged" or not listed, "a forged index entry was read"
 
 
 def _put_back(path, data: bytes, index: bytes | None) -> None:
@@ -392,16 +437,38 @@ def test_each_system_reads_in_every_index_state_as_without_an_index(text, cut):
             counts, live = (len(bare), bare.superseded), bare.records()
             answers = {system: fields(_answers(bare, system)) for system in SCOPE_SYSTEMS}
         ends = _accepted_ends(data)
-        for state, index in _index_states(data, ends[cut % len(ends)], tmp).items():
+        states = _index_states(data, ends[cut % len(ends)], tmp)
+        for state, index in states.items():
             _put_back(path, data, index)
             for system in SCOPE_SYSTEMS:
-                with PerfDb(path) as db:
+                with _forgery_refused(state), PerfDb(path) as db:
                     assert (len(db), db.superseded) == counts, state  # before any read
                     assert fields(_answers(db, system)) == answers[system], (state, system)
                     assert (len(db), db.superseded) == counts, state
-            with PerfDb(path) as db:
+            with _forgery_refused(state, _lists_a_layer(states["valid"])), PerfDb(path) as db:
                 assert fields([db.record_for(rec.key) for rec in live]) == fields(live), state
                 assert fields(db.records()) == fields(live), state
+
+
+@pytest.mark.parametrize("forgery", FORGERIES,
+                         ids=["string-offset", "huge-length", "two-positions", "int-dtype"])
+def test_a_forged_index_exits_4_on_every_read(tmp_path, forgery):
+    """A signed index whose every entry is malformed one way: each command
+    that reads the system exits 4, and ``db compact`` changes and leaves no file."""
+    model, db = tmp_path / "m.txt", tmp_path / "perf.db"
+    model.write_text(mz.resnet_v1_text(18), "utf-8")
+    analyze = ["analyze", str(model), "--db", str(db), "--system", "Tesla_V100"]
+    assert invoke(["bench", str(model), "--db", str(db), "--system", "Tesla_V100",
+                   "--simulate"]).exit_code == 0
+    idx = pathlib.Path(f"{db}.idx")
+    idx.write_bytes(_forged(idx.read_bytes(), (forgery,)))
+    files = db.read_bytes(), idx.read_bytes()
+    for args in (analyze, analyze, ["db", "compact", str(db)]):
+        res = invoke(args)
+        assert res.exit_code == 4 and isinstance(res.exception, SystemExit), res.output
+        assert "bad database index" in res.output or args[1] == "compact", res.output
+        assert (db.read_bytes(), idx.read_bytes()) == files
+        assert sorted(os.listdir(tmp_path)) == ["m.txt", "perf.db", "perf.db.idx"]
 
 
 def _replace_line(path, lineno: int, old: bytes, new: bytes) -> None:
@@ -548,22 +615,30 @@ def _check_opens(path, covered: int) -> None:
     With no index and with a valid one, the writer then compacts; an index
     that is not trusted leaves the same code to run as no index. Whatever
     index it found, the writer leaves the index of the file as it is then,
-    and the file is opened again through it.
+    and the file is opened again through it. A forged index may refuse the
+    open or a read with its ``StorageError``, and must refuse reading every
+    line when it lists a layer; no other answer is checked through it.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     error, live, superseded, kept = _decode_every_line(path)
-    for state, index in _index_states(data, covered, os.path.dirname(path)).items():
+    states = _index_states(data, covered, os.path.dirname(path))
+    for state, index in states.items():
         _put_back(path, data, index)
         for mode in ("r", "rw"):
             try:
                 db = PerfDb(path, mode=mode)
-            except StorageError as exc:
-                assert str(exc) == error, state
+            except StorageError as exc:  # a line past the index may read a forged entry
+                assert str(exc) == error \
+                    or state == "forged" and "bad database index" in str(exc), state
                 continue
             assert error is None, state
             with db:
                 assert (len(db), db.superseded) == (len(live), superseded), state  # before any read
+                if state == "forged":
+                    with _forgery_refused(state, _lists_a_layer(states["valid"])):
+                        assert _lines(db) == live, state
+                    continue
                 if mode == "r":
                     assert _lines(db) == live, state
                     continue

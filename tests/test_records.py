@@ -45,8 +45,8 @@ CASES = {
     "ModelGraph": Case(P(model_ir.ModelGraph, "g", {}, [], []), fresh=("layer_of",)),
     "ApiMapping": Case(P(dedup.ApiMapping, "Add", "cudnnAddTensor", "cudnn", False),
                        frozen=True),
-    "LayerSignature": Case(P(dedup.LayerSignature, "Relu", "f32", ((1, 8),), (),
-                             SIG.canonical_string, SIG.hash64), frozen=True, by_value=True),
+    "LayerSignature": Case(P(dedup.LayerSignature, SIG.layer, "f32", SIG.canonical_string,
+                             SIG.hash64), frozen=True, by_value=True),
     "ModelLayerStats": Case(P(dedup.ModelLayerStats, "m", 1, 1), frozen=True),
     "UniqueLayerReport": Case(P(dedup.UniqueLayerReport, set(), [], STATS)),
     "OpCoverage": Case(P(dedup.OpCoverage, "Relu", 1, True, 100.0), frozen=True),
@@ -70,7 +70,6 @@ CASES = {
     "SystemProfile": Case(P(synth_runner.SystemProfile, "s", 1.0, 1.0),
                           P(synth_runner.SystemProfile, "s", 0.0, 1.0), ConfigError,
                           fresh=("algo_factor",)),
-    "SpecCost": Case(P(synth_runner.SpecCost, 1, 1, 1, 0), frozen=True),
     "LatencyAnnotatedGraph": Case(P(analyzer.LatencyAnnotatedGraph, GRAPH, {}, {}),
                                   fresh=("missing",)),
     "CriticalPath": Case(P(analyzer.CriticalPath, [], 0.0)),
