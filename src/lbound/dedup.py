@@ -33,9 +33,9 @@ from .model_ir import (
     Frozen,
     Layer,
     ModelGraph,
-    TensorShape,
     infer_layer,
     parse_attr_value,
+    parse_dims,
 )
 
 # ---------------------------------------------------------------------------
@@ -175,8 +175,7 @@ def parse_signature(canonical: str) -> LayerSignature:
     try:
         if dtype not in DTYPES:
             raise ValueError(f"unknown dtype {dtype!r}")
-        in_dims = [TensorShape(tuple(int(d) for d in chunk.split("x"))).dims
-                   for chunk in parts[2][3:].split(",")]
+        in_dims = [parse_dims(chunk) for chunk in parts[2][3:].split(",")]
         for pair in parts[3].split(",") if parts[3] else ():
             k, sep, v = pair.partition("=")
             if not sep:

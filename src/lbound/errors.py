@@ -34,7 +34,7 @@ class GraphStructureError(LboundError):
 
 
 class ShapeInferenceError(LboundError):
-    """Shapes conflict at a node; message names the node and both shapes."""
+    """A layer's params or input dims do not fit its op; the message names the node and op."""
 
 
 class ShapeStateError(LboundError):

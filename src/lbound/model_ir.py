@@ -15,12 +15,13 @@ are immutable after construction; only the per-dtype signature cache that
 ``dedup.layer_signatures`` keeps on a graph fills later.
 
 Each operator has one rule in the ``_RULES`` table. A rule takes the
-recorded params, the data-input dims and the node id, and returns the
-canonical params, the output dims and the MAC count, so everything the
-package knows about an op sits in one function. :func:`infer_layer` looks
-the op up there once. ``SUPPORTED_OPS`` is the table's key set; a loader
-turns any other op into ``Opaque``, which is kept for connectivity and
-excluded from lower-bound latency.
+recorded params and the data-input dims and returns the canonical params,
+the output dims and the MAC count, so everything the package knows about an
+op sits in one function; its errors say what is wrong, and
+:func:`infer_layer`, which looks the op up there once, names the node.
+``SUPPORTED_OPS`` is the table's key set; a loader turns any other op into
+``Opaque``, which is kept for connectivity and excluded from lower-bound
+latency. Graph inputs are ``(name, dims)`` pairs.
 
 The benchmark vocabulary lives here too, beside the dtypes, layouts and op
 groups: the convolution algorithms (``ConvAlgorithm``, ``ALGO_BY_TOKEN``) and
@@ -42,7 +43,6 @@ given input slot, e.g. ``w1=64x3x7x7`` for a convolution filter.
 from __future__ import annotations
 
 import codecs
-import functools
 import heapq
 import math
 from collections.abc import Callable
@@ -124,20 +124,6 @@ FUSION_PATTERNS = (
 )
 
 
-class TensorShape(Frozen):
-    """Shape of one activation tensor, NCHW order for 4-D tensors."""
-
-    def __init__(self, dims: tuple[int, ...]):
-        if len(dims) < 1:
-            raise ShapeInferenceError(f"rank must be >= 1, got {dims!r}")
-        if any(not isinstance(d, int) or d < 1 for d in dims):
-            raise ShapeInferenceError(f"all dims must be positive integers, got {dims!r}")
-        self._set("dims", dims)
-
-    def render(self) -> str:
-        return "x".join(str(d) for d in self.dims)
-
-
 class LayerNode:
     """One operator as loaded: its op, recorded params and edges.
 
@@ -168,7 +154,7 @@ class Layer(Frozen):
 
 class ModelGraph:
     def __init__(self, name: str, nodes: dict[str, LayerNode],
-                 graph_inputs: list[tuple[str, TensorShape]], graph_outputs: list[str],
+                 graph_inputs: list[tuple[str, tuple[int, ...]]], graph_outputs: list[str],
                  order: tuple[str, ...] = (), layers: tuple[Layer, ...] = (),
                  layer_of: dict[str, int] | None = None):
         self.name = name
@@ -235,15 +221,15 @@ def topo_order(graph: ModelGraph) -> list[str]:
 # Operator rules
 # ---------------------------------------------------------------------------
 
-def _as_pair(value, name: str, node_id: str) -> tuple[int, int]:
+def _as_pair(value, name: str) -> tuple[int, int]:
     if isinstance(value, int):
         return (value, value)
     if isinstance(value, tuple) and len(value) == 2:
         return (int(value[0]), int(value[1]))
-    raise ShapeInferenceError(f"node {node_id!r}: bad {name} value {value!r}")
+    raise ShapeInferenceError(f"bad {name} value {value!r}")
 
 
-def _as_pads(value, node_id: str) -> tuple[int, int, int, int]:
+def _as_pads(value) -> tuple[int, int, int, int]:
     # ONNX 2-D order: (h_begin, w_begin, h_end, w_end); asymmetric allowed.
     if isinstance(value, int):
         return (value,) * 4
@@ -253,7 +239,7 @@ def _as_pads(value, node_id: str) -> tuple[int, int, int, int]:
             return (int(h), int(w), int(h), int(w))
         if len(value) == 4:
             return tuple(int(v) for v in value)  # type: ignore[return-value]
-    raise ShapeInferenceError(f"node {node_id!r}: bad pads value {value!r}")
+    raise ShapeInferenceError(f"bad pads value {value!r}")
 
 
 def _as_dims(value) -> tuple[int, ...]:
@@ -300,18 +286,14 @@ def _broadcast(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None
     return tuple(reversed(out))
 
 
-def _err(node_id: str, op_type: str, msg: str) -> ShapeInferenceError:
-    return ShapeInferenceError(f"node {node_id!r} ({op_type}): {msg}")
-
-
-def _axis(node_id: str, op_type: str, axis: int, rank: int, *, past_end: bool = False) -> int:
+def _axis(axis: int, rank: int, *, past_end: bool = False) -> int:
     """``axis`` counted from the front, in ONNX's range [-rank, rank - 1].
 
     ``past_end`` widens the range to [-rank, rank], for Flatten's split point.
     """
     norm = axis + rank if axis < 0 else axis
     if not 0 <= norm < rank + past_end:
-        raise _err(node_id, op_type, f"axis {axis} out of range for rank {rank}")
+        raise ShapeInferenceError(f"axis {axis} out of range for rank {rank}")
     return norm
 
 
@@ -324,28 +306,26 @@ def _with_weights(canonical: dict, p: dict) -> dict:
     return {**canonical, **{k: p[k] for k in sorted(p) if is_weight_key(k)}}
 
 
-def _conv(p, in_dims, node_id):
-    strides = _as_pair(p.get("strides", 1), "strides", node_id)
-    dilations = _as_pair(p.get("dilations", 1), "dilations", node_id)
+def _conv(p, in_dims):
+    strides = _as_pair(p.get("strides", 1), "strides")
+    dilations = _as_pair(p.get("dilations", 1), "dilations")
     group = int(p.get("group", 1))
     if "w1" in p:
         w1 = p["w1"]
-        kernel = _as_pair(p.get("kernel", tuple(w1[2:4])), "kernel", node_id)
+        kernel = _as_pair(p.get("kernel", tuple(w1[2:4])), "kernel")
     elif "kernel" in p and "filters" in p:
-        kernel = _as_pair(p["kernel"], "kernel", node_id)
+        kernel = _as_pair(p["kernel"], "kernel")
         cin = in_dims[0][1]
         w1 = (int(p["filters"]), cin // group, kernel[0], kernel[1])
     else:
-        raise ShapeInferenceError(
-            f"node {node_id!r}: Conv needs w1 dims or kernel+filters attrs"
-        )
+        raise ShapeInferenceError("needs w1 dims or kernel+filters attrs")
     if p.get("auto_pad", "") not in ("NOTSET", ""):
         mode = str(p["auto_pad"])
         hb, he = _resolve_auto_pad(mode, in_dims[0][2], kernel[0], strides[0], dilations[0])
         wb, we = _resolve_auto_pad(mode, in_dims[0][3], kernel[1], strides[1], dilations[1])
         pads = (hb, wb, he, we)
     else:
-        pads = _as_pads(p.get("pads", 0), node_id)
+        pads = _as_pads(p.get("pads", 0))
     w1 = _as_dims(w1)
     canonical = {"dilations": dilations, "group": group, "kernel": kernel,
                  "pads": pads, "strides": strides, "w1": w1}
@@ -354,10 +334,10 @@ def _conv(p, in_dims, node_id):
 
     (n, c, h, w) = in_dims[0]
     if len(w1) != 4:
-        raise _err(node_id, "Conv", f"weight must be rank 4, got {w1}")
+        raise ShapeInferenceError(f"weight must be rank 4, got {w1}")
     if w1[1] * group != c:
-        raise _err(node_id, "Conv",
-                   f"input channels {c} do not match weight {w1} with group {group}")
+        raise ShapeInferenceError(
+            f"input channels {c} do not match weight {w1} with group {group}")
     pt, pl, pb, pr = pads
     out = (n, w1[0],
            _conv_axis(h, kernel[0], strides[0], pt, pb, dilations[0]),
@@ -365,12 +345,12 @@ def _conv(p, in_dims, node_id):
     return canonical, out, math.prod(out) * math.prod(w1[1:])  # w1 is (K, C/g, R, S)
 
 
-def _pool(op_type, p, in_dims, node_id):
+def _pool(p, in_dims):
     if "kernel" not in p:
-        raise ShapeInferenceError(f"node {node_id!r}: {op_type} needs kernel dims")
-    kernel = _as_pair(p["kernel"], "kernel", node_id)
-    pads = _as_pads(p.get("pads", 0), node_id)
-    strides = _as_pair(p.get("strides", 1), "strides", node_id)
+        raise ShapeInferenceError("needs kernel dims")
+    kernel = _as_pair(p["kernel"], "kernel")
+    pads = _as_pads(p.get("pads", 0))
+    strides = _as_pair(p.get("strides", 1), "strides")
     canonical = {"kernel": kernel, "pads": pads, "strides": strides}
     ceil = bool(p.get("ceil_mode"))
     if ceil:
@@ -383,7 +363,7 @@ def _pool(op_type, p, in_dims, node_id):
                        _conv_axis(w, kernel[1], strides[1], pl, pr, 1, ceil)), 0
 
 
-def _global_average_pool(p, in_dims, node_id):
+def _global_average_pool(p, in_dims):
     (n, c, *_rest) = in_dims[0]
     return {}, (n, c, 1, 1), 0
 
@@ -393,7 +373,7 @@ def _b_operand(p: dict, in_dims) -> tuple[int, ...] | None:
     return tuple(p["w1"]) if "w1" in p else (in_dims[1] if len(in_dims) > 1 else None)
 
 
-def _gemm(p, in_dims, node_id):
+def _gemm(p, in_dims):
     canonical = {"transA": int(p.get("transA", 0)), "transB": int(p.get("transB", 0))}
     for k in ("alpha", "beta"):
         if k in p and float(p[k]) != 1.0:
@@ -402,64 +382,64 @@ def _gemm(p, in_dims, node_id):
 
     a = in_dims[0]
     if len(a) != 2:
-        raise _err(node_id, "Gemm", f"expects a rank-2 input, got {a}")
+        raise ShapeInferenceError(f"expects a rank-2 input, got {a}")
     b = _b_operand(canonical, in_dims)
     if b is None or len(b) != 2:
-        raise _err(node_id, "Gemm", f"no rank-2 B operand (got {b})")
+        raise ShapeInferenceError(f"no rank-2 B operand (got {b})")
     m, k = (a[1], a[0]) if canonical["transA"] else a
     kb, n_out = (b[1], b[0]) if canonical["transB"] else b
     if k != kb:
-        raise _err(node_id, "Gemm", f"inner dims differ: A gives {k}, B gives {kb} ({a} vs {b})")
+        raise ShapeInferenceError(f"inner dims differ: A gives {k}, B gives {kb} ({a} vs {b})")
     return canonical, (m, n_out), m * n_out * k
 
 
-def _matmul(p, in_dims, node_id):
+def _matmul(p, in_dims):
     # MatMul keeps every recorded param, as an Opaque layer does.
     canonical = {k: p[k] for k in sorted(p)}
     a = in_dims[0]
     b = _b_operand(canonical, in_dims)
     if b is None:
-        raise _err(node_id, "MatMul", "no B operand")
+        raise ShapeInferenceError("no B operand")
     if len(a) < 2 or len(b) < 2:
-        raise _err(node_id, "MatMul", f"operands must be rank >= 2, got {a} and {b}")
+        raise ShapeInferenceError(f"operands must be rank >= 2, got {a} and {b}")
     if a[-1] != b[-2]:
-        raise _err(node_id, "MatMul", f"inner dims differ: {a} vs {b}")
+        raise ShapeInferenceError(f"inner dims differ: {a} vs {b}")
     batch = _broadcast(a[:-2], b[:-2]) if (len(a) > 2 or len(b) > 2) else ()
     if batch is None:
-        raise _err(node_id, "MatMul", f"batch dims do not broadcast: {a} vs {b}")
+        raise ShapeInferenceError(f"batch dims do not broadcast: {a} vs {b}")
     out = tuple(batch) + (a[-2], b[-1])
     return canonical, out, math.prod(out) * a[-1]
 
 
-def _elementwise(op_type, p, in_dims, node_id):
+def _elementwise(p, in_dims):
     canonical = _with_weights({}, p)
     out, *rest = [*in_dims, *canonical.values()]
     for d in rest:
         merged = _broadcast(out, d)
         if merged is None:
-            raise _err(node_id, op_type, f"shapes {out} and {d} do not broadcast")
+            raise ShapeInferenceError(f"shapes {out} and {d} do not broadcast")
         out = merged
     return canonical, out, 0
 
 
-def _concat(p, in_dims, node_id):
+def _concat(p, in_dims):
     if "axis" not in p:
-        raise ShapeInferenceError(f"node {node_id!r}: Concat needs axis")
+        raise ShapeInferenceError("needs axis")
     canonical = {"axis": int(p["axis"])}
     base = list(in_dims[0])
-    axis = _axis(node_id, "Concat", canonical["axis"], len(base))
+    axis = _axis(canonical["axis"], len(base))
     for d in in_dims[1:]:
         if len(d) != len(base) or any(
             i != axis and d[i] != base[i] for i in range(len(base))
         ):
-            raise _err(node_id, "Concat", f"shapes {tuple(base)} and {d} differ off-axis")
+            raise ShapeInferenceError(f"shapes {tuple(base)} and {d} differ off-axis")
         base[axis] += d[axis]
     return canonical, tuple(base), 0
 
 
-def _reshape(p, in_dims, node_id):
+def _reshape(p, in_dims):
     if "shape" not in p:
-        raise ShapeInferenceError(f"node {node_id!r}: Reshape needs target shape")
+        raise ShapeInferenceError("needs target shape")
     target = _as_dims(p["shape"])
     in_numel = math.prod(in_dims[0])
     out = []
@@ -469,7 +449,7 @@ def _reshape(p, in_dims, node_id):
             out.append(in_dims[0][i])
         elif d == -1:
             if infer_at is not None:
-                raise _err(node_id, "Reshape", "more than one -1 in reshape target")
+                raise ShapeInferenceError("more than one -1 in reshape target")
             infer_at = i
             out.append(1)
         else:
@@ -477,79 +457,79 @@ def _reshape(p, in_dims, node_id):
     known = math.prod(out)
     if infer_at is not None:
         if in_numel % known:
-            raise _err(node_id, "Reshape", f"cannot reshape {in_dims[0]} to {target}")
+            raise ShapeInferenceError(f"cannot reshape {in_dims[0]} to {target}")
         out[infer_at] = in_numel // known
         known *= out[infer_at]
     if known != in_numel:
-        raise _err(node_id, "Reshape",
-                   f"cannot reshape {in_dims[0]} ({in_numel} elems) to {target}")
+        raise ShapeInferenceError(
+            f"cannot reshape {in_dims[0]} ({in_numel} elems) to {target}")
     return {"shape": target}, tuple(out), 0
 
 
-def _flatten(p, in_dims, node_id):
+def _flatten(p, in_dims):
     canonical = {"axis": int(p.get("axis", 1))}
     d = in_dims[0]
-    axis = _axis(node_id, "Flatten", canonical["axis"], len(d), past_end=True)
+    axis = _axis(canonical["axis"], len(d), past_end=True)
     return canonical, (math.prod(d[:axis]), math.prod(d[axis:])), 0
 
 
-def _unsqueeze(p, in_dims, node_id):
+def _unsqueeze(p, in_dims):
     if "axes" not in p:
-        raise ShapeInferenceError(f"node {node_id!r}: Unsqueeze needs axes")
+        raise ShapeInferenceError("needs axes")
     axes = _as_dims(p["axes"])
     out = list(in_dims[0])
     rank = len(out) + len(axes)  # axes index the output
-    norm = sorted(_axis(node_id, "Unsqueeze", a, rank) for a in axes)
+    norm = sorted(_axis(a, rank) for a in axes)
     if len(set(norm)) < len(norm):
-        raise _err(node_id, "Unsqueeze", f"duplicate axes in {axes}")
+        raise ShapeInferenceError(f"duplicate axes in {axes}")
     for ax in norm:
         out.insert(ax, 1)
     return {"axes": axes}, tuple(out), 0
 
 
-def _squeeze(p, in_dims, node_id):
+def _squeeze(p, in_dims):
     d = in_dims[0]
     if "axes" not in p:
         return {}, tuple(v for v in d if v != 1) or (1,), 0
     axes = _as_dims(p["axes"])
-    norm = {_axis(node_id, "Squeeze", a, len(d)) for a in axes}
+    norm = {_axis(a, len(d)) for a in axes}
     for a in norm:
         if d[a] != 1:
-            raise _err(node_id, "Squeeze", f"cannot squeeze non-1 dim {a} of {d}")
+            raise ShapeInferenceError(f"cannot squeeze non-1 dim {a} of {d}")
     return {"axes": axes}, tuple(v for i, v in enumerate(d) if i not in norm) or (1,), 0
 
 
-def _transpose(p, in_dims, node_id):
+def _transpose(p, in_dims):
     d = in_dims[0]
     perm = _as_dims(p["perm"]) if "perm" in p else tuple(reversed(range(len(d))))
     if sorted(perm) != list(range(len(d))):
-        raise _err(node_id, "Transpose", f"bad perm {perm} for rank {len(d)}")
+        raise ShapeInferenceError(f"bad perm {perm} for rank {len(d)}")
     return {"perm": perm}, tuple(d[i] for i in perm), 0
 
 
-def _softmax(p, in_dims, node_id):
+def _softmax(p, in_dims):
     canonical = {"axis": int(p.get("axis", -1))}
-    _axis(node_id, "Softmax", canonical["axis"], len(in_dims[0]))
+    _axis(canonical["axis"], len(in_dims[0]))
     return canonical, in_dims[0], 0
 
 
 def _passthrough(canonicalize):
     """Rule for an op whose output has its first input's dims and that counts no MACs."""
-    return lambda p, in_dims, node_id: (canonicalize(p), in_dims[0], 0)
+    return lambda p, in_dims: (canonicalize(p), in_dims[0], 0)
 
 
-# op type -> rule: (recorded params, data-input dims, node id) ->
+# op type -> rule: (recorded params, data-input dims) ->
 # (canonical params, output dims, MAC count).
-_RULES: dict[str, Callable[[dict, list[tuple[int, ...]], str],
+_RULES: dict[str, Callable[[dict, list[tuple[int, ...]]],
                            tuple[dict, tuple[int, ...], int]]] = {
     "Conv": _conv,
-    "MaxPool": functools.partial(_pool, "MaxPool"),
-    "AveragePool": functools.partial(_pool, "AveragePool"),
+    "MaxPool": _pool,
+    "AveragePool": _pool,
     "GlobalAveragePool": _global_average_pool,
     "Gemm": _gemm,
     "MatMul": _matmul,
-    "Add": functools.partial(_elementwise, "Add"),
-    "Mul": functools.partial(_elementwise, "Mul"),
+    "Add": _elementwise,
+    "Mul": _elementwise,
     "Concat": _concat,
     "Reshape": _reshape,
     "Flatten": _flatten,
@@ -583,19 +563,22 @@ def infer_layer(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
     shape inference and by signature parsing; the simulator and source
     emission read the :class:`Layer` these build. ``in_dims`` holds
     the data-input dims in slot order, at least one; weight operands arrive
-    in ``params`` as ``w<slot>`` entries. Params or input ranks that the op's
-    rule cannot read, and params that yield an empty or non-positive output
-    dim, raise ``ShapeInferenceError`` naming the node and op.
+    in ``params`` as ``w<slot>`` entries. What the op's rule refuses, params or
+    input ranks it cannot read, and an empty or non-positive output dim raise
+    ``ShapeInferenceError``; this is the one place that prefixes its message
+    with the node and op, ``node '<id>' (<op>): ``.
     """
     try:
         p = {k: _as_dims(v) if is_weight_key(k) else v
              for k, v in params.items() if k not in _DROPPED_PARAMS}
         if op_type not in _RULES:
-            raise _err(node_id, op_type, "no shape rule")
-        canonical, dims, n_macs = _RULES[op_type](p, in_dims, node_id)
+            raise ShapeInferenceError("no shape rule")
+        canonical, dims, n_macs = _RULES[op_type](p, in_dims)
         if not dims or min(dims) < 1:
             raise ValueError(f"output dims {dims} are not all positive")
         return canonical, dims, n_macs
+    except ShapeInferenceError as exc:
+        raise ShapeInferenceError(f"node {node_id!r} ({op_type}): {exc}") from exc
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise ShapeInferenceError(
             f"node {node_id!r} ({op_type}): params or input ranks do not fit: {exc}"
@@ -636,11 +619,8 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
         raise ShapeInferenceError(f"batch must be >= 1, got {batch}")
     if len(graph.order) != len(graph.nodes):
         raise GraphStructureError(f"graph {graph.name!r} has no order; run validate first")
-    inputs = [
-        (name, TensorShape((batch,) + s.dims[1:]))
-        for name, s in graph.graph_inputs
-    ]
-    by_name = {name: s.dims for name, s in inputs}
+    inputs = [(name, (batch,) + dims[1:]) for name, dims in graph.graph_inputs]
+    by_name = dict(inputs)
     layers: list[Layer] = []
     layer_of: dict[str, int] = {}
     interned: dict[tuple, int] = {}  # layer key -> layer index
@@ -697,9 +677,17 @@ def parse_attr_value(text: str):
     return text
 
 
+def parse_dims(text: str) -> tuple[int, ...]:
+    """``AxBx...`` as a dims tuple; ``ValueError`` unless every dim is an int >= 1."""
+    dims = tuple(int(d) for d in text.split("x"))
+    if min(dims) < 1:
+        raise ValueError(f"all dims must be positive integers, got {dims!r}")
+    return dims
+
+
 def parse_text_model(text: str, name: str = "model") -> ModelGraph:
     nodes: dict[str, LayerNode] = {}
-    graph_inputs: list[tuple[str, TensorShape]] = []
+    graph_inputs: list[tuple[str, tuple[int, ...]]] = []
     outputs: list[str] = []
     graph_name = name
 
@@ -713,8 +701,7 @@ def parse_text_model(text: str, name: str = "model") -> ModelGraph:
             if kind == "graph":
                 graph_name = tokens[1]
             elif kind == "input":
-                dims = tuple(int(d) for d in tokens[2].split("x"))
-                graph_inputs.append((tokens[1], TensorShape(dims)))
+                graph_inputs.append((tokens[1], parse_dims(tokens[2])))
             elif kind == "output":
                 outputs.append(tokens[1])
             elif kind == "node":
@@ -756,8 +743,8 @@ def parse_text_model(text: str, name: str = "model") -> ModelGraph:
 def render_text_model(graph: ModelGraph) -> str:
     """Serialize a graph back to the text format (parse round-trips)."""
     lines = [f"graph {graph.name}"]
-    for name, shape in graph.graph_inputs:
-        lines.append(f"input {name} {shape.render()}")
+    for name, dims in graph.graph_inputs:
+        lines.append(f"input {name} {'x'.join(map(str, dims))}")
     for node in graph.nodes.values():
         attrs = []
         params = node.params

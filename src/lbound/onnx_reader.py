@@ -22,7 +22,6 @@ from .model_ir import (
     SUPPORTED_OPS,
     LayerNode,
     ModelGraph,
-    TensorShape,
     validate,
 )
 
@@ -322,11 +321,11 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
         for tname in n_out:
             producer[tname] = nid
 
-    graph_inputs: list[tuple[str, TensorShape]] = []
+    graph_inputs: list[tuple[str, tuple[int, ...]]] = []
     for tname, dims in inputs_vi:
         if tname in initializers or tname in producer:
             continue
-        graph_inputs.append((tname, TensorShape(dims if dims else (1,))))
+        graph_inputs.append((tname, dims or (1,)))
     input_names = {n for n, _ in graph_inputs}
 
     nodes: dict[str, LayerNode] = {}

@@ -382,7 +382,7 @@ class PerfDb:
             entries = json.loads(os.pread(self._ix.fileno(), size, off))[2]
             for rank, dtype, signature, where in entries:
                 if type(rank) is not int or dtype not in DTYPES or type(signature) is not str \
-                        or type(where) is not list:
+                        or type(where) is not list or len(where) % 3:
                     raise TypeError(f"a layer of system {name!r} is listed as "
                                     f"{[rank, dtype, signature]!r}")
         except OSError as exc:

@@ -7,14 +7,15 @@ The canonical container is a text file with three sections::
     model: <name>
     system: <id>
     batch: <int >= 1, in decimal digits with no leading zero>
-    measured_latency_ms: <float>
+    measured_latency_ms: <digits, with an optional .digits and e exponent>
     [APICALLS]
     {"seq":1,"api":"cudnnConvolutionForward","params":{...},"backtrace":[...]}
     [KERNELS]
     {"name":"...","duration_us":12.5,"between":[3,4]}
 
-META and APICALLS are required; KERNELS may be absent (tensor-core
-detection is then unavailable). APICALLS and KERNELS hold one JSON object
+META holds each of the four keys above exactly once and no other key. META
+and APICALLS are required; KERNELS may be absent (tensor-core detection is
+then unavailable). APICALLS and KERNELS hold one JSON object
 per line; ``params`` and ``backtrace`` are omitted when empty, ``between``
 names the API-call seq pair a foreign kernel ran between and is omitted
 for kernels attributed to an API call. ``seq`` and the ``between`` seqs are
@@ -41,6 +42,7 @@ from .model_ir import ALGO_BY_TOKEN
 logger = logging.getLogger(__name__)
 
 _HEADER = "lbound-profile v1"
+_META_KEYS = ("model", "system", "batch", "measured_latency_ms")
 
 # Kernel names matching "_[ish]<digits>" use reduced-precision matrix units.
 _TENSOR_CORE_RE = re.compile(r"_[ish][0-9]+")
@@ -153,9 +155,14 @@ def parse_profile(text: str) -> ExecutionProfile:
     meta: dict[str, str] = {}
     for line in sections["META"]:
         key, sep, value = line.partition(":")
+        key = key.strip()
         if not sep:
             raise ProfileFormatError(f"bad META line {line!r}")
-        meta[key.strip()] = value.strip()
+        if key not in _META_KEYS:
+            raise ProfileFormatError(f"unknown META key {key!r}")
+        if key in meta:
+            raise ProfileFormatError(f"META key {key!r} appears twice")
+        meta[key] = value.strip()
     try:
         model = meta["model"]
         system_id = meta["system"]
@@ -163,7 +170,11 @@ def parse_profile(text: str) -> ExecutionProfile:
             raise ProfileFormatError("batch must be an integer >= 1 in plain decimal "
                                      f"digits, got {meta['batch']!r}")
         batch = int(meta["batch"])
-        measured = float(meta["measured_latency_ms"])
+        latency = meta["measured_latency_ms"]
+        if not re.fullmatch(r"[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?", latency):
+            raise ProfileFormatError(
+                f"measured latency must be a plain decimal number, got {latency!r}")
+        measured = float(latency)
     except (KeyError, ValueError) as exc:
         raise ProfileFormatError(f"bad or missing META field: {exc}") from exc
 

@@ -14,7 +14,6 @@ from lbound.model_ir import (
     Layer,
     LayerNode,
     ModelGraph,
-    TensorShape,
     infer_shapes,
     parse_text_model,
     validate,
@@ -252,7 +251,7 @@ def random_dag(rng: random.Random, max_nodes: int = 14):
                                input_ids=preds or ["in"])
     consumed = {src for node in nodes.values() for src in node.input_ids}
     outputs = [nid for nid in ids if nid not in consumed]
-    graph = ModelGraph("rand", nodes, [("in", TensorShape((1,)))], outputs)
+    graph = ModelGraph("rand", nodes, [("in", (1,))], outputs)
     validate(graph)
     latencies = {nid: round(rng.uniform(0.1, 100.0), 6) for nid in ids}
     return graph, latencies

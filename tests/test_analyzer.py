@@ -15,7 +15,7 @@ from lbound import analyzer, dedup
 from lbound.benchgen import BenchConfig, ConvAlgorithm
 from lbound.errors import ConfigError, DomainError
 from lbound import model_ir
-from lbound.model_ir import LayerNode, ModelGraph, TensorShape, validate
+from lbound.model_ir import LayerNode, ModelGraph, validate
 from lbound.perfdb import PerfDb
 from lbound.profile_ingest import ApiCall, ExecutionProfile, KernelRecord
 
@@ -78,7 +78,7 @@ def test_rounding_tie_keeps_the_larger_prefix():
     inputs = {"n00": "in", "n01": "in", "n03": "n01", "n04": "n00,n03", "n05": "n04"}
     nodes = {nid: LayerNode(id=nid, op_type="Opaque", input_ids=src.split(","))
              for nid, src in inputs.items()}
-    graph = ModelGraph("tie", nodes, [("in", TensorShape((1,)))], ["n05"])
+    graph = ModelGraph("tie", nodes, [("in", (1,))], ["n05"])
     validate(graph)
     lat = {"n00": 0.3, "n01": 0.2, "n03": 0.1, "n04": 0.3, "n05": 0.2}
     assert 0.3 + 0.3 + 0.2 == 0.2 + 0.1 + 0.3 + 0.2
@@ -101,7 +101,7 @@ def test_long_chain_returns_whole_chain():
     ids = [f"r{i:05d}" for i in range(n)]
     nodes = {nid: LayerNode(id=nid, op_type="Relu", input_ids=[ids[i - 1] if i else "in"])
              for i, nid in enumerate(ids)}
-    graph = ModelGraph("chain", nodes, [("in", TensorShape((1,)))], [ids[-1]])
+    graph = ModelGraph("chain", nodes, [("in", (1,))], [ids[-1]])
     validate(graph)
     cp = analyzer.critical_path(graph, {nid: 0.5 for nid in ids})
     assert cp.node_ids == ids

@@ -351,6 +351,38 @@ def test_bad_profile_batch_exits_2(r18, tmp_path, batch):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("meta, reason", [
+    ("framework: torch\n", "unknown META key 'framework'"),
+    ("Model: m\n", "unknown META key 'Model'"),
+    ("model: m2\n", "META key 'model' appears twice"),
+    ("batch: 2\n", "META key 'batch' appears twice"),
+    ("measured_latency_ms: 2\n", "META key 'measured_latency_ms' appears twice"),
+])
+def test_bad_profile_meta_key_exits_2(r18, tmp_path, meta, reason):
+    """META holds model, system, batch and measured_latency_ms, each once."""
+    model, db = r18
+    prof = tmp_path / "bad.prof"
+    prof.write_text("lbound-profile v1\n[META]\nmodel: m\nsystem: s\nbatch: 1\n"
+                    f"measured_latency_ms: 1\n{meta}[APICALLS]\n", "utf-8")
+    res = _analyze(model, db, "--profile", str(prof))
+    _one_error(res)
+    assert reason in res.output
+
+
+@pytest.mark.parametrize("latency", ["1_0", " 1e1x", "+1", "-1", ".5", "5.", "1e", "1.5e+",
+                                     "inf", "nan", "0x10", "\uff15", "1,5", ""])
+def test_bad_profile_latency_spelling_exits_2(r18, tmp_path, latency):
+    """A profile's latency is digits, an optional fraction and an optional exponent."""
+    model, db = r18
+    prof = tmp_path / "bad.prof"
+    prof.write_text("lbound-profile v1\n[META]\nmodel: m\nsystem: s\nbatch: 1\n"
+                    f"measured_latency_ms: {latency}\n[APICALLS]\n", "utf-8")
+    res = _analyze(model, db, "--profile", str(prof))
+    _one_error(res)
+    assert "measured latency must be a plain decimal number, got " \
+        f"{latency.strip()!r}" in res.output
+
+
 @pytest.mark.parametrize("call, reason", [
     ('{"seq":true,"api":"cudnnAddTensor"}', "seq must be an integer, got True"),
     ('{"seq":1.0,"api":"cudnnAddTensor"}', "seq must be an integer, got 1.0"),
@@ -434,6 +466,8 @@ def test_bad_manifest_line_exits_2(tmp_path, line):
     ("1x3x8x8", "Conv attrs=kernel=3x3;w1=abc"),
     ("1x3x8x8", "Conv attrs=kernel=1x1;strides=0x0;w1=4x3x1x1"),
     ("1x3x8x8", "Conv attrs=kernel=1x1;strides=-1x-1;w1=4x3x1x1"),
+    ("1x3x2x2", "Conv attrs=kernel=3x3;w1=4x3x3x3"),
+    ("1x3x2x2", "MaxPool attrs=strides=2x2"),
 ])
 def test_bad_text_model_layer_exits_2(tmp_path, dims, node):
     op, attrs = node.split(" ")
@@ -442,6 +476,15 @@ def test_bad_text_model_layer_exits_2(tmp_path, dims, node):
     res = invoke(["process", str(model)])
     _one_error(res)
     assert f"node 'n' ({op})" in res.output
+
+
+def test_bad_text_model_input_dims_exit_2_naming_the_line(tmp_path):
+    model = tmp_path / "bad.txt"
+    model.write_text("graph t\ninput x 1x0x8x8\nnode n Relu inputs=x\n", "utf-8")
+    res = invoke(["process", str(model)])
+    _one_error(res)
+    assert "bad model line 'input x 1x0x8x8': all dims must be positive integers, " \
+        "got (1, 0, 8, 8) (at offset 2)" in res.output
 
 
 def _conv_profile(tmp_path, model, system="Tesla_V100", batch=1):

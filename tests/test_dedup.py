@@ -7,7 +7,7 @@ import pytest
 import modelzoo as mz
 from lbound import analyzer, benchgen, dedup
 from lbound.errors import ModelParseError, ShapeStateError
-from lbound.model_ir import (LayerNode, ModelGraph, TensorShape, infer_shapes,
+from lbound.model_ir import (LayerNode, ModelGraph, infer_shapes,
                              parse_text_model, validate)
 from lbound.perfdb import PerfDb
 
@@ -282,7 +282,7 @@ def test_opaque_values_that_compare_equal_keep_their_layers():
     nodes = {nid: LayerNode(id=nid, op_type="Opaque", params={"foo": v},
                             input_ids=[ids[i - 1] if i else "in"])
              for i, (nid, v) in enumerate(zip(ids, values))}
-    raw = ModelGraph("exact", nodes, [("in", TensorShape((1, 4)))], [ids[-1]])
+    raw = ModelGraph("exact", nodes, [("in", (1, 4))], [ids[-1]])
     validate(raw)
     graph = infer_shapes(raw, 1)
     # Only the last 1 shares a layer; each unhashable list is a layer of its own.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modelzoo as mz
+from lbound import dedup, model_ir
 from lbound.errors import GraphStructureError, ModelParseError, ShapeInferenceError, ShapeStateError
 from lbound.model_ir import (
     LayerNode,
     ModelGraph,
-    TensorShape,
     infer_layer,
     infer_shapes,
     macs,
@@ -175,6 +176,42 @@ class TestShapeRules:
             _single("Conv", "kernel=9x9;w1=8x3x9x9", in_dims="1x3x4x4")
 
 
+# A rule says what is wrong; ``infer_layer`` alone puts the node and op first.
+@pytest.mark.parametrize("node, message", [
+    ("c Conv inputs=d attrs=kernel=3x3;w1=4x3x3x3",
+     "node 'c' (Conv): kernel 3 (dilation 1) larger than padded input 2+0+0"),
+    ("p MaxPool inputs=d attrs=kernel=3x3",
+     "node 'p' (MaxPool): kernel 3 (dilation 1) larger than padded input 2+0+0"),
+    ("p MaxPool inputs=d", "node 'p' (MaxPool): needs kernel dims"),
+    ("p AveragePool inputs=d", "node 'p' (AveragePool): needs kernel dims"),
+    ("c Conv inputs=d attrs=kernel=1x1",
+     "node 'c' (Conv): needs w1 dims or kernel+filters attrs"),
+    ("k Concat inputs=d,d", "node 'k' (Concat): needs axis"),
+    ("r Reshape inputs=d", "node 'r' (Reshape): needs target shape"),
+    ("u Unsqueeze inputs=d", "node 'u' (Unsqueeze): needs axes"),
+    ("c Conv inputs=d attrs=pads=1x1x1;w1=4x3x1x1",
+     "node 'c' (Conv): bad pads value (1, 1, 1)"),
+    ("p MaxPool inputs=d attrs=kernel=1x1;strides=1x1x1",
+     "node 'p' (MaxPool): bad strides value (1, 1, 1)"),
+    ("c Conv inputs=d attrs=kernel=1x1x1;w1=4x3x1x1",
+     "node 'c' (Conv): bad kernel value (1, 1, 1)"),
+], ids=["conv-kernel-past-input", "maxpool-kernel-past-input", "maxpool-no-kernel",
+        "averagepool-no-kernel", "conv-no-weights", "concat-no-axis", "reshape-no-shape",
+        "unsqueeze-no-axes", "conv-bad-pads", "maxpool-bad-strides", "conv-bad-kernel"])
+def test_a_refused_layer_names_its_node_and_op(node, message):
+    graph = parse_text_model(f"graph t\ninput d 1x3x2x2\nnode {node}\n")
+    with pytest.raises(ShapeInferenceError) as exc:
+        infer_shapes(graph, 1)
+    assert str(exc.value) == message
+
+
+def test_a_rule_takes_the_layer_alone():
+    """Every rule is ``rule(params, in_dims)``; graph inputs are plain dims."""
+    assert [op for op, rule in model_ir._RULES.items()
+            if len(inspect.signature(rule).parameters) != 2] == []
+    assert not hasattr(model_ir, "TensorShape")
+
+
 class TestMacs:
     def test_conv_1x1_example(self):
         g = _single("Conv", "kernel=1x1;w1=256x64x1x1", in_dims="1x64x56x56")
@@ -228,7 +265,7 @@ class TestTopoOrder:
         assert topo_order(parse_text_model(text)) == ["A", "B", "C", "D"]
 
     def test_empty_graph(self):
-        g = ModelGraph("empty", {}, [("in", TensorShape((1,)))], [])
+        g = ModelGraph("empty", {}, [("in", (1,))], [])
         assert topo_order(g) == []
 
     def test_cycle_names_back_edge(self):
@@ -236,7 +273,7 @@ class TestTopoOrder:
             "a": LayerNode(id="a", op_type="Relu", input_ids=["b"]),
             "b": LayerNode(id="b", op_type="Relu", input_ids=["a"]),
         }
-        g = ModelGraph("cyc", nodes, [("in", TensorShape((1,)))], ["b"])
+        g = ModelGraph("cyc", nodes, [("in", (1,))], ["b"])
         with pytest.raises(GraphStructureError, match="cycle"):
             topo_order(g)
 
@@ -262,7 +299,7 @@ class TestInference:
 
     def test_producer_consumer_shapes_agree(self):
         g = mz.load(mz.resnet_v1_text(18), batch=2)
-        inputs = {name: shape.dims for name, shape in g.graph_inputs}
+        inputs = dict(g.graph_inputs)
         for node in g.nodes.values():
             in_dims = mz.layer(g, node.id).in_dims
             assert len(in_dims) == len(node.input_ids)
@@ -298,6 +335,19 @@ class TestTextFormat:
             parse_text_model("graph t\ninput data 1x3\nnode broken\n")
         assert exc.value.offset == 3
 
+    @pytest.mark.parametrize("dims", ["1x0x8x8", "1x3x-2x8", "0"])
+    def test_input_dim_below_1_reports_line_number(self, dims):
+        with pytest.raises(ModelParseError) as exc:
+            parse_text_model(f"graph t\n# a comment\ninput x {dims}\nnode n Relu inputs=x\n")
+        assert exc.value.offset == 3
+        assert str(exc.value).startswith(
+            f"bad model line 'input x {dims}': all dims must be positive integers, got (")
+
+    @pytest.mark.parametrize("dims", ["1x0", "0", "1x-3"])
+    def test_signature_dim_below_1_is_refused(self, dims):
+        with pytest.raises(ModelParseError, match="all dims must be positive integers"):
+            dedup.parse_signature(f"Relu|f32|in={dims}|")
+
     def test_unknown_input_rejected(self):
         with pytest.raises(GraphStructureError, match="unknown input"):
             parse_text_model("graph t\ninput data 1x3\nnode a Relu inputs=ghost")
@@ -323,7 +373,7 @@ class TestTextFormat:
 
     def test_validate_rejects_inputless_node(self):
         nodes = {"a": LayerNode(id="a", op_type="Relu", input_ids=[])}
-        g = ModelGraph("t", nodes, [("in", TensorShape((1,)))], ["a"])
+        g = ModelGraph("t", nodes, [("in", (1,))], ["a"])
         with pytest.raises(GraphStructureError, match="no inputs"):
             validate(g)
 
@@ -357,7 +407,7 @@ def _typed(params: dict) -> list:
 def _alone(parsed, batch: int) -> dict[str, tuple]:
     """Each node's (op, canonical params, input dims, output dims, MACs), from
     ``infer_layer`` on that node alone; raises where a node cannot be inferred."""
-    dims = {in_name: (batch,) + shape.dims[1:] for in_name, shape in parsed.graph_inputs}
+    dims = {in_name: (batch,) + shape[1:] for in_name, shape in parsed.graph_inputs}
     alone = {}
     for nid in parsed.order:
         raw = parsed.nodes[nid]

@@ -27,7 +27,7 @@ class TestWireDecoding:
         assert conv.params["kernel"] == (3, 3)
         relu = g.nodes["relu1"]
         assert relu.input_ids == ["conv1"]
-        assert [(name, shape.dims) for name, shape in g.graph_inputs] == [("data", (1, 3, 8, 8))]
+        assert g.graph_inputs == [("data", (1, 3, 8, 8))]
         assert g.graph_outputs == ["relu1"]
 
     def test_shapes_infer_after_load(self):
@@ -135,7 +135,7 @@ class TestWireDecoding:
         relu = wire.node("Relu", ["data"], ["out"], name="r")
         g = wire.graph([relu], [vi], [wire.value_info("out", (1, 3, 4, 4))])
         loaded = load_model(wire.model(g))
-        assert loaded.graph_inputs[0][1].dims == (1, 3, 4, 4)
+        assert loaded.graph_inputs[0][1] == (1, 3, 4, 4)
         assert mz.layer(infer_shapes(loaded, 8), "r").out_dims == (8, 3, 4, 4)
 
 

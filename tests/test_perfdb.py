@@ -471,6 +471,31 @@ def test_a_forged_index_exits_4_on_every_read(tmp_path, forgery):
         assert sorted(os.listdir(tmp_path)) == ["m.txt", "perf.db", "perf.db.idx"]
 
 
+def test_a_forged_entry_read_at_open_fails_the_open(tmp_path):
+    """A line past the index makes the open enter its system's index line. An
+    entry there with two positions, not a whole triple, fails the open, so
+    ``len`` and ``db stats`` cannot count the layer short and exit 0."""
+    path = tmp_path / "perf.db"
+
+    def rec(system, sig):
+        return PerfRecord(RecordKey(system, "f32", "00", sig, None, "NCHW", None), 1.0)
+
+    with PerfDb(path, mode="rw") as db:
+        db.insert(rec("sysA", SIGNATURES[0]))
+        db.insert(rec("sysB", SIGNATURES[1]))
+    with open(path, "ab") as fh:  # past the index
+        fh.write(_record_to_json(rec("sysA", SIGNATURES[1])).encode() + b"\n")
+    idx = pathlib.Path(f"{path}.idx")
+    idx.write_bytes(_edited(idx.read_bytes(), lambda obj: obj if isinstance(obj, dict)
+                            else [*obj[:2], [FORGERIES[2](*entry) for entry in obj[2]]]
+                            if obj[0] == "sysA" else obj))
+    with pytest.raises(StorageError, match="bad database index"):
+        PerfDb(path)
+    res = invoke(["db", "stats", str(path)])
+    assert res.exit_code == 4 and isinstance(res.exception, SystemExit), res.output
+    assert "bad database index" in res.output
+
+
 def _replace_line(path, lineno: int, old: bytes, new: bytes) -> None:
     lines = path.read_bytes().splitlines(keepends=True)
     assert old in lines[lineno - 1]

@@ -50,6 +50,15 @@ def test_profile_round_trips_byte_for_byte(profile):
     assert serialize_profile(parsed) == text
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=5e-324, allow_infinity=False))
+def test_every_positive_finite_latency_round_trips(latency):
+    """The latency spelling that ``parse_profile`` takes covers every
+    ``repr`` of a positive finite float, subnormals and exponents included."""
+    text = serialize_profile(ExecutionProfile("m", "s", 1, latency))
+    assert parse_profile(text).measured_latency_ms == latency
+
+
 _LOG = "\n".join([
     "I! CuDNN (v7605) function cudnnConvolutionForward() called:",
     "    x: type=dims; val=1x3x8x8;",

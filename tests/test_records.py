@@ -17,7 +17,7 @@ import math
 import pytest
 
 from lbound import analyzer, benchgen, dedup, model_ir, perfdb, profile_ingest, synth_runner
-from lbound.errors import ConfigError, ProfileFormatError, ShapeInferenceError, StorageError
+from lbound.errors import ConfigError, ProfileFormatError, StorageError
 
 SIG = dedup.parse_signature("Relu|f32|in=1x8|")
 KEY = perfdb.RecordKey("sysA", "f32", SIG.hash64, SIG.canonical_string, None, "NCHW", None)
@@ -37,8 +37,6 @@ class Case:
 
 
 CASES = {
-    "TensorShape": Case(P(model_ir.TensorShape, (1, 8)), P(model_ir.TensorShape, (1, 0)),
-                        ShapeInferenceError, frozen=True),
     "LayerNode": Case(P(model_ir.LayerNode, "n", "Relu"),
                       fresh=("params", "input_ids", "output_ids")),
     "Layer": Case(P(model_ir.Layer, "Relu", {}, ((1, 8),), (1, 8), 0), frozen=True),
