@@ -105,12 +105,12 @@ def annotate(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
         chosen[nid] = None
         if api_for_op(node.op_type) is None:
             continue
-        sig = sigs[graph.layer_of[nid]]
+        canonical = sigs[graph.layer_of[nid]].canonical_string
         want_layout = layout if node.op_type == "Conv" else None
-        key = (sig.canonical_string, want_layout)
+        key = (canonical, want_layout)
         if key not in found:
             try:
-                found[key] = db.best(system, dtype, sig, layout=want_layout)
+                found[key] = db.best(system, dtype, canonical, layout=want_layout)
             except MissError as exc:
                 found[key] = exc.keys
         rec = found[key]
@@ -280,7 +280,7 @@ def _logged_convs(anns: Annotator, profile: ExecutionProfile, system: str, dtype
     for node, call in zip(conv_nodes, conv_calls):
         sig, algo = sigs[anns.graph.layer_of[node.id]], call.params.get("algo")
         rec = algo and anns.db.record_for(RecordKey(
-            system, dtype, sig.hash64, sig.canonical_string, algo, layout, None))
+            system, dtype, sig.canonical_string, algo, layout, None))
         convs.append((node, call, rec if rec and rec.status == "ok" else None))
     return convs
 
@@ -596,7 +596,7 @@ def apply(anns: Annotator, system: str, dtype: str, layout: str | None, *,
     for site in candidates:
         member_sum = sum(latencies[m] for m in site.member_ids)
         try:
-            rec = anns.db.best(system, dtype, site.head_signature,
+            rec = anns.db.best(system, dtype, site.head_signature.canonical_string,
                                layout=layout, fused=site.pattern_id)
         except MissError:
             sites.append(FusionSiteResult(
@@ -637,17 +637,18 @@ class JointAnalysis:
         self.speedup = speedup  # vs measured, when a measurement is available
 
 
-def joint_analysis(anns: Annotator, system: str, scenario: Scenario,
+def joint_analysis(anns: Annotator, system: str, dtype: str, scenario: Scenario,
                    measured_us: float | None = None,
                    profile: ExecutionProfile | None = None) -> JointAnalysis:
     """The what-if bound of :func:`apply` under the scenario's toggles.
 
-    ``tensor_core`` selects f16 at ``scenario.layout``, else f32 at any
-    layout; with ``ideal_algo`` off, a supplied profile's logged algorithms
-    replace the best ones. A parallel bound on latencies that the scenario
-    left as the annotation's reads the annotator's critical path.
+    ``tensor_core`` selects f16 at ``scenario.layout``, else the report's
+    ``dtype`` at any layout; with ``ideal_algo`` off, a supplied profile's
+    logged algorithms replace the best ones. A parallel bound on latencies
+    that the scenario left as the annotation's reads the annotator's
+    critical path.
     """
-    dtype = "f16" if scenario.tensor_core else "f32"
+    dtype = "f16" if scenario.tensor_core else dtype
     layout = scenario.layout if scenario.tensor_core else None
     logged = profile if not scenario.ideal_algo else None
     ann, latencies, _sites = apply(anns, system, dtype, layout,
@@ -772,7 +773,7 @@ def build_report(anns: Annotator, system: str, dtype: str, batch: int, scenario:
                                                 profile=profile)
     if scenario != Scenario(layout=scenario.layout):
         report.joint = joint_analysis(
-            anns, system, scenario,
+            anns, system, dtype, scenario,
             measured_us=measured_ms * 1000.0 if measured_ms else None, profile=profile)
     report.missing = anns.missing()
     if report.missing and not allow_missing:

@@ -234,6 +234,7 @@ def parse_manifest(text: str) -> list[BenchmarkSpec]:
 
 _DTYPE_TOKEN = {"f32": "CUDNN_DATA_FLOAT", "f16": "CUDNN_DATA_HALF"}
 _LAYOUT_TOKEN = {"NCHW": "CUDNN_TENSOR_NCHW", "NHWC": "CUDNN_TENSOR_NHWC"}
+_TRANS = ("CUBLAS_OP_N", "CUBLAS_OP_T")  # by a Gemm's transA or transB
 
 
 def spec_filename(spec: BenchmarkSpec) -> str:
@@ -288,12 +289,30 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
             lines.append(f"  CUDNN_CALL({spec.api_name}(handle, &alpha, x_desc, x, w_desc, w,")
             lines.append("      conv_desc, algo, workspace, workspace_size, &beta, y_desc, y));")
     elif spec.api.library == "cublas":
-        # C is m x n with every leading output dim folded into m, and k is
-        # the layer's MAC count over the m * n outputs.
-        m, n = math.prod(layer.out_dims[:-1]), layer.out_dims[-1]
-        lines.append(f"  const int m = {m}, n = {n}, k = {layer.macs // (m * n)};")
-        lines.append(f"  CUBLAS_CALL({spec.api_name}(handle, transa, transb, m, n, k,")
-        lines.append("      &alpha, a, lda, b, ldb, &beta, c, ldc));")
+        gemm = layer.op_type == "Gemm"  # a MatMul never transposes
+        transa, transb = (_TRANS[bool(gemm and layer.params[f])] for f in ("transA", "transB"))
+        lines.append(f"  const cublasOperation_t transa = {transa}, transb = {transb};")
+        out = layer.out_dims
+        if not gemm and "w1" not in layer.params and len(layer.in_dims[1]) > 2:
+            # B has batch dims: one m x n product per batch, each operand a
+            # stride apart, or stride 0 when its batch dims are all 1.
+            a, b = layer.in_dims[:2]
+            m, n, batch = out[-2], out[-1], math.prod(out[:-2])
+            k = layer.macs // (batch * m * n)
+            sa, sb, sc = (0 if math.prod(dims[:-2]) == 1 else size
+                          for dims, size in ((a, m * k), (b, k * n), (out, m * n)))
+            lines.append(f"  const int m = {m}, n = {n}, k = {k}, batch = {batch};")
+            lines.append(f"  const long long stride_a = {sa}, stride_b = {sb}, stride_c = {sc};")
+            lines.append("  CUBLAS_CALL(cublasGemmStridedBatchedEx(handle, transa, transb,")
+            lines.append("      m, n, k, &alpha, a, lda, stride_a, b, ldb, stride_b,")
+            lines.append("      &beta, c, ldc, stride_c, batch));")
+        else:
+            # B is shared: C is m x n with every leading output dim folded
+            # into m, and k is the layer's MAC count over the m * n outputs.
+            m, n = math.prod(out[:-1]), out[-1]
+            lines.append(f"  const int m = {m}, n = {n}, k = {layer.macs // (m * n)};")
+            lines.append(f"  CUBLAS_CALL({spec.api_name}(handle, transa, transb, m, n, k,")
+            lines.append("      &alpha, a, lda, b, ldb, &beta, c, ldc));")
     else:
         lines.append(f"  const int x_dims[] = {{{_csv(layer.in_dims[0])}}};")
         for key, value in params:

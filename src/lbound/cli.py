@@ -18,10 +18,11 @@ share live in ``cli_common``, since the process entry runs this file as
 ``__main__``: a command module importing ``lbound.cli`` would compile it a
 second time.
 
-No module builds a class from generated code at import: records are plain
-classes, not dataclasses. A command module calls each layer function
-through its module (``model_ir.load_model_file``, ``perfdb.PerfDb``), so a
-function replaced on its module is the one a command runs. :func:`run` is
+No record is a dataclass: records are plain classes, apart from two
+NamedTuples, ``perfdb.RecordKey`` and ``onnx_reader._Tensor``. A command
+module calls each layer function through its module
+(``model_ir.load_model_file``, ``perfdb.PerfDb``), so a function replaced
+on its module is the one a command runs. :func:`run` is
 the process entry point; in-process callers call :func:`main`.
 """
 

@@ -7,8 +7,11 @@ string is the authoritative identity::
     <op>|<dtype>|in=<d0xd1x...>,...|<k=v,...>
 
 with keys sorted lexicographically, integers in decimal, floats in shortest
-round-trip decimal, and integer tuples joined with ``x``. The 64-bit hash is
-an index accelerator only; equality is always decided on the string.
+round-trip decimal, and integer tuples joined with ``x``; numbers are read
+back only in those ASCII spellings. Equality is decided on the string. The
+64-bit hash (``hash64``) names a layer's emitted source files; the database
+stores it beside the signature as record data, and only ``db import``
+checks it.
 
 A signature is a layer at a dtype: it holds the :class:`lbound.model_ir.Layer`
 that inference found, so consumers read its op, input and output dims,
@@ -182,7 +185,7 @@ def parse_signature(canonical: str) -> LayerSignature:
                 raise ValueError(f"bad param {pair!r}")
             value = parse_attr_value(v)
             params[k] = urllib.parse.unquote(value) if isinstance(value, str) else value
-        params, dims, n_macs = infer_layer(op_type, params, in_dims, "signature")
+        params, dims, n_macs = infer_layer(op_type, params, in_dims)
     except (ValueError, ShapeInferenceError) as exc:
         raise ModelParseError(f"bad signature {canonical!r}: {exc}") from exc
     sig = signature(Layer(op_type, params, tuple(in_dims), dims, n_macs), dtype)

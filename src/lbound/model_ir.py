@@ -23,6 +23,11 @@ op sits in one function; its errors say what is wrong, and
 ``Opaque``, which is kept for connectivity and excluded from lower-bound
 latency. Graph inputs are ``(name, dims)`` pairs.
 
+A model declares its batch as the leading dim of its graph inputs.
+:func:`infer_shapes` runs it at another batch by replacing that dim, and,
+when every input declares the same one, by replacing it in any literal
+Reshape target that leads with it; every other literal shape is kept.
+
 The benchmark vocabulary lives here too, beside the dtypes, layouts and op
 groups: the convolution algorithms (``ConvAlgorithm``, ``ALGO_BY_TOKEN``) and
 the fusion patterns (``FUSION_PATTERNS``). The database and profile readers
@@ -36,7 +41,10 @@ Text model grammar (one directive per line, ``#`` starts a comment)::
     output <id>
 
 Attribute values parse as int, float, ``AxBx...`` integer tuples, or raw
-strings. ``w<slot>=<dims>`` records a weight tensor (by shape) feeding the
+strings. A number counts only in the ASCII spelling that ``str`` or
+``repr`` writes (``-?[0-9]+``, a decimal with an optional exponent,
+``inf``, ``-inf`` or ``nan``), and dims must be ``x``-joined ASCII
+integers. ``w<slot>=<dims>`` records a weight tensor (by shape) feeding the
 given input slot, e.g. ``w1=64x3x7x7`` for a convolution filter.
 """
 
@@ -45,6 +53,7 @@ from __future__ import annotations
 import codecs
 import heapq
 import math
+import re
 from collections.abc import Callable
 from enum import Enum
 
@@ -556,7 +565,7 @@ def weight_elems(params: dict) -> int:
 
 
 def infer_layer(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
-                node_id: str) -> tuple[dict, tuple[int, ...], int]:
+                node_id: str | None = None) -> tuple[dict, tuple[int, ...], int]:
     """Canonical params, output dims and MAC count of one layer.
 
     The one path from recorded params to a canonical layer, run by graph
@@ -566,8 +575,10 @@ def infer_layer(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
     in ``params`` as ``w<slot>`` entries. What the op's rule refuses, params or
     input ranks it cannot read, and an empty or non-positive output dim raise
     ``ShapeInferenceError``; this is the one place that prefixes its message
-    with the node and op, ``node '<id>' (<op>): ``.
+    with the node and op, ``node '<id>' (<op>): ``, when a ``node_id`` is
+    given.
     """
+    where = "" if node_id is None else f"node {node_id!r} ({op_type}): "
     try:
         p = {k: _as_dims(v) if is_weight_key(k) else v
              for k, v in params.items() if k not in _DROPPED_PARAMS}
@@ -578,11 +589,9 @@ def infer_layer(op_type: str, params: dict, in_dims: list[tuple[int, ...]],
             raise ValueError(f"output dims {dims} are not all positive")
         return canonical, dims, n_macs
     except ShapeInferenceError as exc:
-        raise ShapeInferenceError(f"node {node_id!r} ({op_type}): {exc}") from exc
+        raise ShapeInferenceError(f"{where}{exc}") from exc
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-        raise ShapeInferenceError(
-            f"node {node_id!r} ({op_type}): params or input ranks do not fit: {exc}"
-        ) from exc
+        raise ShapeInferenceError(f"{where}params or input ranks do not fit: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +608,16 @@ def _exact(value):
     return (type(value), value)
 
 
+def _rebatched_target(params: dict, declared: tuple[int], batch: int) -> dict:
+    """A Reshape's ``params``, its literal target leading with ``batch`` if it
+    led with the ``declared`` batch."""
+    target = params.get("shape")
+    target = (target,) if type(target) is int else target
+    if type(target) is tuple and target[:1] == declared:
+        return {**params, "shape": (batch,) + target[1:]}
+    return params
+
+
 def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
     """Return ``graph`` at ``batch`` with its layer table.
 
@@ -606,6 +625,12 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
     by ``batch``. The result shares ``graph``'s node objects and order and
     adds ``layers`` and ``layer_of``; ``graph`` itself is left as it was.
     Propagation follows ``graph.order``; idempotent.
+
+    A Reshape's literal target is re-batched too: when every graph input
+    declares the same leading dim D and ``batch`` is not D, a target whose
+    leading dim is D leads with ``batch`` instead, before its layer key is
+    built. A leading ``0`` or ``-1`` stays as it is, and a target that then
+    does not fit its input still raises ``ShapeInferenceError``.
 
     Layers are interned: ``infer_layer`` runs once per layer key, which is
     (op, recorded params, input dims), and every node with that key maps to
@@ -621,6 +646,9 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
         raise GraphStructureError(f"graph {graph.name!r} has no order; run validate first")
     inputs = [(name, (batch,) + dims[1:]) for name, dims in graph.graph_inputs]
     by_name = dict(inputs)
+    # (D,) when every input declares the one leading dim D and it is not ``batch``
+    leads = {dims[:1] for _name, dims in graph.graph_inputs}
+    declared = leads.pop() if len(leads) == 1 and (batch,) not in leads else ()
     layers: list[Layer] = []
     layer_of: dict[str, int] = {}
     interned: dict[tuple, int] = {}  # layer key -> layer index
@@ -629,15 +657,17 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
         # validate checked every edge, and producers precede consumers in order.
         in_dims = tuple(layers[layer_of[src]].out_dims if src in layer_of else by_name[src]
                         for src in node.input_ids)
+        params = node.params
+        if declared and node.op_type == "Reshape":
+            params = _rebatched_target(params, declared, batch)
         try:
-            key = (node.op_type, tuple((k, _exact(v)) for k, v in node.params.items()),
-                   in_dims)
+            key = (node.op_type, tuple((k, _exact(v)) for k, v in params.items()), in_dims)
             index = interned.get(key)
         except TypeError:
             key = index = None
         if index is None:
             index = len(layers)
-            params, dims, n_macs = infer_layer(node.op_type, node.params, list(in_dims), nid)
+            params, dims, n_macs = infer_layer(node.op_type, params, list(in_dims), nid)
             layers.append(Layer(node.op_type, params, in_dims, dims, n_macs))
             if key is not None:
                 interned[key] = index
@@ -658,27 +688,29 @@ def macs(graph: ModelGraph) -> tuple[dict[str, int], int]:
 # Text format
 # ---------------------------------------------------------------------------
 
+# The ASCII spellings of numbers that the text format and signatures take:
+# what ``str`` writes for an int and ``repr`` for a float.
+_INT = re.compile(r"-?[0-9]+")
+_FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|-?inf|nan")
+_INTS = re.compile(r"-?[0-9]+(?:x-?[0-9]+)*")
+
+
 def parse_attr_value(text: str):
-    """An int, float or ``x``-joined int tuple when ``text`` reads as one, else ``text``."""
-    try:
+    """An int, float or ``x``-joined int tuple when ``text`` is spelled as one,
+    else ``text``. Only ASCII spellings count: ``1_0``, ``+3`` and ``٣`` are strings."""
+    if _INT.fullmatch(text):
         return int(text)
-    except ValueError:
-        pass
-    try:
+    if _FLOAT.fullmatch(text):
         return float(text)
-    except ValueError:
-        pass
-    parts = text.split("x")
-    if len(parts) > 1:
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            pass
+    if _INTS.fullmatch(text):
+        return tuple(int(p) for p in text.split("x"))
     return text
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
     """``AxBx...`` as a dims tuple; ``ValueError`` unless every dim is an int >= 1."""
+    if not _INTS.fullmatch(text):
+        raise ValueError(f"dims must be x-joined integers, got {text!r}")
     dims = tuple(int(d) for d in text.split("x"))
     if min(dims) < 1:
         raise ValueError(f"all dims must be positive integers, got {dims!r}")

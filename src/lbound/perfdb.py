@@ -34,8 +34,11 @@ to write, since the file may end in part of a line.
 
 Record fields, in on-disk order: v, system, dtype, hash64, signature,
 algorithm, layout, fused, status, latency_us, source, timestamp, metadata.
-The canonical signature string is stored alongside its hash as a collision
-guard; equality is always decided on the string.
+A record's key (``RecordKey``) is system, dtype, signature, algorithm,
+layout and fusion pattern, and its first three fields are its layer.
+``hash64`` is record data: the hash of the signature that names the
+layer's emitted source files, stored beside the signature and checked only
+by ``db import``.
 
 The layer index is a pure function of the first N bytes of the file, N
 being the end of a whole line. Its first line holds the format version, N,
@@ -97,14 +100,13 @@ import os
 import re
 import time
 from collections import Counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import MissError, StorageError
-from .model_ir import DTYPES, FUSION_PATTERNS, LAYOUTS, ConvAlgorithm, Frozen
+from .model_ir import DTYPES, FUSION_PATTERNS, LAYOUTS, ConvAlgorithm
 
-if TYPE_CHECKING:  # a reader loads neither spec generation nor the signature code
+if TYPE_CHECKING:  # a reader loads no spec generation
     from .benchgen import BenchmarkSpec
-    from .dedup import LayerSignature
 
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
 _ALGO_RANK = {algo.name: rank for rank, algo in enumerate(ConvAlgorithm)}
@@ -116,28 +118,16 @@ _INDEX_VERSION = 2
 _CHUNK = 1 << 18  # bytes per read while hashing the file
 
 
-class RecordKey(Frozen):
-    def __init__(self, system: str, dtype: str, hash64: str, signature: str,
-                 algorithm: str | None, layout: str, fused: str | None):
-        self._set("system", system)
-        self._set("dtype", dtype)
-        self._set("hash64", hash64)
-        self._set("signature", signature)  # canonical string, authoritative
-        self._set("algorithm", algorithm)  # ConvAlgorithm name
-        self._set("layout", layout)
-        self._set("fused", fused)
+class RecordKey(NamedTuple):
+    """What identifies a record: its layer, (system, dtype, signature), then
+    its algorithm, layout and fusion pattern."""
 
-    def __eq__(self, other):
-        if not isinstance(other, RecordKey):
-            return NotImplemented
-        return self.hash64 == other.hash64 and self.index_key() == other.index_key()
-
-    def __hash__(self):
-        return hash(self.index_key())
-
-    def index_key(self) -> tuple:
-        return (self.system, self.dtype, self.signature, self.algorithm,
-                self.layout, self.fused)
+    system: str
+    dtype: str
+    signature: str  # canonical string
+    algorithm: str | None  # ConvAlgorithm name
+    layout: str
+    fused: str | None
 
     def render(self) -> str:
         algo = self.algorithm or "-"
@@ -148,7 +138,7 @@ class RecordKey(Frozen):
 class PerfRecord:
     def __init__(self, key: RecordKey, latency_us: float | None, status: str = "ok",
                  metadata: dict | None = None, source: str = "simulated",
-                 timestamp: float = 0.0):
+                 timestamp: float = 0.0, hash64: str = ""):
         if key.algorithm is not None and key.algorithm not in _ALGO_RANK:
             raise StorageError(f"unknown algorithm {key.algorithm!r}")
         if key.dtype not in DTYPES:
@@ -174,13 +164,13 @@ class PerfRecord:
         self.metadata = {} if metadata is None else metadata
         self.source = source  # "simulated" | "imported"
         self.timestamp = timestamp
+        self.hash64 = hash64  # names the layer's emitted source files
 
 
 def key_for_spec(system: str, spec: BenchmarkSpec) -> RecordKey:
     return RecordKey(
         system=system,
         dtype=spec.dtype,
-        hash64=spec.signature.hash64,
         signature=spec.signature.canonical_string,
         algorithm=spec.algorithm.name if spec.algorithm else None,
         layout=spec.layout,
@@ -193,7 +183,7 @@ def _record_to_json(rec: PerfRecord) -> str:
         "v": 1,
         "system": rec.key.system,
         "dtype": rec.key.dtype,
-        "hash64": rec.key.hash64,
+        "hash64": rec.hash64,
         "signature": rec.key.signature,
         "algorithm": rec.key.algorithm,
         "layout": rec.key.layout,
@@ -215,7 +205,6 @@ def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
         key = RecordKey(
             system=obj["system"],
             dtype=obj["dtype"],
-            hash64=obj["hash64"],
             signature=obj["signature"],
             algorithm=obj.get("algorithm"),
             layout=obj.get("layout", "NCHW"),
@@ -228,6 +217,7 @@ def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
             metadata=obj.get("metadata") or {},
             source=obj.get("source", "imported"),
             timestamp=obj.get("timestamp", 0.0),
+            hash64=obj["hash64"],
         )
     except (KeyError, ValueError, TypeError, StorageError) as exc:
         raise StorageError(f"bad database record at line {lineno}: {exc}") from exc
@@ -248,9 +238,9 @@ class PerfDb:
         # (system, dtype, signature) -> [offset, length, line number, ...] of
         # each live line of the layer, in the layer's order
         self._where: dict[tuple, list[int]] = {}
-        # (system, dtype, signature) -> {index key: live record}, in the same
+        # (system, dtype, signature) -> {record key: live record}, in the same
         # order, for the layers decoded so far
-        self._by_layer: dict[tuple, dict[tuple, PerfRecord]] = {}
+        self._by_layer: dict[tuple, dict[RecordKey, PerfRecord]] = {}
         # system -> (live, offset, length) of an index line not read yet
         self._unread: dict[str, tuple[int, int, int]] = {}
         self._rank: dict[tuple, int] = {}  # layer -> its place in first-appearance order
@@ -430,15 +420,15 @@ class PerfDb:
             except OSError as exc:
                 raise StorageError(f"cannot read database {self.path}: {exc}") from exc
             rec = _record_from_json(raw.strip(), lineno)
-            key = rec.key.index_key()
+            key = rec.key
             if key[:3] != lkey or key in layer:
                 raise StorageError(f"bad database index {self.path}.idx: "
                                    f"line {lineno} is not in its place")
             layer[key] = rec
         self._by_layer[lkey] = layer
 
-    def _layer(self, lkey: tuple) -> dict[tuple, PerfRecord]:
-        """One layer's live records by index key, after its system's index line
+    def _layer(self, lkey: tuple) -> dict[RecordKey, PerfRecord]:
+        """One layer's live records by record key, after its system's index line
         and then its listed lines are read."""
         if lkey[0] in self._unread:
             self._read_system(lkey[0])
@@ -491,7 +481,7 @@ class PerfDb:
 
     def _put(self, record: PerfRecord, at: tuple[int, int, int]) -> None:
         """Enter a decoded record, whose line is at ``at`` (offset, length, line number)."""
-        key = record.key.index_key()
+        key = record.key
         lkey = key[:3]
         layer = self._layer(lkey)  # the lines the index lists of its layer come first
         if not layer:  # a new layer ranks last
@@ -537,20 +527,17 @@ class PerfDb:
         return [rec for lkey in order for rec in self._layer(lkey).values()]
 
     def record_for(self, key: RecordKey) -> PerfRecord | None:
-        index_key = key.index_key()
-        return self._layer(index_key[:3]).get(index_key)
+        return self._layer(key[:3]).get(key)
 
     def has_spec(self, system: str, spec: BenchmarkSpec) -> bool:
         return self.record_for(key_for_spec(system, spec)) is not None
 
-    def query(self, system: str, dtype: str,
-              signature: LayerSignature | str) -> list[PerfRecord]:
-        """All records for a layer across algorithms, layouts and fusion, in hit order."""
-        canonical = signature if isinstance(signature, str) else signature.canonical_string
-        return sorted(self._layer((system, dtype, canonical)).values(),
-                      key=_hit_order)
+    def query(self, system: str, dtype: str, signature: str) -> list[PerfRecord]:
+        """All records for a layer, by its canonical signature string, across
+        algorithms, layouts and fusion, in hit order."""
+        return sorted(self._layer((system, dtype, signature)).values(), key=_hit_order)
 
-    def best(self, system: str, dtype: str, signature: LayerSignature | str,
+    def best(self, system: str, dtype: str, signature: str,
              *, layout: str | None = None, fused: str | None = None) -> PerfRecord:
         """Lowest-latency ok record of one layer, read from its entry in the index.
 
@@ -563,9 +550,7 @@ class PerfDb:
             if rec.status == "ok" and rec.key.fused == fused \
                     and (layout is None or rec.key.layout == layout):
                 return rec
-        canonical = signature if isinstance(signature, str) else signature.canonical_string
-        h64 = "" if isinstance(signature, str) else signature.hash64
-        raise MissError([RecordKey(system, dtype, h64, canonical, None,
+        raise MissError([RecordKey(system, dtype, signature, None,
                                    layout or "NCHW", fused).render()])
 
 
@@ -589,4 +574,5 @@ def make_record(system: str, spec: BenchmarkSpec, latency_us: float | None,
         metadata=metadata or {},
         source=source,
         timestamp=time.time(),
+        hash64=spec.signature.hash64,
     )

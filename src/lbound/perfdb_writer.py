@@ -96,7 +96,7 @@ def import_lines(db: PerfDb, text: str) -> int:
             spec = BenchmarkSpec(sig, algo, key.layout, key.fused)
         except (ModelParseError, ConfigError) as exc:
             raise StorageError(f"bad database record at line {lineno}: {exc}") from exc
-        if key_for_spec(key.system, spec) != key:  # the other fields built the spec
+        if key_for_spec(key.system, spec) != key or rec.hash64 != sig.hash64:
             raise StorageError(f"bad database record at line {lineno}: dtype and hash64 "
                                f"must be {sig.dtype!r} and {sig.hash64!r}")
         db.insert(rec)

@@ -135,7 +135,7 @@ def test_annotation_shares_signatures_and_order(db_builder, v100, monkeypatch):
         analyzer.export_dot(ann)
         analyzer.fusion_analysis(anns, "Tesla_V100", "f32")
         analyzer.tensorcore_analysis(anns, "Tesla_V100")
-        analyzer.joint_analysis(anns, "Tesla_V100", analyzer.Scenario(
+        analyzer.joint_analysis(anns, "Tesla_V100", "f32", analyzer.Scenario(
             parallel=True, fusion=True, tensor_core=True))
         rows = analyzer.advise_systems(anns, ["Tesla_V100", "TITAN_V"], "f32")
     # (f32, any), (f32, NCHW), (f16, NCHW) on V100, then (f32, any) on TITAN_V
@@ -191,16 +191,18 @@ def test_views_agree_with_the_joint_analysis(db_builder, v100):
     with PerfDb(path) as db:
         for graph in (r50, tower):
             anns = analyzer.Annotator(graph, db)
-            fusion = analyzer.fusion_analysis(anns, "Tesla_V100", "f32")
-            joint = analyzer.joint_analysis(anns, "Tesla_V100", analyzer.Scenario(fusion=True))
-            assert joint.lb_us == fusion.fused_lb_us
+            for dtype in ("f16", "f32"):  # f32 last: its fusion rows are checked below
+                fusion = analyzer.fusion_analysis(anns, "Tesla_V100", dtype)
+                joint = analyzer.joint_analysis(anns, "Tesla_V100", dtype,
+                                                analyzer.Scenario(fusion=True))
+                assert (joint.dtype, joint.lb_us) == (dtype, fusion.fused_lb_us)
             tc = analyzer.tensorcore_analysis(anns, "Tesla_V100")
-            joint = analyzer.joint_analysis(anns, "Tesla_V100",
+            joint = analyzer.joint_analysis(anns, "Tesla_V100", "f32",
                                             analyzer.Scenario(tensor_core=True))
             assert joint.lb_us == tc.lb_f16_us
             prof = _logged_profile(anns, algos)
             q3 = analyzer.algorithm_advice(prof, anns, "Tesla_V100", "f32")
-            joint = analyzer.joint_analysis(anns, "Tesla_V100",
+            joint = analyzer.joint_analysis(anns, "Tesla_V100", "f32",
                                             analyzer.Scenario(ideal_algo=False), profile=prof)
             assert math.isclose(joint.lb_us, q3.lb_chosen_us, rel_tol=1e-12)
             assert q3.lb_chosen_us >= q3.lb_ideal_us and q3.unknown
@@ -235,7 +237,7 @@ def test_scenario_properties(scenario_db, model, layout, algos):
         lb = {}
         for parallel, ideal, fusion, tc in itertools.product((False, True), repeat=4):
             scenario = analyzer.Scenario(parallel, ideal, fusion, tc, layout)
-            joint = analyzer.joint_analysis(anns, "Tesla_V100", scenario, profile=prof)
+            joint = analyzer.joint_analysis(anns, "Tesla_V100", "f32", scenario, profile=prof)
             assert math.isfinite(joint.lb_us) and joint.lb_us > 0
             lb[parallel, ideal, fusion, tc] = joint.lb_us
             if fusion:
@@ -247,6 +249,19 @@ def test_scenario_properties(scenario_db, model, layout, algos):
         assert lb[True, ideal, fusion, tc] <= lb[False, ideal, fusion, tc]
     plain = analyzer.sequential_total(anns.graph, anns.annotation("Tesla_V100", "f32").latencies)
     assert lb[False, True, False, False] == plain
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["r18", "tower"]), st.sampled_from(["f32", "f16"]),
+       st.sampled_from(["NCHW", "NHWC"]))
+def test_joint_with_every_toggle_off_is_the_sequential_bound(scenario_db, model, dtype, layout):
+    graphs, path = scenario_db
+    scenario = analyzer.Scenario(layout=layout)
+    with PerfDb(path) as db:
+        anns = analyzer.Annotator(graphs[model], db)
+        joint = analyzer.joint_analysis(anns, "Tesla_V100", dtype, scenario)
+        report = analyzer.build_report(anns, "Tesla_V100", dtype, 1, scenario)
+    assert (joint.dtype, joint.lb_us) == (dtype, report.lb_sequential_us)
 
 
 def test_report_sections_follow_the_scenario_and_the_profile(scenario_db):

@@ -80,7 +80,8 @@ def test_emitted_source_names_the_spec(canonical, algorithm, layout, fused, expe
 
 # Each GEMM's MAC count by hand: C = A x B is M x N with a K-long dot
 # product per element, whichever operand is transposed, and a batched
-# MatMul does one such product per batch.
+# MatMul does one such product per batch. A B with batch dims takes one
+# strided-batched call; a shared B folds the batch into M.
 HAND_MACS = {
     "Gemm|f32|in=2x64|transA=0,transB=0,w1=64x10": 2 * 10 * 64,
     "Gemm|f32|in=64x2|transA=1,transB=0,w1=64x10": 2 * 10 * 64,
@@ -90,6 +91,14 @@ HAND_MACS = {
     "MatMul|f16|in=5x6|w1=6x7": 5 * 7 * 6,
     "MatMul|f32|in=4x5x6|w1=6x7": 4 * 5 * 7 * 6,
     "MatMul|f32|in=4x5x6,4x6x7|": 4 * 5 * 7 * 6,
+    "MatMul|f32|in=5x6,4x6x7|": 4 * 5 * 7 * 6,
+}
+
+# (A, B, C) strides of each strided-batched call: one M x K, K x N and
+# M x N matrix apart, or 0 for an operand that every product shares.
+HAND_STRIDES = {
+    "MatMul|f32|in=4x5x6,4x6x7|": (5 * 6, 6 * 7, 5 * 7),
+    "MatMul|f32|in=5x6,4x6x7|": (0, 6 * 7, 5 * 7),
 }
 
 
@@ -97,5 +106,17 @@ HAND_MACS = {
 def test_emitted_gemm_shape_does_the_layers_macs(canonical):
     sig = dedup.parse_signature(canonical)
     src = benchgen.emit_benchmark_source(benchgen.BenchmarkSpec(sig, None, "NCHW", None))
-    m, n, k = map(int, re.search(r"const int m = (\d+), n = (\d+), k = (\d+);", src).groups())
-    assert math.prod((m, n, k)) == HAND_MACS[canonical]
+    m, n, k, batch = re.search(
+        r"const int m = (\d+), n = (\d+), k = (\d+)(?:, batch = (\d+))?;", src).groups()
+    assert math.prod((int(m), int(n), int(k), int(batch or 1))) == HAND_MACS[canonical]
+    # A call passes the transposes it declares; only a Gemm transposes.
+    flags = [sig.layer.params.get(f, 0) if sig.layer.op_type == "Gemm" else 0
+             for f in ("transA", "transB")]
+    assert "  const cublasOperation_t transa = CUBLAS_OP_{}, transb = CUBLAS_OP_{};\n".format(
+        *("NT"[f] for f in flags)) in src
+    assert src.count("CUBLAS_CALL(") == 1
+    strides = re.search(r"stride_a = (\d+), stride_b = (\d+), stride_c = (\d+);", src)
+    assert ("cublasGemmStridedBatchedEx(" in src) == (batch is not None) == (strides is not None)
+    if strides:
+        assert tuple(map(int, strides.groups())) == HAND_STRIDES[canonical]
+

@@ -91,6 +91,18 @@ class TestSignature:
         with pytest.raises(ModelParseError, match="unknown dtype 'f64'"):
             dedup.parse_signature(sig.canonical_string.replace("|f32|", "|f64|"))
 
+    @pytest.mark.parametrize("canonical, message", [
+        ("Conv|f32|in=1x3x2x2|dilations=1x1,group=1,kernel=3x3,pads=0x0x0x0,strides=1x1,"
+         "w1=4x3x3x3", "kernel 3 (dilation 1) larger than padded input 2+0+0"),
+        ("Gemm|f32|in=2x64|transA=0,transB=0", "no rank-2 B operand (got None)"),
+        ("Relu|f32|in=1_0x3|", "dims must be x-joined integers, got '1_0x3'"),
+        ("Relu|f32|in=1x\u0663|", "dims must be x-joined integers, got '1x\u0663'"),
+    ])
+    def test_a_refused_signature_names_no_node(self, canonical, message):
+        with pytest.raises(ModelParseError) as exc:
+            dedup.parse_signature(canonical)
+        assert str(exc.value) == f"bad signature {canonical!r}: {message}"
+
     def test_with_dtype(self):
         sig = dedup.signature(mz.layer(_conv_graph(), "c"), "f32")
         f16 = sig.with_dtype("f16")
@@ -123,12 +135,11 @@ _FAMILY = dict(mz.thirty_model_family())
 def test_every_unique_layer_round_trips(name):
     """A parsed signature holds the graph's layer: op, dims, params, MACs and all.
 
-    At each dtype and at batch 1 and 4; mnist-cnn's Reshape to 1x256 fixes
-    its batch at 1. The family holds ResNet-18/50/152, the fusion tower and
-    the coverage fixture; a layer's MACs are pinned to hand counts in
-    ``test_model_ir``.
+    At each dtype and at batch 1 and 4. The family holds ResNet-18/50/152,
+    the fusion tower and the coverage fixture; a layer's MACs are pinned to
+    hand counts in ``test_model_ir``.
     """
-    for batch in (1,) if name == "mnist-cnn" else (1, 4):
+    for batch in (1, 4):
         for layer in mz.load(_FAMILY[name], batch=batch).layers:
             for dtype in ("f32", "f16"):
                 sig = dedup.signature(layer, dtype)
@@ -259,9 +270,9 @@ class TestStatsExport:
 # The signature table
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(set(_FAMILY) - {"mnist-cnn"}))
+@pytest.mark.parametrize("name", sorted(_FAMILY))
 def test_table_gives_each_node_its_own_signature(name):
-    graph = mz.load(_FAMILY[name], batch=2)  # mnist-cnn does not re-batch its Reshape
+    graph = mz.load(_FAMILY[name], batch=2)
     for dtype in ("f32", "f16"):
         table = dedup.layer_signatures(graph, dtype)
         assert dedup.layer_signatures(graph, dtype) is table

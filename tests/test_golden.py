@@ -28,7 +28,7 @@ GOLDEN = {
 
 GOLDEN_SCENARIOS = {
     "analyze-logged-algo": "65b19b95ebe2a54e97eb6fbe922cdad2840a9b7b19a3819cdd7068256d4645ae",
-    "analyze-f16-fusion": "76b757b4a61d91f0ab2df50197e1601affc0600a9f69f8ee30350b76b50eead5",
+    "analyze-f16-fusion": "6e579a4048d21131adafaf79f3f83c21f626d7eb7ae4e100f74aa5309e52204f",
 }
 
 GOLDEN_TEXT = {

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -324,11 +325,60 @@ class TestInference:
             infer_shapes(g, 0)
 
 
+# What the text format reads as a number: ASCII ints, ``x``-joined ints,
+# and floats as ``repr`` writes them.
+_NUMBER = re.compile(r"-?[0-9]+(x-?[0-9]+)*|-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?|-?inf|nan")
+_ODD_STRINGS = ("1_0", "+3", "\u0663", "0_1x1", "1x+2", "3.", ".5", "1e", "Infinity", "NaN",
+                "-nan", "+inf", "1x", "x1")
+_ATTR_VALUES = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.lists(st.integers(-64, 64), min_size=2, max_size=4).map(tuple),
+    st.floats(),
+    st.sampled_from(_ODD_STRINGS),
+    st.text("0123456789xeE.+-_ab\u0663\u00e9", min_size=1, max_size=8)
+    .filter(lambda v: not _NUMBER.fullmatch(v)),
+)
+
+
+def _typed_nodes(graph) -> list:
+    """Each node's id, op, typed params in key order, and inputs."""
+    return [(n.id, n.op_type, sorted(_typed(n.params)), n.input_ids)
+            for n in graph.nodes.values()]
+
+
 class TestTextFormat:
     def test_round_trip(self):
         g = parse_text_model(mz.resnet_v1_text(50))
         again = parse_text_model(render_text_model(g))
         assert fields(again) == fields(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.dictionaries(st.from_regex(r"[a-vyz][a-z0-9]{0,3}", fullmatch=True)
+                                    .filter(lambda k: k != "op"), _ATTR_VALUES, max_size=4),
+                    min_size=1, max_size=4))
+    def test_attrs_round_trip(self, attrs):
+        """Ints, tuples, ``repr`` floats and strings without delimiters, some
+        of which other number parsers would read as numbers, keep their types."""
+        nodes = {f"n{i}": LayerNode(f"n{i}", "Opaque", {"op": "Custom", **params},
+                                    [f"n{i - 1}" if i else "x"])
+                 for i, params in enumerate(attrs)}
+        graph = ModelGraph("g", nodes, [("x", (1, 3))], [f"n{len(attrs) - 1}"])
+        text = render_text_model(graph)
+        again = parse_text_model(text)
+        assert _typed_nodes(again) == _typed_nodes(graph)
+        assert render_text_model(again) == text
+
+    @pytest.mark.parametrize("dims", ["1_0x3", "+3", "1x\u0663", "1x3.0", "1xx3", "", "1e2"])
+    def test_input_dims_take_only_ascii_ints(self, dims):
+        with pytest.raises(ModelParseError) as exc:
+            parse_text_model(f"graph t\ninput x {dims or '#'}\nnode n Relu inputs=x\n")
+        assert exc.value.offset == 2
+
+    def test_an_attr_spelled_otherwise_is_a_string(self):
+        g = parse_text_model("graph t\ninput x 1x3\n"
+                             "node n Custom inputs=x attrs=k=0_1x1;f=+3;d=\u0663;e=1e5\n")
+        assert _typed(g.nodes["n"].params) == _typed(
+            {"op": "Custom", "k": "0_1x1", "f": "+3", "d": "\u0663", "e": 1e5})
 
     def test_bad_line_reports_line_number(self):
         with pytest.raises(ModelParseError) as exc:
@@ -406,13 +456,21 @@ def _typed(params: dict) -> list:
 
 def _alone(parsed, batch: int) -> dict[str, tuple]:
     """Each node's (op, canonical params, input dims, output dims, MACs), from
-    ``infer_layer`` on that node alone; raises where a node cannot be inferred."""
+    ``infer_layer`` on that node alone; raises where a node cannot be inferred.
+
+    Graph inputs lead with ``batch``, and so does a Reshape's literal target
+    that leads with the one leading dim every input declares."""
     dims = {in_name: (batch,) + shape[1:] for in_name, shape in parsed.graph_inputs}
+    declared = {shape[0] for _name, shape in parsed.graph_inputs}
     alone = {}
     for nid in parsed.order:
         raw = parsed.nodes[nid]
         in_dims = [dims[src] for src in raw.input_ids]
-        params, dims[nid], n_macs = infer_layer(raw.op_type, raw.params, in_dims, nid)
+        params = dict(raw.params)
+        shape = params.get("shape")
+        if raw.op_type == "Reshape" and isinstance(shape, tuple) and {shape[0]} == declared:
+            params["shape"] = (batch, *shape[1:])
+        params, dims[nid], n_macs = infer_layer(raw.op_type, params, in_dims, nid)
         alone[nid] = (raw.op_type, _typed(params), tuple(in_dims), dims[nid], n_macs)
     return alone
 
@@ -430,8 +488,8 @@ def _table(graph) -> dict[str, tuple]:
 def test_interned_inference_matches_per_node_inference(name, text, batch):
     """Every node's layer is what ``infer_layer`` gives for that node alone.
 
-    Where a node cannot be inferred (mnist-cnn's literal Reshape at batch
-    2), graph inference fails with the same message.
+    Where a node cannot be inferred, graph inference fails with the same
+    message.
     """
     parsed = parse_text_model(text)
     try:
@@ -452,6 +510,47 @@ def test_interned_inference_matches_per_node_inference(name, text, batch):
         key = (raw.op_type, tuple(_typed(raw.params)), alone[nid][2])
         assert index_of.setdefault(key, len(index_of)) == graph.layer_of[nid]
     assert len(index_of) == len(graph.layers)
+
+
+@pytest.mark.parametrize("name, text", mz.thirty_model_family(),
+                         ids=[name for name, _ in mz.thirty_model_family()])
+def test_the_family_scales_with_the_batch(name, text):
+    """MACs at batch b are b times those at batch 1, over as many distinct
+    signatures; mnist-cnn's literal Reshape target is re-batched."""
+    at_one = mz.load(text)
+    total = macs(at_one)[1]
+    distinct = {s.canonical_string for s in dedup.layer_signatures(at_one, "f32")}
+    for batch in (2, 4, 8):
+        graph = mz.load(text, batch=batch)
+        assert macs(graph)[1] == batch * total
+        assert len({s.canonical_string
+                    for s in dedup.layer_signatures(graph, "f32")}) == len(distinct)
+
+
+_RESHAPE = "graph r\ninput a {a}\n{b}node n Reshape inputs=a attrs=shape={shape}\n"
+
+
+@pytest.mark.parametrize("a, b, shape, batch, out", [
+    ("2x6", "", "2x3x2", 4, (4, 3, 2)),  # leads with the declared 2
+    ("2x6", "", "2x3x2", 2, (2, 3, 2)),  # the declared batch: kept
+    ("2x6", "", "0x3x2", 4, (4, 3, 2)),  # 0 copies the input's dim
+    ("2x6", "", "-1x3x2", 4, (4, 3, 2)),
+    ("3", "", "3", 5, (5,)),  # a bare int target is its leading dim
+    ("2x6", "input b 2x1\n", "2x3x2", 4, (4, 3, 2)),  # both inputs declare 2
+])
+def test_a_literal_reshape_target_follows_the_batch(a, b, shape, batch, out):
+    graph = infer_shapes(parse_text_model(_RESHAPE.format(a=a, b=b, shape=shape)), batch)
+    assert mz.layer(graph, "n").out_dims == out
+
+
+@pytest.mark.parametrize("a, b, shape, batch", [
+    ("2x6", "", "1x12", 4),  # leads with another dim
+    ("2x6", "", "3x4", 4),
+    ("2x6", "input b 3x1\n", "2x3x2", 4),  # the inputs declare no one batch
+])
+def test_any_other_reshape_mismatch_is_refused(a, b, shape, batch):
+    with pytest.raises(ShapeInferenceError, match="cannot reshape"):
+        infer_shapes(parse_text_model(_RESHAPE.format(a=a, b=b, shape=shape)), batch)
 
 
 def test_inference_shares_the_loaded_nodes_and_leaves_the_graph_alone():

@@ -46,7 +46,6 @@ def records(draw, systems=SYSTEMS, signatures=SIGNATURES):
     key = RecordKey(
         system=draw(st.sampled_from(systems)),
         dtype=draw(st.sampled_from(DTYPES)),
-        hash64="00",
         signature=draw(st.sampled_from(signatures)),
         algorithm=draw(st.sampled_from(ALGOS)),
         layout=draw(st.sampled_from(LAYOUTS)),
@@ -98,7 +97,7 @@ def test_index_matches_linear_scan(recs):
         with PerfDb(path, mode="rw") as db:
             for rec in recs:
                 db.insert(rec)
-            live = len({r.key.index_key() for r in recs})
+            live = len({r.key for r in recs})
             assert len(db) == live
             assert db.superseded == len(recs) - live
             check_index(db, ALL_LAYERS)
@@ -121,14 +120,14 @@ def test_resnet50_index_with_superseded_records(db_builder, v100):
     db_builder([graph], v100, fusion=True, jitter_seed=2)  # supersedes every record
     with PerfDb(path) as db:
         assert db.superseded == len(db) > 0
-        layers = sorted({r.key.index_key()[:3] for r in db.records()})
+        layers = sorted({r.key[:3] for r in db.records()})
         layers.append(("Tesla_V100", "f32", "Relu|f32|in=9x9|"))
         check_index(db, layers)
 
 
 def test_records_group_by_layer(tmp_path):
     def rec(sig, algo, latency):
-        return PerfRecord(RecordKey("sysA", "f32", "00", sig, algo, "NCHW", None), latency)
+        return PerfRecord(RecordKey("sysA", "f32", sig, algo, "NCHW", None), latency)
 
     conv, relu = SIGNATURES[0], SIGNATURES[1]
     path = tmp_path / "perf.db"
@@ -144,12 +143,41 @@ def test_records_group_by_layer(tmp_path):
         assert [(r.key.signature, r.latency_us) for r in db.records()] == order
 
 
+# A writer line of a fused f16 spec, as ``make_record`` builds it.
+_SIG = ("Conv|f16|in=2x3x8x8|dilations=1x1,group=1,kernel=3x3,pads=1x1x1x1,strides=1x1,"
+        "w1=4x3x3x3")
+_LINE = ('{"v":1,"system":"Tesla_V100","dtype":"f16","hash64":"57a1376d18405749",'
+         f'"signature":"{_SIG}","algorithm":null,"layout":"NHWC","fused":"conv_bias",'
+         '"status":"ok","latency_us":2.5,"source":"simulated","timestamp":1.5,'
+         '"metadata":{"macs":1}}')
+
+
+def test_a_record_key_is_the_six_fields_that_identify_a_record():
+    assert RecordKey._fields == ("system", "dtype", "signature", "algorithm", "layout", "fused")
+
+
+def test_hash64_is_record_data_and_the_line_keeps_its_bytes():
+    from lbound import benchgen, dedup
+    from lbound.perfdb import key_for_spec, make_record
+
+    sig = dedup.parse_signature(_SIG)
+    spec = benchgen.BenchmarkSpec(sig, None, "NHWC", "conv_bias")
+    rec = make_record("Tesla_V100", spec, 2.5, metadata={"macs": 1})
+    rec.timestamp = 1.5
+    assert rec.key == key_for_spec("Tesla_V100", spec) \
+        == ("Tesla_V100", "f16", _SIG, None, "NHWC", "conv_bias")
+    assert rec.hash64 == sig.hash64 == "57a1376d18405749"
+    assert _record_to_json(rec) == _LINE
+    again = _record_from_json(_LINE.encode(), 1)
+    assert fields(again) == fields(rec) and _record_to_json(again) == _LINE
+
+
 # ---------------------------------------------------------------------------
 # Torn tails and corrupt lines
 # ---------------------------------------------------------------------------
 
 def _record(i: int) -> PerfRecord:
-    key = RecordKey("sysA", "f32", "00", f"Relu|f32|in=1x{i}|", None, "NCHW", None)
+    key = RecordKey("sysA", "f32", f"Relu|f32|in=1x{i}|", None, "NCHW", None)
     return PerfRecord(key, float(i + 1), timestamp=float(i))
 
 
@@ -225,7 +253,7 @@ def test_corrupt_terminated_last_line_fails(db_file, mode):
 # ---------------------------------------------------------------------------
 
 OTHER_FILE = _record_to_json(PerfRecord(
-    RecordKey("sysB", "f16", "00", SIGNATURES[2], None, "NHWC", None), 9.0)).encode() + b"\n"
+    RecordKey("sysB", "f16", SIGNATURES[2], None, "NHWC", None), 9.0)).encode() + b"\n"
 
 
 def _accepted_ends(data: bytes) -> list[int]:
@@ -351,6 +379,8 @@ SCOPE_SYSTEMS = ("sysA", "sysAB", "", 'q"x', "b\\s", "Tésla", "\U0001f680")
 
 def _changed(rec, **changes):
     """A record or key like ``rec`` with ``changes``, built and checked anew."""
+    if isinstance(rec, RecordKey):
+        return rec._replace(**changes)
     return type(rec)(**{**vars(rec), **changes})
 
 
@@ -478,7 +508,7 @@ def test_a_forged_entry_read_at_open_fails_the_open(tmp_path):
     path = tmp_path / "perf.db"
 
     def rec(system, sig):
-        return PerfRecord(RecordKey(system, "f32", "00", sig, None, "NCHW", None), 1.0)
+        return PerfRecord(RecordKey(system, "f32", sig, None, "NCHW", None), 1.0)
 
     with PerfDb(path, mode="rw") as db:
         db.insert(rec("sysA", SIGNATURES[0]))
@@ -538,6 +568,7 @@ def writer_lines(draw):
         rec = _changed(
             rec, latency_us=latency, metadata=draw(st.sampled_from(METADATA)),
             source=draw(st.sampled_from(("simulated", "imported", ""))),
+            hash64=draw(st.sampled_from(("", "00", "0123456789abcdef"))),
             timestamp=draw(st.one_of(st.floats(0, 2e9), st.integers(0, 2 * 10**9))))
         lines.append(_record_to_json(rec).encode() + b"\n")
     return lines
@@ -622,7 +653,7 @@ def _decode_every_line(path) -> tuple[str | None, list[str], int, bytes]:
                 return str(exc), [], 0, data
             kept = data[:-len(raw)]
             break
-        key = rec.key.index_key()
+        key = rec.key
         layer = layers.setdefault(key[:3], {})
         superseded += key in layer
         layer[key] = rec
@@ -709,7 +740,7 @@ def _damaged(line: bytes):
 
 def test_unscoped_opens_agree_on_each_damaged_value(tmp_path):
     """Every value of three writer lines, damaged in each way that the fuzz above draws."""
-    key = RecordKey("sysA", "f32", "00", SIGNATURES[0], "GEMM", "NCHW", None)
+    key = RecordKey("sysA", "f32", SIGNATURES[0], "GEMM", "NCHW", None)
     recs = [PerfRecord(key, 2.5, metadata=METADATA[1], timestamp=1.5),
             PerfRecord(_changed(key, algorithm="FFT"), None, status="unsupported",
                        metadata=METADATA[2]),
@@ -958,7 +989,7 @@ from lbound.perfdb import PerfDb, PerfRecord, RecordKey
 path, torn = sys.argv[1], sys.argv[2] == "torn"
 db = PerfDb(path, mode="rw")
 for i in range(7):
-    key = RecordKey("sys" + "AB"[i % 2], "f32", "00", f"Relu|f32|in=1x{i % 3}|", None, "NCHW", None)
+    key = RecordKey("sys" + "AB"[i % 2], "f32", f"Relu|f32|in=1x{i % 3}|", None, "NCHW", None)
     db.insert(PerfRecord(key, 10.0 + i))
 if torn:  # part of the next line reaches the file
     with open(path, "ab") as fh:

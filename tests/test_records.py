@@ -6,6 +6,9 @@ instance. An immutable record refuses to set or delete an attribute, and
 only ``LayerSignature``, ``RecordKey`` and ``Scenario`` compare and hash
 by value. ``vars`` of a record holds exactly its fields, in the order its
 ``__init__`` takes them, which is the key order of the JSON report.
+``RecordKey`` is a NamedTuple: its ``_fields`` are its fields, in the
+order its constructor takes them, and Python itself refuses to set, delete
+or add an attribute.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from lbound import analyzer, benchgen, dedup, model_ir, perfdb, profile_ingest, 
 from lbound.errors import ConfigError, ProfileFormatError, StorageError
 
 SIG = dedup.parse_signature("Relu|f32|in=1x8|")
-KEY = perfdb.RecordKey("sysA", "f32", SIG.hash64, SIG.canonical_string, None, "NCHW", None)
+KEY = perfdb.RecordKey("sysA", "f32", SIG.canonical_string, None, "NCHW", None)
 GRAPH = model_ir.ModelGraph("g", {}, [], [])
 STATS = dedup.ModelLayerStats("m", 1, 1)
 P = functools.partial
@@ -56,7 +59,7 @@ CASES = {
     "BenchConfig": Case(benchgen.BenchConfig, P(benchgen.BenchConfig, ("f64",)), ConfigError,
                         frozen=True),
     "FusionSite": Case(P(benchgen.FusionSite, SIG, "conv_bias", ("a", "b")), frozen=True),
-    "RecordKey": Case(P(perfdb.RecordKey, *vars(KEY).values()), frozen=True, by_value=True),
+    "RecordKey": Case(P(perfdb.RecordKey, *KEY), frozen=True, by_value=True),
     "PerfRecord": Case(P(perfdb.PerfRecord, KEY, 1.0), P(perfdb.PerfRecord, KEY, -1.0),
                        StorageError, fresh=("metadata",)),
     "ApiCall": Case(P(profile_ingest.ApiCall, 1, "cudnnAddTensor"), fresh=("params",)),
@@ -96,7 +99,8 @@ def test_construction_contract(name):
     assert cls.__name__ == name
     # Exactly the fields, in __init__ order; a graph adds its signature cache.
     extra = ["signatures"] if cls is model_ir.ModelGraph else []
-    assert list(vars(first)) == [*inspect.signature(cls).parameters, *extra]
+    fields = cls._fields if issubclass(cls, tuple) else list(vars(first))
+    assert list(fields) == [*inspect.signature(cls).parameters, *extra]
     if case.bad is not None:
         with pytest.raises(case.error):
             case.bad()
@@ -105,13 +109,16 @@ def test_construction_contract(name):
     if cls is synth_runner.SystemProfile:
         assert first.algo_factor == synth_runner.DEFAULT_ALGO_FACTOR
         assert first.algo_factor is not synth_runner.DEFAULT_ALGO_FACTOR
-    field = next(iter(vars(first)))
+    field = fields[0]
     if case.frozen:
-        with pytest.raises(AttributeError, match="immutable"):
+        # A NamedTuple refuses in Python's own words, every other record in its own.
+        refused = "can't set|can't delete|no setter|no deleter|has no attribute" \
+            if issubclass(cls, tuple) else "immutable"
+        with pytest.raises(AttributeError, match=refused):
             setattr(first, field, None)
-        with pytest.raises(AttributeError, match="immutable"):
+        with pytest.raises(AttributeError, match=refused):
             delattr(first, field)
-        with pytest.raises(AttributeError, match="immutable"):
+        with pytest.raises(AttributeError, match=refused):
             first.added = None
     else:
         setattr(first, field, None)

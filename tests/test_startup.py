@@ -11,7 +11,7 @@ it loads no command module. A database or profile reader takes the
 algorithm and fusion vocabulary from ``model_ir``, so no reader loads
 ``benchgen``. No command loads ``click``: the standard library parses the
 command line. No command loads ``dataclasses``: records are plain classes,
-so defining one runs no generated code. The same commands run as
+apart from two NamedTuples. The same commands run as
 ``python -m lbound.cli`` load the same modules, and none of them imports
 ``lbound.cli``, so the entry module compiles once. In-process callers call
 ``main`` and never see a freeze.
