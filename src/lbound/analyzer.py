@@ -352,8 +352,8 @@ def expected_api_sequence(graph: ModelGraph) -> list[ExpectedCall]:
     calls: list[ExpectedCall] = []
     for nid in graph.order:
         node = graph.nodes[nid]
-        row = api_for_op(node.op_type)
-        if row is None:
+        api = api_for_op(node.op_type)
+        if api is None:
             continue
         layer = graph.layers[graph.layer_of[nid]]
         params = {"x": render_value(layer.in_dims[0])}
@@ -362,7 +362,7 @@ def expected_api_sequence(graph: ModelGraph) -> list[ExpectedCall]:
                 if key in layer.params:
                     name = "w" if key == "w1" else key
                     params[name] = render_value(layer.params[key])
-        calls.append(ExpectedCall(nid, row.api_name, params))
+        calls.append(ExpectedCall(nid, api, params))
     return calls
 
 

@@ -8,10 +8,10 @@ signature of the pattern head (the convolution) plus the pattern id, so
 fused and unfused results coexist in the database.
 
 A spec's identity is its signature, its algorithm or fusion pattern, and
-its layout. The signature fixes its dtype, and its API row comes from
-``dedup.API_TABLE``: ``ConvBiasActivation`` for a fused spec, else the op's
-row. The manifest's ``dtype`` and ``api`` fields are derived on write and
-checked on read.
+its layout. The signature fixes its dtype, and its call comes from
+``dedup``: ``FUSED_API`` for a fused spec, else the op's entry in
+``OP_APIS``. The manifest's ``dtype`` and ``api`` fields are derived on
+write and checked on read.
 """
 
 from __future__ import annotations
@@ -20,22 +20,22 @@ import functools
 import json
 import math
 
-from .dedup import (API_TABLE, ApiMapping, LayerSignature, api_for_op, layer_signatures,
-                    parse_signature, render_value)
+from .dedup import (FUSED_API, LayerSignature, api_for_op, layer_signatures, parse_signature,
+                    render_value)
 from .errors import ConfigError, LboundError, ModelParseError
 from .model_ir import (  # the vocabulary is re-bound here for spec callers
-    DTYPES, FUSION_PATTERNS, LAYOUTS, ConvAlgorithm, Frozen, FusionPattern, ModelGraph,
+    ACTIVATION_OPS, DTYPES, FUSION_PATTERNS, LAYOUTS, ConvAlgorithm, Frozen, ModelGraph,
     is_weight_key)
 
 
 class BenchmarkSpec(Frozen):
-    """One benchmark of a layer; ``dtype`` and ``api`` derive from the rest."""
+    """One benchmark of a layer; ``dtype`` and ``api_name`` derive from the rest."""
 
     def __init__(self, signature: LayerSignature, algorithm: ConvAlgorithm | None,
                  layout: str, fused: str | None):
         if layout not in LAYOUTS:
             raise ConfigError(f"unknown layout {layout!r}")
-        if fused is not None and fused not in (p.id for p in FUSION_PATTERNS):
+        if fused is not None and fused not in FUSION_PATTERNS:
             raise ConfigError(f"unknown fusion pattern {fused!r}")
         if api_for_op(signature.layer.op_type) is None:
             raise ConfigError(f"no library API for {signature.layer.op_type} layer "
@@ -53,14 +53,9 @@ class BenchmarkSpec(Frozen):
         return self.signature.dtype
 
     @property
-    def api(self) -> ApiMapping:
-        """The API table row of the call that runs this spec."""
-        return API_TABLE["ConvBiasActivation"] if self.fused \
-            else api_for_op(self.signature.layer.op_type)
-
-    @property
     def api_name(self) -> str:
-        return self.api.api_name
+        """The library call that runs this spec."""
+        return FUSED_API if self.fused else api_for_op(self.signature.layer.op_type)
 
 
 class BenchConfig(Frozen):
@@ -92,58 +87,40 @@ class FusionSite(Frozen):
         self._set("member_ids", member_ids)
 
 
-def _is_bias_add(graph: ModelGraph, node) -> bool:
-    # A bias add consumes exactly one data edge; the bias vector arrives as
-    # a recorded weight operand.
-    has_weight = any(is_weight_key(k) for k in graph.layers[graph.layer_of[node.id]].params)
-    return len(node.input_ids) == 1 and has_weight
-
-
 def fusion_candidates(graph: ModelGraph, dtype: str = "f32") -> list[FusionSite]:
-    """Scan topological order for the fusion patterns.
+    """Each Conv fused with the bias Add it alone feeds, and with the
+    activation that Add alone feeds when there is one.
 
-    Longer patterns win; occurrences never overlap. Every non-head member
-    must be the sole consumer of its predecessor, otherwise fusing would
-    change graph semantics.
+    A bias Add has one data input, its bias arriving as a recorded weight
+    operand, and the activation one data input too, so each member after
+    the head has one producer and no node joins two sites. Sites follow
+    topological order.
     """
-    claimed: set[str] = set()
     sites: list[FusionSite] = []
     sigs = layer_signatures(graph, dtype)
     for nid in graph.order:
-        if nid in claimed:
+        if graph.nodes[nid].op_type != "Conv":
             continue
-        for pattern in FUSION_PATTERNS:
-            members = _match_pattern(graph, nid, pattern, claimed)
-            if members:
-                sites.append(FusionSite(
-                    head_signature=sigs[graph.layer_of[nid]],
-                    pattern_id=pattern.id,
-                    member_ids=tuple(members),
-                ))
-                claimed.update(members)
-                break
+        add = _sole_consumer(graph, nid, ("Add",))
+        if add is None or not any(is_weight_key(k)
+                                  for k in graph.layers[graph.layer_of[add]].params):
+            continue
+        act = _sole_consumer(graph, add, ACTIVATION_OPS)
+        sites.append(FusionSite(
+            head_signature=sigs[graph.layer_of[nid]],
+            pattern_id="conv_bias" if act is None else "conv_bias_act",
+            member_ids=(nid, add) if act is None else (nid, add, act),
+        ))
     return sites
 
 
-def _match_pattern(graph: ModelGraph, head: str, pattern: FusionPattern,
-                   claimed: set[str]) -> list[str] | None:
-    current = graph.nodes[head]
-    if current.op_type not in pattern.ops[0] or head in claimed:
+def _sole_consumer(graph: ModelGraph, nid: str, ops: tuple[str, ...]) -> str | None:
+    """The one consumer of ``nid`` when it is one of ``ops`` with one data input."""
+    outputs = graph.nodes[nid].output_ids
+    if len(outputs) != 1:
         return None
-    members = [head]
-    for accepted in pattern.ops[1:]:
-        if len(current.output_ids) != 1:
-            return None
-        nxt = graph.nodes[current.output_ids[0]]
-        if nxt.op_type not in accepted or nxt.id in claimed:
-            return None
-        if nxt.op_type == "Add" and not _is_bias_add(graph, nxt):
-            return None
-        if len(nxt.input_ids) != 1:
-            return None
-        members.append(nxt.id)
-        current = nxt
-    return members
+    nxt = graph.nodes[outputs[0]]
+    return nxt.id if nxt.op_type in ops and len(nxt.input_ids) == 1 else None
 
 
 def generate_specs(uniques: set[LayerSignature], config: BenchConfig,
@@ -235,6 +212,18 @@ def parse_manifest(text: str) -> list[BenchmarkSpec]:
 _DTYPE_TOKEN = {"f32": "CUDNN_DATA_FLOAT", "f16": "CUDNN_DATA_HALF"}
 _LAYOUT_TOKEN = {"NCHW": "CUDNN_TENSOR_NCHW", "NHWC": "CUDNN_TENSOR_NHWC"}
 _TRANS = ("CUBLAS_OP_N", "CUBLAS_OP_T")  # by a Gemm's transA or transB
+# A batched GEMM over pointers: operand o's matrix for product i sits at the
+# sum over batch dims d of (i's index along d) * steps[o][d] elements.
+_POINTER_BATCHED_GEMM = (
+    "  for (int i = 0; i < batch; ++i) {",
+    "    long long off[3] = {0, 0, 0};",
+    "    for (int d = batch_rank - 1, rest = i; d >= 0; rest /= batch_dims[d], --d)",
+    "      for (int o = 0; o < 3; ++o) off[o] += rest % batch_dims[d] * steps[o][d];",
+    "    a_array[i] = a + off[0], b_array[i] = b + off[1], c_array[i] = c + off[2];",
+    "  }",
+    "  CUBLAS_CALL(cublasGemmBatchedEx(handle, transa, transb, m, n, k,",
+    "      &alpha, a_array, lda, b_array, ldb, &beta, c_array, ldc, batch));",
+)
 
 
 def spec_filename(spec: BenchmarkSpec) -> str:
@@ -257,8 +246,8 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
         f"// api: {spec.api_name}  dtype: {spec.dtype}  layout: {spec.layout}"
         + (f"  fused: {spec.fused}" if spec.fused else ""),
     ]
-    include = "#include <cublas_v2.h>" if spec.api.library == "cublas" \
-        else "#include <cudnn.h>"
+    cublas = spec.api_name.startswith("cublas")
+    include = "#include <cublas_v2.h>" if cublas else "#include <cudnn.h>"
     lines = header + [include, '#include "bench_runtime.h"', ""]
     params = [(key, render_value(layer.params[key])) for key in sorted(layer.params)]
     in_dims = ", ".join("{" + _csv(dims) + "}" for dims in layer.in_dims)
@@ -288,24 +277,42 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
             lines.append(f"  const cudnnConvolutionFwdAlgo_t algo = {spec.algorithm.token};")
             lines.append(f"  CUDNN_CALL({spec.api_name}(handle, &alpha, x_desc, x, w_desc, w,")
             lines.append("      conv_desc, algo, workspace, workspace_size, &beta, y_desc, y));")
-    elif spec.api.library == "cublas":
+    elif cublas:
         gemm = layer.op_type == "Gemm"  # a MatMul never transposes
         transa, transb = (_TRANS[bool(gemm and layer.params[f])] for f in ("transA", "transB"))
         lines.append(f"  const cublasOperation_t transa = {transa}, transb = {transb};")
         out = layer.out_dims
         if not gemm and "w1" not in layer.params and len(layer.in_dims[1]) > 2:
-            # B has batch dims: one m x n product per batch, each operand a
-            # stride apart, or stride 0 when its batch dims are all 1.
+            # B has batch dims: one m x n product per batch.
             a, b = layer.in_dims[:2]
             m, n, batch = out[-2], out[-1], math.prod(out[:-2])
             k = layer.macs // (batch * m * n)
-            sa, sb, sc = (0 if math.prod(dims[:-2]) == 1 else size
-                          for dims, size in ((a, m * k), (b, k * n), (out, m * n)))
+            operands = ((a, m * k), (b, k * n), (out, m * n))
             lines.append(f"  const int m = {m}, n = {n}, k = {k}, batch = {batch};")
-            lines.append(f"  const long long stride_a = {sa}, stride_b = {sb}, stride_c = {sc};")
-            lines.append("  CUBLAS_CALL(cublasGemmStridedBatchedEx(handle, transa, transb,")
-            lines.append("      m, n, k, &alpha, a, lda, stride_a, b, ldb, stride_b,")
-            lines.append("      &beta, c, ldc, stride_c, batch));")
+            rank = len(out) - 2
+            strided = all(math.prod(dims[:-2]) == 1
+                          or (1,) * (rank + 2 - len(dims)) + dims[:-2] == out[:-2]
+                          for dims, _size in operands)
+            if strided:
+                # Each operand has the output's batch dims, its matrices a
+                # stride apart, or all-1 batch dims and stride 0.
+                sa, sb, sc = (0 if math.prod(dims[:-2]) == 1 else size
+                              for dims, size in operands)
+                lines.append(
+                    f"  const long long stride_a = {sa}, stride_b = {sb}, stride_c = {sc};")
+                lines.append("  CUBLAS_CALL(cublasGemmStridedBatchedEx(handle, transa, transb,")
+                lines.append("      m, n, k, &alpha, a, lda, stride_a, b, ldb, stride_b,")
+                lines.append("      &beta, c, ldc, stride_c, batch));")
+            else:
+                # An operand broadcasts along some batch dims but not all, so
+                # no one stride reaches its matrices: each product gets its
+                # own pointers, offset by a step per batch dim.
+                steps = ", ".join("{" + _csv(_batch_steps(dims, size, rank)) + "}"
+                                  for dims, size in operands)
+                lines.append(f"  const int batch_rank = {rank}, "
+                             f"batch_dims[{rank}] = {{{_csv(out[:-2])}}};")
+                lines.append(f"  const long long steps[3][{rank}] = {{{steps}}};  // a, b, c")
+                lines.extend(_POINTER_BATCHED_GEMM)
         else:
             # B is shared: C is m x n with every leading output dim folded
             # into m, and k is the layer's MAC count over the m * n outputs.
@@ -321,6 +328,13 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
         lines.append("      &alpha, x_desc, x, &beta, y_desc, y));")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _batch_steps(dims: tuple[int, ...], size: int, rank: int) -> list[int]:
+    """Elements between an operand's consecutive ``size``-element matrices
+    along each of the output's ``rank`` batch dims; 0 where it broadcasts."""
+    batch = (1,) * (rank + 2 - len(dims)) + dims[:-2]
+    return [0 if d == 1 else size * math.prod(batch[i + 1:]) for i, d in enumerate(batch)]
 
 
 def _csv(dims: tuple[int, ...]) -> str:

@@ -42,53 +42,32 @@ from .model_ir import (
 )
 
 # ---------------------------------------------------------------------------
-# Layer-type -> library API mapping
+# Op -> library call
 # ---------------------------------------------------------------------------
 
-class ApiMapping(Frozen):
-    def __init__(self, layer_type: str, api_name: str, library: str, tensor_core: bool):
-        self._set("layer_type", layer_type)
-        self._set("api_name", api_name)
-        self._set("library", library)  # "cudnn" | "cublas" | "none"
-        self._set("tensor_core", tensor_core)
-
-
-_ROWS = [
-    ApiMapping("Convolution", "cudnnConvolutionForward", "cudnn", True),
-    ApiMapping("Activation", "cudnnActivationForward", "cudnn", False),
-    ApiMapping("BatchNorm", "cudnnBatchNormalizationForwardInference", "cudnn", False),
-    ApiMapping("ConvBiasActivation", "cudnnConvolutionBiasActivationForward", "cudnn", True),
-    ApiMapping("RNN", "cudnnRNNForwardInference", "cudnn", True),
-    ApiMapping("Dropout", "cudnnDropoutForward", "cudnn", False),
-    ApiMapping("Pooling", "cudnnPoolingForward", "cudnn", False),
-    ApiMapping("Softmax", "cudnnSoftmaxForward", "cudnn", False),
-    ApiMapping("Add", "cudnnAddTensor", "cudnn", False),
-    ApiMapping("Elementwise", "cudnnOpTensor", "cudnn", False),
-    ApiMapping("Rescale", "cudnnScaleTensor", "cudnn", False),
-    ApiMapping("GEMM", "cublasGemmEx", "cublas", True),
-    ApiMapping("GEMV", "cublasSgemv", "cublas", False),
-]
-
-API_TABLE: dict[str, ApiMapping] = {row.layer_type: row for row in _ROWS}
-
-_OP_TO_ROW: dict[str, str] = {
-    "Conv": "Convolution",
-    "BatchNorm": "BatchNorm",
-    "Softmax": "Softmax",
-    "Add": "Add",
-    "Mul": "Elementwise",
-    "Dropout": "Dropout",
-    "Gemm": "GEMM",
-    "MatMul": "GEMM",
+# The cuDNN or cuBLAS call that runs each supported op; a call's library is
+# its name's prefix. A fused spec runs through ``FUSED_API`` instead, with
+# an identity activation for bias-only fusion. An f16 spec runs at the
+# tensor rate when its call is one of ``TENSOR_CORE_APIS``.
+OP_APIS: dict[str, str] = {
+    "Conv": "cudnnConvolutionForward",
+    "BatchNorm": "cudnnBatchNormalizationForwardInference",
+    "Softmax": "cudnnSoftmaxForward",
+    "Add": "cudnnAddTensor",
+    "Mul": "cudnnOpTensor",
+    "Dropout": "cudnnDropoutForward",
+    "Gemm": "cublasGemmEx",
+    "MatMul": "cublasGemmEx",
 }
-_OP_TO_ROW.update({op: "Activation" for op in ACTIVATION_OPS})
-_OP_TO_ROW.update({op: "Pooling" for op in POOL_OPS})
+OP_APIS.update({op: "cudnnActivationForward" for op in ACTIVATION_OPS})
+OP_APIS.update({op: "cudnnPoolingForward" for op in POOL_OPS})
+FUSED_API = "cudnnConvolutionBiasActivationForward"
+TENSOR_CORE_APIS = frozenset({"cudnnConvolutionForward", FUSED_API, "cublasGemmEx"})
 
 
-def api_for_op(op_type: str) -> ApiMapping | None:
-    """Library API backing an operator, or None for unsupported layers."""
-    row = _OP_TO_ROW.get(op_type)
-    return API_TABLE[row] if row else None
+def api_for_op(op_type: str) -> str | None:
+    """Name of the library call backing an operator, or None for unsupported layers."""
+    return OP_APIS.get(op_type)
 
 
 # ---------------------------------------------------------------------------

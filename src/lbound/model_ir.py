@@ -30,8 +30,9 @@ Reshape target that leads with it; every other literal shape is kept.
 
 The benchmark vocabulary lives here too, beside the dtypes, layouts and op
 groups: the convolution algorithms (``ConvAlgorithm``, ``ALGO_BY_TOKEN``) and
-the fusion patterns (``FUSION_PATTERNS``). The database and profile readers
-take it from this module, so reading never loads spec generation.
+the fusion pattern ids (``FUSION_PATTERNS``), all plain values. The database
+and profile readers take it from this module, so reading never loads spec
+generation. Which library call runs each op is ``dedup``'s table.
 
 Text model grammar (one directive per line, ``#`` starts a comment)::
 
@@ -57,12 +58,7 @@ import re
 from collections.abc import Callable
 from enum import Enum
 
-from .errors import (
-    GraphStructureError,
-    ModelParseError,
-    ShapeInferenceError,
-    ShapeStateError,
-)
+from .errors import GraphStructureError, ModelParseError, ShapeInferenceError
 
 DTYPES = ("f32", "f16")
 DTYPE_BYTES = {"f32": 4, "f16": 2}
@@ -116,21 +112,10 @@ class ConvAlgorithm(Enum):
 ALGO_BY_TOKEN = {algo.token: algo for algo in ConvAlgorithm}
 
 
-class FusionPattern(Frozen):
-    """A fusable layer sequence; each element lists acceptable op types."""
-
-    def __init__(self, id: str, ops: tuple[tuple[str, ...], ...]):
-        self._set("id", id)
-        self._set("ops", ops)
-
-
-# Longest pattern first, the order in which ``benchgen.fusion_candidates``
-# tries them. Both run through the ConvBiasActivation API, bias-only fusion
-# with an identity activation.
-FUSION_PATTERNS = (
-    FusionPattern(id="conv_bias_act", ops=(("Conv",), ("Add",), ACTIVATION_OPS)),
-    FusionPattern(id="conv_bias", ops=(("Conv",), ("Add",))),
-)
+# The fusion pattern ids: a Conv with its bias Add and activation, or with
+# its bias Add alone. Both run through cuDNN's one fused call, bias-only
+# fusion with an identity activation; ``benchgen.fusion_candidates`` finds them.
+FUSION_PATTERNS = ("conv_bias_act", "conv_bias")
 
 
 class LayerNode:
@@ -674,14 +659,6 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
         layer_of[nid] = index
     return ModelGraph(graph.name, graph.nodes, inputs, graph.graph_outputs, graph.order,
                       tuple(layers), layer_of)
-
-
-def macs(graph: ModelGraph) -> tuple[dict[str, int], int]:
-    """Per-node MAC counts and their total; requires inferred shapes."""
-    if graph.nodes and not graph.layers:
-        raise ShapeStateError(f"graph {graph.name!r} has no layer table; run infer_shapes first")
-    per_node = {nid: graph.layers[index].macs for nid, index in graph.layer_of.items()}
-    return per_node, sum(per_node.values())
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,6 @@ if TYPE_CHECKING:  # a reader loads no spec generation
 
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
 _ALGO_RANK = {algo.name: rank for rank, algo in enumerate(ConvAlgorithm)}
-_FUSED_IDS = {p.id for p in FUSION_PATTERNS}
 # How a system line of the layer index starts: the system name as a JSON
 # string, then its live count. Compiled on first use, through re's cache.
 _SYSTEM_LINE = rb'\[("(?:[^"\\]|\\.)*"),(\d+),'
@@ -145,7 +144,7 @@ class PerfRecord:
             raise StorageError(f"unknown dtype {key.dtype!r}")
         if key.layout not in LAYOUTS:
             raise StorageError(f"unknown layout {key.layout!r}")
-        if key.fused is not None and key.fused not in _FUSED_IDS:
+        if key.fused is not None and key.fused not in FUSION_PATTERNS:
             raise StorageError(f"unknown fusion pattern {key.fused!r}")
         if isinstance(latency_us, bool):
             raise StorageError(f"latency must be a number, got {latency_us!r}")

@@ -7,7 +7,7 @@ and is testable at desk scale. Latency follows a roofline shape::
     compute_us = 2 * MACs / (peak_tflops * 1e6)
     memory_us  = bytes_touched / (mem_bw_gbps * 1e3)
 
-where peak is the tensor rate for an f16 spec whose API row is Tensor-Core
+where peak is the tensor rate for an f16 spec whose call is Tensor-Core
 capable, on a system that has a tensor rate, and the fp32 rate otherwise;
 bytes_touched covers input, output, and weight elements at the dtype width,
 and f is a per-algorithm factor (1.0 for non-convolutions). The factor
@@ -26,6 +26,7 @@ import math
 import os
 from typing import TYPE_CHECKING
 
+from .dedup import TENSOR_CORE_APIS
 from .errors import ConfigError, read_text
 from .model_ir import DTYPE_BYTES, ConvAlgorithm, weight_elems
 from .perfdb import PerfRecord, make_record
@@ -106,7 +107,7 @@ def simulate(spec: BenchmarkSpec, sys: SystemProfile, jitter_seed: int | None = 
     else:
         f = 1.0
 
-    if spec.dtype == "f16" and sys.tensor_tflops is not None and spec.api.tensor_core:
+    if spec.dtype == "f16" and sys.tensor_tflops is not None and spec.api_name in TENSOR_CORE_APIS:
         peak = sys.tensor_tflops
     else:
         peak = sys.fp32_tflops

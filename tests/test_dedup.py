@@ -5,7 +5,7 @@ import json
 import pytest
 
 import modelzoo as mz
-from lbound import analyzer, benchgen, dedup
+from lbound import analyzer, benchgen, dedup, model_ir
 from lbound.errors import ModelParseError, ShapeStateError
 from lbound.model_ir import (LayerNode, ModelGraph, infer_shapes,
                              parse_text_model, validate)
@@ -149,24 +149,25 @@ def test_every_unique_layer_round_trips(name):
 
 
 class TestApiTable:
-    def test_exactly_thirteen_mapped_rows(self):
-        mapped = [row for row in dedup.API_TABLE.values() if row.library != "none"]
-        assert len(mapped) == 13
-        assert sum(1 for r in mapped if r.library == "cudnn") == 11
-        assert sum(1 for r in mapped if r.library == "cublas") == 2
+    def test_op_keys_are_supported_ops_and_calls_name_their_library(self):
+        assert set(dedup.OP_APIS) <= set(model_ir.SUPPORTED_OPS)
+        calls = {*dedup.OP_APIS.values(), dedup.FUSED_API}
+        assert all(call.startswith(("cudnn", "cublas")) for call in calls)
+        assert dedup.TENSOR_CORE_APIS <= calls
 
     def test_tensor_core_rows(self):
-        tc = {name for name, row in dedup.API_TABLE.items() if row.tensor_core}
-        assert tc == {"Convolution", "ConvBiasActivation", "RNN", "GEMM"}
+        assert dedup.TENSOR_CORE_APIS == {"cudnnConvolutionForward",
+                                          "cudnnConvolutionBiasActivationForward",
+                                          "cublasGemmEx"}
 
     def test_op_routing(self):
-        assert dedup.api_for_op("Conv").api_name == "cudnnConvolutionForward"
-        assert dedup.api_for_op("Relu").api_name == "cudnnActivationForward"
-        assert dedup.api_for_op("Gemm").api_name == "cublasGemmEx"
-        assert dedup.api_for_op("MatMul").library == "cublas"
-        assert dedup.api_for_op("Add").api_name == "cudnnAddTensor"
-        assert dedup.api_for_op("Mul").api_name == "cudnnOpTensor"
-        assert dedup.api_for_op("Dropout").api_name == "cudnnDropoutForward"
+        assert dedup.api_for_op("Conv") == "cudnnConvolutionForward"
+        assert dedup.api_for_op("Relu") == "cudnnActivationForward"
+        assert dedup.api_for_op("Gemm") == "cublasGemmEx"
+        assert dedup.api_for_op("MatMul") == "cublasGemmEx"
+        assert dedup.api_for_op("Add") == "cudnnAddTensor"
+        assert dedup.api_for_op("Mul") == "cudnnOpTensor"
+        assert dedup.api_for_op("Dropout") == "cudnnDropoutForward"
         for unsupported in ("Concat", "Reshape", "Flatten", "Unsqueeze",
                             "Squeeze", "Transpose", "Identity", "Opaque"):
             assert dedup.api_for_op(unsupported) is None

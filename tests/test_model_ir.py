@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 import modelzoo as mz
 from lbound import dedup, model_ir
-from lbound.errors import GraphStructureError, ModelParseError, ShapeInferenceError, ShapeStateError
+from lbound.errors import GraphStructureError, ModelParseError, ShapeInferenceError
 from lbound.model_ir import (
     LayerNode,
     ModelGraph,
     infer_layer,
     infer_shapes,
-    macs,
     parse_text_model,
     render_text_model,
     topo_order,
@@ -32,6 +31,11 @@ def _single(op, attrs="", in_dims="1x3x224x224", extra="", batch=1):
     if extra:
         text += "\n" + extra
     return infer_shapes(parse_text_model(text), batch)
+
+
+def _macs(graph: ModelGraph) -> int:
+    """A graph's MAC total: each node's layer counted once per node."""
+    return sum(graph.layers[graph.layer_of[nid]].macs for nid in graph.nodes)
 
 
 class TestShapeRules:
@@ -216,17 +220,16 @@ def test_a_rule_takes_the_layer_alone():
 class TestMacs:
     def test_conv_1x1_example(self):
         g = _single("Conv", "kernel=1x1;w1=256x64x1x1", in_dims="1x64x56x56")
-        per, total = macs(g)
-        assert per["n0"] == 64 * 256 * 56 * 56 == 51_380_224
+        assert mz.layer(g, "n0").macs == 64 * 256 * 56 * 56 == 51_380_224
 
     def test_gemm_example(self):
         g = _single("Gemm", "w1=2048x1000", in_dims="1x2048")
-        assert macs(g)[1] == 2_048_000
+        assert _macs(g) == 2_048_000
 
     def test_grouped_conv_divides_channels(self):
         g = _single("Conv", "kernel=3x3;pads=1x1x1x1;group=8;w1=16x2x3x3",
                     in_dims="1x16x8x8")
-        assert macs(g)[1] == 16 * 2 * 3 * 3 * 8 * 8
+        assert _macs(g) == 16 * 2 * 3 * 3 * 8 * 8
 
     def test_non_mac_ops_are_zero(self):
         text = ("graph t\ninput data 1x8x4x4\n"
@@ -235,22 +238,17 @@ class TestMacs:
                 "node c MaxPool inputs=b attrs=kernel=2x2;strides=2x2\n"
                 "node d Softmax inputs=c attrs=axis=1")
         g = infer_shapes(parse_text_model(text), 1)
-        assert macs(g)[1] == 0
+        assert _macs(g) == 0
 
     def test_mnist_fixture_hand_total(self):
         # conv1 8*1*25*28*28 + conv2 16*8*25*14*14 + fc 256*10
         g = mz.load(mz.mnist_text())
-        assert macs(g)[1] == 156_800 + 627_200 + 2_560 == 786_560
+        assert _macs(g) == 156_800 + 627_200 + 2_560 == 786_560
 
     def test_opaque_zero_macs(self):
         g = _single("MysteryOp", in_dims="1x3x5x5")
         assert g.nodes["n0"].op_type == "Opaque"
-        assert macs(g)[1] == 0
-
-    def test_macs_requires_inference(self):
-        g = parse_text_model("graph t\ninput data 1x3x4x4\nnode a Relu inputs=data")
-        with pytest.raises(ShapeStateError):
-            macs(g)
+        assert _macs(g) == 0
 
 
 class TestTopoOrder:
@@ -311,13 +309,11 @@ class TestInference:
         base = parse_text_model(mz.resnet_v1_text(18))
         g1 = infer_shapes(base, 1)
         g8 = infer_shapes(base, 8)
-        m1, total1 = macs(g1)
-        m8, total8 = macs(g8)
         for nid, node in g1.nodes.items():
             assert mz.layer(g8, nid).out_dims[0] == 8 * mz.layer(g1, nid).out_dims[0]
             if node.op_type in ("Conv", "Gemm"):
-                assert m8[nid] == 8 * m1[nid]
-        assert total8 == 8 * total1
+                assert mz.layer(g8, nid).macs == 8 * mz.layer(g1, nid).macs
+        assert _macs(g8) == 8 * _macs(g1)
 
     def test_rejects_bad_batch(self):
         g = parse_text_model("graph t\ninput data 1x3x4x4\nnode a Relu inputs=data")
@@ -439,7 +435,7 @@ class TestResnetFamily:
                                             (101, 7.58), (152, 11.30)])
     def test_mac_totals_match_published_table(self, depth, giga):
         g = mz.load(mz.resnet_v1_text(depth))
-        total = macs(g)[1]
+        total = _macs(g)
         assert abs(total - giga * 1e9) <= 0.02 * giga * 1e9
 
 
@@ -518,11 +514,11 @@ def test_the_family_scales_with_the_batch(name, text):
     """MACs at batch b are b times those at batch 1, over as many distinct
     signatures; mnist-cnn's literal Reshape target is re-batched."""
     at_one = mz.load(text)
-    total = macs(at_one)[1]
+    total = _macs(at_one)
     distinct = {s.canonical_string for s in dedup.layer_signatures(at_one, "f32")}
     for batch in (2, 4, 8):
         graph = mz.load(text, batch=batch)
-        assert macs(graph)[1] == batch * total
+        assert _macs(graph) == batch * total
         assert len({s.canonical_string
                     for s in dedup.layer_signatures(graph, "f32")}) == len(distinct)
 

@@ -44,15 +44,12 @@ CASES = {
                       fresh=("params", "input_ids", "output_ids")),
     "Layer": Case(P(model_ir.Layer, "Relu", {}, ((1, 8),), (1, 8), 0), frozen=True),
     "ModelGraph": Case(P(model_ir.ModelGraph, "g", {}, [], []), fresh=("layer_of",)),
-    "ApiMapping": Case(P(dedup.ApiMapping, "Add", "cudnnAddTensor", "cudnn", False),
-                       frozen=True),
     "LayerSignature": Case(P(dedup.LayerSignature, SIG.layer, "f32", SIG.canonical_string,
                              SIG.hash64), frozen=True, by_value=True),
     "ModelLayerStats": Case(P(dedup.ModelLayerStats, "m", 1, 1), frozen=True),
     "UniqueLayerReport": Case(P(dedup.UniqueLayerReport, set(), [], STATS)),
     "OpCoverage": Case(P(dedup.OpCoverage, "Relu", 1, True, 100.0), frozen=True),
     "CoverageReport": Case(P(dedup.CoverageReport, "m", 1, 1, [])),
-    "FusionPattern": Case(P(benchgen.FusionPattern, "p", (("Conv",),)), frozen=True),
     "BenchmarkSpec": Case(P(benchgen.BenchmarkSpec, SIG, None, "NCHW", None),
                           P(benchgen.BenchmarkSpec, SIG, None, "NCWH", None), ConfigError,
                           frozen=True),
