@@ -294,12 +294,12 @@ def algorithm_advice(profile: ExecutionProfile, anns: Annotator, system: str,
     cross-checked and mismatches downgrade to a warning.
     """
     convs = _logged_convs(anns, profile, system, dtype, "NCHW")
-    ann = anns.annotation(system, dtype, layout="NCHW")
+    ann, logged_latencies, _sites = apply(anns, system, dtype, "NCHW", logged=profile)
     entries: list[AdviceEntry] = []
     unknown: list[str] = []
     warnings: list[str] = []
     lb_ideal = sequential_total(anns.graph, ann.latencies)
-    lb_chosen = lb_ideal
+    lb_chosen = sequential_total(anns.graph, logged_latencies)
     for node, call, rec in convs:
         x_logged = call.params.get("x")
         x_layer = render_value(anns.graph.layers[anns.graph.layer_of[node.id]].in_dims[0])
@@ -311,8 +311,6 @@ def algorithm_advice(profile: ExecutionProfile, anns: Annotator, system: str,
             unknown.append(node.id)
             continue
         ideal_us = ann.latencies[node.id]
-        # Adjusted in place rather than re-summed, which rounds differently.
-        lb_chosen += rec.latency_us - ideal_us
         if rec.latency_us > ideal_us:
             entries.append(AdviceEntry(
                 node=node.id,

@@ -25,7 +25,7 @@ from .dedup import (FUSED_API, LayerSignature, api_for_op, layer_signatures, par
 from .errors import ConfigError, LboundError, ModelParseError
 from .model_ir import (  # the vocabulary is re-bound here for spec callers
     ACTIVATION_OPS, DTYPES, FUSION_PATTERNS, LAYOUTS, ConvAlgorithm, Frozen, ModelGraph,
-    is_weight_key)
+    _b_operand, is_weight_key)
 
 
 class BenchmarkSpec(Frozen):
@@ -282,9 +282,9 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
         transa, transb = (_TRANS[bool(gemm and layer.params[f])] for f in ("transA", "transB"))
         lines.append(f"  const cublasOperation_t transa = {transa}, transb = {transb};")
         out = layer.out_dims
-        if not gemm and "w1" not in layer.params and len(layer.in_dims[1]) > 2:
-            # B has batch dims: one m x n product per batch.
-            a, b = layer.in_dims[:2]
+        a, b = layer.in_dims[0], _b_operand(layer.params, layer.in_dims)
+        if not gemm and len(b) > 2:
+            # B, a weight or a data input, has batch dims: one m x n product per batch.
             m, n, batch = out[-2], out[-1], math.prod(out[:-2])
             k = layer.macs // (batch * m * n)
             operands = ((a, m * k), (b, k * n), (out, m * n))

@@ -23,6 +23,15 @@ op sits in one function; its errors say what is wrong, and
 ``Opaque``, which is kept for connectivity and excluded from lower-bound
 latency. Graph inputs are ``(name, dims)`` pairs.
 
+Conv, MaxPool and AveragePool share one window rule, ``_window``. With
+``auto_pad`` NOTSET or absent it reads ``pads``, and a pool's ``ceil_mode``
+rounds the output up; SAME_UPPER and SAME_LOWER pad so that the output is
+ceil(in / stride), an odd unit of padding at the end or at the start; VALID
+pads nothing; any other ``auto_pad`` raises. A layer records the pads it
+resolved and never ``auto_pad``, so its signature re-infers it; a pool
+records ``ceil_mode`` only with explicit pads, and ``dilations`` only when
+they are not 1x1.
+
 A model declares its batch as the leading dim of its graph inputs.
 :func:`infer_shapes` runs it at another batch by replacing that dim, and,
 when every input declares the same one, by replacing it in any literal
@@ -242,29 +251,35 @@ def _as_dims(value) -> tuple[int, ...]:
     return tuple(int(v) for v in value)
 
 
-def _resolve_auto_pad(mode: str, in_dim: int, k: int, stride: int, dil: int) -> tuple[int, int]:
-    if mode == "VALID":
-        return (0, 0)
-    out = (in_dim + stride - 1) // stride
-    total = max(0, (out - 1) * stride + (k - 1) * dil + 1 - in_dim)
-    begin = total // 2
-    end = total - begin
-    if mode == "SAME_LOWER":
-        begin, end = end, begin
-    return (begin, end)
+_EXPLICIT_PADS = ("NOTSET", "")  # the auto_pad values that read ``pads``
 
 
-def _conv_axis(in_dim: int, k: int, stride: int, pad_b: int, pad_e: int, dil: int,
-               ceil_mode: bool = False) -> int:
-    eff = dil * (k - 1) + 1
-    num = in_dim + pad_b + pad_e - eff
-    if num < 0:
+def _window(p, dims, kernel, dilations, ceil) -> tuple[tuple, tuple, tuple[int, int]]:
+    """Pads, strides and output H x W of a 2-D window over NCHW ``dims``, by
+    the window rule above; ``ceil`` rounds up the output of explicit pads."""
+    strides = _as_pair(p.get("strides", 1), "strides")
+    (_n, _c, h, w) = dims
+    mode = p.get("auto_pad", "")
+    if mode in _EXPLICIT_PADS:
+        pads = _as_pads(p.get("pads", 0))
+    elif mode in ("SAME_UPPER", "SAME_LOWER", "VALID"):
+        ceil = False
+        totals = [0 if mode == "VALID" else
+                  max(0, (-(-size // s) - 1) * s + (k - 1) * d + 1 - size)
+                  for size, k, s, d in zip((h, w), kernel, strides, dilations)]
+        short, long = [t // 2 for t in totals], [t - t // 2 for t in totals]
+        pads = tuple(long + short if mode == "SAME_LOWER" else short + long)
+    else:
         raise ShapeInferenceError(
-            f"kernel {k} (dilation {dil}) larger than padded input {in_dim}+{pad_b}+{pad_e}"
-        )
-    if ceil_mode:
-        return -((-num) // stride) + 1
-    return num // stride + 1
+            f"auto_pad {mode!r} is not NOTSET, SAME_UPPER, SAME_LOWER or VALID")
+    out = []
+    for size, k, s, d, begin, end in zip((h, w), kernel, strides, dilations, pads, pads[2:]):
+        span = size + begin + end - (k - 1) * d - 1
+        if span < 0:
+            raise ShapeInferenceError(
+                f"kernel {k} (dilation {d}) larger than padded input {size}+{begin}+{end}")
+        out.append(-(-span // s) + 1 if ceil else span // s + 1)
+    return pads, strides, tuple(out)
 
 
 def _broadcast(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -301,7 +316,6 @@ def _with_weights(canonical: dict, p: dict) -> dict:
 
 
 def _conv(p, in_dims):
-    strides = _as_pair(p.get("strides", 1), "strides")
     dilations = _as_pair(p.get("dilations", 1), "dilations")
     group = int(p.get("group", 1))
     if "w1" in p:
@@ -313,29 +327,19 @@ def _conv(p, in_dims):
         w1 = (int(p["filters"]), cin // group, kernel[0], kernel[1])
     else:
         raise ShapeInferenceError("needs w1 dims or kernel+filters attrs")
-    if p.get("auto_pad", "") not in ("NOTSET", ""):
-        mode = str(p["auto_pad"])
-        hb, he = _resolve_auto_pad(mode, in_dims[0][2], kernel[0], strides[0], dilations[0])
-        wb, we = _resolve_auto_pad(mode, in_dims[0][3], kernel[1], strides[1], dilations[1])
-        pads = (hb, wb, he, we)
-    else:
-        pads = _as_pads(p.get("pads", 0))
     w1 = _as_dims(w1)
-    canonical = {"dilations": dilations, "group": group, "kernel": kernel,
-                 "pads": pads, "strides": strides, "w1": w1}
-    if "w2" in p:
-        canonical["w2"] = p["w2"]
-
-    (n, c, h, w) = in_dims[0]
+    (n, c, _h, _w) = in_dims[0]
     if len(w1) != 4:
         raise ShapeInferenceError(f"weight must be rank 4, got {w1}")
     if w1[1] * group != c:
         raise ShapeInferenceError(
             f"input channels {c} do not match weight {w1} with group {group}")
-    pt, pl, pb, pr = pads
-    out = (n, w1[0],
-           _conv_axis(h, kernel[0], strides[0], pt, pb, dilations[0]),
-           _conv_axis(w, kernel[1], strides[1], pl, pr, dilations[1]))
+    pads, strides, hw = _window(p, in_dims[0], kernel, dilations, False)
+    canonical = {"dilations": dilations, "group": group, "kernel": kernel,
+                 "pads": pads, "strides": strides, "w1": w1}
+    if "w2" in p:
+        canonical["w2"] = p["w2"]
+    out = (n, w1[0]) + hw
     return canonical, out, math.prod(out) * math.prod(w1[1:])  # w1 is (K, C/g, R, S)
 
 
@@ -343,18 +347,16 @@ def _pool(p, in_dims):
     if "kernel" not in p:
         raise ShapeInferenceError("needs kernel dims")
     kernel = _as_pair(p["kernel"], "kernel")
-    pads = _as_pads(p.get("pads", 0))
-    strides = _as_pair(p.get("strides", 1), "strides")
+    dilations = _as_pair(p.get("dilations", 1), "dilations")
+    # ceil_mode rounds explicit pads only; an auto_pad layer records its pads.
+    ceil = bool(p.get("ceil_mode")) and p.get("auto_pad", "") in _EXPLICIT_PADS
+    pads, strides, hw = _window(p, in_dims[0], kernel, dilations, ceil)
     canonical = {"kernel": kernel, "pads": pads, "strides": strides}
-    ceil = bool(p.get("ceil_mode"))
+    if dilations != (1, 1):
+        canonical["dilations"] = dilations
     if ceil:
         canonical["ceil_mode"] = 1
-
-    (n, c, h, w) = in_dims[0]
-    pt, pl, pb, pr = pads
-    return canonical, (n, c,
-                       _conv_axis(h, kernel[0], strides[0], pt, pb, 1, ceil),
-                       _conv_axis(w, kernel[1], strides[1], pl, pr, 1, ceil)), 0
+    return canonical, in_dims[0][:2] + hw, 0
 
 
 def _global_average_pool(p, in_dims):

@@ -117,8 +117,12 @@ def _shape_param(tensor: _Tensor) -> tuple[int, ...]:
     return tensor.dims or (1,)
 
 
-def _parse_tensor(buf: bytes, span: tuple[int, int]) -> _Tensor:
-    """TensorProto -> its dims and, for a small int64 tensor, its values."""
+def _parse_tensor(buf: bytes, span: tuple[int, int],
+                  named: bool = False) -> tuple[str, _Tensor]:
+    """TensorProto -> its name, its dims and, for a small int64 tensor, its
+    values. The name (the first name field) is decoded only when ``named``,
+    for an initializer; an attribute's tensor leaves it unread."""
+    name = ""
     dims: list[int] = []
     data_type = 0
     int_values: list[int] = []
@@ -138,6 +142,8 @@ def _parse_tensor(buf: bytes, span: tuple[int, int]) -> _Tensor:
                 int_values.extend(_packed_varints(buf, value))
         elif field_no == 9 and wire == _WIRE_LEN:  # raw_data
             raw = buf[value[0]:value[1]]
+        elif field_no == 8 and wire == _WIRE_LEN and named:  # name
+            name, named = _span_str(buf, value), False
     values = None
     count = math.prod(dims)
     if data_type == _DT_INT64 and count <= 64:
@@ -145,7 +151,7 @@ def _parse_tensor(buf: bytes, span: tuple[int, int]) -> _Tensor:
             values = int_values
         elif raw is not None and len(raw) == 8 * count:
             values = [v[0] for v in struct.iter_unpack("<q", raw)]
-    return _Tensor(tuple(dims), values)
+    return name, _Tensor(tuple(dims), values)
 
 
 def _parse_value_info(buf: bytes, span: tuple[int, int]):
@@ -190,7 +196,7 @@ def _parse_attribute(buf: bytes, span: tuple[int, int]):
         elif field_no == 4 and wire == _WIRE_LEN:
             s_val = _span_str(buf, value)
         elif field_no == 5 and wire == _WIRE_LEN:
-            t_val = _parse_tensor(buf, value)
+            t_val = _parse_tensor(buf, value)[1]
         elif field_no == 7:  # floats
             if wire == _WIRE_32BIT:
                 floats.append(struct.unpack("<f", value)[0])
@@ -274,8 +280,15 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
     if graph_span is None:
         raise ModelParseError("no graph message found in model", offset=len(data))
 
+    # Constant nodes act as initializers: their value tensor is recorded and
+    # the node dropped, so only declared graph inputs lack producers. Every
+    # other node gets a unique id, its name or else ``<op>_<i>`` with i
+    # counting those nodes, and becomes the producer of its outputs; the later
+    # producer of a tensor wins.
     initializers: dict[str, _Tensor] = {}
-    raw_nodes = []
+    constants: dict[str, _Tensor] = {}
+    node_protos: dict[str, tuple] = {}  # node id -> (op, inputs, attrs), in file order
+    producer: dict[str, str] = {}
     inputs_vi = []
     outputs_vi = []
     graph_name = name
@@ -283,43 +296,27 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
         if wire != _WIRE_LEN:
             continue
         if field_no == 1:
-            raw_nodes.append(_parse_node(data, value))
+            nname, op, n_in, n_out, attrs = _parse_node(data, value)
+            if op == "Constant" and n_out:
+                t = attrs.get("value")
+                constants[n_out[0]] = t if isinstance(t, _Tensor) else _Tensor((1,), None)
+                continue
+            nid = nname or f"{op}_{len(node_protos)}"
+            while nid in node_protos:
+                nid += "_"
+            node_protos[nid] = (op, n_in, attrs)
+            for tname in n_out:
+                producer[tname] = nid
         elif field_no == 2:
             graph_name = _span_str(data, value) or name
         elif field_no == 5:
-            tname = _tensor_name(data, value)
+            tname, tensor = _parse_tensor(data, value, named=True)
             if tname:
-                initializers[tname] = _parse_tensor(data, value)
+                initializers[tname] = tensor
         elif field_no == 11:
             inputs_vi.append(_parse_value_info(data, value))
         elif field_no == 12:
             outputs_vi.append(_parse_value_info(data, value))
-
-    # Constant nodes act as initializers: record their value tensor and drop
-    # the node, so only declared graph inputs lack producers.
-    constants: dict[str, _Tensor] = {}
-    node_protos = []
-    for nname, op, n_in, n_out, attrs in raw_nodes:
-        if op == "Constant" and n_out:
-            t = attrs.get("value")
-            constants[n_out[0]] = t if isinstance(t, _Tensor) else _Tensor((1,), None)
-            continue
-        node_protos.append((nname, op, n_in, n_out, attrs))
-
-    # Assign unique node ids.
-    used_ids: set[str] = set()
-    ids: list[str] = []
-    for idx, (nname, op, _n_in, _n_out, _attrs) in enumerate(node_protos):
-        nid = nname or f"{op}_{idx}"
-        while nid in used_ids:
-            nid += "_"
-        used_ids.add(nid)
-        ids.append(nid)
-
-    producer: dict[str, str] = {}
-    for nid, (_n, _op, _in, n_out, _a) in zip(ids, node_protos):
-        for tname in n_out:
-            producer[tname] = nid
 
     graph_inputs: list[tuple[str, tuple[int, ...]]] = []
     for tname, dims in inputs_vi:
@@ -329,7 +326,7 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
     input_names = {n for n, _ in graph_inputs}
 
     nodes: dict[str, LayerNode] = {}
-    for nid, (nname, onnx_op, n_in, _n_out, attrs) in zip(ids, node_protos):
+    for nid, (onnx_op, n_in, attrs) in node_protos.items():
         op = OP_ALIASES.get(onnx_op, onnx_op)
         if op not in SUPPORTED_OPS:
             params = _convert_attrs("Opaque", attrs)
@@ -365,10 +362,3 @@ def load_model(data: bytes, name: str = "model") -> ModelGraph:
     graph = ModelGraph(graph_name, nodes, graph_inputs, graph_outputs)
     validate(graph)
     return graph
-
-
-def _tensor_name(buf: bytes, span: tuple[int, int]) -> str:
-    for field_no, wire, value in _fields(buf, *span):
-        if field_no == 8 and wire == _WIRE_LEN:  # TensorProto.name
-            return _span_str(buf, value)
-    return ""

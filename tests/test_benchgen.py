@@ -295,7 +295,8 @@ def _check_batched_matmul(canonical: str) -> None:
     src = benchgen.emit_benchmark_source(benchgen.BenchmarkSpec(sig, None, "NCHW", None))
     assert f"// api: cublasGemmEx  dtype: {sig.dtype}" in src
     layer = sig.layer
-    operands = (*layer.in_dims, layer.out_dims)
+    b = layer.params["w1"] if "w1" in layer.params else layer.in_dims[1]
+    operands = (layer.in_dims[0], b, layer.out_dims)
     m, n, k = (int(v) for v in re.search(r"m = (\d+), n = (\d+), k = (\d+)", src).groups())
     assert (m, n, k) == (layer.out_dims[-2], layer.out_dims[-1], layer.in_dims[0][-1])
     out_batch = layer.out_dims[:-2]
@@ -316,6 +317,8 @@ def _check_batched_matmul(canonical: str) -> None:
     "MatMul|f32|in=3x1x5x6,2x6x7|",
     "MatMul|f16|in=2x5x6,2x1x6x7|",
     "MatMul|f32|in=1x4x5x6,4x6x7|",
+    "MatMul|f32|in=5x6|w1=3x6x7",
+    "MatMul|f32|in=2x5x6|w1=2x6x7",
 ])
 def test_a_batched_matmul_reads_each_operand_by_broadcast_index(canonical):
     _check_batched_matmul(canonical)
@@ -326,12 +329,14 @@ _BATCH_DIM = st.sampled_from((1, 2, 3))
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 3), st.booleans(), st.booleans()),
-                min_size=1, max_size=3), st.integers(0, 3), st.integers(0, 2))
-def test_any_batched_matmul_stays_inside_its_operands(batch, drop_a, drop_b):
+                min_size=1, max_size=3), st.integers(0, 3), st.integers(0, 2), st.booleans())
+def test_any_batched_matmul_stays_inside_its_operands(batch, drop_a, drop_b, weight_b):
     """Each output batch dim has a size, and A or B may broadcast along it
     (size 1 there); each operand may also lack some leading batch dims, but
-    B keeps at least one, so it takes a batched call."""
+    B keeps at least one, so it takes a batched call. B is a data input or
+    a recorded weight."""
     a = tuple(1 if a_one else d for d, a_one, _b_one in batch)[drop_a:]
     b = tuple(1 if b_one else d for d, _a_one, b_one in batch)[min(drop_b, len(batch) - 1):]
-    _check_batched_matmul(f"MatMul|f32|in={'x'.join(map(str, (*a, 5, 6)))},"
-                          f"{'x'.join(map(str, (*b, 6, 7)))}|")
+    a, b = "x".join(map(str, (*a, 5, 6))), "x".join(map(str, (*b, 6, 7)))
+    _check_batched_matmul(f"MatMul|f32|in={a}|w1={b}" if weight_b
+                          else f"MatMul|f32|in={a},{b}|")

@@ -10,7 +10,7 @@ import pytest
 
 import modelzoo as mz
 from cli_run import invoke
-from lbound import dedup
+from lbound import analyzer, dedup
 from lbound.benchgen import ConvAlgorithm
 from lbound.perfdb import PerfDb
 
@@ -487,10 +487,11 @@ def test_bad_text_model_input_dims_exit_2_naming_the_line(tmp_path):
         "got (1, 0, 8, 8) (at offset 2)" in res.output
 
 
-def _conv_profile(tmp_path, model, system="Tesla_V100", batch=1):
-    """A profile whose library log runs every convolution of ``model`` with FFT."""
+def _conv_profile(tmp_path, model, system="Tesla_V100", batch=1, drop=0):
+    """A profile whose library log runs every convolution of ``model`` with
+    FFT, less the last ``drop`` of them."""
     graph = mz.load(model.read_text("utf-8"), batch=batch)
-    convs = sum(node.op_type == "Conv" for node in graph.nodes.values())
+    convs = sum(node.op_type == "Conv" for node in graph.nodes.values()) - drop
     log = tmp_path / "cudnn.log"
     log.write_text(convs * ("I! CuDNN (v7605) function cudnnConvolutionForward() called:\n"
                             "    algo: type=cudnnConvolutionFwdAlgo_t; "
@@ -733,3 +734,114 @@ def test_a_failed_index_write_keeps_the_exit_code(r18, tmp_path):
     res = invoke(["db", "compact", str(db)])
     assert res.exit_code == 0 and "dropped 0 superseded" in res.output
     assert _analyze(model, db).exit_code == 0
+
+
+def test_a_log_with_another_number_of_convolutions_exits_2(r18, tmp_path):
+    model, db = r18
+    convs = sum(node.op_type == "Conv" for node in mz.load(model.read_text("utf-8")).nodes.values())
+    res = _analyze(model, db, "--profile", str(_conv_profile(tmp_path, model, drop=1)))
+    _one_error(res)
+    assert (f"graph has {convs} convolution layers but the log has {convs - 1} "
+            "convolution calls") in res.output
+
+
+def test_a_fusion_site_with_no_fused_record_keeps_its_members(tmp_path):
+    """A tower of Conv->bias Add pairs, benchmarked without --fusion: no
+    site has a fused record, so none applies and no latency moves."""
+    model = tmp_path / "tower.txt"
+    model.write_text(mz.fusion_tower_text(6, 40), "utf-8")
+    db = tmp_path / "perf.db"
+    res = invoke(["bench", str(model), "--db", str(db), "--system", "Tesla_V100", "--simulate"])
+    assert res.exit_code == 0, res.output
+    res = _analyze(model, db, "--fusion")
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    fusion = report["fusion"]
+    assert len(fusion["sites"]) == 6 and fusion["fused_layer_count"] == 12
+    assert all(site["applied"] is False and site["fused_us"] is None
+               and site["profit_us"] == 0.0 for site in fusion["sites"])
+    assert fusion["fused_lb_us"] == fusion["unfused_lb_us"] == report["lb_sequential_us"]
+    assert fusion["profit_ratio"] == 1.0
+    with PerfDb(db) as handle:
+        anns = analyzer.Annotator(mz.load(model.read_text("utf-8")), handle)
+        ann, latencies, sites = analyzer.apply(anns, "Tesla_V100", "f32", None, fusion=True)
+        assert latencies == ann.latencies
+        sums = [sum(ann.latencies[m] for m in site.members) for site in sites]
+        assert [site.member_sum_us for site in sites] == sums and min(sums) > 0
+
+
+def test_allow_missing_lists_each_missing_benchmark_in_the_text_report(r18, tmp_path):
+    _model, db = r18
+    model = tmp_path / "resnet50.txt"
+    model.write_text(mz.resnet_v1_text(50), "utf-8")
+    args = ["analyze", str(model), "--db", str(db), "--system", "Tesla_V100", "--allow-missing"]
+    missing = json.loads(invoke([*args, "--out", "json"]).output)["missing"]
+    res = invoke(args)
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    at = lines.index(f"  missing benchmarks: {len(missing)}")
+    assert lines[at + 1:at + 1 + len(missing)] == [f"    - {key}" for key in missing]
+    assert len(lines) == at + 1 + len(missing)  # the list ends this report
+
+
+def test_a_measured_latency_below_the_bound_warns(r18):
+    model, db = r18
+    args = ["analyze", str(model), "--db", str(db), "--system", "Tesla_V100",
+            "--measured-ms", "0.01"]
+    report = json.loads(invoke([*args, "--out", "json"]).output)
+    for key in ("br_sequential", "br_parallel"):
+        assert report[key]["br"] > 1 and report[key]["speedup"] < 1
+        assert report[key]["warning"].startswith("lower bound exceeds measured latency")
+    res = invoke(args)
+    assert res.exit_code == 0, res.output
+    warnings = [line for line in res.output.splitlines() if line.startswith("  warning: ")]
+    assert warnings == [f"  warning: {report[key]['warning']}"
+                        for key in ("br_sequential", "br_parallel")]
+
+
+@pytest.mark.parametrize("costs", [[], ["--costs", "Tesla_V100=3.06"]])
+def test_advise_by_cost_without_a_cost_for_each_system_exits_2(r18, costs):
+    model, db = r18
+    res = invoke(["advise", str(model), "--db", str(db), "--systems", "Tesla_K80,Tesla_V100",
+                  "--rank-by", "cost", *costs])
+    _one_error(res)
+    assert "no cost given for system 'Tesla_K80'" in res.output
+
+
+def test_db_import_adds_a_system_and_a_second_import_supersedes_it(r18, tmp_path):
+    """Another database's lines, for a system the database lacks, import and
+    are read by analyze; importing a re-run supersedes them, and compact
+    drops what was superseded."""
+    model, r18_db = r18
+    db = tmp_path / "perf.db"
+    db.write_bytes(r18_db.read_bytes())
+    runs = []
+    for seed in ("1", "2"):
+        other = tmp_path / f"t4-{seed}.db"
+        res = invoke(["bench", str(model), "--db", str(other), "--system", "Tesla_T4",
+                      "--simulate", "--jitter-seed", seed])
+        assert res.exit_code == 0, res.output
+        runs.append(other)
+    n = len(runs[0].read_text("utf-8").splitlines())
+    live = len(r18_db.read_text("utf-8").splitlines())
+    t4 = ["--system", "Tesla_T4"]
+    assert _analyze(model, db, *t4).exit_code == 3  # no Tesla_T4 record yet
+
+    for i, run in enumerate(runs):
+        res = invoke(["db", "import", str(db), str(run)])
+        assert res.exit_code == 0, res.output
+        assert res.output == f"imported {n} record(s) into {db}\n"
+        stats = invoke(["db", "stats", str(db)]).output
+        assert stats.splitlines()[0] == f"{live + n} live record(s), {i * n} superseded"
+        assert f"  Tesla_T4: {n}" in stats
+        res = _analyze(model, db, *t4)
+        assert res.exit_code == 0, res.output
+        assert res.output == _analyze(model, run, *t4).output
+    assert _analyze(model, runs[0], *t4).output != _analyze(model, runs[1], *t4).output
+
+    res = invoke(["db", "compact", str(db)])
+    assert res.output == f"compacted {db}: dropped {n} superseded record(s)\n"
+    stats = invoke(["db", "stats", str(db)]).output
+    assert stats.splitlines()[0] == f"{live + n} live record(s), 0 superseded"
+    assert len(db.read_text("utf-8").splitlines()) == live + n
+    assert _analyze(model, db, *t4).output == _analyze(model, runs[1], *t4).output

@@ -10,6 +10,7 @@ logs a wrong input shape, pins the logged-algorithm path.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -27,7 +28,7 @@ GOLDEN = {
 }
 
 GOLDEN_SCENARIOS = {
-    "analyze-logged-algo": "65b19b95ebe2a54e97eb6fbe922cdad2840a9b7b19a3819cdd7068256d4645ae",
+    "analyze-logged-algo": "ef5ec7edcbcbe8a8fb78dadee5db124a48d63dc930483c21258dda9db0bf77cd",
     "analyze-f16-fusion": "6e579a4048d21131adafaf79f3f83c21f626d7eb7ae4e100f74aa5309e52204f",
 }
 
@@ -110,6 +111,19 @@ def test_scenario_outputs_match_golden(r50_db, r50_profile):
         "analyze-f16-fusion": _digest(["analyze", *common, "--dtype", "f16", "--fusion"]),
     }
     assert got == GOLDEN_SCENARIOS
+
+
+def test_the_bound_under_logged_algorithms_is_one_number(r50_db, r50_profile):
+    """Q3's bound under the logged algorithms and the joint row's are one sum."""
+    model, db = r50_db
+    res = invoke(["analyze", str(model), "--db", str(db), "--batch", "2", "--system",
+                  "Tesla_V100", "--out", "json", "--profile", str(r50_profile), "--logged-algo"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    advice, joint = report["algorithm_advice"], report["joint"]
+    assert joint["scenario"]["ideal_algo"] is False
+    assert advice["lb_chosen_us"].hex() == joint["lb_us"].hex()
+    assert advice["aggregate_speedup"] == advice["lb_chosen_us"] / advice["lb_ideal_us"]
 
 
 def test_text_report_matches_golden(r50_db, r50_profile):

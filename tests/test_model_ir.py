@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 import random
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modelzoo as mz
+from cli_run import invoke
 from lbound import dedup, model_ir
 from lbound.errors import GraphStructureError, ModelParseError, ShapeInferenceError
 from lbound.model_ir import (
@@ -208,6 +210,77 @@ def test_a_refused_layer_names_its_node_and_op(node, message):
     with pytest.raises(ShapeInferenceError) as exc:
         infer_shapes(graph, 1)
     assert str(exc.value) == message
+
+
+def _onnx_window(mode, size, k, s, d, pads, ceil):
+    """One axis of ONNX's window rule: (output size, (pad begin, pad end))."""
+    eff = (k - 1) * d + 1
+    if mode in ("SAME_UPPER", "SAME_LOWER"):
+        out = math.ceil(size / s)
+        total = max(0, (out - 1) * s + eff - size)
+        low, high = total // 2, total - total // 2
+        return out, (low, high) if mode == "SAME_UPPER" else (high, low)
+    if mode == "VALID":
+        return math.floor((size - eff) / s) + 1, (0, 0)
+    rounded = math.ceil if ceil else math.floor
+    return rounded((size + sum(pads) - eff) / s) + 1, pads
+
+
+@pytest.mark.parametrize("op", ["Conv", "MaxPool", "AveragePool"])
+@pytest.mark.parametrize("mode", ["SAME_UPPER", "SAME_LOWER", "VALID", "NOTSET", None])
+def test_conv_and_pools_share_the_onnx_window_rule(op, mode):
+    """Every case re-infers its own out dims from its signature, so an
+    auto_pad layer records its resolved pads, and no auto_pad or ceil_mode."""
+    cases, pads = 0, (1, 0, 2, 1)
+    for h, w in ((7, 10), (8, 9), (11, 12)):
+        for s in (1, 2, 3):
+            for d in (1, 2):
+                for ceil in ((0, 1) if op != "Conv" else (0,)):
+                    attrs = f"strides={s}x{s};dilations={d}x{d};ceil_mode={ceil}"
+                    attrs += ";pads=1x0x2x1" if mode in ("NOTSET", None) else ""
+                    attrs += f";auto_pad={mode}" if mode else ""
+                    attrs += ";w1=4x3x3x2" if op == "Conv" else ";kernel=3x2"
+                    layer = mz.layer(_single(op, attrs, in_dims=f"1x3x{h}x{w}"), "n0")
+                    (oh, (pt, pb)) = _onnx_window(mode, h, 3, s, d, pads[::2], ceil)
+                    (ow, (pl, pr)) = _onnx_window(mode, w, 2, s, d, pads[1::2], ceil)
+                    assert layer.out_dims == (1, 4 if op == "Conv" else 3, oh, ow), attrs
+                    assert layer.params["pads"] == (pt, pl, pb, pr), attrs
+                    assert layer.params["strides"] == (s, s)
+                    assert layer.params.get("dilations", (1, 1)) == (d, d)
+                    assert "auto_pad" not in layer.params
+                    assert layer.params.get("ceil_mode", 0) == (ceil if mode in ("NOTSET", None)
+                                                                else 0), attrs
+                    sig = dedup.signature(layer, "f32")
+                    assert dedup.parse_signature(sig.canonical_string).layer.out_dims \
+                        == layer.out_dims
+                    cases += 1
+    assert cases == (18 if op == "Conv" else 36)
+
+
+def test_a_pool_renders_dilations_only_when_not_one():
+    one = mz.layer(_single("MaxPool", "kernel=2x2;dilations=1x1", in_dims="1x3x8x8"), "n0")
+    two = mz.layer(_single("MaxPool", "kernel=2x2;dilations=2x2", in_dims="1x3x8x8"), "n0")
+    assert dedup.signature(one, "f32").canonical_string \
+        == "MaxPool|f32|in=1x3x8x8|kernel=2x2,pads=0x0x0x0,strides=1x1"
+    assert dedup.signature(two, "f32").canonical_string \
+        == "MaxPool|f32|in=1x3x8x8|dilations=2x2,kernel=2x2,pads=0x0x0x0,strides=1x1"
+    assert two.out_dims == (1, 3, 6, 6)
+
+
+@pytest.mark.parametrize("op, attrs", [
+    ("Conv", "w1=4x3x1x1"), ("MaxPool", "kernel=1x1"), ("AveragePool", "kernel=1x1")])
+@pytest.mark.parametrize("mode", ["BOGUS", "1", "same_upper"])
+def test_an_unknown_auto_pad_names_the_node_and_op(op, attrs, mode, tmp_path):
+    text = f"graph t\ninput d 1x3x4x4\nnode n {op} inputs=d attrs={attrs};auto_pad={mode}\n"
+    with pytest.raises(ShapeInferenceError) as exc:
+        infer_shapes(parse_text_model(text), 1)
+    assert str(exc.value).startswith(f"node 'n' ({op}): auto_pad ")
+    assert "is not NOTSET, SAME_UPPER, SAME_LOWER or VALID" in str(exc.value)
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    res = invoke(["process", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"node 'n' ({op}): auto_pad" in res.output
 
 
 def test_a_rule_takes_the_layer_alone():

@@ -139,7 +139,136 @@ class TestWireDecoding:
         assert mz.layer(infer_shapes(loaded, 8), "r").out_dims == (8, 3, 4, 4)
 
 
+def _load_graph(nodes, initializers=(), data=(1, 3, 4, 4)):
+    """``nodes`` read from tensor ``data`` and write tensor ``out``."""
+    g = wire.graph(nodes, [wire.value_info("data", data)],
+                   [wire.value_info("out", data)], initializers)
+    return load_model(wire.model(g))
+
+
+def _const(output: str, values) -> bytes:
+    t = wire.tensor("c", (len(values),), data_type=7, int64_values=values)
+    return wire.node("Constant", [], [output],
+                     attrs=wire.attrs(wire.attr_tensor("value", t)))
+
+
+class TestNodeIds:
+    """How the reader names nodes and wires their edges."""
+
+    def test_unnamed_nodes_count_only_non_constant_nodes(self):
+        loaded = _load_graph([
+            wire.node("Relu", ["data"], ["a"]),
+            _const("shape", [1, 48]),
+            wire.node("Reshape", ["a", "shape"], ["b"]),
+            wire.node("Sigmoid", ["b"], ["out"]),
+        ])
+        assert list(loaded.nodes) == ["Relu_0", "Reshape_1", "Sigmoid_2"]
+        assert loaded.nodes["Reshape_1"].input_ids == ["Relu_0"]
+        assert loaded.nodes["Reshape_1"].params["shape"] == (1, 48)
+        assert loaded.graph_outputs == ["Sigmoid_2"]
+
+    def test_a_constant_between_named_nodes_shifts_no_id(self):
+        with_const = _load_graph([
+            wire.node("Relu", ["data"], ["a"]),
+            _const("k", [1]),
+            wire.node("Relu", ["a"], ["b"], name="n"),
+            wire.node("Relu", ["b"], ["out"]),
+        ])
+        assert list(with_const.nodes) == ["Relu_0", "n", "Relu_2"]
+
+    def test_duplicate_names_get_underscore_suffixes(self):
+        loaded = _load_graph([
+            wire.node("Relu", ["data"], ["a"], name="x"),
+            wire.node("Relu", ["a"], ["b"], name="x"),
+            wire.node("Relu", ["b"], ["c"], name="x_"),
+            wire.node("Relu", ["c"], ["out"], name="Relu_3"),
+        ])
+        assert list(loaded.nodes) == ["x", "x_", "x__", "Relu_3"]
+        assert [loaded.nodes[n].input_ids for n in loaded.nodes] \
+            == [["data"], ["x"], ["x_"], ["x__"]]
+
+    def test_an_unnamed_id_steps_past_a_taken_name(self):
+        loaded = _load_graph([
+            wire.node("Relu", ["data"], ["a"], name="Relu_1"),
+            wire.node("Relu", ["a"], ["out"]),
+        ])
+        assert list(loaded.nodes) == ["Relu_1", "Relu_1_"]
+
+    def test_the_later_of_two_producers_wins(self):
+        loaded = _load_graph([
+            wire.node("Relu", ["data"], ["t"], name="first"),
+            wire.node("Sigmoid", ["data"], ["t"], name="second"),
+            wire.node("Tanh", ["t"], ["out"], name="user"),
+        ])
+        assert loaded.nodes["user"].input_ids == ["second"]
+        assert loaded.nodes["first"].output_ids == []
+
+    def test_a_producer_later_in_the_file_feeds_an_earlier_node(self):
+        loaded = _load_graph([
+            wire.node("Tanh", ["t"], ["out"], name="user"),
+            wire.node("Relu", ["data"], ["t"], name="maker"),
+        ])
+        assert loaded.nodes["user"].input_ids == ["maker"]
+        assert loaded.order == ("maker", "user")
+
+    @pytest.mark.parametrize("op, axes, data, out", [
+        ("Squeeze", [1], (2, 1, 3), (2, 3)),
+        ("Unsqueeze", [0, 3], (2, 3), (1, 2, 3, 1)),
+    ])
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_squeeze_axes_come_from_an_int64_initializer(self, op, axes, data, out, raw):
+        init = wire.tensor("axes", (len(axes),), data_type=7, int64_values=axes,
+                           raw_int64=raw)
+        loaded = _load_graph([wire.node(op, ["data", "axes"], ["out"], name="s")],
+                             [init], data)
+        assert loaded.nodes["s"].params == {"axes": tuple(axes)}
+        assert loaded.nodes["s"].input_ids == ["data"]
+        assert mz.layer(infer_shapes(loaded, data[0]), "s").out_dims == out
+
+    def test_an_initializer_named_like_a_graph_input_is_no_input(self):
+        init = wire.tensor("W", (4, 3, 3, 3))
+        conv = wire.node("Conv", ["data", "W"], ["out"], name="c",
+                         attrs=wire.attrs(wire.attr_ints("kernel_shape", (3, 3))))
+        g = wire.graph([conv], [wire.value_info("data", (1, 3, 8, 8)),
+                                wire.value_info("W", (4, 3, 3, 3))],
+                       [wire.value_info("out", (1, 4, 6, 6))], [init])
+        loaded = load_model(wire.model(g))
+        assert loaded.graph_inputs == [("data", (1, 3, 8, 8))]
+        assert loaded.nodes["c"].params["w1"] == (4, 3, 3, 3)
+
+    def test_an_unnamed_initializer_is_no_weight(self):
+        with pytest.raises(ModelParseError, match="node 'r' consumes unknown tensor 'W'"):
+            _load_graph([wire.node("Relu", ["data", "W"], ["out"], name="r")],
+                        [wire.tensor("", (3,))])
+
+    def test_an_attribute_tensor_name_is_never_decoded(self):
+        bad_name = wire.tensor("t", (3, 5)).replace(wire.fs(8, "t"), wire.fs(8, b"\xff"))
+        custom = wire.node("LookupOp", ["data"], ["out"], name="x",
+                           attrs=wire.attrs(wire.attr_tensor("table", bad_name)))
+        assert _load_graph([custom]).nodes["x"].params["table"] == (3, 5)
+
+
 class TestWireErrors:
+    def test_unknown_input_tensor_names_the_graph_offset(self):
+        g = wire.graph([wire.node("Relu", ["data"], ["a"], name="r"),
+                        wire.node("Relu", ["nowhere"], ["out"])],
+                       [wire.value_info("data", (1, 3))], [wire.value_info("out", (1, 3))])
+        data = wire.model(g)
+        with pytest.raises(ModelParseError) as exc:
+            load_model(data)
+        assert str(exc.value).startswith("node 'Relu_1' consumes unknown tensor 'nowhere'")
+        assert exc.value.offset == data.index(g)
+
+    def test_an_initializer_name_that_is_not_utf8_reports_its_offset(self):
+        bad = wire.tensor("W", (3,)).replace(wire.fs(8, "W"), wire.fs(8, b"\xff"))
+        g = wire.graph([wire.node("Relu", ["data"], ["out"], name="r")],
+                       [wire.value_info("data", (1, 3))], [wire.value_info("out", (1, 3))],
+                       [bad])
+        data = wire.model(g)
+        with pytest.raises(ModelParseError, match="invalid utf-8") as exc:
+            load_model(data)
+        assert exc.value.offset == data.index(b"\xff")
+
     def test_empty_file(self):
         with pytest.raises(ModelParseError):
             load_model(b"")
