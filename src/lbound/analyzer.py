@@ -26,11 +26,13 @@ was loaded and layers hold what inference found, so per-layer facts come
 from the layer table that ``model_ir.infer_shapes`` fills
 (``graph.layers``, indexed through ``graph.layer_of``), and
 ``dedup.layer_signatures`` keeps one signature per layer and dtype, which
-annotation, Q3 and the fusion scan all read. :func:`annotate` looks each
-(signature, layout) up in the database once and shares the record, or the
-miss, with every node of that signature. An :class:`Annotator` holds one
-graph's annotations on one database, one per (system, dtype, layout), and
-the critical path under each, all built on first use. One ``analyze`` or
+annotation, Q3 and the fusion scan all read. :func:`annotate` works per
+layer: it resolves each layer of the table once, looking each (signature,
+layout) up in the database once, and each node then takes its layer's
+record, or miss, through ``graph.layer_of``. An :class:`Annotator` holds one
+graph's annotations on one database, one per (system, dtype, layout), the
+critical path under each, and the pairing of a profile's logged
+convolutions with their records, all built on first use. One ``analyze`` or
 ``advise`` command builds one annotator and hands it to every analysis.
 
 An annotation never raises on a miss: a missing layer contributes zero and
@@ -88,42 +90,45 @@ def annotate(graph: ModelGraph, db: PerfDb, system: str, dtype: str,
              layout: str | None = None) -> LatencyAnnotatedGraph:
     """Attach the best database latency to every supported layer.
 
-    Signatures come from the graph's table at ``dtype``, and ``db.best``
-    runs once per (signature, layout); its record, or its miss, is shared
-    by every node of that signature. ``layout`` restricts convolution-family
-    lookups; other layers always take their lowest-latency record. Missing
-    layers contribute zero and are listed in ``missing``, once per node.
+    Annotation works per layer: signatures come from the graph's table at
+    ``dtype``, each layer of the table resolves its record, or its miss,
+    once, and ``db.best`` runs once per (signature, layout), in the order
+    the layers first appear. Nodes then take their layer's result through
+    ``graph.layer_of``. ``layout`` restricts convolution-family lookups;
+    other layers always take their lowest-latency record. Missing layers
+    contribute zero and are listed in ``missing``, once per node.
     """
     sigs = layer_signatures(graph, dtype)
-    latencies: dict[str, float] = {}
-    chosen: dict[str, PerfRecord | None] = {}
-    missing: list[str] = []
     found: dict[tuple[str, str | None], PerfRecord | list[str]] = {}
-    for nid in graph.order:
-        node = graph.nodes[nid]
-        latencies[nid] = 0.0
-        chosen[nid] = None
-        if api_for_op(node.op_type) is None:
+    # per layer: its latency, its record, and the keys it missed
+    per_layer: list[tuple[float, PerfRecord | None, list[str] | None]] = []
+    for layer, sig in zip(graph.layers, sigs):
+        if api_for_op(layer.op_type) is None:
+            per_layer.append((0.0, None, None))
             continue
-        canonical = sigs[graph.layer_of[nid]].canonical_string
-        want_layout = layout if node.op_type == "Conv" else None
-        key = (canonical, want_layout)
+        key = (sig.canonical_string, layout if layer.op_type == "Conv" else None)
         if key not in found:
             try:
-                found[key] = db.best(system, dtype, canonical, layout=want_layout)
+                found[key] = db.best(system, dtype, key[0], layout=key[1])
             except MissError as exc:
                 found[key] = exc.keys
         rec = found[key]
-        if isinstance(rec, list):
-            missing.extend(rec)
-            continue
-        latencies[nid] = rec.latency_us
-        chosen[nid] = rec
+        per_layer.append((0.0, None, rec) if isinstance(rec, list) else
+                         (rec.latency_us, rec, None))
+    layer_of = graph.layer_of
+    latencies: dict[str, float] = {}
+    chosen: dict[str, PerfRecord | None] = {}
+    missing: list[str] = []
+    for nid in graph.order:
+        latencies[nid], chosen[nid], missed = per_layer[layer_of[nid]]
+        if missed is not None:
+            missing.extend(missed)
     return LatencyAnnotatedGraph(graph, latencies, chosen, missing)
 
 
 class Annotator:
-    """One graph's annotations on one database and their critical paths.
+    """One graph's annotations on one database, their critical paths and the
+    pairings of a profile's logged convolutions with their records.
 
     Each is built on first use. Annotations never raise: a missing layer
     contributes zero and is listed in the annotation's ``missing``, and
@@ -136,6 +141,7 @@ class Annotator:
         self.db = db
         self._annotations: dict[tuple, LatencyAnnotatedGraph] = {}
         self._paths: dict[tuple, CriticalPath] = {}
+        self._convs: dict[tuple, list] = {}
 
     def annotation(self, system: str, dtype: str,
                    layout: str | None = None) -> LatencyAnnotatedGraph:
@@ -154,6 +160,32 @@ class Annotator:
             ann = self.annotation(system, dtype, layout)
             self._paths[key] = critical_path(self.graph, ann.latencies)
         return self._paths[key]
+
+    def logged_convs(self, profile: ExecutionProfile, system: str, dtype: str, layout: str,
+                     ) -> list[tuple[LayerNode, ApiCall, PerfRecord | None]]:
+        """The i-th convolution in topological order paired with the i-th
+        logged one and with the ok record of the logged algorithm at
+        ``layout`` (or None); paired once per (profile, system, dtype, layout)."""
+        key = (profile, system, dtype, layout)
+        if key in self._convs:
+            return self._convs[key]
+        graph = self.graph
+        conv_nodes = [graph.nodes[nid] for nid in graph.order
+                      if graph.nodes[nid].op_type == "Conv"]
+        conv_calls = [c for c in profile.api_calls if c.api_name == "cudnnConvolutionForward"]
+        if len(conv_nodes) != len(conv_calls):
+            raise CorrelationError(
+                f"graph has {len(conv_nodes)} convolution layers but the log has "
+                f"{len(conv_calls)} convolution calls")
+        sigs = layer_signatures(graph, dtype)
+        convs = []
+        for node, call in zip(conv_nodes, conv_calls):
+            sig, algo = sigs[graph.layer_of[node.id]], call.params.get("algo")
+            rec = algo and self.db.record_for(RecordKey(
+                system, dtype, sig.canonical_string, algo, layout, None))
+            convs.append((node, call, rec if rec and rec.status == "ok" else None))
+        self._convs[key] = convs
+        return convs
 
     def missing(self) -> list[str]:
         """The misses of every annotation built, once per node, in build order.
@@ -264,27 +296,6 @@ class AlgorithmAdvice:
         self.aggregate_speedup = aggregate_speedup
 
 
-def _logged_convs(anns: Annotator, profile: ExecutionProfile, system: str, dtype: str,
-                  layout: str) -> list[tuple[LayerNode, ApiCall, PerfRecord | None]]:
-    """Pair the i-th convolution in topological order with the i-th logged one,
-    and with the ok record of the logged algorithm at ``layout`` (or None)."""
-    conv_nodes = [anns.graph.nodes[nid] for nid in anns.graph.order
-                  if anns.graph.nodes[nid].op_type == "Conv"]
-    conv_calls = [c for c in profile.api_calls if c.api_name == "cudnnConvolutionForward"]
-    if len(conv_nodes) != len(conv_calls):
-        raise CorrelationError(
-            f"graph has {len(conv_nodes)} convolution layers but the log has "
-            f"{len(conv_calls)} convolution calls")
-    sigs = layer_signatures(anns.graph, dtype)
-    convs = []
-    for node, call in zip(conv_nodes, conv_calls):
-        sig, algo = sigs[anns.graph.layer_of[node.id]], call.params.get("algo")
-        rec = algo and anns.db.record_for(RecordKey(
-            system, dtype, sig.canonical_string, algo, layout, None))
-        convs.append((node, call, rec if rec and rec.status == "ok" else None))
-    return convs
-
-
 def algorithm_advice(profile: ExecutionProfile, anns: Annotator, system: str,
                      dtype: str) -> AlgorithmAdvice:
     """Audit logged convolution algorithms against the measured optimum.
@@ -293,7 +304,7 @@ def algorithm_advice(profile: ExecutionProfile, anns: Annotator, system: str,
     topological order; shape parameters in the log, when present, are
     cross-checked and mismatches downgrade to a warning.
     """
-    convs = _logged_convs(anns, profile, system, dtype, "NCHW")
+    convs = anns.logged_convs(profile, system, dtype, "NCHW")
     ann, logged_latencies, _sites = apply(anns, system, dtype, "NCHW", logged=profile)
     entries: list[AdviceEntry] = []
     unknown: list[str] = []
@@ -582,7 +593,7 @@ def apply(anns: Annotator, system: str, dtype: str, layout: str | None, *,
     ann = anns.annotation(system, dtype, layout=layout)
     latencies = dict(ann.latencies)
     if logged is not None:
-        for node, _call, rec in _logged_convs(anns, logged, system, dtype, layout or "NCHW"):
+        for node, _call, rec in anns.logged_convs(logged, system, dtype, layout or "NCHW"):
             if rec is not None:
                 latencies[node.id] = rec.latency_us
     sites: list[FusionSiteResult] = []

@@ -4,8 +4,11 @@ A model is a DAG of layer nodes. Two loaders produce the same IR: a binary
 ONNX-format reader (see :mod:`lbound.onnx_reader`) and a line-based text
 format used for fixtures and small experiments. Weight tensors are recorded
 by shape only; their values are discarded at load time. Both loaders end in
-:func:`validate`, which stores its one :func:`topo_order` result as
-``ModelGraph.order``, which every walk over the graph reads.
+:func:`validate`, whose one walk over the edges checks them, fills each
+node's consumer list (``output_ids``), counts in-degrees and, for a graph
+that declares no output, takes every node without a consumer as one. It
+stores the :func:`topo_order` those in-degrees give as ``ModelGraph.order``,
+which every walk over the graph reads.
 
 Nodes hold the edges and what was loaded; layers hold what inference found.
 :func:`infer_shapes` leaves the loaded graph alone and returns one over the
@@ -49,6 +52,8 @@ Text model grammar (one directive per line, ``#`` starts a comment)::
     input <name> <d0>x<d1>x...
     node <id> <op_type> inputs=<csv> attrs=<k=v;...>
     output <id>
+
+A model without ``output`` lines has as outputs the nodes that no node consumes.
 
 Attribute values parse as int, float, ``AxBx...`` integer tuples, or raw
 strings. A number counts only in the ASCII spelling that ``str`` or
@@ -173,48 +178,64 @@ class ModelGraph:
 
 
 def validate(graph: ModelGraph) -> None:
-    """Check edge integrity and acyclicity; fill consumer lists and ``order``."""
+    """Check edge integrity and acyclicity; fill consumer lists, outputs and ``order``.
+
+    One walk over the edges checks each, appends each node to its
+    producers' ``output_ids`` and counts each node's in-degree, which
+    :func:`topo_order` then spends. A graph that declares no output takes
+    every node without a consumer, in node order.
+    """
+    nodes = graph.nodes
     input_names = {n for n, _ in graph.graph_inputs}
-    for node in graph.nodes.values():
+    for node in nodes.values():
         node.output_ids = []
-    for node in graph.nodes.values():
+    indeg: dict[str, int] = {}
+    for nid, node in nodes.items():
         if not node.input_ids:
             raise GraphStructureError(
-                f"node {node.id!r} has no inputs; only declared graph inputs may lack a producer"
+                f"node {nid!r} has no inputs; only declared graph inputs may lack a producer"
             )
+        count = 0
         for src in node.input_ids:
-            if src in graph.nodes:
-                graph.nodes[src].output_ids.append(node.id)
+            producer = nodes.get(src)
+            if producer is not None:
+                producer.output_ids.append(nid)
+                count += 1
             elif src not in input_names:
-                raise GraphStructureError(f"node {node.id!r} references unknown input {src!r}")
+                raise GraphStructureError(f"node {nid!r} references unknown input {src!r}")
+        indeg[nid] = count
+    if not graph.graph_outputs:
+        graph.graph_outputs = [nid for nid, node in nodes.items() if not node.output_ids]
     for out in graph.graph_outputs:
-        if out not in graph.nodes:
+        if out not in nodes:
             raise GraphStructureError(f"graph output {out!r} is not a node")
-    graph.order = tuple(topo_order(graph))  # raises on cycles
+    graph.order = tuple(topo_order(graph, indeg))  # raises on cycles
 
 
-def topo_order(graph: ModelGraph) -> list[str]:
+def topo_order(graph: ModelGraph, indeg: dict[str, int]) -> list[str]:
     """Topological order of node ids; ties broken by node id, ascending.
 
-    Follows the consumer lists (``output_ids``) that ``validate`` fills.
+    Follows the consumer lists (``output_ids``) that :func:`validate` fills
+    and spends ``indeg``, each node's count of producing nodes, which
+    ``validate`` counts in the same walk. The heap starts from the sorted
+    sources and holds only the ids that are ready.
     """
-    indeg = {node.id: sum(src in graph.nodes for src in node.input_ids)
-             for node in graph.nodes.values()}
-    ready = [nid for nid, d in sorted(indeg.items()) if d == 0]
-    heapq.heapify(ready)
+    nodes = graph.nodes
+    ready = sorted([nid for nid, d in indeg.items() if not d])
     order: list[str] = []
     while ready:
         nid = heapq.heappop(ready)
         order.append(nid)
-        for consumer in graph.nodes[nid].output_ids:
-            indeg[consumer] -= 1
-            if indeg[consumer] == 0:
+        for consumer in nodes[nid].output_ids:
+            d = indeg[consumer] - 1
+            indeg[consumer] = d
+            if not d:
                 heapq.heappush(ready, consumer)
-    if len(order) != len(graph.nodes):
-        remaining = sorted(set(graph.nodes) - set(order))
+    if len(order) != len(nodes):
+        remaining = sorted(set(nodes) - set(order))
         culprit = remaining[0]
         back = next(
-            (s for s in graph.nodes[culprit].input_ids if s in remaining), remaining[-1]
+            (s for s in nodes[culprit].input_ids if s in remaining), remaining[-1]
         )
         raise GraphStructureError(f"graph has a cycle: back edge {back!r} -> {culprit!r}")
     return order
@@ -621,7 +642,8 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
 
     Layers are interned: ``infer_layer`` runs once per layer key, which is
     (op, recorded params, input dims), and every node with that key maps to
-    the same :class:`Layer`. The key is type-exact, because Python has
+    the same :class:`Layer`; a node without params keys as (op, (), input
+    dims) at once. The key is type-exact, because Python has
     ``1 == 1.0 == True`` and ``0.0 == -0.0`` while a signature renders each
     of them differently: an Opaque node with ``foo=1`` must not take the
     layer of one with ``foo=1.0``. A node with a recorded value that cannot
@@ -639,23 +661,25 @@ def infer_shapes(graph: ModelGraph, batch: int) -> ModelGraph:
     layers: list[Layer] = []
     layer_of: dict[str, int] = {}
     interned: dict[tuple, int] = {}  # layer key -> layer index
+    nodes = graph.nodes
     for nid in graph.order:
-        node = graph.nodes[nid]
+        node = nodes[nid]
         # validate checked every edge, and producers precede consumers in order.
-        in_dims = tuple(layers[layer_of[src]].out_dims if src in layer_of else by_name[src]
-                        for src in node.input_ids)
-        params = node.params
-        if declared and node.op_type == "Reshape":
+        in_dims = tuple([layers[layer_of[src]].out_dims if src in layer_of else by_name[src]
+                         for src in node.input_ids])
+        op, params = node.op_type, node.params
+        if declared and op == "Reshape":
             params = _rebatched_target(params, declared, batch)
         try:
-            key = (node.op_type, tuple((k, _exact(v)) for k, v in params.items()), in_dims)
+            key = (op, tuple([(k, _exact(v)) for k, v in params.items()]) if params else (),
+                   in_dims)
             index = interned.get(key)
         except TypeError:
             key = index = None
         if index is None:
             index = len(layers)
-            params, dims, n_macs = infer_layer(node.op_type, params, list(in_dims), nid)
-            layers.append(Layer(node.op_type, params, in_dims, dims, n_macs))
+            params, dims, n_macs = infer_layer(op, params, list(in_dims), nid)
+            layers.append(Layer(op, params, in_dims, dims, n_macs))
             if key is not None:
                 interned[key] = index
         layer_of[nid] = index
@@ -697,25 +721,23 @@ def parse_dims(text: str) -> tuple[int, ...]:
 
 
 def parse_text_model(text: str, name: str = "model") -> ModelGraph:
+    """A graph from the text format above; :func:`validate` ends the load.
+
+    A line that does not parse raises ``ModelParseError`` with the line's
+    number as its offset.
+    """
     nodes: dict[str, LayerNode] = {}
     graph_inputs: list[tuple[str, tuple[int, ...]]] = []
     outputs: list[str] = []
     graph_name = name
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
         try:
-            if kind == "graph":
-                graph_name = tokens[1]
-            elif kind == "input":
-                graph_inputs.append((tokens[1], parse_dims(tokens[2])))
-            elif kind == "output":
-                outputs.append(tokens[1])
-            elif kind == "node":
+            if kind == "node":
                 nid, op = tokens[1], tokens[2]
                 op = OP_ALIASES.get(op, op)
                 params: dict = {}
@@ -725,29 +747,31 @@ def parse_text_model(text: str, name: str = "model") -> ModelGraph:
                 inputs: list[str] = []
                 for tok in tokens[3:]:
                     if tok.startswith("inputs="):
-                        csv = tok[len("inputs="):]
-                        inputs = [s for s in csv.split(",") if s]
+                        # a comprehension, not split's list, which reserves 12 slots
+                        inputs = [s for s in tok[len("inputs="):].split(",") if s]
                     elif tok.startswith("attrs="):
                         for pair in tok[len("attrs="):].split(";"):
-                            if not pair:
-                                continue
-                            k, _, v = pair.partition("=")
-                            params[k] = parse_attr_value(v)
+                            if pair:
+                                k, _, v = pair.partition("=")
+                                params[k] = parse_attr_value(v)
                     else:
                         raise ValueError(f"unknown token {tok!r}")
                 if nid in nodes:
                     raise ValueError(f"duplicate node id {nid!r}")
-                nodes[nid] = LayerNode(id=nid, op_type=op, params=params, input_ids=inputs)
+                nodes[nid] = LayerNode(nid, op, params, inputs)
+            elif kind == "input":
+                graph_inputs.append((tokens[1], parse_dims(tokens[2])))
+            elif kind == "output":
+                outputs.append(tokens[1])
+            elif kind == "graph":
+                graph_name = tokens[1]
             else:
                 raise ValueError(f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
             raise ModelParseError(f"bad model line {raw.strip()!r}: {exc}", offset=lineno) from exc
 
-    if not outputs:
-        consumed = {src for n in nodes.values() for src in n.input_ids}
-        outputs = [nid for nid in nodes if nid not in consumed]
     graph = ModelGraph(graph_name, nodes, graph_inputs, outputs)
-    validate(graph)
+    validate(graph)  # an empty ``outputs`` takes the nodes without a consumer
     return graph
 
 

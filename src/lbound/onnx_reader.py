@@ -58,7 +58,8 @@ def _signed(v: int) -> int:
 def _fields(buf: bytes, start: int, end: int):
     """Yield (field_number, wire_type, value) for one message span.
 
-    Length-delimited values are (start, end) spans into ``buf``.
+    A varint value is its integer; every other value, a length-delimited
+    one or a fixed-width 32- or 64-bit one, is its (start, end) span in ``buf``.
     """
     pos = start
     while pos < end:
@@ -73,7 +74,7 @@ def _fields(buf: bytes, start: int, end: int):
         elif wire == _WIRE_64BIT:
             if pos + 8 > end:
                 raise ModelParseError("truncated 64-bit field", offset=pos)
-            value = buf[pos:pos + 8]
+            value = (pos, pos + 8)
             pos += 8
         elif wire == _WIRE_LEN:
             length, pos = _varint(buf, pos, end)
@@ -84,7 +85,7 @@ def _fields(buf: bytes, start: int, end: int):
         elif wire == _WIRE_32BIT:
             if pos + 4 > end:
                 raise ModelParseError("truncated 32-bit field", offset=pos)
-            value = buf[pos:pos + 4]
+            value = (pos, pos + 4)
             pos += 4
         else:
             raise ModelParseError(f"unsupported wire type {wire}", offset=tag_offset)
@@ -98,13 +99,34 @@ def _span_str(buf: bytes, span: tuple[int, int]) -> str:
         raise ModelParseError("invalid utf-8 string", offset=span[0]) from exc
 
 
-def _packed_varints(buf: bytes, span: tuple[int, int]) -> list[int]:
+def _int64s(buf: bytes, wire: int, value) -> list[int]:
+    """One occurrence of a repeated int64 field: a varint, or a packed run of
+    them. A fixed-width occurrence raises at its value's offset."""
+    if wire == _WIRE_VARINT:
+        return [_signed(value)]
+    pos, end = value
+    if wire != _WIRE_LEN:
+        raise ModelParseError(f"repeated int64 field has fixed-width wire type {wire}",
+                              offset=pos)
     out = []
-    pos, end = span
     while pos < end:
         v, pos = _varint(buf, pos, end)
         out.append(_signed(v))
     return out
+
+
+def _floats(buf: bytes, wire: int, value, at: int) -> tuple[float, ...]:
+    """One occurrence of a repeated float field: a 32-bit value, or a packed
+    run of them. Any other wire type, or a run that is not a whole number
+    of floats, raises at its value's offset (at ``at`` for a varint)."""
+    if wire not in (_WIRE_32BIT, _WIRE_LEN):
+        raise ModelParseError(f"repeated float field has wire type {wire}",
+                              offset=at if wire == _WIRE_VARINT else value[0])
+    pos, end = value
+    if (end - pos) % 4:
+        raise ModelParseError(f"packed floats of {end - pos} bytes are not 4-byte floats",
+                              offset=pos)
+    return struct.unpack_from(f"<{(end - pos) // 4}f", buf, pos)
 
 
 class _Tensor(NamedTuple):
@@ -129,17 +151,11 @@ def _parse_tensor(buf: bytes, span: tuple[int, int],
     raw: bytes | None = None
     for field_no, wire, value in _fields(buf, *span):
         if field_no == 1:  # dims
-            if wire == _WIRE_VARINT:
-                dims.append(_signed(value))
-            else:
-                dims.extend(_packed_varints(buf, value))
+            dims.extend(_int64s(buf, wire, value))
         elif field_no == 2 and wire == _WIRE_VARINT:  # data_type
             data_type = value
         elif field_no == 7:  # int64_data
-            if wire == _WIRE_VARINT:
-                int_values.append(_signed(value))
-            else:
-                int_values.extend(_packed_varints(buf, value))
+            int_values.extend(_int64s(buf, wire, value))
         elif field_no == 9 and wire == _WIRE_LEN:  # raw_data
             raw = buf[value[0]:value[1]]
         elif field_no == 8 and wire == _WIRE_LEN and named:  # name
@@ -190,7 +206,7 @@ def _parse_attribute(buf: bytes, span: tuple[int, int]):
         if field_no == 1 and wire == _WIRE_LEN:
             name = _span_str(buf, value)
         elif field_no == 2 and wire == _WIRE_32BIT:
-            f_val = struct.unpack("<f", value)[0]
+            f_val = struct.unpack_from("<f", buf, value[0])[0]
         elif field_no == 3 and wire == _WIRE_VARINT:
             i_val = _signed(value)
         elif field_no == 4 and wire == _WIRE_LEN:
@@ -198,18 +214,9 @@ def _parse_attribute(buf: bytes, span: tuple[int, int]):
         elif field_no == 5 and wire == _WIRE_LEN:
             t_val = _parse_tensor(buf, value)[1]
         elif field_no == 7:  # floats
-            if wire == _WIRE_32BIT:
-                floats.append(struct.unpack("<f", value)[0])
-            else:
-                pos, end = value
-                while pos + 4 <= end:
-                    floats.append(struct.unpack_from("<f", buf, pos)[0])
-                    pos += 4
+            floats.extend(_floats(buf, wire, value, span[0]))
         elif field_no == 8:  # ints
-            if wire == _WIRE_VARINT:
-                ints.append(_signed(value))
-            else:
-                ints.extend(_packed_varints(buf, value))
+            ints.extend(_int64s(buf, wire, value))
     if ints:
         return name, tuple(ints)
     if floats:

@@ -35,6 +35,11 @@ def ff(field: int, value: float) -> bytes:
     return _tag(field, 5) + struct.pack("<f", value)
 
 
+def fixed(field: int, payload: bytes) -> bytes:
+    """A fixed-width field: wire type 5 for a 4-byte payload, 1 for an 8-byte one."""
+    return _tag(field, {4: 5, 8: 1}[len(payload)]) + payload
+
+
 def fs(field: int, payload: bytes | str) -> bytes:
     if isinstance(payload, str):
         payload = payload.encode("utf-8")

@@ -251,6 +251,24 @@ def test_scenario_properties(scenario_db, model, layout, algos):
     assert lb[False, True, False, False] == plain
 
 
+def test_a_report_pairs_the_logged_convolutions_once(scenario_db, monkeypatch):
+    """Q3 and a logged-algorithm joint row share one pairing: one record
+    lookup per logged convolution."""
+    graphs, path = scenario_db
+    lookups = []
+    record_for = PerfDb.record_for
+    monkeypatch.setattr(PerfDb, "record_for",
+                        lambda self, key: lookups.append(key) or record_for(self, key))
+    with PerfDb(path) as db:
+        anns = analyzer.Annotator(graphs["r18"], db)
+        prof = _logged_profile(anns, [a.name for a in ConvAlgorithm])
+        report = analyzer.build_report(anns, "Tesla_V100", "f32", 1,
+                                       analyzer.Scenario(ideal_algo=False), profile=prof)
+    convs = sum(node.op_type == "Conv" for node in graphs["r18"].nodes.values())
+    assert len(lookups) == convs
+    assert report.joint.lb_us == report.algorithm_advice.lb_chosen_us
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(["r18", "tower"]), st.sampled_from(["f32", "f16"]),
        st.sampled_from(["NCHW", "NHWC"]))

@@ -17,7 +17,6 @@ import pytest
 import modelzoo as mz
 from cli_run import invoke
 from lbound.benchgen import ConvAlgorithm
-from lbound.model_ir import topo_order
 
 SYSTEMS = ("TITAN_V", "Tesla_T4", "Tesla_V100")
 
@@ -55,7 +54,7 @@ def _cudnn_log(model_text: str) -> str:
     graph = mz.load(model_text, batch=2)
     algos = list(ConvAlgorithm)
     lines = []
-    convs = [nid for nid in topo_order(graph) if graph.nodes[nid].op_type == "Conv"]
+    convs = [nid for nid in graph.order if graph.nodes[nid].op_type == "Conv"]
     for i, nid in enumerate(convs):
         x = "x".join(map(str, mz.layer(graph, nid).in_dims[0]))
         if i == 3:

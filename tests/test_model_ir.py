@@ -20,9 +20,9 @@ from lbound.model_ir import (
     infer_shapes,
     parse_text_model,
     render_text_model,
-    topo_order,
     validate,
 )
+import text_reader_ref
 from records import fields
 
 
@@ -328,17 +328,18 @@ class TestTopoOrder:
     def test_chain(self):
         text = ("graph t\ninput data 1x1\nnode A Relu inputs=data\n"
                 "node B Relu inputs=A\nnode C Relu inputs=B")
-        assert topo_order(parse_text_model(text)) == ["A", "B", "C"]
+        assert parse_text_model(text).order == ("A", "B", "C")
 
     def test_diamond_tie_break_by_id(self):
         text = ("graph t\ninput data 1x1\nnode A Relu inputs=data\n"
                 "node C Relu inputs=A\nnode B Relu inputs=A\n"
                 "node D Add inputs=B,C")
-        assert topo_order(parse_text_model(text)) == ["A", "B", "C", "D"]
+        assert parse_text_model(text).order == ("A", "B", "C", "D")
 
     def test_empty_graph(self):
         g = ModelGraph("empty", {}, [("in", (1,))], [])
-        assert topo_order(g) == []
+        validate(g)
+        assert g.order == ()
 
     def test_cycle_names_back_edge(self):
         nodes = {
@@ -347,13 +348,13 @@ class TestTopoOrder:
         }
         g = ModelGraph("cyc", nodes, [("in", (1,))], ["b"])
         with pytest.raises(GraphStructureError, match="cycle"):
-            topo_order(g)
+            validate(g)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_respects_edges_and_is_permutation(self, seed):
         graph, _ = mz.random_dag(random.Random(seed))
-        order = topo_order(graph)
+        order = graph.order
         assert sorted(order) == sorted(graph.nodes)
         position = {nid: i for i, nid in enumerate(order)}
         for node in graph.nodes.values():
@@ -415,7 +416,121 @@ def _typed_nodes(graph) -> list:
             for n in graph.nodes.values()]
 
 
+# Ops a random text graph draws: every rule but Opaque's, the aliases, which
+# load as their canonical op, and names no rule knows, which load as Opaque.
+_TEXT_OPS = (sorted(model_ir.SUPPORTED_OPS) + sorted(model_ir.OP_ALIASES)
+             + ["Custom", "LookupOp"])
+_INPUT_NAMES = [f"X{i}" for i in range(10)]
+# Node ids, attr keys and graph names: a letter, then letters, digits or "_".
+_NAMES = st.tuples(st.sampled_from("abcdefghkmnpqrstuvyz"),
+                   st.text("abcz019_", max_size=3)).map("".join)
+
+
+@st.composite
+def _text_graphs(draw):
+    """A random valid DAG in IR form, its text, and whether its outputs are
+    declared. Node ids are drawn, not numbered, so the order's tie rule
+    shows; an alias op is spelled as its alias in the text."""
+    inputs = draw(st.lists(st.sampled_from(_INPUT_NAMES), min_size=1, max_size=3, unique=True))
+    ids = draw(st.lists(_NAMES, min_size=1, max_size=12, unique=True))
+    nodes, aliased = {}, []
+    for i, nid in enumerate(ids):
+        op = draw(st.sampled_from(_TEXT_OPS))
+        params = draw(st.dictionaries(_NAMES.filter(lambda k: k != "op"), _ATTR_VALUES,
+                                      max_size=3))
+        if op in model_ir.OP_ALIASES:
+            aliased.append((nid, model_ir.OP_ALIASES[op], op))
+            op = model_ir.OP_ALIASES[op]
+        elif op not in model_ir.SUPPORTED_OPS:
+            params, op = {"op": op, **params}, "Opaque"
+        srcs = draw(st.lists(st.sampled_from(inputs + ids[:i]), min_size=1, max_size=3))
+        nodes[nid] = LayerNode(nid, op, params, srcs)
+    declared = draw(st.booleans())
+    outputs = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3)) if declared else []
+    dims = draw(st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple),
+                         min_size=len(inputs), max_size=len(inputs)))
+    graph = ModelGraph(draw(_NAMES), nodes,
+                       list(zip(inputs, dims)), outputs)
+    validate(graph)  # the implied outputs when none are declared
+    lines = render_text_model(graph).splitlines()
+    for nid, canonical, alias in aliased:
+        lines = [line.replace(f"node {nid} {canonical} ", f"node {nid} {alias} ")
+                 for line in lines]
+    if not declared:
+        lines = [line for line in lines if not line.startswith("output ")]
+    return graph, "\n".join(lines) + "\n"
+
+
+def _loaded(graph) -> tuple:
+    """Everything a load fills, with typed params."""
+    return (graph.name, graph.graph_inputs, graph.graph_outputs, graph.order,
+            _typed_nodes(graph), [n.output_ids for n in graph.nodes.values()])
+
+
+def _outcome(reader, text: str):
+    """The graph a reader loads from ``text``, or its error and offset."""
+    try:
+        return _loaded(reader(text))
+    except (ModelParseError, GraphStructureError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "offset", None)
+
+
+# Pieces of a line, for corrupting one: directives, tokens, separators and
+# whitespace, a comment mark, and dims and names valid lines use.
+_LINE_PIECES = ("node", "input", "output", "graph", "inputs=", "attrs=", "Relu", "Add",
+                "BatchNormalization", "Custom", "X0", "a", "b", "1x3", "0x2", "x", ",", ";",
+                "=", "k=1", "#", " ", "\t", "\u00a0", "3", "-1", "nan")
+
+
+@st.composite
+def _corrupted_texts(draw):
+    """A valid text with a few of its lines replaced, cut, swapped, doubled or
+    dropped, or pieces spliced into them."""
+    _graph, text = draw(_text_graphs())
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(("replace", "cut", "swap", "double", "drop", "splice",
+                                    "rewire", "comma")))
+        if how == "replace":
+            lines[i] = "".join(draw(st.lists(st.sampled_from(_LINE_PIECES), max_size=6)))
+        elif how == "cut":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        elif how == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif how == "double":
+            lines.insert(i, lines[i])
+        elif how == "drop" and len(lines) > 1:
+            del lines[i]
+        elif how == "rewire":  # the later inputs= token wins, and may close a cycle
+            ids = [line.split()[1] for line in lines if line.startswith("node ")]
+            lines[i] += " inputs=" + ",".join(draw(st.lists(st.sampled_from(ids + ["X0", ""]),
+                                                            min_size=1, max_size=3)))
+        elif how == "comma":  # an empty name in a node's last inputs= or attrs= list
+            lines[i] += ","
+        elif how == "splice":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.sampled_from(_LINE_PIECES)) + lines[i][at:]
+    return "\n".join(lines)
+
+
 class TestTextFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(_text_graphs())
+    def test_random_graphs_round_trip(self, drawn):
+        """Aliases, Opaque ops, attrs, and declared and implied outputs all
+        come back: nodes, order, inputs and outputs."""
+        graph, text = drawn
+        assert _loaded(parse_text_model(text)) == _loaded(graph)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_corrupted_texts())
+    def test_every_text_loads_as_the_reference_reader_loads_it(self, text):
+        """The same graph, or the same error with the same message and offset."""
+        assert _outcome(parse_text_model, text) == _outcome(text_reader_ref.parse_text_model,
+                                                            text)
+
     def test_round_trip(self):
         g = parse_text_model(mz.resnet_v1_text(50))
         again = parse_text_model(render_text_model(g))

@@ -16,16 +16,19 @@ what that ``__init__`` stores.
 
 The benchmark's tracer (``bench/spans.py``) replaces each function it
 traces on its module and under every name bound to it in a module it
-lists, so no other module binds a traced function by name.
+lists, so no other module binds a traced function by name, and every
+function and ``PerfDb`` method it names must exist.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 from collections import Counter
 
 import lbound
+from lbound.perfdb import PerfDb
 
 PACKAGE = pathlib.Path(lbound.__file__).resolve().parent
 ROOT = PACKAGE.parent.parent
@@ -211,6 +214,17 @@ def _spans_table(name: str):
     tree = ast.parse((ROOT / "bench" / "spans.py").read_text("utf-8"))
     return next(ast.literal_eval(stmt.value) for stmt in tree.body
                 if isinstance(stmt, ast.Assign) and _defined(stmt) == [name])
+
+
+def test_every_traced_name_exists():
+    """Each function the tracer wraps is on its module, and each method on
+    ``PerfDb``; a renamed one would otherwise fail only the traced bench run."""
+    missing = [f"{module}.{name}" for module, names in _spans_table("FUNCTIONS").items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"lbound.{module}"), name, None))]
+    missing += [f"perfdb.PerfDb.{method}" for method in _spans_table("METHODS").values()
+                if not callable(getattr(PerfDb, method, None))]
+    assert missing == []
 
 
 def test_only_traced_layers_bind_a_traced_function_by_name():

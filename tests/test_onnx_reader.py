@@ -203,6 +203,16 @@ class TestNodeIds:
         assert loaded.nodes["user"].input_ids == ["second"]
         assert loaded.nodes["first"].output_ids == []
 
+    @pytest.mark.parametrize("outputs", [[], [wire.value_info("nowhere", (1, 3, 4, 4))]])
+    def test_without_a_produced_output_the_unconsumed_nodes_are_outputs(self, outputs):
+        nodes = [
+            wire.node("Relu", ["data"], ["a"], name="r"),
+            wire.node("Sigmoid", ["a"], ["b"], name="s"),
+            wire.node("Tanh", ["a"], ["c"], name="t"),
+        ]
+        g = wire.graph(nodes, [wire.value_info("data", (1, 3, 4, 4))], outputs)
+        assert load_model(wire.model(g)).graph_outputs == ["s", "t"]
+
     def test_a_producer_later_in_the_file_feeds_an_earlier_node(self):
         loaded = _load_graph([
             wire.node("Tanh", ["t"], ["out"], name="user"),
@@ -272,6 +282,64 @@ class TestWireErrors:
     def test_empty_file(self):
         with pytest.raises(ModelParseError):
             load_model(b"")
+
+    @pytest.mark.parametrize("where, field, width", [
+        ("tensor", 1, 4), ("tensor", 1, 8),  # dims
+        ("tensor", 7, 4), ("tensor", 7, 8),  # int64_data
+        ("attribute", 8, 4), ("attribute", 8, 8),  # ints
+        ("attribute", 7, 8),  # floats: a 32-bit occurrence is one float
+    ])
+    def test_a_fixed_width_repeated_field_reports_its_offset(self, where, field, width):
+        """dims, int64_data and ints are varints; floats are 32-bit or packed."""
+        bad = wire.fixed(field, b"\xab\xcd\xef\x01\x23\x45\x67\x89"[:width])
+        if where == "tensor":
+            w = bad + wire.fv(2, 7) + wire.fs(8, "W")
+            nodes, inits = [wire.node("Add", ["data", "W"], ["out"], name="a")], [w]
+        else:
+            attr = wire.fs(1, "k") + bad
+            nodes = [wire.node("Custom", ["data"], ["out"], name="c", attrs=wire.attrs(attr))]
+            inits = []
+        g = wire.graph(nodes, [wire.value_info("data", (1, 3))],
+                       [wire.value_info("out", (1, 3))], inits)
+        data = wire.model(g)
+        with pytest.raises(ModelParseError, match="wire type") as exc:
+            load_model(data)
+        assert exc.value.offset == data.index(bad) + 1  # the value, past its one-byte tag
+
+    def test_packed_floats_must_be_whole_floats(self):
+        packed = struct.pack("<2f", 1.0, 2.5)
+        ok = wire.fs(1, "scales") + wire.fs(7, packed) + wire.fixed(7, struct.pack("<f", 4.0))
+        got = _load_graph([wire.node("Custom", ["data"], ["out"], name="c",
+                                     attrs=wire.attrs(ok))]).nodes["c"].params
+        assert got["scales"] == (1.0, 2.5, 4.0)
+        tail = wire.fs(7, packed + b"\x01\x02")
+        g = wire.graph([wire.node("Custom", ["data"], ["out"], name="c",
+                                  attrs=wire.attrs(wire.fs(1, "scales") + tail))],
+                       [wire.value_info("data", (1, 3))], [wire.value_info("out", (1, 3))])
+        data = wire.model(g)
+        with pytest.raises(ModelParseError, match="not 4-byte floats") as exc:
+            load_model(data)
+        assert exc.value.offset == data.index(tail) + 2  # past the tag and the length
+
+    def test_a_varint_floats_field_reports_its_attribute(self):
+        attr = wire.fs(1, "scales") + wire.fv(7, 5)
+        g = wire.graph([wire.node("Custom", ["data"], ["out"], name="c",
+                                  attrs=wire.attrs(attr))],
+                       [wire.value_info("data", (1, 3))], [wire.value_info("out", (1, 3))])
+        data = wire.model(g)
+        with pytest.raises(ModelParseError, match="float field has wire type 0") as exc:
+            load_model(data)
+        assert exc.value.offset == data.index(attr)
+
+    def test_a_fixed_width_dims_field_exits_2(self, tmp_path):
+        w = wire.fixed(1, struct.pack("<i", 3)) + wire.fv(2, 1) + wire.fs(8, "W")
+        g = wire.graph([wire.node("Add", ["data", "W"], ["out"], name="a")],
+                       [wire.value_info("data", (1, 3))], [wire.value_info("out", (1, 3))], [w])
+        path = tmp_path / "fixed.onnx"
+        path.write_bytes(wire.model(g))
+        res = invoke(["process", str(path)])
+        assert res.exit_code == 2, res.output
+        assert "wire type 5" in res.output
 
     def test_truncated_model_reports_offset(self):
         data = wire.conv_relu_model()
