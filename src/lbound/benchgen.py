@@ -16,7 +16,6 @@ write and checked on read.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -182,8 +181,11 @@ def parse_manifest(text: str) -> list[BenchmarkSpec]:
     A bad line raises ``ModelParseError`` with its line number, and so does
     a ``dtype`` or ``api`` other than the one the spec implies.
     """
-    # A layer repeats once per algorithm, dtype and layout; parse each once.
-    parse = functools.cache(parse_signature)
+    # A layer repeats once per algorithm, dtype and layout. Each signature
+    # string is looked up once, and each layer inferred once: a second
+    # dtype's signature is rendered from the layer already parsed.
+    sigs: dict[str, LayerSignature] = {}
+    layers: dict[tuple[str, str], LayerSignature] = {}  # (op, rest) -> parsed
     specs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -192,9 +194,19 @@ def parse_manifest(text: str) -> list[BenchmarkSpec]:
             rec = json.loads(line)
             if not isinstance(rec, dict) or not isinstance(rec.get("signature"), str):
                 raise ValueError("expected a JSON object with a string signature")
+            canonical = rec["signature"]
+            sig = sigs.get(canonical)
+            if sig is None:
+                op, _, rest = canonical.partition("|")
+                dtype, _, rest = rest.partition("|")
+                parsed = layers.get((op, rest))
+                if parsed is not None and dtype in DTYPES:
+                    sig = parsed.with_dtype(dtype)
+                else:  # a new layer, or a line that parse_signature refuses
+                    sig = layers[op, rest] = parse_signature(canonical)
+                sigs[canonical] = sig
             algo = ConvAlgorithm[rec["algorithm"]] if rec["algorithm"] else None
-            spec = BenchmarkSpec(parse(rec["signature"]), algo, rec["layout"],
-                                 rec["fused_pattern"])
+            spec = BenchmarkSpec(sig, algo, rec["layout"], rec["fused_pattern"])
             for name, implied in (("dtype", spec.dtype), ("api", spec.api_name)):
                 if rec[name] != implied:
                     raise ValueError(f"{name} {rec[name]!r} disagrees with the signature "

@@ -24,8 +24,9 @@ def bench(argv: list[str]) -> None:
                    help="Generate only the keys listed in a miss file (from analyze --miss-out), "
                         "each at its own dtype; --dtypes does not apply.")
     p.add_argument("--db", dest="db_path", metavar="PATH", help="Database path (or LBOUND_DB).")
-    p.add_argument("--system", dest="system_name", metavar="SYSTEM",
-                   help="System profile name or JSON path (required to simulate).")
+    p.add_argument("--system", dest="system_name", metavar="SYSTEMS",
+                   help="Comma-separated system profile names or JSON paths (required to "
+                        "simulate); each system's records are appended in one write.")
     p.add_argument("--batch", type=int, metavar="N", default=1, help=_DEFAULT)
     p.add_argument("--dtypes", default="f32,f16", help=_DEFAULT)
     p.add_argument("--layouts", default="NCHW", help=_DEFAULT)
@@ -33,7 +34,8 @@ def bench(argv: list[str]) -> None:
     p.add_argument("--fusion", action=argparse.BooleanOptionalAction, default=False,
                    help="Also generate a spec per fusion site.")
     p.add_argument("--delta", action="store_true",
-                   help="Skip specs that already have results for this system.")
+                   help="Skip specs that already have results, system by system; "
+                        "--emit-src writes the specs some system lacks.")
     p.add_argument("--simulate", dest="do_simulate", action="store_true",
                    help="Run the synthetic cost model and store records.")
     p.add_argument("--emit-src", metavar="DIR",
@@ -87,18 +89,26 @@ def bench(argv: list[str]) -> None:
         from . import perfdb, synth_runner
 
         path = _db_path(opts.db_path)
-        if not opts.system_name:
+        names = [n.strip() for n in (opts.system_name or "").split(",") if n.strip()]
+        if not names:
             raise ConfigError("--delta needs --system to check existing results"
                               if opts.delta else "--simulate needs --system")
         # Resolved before the open, so a bad --system leaves no database behind.
-        system = synth_runner.load_system_profile(opts.system_name)
+        systems = [synth_runner.load_system_profile(name) for name in names]
+        missing = set()  # with --delta, the specs some system lacks
         with perfdb.PerfDb(path, mode="rw" if opts.do_simulate else "r") as db:
-            if opts.delta:  # through the index, decodes only the layers it checks
-                specs = benchgen.delta_specs(specs, db, system.system_id)
-                print(f"delta: {len(specs)} spec(s) not yet in the database")
-            if opts.do_simulate:
-                n = synth_runner.run_specs(specs, system, db, jitter_seed=opts.jitter_seed)
-                print(f"simulated {n} record(s) into {path}")
+            for system in systems:
+                todo = specs
+                prefix = f"{system.system_id}: " if len(systems) > 1 else ""
+                if opts.delta:  # through the index, decodes only the layers it checks
+                    todo = benchgen.delta_specs(specs, db, system.system_id)
+                    missing.update(todo)
+                    print(f"{prefix}delta: {len(todo)} spec(s) not yet in the database")
+                if opts.do_simulate:
+                    n = synth_runner.run_specs(todo, system, db, jitter_seed=opts.jitter_seed)
+                    print(f"{prefix}simulated {n} record(s) into {path}")
+        if opts.delta:
+            specs = [spec for spec in specs if spec in missing]
 
     if opts.emit_src:
         try:

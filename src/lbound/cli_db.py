@@ -7,7 +7,12 @@ from .errors import StorageError, read_text
 
 
 def db_import(argv: list[str]) -> None:
-    """Import external result files (same line format, e.g. real hardware)."""
+    """Import external result files (same line format, e.g. real hardware).
+
+    Every line of every file is checked before the database is opened, and
+    the records are then appended in one write, so a bad line leaves the
+    database as it was.
+    """
     p = _parser("db import", db_import.__doc__)
     p.add_argument("database", metavar="DATABASE", help="Database to import into.")
     p.add_argument("files", metavar="FILES", nargs="+", type=_existing,
@@ -16,11 +21,12 @@ def db_import(argv: list[str]) -> None:
 
     from . import perfdb, perfdb_writer
 
+    records = []
+    for path in opts.files:
+        records += perfdb_writer.import_records(read_text(path, StorageError))
     with perfdb.PerfDb(opts.database, mode="rw") as handle:
-        total = 0
-        for path in opts.files:
-            total += perfdb_writer.import_lines(handle, read_text(path, StorageError))
-    print(f"imported {total} record(s) into {opts.database}")
+        handle.insert(*records)
+    print(f"imported {len(records)} record(s) into {opts.database}")
 
 
 def db_compact(argv: list[str]) -> None:

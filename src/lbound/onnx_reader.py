@@ -193,8 +193,16 @@ def _parse_value_info(buf: bytes, span: tuple[int, int]):
     return name, tuple(dims) if dims is not None else None
 
 
+# The wire type of each single-value AttributeProto field: name, f, i, s and t.
+_ATTR_WIRE = {1: _WIRE_LEN, 2: _WIRE_32BIT, 3: _WIRE_VARINT, 4: _WIRE_LEN, 5: _WIRE_LEN}
+
+
 def _parse_attribute(buf: bytes, span: tuple[int, int]):
-    """AttributeProto -> (name, python value)."""
+    """AttributeProto -> (name, python value).
+
+    A name or single value sent with another wire type raises at its value's
+    offset (at the attribute's for a varint), as a repeated field's does.
+    """
     name = ""
     f_val = None
     i_val = None
@@ -203,15 +211,18 @@ def _parse_attribute(buf: bytes, span: tuple[int, int]):
     floats: list[float] = []
     ints: list[int] = []
     for field_no, wire, value in _fields(buf, *span):
-        if field_no == 1 and wire == _WIRE_LEN:
+        if _ATTR_WIRE.get(field_no, wire) != wire:
+            raise ModelParseError(f"attribute field {field_no} has wire type {wire}",
+                                  offset=span[0] if wire == _WIRE_VARINT else value[0])
+        if field_no == 1:
             name = _span_str(buf, value)
-        elif field_no == 2 and wire == _WIRE_32BIT:
+        elif field_no == 2:
             f_val = struct.unpack_from("<f", buf, value[0])[0]
-        elif field_no == 3 and wire == _WIRE_VARINT:
+        elif field_no == 3:
             i_val = _signed(value)
-        elif field_no == 4 and wire == _WIRE_LEN:
+        elif field_no == 4:
             s_val = _span_str(buf, value)
-        elif field_no == 5 and wire == _WIRE_LEN:
+        elif field_no == 5:
             t_val = _parse_tensor(buf, value)[1]
         elif field_no == 7:  # floats
             floats.extend(_floats(buf, wire, value, span[0]))

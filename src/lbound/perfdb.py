@@ -13,24 +13,29 @@ within a layer in insertion order. ``compact`` drops superseded records
 only: it copies each live line as it is on disk, so the live records,
 their order and therefore the index are the same after a reopen.
 
-Appending is the only write path; re-inserting a key replaces the live
-record while the superseded one stays on disk until ``compact`` rewrites
-the file. The handle keeps only their number, ``superseded``: the index's
-count plus each line past it that replaces a key. ``db stats`` and
-``compact`` report it. Readers take a snapshot at open and keep the file
-open while index entries are left to read; a writer holds an advisory file
-lock for the lifetime of the handle and loads the file under it.
-``compact`` locks the new file before it renames it over the old one, and
-a writer refuses a lock it got on a file that a compact has since
-replaced, so no two writers ever hold the file at one path.
+Appending is the only write path, and a call appends its records in one
+write: ``insert(*records)`` encodes their lines into one buffer, writes and
+flushes it once, and then enters the records in order. Re-inserting a key
+replaces the live record while the superseded one stays on disk until
+``compact`` rewrites the file. The handle keeps only their number,
+``superseded``: the index's count plus each line past it that replaces a
+key. ``db stats`` and ``compact`` report it. Readers take a snapshot at
+open and keep the file open while index entries are left to read; a
+writer holds an advisory file lock for the lifetime of the handle and
+loads the file under it. ``compact`` locks the new file before it renames
+it over the old one, and a writer refuses a lock it got on a file that a
+compact has since replaced, so no two writers ever hold the file at one
+path.
 
-A crash in the middle of an append leaves a torn tail: a last line with no
-trailing newline that does not parse. A read-only open skips it; a writer
-truncates it so the next append starts on a fresh line. Any other bad line
-raises ``StorageError``, and so does a record with a non-string system,
-hash64 or signature, a bool or non-finite latency, or an unknown algorithm,
-dtype, layout or fusion pattern. After a failed append the handle refuses
-to write, since the file may end in part of a line.
+A crash in the middle of an append leaves the lines written so far, and
+perhaps a torn tail: a last line with no trailing newline that does not
+parse. A read-only open skips it; a writer truncates it so the next
+append starts on a fresh line. Any other bad line raises ``StorageError``,
+and so does a record with a non-string system, hash64 or signature, a bool
+or non-finite latency, or an unknown algorithm, dtype, layout or fusion
+pattern. After a failed append the handle refuses to write, since the file
+may end in part of a line, and so it does when an appended record could
+not be entered.
 
 Record fields, in on-disk order: v, system, dtype, hash64, signature,
 algorithm, layout, fused, status, latency_us, source, timestamp, metadata.
@@ -89,7 +94,9 @@ they decode no line the index lists. ``records()`` decodes them all.
 signature, algorithm, layout and fusion pattern, and requires the record's
 key to be that spec's key, so a record that no spec could produce is
 refused. An open does not, since it would add to every read, and such a
-record can never match a query.
+record can never match a query. ``db import`` checks every line of every
+file before it opens the database and then appends them all in one call,
+so a bad line appends nothing.
 """
 from __future__ import annotations
 
@@ -177,8 +184,13 @@ def key_for_spec(system: str, spec: BenchmarkSpec) -> RecordKey:
     )
 
 
+# One encoder for every line: ``json.dumps`` with non-default separators
+# builds a new encoder on each call.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _record_to_json(rec: PerfRecord) -> str:
-    return json.dumps({
+    return _ENCODE({
         "v": 1,
         "system": rec.key.system,
         "dtype": rec.key.dtype,
@@ -192,7 +204,7 @@ def _record_to_json(rec: PerfRecord) -> str:
         "source": rec.source,
         "timestamp": rec.timestamp,
         "metadata": rec.metadata,
-    }, separators=(",", ":"))
+    })
 
 
 def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
@@ -464,19 +476,34 @@ class PerfDb:
         if self._sha is None:
             raise StorageError(f"cannot write database {self.path}: an append failed")
 
-    def insert(self, record: PerfRecord) -> None:
+    def insert(self, *records: PerfRecord) -> None:
+        """Append the records' lines in one write, then enter them in order."""
         self._writable()
-        line = _record_to_json(record).encode() + b"\n"
+        lines = bytearray()  # the one copy of the batch
+        sizes = []
+        for rec in records:
+            line = _record_to_json(rec).encode()
+            lines += line
+            lines += b"\n"
+            sizes.append(len(line) + 1)
         try:
-            self._fh.write(line)
+            self._fh.write(lines)
             self._fh.flush()
         except OSError as exc:
             self._sha = None  # the file may now end in part of a line
             raise StorageError(f"cannot append to database {self.path}: {exc}") from exc
-        self._lines += 1
-        self._put(record, (self._end, len(line), self._lines))
-        self._end += len(line)
-        self._sha.update(line)
+        self._sha.update(lines)
+        at, lineno = self._end, self._lines
+        self._end += len(lines)
+        self._lines += len(records)
+        try:
+            for rec, size in zip(records, sizes):
+                lineno += 1
+                self._put(rec, (at, size, lineno))
+                at += size
+        except StorageError:
+            self._sha = None  # the file holds lines the handle did not enter
+            raise
 
     def _put(self, record: PerfRecord, at: tuple[int, int, int]) -> None:
         """Enter a decoded record, whose line is at ``at`` (offset, length, line number)."""

@@ -15,7 +15,8 @@ import os
 
 from .errors import ConfigError, ModelParseError, StorageError
 from .model_ir import ConvAlgorithm
-from .perfdb import _CHUNK, _INDEX_VERSION, PerfDb, _record_from_json, key_for_spec
+from .perfdb import (_CHUNK, _INDEX_VERSION, PerfDb, PerfRecord, _record_from_json,
+                     key_for_spec)
 
 
 def lock(path: str, name: str):
@@ -78,13 +79,16 @@ def write_index(db: PerfDb) -> None:
             pass
 
 
-def import_lines(db: PerfDb, text: str) -> int:
-    """Insert records from an external result file, each checked against its spec."""
+def import_records(text: str) -> list[PerfRecord]:
+    """The records of an external result file, each checked against its spec.
+
+    The first bad line raises ``StorageError``, before anything is written.
+    """
     from .benchgen import BenchmarkSpec  # only an import rebuilds specs
     from .dedup import parse_signature
 
     parse = functools.cache(parse_signature)  # one parse per distinct signature
-    n = 0
+    records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -99,9 +103,8 @@ def import_lines(db: PerfDb, text: str) -> int:
         if key_for_spec(key.system, spec) != key or rec.hash64 != sig.hash64:
             raise StorageError(f"bad database record at line {lineno}: dtype and hash64 "
                                f"must be {sig.dtype!r} and {sig.hash64!r}")
-        db.insert(rec)
-        n += 1
-    return n
+        records.append(rec)
+    return records
 
 
 def compact(db: PerfDb) -> int:

@@ -93,8 +93,18 @@ def _ideal_factor(layer: Layer, factors: dict[ConvAlgorithm, float]) -> float:
     return min(usable) if usable else 1.0
 
 
-def simulate(spec: BenchmarkSpec, sys: SystemProfile, jitter_seed: int | None = None) -> PerfRecord:
-    """Produce one benchmark record; same inputs, identical output."""
+def touched_elements(layer: Layer) -> int:
+    """Input, output and weight elements of a layer, which its roofline reads."""
+    return (sum(math.prod(d) for d in layer.in_dims) + math.prod(layer.out_dims)
+            + weight_elems(layer.params))
+
+
+def simulate(spec: BenchmarkSpec, sys: SystemProfile, elements: int,
+             jitter_seed: int | None = None) -> PerfRecord:
+    """Produce one benchmark record; same inputs, identical output.
+
+    ``elements`` is ``touched_elements`` of the spec's layer.
+    """
     layer = spec.signature.layer
 
     if spec.algorithm is not None:
@@ -112,8 +122,7 @@ def simulate(spec: BenchmarkSpec, sys: SystemProfile, jitter_seed: int | None = 
     else:
         peak = sys.fp32_tflops
     compute_us = 2.0 * layer.macs / (peak * 1e6)
-    touched = (sum(math.prod(d) for d in layer.in_dims) + math.prod(layer.out_dims)
-               + weight_elems(layer.params)) * DTYPE_BYTES[spec.dtype]
+    touched = elements * DTYPE_BYTES[spec.dtype]
     memory_us = touched / (sys.mem_bw_gbps * 1e3)
     latency = max(compute_us, memory_us) * f + sys.kernel_overhead_us
 
@@ -140,10 +149,19 @@ def _jitter(seed: int, system_id: str, spec: BenchmarkSpec) -> float:
 
 def run_specs(specs: list[BenchmarkSpec], sys: SystemProfile, db,
               jitter_seed: int | None = None) -> int:
-    """Simulate every spec and insert the records; returns the count."""
+    """Simulate every spec, then append all the records in one ``insert``
+    call; returns the count. A layer's touched elements are counted once,
+    for all of its specs."""
+    elements: dict[Layer, int] = {}  # by layer identity; dtypes share a layer
+    records = []
     for spec in specs:
-        db.insert(simulate(spec, sys, jitter_seed=jitter_seed))
-    return len(specs)
+        layer = spec.signature.layer
+        n = elements.get(layer)
+        if n is None:
+            n = elements[layer] = touched_elements(layer)
+        records.append(simulate(spec, sys, n, jitter_seed))
+    db.insert(*records)
+    return len(records)
 
 
 # ---------------------------------------------------------------------------

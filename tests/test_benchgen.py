@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modelzoo as mz
+import writer_ref
 from lbound import benchgen, dedup
+from lbound.errors import ModelParseError
 from lbound.model_ir import ACTIVATION_OPS, is_weight_key
 from records import fields
 
@@ -50,6 +52,12 @@ FAMILY_DIGESTS = {
 }
 
 
+def _family_specs(graphs) -> list[benchgen.BenchmarkSpec]:
+    sites = [s for g in graphs for s in benchgen.fusion_candidates(g)]
+    return benchgen.generate_specs(dedup.unique_layers(graphs).signatures,
+                                   benchgen.BenchConfig(layouts=("NCHW", "NHWC")), sites)
+
+
 def _family_digests(batch: int) -> dict[str, str]:
     def sha(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -60,9 +68,7 @@ def _family_digests(batch: int) -> dict[str, str]:
         got[f"sites-{dtype}"] = sha(json.dumps([
             (g.name, s.pattern_id, s.head_signature.canonical_string, s.member_ids)
             for g in graphs for s in benchgen.fusion_candidates(g, dtype)]))
-    sites = [s for g in graphs for s in benchgen.fusion_candidates(g)]
-    specs = benchgen.generate_specs(dedup.unique_layers(graphs).signatures,
-                                    benchgen.BenchConfig(layouts=("NCHW", "NHWC")), sites)
+    specs = _family_specs(graphs)
     got["manifest"] = sha(benchgen.manifest_lines(specs))
     got["sources"] = sha("".join(benchgen.emit_benchmark_source(s) for s in specs))
     return got
@@ -71,6 +77,66 @@ def _family_digests(batch: int) -> dict[str, str]:
 @pytest.mark.parametrize("batch", [1, 2])
 def test_family_sites_manifest_and_sources_hold_their_digests(batch):
     assert _family_digests(batch) == FAMILY_DIGESTS[batch]
+
+
+def _family_manifest(batch: int) -> str:
+    text = benchgen.manifest_lines(_family_specs(
+        [mz.load(text, batch) for _name, text in mz.thirty_model_family()]))
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[batch]["manifest"]
+    return text
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_parse_manifest_infers_each_layer_once_and_equals_a_parse_of_each_line(
+        batch, monkeypatch):
+    text = _family_manifest(batch)
+    parses = []
+    monkeypatch.setattr(benchgen, "parse_signature",
+                        lambda s: parses.append(s) or dedup.parse_signature(s))
+    got = benchgen.parse_manifest(text)
+    assert fields(got) == fields(writer_ref.parse_manifest(text))
+    assert benchgen.manifest_lines(got) == text
+    # One parse per layer; a layer's other dtype shares the parsed layer.
+    layers = {s.signature.layer for s in got}
+    assert len(parses) == len(layers) < len({s.signature for s in got})
+    assert {sig.split("|", 2)[1] for sig in parses} == {"f32"}
+
+
+def _manifest_case(bad: str) -> str:
+    """A Conv layer's specs at f32 and f16, then ``bad`` on line 5, then a Relu spec."""
+    graph = mz.load("graph t\ninput data 1x8x4x4\n" + _HEAD + "node r Relu inputs=c\n")
+    config = benchgen.BenchConfig(algorithms=(benchgen.ConvAlgorithm.IGEMM,
+                                              benchgen.ConvAlgorithm.FFT))
+    specs = benchgen.generate_specs(dedup.unique_layers([graph]).signatures, config)
+    lines = benchgen.manifest_lines(specs).splitlines()
+    conv = [ln for ln in lines if ln.startswith('{"signature":"Conv|')]
+    relu = [ln for ln in lines if ln.startswith('{"signature":"Relu|')]
+    assert len(conv) == 4
+    rec = json.loads(conv[2])  # an f16 spec of the Conv
+    assert rec["dtype"] == "f16"
+    if bad == "dtype":  # the layer again, at a dtype the package has not got
+        rec["signature"] = rec["signature"].replace("|f16|", "|f64|")
+        rec["dtype"] = "f64"
+    elif bad == "non-canonical":  # the layer again, its params out of key order
+        op, dtype, dims, params = rec["signature"].split("|")
+        rec["signature"] = "|".join([op, dtype, dims, ",".join(params.split(",")[::-1])])
+    else:
+        rec["api"] = "cudnnOpTensor"
+    return "\n".join(conv + [json.dumps(rec, separators=(",", ":"))] + relu) + "\n"
+
+
+@pytest.mark.parametrize("bad", ["dtype", "non-canonical", "api"])
+def test_a_bad_repeat_of_a_parsed_layer_raises_at_its_own_line(bad):
+    text = _manifest_case(bad)
+    errors = []
+    for parse in (benchgen.parse_manifest, writer_ref.parse_manifest):
+        with pytest.raises(ModelParseError) as exc:
+            parse(text)
+        errors.append((str(exc.value), exc.value.offset))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 5
+    assert {"dtype": "unknown dtype 'f64'", "non-canonical": "is not canonical",
+            "api": "api 'cudnnOpTensor' disagrees"}[bad] in errors[0][0]
 
 
 _HEAD = "node c Conv inputs=data attrs=kernel=3x3;pads=1x1x1x1;w1=8x8x3x3\n"

@@ -808,6 +808,27 @@ def test_advise_by_cost_without_a_cost_for_each_system_exits_2(r18, costs):
     assert "no cost given for system 'Tesla_K80'" in res.output
 
 
+def test_db_import_appends_nothing_unless_every_line_of_every_file_is_good(r18, tmp_path):
+    """A bad line 6 leaves lines 1-5, and every earlier file, unwritten too."""
+    model, r18_db = r18
+    db = tmp_path / "perf.db"
+    for suffix in ("", ".idx"):
+        tmp_path.joinpath("perf.db" + suffix).write_bytes(
+            r18_db.with_name(r18_db.name + suffix).read_bytes())
+    other = tmp_path / "t4.db"
+    res = invoke(["bench", str(model), "--db", str(other), "--system", "Tesla_T4", "--simulate"])
+    assert res.exit_code == 0, res.output
+    lines = other.read_text("utf-8").splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:5] + ["{not a record"] + lines[5:]) + "\n", "utf-8")
+    before = db.read_bytes(), (tmp_path / "perf.db.idx").read_bytes()
+    for files in ([bad], [other, bad]):
+        res = invoke(["db", "import", str(db), *map(str, files)])
+        _no_traceback(res, 4)
+        assert "bad database record at line 6" in res.output
+        assert (db.read_bytes(), (tmp_path / "perf.db.idx").read_bytes()) == before
+
+
 def test_db_import_adds_a_system_and_a_second_import_supersedes_it(r18, tmp_path):
     """Another database's lines, for a system the database lacks, import and
     are read by analyze; importing a re-run supersedes them, and compact

@@ -331,6 +331,40 @@ class TestWireErrors:
             load_model(data)
         assert exc.value.offset == data.index(attr)
 
+    @pytest.mark.parametrize("field, bad", [
+        (3, wire.fs(3, b"\x02")),  # i, length-delimited
+        (3, wire.fixed(3, struct.pack("<i", 2))),  # i, 32-bit
+        (2, wire.fv(2, 2)),  # f, varint
+        (2, wire.fs(2, struct.pack("<f", 2.0))),  # f, length-delimited
+        (4, wire.fv(4, 2)),  # s, varint
+        (5, wire.fv(5, 2)),  # t, varint
+        (1, wire.fv(1, 2)),  # a second name, varint
+    ])
+    def test_a_single_value_of_the_wrong_wire_type_reports_its_offset(self, field, bad):
+        """Read as absent, the value would leave the layer its default, say group=1."""
+        attr = wire.fs(1, "group") + bad
+        g = wire.graph([wire.node("Custom", ["data"], ["out"], name="c",
+                                  attrs=wire.attrs(attr))],
+                       [wire.value_info("data", (1, 3))], [wire.value_info("out", (1, 3))])
+        data = wire.model(g)
+        with pytest.raises(ModelParseError, match=f"attribute field {field} has wire type") \
+                as exc:
+            load_model(data)
+        at, wire_type = data.index(attr), bad[0] & 7
+        value = at + len(attr) - len(bad) + 1 + (wire_type == 2)  # past the tag and a length
+        assert exc.value.offset == (at if wire_type == 0 else value)
+
+    def test_a_conv_group_sent_length_delimited_exits_2(self, tmp_path):
+        conv = wire.node("Conv", ["data", "W"], ["out"], name="c", attrs=wire.attrs(
+            wire.attr_ints("kernel_shape", (1, 1)), wire.fs(1, "group") + wire.fs(3, b"\x02")))
+        g = wire.graph([conv], [wire.value_info("data", (1, 4, 3, 3))],
+                       [wire.value_info("out", (1, 4, 3, 3))], [wire.tensor("W", (4, 2, 1, 1))])
+        path = tmp_path / "group.onnx"
+        path.write_bytes(wire.model(g))
+        res = invoke(["process", str(path)])
+        assert res.exit_code == 2, res.output
+        assert "attribute field 3 has wire type 2" in res.output
+
     def test_a_fixed_width_dims_field_exits_2(self, tmp_path):
         w = wire.fixed(1, struct.pack("<i", 3)) + wire.fv(2, 1) + wire.fs(8, "W")
         g = wire.graph([wire.node("Add", ["data", "W"], ["out"], name="a")],

@@ -90,13 +90,15 @@ ALL_LAYERS = [(s, d, g) for s in SYSTEMS for d in DTYPES for g in SIGNATURES]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(records(), max_size=60))
-def test_index_matches_linear_scan(recs):
+@given(st.lists(records(), max_size=60), st.integers(0, 60))
+def test_index_matches_linear_scan(recs, one_by_one):
+    """The first ``one_by_one`` records are inserted each on its own, the rest in one call."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "perf.db")
         with PerfDb(path, mode="rw") as db:
-            for rec in recs:
+            for rec in recs[:one_by_one]:
                 db.insert(rec)
+            db.insert(*recs[one_by_one:])
             live = len({r.key for r in recs})
             assert len(db) == live
             assert db.superseded == len(recs) - live
@@ -864,6 +866,16 @@ def test_a_listed_line_out_of_its_place_fails_every_read_of_its_layer(db_file):
             with pytest.raises(StorageError, match="line 2 is not in its place"):
                 db.query("sysA", "f32", "Relu|f32|in=1x0|")
         assert db.best("sysA", "f32", "Relu|f32|in=1x2|").latency_us == 3.0
+    # A writer appends a batch that supersedes a record of that layer, and
+    # cannot enter it: the handle stops, and its close keeps the old index.
+    forged = index.read_bytes()
+    with PerfDb(db_file, mode="rw") as db:
+        with pytest.raises(StorageError, match="line 2 is not in its place"):
+            db.insert(_record(5), _changed(_record(0), latency_us=9.0), _record(6))
+        with pytest.raises(StorageError, match="an append failed"):
+            db.insert(_record(7))
+    assert index.read_bytes() == forged
+    assert len(db_file.read_bytes().splitlines()) == 8
 
 
 def test_a_failed_index_write_changes_no_result(tmp_path):
@@ -986,20 +998,37 @@ _KILLED_WRITER = """
 import os, signal, sys
 from lbound.perfdb import PerfDb, PerfRecord, RecordKey
 
-path, torn = sys.argv[1], sys.argv[2] == "torn"
+path, tail = sys.argv[1], sys.argv[2]
 db = PerfDb(path, mode="rw")
-for i in range(7):
-    key = RecordKey("sys" + "AB"[i % 2], "f32", f"Relu|f32|in=1x{i % 3}|", None, "NCHW", None)
-    db.insert(PerfRecord(key, 10.0 + i))
-if torn:  # part of the next line reaches the file
+records = [PerfRecord(RecordKey("sys" + "AB"[i % 2], "f32", f"Relu|f32|in=1x{i % 3}|", None,
+                                "NCHW", None), 10.0 + i) for i in range(7)]
+if tail.startswith("batch"):  # one append of all seven, killed when part of it is written
+    fh = db._fh
+
+    class Killed:
+        def write(self, data):
+            ends = [i + 1 for i, byte in enumerate(data) if byte == 10]
+            cut = ends[2] + (ends[3] - ends[2]) // 2 * (tail == "batch-torn")
+            fh.write(data[:cut])
+            fh.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    db._fh = Killed()
+    db.insert(*records)
+for rec in records:
+    db.insert(rec)
+if tail == "torn":  # part of the next line reaches the file
     with open(path, "ab") as fh:
         fh.write(b'{"v":1,"system":"sysA","dtype":"f32","hash64":"00","sig')
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
 
-@pytest.mark.parametrize("tail", ["whole", "torn"])
+@pytest.mark.parametrize("tail", ["whole", "torn", "batch-whole", "batch-torn"])
 def test_a_killed_writer_leaves_a_file_that_opens_as_it_would_without_an_index(tmp_path, tail):
+    """The writer dies after its appends, with or without part of a line
+    after them, or in the middle of one append of seven records, after
+    three whole lines, or three and a half."""
     path, bare = tmp_path / "perf.db", tmp_path / "bare.db"
     with PerfDb(path, mode="rw") as db:
         for i in range(4):
@@ -1023,4 +1052,7 @@ def test_a_killed_writer_leaves_a_file_that_opens_as_it_would_without_an_index(t
         (tmp_path / "bare.db.idx").unlink(missing_ok=True)
     # The rw open cut the torn tail and covered the rest in the index it wrote.
     assert (tmp_path / "perf.db.idx").read_bytes() == _index_for(path.read_bytes(), tmp_path)
-    assert (len(db), db.superseded) == (8, 7)  # each of the killed writer's keys was there
+    # Each of the killed writer's keys was there; a batch wrote three whole lines.
+    assert (len(db), db.superseded) == (8, 3 if tail.startswith("batch") else 7)
+    data = path.read_bytes()
+    assert data.count(b"\n") == len(db) + db.superseded and data.endswith(b"\n")

@@ -76,8 +76,11 @@ def files(tmp_path_factory):
     assert res.exit_code == 0, res.output
     copy = root / "compact.db"  # compacted by its case, so the others read ``db`` as built
     copy.write_bytes(db.read_bytes())
+    manifest = root / "simulated.jsonl"
+    res = invoke(["bench", str(model), "--dtypes", "f32", "--manifest", str(manifest)])
+    assert res.exit_code == 0, res.output
     return {"model": str(model), "db": str(db), "copy": str(copy), "prof": str(prof),
-            "root": root}
+            "manifest": str(manifest), "sim": str(root / "sim.db"), "root": root}
 
 
 def _env() -> dict:
@@ -101,6 +104,10 @@ _CASES = {
     "process": (["process", "{model}"], BASE | {"cli_process", "dedup"}, ["hashlib"]),
     "bench-manifest": (["bench", "{model}", "--manifest", "specs.jsonl"],
                        BASE | {"cli_bench", "dedup", "benchgen"}, ["hashlib"]),
+    "bench-simulate": (["bench", "--from-manifest", "{manifest}", "--simulate", "--system",
+                        "Tesla_V100", "--db", "{sim}"],
+                       BASE | {"cli_bench", "dedup", "benchgen", "perfdb", "perfdb_writer",
+                               "synth_runner"}, ["hashlib"]),
     "profile-convert": (["profile", "convert", "--latency-ms", "2", "--model", "m",
                          "--system", "Tesla_V100", "-o", "out.prof"],
                         BASE | {"cli_profile", "profile_ingest"}, ["logging"]),

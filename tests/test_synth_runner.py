@@ -9,7 +9,9 @@ from lbound import benchgen, dedup, synth_runner
 
 
 def _simulated(specs, profile, seed):
-    records = [synth_runner.simulate(spec, profile, jitter_seed=seed) for spec in specs]
+    records = [synth_runner.simulate(spec, profile,
+                                     synth_runner.touched_elements(spec.signature.layer),
+                                     jitter_seed=seed) for spec in specs]
     return sorted((r.key.render(), r.status, r.latency_us, r.metadata) for r in records)
 
 
