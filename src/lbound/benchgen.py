@@ -70,10 +70,9 @@ class BenchConfig(Frozen):
         for lay in layouts:
             if lay not in LAYOUTS:
                 raise ConfigError(f"unknown layout {lay!r}")
-        # A repeated entry would yield every spec of it twice; the first stays.
-        self._set("dtypes", tuple(dict.fromkeys(dtypes)))
-        self._set("layouts", tuple(dict.fromkeys(layouts)))
-        self._set("algorithms", tuple(dict.fromkeys(algorithms)))
+        self._set("dtypes", dtypes)
+        self._set("layouts", layouts)
+        self._set("algorithms", algorithms)
 
 
 class FusionSite(Frozen):

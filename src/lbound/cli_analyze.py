@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .cli_common import _DEFAULT, _db_path, _existing, _load_inferred, _parser
+from . import model_ir
+from .cli_common import _DEFAULT, _comma_list, _db_path, _existing, _parser
 from .errors import ConfigError, MissError, ProfileFormatError, read_text, write_text
 from .model_ir import DTYPES, LAYOUTS
 
@@ -42,7 +43,7 @@ def analyze(argv: list[str]) -> None:
 
     from . import analyzer, perfdb, synth_runner
 
-    graph = _load_inferred(opts.model, opts.batch)
+    graph = model_ir.infer_shapes(model_ir.load_model_file(opts.model), opts.batch)
     sysid = synth_runner.load_system_profile(opts.system_name).system_id
     prof = None
     if opts.profile_path:
@@ -102,10 +103,10 @@ def advise(argv: list[str]) -> None:
 
     from . import analyzer, perfdb
 
-    system_list = list(dict.fromkeys(s.strip() for s in opts.systems.split(",") if s.strip()))
+    system_list = _comma_list(opts.systems)
     if not system_list:
         raise ConfigError(f"--systems {opts.systems!r} names no system")
-    graph = _load_inferred(opts.model, opts.batch)
+    graph = model_ir.infer_shapes(model_ir.load_model_file(opts.model), opts.batch)
     cost_map = None
     if opts.costs:
         cost_map = {}

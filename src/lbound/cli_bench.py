@@ -6,7 +6,8 @@ import argparse
 import os
 from typing import TYPE_CHECKING
 
-from .cli_common import _DEFAULT, _db_path, _existing, _load_inferred, _parser
+from . import model_ir
+from .cli_common import _DEFAULT, _comma_list, _db_path, _existing, _parser
 from .errors import ConfigError, ModelParseError, read_text, write_text
 
 if TYPE_CHECKING:
@@ -53,15 +54,10 @@ def bench(argv: list[str]) -> None:
     algos = tuple(benchgen.ConvAlgorithm)
     if opts.algorithms:
         try:
-            algos = tuple(benchgen.ConvAlgorithm[a.strip()]
-                          for a in opts.algorithms.split(",") if a.strip())
+            algos = tuple(benchgen.ConvAlgorithm[a] for a in _comma_list(opts.algorithms))
         except KeyError as exc:
             raise ConfigError(f"unknown algorithm {exc}") from exc
-    config = benchgen.BenchConfig(
-        dtypes=tuple(d.strip() for d in opts.dtypes.split(",") if d.strip()),
-        layouts=tuple(l.strip() for l in opts.layouts.split(",") if l.strip()),
-        algorithms=algos,
-    )
+    config = benchgen.BenchConfig(_comma_list(opts.dtypes), _comma_list(opts.layouts), algos)
 
     if opts.from_manifest:
         specs = benchgen.parse_manifest(read_text(opts.from_manifest, ModelParseError))
@@ -73,7 +69,7 @@ def bench(argv: list[str]) -> None:
         uniques: set[dedup.LayerSignature] = set()
         sites: list[benchgen.FusionSite] = []
         for path in opts.models:
-            graph = _load_inferred(path, opts.batch)
+            graph = model_ir.infer_shapes(model_ir.load_model_file(path), opts.batch)
             uniques |= dedup.unique_layers([graph], config.dtypes[0]).signatures
             if opts.fusion:
                 sites.extend(benchgen.fusion_candidates(graph, config.dtypes[0]))
@@ -89,7 +85,7 @@ def bench(argv: list[str]) -> None:
         from . import perfdb, synth_runner
 
         path = _db_path(opts.db_path)
-        names = [n.strip() for n in (opts.system_name or "").split(",") if n.strip()]
+        names = _comma_list(opts.system_name or "")
         if not names:
             raise ConfigError("--delta needs --system to check existing results"
                               if opts.delta else "--simulate needs --system")

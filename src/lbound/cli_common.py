@@ -1,4 +1,4 @@
-"""What the command modules share: parsers, model loading, the database path.
+"""What the command modules share: parsers, comma lists, the database path.
 
 The process entry runs ``cli`` as its main module, so a command module
 imports these from here, never from ``cli``: importing ``lbound.cli`` would
@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 
-from . import model_ir
 from .errors import ConfigError
 
 _DEFAULT = "(default: %(default)s)"
@@ -59,9 +58,10 @@ def _group(command: str, doc: str, subcommands: dict, argv: list[str]) -> None:
         subcommands[name](argv[1:])
 
 
-def _load_inferred(path: str, batch: int):
-    graph = model_ir.load_model_file(path)
-    return model_ir.infer_shapes(graph, batch)
+def _comma_list(value: str) -> tuple[str, ...]:
+    """The entries of a comma-separated option: stripped, without empty
+    entries, and each once, where it first appears."""
+    return tuple(dict.fromkeys(filter(None, map(str.strip, value.split(",")))))
 
 
 def _db_path(value: str | None) -> str:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import sys
 
-from .cli_common import _DEFAULT, _existing, _load_inferred, _parser
+from . import model_ir
+from .cli_common import _DEFAULT, _existing, _parser
 from .model_ir import DTYPES
 
 
@@ -22,7 +23,8 @@ def process(argv: list[str]) -> None:
 
     from . import dedup
 
-    graphs = [_load_inferred(path, opts.batch) for path in opts.models]
+    graphs = [model_ir.infer_shapes(model_ir.load_model_file(path), opts.batch)
+              for path in opts.models]
     report = dedup.unique_layers(graphs, opts.dtype)
     if opts.fmt == "jsonl":
         sys.stdout.write(dedup.stats_jsonl(report))

@@ -8,10 +8,11 @@ the layer index lists are decoded on their layer's first read, and every
 other line at open. ``query`` and ``best`` read only the records of one
 layer, and ``record_for``, ``has_spec``, ``records()`` and ``compact``
 read through the same index. ``records()`` and ``compact`` therefore group
-records by layer, layers in the order they first appeared and records
-within a layer in insertion order. ``compact`` drops superseded records
-only: it copies each live line as it is on disk, so the live records,
-their order and therefore the index are the same after a reopen.
+records by system, in name order, then by layer: a system's layers in the
+order they first appeared, and records within a layer in insertion order.
+``compact`` drops superseded records only: it copies each live line as it
+is on disk, so the live records, their order and therefore the index are
+the same after a reopen.
 
 Appending is the only write path, and a call appends its records in one
 write: ``insert(*records)`` encodes their lines into one buffer, writes and
@@ -47,13 +48,13 @@ by ``db import``.
 
 The layer index is a pure function of the first N bytes of the file, N
 being the end of a whole line. Its first line holds the format version, N,
-the line count of those bytes, their sha256, their superseded count and
-their number of layers. Then comes one line per system, in name order: a
-JSON array of the system name, its live count and its layers, each as
-[rank, dtype, signature, [offset, length, line number, ...]]. The rank is
-the layer's place in first-appearance order, and the live lines are listed
-in the layer's order. The last line is the sha256 of all the others, so a
-damaged or cut index is never read as one.
+the line count of those bytes, their sha256 and their superseded count.
+Then comes one line per system, in name order: a JSON array of the system
+name and its layers, in the order they first appeared, each as [dtype,
+signature, [offset, length, line number, ...]], the live lines listed in
+the layer's order. It holds where each live line is and no count or order
+besides. The last line is the sha256 of all the others, so a damaged or
+cut index is never read as one.
 
 Every ``rw`` handle writes the index under its lock, through a temp file
 and ``os.replace``: when it closes, if the file grew since the index on
@@ -67,9 +68,9 @@ larger than the file and the streamed sha256 of the file's first N bytes
 matches, so an older index, or a stale one beside a deleted, rewritten or
 recreated file, is ignored, and the next writer replaces it. A trusted
 index replaces reading those N bytes. The open checks and splits the index
-in one buffer and keeps, per system, its live count and where its line is.
-It reads a system's line from the index file when it first touches that
-system (a read, a line past N, an insert), and keeps that file open until
+in one buffer and keeps, per system, where its line is. It reads a
+system's line from the index file when it first touches that system (a
+read, a line past N, an insert, a count), and keeps that file open until
 every system line is read, so a writer's later index does not change what
 it reads. A layer's listed lines are read by offset and decoded on its
 first touch, so a command reads only the systems and layers it queries.
@@ -77,18 +78,20 @@ Bytes past N go through the per-line scan below, line numbers continuing
 from the index's count; a line there of a listed layer first decodes that
 layer's listed lines. Lines that a writer checked are not checked again,
 but a listed line that does not decode into its layer raises
-``StorageError``, and so does an entry no writer makes: a rank, dtype,
-signature or line positions of the wrong type, or a line past the file's
-end. It stays unread, so every read of its system or layer fails.
+``StorageError``, and so does an entry no writer makes: a dtype, signature
+or line positions of the wrong type, or a line past the file's end. It
+stays unread, so every read of its system or layer fails.
 
 Every line that no index covers is decoded at open, by the same loop for
 every open, so the open raises ``StorageError`` at the first bad one and
 names its line number, whichever system it holds. The torn-tail rules are
 the same for every open.
 
-``len()``, ``superseded`` and ``live_by_system()``, which ``db stats``
-prints, come from the index's counts and the lines decoded at open, so
-they decode no line the index lists. ``records()`` decodes them all.
+``superseded`` comes from the index's head and the lines decoded at open.
+``len()`` and ``live_by_system()``, which ``db stats`` prints, read every
+system's index line and count the line positions it lists, so they decode
+no line the index lists, and no count can disagree with the positions
+that a read of the layer checks. ``records()`` decodes them all.
 
 ``db import`` also rebuilds each record's benchmark spec from its parsed
 signature, algorithm, layout and fusion pattern, and requires the record's
@@ -118,9 +121,9 @@ if TYPE_CHECKING:  # a reader loads no spec generation
 _LAYOUT_RANK = {layout: rank for rank, layout in enumerate(LAYOUTS)}
 _ALGO_RANK = {algo.name: rank for rank, algo in enumerate(ConvAlgorithm)}
 # How a system line of the layer index starts: the system name as a JSON
-# string, then its live count. Compiled on first use, through re's cache.
-_SYSTEM_LINE = rb'\[("(?:[^"\\]|\\.)*"),(\d+),'
-_INDEX_VERSION = 2
+# string. Compiled on first use, through re's cache.
+_SYSTEM_LINE = rb'\[("(?:[^"\\]|\\.)*"),'
+_INDEX_VERSION = 3
 _CHUNK = 1 << 18  # bytes per read while hashing the file
 
 
@@ -238,7 +241,8 @@ class PerfDb:
     """Open with mode "r" for a read-only snapshot or "rw" to insert.
 
     Every open holds every system; through the layer index it decodes only
-    the layers it reads.
+    the layers it reads, and it counts live records from the line positions
+    the index lists.
     """
 
     def __init__(self, path, mode: str = "r"):
@@ -252,10 +256,8 @@ class PerfDb:
         # (system, dtype, signature) -> {record key: live record}, in the same
         # order, for the layers decoded so far
         self._by_layer: dict[tuple, dict[RecordKey, PerfRecord]] = {}
-        # system -> (live, offset, length) of an index line not read yet
-        self._unread: dict[str, tuple[int, int, int]] = {}
-        self._rank: dict[tuple, int] = {}  # layer -> its place in first-appearance order
-        self._next_rank = 0
+        # system -> (offset, length) of an index line not read yet
+        self._unread: dict[str, tuple[int, int]] = {}
         self.superseded = 0  # replaced records still in the file
         self._fh = None  # a writer's locked append handle
         self._rd = None  # the file, open while index entries are left to read
@@ -337,10 +339,9 @@ class PerfDb:
                 raise ValueError("a damaged index")
             pos = data.index(b"\n", 0, end) + 1
             meta = json.loads(data[:pos])
-            n, lines, layers, superseded = \
-                meta["bytes"], meta["lines"], meta["layers"], meta["superseded"]
+            n, lines, superseded = meta["bytes"], meta["lines"], meta["superseded"]
             if meta["v"] != _INDEX_VERSION \
-                    or {type(n), type(lines), type(layers), type(superseded)} != {int} \
+                    or {type(n), type(lines), type(superseded)} != {int} \
                     or not 0 <= n <= os.fstat(fh.fileno()).st_size:
                 raise ValueError("not this file's index")
             unread = {}
@@ -348,7 +349,7 @@ class PerfDb:
             while pos < end:
                 nl = data.index(b"\n", pos, end) + 1
                 m = system_line.match(data, pos, nl)
-                unread[json.loads(m[1])] = (int(m[2]), pos, nl - pos)
+                unread[json.loads(m[1])] = (pos, nl - pos)
                 pos = nl
             del data  # before the file's own buffer below
             buf = memoryview(bytearray(min(n, _CHUNK)))
@@ -370,7 +371,7 @@ class PerfDb:
             self._ix = ix
         else:
             ix.close()
-        self._unread, self._next_rank, self._indexed = unread, layers, n
+        self._unread, self._indexed = unread, n
         self.superseded = superseded
         return n, lines, sha
 
@@ -378,14 +379,14 @@ class PerfDb:
         """Enter a system's layers from its checked index line; their records stay unread."""
         if self._ix is None:
             raise StorageError(f"database {self.path} is closed")
-        _live, off, size = self._unread[name]
+        off, size = self._unread[name]
         try:
-            entries = json.loads(os.pread(self._ix.fileno(), size, off))[2]
-            for rank, dtype, signature, where in entries:
-                if type(rank) is not int or dtype not in DTYPES or type(signature) is not str \
+            entries = json.loads(os.pread(self._ix.fileno(), size, off))[1]
+            for dtype, signature, where in entries:
+                if dtype not in DTYPES or type(signature) is not str \
                         or type(where) is not list or len(where) % 3:
                     raise TypeError(f"a layer of system {name!r} is listed as "
-                                    f"{[rank, dtype, signature]!r}")
+                                    f"{[dtype, signature]!r}")
         except OSError as exc:
             raise StorageError(f"cannot read database index {self.path}.idx: {exc}") from exc
         except (ValueError, TypeError) as exc:
@@ -394,10 +395,8 @@ class PerfDb:
         if not self._unread:
             self._ix.close()
             self._ix = None
-        for rank, dtype, signature, where in entries:
-            lkey = (name, dtype, signature)
-            self._where[lkey] = where
-            self._rank[lkey] = rank
+        for dtype, signature, where in entries:
+            self._where[name, dtype, signature] = where
 
     def _read_all_systems(self) -> None:
         for name in list(self._unread):
@@ -509,12 +508,10 @@ class PerfDb:
         """Enter a decoded record, whose line is at ``at`` (offset, length, line number)."""
         key = record.key
         lkey = key[:3]
-        layer = self._layer(lkey)  # the lines the index lists of its layer come first
-        if not layer:  # a new layer ranks last
+        layer = self._layer(lkey)  # its system's index line is read first,
+        if not layer:  # so a new layer comes after every layer that the line lists
             layer = self._by_layer[lkey] = {}
             self._where[lkey] = []
-            self._rank[lkey] = self._next_rank
-            self._next_rank += 1
         where = self._where[lkey]
         if key in layer:  # the key keeps its place, at its new line
             self.superseded += 1
@@ -541,15 +538,16 @@ class PerfDb:
         return sum(self.live_by_system().values())
 
     def live_by_system(self) -> Counter:
-        """Live records per system, counted from the index; decodes nothing."""
-        counts = Counter({name: entry[0] for name, entry in self._unread.items()})
+        """Live records per system, counted from every system's line positions; decodes nothing."""
+        self._read_all_systems()
+        counts = Counter()
         for lkey, where in self._where.items():
             counts[lkey[0]] += len(where) // 3
         return counts
 
     def records(self) -> list[PerfRecord]:
         self._read_all_systems()
-        order = sorted(self._where, key=self._rank.__getitem__)
+        order = sorted(self._where, key=lambda lkey: lkey[0])  # stable: a system keeps its order
         return [rec for lkey in order for rec in self._layer(lkey).values()]
 
     def record_for(self, key: RecordKey) -> PerfRecord | None:

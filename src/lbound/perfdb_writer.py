@@ -54,18 +54,16 @@ def write_index(db: PerfDb) -> None:
     describes a prefix of the file.
     """
     layers: dict[str, list] = {}
-    for lkey in sorted(db._where, key=db._rank.__getitem__):
-        layers.setdefault(lkey[0], []).append([db._rank[lkey], lkey[1], lkey[2], db._where[lkey]])
-    systems = {}
-    for name, entries in layers.items():
-        live = sum(len(entry[3]) for entry in entries) // 3
-        systems[name] = json.dumps([name, live, entries], separators=(",", ":")).encode() + b"\n"
+    for (name, dtype, signature), where in db._where.items():
+        layers.setdefault(name, []).append([dtype, signature, where])
+    systems = {name: json.dumps([name, entries], separators=(",", ":")).encode() + b"\n"
+               for name, entries in layers.items()}
     head = json.dumps({"v": _INDEX_VERSION, "bytes": db._end, "lines": db._lines,
-                       "sha256": db._sha.hexdigest(), "superseded": db.superseded,
-                       "layers": db._next_rank}, separators=(",", ":"))
+                       "sha256": db._sha.hexdigest(), "superseded": db.superseded},
+                      separators=(",", ":"))
     path = db.path + ".idx"
     try:
-        for name, (_live, off, size) in db._unread.items():  # read from the old index
+        for name, (off, size) in db._unread.items():  # read from the old index
             systems[name] = os.pread(db._ix.fileno(), size, off)
         data = b"".join([head.encode(), b"\n", *(systems[name] for name in sorted(systems))])
         with open(path + ".tmp", "wb") as out:
@@ -112,7 +110,7 @@ def compact(db: PerfDb) -> int:
     db._writable()
     dropped = db.superseded
     db._read_all_systems()
-    order = sorted(db._where, key=db._rank.__getitem__)
+    order = sorted(db._where, key=lambda lkey: lkey[0])  # as ``records()`` reads them
     runs = []  # (offset, length) of the byte runs to copy, in order
     moved = []  # per layer, [offset, length, line number, ...] in the new file
     pos = n = 0

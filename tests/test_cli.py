@@ -656,6 +656,23 @@ def test_advise_ranks_a_repeated_system_once(r18):
     assert res.stdout.startswith("1. Tesla_V100: ") and res.stdout.count("\n") == 1
 
 
+def test_bench_simulates_a_repeated_system_once(r18, tmp_path):
+    """A system named twice in ``--system`` is one system: its records are
+    appended once, so none supersedes another."""
+    model, _db = r18
+    manifest, db = tmp_path / "specs.jsonl", tmp_path / "perf.db"
+    res = invoke(["bench", str(model), "--dtypes", "f32", "--manifest", str(manifest)])
+    assert res.exit_code == 0, res.output
+    res = invoke(["bench", "--from-manifest", str(manifest), "--simulate", "--system",
+                  "Tesla_V100, Tesla_V100,", "--db", str(db)])
+    assert res.exit_code == 0, res.output
+    generated, simulated = res.stdout.splitlines()
+    n = int(generated.split()[1])
+    assert simulated == f"simulated {n} record(s) into {db}"  # no system prefix, once
+    res = invoke(["db", "stats", str(db)])
+    assert res.stdout == f"{n} live record(s), 0 superseded\n  Tesla_V100: {n}\n", res.output
+
+
 def test_repeated_list_entries_give_the_specs_without_repeats(r18, tmp_path):
     model, _db = r18
     manifests = []

@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -301,14 +302,32 @@ def _older(index: bytes) -> bytes:
     return _edited(index, lambda obj: {**obj, "v": obj["v"] - 1} if "v" in obj else obj)
 
 
-# The ways ``_forged`` malforms a layer entry [rank, dtype, signature, positions]:
+def _v2(index: bytes) -> bytes:
+    """``index`` in the shape of format version 2, re-signed: a layer count in
+    the head, a live count on each system line and a rank on each layer. The
+    first system's count is 999999, which no open may print."""
+    systems = [json.loads(line) for line in index.splitlines()[1:-1]]
+    ranks = itertools.count()
+
+    def edit(obj):
+        if isinstance(obj, dict):  # the head
+            return {**obj, "v": 2, "layers": sum(len(layers) for _name, layers in systems)}
+        name, layers = obj
+        live = sum(len(where) for *_, where in layers) // 3
+        return [name, 999999 if name == systems[0][0] else live,
+                [[next(ranks), *entry] for entry in layers]]
+
+    return _edited(index, edit)
+
+
+# The ways ``_forged`` malforms a layer entry [dtype, signature, positions]:
 # an offset as a string, a length past any file, positions that are not
 # whole triples, and an int dtype.
 FORGERIES = (
-    lambda rank, dtype, sig, where: [rank, dtype, sig, [str(where[0]), *where[1:]]],
-    lambda rank, dtype, sig, where: [rank, dtype, sig, [where[0], 10**20, *where[2:]]],
-    lambda rank, dtype, sig, where: [rank, dtype, sig, where[:2]],
-    lambda rank, dtype, sig, where: [rank, 1, sig, where],
+    lambda dtype, sig, where: [dtype, sig, [str(where[0]), *where[1:]]],
+    lambda dtype, sig, where: [dtype, sig, [where[0], 10**20, *where[2:]]],
+    lambda dtype, sig, where: [dtype, sig, where[:2]],
+    lambda dtype, sig, where: [1, sig, where],
 )
 
 
@@ -320,8 +339,8 @@ def _forged(index: bytes, forgeries=FORGERIES) -> bytes:
     def edit(obj):
         if isinstance(obj, dict):  # the head
             return obj
-        name, live, layers = obj
-        return [name, live, [next(forgeries)(*entry) for entry in layers]]
+        name, layers = obj
+        return [name, [next(forgeries)(*entry) for entry in layers]]
 
     return _edited(index, edit)
 
@@ -332,18 +351,19 @@ def _index_states(data: bytes, covered: int, tmp) -> dict[str, bytes | None]:
     None; a writer's index of the first ``covered`` bytes, whole lines that
     a writer accepts; the index of another file; that index cut short, so
     it does not parse; an index whose length exceeds the file's; the valid
-    index of an older format version; and the valid index forged, so that
+    index of an older format version; the valid index in the older format's
+    shape, with a live count forged; and the valid index forged, so that
     every layer it lists is malformed.
     """
     valid = _index_for(data[:covered], tmp)
     return {"none": None, "valid": valid, "other": _index_for(OTHER_FILE, tmp),
             "truncated": valid[:len(valid) // 2],
             "longer": _index_for(data[:covered] + b"\n" * (len(data) + 1), tmp),
-            "older": _older(valid), "forged": _forged(valid)}
+            "older": _older(valid), "v2": _v2(valid), "forged": _forged(valid)}
 
 
 def _lists_a_layer(index: bytes) -> bool:
-    return json.loads(index.splitlines()[0])["layers"] > 0
+    return any(json.loads(line)[1] for line in index.splitlines()[1:-1])
 
 
 @contextlib.contextmanager
@@ -474,7 +494,8 @@ def test_each_system_reads_in_every_index_state_as_without_an_index(text, cut):
             _put_back(path, data, index)
             for system in SCOPE_SYSTEMS:
                 with _forgery_refused(state), PerfDb(path) as db:
-                    assert (len(db), db.superseded) == counts, state  # before any read
+                    with _forgery_refused(state):  # counting reads every system line
+                        assert (len(db), db.superseded) == counts, state  # before any read
                     assert fields(_answers(db, system)) == answers[system], (state, system)
                     assert (len(db), db.superseded) == counts, state
             with _forgery_refused(state, _lists_a_layer(states["valid"])), PerfDb(path) as db:
@@ -486,21 +507,51 @@ def test_each_system_reads_in_every_index_state_as_without_an_index(text, cut):
                          ids=["string-offset", "huge-length", "two-positions", "int-dtype"])
 def test_a_forged_index_exits_4_on_every_read(tmp_path, forgery):
     """A signed index whose every entry is malformed one way: each command
-    that reads the system exits 4, and ``db compact`` changes and leaves no file."""
+    that reads the system exits 4, and ``db compact`` changes and leaves no
+    file. ``db stats`` exits 4 too when the entry's shape is wrong."""
     model, db = tmp_path / "m.txt", tmp_path / "perf.db"
     model.write_text(mz.resnet_v1_text(18), "utf-8")
     analyze = ["analyze", str(model), "--db", str(db), "--system", "Tesla_V100"]
     assert invoke(["bench", str(model), "--db", str(db), "--system", "Tesla_V100",
                    "--simulate"]).exit_code == 0
+    stats = ["db", "stats", str(db)]
+    honest = invoke(stats).stdout
     idx = pathlib.Path(f"{db}.idx")
     idx.write_bytes(_forged(idx.read_bytes(), (forgery,)))
     files = db.read_bytes(), idx.read_bytes()
-    for args in (analyze, analyze, ["db", "compact", str(db)]):
+    # Entries that are not [dtype, signature, whole triples] are refused when
+    # their system line is read, so ``db stats`` exits 4 too; the others are
+    # counted from their positions, and it prints the honest counts.
+    refused = forgery in FORGERIES[2:]
+    for args in (analyze, analyze, ["db", "compact", str(db)], *[stats] * refused):
         res = invoke(args)
         assert res.exit_code == 4 and isinstance(res.exception, SystemExit), res.output
         assert "bad database index" in res.output or args[1] == "compact", res.output
         assert (db.read_bytes(), idx.read_bytes()) == files
         assert sorted(os.listdir(tmp_path)) == ["m.txt", "perf.db", "perf.db.idx"]
+    if not refused:
+        res = invoke(stats)
+        assert (res.exit_code, res.stdout) == (0, honest), res.output
+
+
+def test_db_stats_does_not_trust_a_count_in_an_older_index(tmp_path):
+    """The index of format version 2 held a live count per system, which an
+    open took on trust: with one count edited and the index re-signed, ``db
+    stats`` printed it and exited 0. That index is not trusted now, and the
+    next writer replaces it with the index of the file."""
+    model, db = tmp_path / "m.txt", tmp_path / "perf.db"
+    model.write_text(mz.resnet_v1_text(18), "utf-8")
+    assert invoke(["bench", str(model), "--db", str(db), "--system", "Tesla_V100,Tesla_T4",
+                   "--dtypes", "f32", "--simulate"]).exit_code == 0
+    stats = ["db", "stats", str(db)]
+    honest = invoke(stats).stdout
+    idx = pathlib.Path(f"{db}.idx")
+    index = idx.read_bytes()
+    idx.write_bytes(_v2(index))
+    res = invoke(stats)
+    assert (res.exit_code, res.stdout) == (0, honest), res.output
+    PerfDb(db, mode="rw").close()
+    assert idx.read_bytes() == index
 
 
 def test_a_forged_entry_read_at_open_fails_the_open(tmp_path):
@@ -519,7 +570,7 @@ def test_a_forged_entry_read_at_open_fails_the_open(tmp_path):
         fh.write(_record_to_json(rec("sysA", SIGNATURES[1])).encode() + b"\n")
     idx = pathlib.Path(f"{path}.idx")
     idx.write_bytes(_edited(idx.read_bytes(), lambda obj: obj if isinstance(obj, dict)
-                            else [*obj[:2], [FORGERIES[2](*entry) for entry in obj[2]]]
+                            else [obj[0], [FORGERIES[2](*entry) for entry in obj[1]]]
                             if obj[0] == "sysA" else obj))
     with pytest.raises(StorageError, match="bad database index"):
         PerfDb(path)
@@ -635,10 +686,10 @@ def _decode_every_line(path) -> tuple[str | None, list[str], int, bytes]:
     """The oracle: decode every line in file order.
 
     Returns the error of the first bad line, or else the live records as
-    JSON lines, grouped by layer as ``records()`` groups them, and the
-    superseded count; last, the file as a writer leaves it. An unterminated
-    last line that does not parse is a torn tail: it is skipped, and a
-    writer cuts it off.
+    JSON lines, grouped by system and then by layer as ``records()`` groups
+    them, and the superseded count; last, the file as a writer leaves it. An
+    unterminated last line that does not parse is a torn tail: it is
+    skipped, and a writer cuts it off.
     """
     layers: dict[tuple, dict[tuple, PerfRecord]] = {}
     superseded = 0
@@ -659,7 +710,8 @@ def _decode_every_line(path) -> tuple[str | None, list[str], int, bytes]:
         layer = layers.setdefault(key[:3], {})
         superseded += key in layer
         layer[key] = rec
-    live = [_record_to_json(r) for layer in layers.values() for r in layer.values()]
+    order = sorted(layers, key=lambda lkey: lkey[0])  # stable: first appearance in a system
+    live = [_record_to_json(r) for lkey in order for r in layers[lkey].values()]
     return None, live, superseded, kept
 
 
@@ -680,6 +732,7 @@ def _check_opens(path, covered: int) -> None:
     with open(path, "rb") as fh:
         data = fh.read()
     error, live, superseded, kept = _decode_every_line(path)
+    per_system = Counter(json.loads(line)["system"] for line in live)
     states = _index_states(data, covered, os.path.dirname(path))
     for state, index in states.items():
         _put_back(path, data, index)
@@ -692,7 +745,9 @@ def _check_opens(path, covered: int) -> None:
                 continue
             assert error is None, state
             with db:
-                assert (len(db), db.superseded) == (len(live), superseded), state  # before any read
+                with _forgery_refused(state):  # counting reads every system line
+                    assert (len(db), db.superseded, db.live_by_system()) \
+                        == (len(live), superseded, per_system), state  # before any read
                 if state == "forged":
                     with _forgery_refused(state, _lists_a_layer(states["valid"])):
                         assert _lines(db) == live, state
@@ -819,11 +874,13 @@ def test_an_open_through_the_index_decodes_only_the_layers_it_reads(db_file, mon
     # The lines past the index are decoded at open; line 1 is decoded only
     # because line 9 has its key.
     assert (decoded, systems) == ([8, 9, 1], ["sysA"])
+    # Counting reads sysB's index line, and decodes none of its lines.
     assert (len(db), db.superseded, db.live_by_system()) == (8, 1, {"sysA": 6, "sysB": 2})
+    assert (decoded, systems) == ([8, 9, 1], ["sysA", "sysB"])
     assert db.best("sysA", "f32", "Relu|f32|in=1x3|").latency_us == 4.0
-    # sysB's index line is still raw, and none of its lines is decoded.
-    assert (decoded, systems) == ([8, 9, 1, 4], ["sysA"])
-    assert [r.latency_us for r in db.records()] == [9.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 6.0]
+    assert (decoded, systems) == ([8, 9, 1, 4], ["sysA", "sysB"])
+    # sysA's layers, the new one of line 8 last, then sysB's.
+    assert [r.latency_us for r in db.records()] == [9.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.0, 2.0]
     assert (decoded, systems) == ([8, 9, 1, 4, 2, 3, 5, 6, 7], ["sysA", "sysB"])
     db.close()
     closed = PerfDb(db_file)
@@ -856,7 +913,7 @@ def test_a_listed_line_out_of_its_place_fails_every_read_of_its_layer(db_file):
     second layer's line: no read of that layer returns part of it."""
     def misplace(obj):
         if isinstance(obj, list):  # the system line; each line of db_file is its own layer
-            obj[-1][0][3] += obj[-1][1][3]
+            obj[-1][0][2] += obj[-1][1][2]
         return obj
 
     index = db_file.parent / "perf.db.idx"

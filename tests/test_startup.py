@@ -100,7 +100,7 @@ def _child(args: list[str], cwd) -> dict:
 
 # case: (arguments, lbound modules loaded, other modules of note loaded)
 _CASES = {
-    "help": (["--help"], BASE, []),
+    "help": (["--help"], {"cli", "cli_common", "errors"}, []),
     "process": (["process", "{model}"], BASE | {"cli_process", "dedup"}, ["hashlib"]),
     "bench-manifest": (["bench", "{model}", "--manifest", "specs.jsonl"],
                        BASE | {"cli_bench", "dedup", "benchgen"}, ["hashlib"]),
