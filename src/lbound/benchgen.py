@@ -131,17 +131,17 @@ def generate_specs(uniques: set[LayerSignature], config: BenchConfig,
         if api_for_op(sig.layer.op_type) is None:
             continue
         conv = sig.layer.op_type == "Conv"
-        for dtype in config.dtypes:
-            for layout in _applicable_layouts(config.layouts, dtype) if conv else ["NCHW"]:
+        for typed in map(sig.with_dtype, config.dtypes):  # one signature per dtype
+            for layout in _applicable_layouts(config.layouts, typed.dtype) if conv else ["NCHW"]:
                 for algo in config.algorithms if conv else (None,):
-                    specs.append(BenchmarkSpec(sig.with_dtype(dtype), algo, layout, None))
+                    specs.append(BenchmarkSpec(typed, algo, layout, None))
     # Sites with the same head layer and pattern share their specs.
     heads = {(s.head_signature.canonical_string, s.pattern_id): s.head_signature
              for s in fusion_sites or ()}
     for (_canonical, pattern_id), head in sorted(heads.items()):
-        for dtype in config.dtypes:
-            for layout in _applicable_layouts(config.layouts, dtype):
-                specs.append(BenchmarkSpec(head.with_dtype(dtype), None, layout, pattern_id))
+        for typed in map(head.with_dtype, config.dtypes):
+            for layout in _applicable_layouts(config.layouts, typed.dtype):
+                specs.append(BenchmarkSpec(typed, None, layout, pattern_id))
     return specs
 
 
@@ -247,8 +247,8 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
     """Render one C++ micro-benchmark body for a spec.
 
     Emitted source is a convenience artifact: it is never parsed back or
-    compiled here. The canonical signature string is embedded in the header
-    comment so results can always be traced to their layer.
+    compiled here. The header embeds the canonical signature string, so results
+    trace to their layer, and ``BENCH`` names ``bench_`` and the file's stem.
     """
     sig, layer = spec.signature, spec.signature.layer
     header = [
@@ -265,8 +265,7 @@ def emit_benchmark_source(spec: BenchmarkSpec) -> str:
     lines.append(f"// inputs: {in_dims}")
     for key, value in params:
         lines.append(f"// {key}: {value}")
-    fn = f"bench_{sig.hash64}_{spec.fused or (spec.algorithm.name if spec.algorithm else 'base')}_{spec.dtype}"
-    lines.append(f"BENCH({fn}) {{")
+    lines.append(f"BENCH(bench_{spec_filename(spec).removesuffix('.gen.cpp')}) {{")
     lines.append(f"  const cudnnDataType_t data_type = {_DTYPE_TOKEN[spec.dtype]};")
     if layer.op_type == "Conv" or spec.fused:
         lines.append(f"  const cudnnTensorFormat_t layout = {_LAYOUT_TOKEN[spec.layout]};")

@@ -3,30 +3,28 @@
 Storage is a file of line-delimited JSON records, a layer index beside it
 (``<db>.idx``, below) and one in-memory index built at open: each (system,
 dtype, signature) maps to where that layer's live lines are, and once
-decoded to its live records, keyed by their full record key. Lines that
-the layer index lists are decoded on their layer's first read, and every
-other line at open. ``query`` and ``best`` read only the records of one
-layer, and ``record_for``, ``has_spec``, ``records()`` and ``compact``
-read through the same index. ``records()`` and ``compact`` therefore group
-records by system, in name order, then by layer: a system's layers in the
-order they first appeared, and records within a layer in insertion order.
-``compact`` drops superseded records only: it copies each live line as it
-is on disk, so the live records, their order and therefore the index are
-the same after a reopen.
+decoded to its live records, keyed by their full record key. ``query`` and
+``best`` read only the records of one layer, and ``record_for``,
+``has_spec``, ``records()`` and ``compact`` read through the same index.
+``records()`` and ``compact`` therefore group records by system, in name
+order, then by layer: a system's layers in the order they first appeared,
+and records within a layer in insertion order. ``compact`` drops
+superseded records only: it copies each live line as it is on disk, so the
+live records, their order and therefore the index are the same after a
+reopen.
 
 Appending is the only write path, and a call appends its records in one
-write: ``insert(*records)`` encodes their lines into one buffer, writes and
-flushes it once, and then enters the records in order. Re-inserting a key
-replaces the live record while the superseded one stays on disk until
+write: ``insert(*records)`` encodes their lines into one buffer, writes
+and flushes it once, and then enters the records in order. Re-inserting a
+key replaces the live record while the superseded one stays on disk until
 ``compact`` rewrites the file. The handle keeps only their number,
-``superseded``: the index's count plus each line past it that replaces a
-key. ``db stats`` and ``compact`` report it. Readers take a snapshot at
-open and keep the file open while index entries are left to read; a
-writer holds an advisory file lock for the lifetime of the handle and
-loads the file under it. ``compact`` locks the new file before it renames
-it over the old one, and a writer refuses a lock it got on a file that a
-compact has since replaced, so no two writers ever hold the file at one
-path.
+``superseded``, which ``db stats`` and ``compact`` report. Readers take a
+snapshot at open and keep the file open while index entries are left to
+read; a writer holds an advisory file lock for the lifetime of the handle
+and loads the file under it. ``compact`` locks the new file before it
+renames it over the old one, and a writer refuses a lock it got on a file
+that a compact has since replaced, so no two writers ever hold the file at
+one path.
 
 A crash in the middle of an append leaves the lines written so far, and
 perhaps a torn tail: a last line with no trailing newline that does not
@@ -51,10 +49,10 @@ being the end of a whole line. Its first line holds the format version, N,
 the line count of those bytes, their sha256 and their superseded count.
 Then comes one line per system, in name order: a JSON array of the system
 name and its layers, in the order they first appeared, each as [dtype,
-signature, [offset, length, line number, ...]], the live lines listed in
-the layer's order. It holds where each live line is and no count or order
-besides. The last line is the sha256 of all the others, so a damaged or
-cut index is never read as one.
+signature, [offset, length, ...]], the byte offset and length of each live
+line in the layer's order, and no line number, count or order besides. The
+last line is the sha256 of all the others, so a damaged or cut index is
+never read as one.
 
 Every ``rw`` handle writes the index under its lock, through a temp file
 and ``os.replace``: when it closes, if the file grew since the index on
@@ -64,34 +62,39 @@ changes no result. The lock, ``compact``, ``db import`` and the index
 writer live in ``perfdb_writer``, which only a writer imports.
 
 An open trusts the index only when its version is this module's, N is no
-larger than the file and the streamed sha256 of the file's first N bytes
-matches, so an older index, or a stale one beside a deleted, rewritten or
-recreated file, is ignored, and the next writer replaces it. A trusted
-index replaces reading those N bytes. The open checks and splits the index
-in one buffer and keeps, per system, where its line is. It reads a
-system's line from the index file when it first touches that system (a
-read, a line past N, an insert, a count), and keeps that file open until
-every system line is read, so a writer's later index does not change what
-it reads. A layer's listed lines are read by offset and decoded on its
-first touch, so a command reads only the systems and layers it queries.
-Bytes past N go through the per-line scan below, line numbers continuing
-from the index's count; a line there of a listed layer first decodes that
-layer's listed lines. Lines that a writer checked are not checked again,
-but a listed line that does not decode into its layer raises
-``StorageError``, and so does an entry no writer makes: a dtype, signature
-or line positions of the wrong type, or a line past the file's end. It
-stays unread, so every read of its system or layer fails.
+larger than the file, neither count is negative and the streamed sha256 of
+the file's first N bytes matches; any other index is ignored, and the next
+writer replaces it. A trusted index replaces reading those N bytes. The
+open keeps, per system, where its index line is, and reads that line on
+the system's first touch (a read, a line past N, an insert, a count),
+keeping the index file open until every system line is read, so a
+writer's later index does not change what it reads. A layer's listed lines
+are read by offset and decoded on its first touch. They are not checked
+again, but one that does not decode into its layer raises ``StorageError``
+naming its byte offset, and so does an entry no writer makes: a dtype,
+signature or position of the wrong type, or a line that reaches past N;
+the open proved those bytes against the file, so a read asks it nothing
+more. Such an entry stays unread, so every read of its system or layer
+fails.
 
-Every line that no index covers is decoded at open, by the same loop for
-every open, so the open raises ``StorageError`` at the first bad one and
-names its line number, whichever system it holds. The torn-tail rules are
-the same for every open.
+Every line past N, or of a file with no index to trust, is decoded at open
+by the same loop, line numbers continuing from the index's count, so the
+open raises ``StorageError`` at the first bad one and names its line
+number; a line there of a listed layer first decodes that layer's listed
+lines. The torn-tail rules are the same for every open.
 
-``superseded`` comes from the index's head and the lines decoded at open.
 ``len()`` and ``live_by_system()``, which ``db stats`` prints, read every
-system's index line and count the line positions it lists, so they decode
-no line the index lists, and no count can disagree with the positions
-that a read of the layer checks. ``records()`` decodes them all.
+system's index line and count the positions it lists, decoding no listed
+line, so no count can disagree with the positions that a read checks;
+``records()`` decodes them all. ``superseded`` and the line count come
+from the head, and each line past N adds to them as a writer's does. No
+position implies them, so they are bounded, not proven: once every system
+line is read (``len()``, ``live_by_system()``, ``records()``, ``compact``),
+an index whose live count plus ``superseded`` exceeds the line count is
+refused with ``StorageError``, which asks for ``<db>.idx`` to be deleted.
+A read of some layers counts nothing and reads as before. Proving both
+would take a newline count of the N bytes at every open, 0.4 to 0.6 ms per
+MB, which an open does not pay.
 
 ``db import`` also rebuilds each record's benchmark spec from its parsed
 signature, algorithm, layout and fusion pattern, and requires the record's
@@ -123,8 +126,9 @@ _ALGO_RANK = {algo.name: rank for rank, algo in enumerate(ConvAlgorithm)}
 # How a system line of the layer index starts: the system name as a JSON
 # string. Compiled on first use, through re's cache.
 _SYSTEM_LINE = rb'\[("(?:[^"\\]|\\.)*"),'
-_INDEX_VERSION = 3
+_INDEX_VERSION = 4
 _CHUNK = 1 << 18  # bytes per read while hashing the file
+_UNDECODABLE = (KeyError, ValueError, TypeError, StorageError)  # from a line that is no record
 
 
 class RecordKey(NamedTuple):
@@ -210,30 +214,34 @@ def _record_to_json(rec: PerfRecord) -> str:
     })
 
 
+def _parse_record(line: str | bytes) -> PerfRecord:
+    obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    for name in ("system", "hash64", "signature"):
+        if not isinstance(obj[name], str):
+            raise TypeError(f"{name} must be a string, got {obj[name]!r}")
+    key = RecordKey(
+        system=obj["system"],
+        dtype=obj["dtype"],
+        signature=obj["signature"],
+        algorithm=obj.get("algorithm"),
+        layout=obj.get("layout", "NCHW"),
+        fused=obj.get("fused"),
+    )
+    return PerfRecord(
+        key=key,
+        latency_us=obj.get("latency_us"),
+        status=obj.get("status", "ok"),
+        metadata=obj.get("metadata") or {},
+        source=obj.get("source", "imported"),
+        timestamp=obj.get("timestamp", 0.0),
+        hash64=obj["hash64"],
+    )
+
+
 def _record_from_json(line: str | bytes, lineno: int) -> PerfRecord:
     try:
-        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
-        for name in ("system", "hash64", "signature"):
-            if not isinstance(obj[name], str):
-                raise TypeError(f"{name} must be a string, got {obj[name]!r}")
-        key = RecordKey(
-            system=obj["system"],
-            dtype=obj["dtype"],
-            signature=obj["signature"],
-            algorithm=obj.get("algorithm"),
-            layout=obj.get("layout", "NCHW"),
-            fused=obj.get("fused"),
-        )
-        return PerfRecord(
-            key=key,
-            latency_us=obj.get("latency_us"),
-            status=obj.get("status", "ok"),
-            metadata=obj.get("metadata") or {},
-            source=obj.get("source", "imported"),
-            timestamp=obj.get("timestamp", 0.0),
-            hash64=obj["hash64"],
-        )
-    except (KeyError, ValueError, TypeError, StorageError) as exc:
+        return _parse_record(line)
+    except _UNDECODABLE as exc:
         raise StorageError(f"bad database record at line {lineno}: {exc}") from exc
 
 
@@ -250,8 +258,8 @@ class PerfDb:
             raise StorageError(f"unknown db mode {mode!r}")
         self.path = str(path)
         self.mode = mode
-        # (system, dtype, signature) -> [offset, length, line number, ...] of
-        # each live line of the layer, in the layer's order
+        # (system, dtype, signature) -> [offset, length, ...] of each live
+        # line of the layer, in the layer's order
         self._where: dict[tuple, list[int]] = {}
         # (system, dtype, signature) -> {record key: live record}, in the same
         # order, for the layers decoded so far
@@ -262,9 +270,10 @@ class PerfDb:
         self._fh = None  # a writer's locked append handle
         self._rd = None  # the file, open while index entries are left to read
         self._ix = None  # the layer index, open while system lines are left to read
-        # A writer's account of the bytes it checked, for its index: their
-        # end and line count, their sha256 (None after a failed append) and
-        # how far the index on disk reaches.
+        # The line count of the bytes read, which bounds the index's counts;
+        # a writer's account of them for its index: their end and their
+        # sha256 (None after a failed append); and how far the index on disk
+        # reaches, or a compacted file's end, which no listed line passes.
         self._end = self._lines = 0
         self._sha = None
         self._indexed = -1
@@ -300,19 +309,20 @@ class PerfDb:
                             raise
                         torn = True  # only the last line can lack its newline
                         break
-                    self._put(rec, (start, len(raw) + (not raw.endswith(b"\n")), lineno))
+                    self._put(rec, (start, len(raw) + (not raw.endswith(b"\n"))))
                 if writer:
                     sha.update(raw)
+            self._lines = lineno - torn
             if writer:  # the next append must start a line
                 if torn:
                     os.truncate(self.path, start)
-                    pos, lineno = start, lineno - 1
+                    pos = start
                 elif raw and not raw.endswith(b"\n"):
                     self._fh.write(b"\n")
                     self._fh.flush()
                     sha.update(b"\n")
                     pos += 1
-                self._end, self._lines, self._sha = pos, lineno, sha
+                self._end, self._sha = pos, sha
         except OSError as exc:
             raise StorageError(f"cannot read database {self.path}: {exc}") from exc
         if not self._unread and len(self._by_layer) == len(self._where):
@@ -324,9 +334,8 @@ class PerfDb:
 
         Returns the byte length and the line count of that prefix and its
         sha256, with ``fh`` right after it, takes its superseded count and
-        keeps each system's live count and the offset and length of its line
-        in ``_unread``. Without an index to trust: (0, 0, a fresh sha256),
-        with ``fh`` at the start.
+        keeps the offset and length of each system's line in ``_unread``.
+        Without an index to trust: (0, 0, a fresh sha256), ``fh`` at the start.
         """
         sha = hashlib.sha256()
         ix = None
@@ -342,6 +351,7 @@ class PerfDb:
             n, lines, superseded = meta["bytes"], meta["lines"], meta["superseded"]
             if meta["v"] != _INDEX_VERSION \
                     or {type(n), type(lines), type(superseded)} != {int} \
+                    or min(lines, superseded) < 0 \
                     or not 0 <= n <= os.fstat(fh.fileno()).st_size:
                 raise ValueError("not this file's index")
             unread = {}
@@ -384,7 +394,7 @@ class PerfDb:
             entries = json.loads(os.pread(self._ix.fileno(), size, off))[1]
             for dtype, signature, where in entries:
                 if dtype not in DTYPES or type(signature) is not str \
-                        or type(where) is not list or len(where) % 3:
+                        or type(where) is not list or len(where) % 2:
                     raise TypeError(f"a layer of system {name!r} is listed as "
                                     f"{[dtype, signature]!r}")
         except OSError as exc:
@@ -399,16 +409,22 @@ class PerfDb:
             self._where[name, dtype, signature] = where
 
     def _read_all_systems(self) -> None:
+        """Read every system line; refuse a head whose counts the lines cannot hold."""
         for name in list(self._unread):
             self._read_system(name)
+        live = sum(map(len, self._where.values())) // 2
+        if live + self.superseded > self._lines:
+            raise StorageError(
+                f"bad database index {self.path}.idx: {live} live and {self.superseded} "
+                f"superseded records in {self._lines} lines; delete {self.path}.idx")
 
     def _listed(self, lkey: tuple) -> list[int]:
-        """A layer's ``_where`` entry, refused unless it is whole triples of
+        """A layer's ``_where`` entry, refused unless it is whole pairs of
         non-negative ints; an index entry is checked before it is used."""
         where = self._where[lkey]
-        if len(where) % 3 or not all(type(v) is int and v >= 0 for v in where):
+        if len(where) % 2 or not all(type(v) is int and v >= 0 for v in where):
             raise StorageError(f"bad database index {self.path}.idx: the line positions "
-                               f"of layer {lkey!r} are not (offset, length, line) triples")
+                               f"of layer {lkey!r} are not (offset, length) pairs")
         return where
 
     def _decode(self, lkey: tuple) -> None:
@@ -418,23 +434,18 @@ class PerfDb:
         layer = {}  # entered whole, so a line that fails leaves the layer undecoded
         it = iter(self._listed(lkey))
         try:
-            file_size = os.fstat(self._rd.fileno()).st_size
+            for off, size in zip(it, it):
+                if off + size > self._indexed:
+                    raise ValueError("past the bytes the index covers")
+                rec = _parse_record(os.pread(self._rd.fileno(), size, off).strip())
+                if rec.key[:3] != lkey or rec.key in layer:
+                    raise ValueError("not in its place")
+                layer[rec.key] = rec
         except OSError as exc:
             raise StorageError(f"cannot read database {self.path}: {exc}") from exc
-        for off, size, lineno in zip(it, it, it):
-            if off + size > file_size:
-                raise StorageError(f"bad database index {self.path}.idx: "
-                                   f"line {lineno} is past the end of the file")
-            try:
-                raw = os.pread(self._rd.fileno(), size, off)
-            except OSError as exc:
-                raise StorageError(f"cannot read database {self.path}: {exc}") from exc
-            rec = _record_from_json(raw.strip(), lineno)
-            key = rec.key
-            if key[:3] != lkey or key in layer:
-                raise StorageError(f"bad database index {self.path}.idx: "
-                                   f"line {lineno} is not in its place")
-            layer[key] = rec
+        except _UNDECODABLE as exc:
+            raise StorageError(f"bad database index {self.path}.idx: "
+                               f"the line at byte {off}: {exc}") from exc
         self._by_layer[lkey] = layer
 
     def _layer(self, lkey: tuple) -> dict[RecordKey, PerfRecord]:
@@ -492,20 +503,19 @@ class PerfDb:
             self._sha = None  # the file may now end in part of a line
             raise StorageError(f"cannot append to database {self.path}: {exc}") from exc
         self._sha.update(lines)
-        at, lineno = self._end, self._lines
+        at = self._end
         self._end += len(lines)
         self._lines += len(records)
         try:
             for rec, size in zip(records, sizes):
-                lineno += 1
-                self._put(rec, (at, size, lineno))
+                self._put(rec, (at, size))
                 at += size
         except StorageError:
             self._sha = None  # the file holds lines the handle did not enter
             raise
 
-    def _put(self, record: PerfRecord, at: tuple[int, int, int]) -> None:
-        """Enter a decoded record, whose line is at ``at`` (offset, length, line number)."""
+    def _put(self, record: PerfRecord, at: tuple[int, int]) -> None:
+        """Enter a decoded record, whose line is at ``at`` (offset, length)."""
         key = record.key
         lkey = key[:3]
         layer = self._layer(lkey)  # its system's index line is read first,
@@ -515,19 +525,14 @@ class PerfDb:
         where = self._where[lkey]
         if key in layer:  # the key keeps its place, at its new line
             self.superseded += 1
-            slot = 3 * list(layer).index(key)
-            where[slot:slot + 3] = at
+            slot = 2 * list(layer).index(key)
+            where[slot:slot + 2] = at
         else:
             where += at
         layer[key] = record
 
     def compact(self) -> int:
-        """Rewrite the file with live records only; returns the superseded count.
-
-        Each live line is copied as it is on disk, grouped by layer. The new
-        file is locked before it replaces the old one, so no other writer can
-        take it in between, and the index is rewritten for it.
-        """
+        """Rewrite the file and its index with live records only; returns the superseded count."""
         from . import perfdb_writer
 
         return perfdb_writer.compact(self)
@@ -542,7 +547,7 @@ class PerfDb:
         self._read_all_systems()
         counts = Counter()
         for lkey, where in self._where.items():
-            counts[lkey[0]] += len(where) // 3
+            counts[lkey[0]] += len(where) // 2
         return counts
 
     def records(self) -> list[PerfRecord]:
@@ -589,14 +594,12 @@ def _hit_order(rec: PerfRecord) -> tuple:
 
 
 def make_record(system: str, spec: BenchmarkSpec, latency_us: float | None,
-                status: str = "ok", metadata: dict | None = None,
-                source: str = "simulated") -> PerfRecord:
+                status: str = "ok", metadata: dict | None = None) -> PerfRecord:
     return PerfRecord(
         key=key_for_spec(system, spec),
         latency_us=latency_us,
         status=status,
         metadata=metadata or {},
-        source=source,
         timestamp=time.time(),
         hash64=spec.signature.hash64,
     )

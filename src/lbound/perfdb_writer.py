@@ -112,18 +112,16 @@ def compact(db: PerfDb) -> int:
     db._read_all_systems()
     order = sorted(db._where, key=lambda lkey: lkey[0])  # as ``records()`` reads them
     runs = []  # (offset, length) of the byte runs to copy, in order
-    moved = []  # per layer, [offset, length, line number, ...] in the new file
-    pos = n = 0
-    start = end = 0
+    moved = []  # per layer, [offset, length, ...] in the new file
+    pos = start = end = 0
     for lkey in order:
         new = db._listed(lkey)[:]
-        for i in range(0, len(new), 3):
+        for i in range(0, len(new), 2):
             if new[i] != end:
                 runs.append((start, end - start))
                 start = new[i]
             end = new[i] + new[i + 1]
-            n += 1
-            new[i], new[i + 2] = pos, n
+            new[i] = pos
             pos += new[i + 1]
         moved.append(new)
     runs.append((start, end - start))
@@ -157,8 +155,9 @@ def compact(db: PerfDb) -> int:
     if db._rd is not None:
         db._rd.close()
     db._fh, db._rd, db._sha = fh, rd, sha
-    db._end, db._lines = pos, n
-    db.superseded = 0
+    # Each position is the handle's own, in the new file: its end bounds them all.
+    db._end = db._indexed = pos
+    db._lines, db.superseded = sum(map(len, moved)) // 2, 0
     db._where.update(zip(order, moved))
     write_index(db)
     return dropped

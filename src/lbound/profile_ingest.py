@@ -32,14 +32,12 @@ A lenient parser for the cuDNN/cuBLAS logger style (blocks opened by
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
+import sys
 
 from .errors import ProfileFormatError
 from .model_ir import ALGO_BY_TOKEN
-
-logger = logging.getLogger(__name__)
 
 _HEADER = "lbound-profile v1"
 _META_KEYS = ("model", "system", "batch", "measured_latency_ms")
@@ -216,8 +214,8 @@ _PARAM_RE = re.compile(r"^\s+(\w+):\s*type=([^;]*);\s*val=([^;]*);")
 def parse_cudnn_log(text: str, strict: bool = False) -> list[ApiCall]:
     """One ApiCall per logger block; conv calls capture the algorithm token.
 
-    Unparseable blocks are skipped with a warning in lenient mode and raise
-    in strict mode.
+    An unparseable line raises in strict mode; in lenient mode it is
+    skipped, with a line on stderr that names it.
     """
     calls: list[ApiCall] = []
     seq = 0
@@ -245,7 +243,7 @@ def parse_cudnn_log(text: str, strict: bool = False) -> list[ApiCall]:
         # Unknown logger chatter inside or between blocks, or a foreign line.
         if strict:
             raise ProfileFormatError(f"unparseable logger line {lineno}: {line!r}")
-        logger.warning("skipping unparseable logger line %d: %r", lineno, line)
+        print(f"skipping unparseable logger line {lineno}: {line!r}", file=sys.stderr)
     return calls
 
 

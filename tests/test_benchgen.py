@@ -44,11 +44,11 @@ FAMILY_DIGESTS = {
     1: {"sites-f32": "c786f891139f4431830e9824bceca4f92ae5dc9fe5b4fc97509511393aba8ed5",
         "sites-f16": "d2682a1fe5df65879c2ba0dba0e780d5dc09922b8715f637c49e3bb9103ceb87",
         "manifest": "2585210e9b1064541459fa5b59a0c169c24bbbfcaf93d5334d95a10fd30536d8",
-        "sources": "c1fd703aa92b25867e50c2d2d90076935ccfbdb98e25a05ed0e81932b7cad259"},
+        "sources": "705c97cc7f204a74c4c9e5b2d8de451b73036906a3bf226f193887304e964818"},
     2: {"sites-f32": "d90bc3bda5962e10472ac91e2b65259ff752c2d5d43b6407865115231bdeb6ec",
         "sites-f16": "063b81b09a9b69119663a829c426febad3b82a6ac15b7db58a04e73f6dee14f7",
         "manifest": "757ec39d0444e25d575d9b51157fc9605cd95c6168af0a3bdc3b63480e86c63e",
-        "sources": "6a7f91a5b550c9547440b6ecafe926f0c7cefead3726b191c755eb87becf3844"},
+        "sources": "2fdcb139cf24512f2fbf66fe052ddce5e8715df20ee0a4b371d74c79b83f3453"},
 }
 
 
@@ -77,6 +77,16 @@ def _family_digests(batch: int) -> dict[str, str]:
 @pytest.mark.parametrize("batch", [1, 2])
 def test_family_sites_manifest_and_sources_hold_their_digests(batch):
     assert _family_digests(batch) == FAMILY_DIGESTS[batch]
+
+
+def test_each_emitted_function_is_named_by_its_file_stem_and_no_two_alike():
+    """Over f32 and f16, NCHW and NHWC, every algorithm and the fused specs."""
+    specs = _family_specs([mz.load(text) for _name, text in mz.thirty_model_family()])
+    names = [re.search(r"^BENCH\((\w+)\) \{$", benchgen.emit_benchmark_source(spec), re.M)[1]
+             for spec in specs]
+    assert names == ["bench_" + benchgen.spec_filename(spec).removesuffix(".gen.cpp")
+                     for spec in specs]
+    assert len(set(names)) == len(names)
 
 
 def _family_manifest(batch: int) -> str:
@@ -227,7 +237,7 @@ _CONV = ("Conv|f16|in=2x3x8x8|dilations=1x1,group=1,kernel=3x3,pads=1x1x1x1,"
      ["#include <cudnn.h>", "api: cudnnConvolutionForward  dtype: f16  layout: NHWC",
       "CUDNN_DATA_HALF", "CUDNN_TENSOR_NHWC", "x_dims[4] = {2,3,8,8}",
       "w_dims[4] = {4,3,3,3}", "algo = CUDNN_CONVOLUTION_FWD_ALGO_WINOGRAD;",
-      "CUDNN_CALL(cudnnConvolutionForward(", "BENCH(bench_{hash}_WING_f16) {"]),
+      "CUDNN_CALL(cudnnConvolutionForward(", "BENCH(bench_{hash}_WING_f16_nhwc) {"]),
     (_CONV, None, "NCHW", "conv_bias_act",
      ["#include <cudnn.h>",
       "api: cudnnConvolutionBiasActivationForward  dtype: f16  layout: NCHW  "
@@ -241,15 +251,15 @@ _CONV = ("Conv|f16|in=2x3x8x8|dilations=1x1,group=1,kernel=3x3,pads=1x1x1x1,"
       "CUDNN_DATA_FLOAT", "CUDNN_TENSOR_NHWC",
       "algo = CUDNN_CONVOLUTION_FWD_ALGO_IMPLICIT_PRECOMP_GEMM;",
       "CUDNN_CALL(cudnnConvolutionBiasActivationForward(",
-      "BENCH(bench_{hash}_conv_bias_f32) {"]),
+      "BENCH(bench_{hash}_conv_bias_f32_nhwc) {"]),
     ("Relu|f32|in=2x16x7x7|", None, "NCHW", None,
      ["#include <cudnn.h>", "api: cudnnActivationForward  dtype: f32  layout: NCHW",
       "CUDNN_DATA_FLOAT", "x_dims[] = {2,16,7,7}", "CUDNN_CALL(cudnnActivationForward(",
-      "BENCH(bench_{hash}_base_f32) {"]),
+      "BENCH(bench_{hash}_none_f32) {"]),
     ("Gemm|f32|in=2x64|transA=0,transB=0,w1=64x10", None, "NCHW", None,
      ["#include <cublas_v2.h>", "api: cublasGemmEx  dtype: f32  layout: NCHW",
       "CUDNN_DATA_FLOAT", "m = 2, n = 10, k = 64", "CUBLAS_CALL(cublasGemmEx(",
-      "BENCH(bench_{hash}_base_f32) {"]),
+      "BENCH(bench_{hash}_none_f32) {"]),
 ], ids=["conv", "fused", "bias-only", "relu", "gemm"])
 def test_emitted_source_names_the_spec(canonical, algorithm, layout, fused, expected):
     sig = dedup.parse_signature(canonical)

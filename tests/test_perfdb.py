@@ -313,20 +313,50 @@ def _v2(index: bytes) -> bytes:
         if isinstance(obj, dict):  # the head
             return {**obj, "v": 2, "layers": sum(len(layers) for _name, layers in systems)}
         name, layers = obj
-        live = sum(len(where) for *_, where in layers) // 3
+        live = sum(len(where) for *_, where in layers) // 2
         return [name, 999999 if name == systems[0][0] else live,
                 [[next(ranks), *entry] for entry in layers]]
 
     return _edited(index, edit)
 
 
+def _line_at(data: bytes, offset: int) -> int:
+    """The number of the line of ``data`` that starts at byte ``offset``."""
+    return data.count(b"\n", 0, offset) + 1
+
+
+def _v3(index: bytes, data: bytes) -> bytes:
+    """``index`` in the shape of format version 3, re-signed: each live line
+    of ``data`` listed as (offset, length, line number), and a superseded
+    count of 999999, which no open may print."""
+    def edit(obj):
+        if isinstance(obj, dict):  # the head
+            return {**obj, "v": 3, "superseded": 999999}
+        name, layers = obj
+        return [name, [[dtype, sig, [n for off, size in zip(where[::2], where[1::2])
+                                     for n in (off, size, _line_at(data, off))]]
+                       for dtype, sig, where in layers]]
+
+    return _edited(index, edit)
+
+
+def _head(index: bytes) -> bytes:
+    """``index`` with a superseded count of 999999, re-signed: no line count holds it."""
+    return _edited(index, lambda obj: {**obj, "superseded": 999999} if "v" in obj else obj)
+
+
+def _line_named(data: bytes, exc: BaseException) -> int:
+    """The number of the line of ``data`` whose byte offset an index error names."""
+    return _line_at(data, int(re.search(r"the line at byte (\d+)", str(exc))[1]))
+
+
 # The ways ``_forged`` malforms a layer entry [dtype, signature, positions]:
 # an offset as a string, a length past any file, positions that are not
-# whole triples, and an int dtype.
+# whole pairs, and an int dtype.
 FORGERIES = (
     lambda dtype, sig, where: [dtype, sig, [str(where[0]), *where[1:]]],
     lambda dtype, sig, where: [dtype, sig, [where[0], 10**20, *where[2:]]],
-    lambda dtype, sig, where: [dtype, sig, where[:2]],
+    lambda dtype, sig, where: [dtype, sig, where[:1]],
     lambda dtype, sig, where: [1, sig, where],
 )
 
@@ -351,15 +381,17 @@ def _index_states(data: bytes, covered: int, tmp) -> dict[str, bytes | None]:
     None; a writer's index of the first ``covered`` bytes, whole lines that
     a writer accepts; the index of another file; that index cut short, so
     it does not parse; an index whose length exceeds the file's; the valid
-    index of an older format version; the valid index in the older format's
-    shape, with a live count forged; and the valid index forged, so that
-    every layer it lists is malformed.
+    index of an older format version; the valid index in the shapes of
+    format versions 2 and 3, each with a count forged; the valid index
+    forged, so that every layer it lists is malformed; and the valid index
+    with a superseded count that no line count holds.
     """
     valid = _index_for(data[:covered], tmp)
     return {"none": None, "valid": valid, "other": _index_for(OTHER_FILE, tmp),
             "truncated": valid[:len(valid) // 2],
             "longer": _index_for(data[:covered] + b"\n" * (len(data) + 1), tmp),
-            "older": _older(valid), "v2": _v2(valid), "forged": _forged(valid)}
+            "older": _older(valid), "v2": _v2(valid), "v3": _v3(valid, data),
+            "forged": _forged(valid), "head": _head(valid)}
 
 
 def _lists_a_layer(index: bytes) -> bool:
@@ -367,16 +399,19 @@ def _lists_a_layer(index: bytes) -> bool:
 
 
 @contextlib.contextmanager
-def _forgery_refused(state: str, listed: bool = False):
+def _forgery_refused(state: str, listed: bool = False, counts: bool = False):
     """Run the block; in the "forged" state it may raise the index's
-    ``StorageError`` instead of finishing, and must when ``listed``."""
+    ``StorageError`` instead of finishing, and must when ``listed``. In the
+    "head" state it must raise it when the block ``counts`` every system's
+    records, and must finish otherwise."""
+    must = state == "forged" and listed or state == "head" and counts
     try:
         yield
     except StorageError as exc:
-        if state != "forged" or "bad database index" not in str(exc):
+        if not (state == "forged" or must) or "bad database index" not in str(exc):
             raise
     else:
-        assert state != "forged" or not listed, "a forged index entry was read"
+        assert not must, f"a forged index was read in state {state}"
 
 
 def _put_back(path, data: bytes, index: bytes | None) -> None:
@@ -494,17 +529,19 @@ def test_each_system_reads_in_every_index_state_as_without_an_index(text, cut):
             _put_back(path, data, index)
             for system in SCOPE_SYSTEMS:
                 with _forgery_refused(state), PerfDb(path) as db:
-                    with _forgery_refused(state):  # counting reads every system line
+                    with _forgery_refused(state, counts=True):  # reads every system line
                         assert (len(db), db.superseded) == counts, state  # before any read
                     assert fields(_answers(db, system)) == answers[system], (state, system)
-                    assert (len(db), db.superseded) == counts, state
-            with _forgery_refused(state, _lists_a_layer(states["valid"])), PerfDb(path) as db:
+                    with _forgery_refused(state, counts=True):
+                        assert (len(db), db.superseded) == counts, state
+            with _forgery_refused(state, _lists_a_layer(states["valid"]), counts=True), \
+                    PerfDb(path) as db:
                 assert fields([db.record_for(rec.key) for rec in live]) == fields(live), state
                 assert fields(db.records()) == fields(live), state
 
 
 @pytest.mark.parametrize("forgery", FORGERIES,
-                         ids=["string-offset", "huge-length", "two-positions", "int-dtype"])
+                         ids=["string-offset", "huge-length", "one-position", "int-dtype"])
 def test_a_forged_index_exits_4_on_every_read(tmp_path, forgery):
     """A signed index whose every entry is malformed one way: each command
     that reads the system exits 4, and ``db compact`` changes and leaves no
@@ -519,7 +556,7 @@ def test_a_forged_index_exits_4_on_every_read(tmp_path, forgery):
     idx = pathlib.Path(f"{db}.idx")
     idx.write_bytes(_forged(idx.read_bytes(), (forgery,)))
     files = db.read_bytes(), idx.read_bytes()
-    # Entries that are not [dtype, signature, whole triples] are refused when
+    # Entries that are not [dtype, signature, whole pairs] are refused when
     # their system line is read, so ``db stats`` exits 4 too; the others are
     # counted from their positions, and it prints the honest counts.
     refused = forgery in FORGERIES[2:]
@@ -537,8 +574,9 @@ def test_a_forged_index_exits_4_on_every_read(tmp_path, forgery):
 def test_db_stats_does_not_trust_a_count_in_an_older_index(tmp_path):
     """The index of format version 2 held a live count per system, which an
     open took on trust: with one count edited and the index re-signed, ``db
-    stats`` printed it and exited 0. That index is not trusted now, and the
-    next writer replaces it with the index of the file."""
+    stats`` printed it and exited 0. Version 3 took its superseded count on
+    trust the same way. Neither is trusted now, and the next writer replaces
+    each with the index of the file."""
     model, db = tmp_path / "m.txt", tmp_path / "perf.db"
     model.write_text(mz.resnet_v1_text(18), "utf-8")
     assert invoke(["bench", str(model), "--db", str(db), "--system", "Tesla_V100,Tesla_T4",
@@ -547,16 +585,50 @@ def test_db_stats_does_not_trust_a_count_in_an_older_index(tmp_path):
     honest = invoke(stats).stdout
     idx = pathlib.Path(f"{db}.idx")
     index = idx.read_bytes()
-    idx.write_bytes(_v2(index))
-    res = invoke(stats)
-    assert (res.exit_code, res.stdout) == (0, honest), res.output
-    PerfDb(db, mode="rw").close()
-    assert idx.read_bytes() == index
+    for older in (_v2(index), _v3(index, db.read_bytes())):
+        idx.write_bytes(older)
+        res = invoke(stats)
+        assert (res.exit_code, res.stdout) == (0, honest), res.output
+        PerfDb(db, mode="rw").close()
+        assert idx.read_bytes() == index
+
+
+@pytest.mark.parametrize("forged", ["superseded", "lines-then-append"])
+def test_a_head_count_that_the_lines_cannot_hold_exits_4_on_every_count(tmp_path, forged):
+    """A re-signed index whose head says 999999 superseded records, or 5
+    lines before a writer appends to the file and carries the count on:
+    each live and superseded record is a line, so ``db stats`` and ``db
+    compact`` exit 4 and change neither file. ``analyze`` counts nothing and
+    prints the report of an open without the index."""
+    model, db = tmp_path / "m.txt", tmp_path / "perf.db"
+    model.write_text(mz.resnet_v1_text(18), "utf-8")
+    bench = ["bench", str(model), "--db", str(db), "--simulate", "--system"]
+    assert invoke([*bench, "Tesla_V100"]).exit_code == 0
+    idx = pathlib.Path(f"{db}.idx")
+    system = "Tesla_V100"
+    if forged == "superseded":
+        idx.write_bytes(_head(idx.read_bytes()))
+    else:
+        idx.write_bytes(_edited(idx.read_bytes(),
+                                lambda obj: {**obj, "lines": 5} if "v" in obj else obj))
+        system = "Tesla_T4"  # the lines that the writer listed, and counted on from 5
+        assert invoke([*bench, system]).exit_code == 0
+    files = db.read_bytes(), idx.read_bytes()
+    analyze = ["analyze", str(model), "--db", str(db), "--system", system]
+    report = invoke(analyze)
+    for args in (["db", "stats", str(db)], ["db", "compact", str(db)]):
+        res = invoke(args)
+        assert res.exit_code == 4 and isinstance(res.exception, SystemExit), res.output
+        assert "bad database index" in res.output and f"delete {idx}" in res.output
+        assert (db.read_bytes(), idx.read_bytes()) == files
+    assert report.exit_code == 0, report.output
+    idx.unlink()
+    assert invoke(analyze).output == report.output
 
 
 def test_a_forged_entry_read_at_open_fails_the_open(tmp_path):
     """A line past the index makes the open enter its system's index line. An
-    entry there with two positions, not a whole triple, fails the open, so
+    entry there with one position, not a whole pair, fails the open, so
     ``len`` and ``db stats`` cannot count the layer short and exit 0."""
     path = tmp_path / "perf.db"
 
@@ -727,7 +799,8 @@ def _check_opens(path, covered: int) -> None:
     index it found, the writer leaves the index of the file as it is then,
     and the file is opened again through it. A forged index may refuse the
     open or a read with its ``StorageError``, and must refuse reading every
-    line when it lists a layer; no other answer is checked through it.
+    line when it lists a layer, and a forged head must refuse every count;
+    no other answer is checked through either.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -745,11 +818,11 @@ def _check_opens(path, covered: int) -> None:
                 continue
             assert error is None, state
             with db:
-                with _forgery_refused(state):  # counting reads every system line
+                with _forgery_refused(state, counts=True):  # reads every system line
                     assert (len(db), db.superseded, db.live_by_system()) \
                         == (len(live), superseded, per_system), state  # before any read
-                if state == "forged":
-                    with _forgery_refused(state, _lists_a_layer(states["valid"])):
+                if state in ("forged", "head"):
+                    with _forgery_refused(state, _lists_a_layer(states["valid"]), counts=True):
                         assert _lines(db) == live, state
                     continue
                 if mode == "r":
@@ -864,10 +937,11 @@ def test_an_open_through_the_index_decodes_only_the_layers_it_reads(db_file, mon
         db.insert(_record(5))  # line 8: a new layer
         db.insert(_changed(_record(0), latency_us=9.0))  # line 9 supersedes line 1
     (db_file.parent / "perf.db.idx").write_bytes(index)
-    decoded, systems = [], []
-    real, read_system = perfdb._record_from_json, PerfDb._read_system
-    monkeypatch.setattr(perfdb, "_record_from_json",
-                        lambda line, lineno: decoded.append(lineno) or real(line, lineno))
+    numbers = {line: n for n, line in enumerate(db_file.read_bytes().splitlines(), start=1)}
+    decoded, systems = [], []  # the number of each line decoded, by its bytes in the file
+    real, read_system = perfdb._parse_record, PerfDb._read_system
+    monkeypatch.setattr(perfdb, "_parse_record",
+                        lambda line: decoded.append(numbers[line]) or real(line))
     monkeypatch.setattr(PerfDb, "_read_system",
                         lambda db, name: systems.append(name) or read_system(db, name))
     db = PerfDb(db_file)
@@ -918,21 +992,37 @@ def test_a_listed_line_out_of_its_place_fails_every_read_of_its_layer(db_file):
 
     index = db_file.parent / "perf.db.idx"
     index.write_bytes(_edited(index.read_bytes(), misplace))
+    data = db_file.read_bytes()
     with PerfDb(db_file) as db:
         for _ in range(2):
-            with pytest.raises(StorageError, match="line 2 is not in its place"):
+            with pytest.raises(StorageError, match="not in its place") as exc:
                 db.query("sysA", "f32", "Relu|f32|in=1x0|")
+            assert _line_named(data, exc.value) == 2
         assert db.best("sysA", "f32", "Relu|f32|in=1x2|").latency_us == 3.0
     # A writer appends a batch that supersedes a record of that layer, and
     # cannot enter it: the handle stops, and its close keeps the old index.
     forged = index.read_bytes()
     with PerfDb(db_file, mode="rw") as db:
-        with pytest.raises(StorageError, match="line 2 is not in its place"):
+        with pytest.raises(StorageError, match="not in its place") as exc:
             db.insert(_record(5), _changed(_record(0), latency_us=9.0), _record(6))
+        assert _line_named(data, exc.value) == 2
         with pytest.raises(StorageError, match="an append failed"):
             db.insert(_record(7))
     assert index.read_bytes() == forged
     assert len(db_file.read_bytes().splitlines()) == 8
+
+
+def test_a_listed_line_that_is_not_a_record_names_its_byte_offset(db_file):
+    """An index whose own sha256 holds, but whose first layer's line starts
+    a byte late: reading that layer names the byte, and no other read fails."""
+    index = db_file.parent / "perf.db.idx"
+    index.write_bytes(_edited(index.read_bytes(), lambda obj: obj if isinstance(obj, dict)
+                              else [obj[0], [[*obj[1][0][:2], [1, obj[1][0][2][1]]],
+                                             *obj[1][1:]]]))
+    with PerfDb(db_file) as db:
+        with pytest.raises(StorageError, match=r"\.idx: the line at byte 1: "):
+            db.query("sysA", "f32", "Relu|f32|in=1x0|")
+        assert db.best("sysA", "f32", "Relu|f32|in=1x1|").latency_us == 2.0
 
 
 def test_a_failed_index_write_changes_no_result(tmp_path):

@@ -5,10 +5,16 @@ Library logs: strict parsing refuses a foreign line, lenient parsing skips it.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lbound
 from lbound.errors import ProfileFormatError
 from lbound.profile_ingest import (
     ApiCall,
@@ -79,3 +85,20 @@ def test_lenient_log_parse_skips_a_foreign_line_and_keeps_the_blocks():
         ApiCall(1, "cudnnConvolutionForward", {"x": "1x3x8x8", "algo": "WING"}),
         ApiCall(2, "cublasSgemm_v2", {"m": "16"}),
     ])
+
+
+def test_lenient_convert_prints_each_skipped_line_to_stderr(tmp_path):
+    """Through a process of its own, where nothing captures the line in between."""
+    log, out = tmp_path / "cudnn.log", tmp_path / "p.prof"
+    log.write_text(_LOG, "utf-8")
+    src = str(pathlib.Path(lbound.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "lbound.cli", "profile", "convert",
+                           "--cudnn-log", str(log), "--latency-ms", "1", "--model", "m",
+                           "--system", "s", "-o", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == \
+        "skipping unparseable logger line 4: 'some foreign line from another logger'\n"
+    assert [call.api_name for call in parse_profile(out.read_text("utf-8")).api_calls] \
+        == ["cudnnConvolutionForward", "cublasSgemm_v2"]

@@ -48,7 +48,7 @@ class PerRecordDb(PerfDb):
             self._fh.write(line)
             self._fh.flush()
             self._lines += 1
-            self._put(record, (self._end, len(line), self._lines))
+            self._put(record, (self._end, len(line)))
             self._end += len(line)
             self._sha.update(line)
 
