@@ -120,22 +120,25 @@ def bench(argv: list[str]) -> None:
 def _specs_from_misses(path: str, config: BenchConfig):
     """Rebuild specs for the layers named in a miss-key file.
 
-    A key (``system/dtype/layout/algo/fused/signature``) yields specs at its
-    own dtype and layout; a bare signature line at its dtype and ``--layouts``.
+    Each line is a key, ``system/dtype/layout/algo/fused/signature``, split
+    from the right because a system id may hold a ``/`` and a signature never
+    does; it yields specs at the signature's dtype and the key's layout.
     """
     from . import benchgen, dedup
 
-    groups: dict[tuple[str, tuple[str, ...]], set[dedup.LayerSignature]] = {}
-    for line in read_text(path, ModelParseError).split("\n"):
+    groups: dict[tuple[str, str], set[dedup.LayerSignature]] = {}  # by (dtype, layout)
+    for n, line in enumerate(read_text(path, ModelParseError).split("\n"), 1):
         line = line.strip()
         if not line:
             continue
-        parts = line.split("/", 5) if "/" in line else [line]
-        layouts = (parts[2],) if len(parts) == 6 else config.layouts
-        sig = dedup.parse_signature(parts[-1])
-        groups.setdefault((sig.dtype, layouts), set()).add(sig)
+        parts = line.rsplit("/", 5)
+        if len(parts) != 6:
+            raise ConfigError(f"miss file {path} line {n}: expected "
+                              f"system/dtype/layout/algo/fused/signature, got {line!r}")
+        sig = dedup.parse_signature(parts[5])
+        groups.setdefault((sig.dtype, parts[2]), set()).add(sig)
     if not groups:
         raise ConfigError(f"miss file {path} names no layer")
-    return [spec for (dtype, layouts), sigs in sorted(groups.items())
+    return [spec for (dtype, layout), sigs in sorted(groups.items())
             for spec in benchgen.generate_specs(
-                sigs, benchgen.BenchConfig((dtype,), layouts, config.algorithms))]
+                sigs, benchgen.BenchConfig((dtype,), (layout,), config.algorithms))]

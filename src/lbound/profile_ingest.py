@@ -129,15 +129,18 @@ def _check(ok: bool, field: str, kind: str, value) -> None:
 
 
 def parse_profile(text: str) -> ExecutionProfile:
+    """Profile from its text: the header line, then the sections ``[META]``,
+    ``[APICALLS]`` and an optional ``[KERNELS]``; any other section is refused."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != _HEADER:
         raise ProfileFormatError(f"missing {_HEADER!r} header line")
     sections: dict[str, list[str]] = {}
     current: str | None = None
-    for raw in lines[1:]:
-        line = raw.rstrip("\n")
+    for line in lines[1:]:
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current not in ("META", "APICALLS", "KERNELS"):
+                raise ProfileFormatError(f"unknown section {current!r}")
             if current in sections:
                 raise ProfileFormatError(f"duplicate section {current!r}")
             sections[current] = []

@@ -11,11 +11,16 @@ where peak is the tensor rate for an f16 spec whose call is Tensor-Core
 capable, on a system that has a tensor rate, and the fp32 rate otherwise;
 bytes_touched covers input, output, and weight elements at the dtype width,
 and f is a per-algorithm factor (1.0 for non-convolutions). The factor
-table is synthetic; it exists to create a nontrivial, shape-dependent
-optimal-algorithm landscape. Winograd variants only earn their discount on
-3x3 stride-1 shapes, FFT variants refuse strides above 1 entirely, and a
-fused spec runs its convolution at the best applicable factor with the
-kernel overhead paid once.
+table, ``ALGO_FACTOR``, is synthetic and the same on every system; it makes
+a nontrivial, shape-dependent optimal-algorithm landscape. Winograd variants
+only earn their discount on 3x3 stride-1 shapes, FFT variants refuse strides
+above 1 entirely, and a fused spec runs its convolution at the best
+applicable factor with the kernel overhead paid once.
+
+A system is one JSON object, ``data/systems/<name>.json`` for a bundled one.
+The simulator reads its ``system_id``, rates and ``kernel_overhead_us``;
+``gpu``, ``architecture`` and ``mem_gb`` (named for ROADMAP item 20) describe
+the part. ``_profile_from_json`` gives each key's type.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ if TYPE_CHECKING:
     from .benchgen import BenchmarkSpec
     from .model_ir import Layer
 
-DEFAULT_ALGO_FACTOR = {
+ALGO_FACTOR = {
     ConvAlgorithm.IPGEMM: 1.0,
     ConvAlgorithm.IGEMM: 1.15,
     ConvAlgorithm.GEMM: 1.25,
@@ -47,16 +52,16 @@ DEFAULT_ALGO_FACTOR = {
 }
 # Winograd discount applies to 3x3 stride-1 convolutions only.
 _WINOGRAD_PENALTY = 10.0
+_SYSTEMS_DIR = os.path.join(os.path.dirname(__file__), "data", "systems")
+SYSTEM_KEYS = ("system_id", "gpu", "architecture", "mem_gb", "mem_bw_gbps", "fp32_tflops",
+               "tensor_tflops", "tensor_core", "kernel_overhead_us")
 
 
 class SystemProfile:
     """A system's rates; it has Tensor Cores exactly when it has a tensor rate."""
 
     def __init__(self, system_id: str, fp32_tflops: float, mem_bw_gbps: float,
-                 tensor_tflops: float | None = None, kernel_overhead_us: float = 2.0,
-                 algo_factor: dict[ConvAlgorithm, float] | None = None):
-        if algo_factor is None:
-            algo_factor = dict(DEFAULT_ALGO_FACTOR)
+                 tensor_tflops: float | None = None, kernel_overhead_us: float = 2.0):
         if not (0 < fp32_tflops < math.inf and 0 < mem_bw_gbps < math.inf):
             raise ConfigError(f"system {system_id!r}: rates must be positive and finite")
         if not 0 <= kernel_overhead_us < math.inf:
@@ -64,19 +69,14 @@ class SystemProfile:
         if tensor_tflops is not None and not 0 < tensor_tflops < math.inf:
             raise ConfigError(
                 f"system {system_id!r}: tensor_tflops must be positive and finite")
-        if not all(0 < v < math.inf for v in algo_factor.values()):
-            raise ConfigError(
-                f"system {system_id!r}: algo factors must be positive and finite")
         self.system_id = system_id
         self.fp32_tflops = fp32_tflops
         self.mem_bw_gbps = mem_bw_gbps
         self.tensor_tflops = tensor_tflops
         self.kernel_overhead_us = kernel_overhead_us
-        self.algo_factor = algo_factor
 
 
-def effective_factor(layer: Layer, algo: ConvAlgorithm,
-                     factors: dict[ConvAlgorithm, float]) -> float | None:
+def effective_factor(layer: Layer, algo: ConvAlgorithm) -> float | None:
     """Algorithm factor for this Conv layer; None when the algorithm refuses it."""
     kernel, strides = layer.params["kernel"], layer.params["strides"]  # pairs on every Conv
     if algo in (ConvAlgorithm.FFT, ConvAlgorithm.TFFT) and max(strides) > 1:
@@ -84,13 +84,12 @@ def effective_factor(layer: Layer, algo: ConvAlgorithm,
     if algo in (ConvAlgorithm.WING, ConvAlgorithm.WINGNF) \
             and (kernel, strides) != ((3, 3), (1, 1)):
         return _WINOGRAD_PENALTY
-    return factors[algo]
+    return ALGO_FACTOR[algo]
 
 
-def _ideal_factor(layer: Layer, factors: dict[ConvAlgorithm, float]) -> float:
-    applicable = [effective_factor(layer, a, factors) for a in ConvAlgorithm]
-    usable = [f for f in applicable if f is not None]
-    return min(usable) if usable else 1.0
+def _ideal_factor(layer: Layer) -> float:
+    """The least factor of the algorithms that take this Conv layer; IPGEMM takes every one."""
+    return min(f for a in ConvAlgorithm if (f := effective_factor(layer, a)) is not None)
 
 
 def touched_elements(layer: Layer) -> int:
@@ -108,12 +107,12 @@ def simulate(spec: BenchmarkSpec, sys: SystemProfile, elements: int,
     layer = spec.signature.layer
 
     if spec.algorithm is not None:
-        f = effective_factor(layer, spec.algorithm, sys.algo_factor)
+        f = effective_factor(layer, spec.algorithm)
         if f is None:
             return make_record(sys.system_id, spec, None, status="unsupported",
                                metadata={"reason": "algorithm unsupported for shape"})
     elif spec.fused:
-        f = _ideal_factor(layer, sys.algo_factor)
+        f = _ideal_factor(layer)
     else:
         f = 1.0
 
@@ -169,40 +168,39 @@ def run_specs(specs: list[BenchmarkSpec], sys: SystemProfile, db,
 # ---------------------------------------------------------------------------
 
 def load_system_profile(name_or_path: str) -> SystemProfile:
-    """Load a profile from a JSON file or from the bundled system set."""
-    if os.path.exists(name_or_path):
-        return _profile_from_json(read_text(name_or_path, ConfigError))
-    try:
-        from importlib import resources
-
-        ref = resources.files("lbound").joinpath(f"data/systems/{name_or_path}.json")
-        return _profile_from_json(ref.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(
-            f"unknown system profile {name_or_path!r}; "
-            f"builtins: {', '.join(builtin_systems())}") from None
+    """Load a profile from a JSON file, or else the bundled system of that name."""
+    path = name_or_path
+    if not os.path.exists(path):
+        path = os.path.join(_SYSTEMS_DIR, f"{name_or_path}.json")
+        if not os.path.isfile(path):
+            raise ConfigError(f"unknown system profile {name_or_path!r}; "
+                              f"builtins: {', '.join(builtin_systems())}")
+    return _profile_from_json(read_text(path, ConfigError))
 
 
 def builtin_systems() -> list[str]:
-    from importlib import resources
-
-    names = []
-    for entry in resources.files("lbound").joinpath("data/systems").iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[:-5])
-    return sorted(names)
+    return sorted(name[:-5] for name in os.listdir(_SYSTEMS_DIR) if name.endswith(".json"))
 
 
 def _profile_from_json(text: str) -> SystemProfile:
-    """Profile from its JSON.
+    """Profile from its JSON object; a key outside ``SYSTEM_KEYS`` is refused.
 
-    The rates, ``kernel_overhead_us`` and each ``algo_factor`` value must be
-    JSON numbers, not bools or strings; an optional ``tensor_core`` must be a
-    JSON bool that agrees with ``tensor_tflops``.
+    The simulator reads ``system_id``, a non-empty JSON string, and
+    ``fp32_tflops``, ``mem_bw_gbps``, an optional ``tensor_tflops`` and an
+    optional ``kernel_overhead_us`` (2.0), JSON numbers that are not bools or
+    strings. An optional ``tensor_core`` is a JSON bool that agrees with
+    ``tensor_tflops``. ``gpu``, ``architecture`` and ``mem_gb`` describe the
+    part and are not read; ``mem_gb`` is named for ROADMAP item 20's memory fit.
     """
     try:
         obj = json.loads(text)
         system_id = obj["system_id"]
+        if not isinstance(system_id, str) or not system_id:
+            raise ConfigError(f"bad system profile: system_id must be a non-empty JSON "
+                              f"string, got {system_id!r}")
+        for key in obj:
+            if key not in SYSTEM_KEYS:
+                raise ConfigError(f"system {system_id!r}: unknown key {key!r}")
 
         def number(name: str, value) -> float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -213,25 +211,20 @@ def _profile_from_json(text: str) -> SystemProfile:
             except OverflowError:  # an integer beyond the float range
                 return math.inf
 
-        factors = dict(DEFAULT_ALGO_FACTOR)
-        for k, v in (obj.get("algo_factor") or {}).items():
-            factors[ConvAlgorithm[k]] = number(f"algo_factor {k}", v)
         has_rate = obj.get("tensor_tflops") is not None
         tensor_core = obj.get("tensor_core", has_rate)
         if not isinstance(tensor_core, bool):
             raise ConfigError(f"system {system_id!r}: tensor_core must be a JSON bool, "
                               f"got {tensor_core!r}")
         if tensor_core != has_rate:
-            raise ConfigError(
-                f"system {system_id!r}: tensor_tflops must be present "
-                f"exactly when tensor_core is set")
+            raise ConfigError(f"system {system_id!r}: tensor_tflops must be present "
+                              f"exactly when tensor_core is set")
         return SystemProfile(
             system_id=system_id,
             fp32_tflops=number("fp32_tflops", obj["fp32_tflops"]),
             mem_bw_gbps=number("mem_bw_gbps", obj["mem_bw_gbps"]),
             tensor_tflops=number("tensor_tflops", obj["tensor_tflops"]) if has_rate else None,
             kernel_overhead_us=number("kernel_overhead_us", obj.get("kernel_overhead_us", 2.0)),
-            algo_factor=factors,
         )
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:  # TypeError: not an object
         raise ConfigError(f"bad system profile: {exc}") from exc

@@ -229,6 +229,8 @@ def test_bad_cost_exits_2(r18, cost):
                                      {"algo_factor": {"WING": float("nan")}},
                                      {"fp32_tflops": 10**400}])
 def test_non_finite_system_profile_exits_2(r18, tmp_path, changes):
+    """A rate or overhead that is not finite exits 2, and so does an
+    ``algo_factor``, a key that no system file holds."""
     model, _db = r18
     system = {**json.loads((resources.files("lbound") / "data/systems/Tesla_V100.json")
                            .read_text("utf-8")), **changes}
@@ -238,7 +240,8 @@ def test_non_finite_system_profile_exits_2(r18, tmp_path, changes):
         "bench", str(model), "--db", str(tmp_path / "perf.db"), "--system", str(path),
         "--simulate"])
     _no_traceback(res, 2)
-    assert "finite" in res.output
+    assert ("unknown key 'algo_factor'" if "algo_factor" in changes else "finite") \
+        in res.output
 
 
 @pytest.mark.parametrize("changes, reason", [
@@ -248,7 +251,7 @@ def test_non_finite_system_profile_exits_2(r18, tmp_path, changes):
     ({"mem_bw_gbps": "900"}, "mem_bw_gbps must be a JSON number, got '900'"),
     ({"tensor_tflops": True}, "tensor_tflops must be a JSON number, got True"),
     ({"kernel_overhead_us": False}, "kernel_overhead_us must be a JSON number, got False"),
-    ({"algo_factor": {"WING": "0.8"}}, "algo_factor WING must be a JSON number, got '0.8'"),
+    ({"algo_factor": {"WING": "0.8"}}, "unknown key 'algo_factor'"),
 ], ids=["tensor_core", "fp32-bool", "fp32-string", "mem_bw", "tensor_tflops",
         "kernel_overhead", "algo_factor"])
 def test_system_profile_takes_only_json_types(r18, tmp_path, changes, reason):
@@ -277,11 +280,15 @@ _TC_MISMATCH = "tensor_tflops must be present exactly when tensor_core is set"
 @pytest.mark.parametrize("extra, system, reason", [
     ([], None, "--simulate needs --system"),
     (["--delta"], None, "--delta needs --system to check existing results"),
-    (["--system", "Nope"], None, "unknown system profile 'Nope'"),
+    (["--system", "Nope"], None, "unknown system profile 'Nope'; builtins: Quadro_RTX, "
+     "TITAN_V, TITAN_Xp, Tesla_K80, Tesla_M60, Tesla_T4, Tesla_V100"),
     ([], ("Tesla_V100", {"tensor_core": False}), _TC_MISMATCH),
     ([], ("Tesla_K80", {"tensor_core": True}), _TC_MISMATCH),
+    ([], ("Tesla_V100", {"system_id": 5}), "system_id must be a non-empty JSON string, got 5"),
+    ([], ("Tesla_V100", {"system_id": ""}), "system_id must be a non-empty JSON string, got ''"),
+    ([], ("Tesla_K80", {"tensor_tflop": 125.0}), "system 'Tesla_K80': unknown key 'tensor_tflop'"),
 ], ids=["no-system", "delta-no-system", "unknown-system", "rate-without-flag",
-        "flag-without-rate"])
+        "flag-without-rate", "system-id-number", "system-id-empty", "unknown-key"])
 def test_bad_system_exits_2_before_the_db_opens(r18, tmp_path, extra, system, reason):
     model, _db = r18
     if system is not None:
@@ -623,6 +630,51 @@ def test_miss_keys_fill_at_their_own_layout(tmp_path):
     assert {k.layout for k in simulated if k.signature.startswith("Conv|")} == {"NHWC"}
     res = invoke(args)
     assert res.exit_code == 0, res.output
+
+
+def test_a_miss_key_splits_from_the_right(r18, tmp_path):
+    """A system id may hold a ``/``; the signature, the last field, never does."""
+    model, _db = r18
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({**json.loads(
+        (resources.files("lbound") / "data/systems/Tesla_V100.json").read_text("utf-8")),
+        "system_id": "a/b"}), "utf-8")
+    db = tmp_path / "perf.db"
+    res = invoke(["bench", str(model), "--db", str(db), "--system", str(system),
+                  "--dtypes", "f32", "--simulate"])
+    assert res.exit_code == 0, res.output
+    misses = tmp_path / "m.txt"
+    args = ["analyze", str(model), "--db", str(db), "--system", str(system), "--tensor-core"]
+    _no_traceback(invoke([*args, "--miss-out", str(misses)]), 3)
+    keys = misses.read_text("utf-8").splitlines()
+    assert keys and all(key.startswith("a/b/f16/NCHW/") for key in keys)
+    res = invoke(["bench", "--from-misses", str(misses), "--db", str(db),
+                  "--system", str(system), "--simulate"])
+    assert res.exit_code == 0, res.output
+    res = invoke(args)
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("line", ["Relu|f32|in=1x8|", "Tesla_V100/f32/NCHW/-/Relu|f32|in=1x8|"],
+                         ids=["bare-signature", "five-fields"])
+def test_a_miss_line_that_is_not_a_key_exits_2(tmp_path, line):
+    misses = tmp_path / "m.txt"
+    misses.write_text(f"\n{line}\n", "utf-8")
+    res = invoke(["bench", "--from-misses", str(misses)])
+    _one_error(res)
+    assert (f"miss file {misses} line 2: expected system/dtype/layout/algo/fused/signature, "
+            f"got {line!r}") in res.output
+
+
+@pytest.mark.parametrize("section", ["KERNEL", "kernels", "KERNELS "])
+def test_an_unknown_profile_section_exits_2(r18, tmp_path, section):
+    """A misspelt ``[KERNELS]`` is refused, not read as a profile without kernels."""
+    model, db = r18
+    prof = _conv_profile(tmp_path, model)
+    prof.write_text(prof.read_text("utf-8").replace("[KERNELS]", f"[{section}]"), "utf-8")
+    res = _analyze(model, db, "--tensor-core", "--profile", str(prof))
+    _one_error(res)
+    assert f"unknown section {section!r}" in res.output
 
 
 def test_advise_counts_the_covered_layers_of_an_incomplete_system(r18):

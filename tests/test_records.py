@@ -66,8 +66,7 @@ CASES = {
                              P(profile_ingest.ExecutionProfile, "m", "s", 1, math.inf),
                              ProfileFormatError, fresh=("api_calls", "kernels")),
     "SystemProfile": Case(P(synth_runner.SystemProfile, "s", 1.0, 1.0),
-                          P(synth_runner.SystemProfile, "s", 0.0, 1.0), ConfigError,
-                          fresh=("algo_factor",)),
+                          P(synth_runner.SystemProfile, "s", 0.0, 1.0), ConfigError),
     "LatencyAnnotatedGraph": Case(P(analyzer.LatencyAnnotatedGraph, GRAPH, {}, {}),
                                   fresh=("missing",)),
     "CriticalPath": Case(P(analyzer.CriticalPath, [], 0.0)),
@@ -103,9 +102,6 @@ def test_construction_contract(name):
             case.bad()
     for field in case.fresh:
         assert getattr(first, field) is not getattr(second, field)
-    if cls is synth_runner.SystemProfile:
-        assert first.algo_factor == synth_runner.DEFAULT_ALGO_FACTOR
-        assert first.algo_factor is not synth_runner.DEFAULT_ALGO_FACTOR
     field = fields[0]
     if case.frozen:
         # A NamedTuple refuses in Python's own words, every other record in its own.
