@@ -13,11 +13,15 @@ keeping report output stable. Distances are compared exactly as computed,
 so a path whose running sum rounds lower at some layer drops out there even
 if its total later rounds to the same value.
 
-The path is not carried through the forward pass. An edge (p -> v) is
-*tight* when dist[p] - latency(v) == dist[v]; a reverse pass marks the
-nodes with a tight path to a sink at the optimal distance, and the path is
-rebuilt from the smallest-id marked source by taking the smallest-id tight,
-marked successor at each step. All three steps are linear in the graph.
+The forward pass takes a node's least producer distance, then subtracts
+its latency once: float subtraction is monotone, so that is the least of
+the per-edge candidates, bit for bit. The path is not carried through it.
+An edge (p -> v) is *tight* when dist[p] - latency(v) == dist[v]; a reverse
+pass marks the nodes with a tight path to a sink at the optimal distance,
+and the path is rebuilt from the smallest-id marked source by taking the
+smallest-id tight, marked successor at each step. A marked node with a lone
+consumer was marked through it, so the rebuild steps straight to it and
+runs ``min`` only at forks. All three steps are linear in the graph.
 
 Every walk over a graph, from annotation to the totals, the critical path
 and the DOT export, follows the topological order the graph carries
@@ -213,21 +217,21 @@ def critical_path(graph: ModelGraph, latencies: dict[str, float]) -> CriticalPat
     nodes, lat = graph.nodes, latencies
     # dist[v]: shortest distance from the virtual source using weights
     # -latency(v); producers precede consumers, so ``p in dist`` tells
-    # graph nodes from graph inputs.
+    # graph nodes from graph inputs. Subtracting one latency is monotone,
+    # so the least producer distance minus it is the least candidate.
     dist: dict[str, float] = {}
     sources: list[str] = []
     for nid in order:
-        lv = lat[nid]
-        d = None
+        m = None
         for p in nodes[nid].input_ids:
             if p in dist:
-                cand = dist[p] - lv
-                if d is None or cand < d:
-                    d = cand
-        if d is None:
+                dp = dist[p]
+                if m is None or dp < m:
+                    m = dp
+        if m is None:
             sources.append(nid)
-            d = 0.0 - lv
-        dist[nid] = d
+            m = 0.0
+        dist[nid] = m - lat[nid]
     best = min(dist[nid] for nid in order if not nodes[nid].output_ids)
     # on: nodes with a tight path to a sink at distance ``best``.
     on: set[str] = set()
@@ -242,12 +246,18 @@ def critical_path(graph: ModelGraph, latencies: dict[str, float]) -> CriticalPat
             if c in on and d - lat[c] == dist[c]:
                 on.add(nid)
                 break
+    # A marked node's lone consumer is the tight, marked one that marked it.
     nid = min(s for s in sources if s in on)
     path = [nid]
-    while nodes[nid].output_ids:
-        d = dist[nid]
-        nid = min(c for c in nodes[nid].output_ids if c in on and d - lat[c] == dist[c])
+    outs = nodes[nid].output_ids
+    while outs:
+        if len(outs) == 1:
+            nid = outs[0]
+        else:
+            d = dist[nid]
+            nid = min(c for c in outs if c in on and d - lat[c] == dist[c])
         path.append(nid)
+        outs = nodes[nid].output_ids
     return CriticalPath(path, -best)
 
 
@@ -880,21 +890,21 @@ def report_to_text(report: AnalysisReport) -> str:
 def export_dot(ann: LatencyAnnotatedGraph, path: CriticalPath | None = None) -> str:
     """DOT rendering with name, type, latency per node; critical path in red."""
     graph = ann.graph
-    on_path = set(path.node_ids) if path else set()
-    path_edges = set(zip(path.node_ids, path.node_ids[1:])) if path else set()
+    nodes, lat = graph.nodes, ann.latencies
+    ids = path.node_ids if path else []
+    on_path = set(ids)
+    after = dict(zip(ids, ids[1:]))  # each path node's successor on the path
     lines = [f'digraph "{graph.name}" {{',
              "  rankdir=TB;",
              '  node [shape=box, fontname="Helvetica"];']
     for nid in graph.order:
-        node = graph.nodes[nid]
-        label = f"{nid}\\n{node.op_type}\\n{ann.latencies.get(nid, 0.0):.3f} us"
-        style = ' color=red penwidth=2.0' if nid in on_path else ""
-        lines.append(f'  "{nid}" [label="{label}"{style}];')
+        lines.append(f'  "{nid}" [label="{nid}\\n{nodes[nid].op_type}\\n'
+                     f'{lat.get(nid, 0.0):.3f} us"'
+                     f'{" color=red penwidth=2.0" if nid in on_path else ""}];')
     for nid in graph.order:
-        for src in graph.nodes[nid].input_ids:
-            if src not in graph.nodes:
-                continue
-            style = " [color=red penwidth=2.0]" if (src, nid) in path_edges else ""
-            lines.append(f'  "{src}" -> "{nid}"{style};')
+        for src in nodes[nid].input_ids:
+            if src in nodes:
+                lines.append(f'  "{src}" -> "{nid}"'
+                             f'{" [color=red penwidth=2.0]" if after.get(src) == nid else ""};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -82,9 +82,17 @@ main.main = lambda args, **_ignored: main(args)
 def run() -> None:
     """Process entry point of ``lbound`` and ``python -m lbound.cli``.
 
-    Once the command returns or exits, the collector is frozen, so the
-    interpreter's exit collections skip every object the imports built.
+    The cyclic collector is off for the whole command. A command builds
+    graphs, tables and records that reference counting frees, and almost no
+    reference cycles (a full collection after a command finds about a
+    hundred objects, from the imports), yet the collector's passes,
+    triggered by allocation counts, would walk every container it keeps;
+    the process exit frees what little they would find. Once the command
+    returns or exits, the collector is frozen, so the interpreter's exit
+    collections skip every object the imports built. In-process callers of
+    :func:`main` keep the collector as they set it.
     """
+    gc.disable()
     try:
         main()
     finally:

@@ -41,16 +41,16 @@ def analyze(argv: list[str]) -> None:
                    help="Write missing keys to a file consumable by bench --from-misses.")
     opts = p.parse_intermixed_args(argv)
 
-    from . import analyzer, perfdb, synth_runner
+    from . import analyzer, perfdb, systems
 
     graph = model_ir.infer_shapes(model_ir.load_model_file(opts.model), opts.batch)
-    sysid = synth_runner.load_system_profile(opts.system_name).system_id
+    sysid = systems.load_system_profile(opts.system_name).system_id
     prof = None
     if opts.profile_path:
         from . import profile_ingest
 
         prof = profile_ingest.parse_profile(read_text(opts.profile_path, ProfileFormatError))
-        prof_sysid = synth_runner.load_system_profile(prof.system_id).system_id
+        prof_sysid = systems.load_system_profile(prof.system_id).system_id
         if (prof_sysid, prof.batch) != (sysid, opts.batch):
             raise ConfigError(f"profile {opts.profile_path} is of system {prof_sysid!r} at batch "
                               f"{prof.batch}, but the command analyzes {sysid!r} at batch "

@@ -82,7 +82,7 @@ def bench(argv: list[str]) -> None:
         print(f"wrote manifest to {opts.manifest_out}")
 
     if opts.delta or opts.do_simulate:
-        from . import perfdb, synth_runner
+        from . import perfdb, synth_runner, systems
 
         path = _db_path(opts.db_path)
         names = _comma_list(opts.system_name or "")
@@ -90,12 +90,12 @@ def bench(argv: list[str]) -> None:
             raise ConfigError("--delta needs --system to check existing results"
                               if opts.delta else "--simulate needs --system")
         # Resolved before the open, so a bad --system leaves no database behind.
-        systems = [synth_runner.load_system_profile(name) for name in names]
+        profiles = [systems.load_system_profile(name) for name in names]
         missing = set()  # with --delta, the specs some system lacks
         with perfdb.PerfDb(path, mode="rw" if opts.do_simulate else "r") as db:
-            for system in systems:
+            for system in profiles:
                 todo = specs
-                prefix = f"{system.system_id}: " if len(systems) > 1 else ""
+                prefix = f"{system.system_id}: " if len(profiles) > 1 else ""
                 if opts.delta:  # through the index, decodes only the layers it checks
                     todo = benchgen.delta_specs(specs, db, system.system_id)
                     missing.update(todo)
@@ -122,10 +122,16 @@ def _specs_from_misses(path: str, config: BenchConfig):
 
     Each line is a key, ``system/dtype/layout/algo/fused/signature``, split
     from the right because a system id may hold a ``/`` and a signature never
-    does; it yields specs at the signature's dtype and the key's layout.
+    does; it yields specs at the signature's dtype and the key's layout. The
+    system is a system id, the dtype the signature's own, the layout one of
+    ``LAYOUTS``, and the algorithm and fused fields ``-`` or a
+    ``ConvAlgorithm`` name and a ``FUSION_PATTERNS`` id, as
+    ``RecordKey.render`` writes them.
     """
-    from . import benchgen, dedup
+    from . import benchgen, dedup, systems
 
+    algorithms = {"-", *model_ir.ConvAlgorithm.__members__}
+    fused = {"-", *model_ir.FUSION_PATTERNS}
     groups: dict[tuple[str, str], set[dedup.LayerSignature]] = {}  # by (dtype, layout)
     for n, line in enumerate(read_text(path, ModelParseError).split("\n"), 1):
         line = line.strip()
@@ -135,8 +141,25 @@ def _specs_from_misses(path: str, config: BenchConfig):
         if len(parts) != 6:
             raise ConfigError(f"miss file {path} line {n}: expected "
                               f"system/dtype/layout/algo/fused/signature, got {line!r}")
-        sig = dedup.parse_signature(parts[5])
-        groups.setdefault((sig.dtype, parts[2]), set()).add(sig)
+        system, dtype, layout, algo, pattern, canonical = parts
+        try:
+            sig = dedup.parse_signature(canonical)
+        except ModelParseError as exc:
+            raise ConfigError(f"miss file {path} line {n}: {exc} in {line!r}") from exc
+        if fault := systems.system_id_fault(system):
+            bad = f"system {fault}"
+        elif dtype != sig.dtype:
+            bad = f"dtype {dtype!r} is not its signature's {sig.dtype!r}"
+        elif layout not in model_ir.LAYOUTS:
+            bad = f"unknown layout {layout!r}"
+        elif algo not in algorithms:
+            bad = f"algorithm {algo!r} is neither '-' nor a ConvAlgorithm name"
+        elif pattern not in fused:
+            bad = f"fused {pattern!r} is neither '-' nor a fusion pattern id"
+        else:
+            groups.setdefault((dtype, layout), set()).add(sig)
+            continue
+        raise ConfigError(f"miss file {path} line {n}: {bad} in {line!r}")
     if not groups:
         raise ConfigError(f"miss file {path} names no layer")
     return [spec for (dtype, layout), sigs in sorted(groups.items())

@@ -7,17 +7,17 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from lbound import benchgen, dedup, perfdb, synth_runner  # noqa: E402
+from lbound import benchgen, dedup, perfdb, synth_runner, systems  # noqa: E402
 
 
 @pytest.fixture
 def v100():
-    return synth_runner.load_system_profile("Tesla_V100")
+    return systems.load_system_profile("Tesla_V100")
 
 
 @pytest.fixture
 def titan_v():
-    return synth_runner.load_system_profile("TITAN_V")
+    return systems.load_system_profile("TITAN_V")
 
 
 @pytest.fixture

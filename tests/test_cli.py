@@ -252,8 +252,13 @@ def test_non_finite_system_profile_exits_2(r18, tmp_path, changes):
     ({"tensor_tflops": True}, "tensor_tflops must be a JSON number, got True"),
     ({"kernel_overhead_us": False}, "kernel_overhead_us must be a JSON number, got False"),
     ({"algo_factor": {"WING": "0.8"}}, "unknown key 'algo_factor'"),
+    ({"mem_gb": "lots"}, "mem_gb must be a JSON number, got 'lots'"),
+    ({"mem_gb": True}, "mem_gb must be a JSON number, got True"),
+    ({"mem_gb": 0}, "mem_gb must be positive and finite, got 0"),
+    ({"mem_gb": 10**400}, "mem_gb must be positive and finite"),
 ], ids=["tensor_core", "fp32-bool", "fp32-string", "mem_bw", "tensor_tflops",
-        "kernel_overhead", "algo_factor"])
+        "kernel_overhead", "algo_factor", "mem_gb-string", "mem_gb-bool", "mem_gb-zero",
+        "mem_gb-past-float"])
 def test_system_profile_takes_only_json_types(r18, tmp_path, changes, reason):
     model, db = r18
     system = {**json.loads((resources.files("lbound") / "data/systems/Tesla_V100.json")
@@ -287,8 +292,13 @@ _TC_MISMATCH = "tensor_tflops must be present exactly when tensor_core is set"
     ([], ("Tesla_V100", {"system_id": 5}), "system_id must be a non-empty JSON string, got 5"),
     ([], ("Tesla_V100", {"system_id": ""}), "system_id must be a non-empty JSON string, got ''"),
     ([], ("Tesla_K80", {"tensor_tflop": 125.0}), "system 'Tesla_K80': unknown key 'tensor_tflop'"),
+    ([], ("Tesla_V100", {"system_id": "a\nb"}),
+     "system_id 'a\\nb' holds control character U+000A"),
+    ([], ("Tesla_V100", {"system_id": "a\x7fb"}),
+     "system_id 'a\\x7fb' holds control character U+007F"),
 ], ids=["no-system", "delta-no-system", "unknown-system", "rate-without-flag",
-        "flag-without-rate", "system-id-number", "system-id-empty", "unknown-key"])
+        "flag-without-rate", "system-id-number", "system-id-empty", "unknown-key",
+        "system-id-newline", "system-id-del"])
 def test_bad_system_exits_2_before_the_db_opens(r18, tmp_path, extra, system, reason):
     model, _db = r18
     if system is not None:
@@ -655,15 +665,36 @@ def test_a_miss_key_splits_from_the_right(r18, tmp_path):
     assert res.exit_code == 0, res.output
 
 
-@pytest.mark.parametrize("line", ["Relu|f32|in=1x8|", "Tesla_V100/f32/NCHW/-/Relu|f32|in=1x8|"],
-                         ids=["bare-signature", "five-fields"])
-def test_a_miss_line_that_is_not_a_key_exits_2(tmp_path, line):
+_KEY = "expected system/dtype/layout/algo/fused/signature, got {line!r}"
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("Relu|f32|in=1x8|", _KEY),
+    ("Tesla_V100/f32/NCHW/-/Relu|f32|in=1x8|", _KEY),
+    ("Tesla_V100/f32/NHWC/FFT/-/Relu|f16|in=1x8|", "dtype 'f32' is not its signature's 'f16'"),
+    ("Tesla_V100/f16/NCWH/-/-/Relu|f16|in=1x8|", "unknown layout 'NCWH'"),
+    ("Tesla_V100/f32/NCHW/FAST/-/Relu|f32|in=1x8|",
+     "algorithm 'FAST' is neither '-' nor a ConvAlgorithm name"),
+    ("Tesla_V100/f32/NCHW/IMPLICIT_GEMM/-/Relu|f32|in=1x8|",
+     "algorithm 'IMPLICIT_GEMM' is neither '-' nor a ConvAlgorithm name"),
+    ("Tesla_V100/f32/NCHW/-/conv_relu/Relu|f32|in=1x8|",
+     "fused 'conv_relu' is neither '-' nor a fusion pattern id"),
+    ("Tesla_V100/f32/NCHW/-//Relu|f32|in=1x8|", "fused '' is neither '-' nor a fusion pattern id"),
+    ("/f32/NCHW/-/-/Relu|f32|in=1x8|", "system must be a non-empty JSON string, got ''"),
+    ("a\tb/f32/NCHW/-/-/Relu|f32|in=1x8|", "system 'a\\tb' holds control character U+0009"),
+    ("Tesla_V100/f32/NCHW/-/-/Relu|f32|in=1x8x|",
+     "bad signature 'Relu|f32|in=1x8x|': dims must be x-joined integers, got '1x8x'"),
+], ids=["bare-signature", "five-fields", "dtype", "layout", "algorithm", "algorithm-value",
+        "fused", "fused-empty", "system-empty", "system-control", "signature"])
+def test_a_miss_line_that_is_not_a_key_exits_2(tmp_path, line, reason):
+    """Every field of a key is checked as ``RecordKey.render`` writes it."""
     misses = tmp_path / "m.txt"
-    misses.write_text(f"\n{line}\n", "utf-8")
+    misses.write_text(f"Tesla_V100/f32/NCHW/GEMM/conv_bias/Relu|f32|in=1x8|\n{line}\n",
+                      "utf-8")
     res = invoke(["bench", "--from-misses", str(misses)])
     _one_error(res)
-    assert (f"miss file {misses} line 2: expected system/dtype/layout/algo/fused/signature, "
-            f"got {line!r}") in res.output
+    message = reason.format(line=line) if reason == _KEY else f"{reason} in {line!r}"
+    assert f"miss file {misses} line 2: {message}" in res.output
 
 
 @pytest.mark.parametrize("section", ["KERNEL", "kernels", "KERNELS "])

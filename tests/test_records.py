@@ -19,7 +19,7 @@ import math
 
 import pytest
 
-from lbound import analyzer, benchgen, dedup, model_ir, perfdb, profile_ingest, synth_runner
+from lbound import analyzer, benchgen, dedup, model_ir, perfdb, profile_ingest, systems
 from lbound.errors import ConfigError, ProfileFormatError, StorageError
 
 SIG = dedup.parse_signature("Relu|f32|in=1x8|")
@@ -65,8 +65,8 @@ CASES = {
     "ExecutionProfile": Case(P(profile_ingest.ExecutionProfile, "m", "s", 1, 1.0),
                              P(profile_ingest.ExecutionProfile, "m", "s", 1, math.inf),
                              ProfileFormatError, fresh=("api_calls", "kernels")),
-    "SystemProfile": Case(P(synth_runner.SystemProfile, "s", 1.0, 1.0),
-                          P(synth_runner.SystemProfile, "s", 0.0, 1.0), ConfigError),
+    "SystemProfile": Case(P(systems.SystemProfile, "s", 1.0, 1.0),
+                          P(systems.SystemProfile, "s", 0.0, 1.0), ConfigError),
     "LatencyAnnotatedGraph": Case(P(analyzer.LatencyAnnotatedGraph, GRAPH, {}, {}),
                                   fresh=("missing",)),
     "CriticalPath": Case(P(analyzer.CriticalPath, [], 0.0)),

@@ -1,21 +1,27 @@
-"""What each command loads, and where the collector is frozen.
+"""What each command loads, and where the collector is off and frozen.
 
 Every command is one short process, so the layer modules it imports are
 part of its latency. Each command here runs through ``cli.run`` in a fresh
 interpreter, which then reports the ``lbound`` modules and which of
-``click``, ``logging``, ``dataclasses`` and ``hashlib`` were loaded, and
-the collector's freeze count before and after ``import lbound.cli`` and
-after the command. The entry imports a command's module only when the
-command is dispatched, and ``--help`` lists the summaries of its table, so
-it loads no command module. A database or profile reader takes the
-algorithm and fusion vocabulary from ``model_ir``, so no reader loads
-``benchgen``. No command loads ``click``: the standard library parses the
-command line. No command loads ``logging``: a log line that ``profile
-convert`` skips is printed to stderr. No command loads ``dataclasses``:
-records are plain classes, apart from two NamedTuples. The same commands run as
-``python -m lbound.cli`` load the same modules, and none of them imports
-``lbound.cli``, so the entry module compiles once. In-process callers call
-``main`` and never see a freeze.
+``click``, ``logging``, ``dataclasses`` and ``hashlib`` were loaded, the
+collector's freeze count before and after ``import lbound.cli`` and after
+the command, whether the collector is still enabled, and how many
+unreachable objects one full collection finds once the frozen objects are
+released. ``cli.run`` turns the collector off for the command, which is
+safe because a command leaves little cyclic garbage. The entry imports a
+command's module only when the command is dispatched, and ``--help`` lists
+the summaries of its table, so it loads no command module. A database or
+profile reader takes the algorithm and fusion vocabulary from
+``model_ir``, so no reader loads ``benchgen``, and ``analyze`` resolves
+``--system`` through ``systems``, so it loads no simulator
+(``synth_runner``). No command loads ``click``: the standard library
+parses the command line. No command loads ``logging``: a log line that
+``profile convert`` skips is printed to stderr. No command loads
+``dataclasses``: records are plain classes, apart from two NamedTuples.
+The same commands run as ``python -m lbound.cli`` load the same modules,
+and none of them imports ``lbound.cli``, so the entry module compiles
+once. In-process callers call ``main`` and never see a freeze or the
+collector turned off.
 """
 
 from __future__ import annotations
@@ -46,8 +52,11 @@ try:
     cli.run()
 except SystemExit as exc:
     code = exc.code
+freeze = [before, imported, gc.get_freeze_count()]
+enabled = gc.isenabled()
+gc.unfreeze()
 print(json.dumps({
-    "code": code, "freeze": [before, imported, gc.get_freeze_count()],
+    "code": code, "freeze": freeze, "enabled": enabled, "collected": gc.collect(),
     "modules": sorted(m for m in sys.modules if m.startswith("lbound.")),
     "loaded": [m for m in ("click", "logging", "dataclasses", "hashlib") if m in sys.modules]}))
 """
@@ -80,7 +89,10 @@ def files(tmp_path_factory):
     manifest = root / "simulated.jsonl"
     res = invoke(["bench", str(model), "--dtypes", "f32", "--manifest", str(manifest)])
     assert res.exit_code == 0, res.output
+    empty = root / "empty.db"
+    empty.write_bytes(b"")
     return {"model": str(model), "db": str(db), "copy": str(copy), "prof": str(prof),
+            "empty": str(empty),
             "manifest": str(manifest), "sim": str(root / "sim.db"), "root": root}
 
 
@@ -108,7 +120,7 @@ _CASES = {
     "bench-simulate": (["bench", "--from-manifest", "{manifest}", "--simulate", "--system",
                         "Tesla_V100", "--db", "{sim}"],
                        BASE | {"cli_bench", "dedup", "benchgen", "perfdb", "perfdb_writer",
-                               "synth_runner"}, ["hashlib"]),
+                               "synth_runner", "systems"}, ["hashlib"]),
     "profile-convert": (["profile", "convert", "--latency-ms", "2", "--model", "m",
                          "--system", "Tesla_V100", "-o", "out.prof"],
                         BASE | {"cli_profile", "profile_ingest"}, []),
@@ -118,13 +130,15 @@ _CASES = {
     "advise": (["advise", "{model}", "--db", "{db}", "--systems", "Tesla_V100"],
                READERS, ["hashlib"]),
     "analyze": (["analyze", "{model}", "--db", "{db}", "--system", "Tesla_V100"],
-                READERS | {"synth_runner"}, ["hashlib"]),
+                READERS | {"systems"}, ["hashlib"]),
+    "analyze-missing": (["analyze", "{model}", "--db", "{empty}", "--system", "Tesla_V100",
+                         "--allow-missing"], READERS | {"systems"}, ["hashlib"]),
     "analyze-fusion": (["analyze", "{model}", "--db", "{db}", "--system", "Tesla_V100",
                         "--fusion"],
-                       READERS | {"synth_runner", "benchgen"}, ["hashlib"]),
+                       READERS | {"systems", "benchgen"}, ["hashlib"]),
     "analyze-profile": (["analyze", "{model}", "--db", "{db}", "--system", "Tesla_V100",
                          "--profile", "{prof}"],
-                        READERS | {"synth_runner", "profile_ingest"}, ["hashlib"]),
+                        READERS | {"systems", "profile_ingest"}, ["hashlib"]),
 }
 
 
@@ -137,6 +151,9 @@ def test_each_command_imports_only_the_layers_it_runs(files, case):
     # Importing the CLI freezes nothing; the process entry freezes on the way out.
     before, imported, after = got["freeze"]
     assert before == imported == 0 < after
+    # The collector stays off once the entry turns it off, and little was left to it.
+    assert got["enabled"] is False
+    assert got["collected"] <= 1000
 
 
 @pytest.mark.parametrize("case", ["analyze", "db-stats"])
@@ -156,7 +173,9 @@ def test_the_entry_module_compiles_once(files, case):
 
 def test_in_process_invocations_never_freeze(files):
     before = gc.get_freeze_count()
+    assert gc.isenabled()
     for args in (["--help"], ["db", "stats", files["db"]]):
         res = invoke(args)
         assert res.exit_code == 0, res.output
     assert gc.get_freeze_count() == before
+    assert gc.isenabled()

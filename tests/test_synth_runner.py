@@ -1,7 +1,7 @@
 """The simulator: a jittered record depends on its spec and seed, not on run order.
 
-A bundled system name reads the same file as its path, and the package holds
-the seven systems.
+A bundled system name reads the same file as its path through ``systems``,
+and the package holds the seven systems.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from importlib import resources
 import pytest
 
 import modelzoo as mz
-from lbound import benchgen, dedup, synth_runner
+from lbound import benchgen, dedup, synth_runner, systems
 
 SYSTEMS = resources.files("lbound") / "data" / "systems"
 BUNDLED = ["Quadro_RTX", "TITAN_V", "TITAN_Xp", "Tesla_K80", "Tesla_M60", "Tesla_T4",
@@ -44,16 +44,16 @@ def test_jittered_records_do_not_depend_on_spec_order(v100):
 def test_the_package_bundles_the_seven_systems():
     on_disk = sorted(entry.name[:-5] for entry in SYSTEMS.iterdir()
                      if entry.name.endswith(".json"))
-    assert synth_runner.builtin_systems() == on_disk == BUNDLED
+    assert systems.builtin_systems() == on_disk == BUNDLED
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_a_bundled_name_loads_as_its_file(name):
     path = SYSTEMS / f"{name}.json"
     obj = json.loads(path.read_text("utf-8"))
-    assert sorted(obj) == sorted(synth_runner.SYSTEM_KEYS)  # every file spells every key
-    by_name = synth_runner.load_system_profile(name)
-    assert vars(by_name) == vars(synth_runner.load_system_profile(str(path))) == {
+    assert sorted(obj) == sorted(systems.SYSTEM_KEYS)  # every file spells every key
+    by_name = systems.load_system_profile(name)
+    assert vars(by_name) == vars(systems.load_system_profile(str(path))) == {
         key: obj[key] for key in ("system_id", "fp32_tflops", "mem_bw_gbps", "tensor_tflops",
                                   "kernel_overhead_us")}
     assert by_name.system_id == name

@@ -18,6 +18,7 @@ from lbound.dedup import parse_signature
 from lbound.errors import LboundError, ModelParseError
 from lbound.model_ir import ConvAlgorithm
 from lbound.perfdb import PerfDb, PerfRecord
+from lbound.systems import load_system_profile
 
 
 def record_line(rec: PerfRecord) -> bytes:
@@ -79,7 +80,7 @@ def parse_manifest(text: str) -> list[BenchmarkSpec]:
 def bench_from_manifest(text: str, systems: list[str], path, jitter_seed: int | None) -> None:
     """``bench --from-manifest --simulate`` once per system, in order."""
     for name in systems:
-        system = synth_runner.load_system_profile(name)
+        system = load_system_profile(name)
         specs = parse_manifest(text)
         with PerRecordDb(path, mode="rw") as db:
             for spec in specs:
